@@ -377,6 +377,14 @@ func (nd *node) key() string {
 // fingerprints; spaced away from the sim package's salt bases.
 const saltLedger uint64 = 0x04_0000_0000
 
+// ledgerTerm is what processor p's recorded decision contributes to a node
+// fingerprint.
+//
+//ccvet:pure
+func ledgerTerm(p sim.ProcID, dec sim.Decision) fingerprint.Digest {
+	return fingerprint.OfUint64(uint64(dec)).Mixed(saltLedger + uint64(p))
+}
+
 // ledgerFP fingerprints a decision ledger as a sum of salted per-processor
 // decision terms. Undecided entries contribute nothing, so a successor's
 // ledger fingerprint differs from its parent's by at most the one term the
@@ -385,7 +393,7 @@ func ledgerFP(ledger []sim.Decision) fingerprint.Digest {
 	var d fingerprint.Digest
 	for p, dec := range ledger {
 		if dec != sim.NoDecision {
-			d = d.Add(fingerprint.OfUint64(uint64(dec)).Mixed(saltLedger + uint64(p)))
+			d = d.Add(ledgerTerm(sim.ProcID(p), dec))
 		}
 	}
 	return d
@@ -516,6 +524,10 @@ type explorer struct {
 	ample    bool
 	elide    bool
 	symPerms []sim.ProcPerm
+	// permMemo memoizes relabelled component digests for symPerms, so
+	// canonicalizeDigest permutes fingerprints, not configurations. Nil
+	// under strings dedup and without symmetry.
+	permMemo *sim.PermuteMemo
 	// clock is Options.Clock (nil = no replay timing).
 	clock func() time.Duration
 }
@@ -595,9 +607,9 @@ func (e *explorer) censusAdd(nd *node, keys []string) {
 // stateKey returns the interned canonical key of nd's processor-p state.
 // The fingerprint engine resolves it through the digest-keyed cache so a
 // state's Key string is built once per distinct state, not once per
-// occurrence; the other engines intern directly (verified mode stays free
-// of any digest-keyed shortcut so its results are exact even under a
-// hash collision).
+// occurrence; the other engines intern directly (under a hash collision
+// verified mode's one digest-keyed memo, permMemo, can at worst pick a
+// non-minimal orbit member; a shortcut here could mislabel a state).
 func (e *explorer) stateKey(nd *node, p int) string {
 	if e.dedup == frontier.DedupFingerprint {
 		return e.keyCache.GetOrInsert(nd.cfg.StateDigestAt(p), func() string {
@@ -663,17 +675,13 @@ func (e *explorer) expandEvents(nd *node, tryAmple bool) expansion {
 	// fingerprint is the successor's own frame, not its canonical handle).
 	fast := e.dedup == frontier.DedupFingerprint && e.opts.Problem == nil && !e.canonicalizing()
 	for _, ev := range events {
-		var cfg *sim.Config
-		var err error
 		if fast {
 			if fp, ok := e.predictSeen(nd, ev); ok {
 				out.succs = append(out.succs, succ{fp: fp, event: ev})
 				continue
 			}
-			cfg, _, err = e.predictor.Materialize(e.proto, nd.cfg, ev)
-		} else {
-			cfg, _, err = sim.Apply(e.proto, nd.cfg, ev)
 		}
+		cfg, err := e.apply(nd.cfg, ev)
 		if err != nil {
 			out.err = fmt.Errorf("checker: exploring %s: %w", e.proto.Name(), err)
 			return out
@@ -724,6 +732,19 @@ func (e *explorer) expandEvents(nd *node, tryAmple bool) expansion {
 	return out
 }
 
+// apply materializes ev's successor of cfg: under fingerprint dedup through
+// the transition cache, which already holds the stepped state's digest, so
+// no edge rehashes a state; by plain sim.Apply under the other engines.
+func (e *explorer) apply(cfg *sim.Config, ev sim.Event) (*sim.Config, error) {
+	var err error
+	if e.predictor != nil {
+		cfg, _, err = e.predictor.Materialize(e.proto, cfg, ev)
+	} else {
+		cfg, _, err = sim.Apply(e.proto, cfg, ev)
+	}
+	return cfg, err
+}
+
 // predictSeen derives the fingerprint that ev's successor node would have
 // — configuration fingerprint via the memoizing sim.Predictor, ledger
 // delta from the predicted post-state's decision — and reports whether
@@ -745,7 +766,7 @@ func (e *explorer) predictSeen(nd *node, ev sim.Event) (fingerprint.Digest, bool
 				// to the materializing path.
 				return fingerprint.Digest{}, false
 			}
-			fp = fp.Add(fingerprint.OfUint64(uint64(d)).Mixed(saltLedger + uint64(ev.Proc)))
+			fp = fp.Add(ledgerTerm(ev.Proc, d))
 		}
 	}
 	if !e.fpVisited.Seen(fp) {
@@ -1006,7 +1027,7 @@ func (r *replayer) materialize(parent *node, s *succ) error {
 	if parent == nil {
 		panic("checker: unmaterialized root successor")
 	}
-	cfg, _, err := sim.Apply(e.proto, parent.cfg, s.event)
+	cfg, err := e.apply(parent.cfg, s.event)
 	if err != nil {
 		return fmt.Errorf("checker: exploring %s: %w", e.proto.Name(), err)
 	}

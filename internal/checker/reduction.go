@@ -204,22 +204,35 @@ func (e *explorer) canonicalizing() bool {
 // reachable and traces replay unchanged — only the handle is canonical,
 // so the first-reached member of a class represents the class.
 //
-// Runs wherever expand runs; WithoutDeadBuffers and sim.PermuteConfig are
-// pure, so this is safe on pool workers and deterministic for the replay.
+// The strings engine materializes every candidate (canonicalizeKey) and is
+// the reference oracle; the fingerprint and verified engines compute the
+// same candidates' fingerprints from cached component digests
+// (canonicalizeDigest). Both run wherever expand runs: the sim functions
+// they call are pure or concurrency-safe memos, so this is safe on pool
+// workers and deterministic for the replay.
 func (e *explorer) canonicalizeSucc(nxt *node, s *succ) {
+	if e.dedup == frontier.DedupStrings {
+		e.canonicalizeKey(nxt, s)
+	} else {
+		e.canonicalizeDigest(nxt, s)
+	}
+	if canonicalizeHook != nil {
+		canonicalizeHook(e, nxt, s)
+	}
+}
+
+// canonicalizeHook, when set, observes every canonicalized successor. Only
+// tests set it (to cross-check the digest shortcut against the
+// materialized path); it may be called from pool workers concurrently.
+var canonicalizeHook func(e *explorer, nxt *node, s *succ)
+
+func (e *explorer) canonicalizeKey(nxt *node, s *succ) {
 	base := nxt.cfg
 	if e.elide {
 		if erased, changed := base.WithoutDeadBuffers(); changed {
 			base, s.elided = erased, true
 			cand := &node{cfg: base, ledger: nxt.ledger}
-			switch e.dedup {
-			case frontier.DedupFingerprint:
-				s.fp = nodeFP(cand)
-			case frontier.DedupVerified:
-				s.fp, s.key = nodeFP(cand), cand.key()
-			default:
-				s.key = cand.key()
-			}
+			s.key = cand.key()
 		}
 	}
 	for _, perm := range e.symPerms {
@@ -228,34 +241,58 @@ func (e *explorer) canonicalizeSucc(nxt *node, s *succ) {
 			panic("checker: symmetry group present but state does not implement sim.Permuter")
 		}
 		cand := &node{cfg: pcfg, ledger: permuteLedger(nxt.ledger, perm)}
-		switch e.dedup {
-		case frontier.DedupFingerprint:
-			if fp := nodeFP(cand); fp.Less(s.fp) {
-				s.fp, s.permuted = fp, true
-			}
-		case frontier.DedupVerified:
-			fp := nodeFP(cand)
-			if fp.Less(s.fp) {
-				s.fp, s.key, s.permuted = fp, cand.key(), true
-			}
-		default:
-			if key := cand.key(); key < s.key {
-				s.key, s.permuted = key, true
-			}
+		if key := cand.key(); key < s.key {
+			s.key, s.permuted = key, true
 		}
 	}
-	switch e.dedup {
-	case frontier.DedupFingerprint:
-		nxt.fp = s.fp
-	case frontier.DedupVerified:
-		nxt.fp, nxt.ckey = s.fp, s.key
-	default:
-		nxt.ckey = s.key
-		if e.routeFP {
-			nxt.fp = fingerprint.OfString(nxt.ckey)
-			s.fp = nxt.fp
+	nxt.ckey = s.key
+	if e.routeFP {
+		nxt.fp = fingerprint.OfString(nxt.ckey)
+		s.fp = nxt.fp
+	}
+}
+
+// canonicalizeDigest never hashes a component twice: the erased handle is
+// the warm fingerprint minus the dead letters' terms, and each permuted
+// candidate is a sum of memoized relabelled component digests
+// (sim.PermuteMemo) plus the ledger terms salted at their permuted
+// positions — value-equal to materializing the candidate and hashing it
+// cold, so the same orbit member wins. Nothing is materialized under
+// fingerprint dedup; verified dedup materializes the one winning candidate
+// for the key that rides along, and nothing at all when the successor's
+// own unerased frame wins.
+func (e *explorer) canonicalizeDigest(nxt *node, s *succ) {
+	if e.elide {
+		if fp, changed := nxt.cfg.ElidedFingerprint(); changed {
+			s.fp, s.elided = fp.Add(ledgerFP(nxt.ledger)), true
 		}
 	}
+	winner := -1
+	for i, perm := range e.symPerms {
+		fp, ok := e.permMemo.Fingerprint(nxt.cfg, i, e.elide)
+		if !ok {
+			panic("checker: symmetry group present but state does not implement sim.Permuter")
+		}
+		if fp = fp.Add(permutedLedgerFP(nxt.ledger, perm)); fp.Less(s.fp) {
+			s.fp, s.permuted, winner = fp, true, i
+		}
+	}
+	nxt.fp = s.fp
+	if e.dedup != frontier.DedupVerified {
+		return
+	}
+	if s.elided || winner >= 0 {
+		cand := &node{cfg: nxt.cfg, ledger: nxt.ledger}
+		if s.elided {
+			cand.cfg, _ = cand.cfg.WithoutDeadBuffers()
+		}
+		if winner >= 0 {
+			cand.cfg, _ = sim.PermuteConfig(cand.cfg, e.symPerms[winner])
+			cand.ledger = permuteLedger(nxt.ledger, e.symPerms[winner])
+		}
+		s.key = cand.key()
+	}
+	nxt.ckey = s.key
 }
 
 // sameNode reports whether two materialized nodes are interchangeable as
@@ -285,6 +322,20 @@ func sameNode(a, b *node) bool {
 		}
 	}
 	return a.cfg.SameChannelSeqs(b.cfg) && a.cfg.Fingerprint() == b.cfg.Fingerprint()
+}
+
+// permutedLedgerFP is ledgerFP(permuteLedger(ledger, perm)) without
+// building the relabelled ledger: p's term is salted at perm[p].
+//
+//ccvet:pure
+func permutedLedgerFP(ledger []sim.Decision, perm sim.ProcPerm) fingerprint.Digest {
+	var d fingerprint.Digest
+	for p, dec := range ledger {
+		if dec != sim.NoDecision {
+			d = d.Add(ledgerTerm(perm[p], dec))
+		}
+	}
+	return d
 }
 
 // permuteLedger relabels a decision ledger: processor p's decision moves
@@ -332,5 +383,8 @@ func (e *explorer) initReduction() {
 	e.elide = e.ample
 	if e.opts.Reduction.usesSymmetry() {
 		e.symPerms = symmetry.ForProtocol(e.proto)
+		if len(e.symPerms) > 0 && e.dedup != frontier.DedupStrings {
+			e.permMemo = sim.NewPermuteMemo(e.symPerms)
+		}
 	}
 }

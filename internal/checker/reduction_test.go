@@ -3,8 +3,10 @@ package checker
 import (
 	"context"
 	"fmt"
+	"sync"
 	"testing"
 
+	"repro/internal/fingerprint"
 	"repro/internal/frontier"
 	"repro/internal/protocols"
 	"repro/internal/sim"
@@ -52,7 +54,11 @@ type reductionCase struct {
 	name  string
 	proto sim.Protocol
 	opts  Options
-	big   bool // skipped in -short runs
+	// big cases are skipped in -short runs, and outside CC_FULL_MATRIX=1
+	// run their reduced rows on the fingerprint engine only: the strings
+	// engine materializes every orbit candidate and takes 92 of
+	// fullexchange-mf1's 130 s.
+	big bool
 }
 
 func reductionCases() []reductionCase {
@@ -178,8 +184,12 @@ func TestReductionDifferential(t *testing.T) {
 			refCanon := canonicalDecisionCensus(ref, perms)
 			refStates := stateCensusKeys(ref)
 
+			dedups := reductionDedups
+			if tc.big && !fullMatrix() {
+				dedups = []frontier.Dedup{frontier.DedupFingerprint}
+			}
 			for _, mode := range reductionModes {
-				for _, dedup := range reductionDedups {
+				for _, dedup := range dedups {
 					var base string
 					for _, par := range reductionParallelism {
 						name := fmt.Sprintf("%v/%v/p%d", mode, dedup, par)
@@ -310,6 +320,107 @@ func TestReductionCancelledDeterminism(t *testing.T) {
 			}
 			if d != base {
 				t.Errorf("%v/p%d: cancelled reduced partial diverges:\n%s", mode, par, firstDiff(base, d))
+			}
+		}
+	}
+}
+
+// materializedHandle is the canonicalization the digest shortcut replaced
+// in the fingerprint and verified engines, kept here as its oracle: every
+// candidate is built (WithoutDeadBuffers, sim.PermuteConfig,
+// permuteLedger) and hashed cold, the Digest.Less-minimal fingerprint wins
+// and its key rides along.
+func materializedHandle(e *explorer, nxt *node) (fp fingerprint.Digest, key string, elided, permuted bool) {
+	own := &node{cfg: nxt.cfg, ledger: nxt.ledger}
+	fp, key = nodeFP(own), own.key()
+	base := nxt.cfg
+	if e.elide {
+		if erased, changed := base.WithoutDeadBuffers(); changed {
+			base, elided = erased, true
+			cand := &node{cfg: base, ledger: nxt.ledger}
+			fp, key = nodeFP(cand), cand.key()
+		}
+	}
+	for _, perm := range e.symPerms {
+		pcfg, _ := sim.PermuteConfig(base, perm)
+		cand := &node{cfg: pcfg, ledger: permuteLedger(nxt.ledger, perm)}
+		if cfp := nodeFP(cand); cfp.Less(fp) {
+			fp, key, permuted = cfp, cand.key(), true
+		}
+	}
+	return fp, key, elided, permuted
+}
+
+// TestCanonicalizeDigestMatchesMaterialized hooks every canonicalized
+// successor of two ReduceBoth explorations and asserts that the handle the
+// digest path produced is the one full materialization produces — same
+// fingerprint, same flags, and under verified dedup the same key — on the
+// sequential walk and on pool workers. It then pins the steady-state cost:
+// in fingerprint mode a warm canonicalizeSucc allocates nothing.
+func TestCanonicalizeDigestMatchesMaterialized(t *testing.T) {
+	defer func() { canonicalizeHook = nil }()
+	prob := problem(taxonomy.WT, taxonomy.TC)
+	for _, tc := range []struct {
+		proto sim.Protocol
+		mf    int
+	}{
+		{protocols.Star{Procs: 3}, 2},
+		{protocols.FullExchange{Procs: 3}, 0},
+	} {
+		for _, dedup := range []frontier.Dedup{frontier.DedupFingerprint, frontier.DedupVerified} {
+			for _, par := range []int{1, 2} {
+				var mu sync.Mutex
+				var calls, elided, permuted int
+				var warmE *explorer
+				var warm []*node
+				canonicalizeHook = func(e *explorer, nxt *node, s *succ) {
+					fp, key, el, pm := materializedHandle(e, nxt)
+					mu.Lock()
+					defer mu.Unlock()
+					calls++
+					if el {
+						elided++
+					}
+					if pm {
+						permuted++
+					}
+					if len(warm) < 64 {
+						warmE, warm = e, append(warm, nxt)
+					}
+					if s.fp != fp || nxt.fp != fp || s.elided != el || s.permuted != pm {
+						t.Errorf("%s/%v/p%d after %v: digest handle %v (elided=%v permuted=%v), materialized %v (%v %v)",
+							tc.proto.Name(), dedup, par, s.event, s.fp, s.elided, s.permuted, fp, el, pm)
+					}
+					if dedup == frontier.DedupVerified && (s.key != key || nxt.ckey != key) {
+						t.Errorf("%s/%v/p%d after %v: verified key diverged:\n got %q\nwant %q",
+							tc.proto.Name(), dedup, par, s.event, s.key, key)
+					}
+				}
+				_, err := Explore(tc.proto, Options{
+					MaxFailures: tc.mf, Parallelism: par, Dedup: dedup, Problem: &prob, Reduction: ReduceBoth,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				canonicalizeHook = nil
+				if calls == 0 || permuted == 0 || (tc.mf > 0 && elided == 0) {
+					t.Fatalf("%s/%v/p%d: hook saw %d successors, %d elided, %d permuted — matrix does not exercise the shortcut",
+						tc.proto.Name(), dedup, par, calls, elided, permuted)
+				}
+				if dedup != frontier.DedupFingerprint || par != 1 {
+					continue
+				}
+				var s succ
+				allocs := testing.AllocsPerRun(20, func() {
+					for _, nxt := range warm {
+						s = succ{fp: nodeFP(nxt)}
+						warmE.canonicalizeSucc(nxt, &s)
+					}
+				})
+				if allocs != 0 {
+					t.Errorf("%s: warm canonicalizeSucc allocates %.2f times per %d successors in fingerprint mode, want 0",
+						tc.proto.Name(), allocs, len(warm))
+				}
 			}
 		}
 	}

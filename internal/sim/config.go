@@ -251,11 +251,9 @@ func (c *Config) Clone() *Config {
 func (c *Config) WithoutDeadBuffers() (*Config, bool) {
 	erase := false
 	for p, s := range c.States {
-		if len(c.Buffers[p]) > 0 {
-			if k := s.Kind(); k == Failed || k == Halted {
-				erase = true
-				break
-			}
+		if len(c.Buffers[p]) > 0 && deadLetterBox(s) {
+			erase = true
+			break
 		}
 	}
 	if !erase {
@@ -271,11 +269,34 @@ func (c *Config) WithoutDeadBuffers() (*Config, bool) {
 		omitTargets: c.omitTargets,
 	}
 	for p, s := range c.States {
-		if k := s.Kind(); k != Failed && k != Halted {
+		if !deadLetterBox(s) {
 			out.Buffers[p] = c.Buffers[p]
 		}
 	}
 	return out, true
+}
+
+// deadLetterBox reports whether a processor in state s can never receive
+// again, which makes everything in its buffer a dead letter.
+func deadLetterBox(s State) bool {
+	k := s.Kind()
+	return k == Failed || k == Halted
+}
+
+// ElidedFingerprint returns what WithoutDeadBuffers reports — the erased
+// view's Fingerprint and whether anything was erased — without building
+// the view: the warm fingerprint minus the dead letters' buffer terms.
+func (c *Config) ElidedFingerprint() (fingerprint.Digest, bool) {
+	fp, changed := c.Fingerprint(), false
+	for p, s := range c.States {
+		if buf := c.Buffers[p]; len(buf) > 0 && deadLetterBox(s) {
+			changed = true
+			for i := range buf {
+				fp = fp.Sub(buf[i].Digest().Mixed(saltBufferBase + uint64(p)))
+			}
+		}
+	}
+	return fp, changed
 }
 
 // SameChannelSeqs reports whether two configurations carry identical

@@ -1,6 +1,10 @@
 package sim
 
-import "sort"
+import (
+	"sort"
+
+	"repro/internal/fingerprint"
+)
 
 // ProcPerm is a permutation of processor identities: perm[p] is the
 // identity p maps to. Symmetry reduction applies topology automorphisms as
@@ -89,6 +93,89 @@ func PermuteConfig(c *Config, perm ProcPerm) (*Config, bool) {
 		}
 	}
 	return out, true
+}
+
+// PermuteMemo is the digest-level counterpart of PermuteConfig for one
+// fixed list of permutations: it computes the fingerprint a relabelled
+// configuration would have from the configuration's cached component
+// digests, building no Config, State, or Message once a component has
+// been seen. The relabelled digest of a local state is a pure function of
+// (permutation, owner, state) and that of a message of (permutation,
+// message), so both are memoized by input digest — which, exactly as for
+// Predictor, makes a 128-bit collision a wrong answer; callers use it only
+// where fingerprints already identify configurations.
+type PermuteMemo struct {
+	perms []ProcPerm
+	inv   []ProcPerm // inv[i][perms[i][p]] = p
+	memo  *digestMemo[fingerprint.Digest]
+}
+
+// NewPermuteMemo returns an empty memo for the given permutations, which
+// must all be valid on the same N. It is safe for concurrent use.
+func NewPermuteMemo(perms []ProcPerm) *PermuteMemo {
+	pm := &PermuteMemo{perms: perms, inv: make([]ProcPerm, len(perms)), memo: newDigestMemo[fingerprint.Digest]()}
+	for i, perm := range perms {
+		pm.inv[i] = make(ProcPerm, len(perm))
+		for p, q := range perm {
+			pm.inv[i][q] = ProcID(p)
+		}
+	}
+	return pm
+}
+
+// permuteMemoKey keys one memoized relabelling: role 1 is the state d
+// owned by processor owner, role 2 the message d (owner 0), under the
+// memo's i-th permutation.
+//
+//ccvet:pure
+func permuteMemoKey(role uint64, i, owner int, d fingerprint.Digest) fingerprint.Digest {
+	h := fingerprint.New()
+	h.WriteUint64(role<<56 | uint64(i)<<32 | uint64(uint32(owner)))
+	h.WriteUint64(d.Lo)
+	h.WriteUint64(d.Hi)
+	return h.Sum()
+}
+
+// Fingerprint returns the Fingerprint of PermuteConfig(c, perms[i]) — of
+// PermuteConfig(c.WithoutDeadBuffers(), perms[i]) when elide is set —
+// without building it: the permuted-inputs term plus, for every processor
+// p, the relabelled digests of its state and buffered messages salted at
+// position perms[i][p]. Like PermuteConfig it carries no omission term and
+// reports ok=false when a state does not implement Permuter.
+func (pm *PermuteMemo) Fingerprint(c *Config, i int, elide bool) (fingerprint.Digest, bool) {
+	perm := pm.perms[i]
+	h := fingerprint.New()
+	for _, p := range pm.inv[i] {
+		h.WriteUint64(uint64(c.Inputs[p]))
+	}
+	fp := h.Sum().Mixed(saltInputs)
+	for p, s := range c.States {
+		key := permuteMemoKey(1, i, p, c.StateDigestAt(p))
+		d, ok := pm.memo.lookup(key)
+		if !ok {
+			ps, permutable := s.(Permuter)
+			if !permutable {
+				return fingerprint.Digest{}, false
+			}
+			d = StateDigest(ps.PermuteProcs(perm))
+			pm.memo.store(key, d)
+		}
+		fp = fp.Add(d.Mixed(saltStateBase + uint64(perm[p])))
+		if elide && deadLetterBox(s) {
+			continue
+		}
+		buf := c.Buffers[p]
+		for j := range buf {
+			mkey := permuteMemoKey(2, i, 0, buf[j].Digest())
+			md, ok := pm.memo.lookup(mkey)
+			if !ok {
+				md = PermuteMessage(buf[j], perm).Digest()
+				pm.memo.store(mkey, md)
+			}
+			fp = fp.Add(md.Mixed(saltBufferBase + uint64(perm[p])))
+		}
+	}
+	return fp, true
 }
 
 // PermuteProcs implements Permuter for failed states: ⊥(p) relabels to

@@ -136,9 +136,41 @@ type predictEntry struct {
 
 const predictShards = 64
 
-type predictShard struct {
+type digestShard[V any] struct {
 	mu sync.RWMutex
-	m  map[fingerprint.Digest]predictEntry // ccvet:guardedby mu
+	m  map[fingerprint.Digest]V // ccvet:guardedby mu
+}
+
+// digestMemo is a concurrency-safe memo table keyed by 128-bit digest,
+// sharded by the key's low bits so concurrent readers rarely meet on a
+// lock. It backs Predictor and PermuteMemo. Entries are only ever added,
+// and racing stores for one key carry equal values (callers memoize pure
+// functions of the key's preimage).
+type digestMemo[V any] struct {
+	shards [predictShards]digestShard[V]
+}
+
+func newDigestMemo[V any]() *digestMemo[V] {
+	dm := &digestMemo[V]{}
+	for i := range dm.shards {
+		dm.shards[i].m = make(map[fingerprint.Digest]V)
+	}
+	return dm
+}
+
+func (dm *digestMemo[V]) lookup(key fingerprint.Digest) (V, bool) {
+	sh := &dm.shards[key.Lo&(predictShards-1)]
+	sh.mu.RLock()
+	v, ok := sh.m[key]
+	sh.mu.RUnlock()
+	return v, ok
+}
+
+func (dm *digestMemo[V]) store(key fingerprint.Digest, v V) {
+	sh := &dm.shards[key.Lo&(predictShards-1)]
+	sh.mu.Lock()
+	sh.m[key] = v
+	sh.mu.Unlock()
 }
 
 // Predictor is a concurrency-safe transition cache for fingerprint
@@ -149,31 +181,12 @@ type predictShard struct {
 // cached outcome, which is why explorers use it only in fingerprint mode
 // (never under verified or string dedup).
 type Predictor struct {
-	shards [predictShards]predictShard
+	*digestMemo[predictEntry]
 }
 
 // NewPredictor returns an empty transition cache.
 func NewPredictor() *Predictor {
-	pr := &Predictor{}
-	for i := range pr.shards {
-		pr.shards[i].m = make(map[fingerprint.Digest]predictEntry)
-	}
-	return pr
-}
-
-func (pr *Predictor) lookup(key fingerprint.Digest) (predictEntry, bool) {
-	sh := &pr.shards[key.Lo&(predictShards-1)]
-	sh.mu.RLock()
-	ent, ok := sh.m[key]
-	sh.mu.RUnlock()
-	return ent, ok
-}
-
-func (pr *Predictor) store(key fingerprint.Digest, ent predictEntry) {
-	sh := &pr.shards[key.Lo&(predictShards-1)]
-	sh.mu.Lock()
-	sh.m[key] = ent
-	sh.mu.Unlock()
+	return &Predictor{newDigestMemo[predictEntry]()}
 }
 
 // deliverCacheKey identifies a Receive transition by processor, state

@@ -62,6 +62,13 @@ func canonFP(c *sim.Config, perms []sim.ProcPerm) fingerprint.Digest {
 // dead-letter-erased view (the checker canonicalizes erased configurations
 // under ReduceBoth; erasure and permutation must commute for that to be
 // sound).
+//
+// It also pins the digest-level shortcuts to the materialized functions
+// they replace in the checker: for every π, sim.PermuteMemo's fingerprint
+// equals PermuteConfig(c, π).Fingerprint(), Config.ElidedFingerprint equals
+// WithoutDeadBuffers().Fingerprint(), and the two compose in either order.
+// One memo lives for the whole run, so early steps take the miss path and
+// later ones the hit path.
 func FuzzOrbitCanonical(f *testing.F) {
 	f.Add(uint8(0), []byte{0, 1, 2, 3, 4, 5, 6, 7})
 	f.Add(uint8(1), []byte{7, 6, 5, 4, 3, 2, 1, 0})
@@ -85,14 +92,29 @@ func FuzzOrbitCanonical(f *testing.F) {
 			}
 		}
 		c := sim.NewConfig(proto, inputs)
+		memo := sim.NewPermuteMemo(perms)
 		check := func(c *sim.Config) {
 			wantKey, wantFP := canonKey(c, perms), canonFP(c, perms)
-			erased, _ := c.WithoutDeadBuffers()
+			erased, wasErased := c.WithoutDeadBuffers()
 			wantEK, wantEFP := canonKey(erased, perms), canonFP(erased, perms)
-			for _, perm := range perms {
+			if got, changed := c.ElidedFingerprint(); got != erased.Fingerprint() || changed != wasErased {
+				t.Fatalf("ElidedFingerprint = %v, %v; WithoutDeadBuffers gives %v, %v", got, changed, erased.Fingerprint(), wasErased)
+			}
+			for i, perm := range perms {
 				pc, ok := sim.PermuteConfig(c, perm)
 				if !ok {
 					t.Fatal("protocol state does not implement sim.Permuter")
+				}
+				if got, ok := memo.Fingerprint(c, i, false); !ok || got != pc.Fingerprint() {
+					t.Fatalf("digest-level fingerprint under %v = %v, %v; PermuteConfig gives %v", perm, got, ok, pc.Fingerprint())
+				}
+				pce, _ := sim.PermuteConfig(erased, perm)
+				got, _ := memo.Fingerprint(c, i, true)
+				if got != pce.Fingerprint() {
+					t.Fatalf("erase-then-permute under %v = %v, materialized %v", perm, got, pce.Fingerprint())
+				}
+				if pefp, _ := pc.ElidedFingerprint(); got != pefp {
+					t.Fatalf("permute-then-erase under %v = %v, erase-then-permute %v", perm, pefp, got)
 				}
 				if got := canonKey(pc, perms); got != wantKey {
 					t.Fatalf("canonical key not orbit-invariant under %v:\n got %q\nwant %q", perm, got, wantKey)
