@@ -42,7 +42,6 @@ func run() int {
 		problem   = flag.String("problem", "WT-TC", "problem: {WT,ST,HT}-{IC,TC}")
 		maxFail   = flag.Int("maxfail", 2, "maximum injected failures per run")
 		maxNodes  = flag.Int("maxnodes", 0, "node budget (0 = default)")
-		parallel  = flag.Int("parallel", 0, "exploration worker count (0 = GOMAXPROCS); results are identical at any setting")
 		timeout   = flag.Duration("timeout", 0, "exploration wall-clock budget (0 = none); on expiry partial results are reported")
 		reduce    = flag.String("reduce", "none", "state-space reduction: none, ample, symmetry, or both (reduced runs keep the verdict; node counts describe the reduced graph)")
 		trace     = flag.Bool("trace", false, "print the event trace to the first violation")
@@ -90,7 +89,7 @@ func run() int {
 	}
 
 	opts := consensus.CheckOptions{
-		MaxFailures: *maxFail, MaxNodes: *maxNodes, Parallelism: *parallel,
+		MaxFailures: *maxFail, MaxNodes: *maxNodes,
 		TrackTraces: *trace, Reduction: reduction,
 		OmissionBudget: *omitBudg, MobileOmissions: *mobileOm,
 	}

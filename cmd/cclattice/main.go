@@ -30,13 +30,12 @@ func run() error {
 	var (
 		verify     = flag.Bool("verify", false, "run the machine-checked witnesses")
 		exhaustive = flag.Bool("exhaustive", false, "include the exhaustive model-checking witnesses (slower)")
-		parallel   = flag.Int("parallel", 0, "worker count for the exhaustive explorations (0 = GOMAXPROCS); results are byte-identical at any setting")
 	)
 	flag.Parse()
 
 	l := consensus.BuildLattice()
 	if *verify {
-		l.Evidence = consensus.Witnesses(consensus.WitnessOptions{Exhaustive: *exhaustive, Parallelism: *parallel})
+		l.Evidence = consensus.Witnesses(consensus.WitnessOptions{Exhaustive: *exhaustive})
 	}
 	fmt.Print(l.Render())
 	if *verify {

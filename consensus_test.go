@@ -1,6 +1,8 @@
 package consensus_test
 
 import (
+	"context"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -172,5 +174,44 @@ func TestThresholdFacade(t *testing.T) {
 	}
 	if d, ok := run2.DecisionOf(0); !ok || d != consensus.Abort {
 		t.Fatalf("3 of 5 ones with K=4 should abort: %v %v", d, ok)
+	}
+}
+
+// goroutineProbe wraps a protocol and records the largest goroutine count
+// any Receive callback observes.
+type goroutineProbe struct {
+	consensus.Protocol
+	max *int
+}
+
+func (p goroutineProbe) Receive(id consensus.ProcID, s consensus.State, m consensus.Message) consensus.State {
+	if n := runtime.NumGoroutine(); n > *p.max {
+		*p.max = n
+	}
+	return p.Protocol.Receive(id, s, m)
+}
+
+// TestExplorersRunOnTheCallingGoroutine asserts that exploration and scheme
+// enumeration start no goroutines, whatever the deprecated Parallelism field
+// says: the count a protocol callback observes mid-run, and the count after,
+// do not exceed the count before the call (a goroutine of an earlier test may
+// still be exiting, so the count can fall).
+func TestExplorersRunOnTheCallingGoroutine(t *testing.T) {
+	before := runtime.NumGoroutine()
+	during := 0
+	probe := goroutineProbe{Protocol: consensus.Star(3), max: &during}
+	if _, err := consensus.ExploreContext(context.Background(), probe,
+		consensus.CheckOptions{MaxFailures: 1, Parallelism: 8}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := consensus.EnumeratePatterns(probe, consensus.MustInputs("111"),
+		consensus.SchemeOptions{Parallelism: 8}); err != nil {
+		t.Fatal(err)
+	}
+	if during == 0 {
+		t.Fatal("the probe's Receive never ran")
+	}
+	if after := runtime.NumGoroutine(); during > before || after > before {
+		t.Fatalf("goroutines: %d before, %d observed mid-run, %d after; want no increase", before, during, after)
 	}
 }

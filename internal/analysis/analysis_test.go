@@ -352,7 +352,6 @@ func TestDetRangeAppliesOnlyToDeterminismCriticalPackages(t *testing.T) {
 		"internal/runtime":      true,
 		"internal/taxonomy":     true,
 		"cmd/cclive":            true,
-		"cmd/ccbench":           true,
 		"cmd/cclattice":         true,
 		"cmd/ccpat":             true,
 		"internal/protocols":    false,

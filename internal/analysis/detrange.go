@@ -41,7 +41,6 @@ var detRangePackages = []string{
 	"internal/taxonomy",
 	"cmd/ccchaos",
 	"cmd/cclive",
-	"cmd/ccbench",
 	"cmd/cclattice",
 	"cmd/ccpat",
 }

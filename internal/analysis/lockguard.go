@@ -7,7 +7,7 @@ import (
 )
 
 // LockGuardAnalyzer machine-checks the mutex conventions of the concurrent
-// subsystems (the parallel frontier, the live runtime). A struct field
+// subsystems (the sharded containers, the live runtime). A struct field
 // annotated
 //
 //	m map[string]V // ccvet:guardedby mu

@@ -1,7 +1,6 @@
 package checker
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/internal/frontier"
@@ -9,26 +8,27 @@ import (
 )
 
 // BenchmarkExploreDedup pits the three visited-set engines against each
-// other on the standard tree(N=3) two-failure space — the configuration
-// tracked in BENCH_explore.json. DedupStrings is the old string-keyed
-// engine; the gap to DedupFingerprint is the win this package's
-// fingerprint fast path buys.
+// other on the standard tree(N=3) two-failure space. It is the profiling
+// entry point for the explorer:
+//
+//	go test -run '^$' -bench ExploreDedup -cpuprofile cpu.prof ./internal/checker
+//
+// End-to-end numbers and the regression gate are the layered benchmark's
+// (go run ./bench -workload explore-plain, go run ./bench -compare a b).
 func BenchmarkExploreDedup(b *testing.B) {
 	for _, dedup := range []frontier.Dedup{frontier.DedupStrings, frontier.DedupVerified, frontier.DedupFingerprint} {
-		for _, par := range []int{1, 4} {
-			dedup, par := dedup, par
-			b.Run(fmt.Sprintf("%v/p%d", dedup, par), func(b *testing.B) {
-				b.ReportAllocs()
-				var nodes int
-				for i := 0; i < b.N; i++ {
-					x, err := Explore(protocols.Tree{Procs: 3}, Options{MaxFailures: 2, Parallelism: par, Dedup: dedup})
-					if err != nil {
-						b.Fatal(err)
-					}
-					nodes = x.NodeCount
+		dedup := dedup
+		b.Run(dedup.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			var nodes int
+			for i := 0; i < b.N; i++ {
+				x, err := Explore(protocols.Tree{Procs: 3}, Options{MaxFailures: 2, Dedup: dedup})
+				if err != nil {
+					b.Fatal(err)
 				}
-				b.ReportMetric(float64(nodes), "nodes")
-			})
-		}
+				nodes = x.NodeCount
+			}
+			b.ReportMetric(float64(nodes), "nodes")
+		})
 	}
 }

@@ -33,7 +33,6 @@ func CheckContext(ctx context.Context, proto sim.Protocol, problem taxonomy.Prob
 // the rule if any processor is already faulty in the pre-configuration —
 // by crashing or by having had a delivery omission-suppressed — (the event
 // itself cannot simultaneously fail a processor and decide another).
-// Pure — safe to run on expansion workers.
 func decisionEdgeViolations(problem taxonomy.Problem, prev, next *node) []taxonomy.Violation {
 	var out []taxonomy.Violation
 	failureSeen := prev.cfg.OmissionsUsed() > 0
@@ -60,7 +59,7 @@ func decisionEdgeViolations(problem taxonomy.Problem, prev, next *node) []taxono
 
 // nodeViolations validates the consistency constraint on one accessible
 // configuration, and the termination condition if the configuration is
-// terminal. Pure — safe to run on expansion workers.
+// terminal.
 func nodeViolations(problem taxonomy.Problem, nd *node) []taxonomy.Violation {
 	var out []taxonomy.Violation
 	switch problem.Consistency {

@@ -3,11 +3,24 @@ package checker
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/protocols"
+	"repro/internal/sim"
 	"repro/internal/taxonomy"
 )
+
+// TestExploreRejectsBadFailProcs: a FailProcs entry outside [0,N) is caller
+// input and must come back as an error, not an index panic.
+func TestExploreRejectsBadFailProcs(t *testing.T) {
+	for _, p := range []sim.ProcID{3, -1} {
+		x, err := Explore(protocols.Tree{Procs: 3}, Options{FailProcs: []sim.ProcID{p}})
+		if x != nil || err == nil || !strings.Contains(err.Error(), "out of range [0,3)") {
+			t.Errorf("FailProcs [%d]: exploration %v, err %v; want a range error", p, x, err)
+		}
+	}
+}
 
 func TestCancelledExploreReturnsPartialResults(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
@@ -62,38 +75,34 @@ func TestBudgetExhaustionKeepsPartialResults(t *testing.T) {
 	}
 }
 
-// TestBudgetExhaustionExactAtEveryWidth sweeps the exact-MaxNodes contract
-// across parallelism widths: whether the expansion is inline (width 1) or
-// speculatively prefetched by 2, 8, or 16 pool workers, the canonical replay
+// TestBudgetExhaustionExact pins the exact-MaxNodes contract: the walk
 // accepts exactly MaxNodes configurations, reports Exhausted, and leaves a
 // non-empty frontier. The budget cut lands mid-space for star at two
-// failures, so the stop happens in the middle of a merge, not at a level
-// boundary.
-func TestBudgetExhaustionExactAtEveryWidth(t *testing.T) {
+// failures, so the stop happens in the middle of a node's successors, not
+// at a level boundary.
+func TestBudgetExhaustionExact(t *testing.T) {
 	const budget = 6_000
-	for _, par := range []int{1, 2, 8, 16} {
-		x, err := CheckContext(context.Background(), protocols.Star{Procs: 3},
-			problem(taxonomy.WT, taxonomy.TC),
-			Options{MaxFailures: 2, MaxNodes: budget, Parallelism: par})
-		if x == nil {
-			t.Fatalf("width %d: exhausted exploration must still return the partial Exploration", par)
-		}
-		var be *BudgetError
-		if !errors.As(err, &be) || be.Nodes != budget {
-			t.Fatalf("width %d: err = %v, want *BudgetError with Nodes=%d", par, err, budget)
-		}
-		if x.Status != StatusExhausted {
-			t.Fatalf("width %d: status = %v, want exhausted", par, x.Status)
-		}
-		if x.NodeCount != budget {
-			t.Fatalf("width %d: NodeCount = %d, want exactly the budget %d", par, x.NodeCount, budget)
-		}
-		if len(x.Configs) != budget {
-			t.Fatalf("width %d: len(Configs) = %d, want exactly the budget %d", par, len(x.Configs), budget)
-		}
-		if x.FrontierSize == 0 {
-			t.Fatalf("width %d: exhausted mid-space but FrontierSize = 0", par)
-		}
+	x, err := CheckContext(context.Background(), protocols.Star{Procs: 3},
+		problem(taxonomy.WT, taxonomy.TC),
+		Options{MaxFailures: 2, MaxNodes: budget})
+	if x == nil {
+		t.Fatal("exhausted exploration must still return the partial Exploration")
+	}
+	var be *BudgetError
+	if !errors.As(err, &be) || be.Nodes != budget {
+		t.Fatalf("err = %v, want *BudgetError with Nodes=%d", err, budget)
+	}
+	if x.Status != StatusExhausted {
+		t.Fatalf("status = %v, want exhausted", x.Status)
+	}
+	if x.NodeCount != budget {
+		t.Fatalf("NodeCount = %d, want exactly the budget %d", x.NodeCount, budget)
+	}
+	if len(x.Configs) != budget {
+		t.Fatalf("len(Configs) = %d, want exactly the budget %d", len(x.Configs), budget)
+	}
+	if x.FrontierSize == 0 {
+		t.Fatal("exhausted mid-space but FrontierSize = 0")
 	}
 }
 

@@ -78,8 +78,7 @@ func (r Reduction) ample() bool { return r == ReduceAmple || r == ReduceBoth }
 func (r Reduction) usesSymmetry() bool { return r == ReduceSymmetry || r == ReduceBoth }
 
 // ReductionStats are the deterministic reduction counters of one
-// exploration, all counted by the canonical replay so they are
-// byte-identical at every parallelism level.
+// exploration, all counted by the walk in admission order.
 type ReductionStats struct {
 	// AmpleNodes / FullNodes split the walked expansions into reduced
 	// (ample subset) and full ones. Unreduced runs count everything in
@@ -90,7 +89,7 @@ type ReductionStats struct {
 	// generated; AmpleEvents/AmpleNodes is the average ample-set size.
 	AmpleEvents int64
 	FullEvents  int64
-	// ProvisoFallbacks counts reduced expansions the replay re-expanded in
+	// ProvisoFallbacks counts reduced expansions the walk re-expanded in
 	// full because every reduced successor was already visited (the ample
 	// progress proviso; see provisoHit). They are counted under FullNodes.
 	ProvisoFallbacks int
@@ -119,7 +118,7 @@ type ReductionStats struct {
 // taking an ample event first (C1), the set is nonempty whenever any event
 // is enabled at a non-quiescent configuration with a Sending processor
 // (C0), and deferred events stay enabled. The cycle condition is enforced
-// at replay time by provisoHit.
+// by provisoHit as each reduced expansion is walked.
 func ampleProc(cfg *sim.Config) (sim.ProcID, bool) {
 	for p := range cfg.States {
 		if cfg.States[p].Kind() == sim.Sending {
@@ -139,9 +138,9 @@ func (e *explorer) appendAmpleEvents(events []sim.Event, p sim.ProcID, failedCou
 	return events
 }
 
-// provisoHit reports whether every successor of a reduced expansion is
-// already in the canonical visited set; the replay then substitutes the
-// full expansion. This is the breadth-first form of the ample progress
+// provisoHit reports whether every successor of a reduced expansion was
+// already visited when it was expanded (expansion leaves exactly those
+// unmaterialized); the walk then substitutes the full expansion. This is the breadth-first form of the ample progress
 // proviso (Bošnački/Holzmann): every walked reduced expansion either
 // discovers at least one new state or is expanded in full, so the
 // exploration can never spin over a closed reduced component while
@@ -156,19 +155,9 @@ func (e *explorer) appendAmpleEvents(events []sim.Event, p sim.ProcID, failedCou
 // wants from BFS ample sets; full LTL-style liveness over cycles (which
 // the six-problem lattice never asks for) would need the stricter
 // any-revisit fallback, documented and rejected in DESIGN.md §8.
-//
-// At parallelism 1 the shared visited set is the canonical set and expand
-// consults it inline, so a nil successor node means visited; with the pool
-// the canonical set is the replay's own SeqVisited.
-func (r *replayer) provisoHit(exp *expansion) bool {
-	e := r.e
+func provisoHit(exp *expansion) bool {
 	for j := range exp.succs {
-		s := &exp.succs[j]
-		if e.pool != nil {
-			if !e.seq.Seen(s.fp, s.key) {
-				return false
-			}
-		} else if s.nd != nil {
+		if exp.succs[j].nd != nil {
 			return false
 		}
 	}
@@ -207,9 +196,7 @@ func (e *explorer) canonicalizing() bool {
 // The strings engine materializes every candidate (canonicalizeKey) and is
 // the reference oracle; the fingerprint and verified engines compute the
 // same candidates' fingerprints from cached component digests
-// (canonicalizeDigest). Both run wherever expand runs: the sim functions
-// they call are pure or concurrency-safe memos, so this is safe on pool
-// workers and deterministic for the replay.
+// (canonicalizeDigest).
 func (e *explorer) canonicalizeSucc(nxt *node, s *succ) {
 	if e.dedup == frontier.DedupStrings {
 		e.canonicalizeKey(nxt, s)
@@ -223,7 +210,7 @@ func (e *explorer) canonicalizeSucc(nxt *node, s *succ) {
 
 // canonicalizeHook, when set, observes every canonicalized successor. Only
 // tests set it (to cross-check the digest shortcut against the
-// materialized path); it may be called from pool workers concurrently.
+// materialized path).
 var canonicalizeHook func(e *explorer, nxt *node, s *succ)
 
 func (e *explorer) canonicalizeKey(nxt *node, s *succ) {
@@ -246,10 +233,6 @@ func (e *explorer) canonicalizeKey(nxt *node, s *succ) {
 		}
 	}
 	nxt.ckey = s.key
-	if e.routeFP {
-		nxt.fp = fingerprint.OfString(nxt.ckey)
-		s.fp = nxt.fp
-	}
 }
 
 // canonicalizeDigest never hashes a component twice: the erased handle is
@@ -293,35 +276,6 @@ func (e *explorer) canonicalizeDigest(nxt *node, s *succ) {
 		s.key = cand.key()
 	}
 	nxt.ckey = s.key
-}
-
-// sameNode reports whether two materialized nodes are interchangeable as
-// expansion sources: identical configuration content in their own frames
-// (states, all buffers including dead letters, inputs — compared by the
-// configuration's own fingerprint), identical channel sequence counters
-// (they decide the identities of future messages, and Key/Fingerprint
-// exclude them), identical decision ledgers, and the same input vector
-// label. Expansion is a pure function of exactly that content, so when
-// sameNode holds, an expansion prefetched from a is byte-equivalent to one
-// computed from b. Used by the canonical replay to decide whether the
-// pool's stored class representative can stand in for the canonical-order
-// node.
-func sameNode(a, b *node) bool {
-	if a == nil || b == nil {
-		return a == b
-	}
-	if a == b {
-		return true
-	}
-	if a.vec != b.vec || len(a.ledger) != len(b.ledger) {
-		return false
-	}
-	for p := range a.ledger {
-		if a.ledger[p] != b.ledger[p] {
-			return false
-		}
-	}
-	return a.cfg.SameChannelSeqs(b.cfg) && a.cfg.Fingerprint() == b.cfg.Fingerprint()
 }
 
 // permutedLedgerFP is ledgerFP(permuteLedger(ledger, perm)) without

@@ -3,7 +3,6 @@ package checker
 import (
 	"context"
 	"fmt"
-	"sync"
 	"testing"
 
 	"repro/internal/fingerprint"
@@ -32,15 +31,13 @@ import (
 //   - trace validity: a violating reduced run carries a non-empty
 //     FirstTrace, a conforming one carries none.
 //
-// Reduced runs must additionally be deterministic: byte-identical results
-// per (mode, dedup engine) across parallelism levels, including
-// budget-partial and cancelled runs.
+// Budget-partial and cancelled reduced runs must additionally stop where
+// the contract says: exhausted or complete within the budget, interrupted
+// at the first dequeue.
 var reductionModes = []Reduction{ReduceAmple, ReduceSymmetry, ReduceBoth}
 
-var reductionParallelism = []int{1, 8}
-
 // reductionDedups are the engines the reduced matrix runs on. The verified
-// engine rides along in the partial-determinism matrix; here the
+// engine rides along in the partial matrix; here the
 // string-keyed and fingerprint engines cover both canonical-handle
 // representations (minimal key vs minimal digest pick different orbit
 // representatives, so engines are compared semantically, not byte-wise).
@@ -138,12 +135,6 @@ func stateCensusKeys(x *Exploration) []string {
 	return sortedSet(set)
 }
 
-// reducedDigest is exploreDigest plus the reduction counters, so the
-// per-mode determinism comparison also pins the stats the replay counts.
-func reducedDigest(x *Exploration) string {
-	return fmt.Sprintf("%+v\n%s", x.Reduction, exploreDigest(x))
-}
-
 func equalStrings(a, b []string) bool {
 	if len(a) != len(b) {
 		return false
@@ -157,11 +148,10 @@ func equalStrings(a, b []string) bool {
 }
 
 // TestReductionDifferential explores every feasible library protocol to
-// completion unreduced on the string-keyed sequential engine, then asserts
-// that each reduced mode, on both handle representations and at
-// parallelism 1 and 8, reproduces the verdict and the decision census —
-// exactly under ample, up to relabeling under symmetry — while remaining
-// byte-deterministic across parallelism within each (mode, engine) pair.
+// completion unreduced on the string-keyed engine, then asserts that each
+// reduced mode, on both handle representations, reproduces the verdict and
+// the decision census — exactly under ample, up to relabeling under
+// symmetry.
 func TestReductionDifferential(t *testing.T) {
 	prob := problem(taxonomy.WT, taxonomy.TC)
 	for _, tc := range reductionCases() {
@@ -170,7 +160,6 @@ func TestReductionDifferential(t *testing.T) {
 				t.Skip("large reference space; skipped in -short")
 			}
 			opts := tc.opts
-			opts.Parallelism = 1
 			opts.Dedup = frontier.DedupStrings
 			opts.Problem = &prob
 			opts.TrackTraces = true
@@ -190,52 +179,42 @@ func TestReductionDifferential(t *testing.T) {
 			}
 			for _, mode := range reductionModes {
 				for _, dedup := range dedups {
-					var base string
-					for _, par := range reductionParallelism {
-						name := fmt.Sprintf("%v/%v/p%d", mode, dedup, par)
-						opts := tc.opts
-						opts.Parallelism = par
-						opts.Dedup = dedup
-						opts.Problem = &prob
-						opts.TrackTraces = true
-						opts.Reduction = mode
-						x, err := ExploreContext(context.Background(), tc.proto, opts)
-						if err != nil {
-							t.Fatalf("%s: %v", name, err)
+					name := fmt.Sprintf("%v/%v", mode, dedup)
+					opts := tc.opts
+					opts.Dedup = dedup
+					opts.Problem = &prob
+					opts.TrackTraces = true
+					opts.Reduction = mode
+					x, err := ExploreContext(context.Background(), tc.proto, opts)
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					if x.NodeCount > ref.NodeCount {
+						t.Errorf("%s: reduced run grew the space: %d > %d nodes", name, x.NodeCount, ref.NodeCount)
+					}
+					if got := violationKinds(x); !equalStrings(got, refKinds) {
+						t.Errorf("%s: verdict diverged: kinds %v, want %v", name, got, refKinds)
+					}
+					if mode == ReduceAmple {
+						if got := decisionCensus(x); !equalStrings(got, refCensus) {
+							t.Errorf("%s: decision census diverged (%d vs %d entries)", name, len(got), len(refCensus))
 						}
-						if x.NodeCount > ref.NodeCount {
-							t.Errorf("%s: reduced run grew the space: %d > %d nodes", name, x.NodeCount, ref.NodeCount)
+						if got := stateCensusKeys(x); !equalStrings(got, refStates) {
+							t.Errorf("%s: local-state census diverged (%d vs %d states)", name, len(got), len(refStates))
 						}
-						if got := violationKinds(x); !equalStrings(got, refKinds) {
-							t.Errorf("%s: verdict diverged: kinds %v, want %v", name, got, refKinds)
+					} else {
+						if got := canonicalDecisionCensus(x, perms); !equalStrings(got, refCanon) {
+							t.Errorf("%s: canonical decision census diverged (%d vs %d entries)", name, len(got), len(refCanon))
 						}
-						if mode == ReduceAmple {
-							if got := decisionCensus(x); !equalStrings(got, refCensus) {
-								t.Errorf("%s: decision census diverged (%d vs %d entries)", name, len(got), len(refCensus))
-							}
-							if got := stateCensusKeys(x); !equalStrings(got, refStates) {
-								t.Errorf("%s: local-state census diverged (%d vs %d states)", name, len(got), len(refStates))
-							}
-						} else {
-							if got := canonicalDecisionCensus(x, perms); !equalStrings(got, refCanon) {
-								t.Errorf("%s: canonical decision census diverged (%d vs %d entries)", name, len(got), len(refCanon))
-							}
-						}
-						if x.Conforms() != (len(refKinds) == 0) {
-							t.Errorf("%s: conformance flipped", name)
-						}
-						if !x.Conforms() && len(x.FirstTrace) == 0 {
-							t.Errorf("%s: violating run has no FirstTrace", name)
-						}
-						if x.Conforms() && len(x.FirstTrace) != 0 {
-							t.Errorf("%s: conforming run has a FirstTrace", name)
-						}
-						d := reducedDigest(x)
-						if par == reductionParallelism[0] {
-							base = d
-						} else if d != base {
-							t.Errorf("%s: reduced run not deterministic across parallelism:\n%s", name, firstDiff(base, d))
-						}
+					}
+					if x.Conforms() != (len(refKinds) == 0) {
+						t.Errorf("%s: conformance flipped", name)
+					}
+					if !x.Conforms() && len(x.FirstTrace) == 0 {
+						t.Errorf("%s: violating run has no FirstTrace", name)
+					}
+					if x.Conforms() && len(x.FirstTrace) != 0 {
+						t.Errorf("%s: conforming run has a FirstTrace", name)
 					}
 				}
 			}
@@ -243,10 +222,16 @@ func TestReductionDifferential(t *testing.T) {
 	}
 }
 
+// reducedDigest is exploreDigest plus the reduction counters, so the
+// repeat-run comparison also pins the stats the walk counts.
+func reducedDigest(x *Exploration) string {
+	return fmt.Sprintf("%+v\n%s", x.Reduction, exploreDigest(x))
+}
+
 // TestReductionPartialDeterminism asserts that budget-capped reduced
-// explorations — which stop mid-space and report a partial prefix — are
-// byte-identical across parallelism for every mode and engine, on the
-// diffCases matrix (including Perverse, whose full space never
+// explorations — which stop mid-space and report a partial prefix — repeat
+// byte for byte, reduction counters included, for every mode and engine on
+// the diffCases matrix (including Perverse, whose full space never
 // terminates, exercising the proviso on a cyclic graph).
 func TestReductionPartialDeterminism(t *testing.T) {
 	prob := problem(taxonomy.WT, taxonomy.TC)
@@ -259,30 +244,32 @@ func TestReductionPartialDeterminism(t *testing.T) {
 			for _, mode := range reductionModes {
 				for _, dedup := range dedups {
 					var base string
-					for _, par := range reductionParallelism {
+					for run := 0; run < 2; run++ {
 						opts := tc.opts
-						opts.Parallelism = par
 						opts.Dedup = dedup
 						opts.Problem = &prob
 						opts.TrackTraces = true
 						opts.Reduction = mode
 						x, err := ExploreContext(context.Background(), tc.proto, opts)
 						if x == nil {
-							t.Fatalf("%v/%v/p%d: nil exploration (err=%v)", mode, dedup, par, err)
+							t.Fatalf("%v/%v: nil exploration (err=%v)", mode, dedup, err)
 						}
 						// A reduced run may fit the whole quotient space inside
 						// the budget that truncates the full space (that is the
-						// point of the reduction); the digest comparison below
-						// still pins the status across parallelism.
-						if x.Status != StatusExhausted && x.Status != StatusComplete {
-							t.Fatalf("%v/%v/p%d: status %v, want budget-exhausted or complete", mode, dedup, par, x.Status)
+						// point of the reduction).
+						switch x.Status {
+						case StatusComplete:
+						case StatusExhausted:
+							if x.NodeCount != tc.opts.MaxNodes {
+								t.Errorf("%v/%v: exhausted at %d nodes, want exactly the budget %d", mode, dedup, x.NodeCount, tc.opts.MaxNodes)
+							}
+						default:
+							t.Fatalf("%v/%v: status %v, want budget-exhausted or complete", mode, dedup, x.Status)
 						}
-						d := reducedDigest(x)
-						if par == reductionParallelism[0] {
+						if d := reducedDigest(x); run == 0 {
 							base = d
 						} else if d != base {
-							t.Errorf("%v/%v/p%d: partial reduced run diverges:\n%s", mode, dedup, par,
-								firstDiff(base, d))
+							t.Errorf("%v/%v: partial reduced run does not repeat:\n%s", mode, dedup, firstDiff(base, d))
 						}
 					}
 				}
@@ -292,35 +279,28 @@ func TestReductionPartialDeterminism(t *testing.T) {
 }
 
 // TestReductionCancelledDeterminism asserts that a cancelled reduced
-// exploration still yields identical partial snapshots at every
-// parallelism level.
+// exploration is cut at its first dequeue in every mode: Interrupted, with
+// the roots accepted and nothing expanded.
 func TestReductionCancelledDeterminism(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	prob := problem(taxonomy.WT, taxonomy.TC)
 	for _, mode := range reductionModes {
-		var base string
-		for _, par := range reductionParallelism {
-			x, err := ExploreContext(ctx, protocols.Star{Procs: 3}, Options{
-				MaxFailures: 2, Parallelism: par, Problem: &prob, TrackTraces: true, Reduction: mode,
-			})
-			if x == nil {
-				t.Fatalf("%v/p%d: nil exploration", mode, par)
-			}
-			if err == nil || x.Status != StatusInterrupted {
-				t.Fatalf("%v/p%d: status = %v, err = %v, want interrupted", mode, par, x.Status, err)
-			}
-			d := reducedDigest(x)
-			if par == reductionParallelism[0] {
-				base = d
-				if x.NodeCount < 1 {
-					t.Fatalf("%v: cancelled exploration lost its partial snapshot", mode)
-				}
-				continue
-			}
-			if d != base {
-				t.Errorf("%v/p%d: cancelled reduced partial diverges:\n%s", mode, par, firstDiff(base, d))
-			}
+		x, err := ExploreContext(ctx, protocols.Star{Procs: 3}, Options{
+			MaxFailures: 2, Problem: &prob, TrackTraces: true, Reduction: mode,
+		})
+		if x == nil {
+			t.Fatalf("%v: nil exploration", mode)
+		}
+		if err == nil || x.Status != StatusInterrupted {
+			t.Fatalf("%v: status = %v, err = %v, want interrupted", mode, x.Status, err)
+		}
+		if x.NodeCount < 1 || x.FrontierSize != x.NodeCount {
+			t.Fatalf("%v: cancelled before the first expansion with %d nodes and %d frontier, want the accepted roots as the frontier",
+				mode, x.NodeCount, x.FrontierSize)
+		}
+		if rs := x.Reduction; rs.AmpleNodes+rs.FullNodes != 0 {
+			t.Errorf("%v: a pre-cancelled run expanded %d nodes", mode, rs.AmpleNodes+rs.FullNodes)
 		}
 	}
 }
@@ -354,9 +334,9 @@ func materializedHandle(e *explorer, nxt *node) (fp fingerprint.Digest, key stri
 // TestCanonicalizeDigestMatchesMaterialized hooks every canonicalized
 // successor of two ReduceBoth explorations and asserts that the handle the
 // digest path produced is the one full materialization produces — same
-// fingerprint, same flags, and under verified dedup the same key — on the
-// sequential walk and on pool workers. It then pins the steady-state cost:
-// in fingerprint mode a warm canonicalizeSucc allocates nothing.
+// fingerprint, same flags, and under verified dedup the same key. It then
+// pins the steady-state cost: in fingerprint mode a warm canonicalizeSucc
+// allocates nothing.
 func TestCanonicalizeDigestMatchesMaterialized(t *testing.T) {
 	defer func() { canonicalizeHook = nil }()
 	prob := problem(taxonomy.WT, taxonomy.TC)
@@ -368,59 +348,54 @@ func TestCanonicalizeDigestMatchesMaterialized(t *testing.T) {
 		{protocols.FullExchange{Procs: 3}, 0},
 	} {
 		for _, dedup := range []frontier.Dedup{frontier.DedupFingerprint, frontier.DedupVerified} {
-			for _, par := range []int{1, 2} {
-				var mu sync.Mutex
-				var calls, elided, permuted int
-				var warmE *explorer
-				var warm []*node
-				canonicalizeHook = func(e *explorer, nxt *node, s *succ) {
-					fp, key, el, pm := materializedHandle(e, nxt)
-					mu.Lock()
-					defer mu.Unlock()
-					calls++
-					if el {
-						elided++
-					}
-					if pm {
-						permuted++
-					}
-					if len(warm) < 64 {
-						warmE, warm = e, append(warm, nxt)
-					}
-					if s.fp != fp || nxt.fp != fp || s.elided != el || s.permuted != pm {
-						t.Errorf("%s/%v/p%d after %v: digest handle %v (elided=%v permuted=%v), materialized %v (%v %v)",
-							tc.proto.Name(), dedup, par, s.event, s.fp, s.elided, s.permuted, fp, el, pm)
-					}
-					if dedup == frontier.DedupVerified && (s.key != key || nxt.ckey != key) {
-						t.Errorf("%s/%v/p%d after %v: verified key diverged:\n got %q\nwant %q",
-							tc.proto.Name(), dedup, par, s.event, s.key, key)
-					}
+			var calls, elided, permuted int
+			var warmE *explorer
+			var warm []*node
+			canonicalizeHook = func(e *explorer, nxt *node, s *succ) {
+				fp, key, el, pm := materializedHandle(e, nxt)
+				calls++
+				if el {
+					elided++
 				}
-				_, err := Explore(tc.proto, Options{
-					MaxFailures: tc.mf, Parallelism: par, Dedup: dedup, Problem: &prob, Reduction: ReduceBoth,
-				})
-				if err != nil {
-					t.Fatal(err)
+				if pm {
+					permuted++
 				}
-				canonicalizeHook = nil
-				if calls == 0 || permuted == 0 || (tc.mf > 0 && elided == 0) {
-					t.Fatalf("%s/%v/p%d: hook saw %d successors, %d elided, %d permuted — matrix does not exercise the shortcut",
-						tc.proto.Name(), dedup, par, calls, elided, permuted)
+				if len(warm) < 64 {
+					warmE, warm = e, append(warm, nxt)
 				}
-				if dedup != frontier.DedupFingerprint || par != 1 {
-					continue
+				if s.fp != fp || nxt.fp != fp || s.elided != el || s.permuted != pm {
+					t.Errorf("%s/%v after %v: digest handle %v (elided=%v permuted=%v), materialized %v (%v %v)",
+						tc.proto.Name(), dedup, s.event, s.fp, s.elided, s.permuted, fp, el, pm)
 				}
-				var s succ
-				allocs := testing.AllocsPerRun(20, func() {
-					for _, nxt := range warm {
-						s = succ{fp: nodeFP(nxt)}
-						warmE.canonicalizeSucc(nxt, &s)
-					}
-				})
-				if allocs != 0 {
-					t.Errorf("%s: warm canonicalizeSucc allocates %.2f times per %d successors in fingerprint mode, want 0",
-						tc.proto.Name(), allocs, len(warm))
+				if dedup == frontier.DedupVerified && (s.key != key || nxt.ckey != key) {
+					t.Errorf("%s/%v after %v: verified key diverged:\n got %q\nwant %q",
+						tc.proto.Name(), dedup, s.event, s.key, key)
 				}
+			}
+			_, err := Explore(tc.proto, Options{
+				MaxFailures: tc.mf, Dedup: dedup, Problem: &prob, Reduction: ReduceBoth,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			canonicalizeHook = nil
+			if calls == 0 || permuted == 0 || (tc.mf > 0 && elided == 0) {
+				t.Fatalf("%s/%v: hook saw %d successors, %d elided, %d permuted — matrix does not exercise the shortcut",
+					tc.proto.Name(), dedup, calls, elided, permuted)
+			}
+			if dedup != frontier.DedupFingerprint {
+				continue
+			}
+			var s succ
+			allocs := testing.AllocsPerRun(20, func() {
+				for _, nxt := range warm {
+					s = succ{fp: nodeFP(nxt)}
+					warmE.canonicalizeSucc(nxt, &s)
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("%s: warm canonicalizeSucc allocates %.2f times per %d successors in fingerprint mode, want 0",
+					tc.proto.Name(), allocs, len(warm))
 			}
 		}
 	}

@@ -1,17 +1,12 @@
-// This file holds the fingerprint-keyed variants of the frontier's
-// sharded structures. They store 16-byte fingerprint.Digest keys instead
-// of full canonical strings, which is what makes the explorer's visited
-// set allocation-free per probe and cache-compact at millions of nodes.
-// The collision-verification variant (FPVerifiedSet) additionally retains
-// the canonical key strings and compares them lazily on fingerprint hits,
-// turning the (negligible, but nonzero) 128-bit collision risk into a
-// detected event instead of a silently merged pair of states.
+// This file holds the dedup engine selector and the fingerprint-keyed
+// sharded structures, which store 16-byte fingerprint.Digest keys instead
+// of full canonical strings.
 
 package frontier
 
 import (
+	"math/bits"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/fingerprint"
 )
@@ -54,9 +49,20 @@ func shardIndexFP(d fingerprint.Digest) int {
 	return int(d.Lo & (numShards - 1))
 }
 
-// FPVisitedSet is VisitedSet keyed by fingerprint: a set of 16-byte
-// digests sharded by digest bits. Same concurrency contract as
-// VisitedSet: Seen and Add are independently safe for concurrent use.
+// Owner maps a digest to one of workers contiguous shards of the digest
+// space by multiply-shift on the high 64 bits: total and stable for any
+// worker count. Pinned by bench/probes.go (frontier.owner_ns).
+func Owner(d fingerprint.Digest, workers int) int {
+	if workers <= 1 {
+		return 0
+	}
+	hi, _ := bits.Mul64(d.Hi, uint64(workers))
+	return int(hi)
+}
+
+// FPVisitedSet is a set of 16-byte digests sharded by digest bits; Seen and
+// Add are independently safe for concurrent use. Pinned by bench/probes.go
+// (frontier.fpset_add_ns_p*, which adds from GOMAXPROCS goroutines).
 type FPVisitedSet struct {
 	shards [numShards]fpVisitShard
 }
@@ -107,94 +113,6 @@ func (v *FPVisitedSet) Len() int {
 	}
 	return n
 }
-
-// FPVerifiedSet is the collision-verification visited set: digests map to
-// the canonical keys that produced them. A fingerprint hit with a
-// mismatched key is a detected collision — the node is treated as unseen
-// and the collision counted — so explorations in verified mode are exact
-// even in the astronomically unlikely event of a 128-bit collision.
-type FPVerifiedSet struct {
-	shards [numShards]fpVerifiedShard
-	// collisions counts detected fingerprint collisions. Adders on
-	// different shards hold different shard mutexes, so the counter cannot
-	// ride on any of them; it must be atomic.
-	collisions atomic.Int64
-}
-
-type fpVerifiedShard struct {
-	mu sync.RWMutex
-	m  map[fingerprint.Digest][]string // ccvet:guardedby mu
-}
-
-// NewFPVerifiedSet returns an empty set.
-func NewFPVerifiedSet() *FPVerifiedSet {
-	v := &FPVerifiedSet{}
-	for i := range v.shards {
-		v.shards[i].m = make(map[fingerprint.Digest][]string)
-	}
-	return v
-}
-
-// SeenFingerprint reports whether any key has been added under the
-// digest; a false result needs no key comparison at all, which keeps the
-// common (miss) path as cheap as FPVisitedSet.
-func (v *FPVerifiedSet) SeenFingerprint(d fingerprint.Digest) bool {
-	sh := &v.shards[shardIndexFP(d)]
-	sh.mu.RLock()
-	_, ok := sh.m[d]
-	sh.mu.RUnlock()
-	return ok
-}
-
-// Seen reports whether this exact key has been added under the digest.
-func (v *FPVerifiedSet) Seen(d fingerprint.Digest, key string) bool {
-	sh := &v.shards[shardIndexFP(d)]
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	for _, k := range sh.m[d] {
-		if k == key {
-			return true
-		}
-	}
-	return false
-}
-
-// Add inserts the key under the digest, reporting whether it was new. A
-// digest already holding a different key records a collision.
-func (v *FPVerifiedSet) Add(d fingerprint.Digest, key string) bool {
-	sh := &v.shards[shardIndexFP(d)]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	keys := sh.m[d]
-	for _, k := range keys {
-		if k == key {
-			return false
-		}
-	}
-	if len(keys) > 0 {
-		v.collisions.Add(1)
-	}
-	sh.m[d] = append(keys, key)
-	return true
-}
-
-// Len returns the number of distinct keys added.
-func (v *FPVerifiedSet) Len() int {
-	n := 0
-	for i := range v.shards {
-		sh := &v.shards[i]
-		sh.mu.RLock()
-		for _, keys := range sh.m { //ccvet:ignore detrange summing lengths; order is unobservable
-			n += len(keys)
-		}
-		sh.mu.RUnlock()
-	}
-	return n
-}
-
-// Collisions returns the number of verified fingerprint collisions
-// detected so far.
-func (v *FPVerifiedSet) Collisions() int64 { return v.collisions.Load() }
 
 // FPShardedMap is ShardedMap keyed by fingerprint, for commutative
 // concurrent aggregation under 16-byte keys.

@@ -1,6 +1,7 @@
 package frontier
 
 import (
+	"strconv"
 	"sync"
 	"testing"
 
@@ -49,40 +50,6 @@ func TestFPVisitedSetConcurrent(t *testing.T) {
 	}
 	if total != 2000 || v.Len() != 2000 {
 		t.Fatalf("winners = %d, Len = %d, want 2000/2000", total, v.Len())
-	}
-}
-
-func TestFPVerifiedSet(t *testing.T) {
-	v := NewFPVerifiedSet()
-	d := fingerprint.OfString("shared")
-	if v.SeenFingerprint(d) || v.Seen(d, "k1") {
-		t.Fatal("empty verified set claims prior sightings")
-	}
-	if !v.Add(d, "k1") {
-		t.Fatal("first Add reported not-new")
-	}
-	if v.Add(d, "k1") {
-		t.Fatal("duplicate Add reported new")
-	}
-	if !v.SeenFingerprint(d) || !v.Seen(d, "k1") || v.Seen(d, "k2") {
-		t.Fatal("Seen disagrees with Add history")
-	}
-	if v.Collisions() != 0 {
-		t.Fatalf("collisions = %d before any", v.Collisions())
-	}
-	// A second key under the same digest is a detected collision, and the
-	// colliding key is admitted as new rather than merged away.
-	if !v.Add(d, "k2") {
-		t.Fatal("colliding key was merged instead of admitted")
-	}
-	if v.Collisions() != 1 {
-		t.Fatalf("collisions = %d, want 1", v.Collisions())
-	}
-	if v.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", v.Len())
-	}
-	if !v.Seen(d, "k2") {
-		t.Fatal("collided key not found afterwards")
 	}
 }
 
@@ -144,5 +111,41 @@ func TestDedupString(t *testing.T) {
 		if d.String() != want {
 			t.Fatalf("Dedup(%d).String() = %q, want %q", int(d), d.String(), want)
 		}
+	}
+}
+
+func toyFP(id uint64) fingerprint.Digest {
+	return fingerprint.OfString("toy:" + strconv.FormatUint(id, 10))
+}
+
+// TestOwnerTotalStableAndBounded pins the shard function's basic algebra:
+// assignments land in [0, workers), depend only on the digest, and cover
+// the extremes of the high-64-bit space correctly.
+func TestOwnerTotalStableAndBounded(t *testing.T) {
+	digests := make([]fingerprint.Digest, 0, 512)
+	for i := 0; i < 512; i++ {
+		digests = append(digests, toyFP(uint64(i)))
+	}
+	for _, workers := range []int{1, 2, 3, 7, 8, 16, 64} {
+		for _, d := range digests {
+			o := Owner(d, workers)
+			if o < 0 || o >= workers {
+				t.Fatalf("Owner(%v, %d) = %d out of range", d, workers, o)
+			}
+			if again := Owner(d, workers); again != o {
+				t.Fatalf("Owner(%v, %d) unstable: %d then %d", d, workers, o, again)
+			}
+		}
+		lo := fingerprint.Digest{Hi: 0, Lo: ^uint64(0)}
+		hi := fingerprint.Digest{Hi: ^uint64(0), Lo: 0}
+		if o := Owner(lo, workers); o != 0 {
+			t.Fatalf("lowest digest maps to shard %d of %d, want 0", o, workers)
+		}
+		if o := Owner(hi, workers); o != workers-1 {
+			t.Fatalf("highest digest maps to shard %d of %d, want %d", o, workers, workers-1)
+		}
+	}
+	if o := Owner(toyFP(1), 0); o != 0 {
+		t.Fatalf("Owner with 0 workers = %d, want 0", o)
 	}
 }

@@ -1,34 +1,16 @@
-// Package frontier provides the parallel exploration machinery shared by
-// the checker's configuration-space explorer and the scheme enumerator: a
-// fingerprint-partitioned asynchronous worker pool (pool.go), the
-// sequential visited set behind its canonical replay pass, the dedup
-// engines (fpset.go), a concurrent string interner, and sharded map
-// utilities.
-//
-// The central discipline is the split into a fully asynchronous,
-// order-free speculation phase and a sequential canonical ordering phase.
-// Pool workers own static shards of the 128-bit fingerprint space and
-// exchange successor batches over bounded channels with no global barrier;
-// they only *prefetch* — admissions to the shared visited set and stored
-// expansions carry no order. Everything order-sensitive — which nodes the
-// result contains, interning, violation ordering, budget cuts — is decided
-// afterwards by a single goroutine replaying the stored results in
-// breadth-first frontier order against its own sequential visited set,
-// re-expanding on demand anything the pool dropped. The observable result
-// is therefore a pure function of the root set, independent of both the
-// parallelism level and the scheduler, which is what lets a differential
-// test assert byte-identical explorations at parallelism 1, 2, 8, and 16.
+// Package frontier provides visited sets and small sharded containers for
+// the checker's configuration-space explorer and the scheme enumerator:
+// SeqVisited, the single-goroutine visited set behind both walks with its
+// three dedup engines (Dedup); a string interner; and sharded maps keyed by
+// string or by fingerprint for commutative aggregation. The interner and
+// the sharded maps lock per shard and are safe for concurrent use; the
+// explorers call them from one goroutine.
 package frontier
 
-import (
-	"context"
-	"runtime"
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
-// numShards is the shard count for VisitedSet, Interner, and ShardedMap. A
-// power of two keeps the index computation a mask.
+// numShards is the shard count for every sharded container here. A power of
+// two keeps the index computation a mask.
 const numShards = 64
 
 // shardIndex hashes a key to a shard with FNV-1a.
@@ -39,163 +21,6 @@ func shardIndex(key string) int {
 		h *= 16777619
 	}
 	return int(h & (numShards - 1))
-}
-
-// Parallelism resolves a requested worker count: zero or negative means
-// GOMAXPROCS.
-func Parallelism(requested int) int {
-	if requested > 0 {
-		return requested
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// Map applies fn to every item with up to parallelism concurrent workers and
-// returns the results in item order. The assignment of items to workers is
-// arbitrary, so fn must confine itself to computation and commutative
-// side effects; order-sensitive state belongs in the caller's merge over the
-// returned slice.
-//
-// Map polls ctx: a context that is already cancelled returns before any fn
-// call, and a cancellation mid-run abandons the remaining items and returns
-// the context's error (fn may have run on an unspecified subset by then, so
-// callers must discard the level on error). If any fn panics, Map waits for
-// the workers to drain and re-panics with the panicking item of lowest
-// index, keeping failure behaviour independent of scheduling.
-func Map[T, R any](ctx context.Context, parallelism int, items []T, fn func(T) R) ([]R, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	out := make([]R, len(items))
-	workers := Parallelism(parallelism)
-	if workers > len(items) {
-		workers = len(items)
-	}
-	if workers <= 1 {
-		for i := range items {
-			if i&63 == 0 && i > 0 {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-			}
-			out[i] = fn(items[i])
-		}
-		return out, nil
-	}
-
-	var (
-		next    atomic.Int64
-		wg      sync.WaitGroup
-		panicMu sync.Mutex
-		panics  []panicAt
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(items) {
-					return
-				}
-				if ctx.Err() != nil {
-					return
-				}
-				if pv, ok := runOne(&out[i], items[i], fn); !ok {
-					panicMu.Lock()
-					panics = append(panics, panicAt{index: i, value: pv})
-					panicMu.Unlock()
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if len(panics) > 0 {
-		first := panics[0]
-		for _, p := range panics[1:] {
-			if p.index < first.index {
-				first = p
-			}
-		}
-		panic(first.value)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-type panicAt struct {
-	index int
-	value any
-}
-
-// runOne runs fn on one item, capturing a panic instead of unwinding the
-// worker goroutine.
-func runOne[T, R any](dst *R, item T, fn func(T) R) (panicValue any, ok bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			panicValue, ok = r, false
-		}
-	}()
-	*dst = fn(item)
-	return nil, true
-}
-
-// VisitedSet is a set of canonical node keys sharded by key hash. Reads
-// (Seen) and writes (Add) are independently safe for concurrent use; the
-// level-synchronous explorers only write from the sequential merge phase,
-// so expansion-phase reads never block each other.
-type VisitedSet struct {
-	shards [numShards]visitShard
-}
-
-type visitShard struct {
-	mu sync.RWMutex
-	m  map[string]struct{} // ccvet:guardedby mu
-}
-
-// NewVisitedSet returns an empty set.
-func NewVisitedSet() *VisitedSet {
-	v := &VisitedSet{}
-	for i := range v.shards {
-		v.shards[i].m = make(map[string]struct{})
-	}
-	return v
-}
-
-// Seen reports whether the key has been added.
-func (v *VisitedSet) Seen(key string) bool {
-	sh := &v.shards[shardIndex(key)]
-	sh.mu.RLock()
-	_, ok := sh.m[key]
-	sh.mu.RUnlock()
-	return ok
-}
-
-// Add inserts the key, reporting whether it was new.
-func (v *VisitedSet) Add(key string) bool {
-	sh := &v.shards[shardIndex(key)]
-	sh.mu.Lock()
-	_, ok := sh.m[key]
-	if !ok {
-		sh.m[key] = struct{}{}
-	}
-	sh.mu.Unlock()
-	return !ok
-}
-
-// Len returns the number of keys added.
-func (v *VisitedSet) Len() int {
-	n := 0
-	for i := range v.shards {
-		sh := &v.shards[i]
-		sh.mu.RLock()
-		n += len(sh.m)
-		sh.mu.RUnlock()
-	}
-	return n
 }
 
 // Interner deduplicates strings across goroutines: equal keys computed by
@@ -238,11 +63,10 @@ func (in *Interner) Intern(s string) string {
 	return c
 }
 
-// ShardedMap is a string-keyed map sharded by key hash, for concurrent
-// commutative aggregation: workers from the expansion phase update values
-// under per-shard mutexes. Content ends up deterministic as long as every
-// update is a set-union-style operation whose result is independent of
-// update order; anything order-sensitive belongs in the merge phase instead.
+// ShardedMap is a string-keyed map sharded by key hash, for commutative
+// aggregation: values are updated under per-shard mutexes, and content is
+// deterministic as long as every update is a set-union-style operation
+// whose result is independent of update order.
 type ShardedMap[V any] struct {
 	shards [numShards]mapShard[V]
 }

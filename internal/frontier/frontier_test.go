@@ -1,130 +1,10 @@
 package frontier
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"testing"
 )
-
-func TestMapPreservesItemOrder(t *testing.T) {
-	items := make([]int, 1000)
-	for i := range items {
-		items[i] = i
-	}
-	for _, par := range []int{1, 2, 8} {
-		out, err := Map(context.Background(), par, items, func(x int) int { return x * x })
-		if err != nil {
-			t.Fatalf("parallelism %d: %v", par, err)
-		}
-		for i, v := range out {
-			if v != i*i {
-				t.Fatalf("parallelism %d: out[%d] = %d, want %d", par, i, v, i*i)
-			}
-		}
-	}
-}
-
-func TestMapEmptyAndSingle(t *testing.T) {
-	out, err := Map(context.Background(), 8, nil, func(x int) int { return x })
-	if err != nil || len(out) != 0 {
-		t.Fatalf("empty map: out=%v err=%v", out, err)
-	}
-	out, err = Map(context.Background(), 8, []int{7}, func(x int) int { return x + 1 })
-	if err != nil || len(out) != 1 || out[0] != 8 {
-		t.Fatalf("single map: out=%v err=%v", out, err)
-	}
-}
-
-func TestMapPreCancelledRunsNothing(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	ran := 0
-	_, err := Map(ctx, 4, []int{1, 2, 3}, func(x int) int { ran++; return x })
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if ran != 0 {
-		t.Fatalf("pre-cancelled Map ran %d items, want 0", ran)
-	}
-}
-
-func TestMapMidRunCancel(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	items := make([]int, 10_000)
-	var once sync.Once
-	_, err := Map(ctx, 4, items, func(x int) int {
-		once.Do(cancel)
-		return x
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-}
-
-func TestMapRepanicsAtLowestIndex(t *testing.T) {
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("Map swallowed the panic")
-		}
-		if fmt.Sprint(r) != "boom 3" {
-			t.Fatalf("recovered %v, want the lowest-index panic (boom 3)", r)
-		}
-	}()
-	items := make([]int, 100)
-	for i := range items {
-		items[i] = i
-	}
-	Map(context.Background(), 4, items, func(x int) int {
-		if x == 3 || x == 50 {
-			panic(fmt.Sprintf("boom %d", x))
-		}
-		return x
-	})
-}
-
-func TestVisitedSetAddAndSeen(t *testing.T) {
-	v := NewVisitedSet()
-	if v.Seen("a") {
-		t.Fatal("fresh set claims to have seen a key")
-	}
-	if !v.Add("a") || v.Add("a") {
-		t.Fatal("Add must report new exactly once")
-	}
-	if !v.Seen("a") || v.Len() != 1 {
-		t.Fatalf("after Add: seen=%v len=%d", v.Seen("a"), v.Len())
-	}
-}
-
-func TestVisitedSetConcurrent(t *testing.T) {
-	v := NewVisitedSet()
-	const workers, perWorker = 8, 500
-	var wg sync.WaitGroup
-	added := make([]int, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < perWorker; i++ {
-				// Every worker races on the same key space; each key
-				// must be granted to exactly one Add across workers.
-				if v.Add(fmt.Sprintf("key-%d", i)) {
-					added[w]++
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	total := 0
-	for _, a := range added {
-		total += a
-	}
-	if total != perWorker || v.Len() != perWorker {
-		t.Fatalf("granted %d adds, set size %d, want %d", total, v.Len(), perWorker)
-	}
-}
 
 func TestInternerCollapsesEqualStrings(t *testing.T) {
 	in := NewInterner()
@@ -173,14 +53,5 @@ func TestShardedMapCommutativeUpdates(t *testing.T) {
 		if v, ok := m.Get(k); !ok || v != workers {
 			t.Fatalf("Get(%s) = %d,%v, want %d,true", k, v, ok, workers)
 		}
-	}
-}
-
-func TestParallelismDefault(t *testing.T) {
-	if Parallelism(3) != 3 {
-		t.Fatal("explicit parallelism not honoured")
-	}
-	if Parallelism(0) < 1 || Parallelism(-1) < 1 {
-		t.Fatal("default parallelism must be at least 1")
 	}
 }

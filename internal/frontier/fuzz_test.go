@@ -1,27 +1,16 @@
 package frontier
 
 import (
-	"context"
 	"strconv"
-	"sync"
 	"testing"
 
 	"repro/internal/fingerprint"
 )
 
-// FuzzShardRouting fuzzes the two properties the partitioned engine's
-// correctness rests on, over an arbitrary graph and worker count:
-//
-//   - the owner assignment is total (in [0, workers)), stable (a pure
-//     function of the digest), and balanced — no shard receives more than
-//     2x its uniform share of a large digest sample;
-//   - routing successors through the pool and replaying them through the
-//     canonical reorder pass reproduces, at any width, exactly the accept
-//     order of a single-threaded breadth-first walk.
-//
-// The graph is decoded from the fuzz input: node count from its length,
-// each node's extra edges from its bytes, plus the deterministic diamond
-// edges (i -> i+1, i+2) that keep everything reachable from 0.
+// FuzzShardRouting fuzzes the owner assignment over an arbitrary digest
+// population and shard count: it is total (in [0, workers)), stable (a pure
+// function of the digest), and balanced — no shard receives more than 2x
+// its uniform share of a large digest sample.
 func FuzzShardRouting(f *testing.F) {
 	f.Add([]byte{}, uint8(1))
 	f.Add([]byte{0x00, 0x01, 0x02, 0x03}, uint8(2))
@@ -29,9 +18,6 @@ func FuzzShardRouting(f *testing.F) {
 	f.Add([]byte{0xff, 0x80, 0x40, 0x20, 0x10, 0x08, 0x04, 0x02, 0x01, 0x00, 0xaa, 0x55}, uint8(16))
 	f.Fuzz(func(t *testing.T, seed []byte, width uint8) {
 		workers := int(width%16) + 1
-		n := uint64(len(seed)) + 2 // at least nodes 0 and 1
-
-		// Owner algebra over digests derived from the seed.
 		counts := make([]int, workers)
 		const sample = 4096
 		for i := 0; i < sample; i++ {
@@ -52,87 +38,5 @@ func FuzzShardRouting(f *testing.F) {
 					o, workers, c, sample, limit)
 			}
 		}
-
-		// Graph round-trip: seed bytes add arbitrary extra edges on top of
-		// the diamond DAG, so dedup sees fuzzer-chosen arrival patterns.
-		succs := func(id uint64) []uint64 {
-			out := toySuccs(id, n)
-			if id < uint64(len(seed)) {
-				if extra := uint64(seed[id]) % n; extra != id {
-					out = append(out, extra)
-				}
-			}
-			return out
-		}
-		want := fuzzSequentialBFS(n, succs)
-		p := fuzzPool(workers, succs)
-		p.Start(context.Background(), []uint64{0})
-		got := fuzzReplay(p, succs)
-		p.Close()
-		if !equalOrder(got, want) {
-			t.Fatalf("width %d: pool+reorder accept order diverges from sequential BFS (%d vs %d nodes)",
-				workers, len(got), len(want))
-		}
 	})
-}
-
-// fuzzSequentialBFS is the reference walk for an arbitrary successor
-// function; the order it accepts nodes in is the determinism contract.
-func fuzzSequentialBFS(n uint64, succs func(uint64) []uint64) []uint64 {
-	visited := map[uint64]bool{0: true}
-	order := []uint64{0}
-	queue := []uint64{0}
-	for len(queue) > 0 {
-		x := queue[0]
-		queue = queue[1:]
-		for _, s := range succs(x) {
-			if !visited[s] {
-				visited[s] = true
-				order = append(order, s)
-				queue = append(queue, s)
-			}
-		}
-	}
-	return order
-}
-
-func fuzzPool(workers int, succs func(uint64) []uint64) *Pool[uint64, []uint64] {
-	// The shared set is a mutex-guarded SeqVisited, the same dedup engine
-	// the real replay pass uses on its side of the differential.
-	visited := NewSeqVisited(DedupFingerprint)
-	var admitMu sync.Mutex
-	return NewPool(PoolOptions[uint64, []uint64]{
-		Workers: workers,
-		KeyOf:   func(x uint64) NodeKey { return NodeKey{FP: toyFP(x)} },
-		Admit: func(x uint64) bool {
-			admitMu.Lock()
-			defer admitMu.Unlock()
-			return visited.Admit(toyFP(x), "")
-		},
-		Expand: func(x uint64) ([]uint64, []uint64) {
-			s := succs(x)
-			return s, s
-		},
-	})
-}
-
-func fuzzReplay(p *Pool[uint64, []uint64], succs func(uint64) []uint64) []uint64 {
-	seen := map[uint64]bool{0: true}
-	order := []uint64{0}
-	queue := []uint64{0}
-	for head := 0; head < len(queue); head++ {
-		x := queue[head]
-		_, exp, state := p.WaitEntry(NodeKey{FP: toyFP(x)}, true)
-		if state != EntryExpanded {
-			exp = succs(x)
-		}
-		for _, s := range exp {
-			if !seen[s] {
-				seen[s] = true
-				order = append(order, s)
-				queue = append(queue, s)
-			}
-		}
-	}
-	return order
 }

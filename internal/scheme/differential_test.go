@@ -11,14 +11,12 @@ import (
 	"repro/internal/sim"
 )
 
-var diffParallelism = []int{1, 2, 8, 16}
-
-// diffDedups crosses the three dedup engines into the differential matrix;
-// the string-keyed sequential run is the reference.
+// diffDedups is the differential matrix: the string-keyed engine is the
+// reference the other two must reproduce.
 var diffDedups = []frontier.Dedup{frontier.DedupStrings, frontier.DedupFingerprint, frontier.DedupVerified}
 
 // enumDigest renders an Enumeration canonically so byte-identity across
-// parallelism levels is a string comparison.
+// engines is a string comparison.
 func enumDigest(en *Enumeration) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "status=%v visited=%d frontier=%d patterns=%d\n",
@@ -52,9 +50,9 @@ func enumDiffCases() []enumDiffCase {
 }
 
 // TestEnumerateDifferential asserts that enumerating every library
-// protocol's failure-free executions (all-ones inputs) with every dedup
-// engine at parallelism 1, 2, 8, and 16 yields byte-identical Enumerations:
-// the pattern set, visited count, frontier, and status.
+// protocol's failure-free executions (all-ones inputs) yields byte-identical
+// Enumerations on every dedup engine: the pattern set, visited count,
+// frontier, and status.
 func TestEnumerateDifferential(t *testing.T) {
 	for _, tc := range enumDiffCases() {
 		t.Run(tc.name, func(t *testing.T) {
@@ -64,58 +62,54 @@ func TestEnumerateDifferential(t *testing.T) {
 				inputs[i] = sim.One
 			}
 			var baseDigest, baseErr string
-			first := true
-			for _, dedup := range diffDedups {
-				for _, par := range diffParallelism {
-					opts := tc.opts
-					opts.Parallelism = par
-					opts.Dedup = dedup
-					en, err := EnumerateContext(context.Background(), tc.proto, inputs, opts)
-					if en == nil {
-						t.Fatalf("%v/parallelism %d: nil enumeration (err=%v)", dedup, par, err)
-					}
-					if en.Collisions != 0 {
-						t.Errorf("%v/parallelism %d: %d fingerprint collisions", dedup, par, en.Collisions)
-					}
-					errStr := ""
-					if err != nil {
-						errStr = err.Error()
-					}
-					d := enumDigest(en)
-					if first {
-						baseDigest, baseErr = d, errStr
-						first = false
-						continue
-					}
-					if errStr != baseErr {
-						t.Errorf("%v/parallelism %d: err = %q, want %q", dedup, par, errStr, baseErr)
-					}
-					if d != baseDigest {
-						t.Errorf("%v/parallelism %d: enumeration diverges from string-keyed sequential (digest mismatch)\nseq:\n%s\npar:\n%s", dedup, par, baseDigest, d)
-					}
+			for i, dedup := range diffDedups {
+				opts := tc.opts
+				opts.Dedup = dedup
+				en, err := EnumerateContext(context.Background(), tc.proto, inputs, opts)
+				if en == nil {
+					t.Fatalf("%v: nil enumeration (err=%v)", dedup, err)
+				}
+				if en.Collisions != 0 {
+					t.Errorf("%v: %d fingerprint collisions", dedup, en.Collisions)
+				}
+				errStr := ""
+				if err != nil {
+					errStr = err.Error()
+				}
+				d := enumDigest(en)
+				if i == 0 {
+					baseDigest, baseErr = d, errStr
+					continue
+				}
+				if errStr != baseErr {
+					t.Errorf("%v: err = %q, want %q", dedup, errStr, baseErr)
+				}
+				if d != baseDigest {
+					t.Errorf("%v: enumeration diverges from the string-keyed engine\nstrings:\n%s\n%v:\n%s", dedup, baseDigest, dedup, d)
 				}
 			}
 		})
 	}
 }
 
-// TestEnumerateDifferentialCancelled asserts a cancelled context yields the
-// same partial Enumeration (status, visited, frontier) at every parallelism.
+// TestEnumerateDifferentialCancelled asserts a cancelled context cuts the
+// walk at its first dequeue on every engine: the same partial Enumeration
+// (status, visited, frontier).
 func TestEnumerateDifferentialCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	inputs := []sim.Bit{sim.One, sim.One, sim.One}
 	var baseDigest string
-	for _, par := range diffParallelism {
-		en, err := EnumerateContext(ctx, protocols.Tree{Procs: 3}, inputs, Options{Parallelism: par})
+	for i, dedup := range diffDedups {
+		en, err := EnumerateContext(ctx, protocols.Tree{Procs: 3}, inputs, Options{Dedup: dedup})
 		if en == nil {
-			t.Fatalf("parallelism %d: nil enumeration", par)
+			t.Fatalf("%v: nil enumeration", dedup)
 		}
 		if err == nil || en.Status != StatusInterrupted {
-			t.Fatalf("parallelism %d: status = %v, err = %v, want interrupted", par, en.Status, err)
+			t.Fatalf("%v: status = %v, err = %v, want interrupted", dedup, en.Status, err)
 		}
 		d := enumDigest(en)
-		if par == diffParallelism[0] {
+		if i == 0 {
 			baseDigest = d
 			if en.Visited < 1 || en.Frontier < 1 {
 				t.Fatalf("cancelled enumeration lost its partial snapshot: %d visited, %d frontier", en.Visited, en.Frontier)
@@ -123,7 +117,7 @@ func TestEnumerateDifferentialCancelled(t *testing.T) {
 			continue
 		}
 		if d != baseDigest {
-			t.Errorf("parallelism %d: cancelled partial result diverges:\nseq:\n%s\npar:\n%s", par, baseDigest, d)
+			t.Errorf("%v: cancelled partial result diverges:\nstrings:\n%s\n%v:\n%s", dedup, baseDigest, dedup, d)
 		}
 	}
 }

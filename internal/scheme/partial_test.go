@@ -38,32 +38,28 @@ func TestCancelledOfReturnsPartialResults(t *testing.T) {
 	}
 }
 
-// TestBudgetExhaustionExactAtEveryWidth sweeps the exact-MaxNodes contract
-// across parallelism widths: the replay accepts exactly MaxNodes
-// configurations before reporting Exhausted, whether or not the prefetch
-// pool overshot the budget speculatively.
-func TestBudgetExhaustionExactAtEveryWidth(t *testing.T) {
+// TestBudgetExhaustionExact pins the exact-MaxNodes contract: the walk
+// accepts exactly MaxNodes nodes before reporting Exhausted.
+func TestBudgetExhaustionExact(t *testing.T) {
 	// Full exchange's failure-free space has 127 nodes; 60 cuts mid-space.
 	const budget = 60
-	for _, par := range []int{1, 2, 8, 16} {
-		e, err := EnumerateContext(context.Background(), protocols.FullExchange{Procs: 3},
-			allOnes(3), Options{MaxNodes: budget, Parallelism: par})
-		if e == nil {
-			t.Fatalf("width %d: exhausted enumeration must still return the partial Enumeration", par)
-		}
-		var be *BudgetError
-		if !errors.As(err, &be) || be.Nodes != budget {
-			t.Fatalf("width %d: err = %v, want *BudgetError with Nodes=%d", par, err, budget)
-		}
-		if e.Status != StatusExhausted {
-			t.Fatalf("width %d: status = %v, want exhausted", par, e.Status)
-		}
-		if e.Visited != budget {
-			t.Fatalf("width %d: Visited = %d, want exactly the budget %d", par, e.Visited, budget)
-		}
-		if e.Frontier == 0 {
-			t.Fatalf("width %d: exhausted mid-space but Frontier = 0", par)
-		}
+	e, err := EnumerateContext(context.Background(), protocols.FullExchange{Procs: 3},
+		allOnes(3), Options{MaxNodes: budget})
+	if e == nil {
+		t.Fatal("exhausted enumeration must still return the partial Enumeration")
+	}
+	var be *BudgetError
+	if !errors.As(err, &be) || be.Nodes != budget {
+		t.Fatalf("err = %v, want *BudgetError with Nodes=%d", err, budget)
+	}
+	if e.Status != StatusExhausted {
+		t.Fatalf("status = %v, want exhausted", e.Status)
+	}
+	if e.Visited != budget {
+		t.Fatalf("Visited = %d, want exactly the budget %d", e.Visited, budget)
+	}
+	if e.Frontier == 0 {
+		t.Fatal("exhausted mid-space but Frontier = 0")
 	}
 }
 
