@@ -2,6 +2,7 @@ package checker
 
 import (
 	"os"
+	"runtime"
 	"testing"
 
 	"repro/internal/protocols"
@@ -204,5 +205,34 @@ func TestStarViolatesCorollary6(t *testing.T) {
 	rep := x.Safety()
 	if len(rep.Corollary6) == 0 {
 		t.Fatal("star(3) unexpectedly satisfies Corollary 6; the coordinator commits before anyone shares its bias")
+	}
+}
+
+// TestAllocsCheckNearExplore pins what judging costs on top of walking:
+// a Check predicts its already-visited successors exactly as a plain
+// Explore does, so on a conforming cell its allocations per node stay
+// within 10 % of Explore's (29.0 against 17.4 when every judged edge was
+// materialized).
+func TestAllocsCheckNearExplore(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two tree(3) mf2 walks take ~2 seconds")
+	}
+	perNode := func(run func() (*Exploration, error)) float64 {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		x, err := run()
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return float64(after.Mallocs-before.Mallocs) / float64(x.NodeCount)
+	}
+	proto, opts := protocols.Tree{Procs: 3}, Options{MaxFailures: 2}
+	explore := perNode(func() (*Exploration, error) { return Explore(proto, opts) })
+	check := perNode(func() (*Exploration, error) { return Check(proto, problem(taxonomy.WT, taxonomy.TC), opts) })
+	t.Logf("allocations per node: Explore %.2f, Check %.2f", explore, check)
+	if check > 1.10*explore {
+		t.Errorf("Check allocates %.2f per node, more than 10%% above Explore's %.2f", check, explore)
 	}
 }

@@ -15,53 +15,87 @@ import (
 // every accessible configuration, and the termination condition at every
 // terminal (quiescent) configuration.
 func Check(proto sim.Protocol, problem taxonomy.Problem, opts Options) (*Exploration, error) {
-	opts.Problem = &problem
-	return Explore(proto, opts)
+	return CheckContext(context.Background(), proto, problem, opts)
 }
 
 // CheckContext is Check with graceful degradation: on cancellation or budget
 // exhaustion the partial Exploration (with Status set and all violations
 // found so far) accompanies the error. See ExploreContext.
 func CheckContext(ctx context.Context, proto sim.Protocol, problem taxonomy.Problem, opts Options) (*Exploration, error) {
-	opts.Problem = &problem
-	return ExploreContext(ctx, proto, opts)
+	xs, err := CheckAll(ctx, proto, []taxonomy.Problem{problem}, opts)
+	if xs == nil {
+		return nil, err
+	}
+	return xs[0], err
 }
 
-// decisionEdgeViolations validates the decision rule at the moment a
-// decision is made: applying one event turned some processor's ledger entry
-// from undecided to decided. A failure "has occurred" for the purposes of
-// the rule if any processor is already faulty in the pre-configuration —
-// by crashing or by having had a delivery omission-suppressed — (the event
-// itself cannot simultaneously fail a processor and decide another).
-func decisionEdgeViolations(problem taxonomy.Problem, prev, next *node) []taxonomy.Violation {
-	var out []taxonomy.Violation
-	failureSeen := prev.cfg.OmissionsUsed() > 0
-	for p := 0; !failureSeen && p < prev.cfg.N(); p++ {
-		if prev.cfg.Faulty(sim.ProcID(p)) {
-			failureSeen = true
-		}
+// CheckAll verifies the protocol against several problems in one walk of
+// its configuration space: the space does not depend on what it is judged
+// against, so the i-th Exploration returned is field for field what
+// CheckContext(ctx, proto, problems[i], opts) returns — its own Violations
+// (capped at 100) and FirstTrace; the node count, census, configuration
+// records and status of the one shared walk — partial results included.
+// StopAtFirstViolation cuts the walk at one problem's first violation, so it
+// is accepted with a single problem only.
+func CheckAll(ctx context.Context, proto sim.Protocol, problems []taxonomy.Problem, opts Options) ([]*Exploration, error) {
+	if len(problems) == 0 {
+		return nil, fmt.Errorf("checker: CheckAll of %s needs at least one problem", proto.Name())
 	}
-	for p := range next.ledger {
-		if prev.ledger[p] != sim.NoDecision || next.ledger[p] == sim.NoDecision {
-			continue
-		}
-		d := next.ledger[p]
-		if !problem.Rule.Permits(d, prev.inputs, failureSeen) {
-			out = append(out, taxonomy.Violation{
-				Kind: "rule",
-				Detail: fmt.Sprintf("%s decided %s on inputs %v (failureSeen=%v), forbidden by %s",
-					sim.ProcID(p), d, prev.inputs, failureSeen, problem.Rule.Name()),
-			})
+	if len(problems) > 1 && opts.StopAtFirstViolation {
+		return nil, fmt.Errorf("checker: StopAtFirstViolation cuts the walk of %s for one problem; got %d", proto.Name(), len(problems))
+	}
+	x, judges, err := explore(ctx, proto, problems, opts)
+	if x == nil {
+		return nil, err
+	}
+	out := make([]*Exploration, len(judges))
+	for i := range judges {
+		xi := *x
+		xi.Opts.Problem = &judges[i].problem
+		xi.Violations, xi.FirstTrace = judges[i].violations, judges[i].firstTrace
+		out[i] = &xi
+	}
+	return out, err
+}
+
+// edgeViolations validates every judge's decision rule at the moment a
+// decision is made: applying one event turned some processor's ledger entry
+// from undecided to decided. failureSeen is the expansion's reading of
+// "a failure has occurred" in the pre-configuration.
+func (e *explorer) edgeViolations(prev, next *node, failureSeen bool) []verdict {
+	var out []verdict
+	for i := range e.judges {
+		rule := e.judges[i].problem.Rule
+		for p := range next.ledger {
+			if prev.ledger[p] != sim.NoDecision || next.ledger[p] == sim.NoDecision {
+				continue
+			}
+			d := next.ledger[p]
+			if !rule.Permits(d, prev.inputs, failureSeen) {
+				out = append(out, verdict{i, taxonomy.Violation{
+					Kind: "rule",
+					Detail: fmt.Sprintf("%s decided %s on inputs %v (failureSeen=%v), forbidden by %s",
+						sim.ProcID(p), d, prev.inputs, failureSeen, rule.Name()),
+				}})
+			}
 		}
 	}
 	return out
 }
 
-// nodeViolations validates the consistency constraint on one accessible
-// configuration, and the termination condition if the configuration is
-// terminal.
-func nodeViolations(problem taxonomy.Problem, nd *node) []taxonomy.Violation {
-	var out []taxonomy.Violation
+// nodeViolations validates every judge's consistency constraint on one
+// accessible configuration, and its termination condition if the
+// configuration is terminal.
+func (e *explorer) nodeViolations(nd *node) []verdict {
+	var out []verdict
+	for i := range e.judges {
+		out = appendNodeViolations(out, i, e.judges[i].problem, nd)
+	}
+	return out
+}
+
+// appendNodeViolations appends what one judge finds on one configuration.
+func appendNodeViolations(out []verdict, judge int, problem taxonomy.Problem, nd *node) []verdict {
 	switch problem.Consistency {
 	case taxonomy.TC:
 		// Total consistency constrains every decision ever made,
@@ -78,10 +112,10 @@ func nodeViolations(problem taxonomy.Problem, nd *node) []taxonomy.Violation {
 				continue
 			}
 			if d != seen {
-				return append(out, taxonomy.Violation{
+				return append(out, verdict{judge, taxonomy.Violation{
 					Kind:   "TC",
 					Detail: fmt.Sprintf("%s decided %s but %s decided %s", seenBy, seen, sim.ProcID(p), d),
-				})
+				}})
 			}
 		}
 	case taxonomy.IC:
@@ -109,10 +143,10 @@ func nodeViolations(problem taxonomy.Problem, nd *node) []taxonomy.Violation {
 				continue
 			}
 			if d != seen {
-				return append(out, taxonomy.Violation{
+				return append(out, verdict{judge, taxonomy.Violation{
 					Kind:   "IC",
 					Detail: fmt.Sprintf("%s occupies %s while %s occupies %s", seenBy, seen, sim.ProcID(p), d),
-				})
+				}})
 			}
 		}
 	}
@@ -133,23 +167,23 @@ func nodeViolations(problem taxonomy.Problem, nd *node) []taxonomy.Violation {
 			continue
 		}
 		if nd.ledger[p] == sim.NoDecision {
-			out = append(out, taxonomy.Violation{
+			out = append(out, verdict{judge, taxonomy.Violation{
 				Kind:   "WT",
 				Detail: fmt.Sprintf("terminal configuration with nonfaulty %s undecided (state %s)", pid, s.Key()),
-			})
+			}})
 			continue
 		}
 		if problem.Termination >= taxonomy.ST && !s.Amnesic() && s.Kind() != sim.Halted {
-			out = append(out, taxonomy.Violation{
+			out = append(out, verdict{judge, taxonomy.Violation{
 				Kind:   "ST",
 				Detail: fmt.Sprintf("terminal configuration with nonfaulty %s not amnesic (state %s)", pid, s.Key()),
-			})
+			}})
 		}
 		if problem.Termination >= taxonomy.HT && s.Kind() != sim.Halted {
-			out = append(out, taxonomy.Violation{
+			out = append(out, verdict{judge, taxonomy.Violation{
 				Kind:   "HT",
 				Detail: fmt.Sprintf("terminal configuration with nonfaulty %s not halted (state %s)", pid, s.Key()),
-			})
+			}})
 		}
 	}
 	return out

@@ -96,12 +96,11 @@ func diffCases() []diffCase {
 // must reproduce the reference result byte for byte.
 var diffDedups = []frontier.Dedup{frontier.DedupStrings, frontier.DedupFingerprint, frontier.DedupVerified}
 
-// diffEngines explores one case on every given engine and asserts each
-// reproduces the first (the string-keyed reference) byte for byte: node
-// counts, interned state keys, configuration records, the aggregate state
-// census, violations in order, FirstTrace, and the error.
-func diffEngines(t *testing.T, tc diffCase, dedups []frontier.Dedup) {
-	prob := problem(taxonomy.WT, taxonomy.TC)
+// diffEngines checks one case against the problem on every given engine and
+// asserts each reproduces the first (the string-keyed reference) byte for
+// byte: node counts, interned state keys, configuration records, the
+// aggregate state census, violations in order, FirstTrace, and the error.
+func diffEngines(t *testing.T, tc diffCase, prob taxonomy.Problem, dedups []frontier.Dedup) {
 	var baseDigest, baseErr string
 	for i, dedup := range dedups {
 		opts := tc.opts
@@ -137,7 +136,52 @@ func diffEngines(t *testing.T, tc diffCase, dedups []frontier.Dedup) {
 // produces byte-identical results on every dedup engine.
 func TestExploreDifferential(t *testing.T) {
 	for _, tc := range diffCases() {
-		t.Run(tc.name, func(t *testing.T) { diffEngines(t, tc, diffDedups) })
+		t.Run(tc.name, func(t *testing.T) { diffEngines(t, tc, problem(taxonomy.WT, taxonomy.TC), diffDedups) })
+	}
+}
+
+// grudgingRule is a decision rule no library protocol obeys: it forbids
+// commit outright, and abort once a failure has been seen. The library
+// protocols all keep unanimity, so without it the branch of the fast path
+// that refuses to vouch for a forbidden decision would never run; and
+// because its verdict turns on failureSeen in the direction that loses
+// violations if misread (a failure missed is a forbidden abort permitted),
+// it pins the expansion's crash- and omission-bearing reading of it.
+type grudgingRule struct{}
+
+func (grudgingRule) Name() string { return "grudging" }
+
+func (grudgingRule) Permits(d sim.Decision, _ []sim.Bit, failureSeen bool) bool {
+	return d == sim.Abort && !failureSeen
+}
+
+func (grudgingRule) Determined([]sim.Bit) (sim.Decision, bool) { return sim.NoDecision, false }
+
+// TestExploreDifferentialRuleViolations runs the engines against a rule
+// that is broken on many decision edges, most of them leading to
+// configurations already visited — the edges the fingerprint engine
+// predicts. The strings engine materializes every edge and is the oracle:
+// "rule" violations in order (and their cap), FirstTrace, and the node at
+// which StopAtFirstViolation cuts the walk must agree byte for byte, with
+// crashes and with an omission budget.
+func TestExploreDifferentialRuleViolations(t *testing.T) {
+	stop := func(o Options) Options { o.StopAtFirstViolation = true; return o }
+	mf0, mf2 := Options{MaxFailures: 0}, Options{MaxFailures: 2, MaxNodes: 6000}
+	ob2 := Options{MaxFailures: 0, OmissionBudget: 2, MobileOmissions: 1}
+	mf1ob1 := Options{MaxFailures: 1, OmissionBudget: 1, MaxNodes: 6000}
+	cases := []diffCase{
+		{"tree-mf0", protocols.Tree{Procs: 3}, mf0},
+		{"tree-mf0-stop", protocols.Tree{Procs: 3}, stop(mf0)},
+		{"star-mf2", protocols.Star{Procs: 3}, mf2},
+		{"star-mf2-stop", protocols.Star{Procs: 3}, stop(mf2)},
+		{"haltingcommit-mf2", protocols.HaltingCommit{Procs: 3}, mf2},
+		{"tree-ob2-mobile1", protocols.Tree{Procs: 3}, ob2},
+		{"tree-ob2-mobile1-stop", protocols.Tree{Procs: 3}, stop(ob2)},
+		{"ackcommit-mf1-ob1", protocols.AckCommit{Procs: 3}, mf1ob1},
+	}
+	prob := taxonomy.Problem{Rule: grudgingRule{}, Termination: taxonomy.WT, Consistency: taxonomy.TC}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) { diffEngines(t, tc, prob, diffDedups) })
 	}
 }
 
@@ -158,7 +202,7 @@ func TestExploreOmissionDifferential(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			diffEngines(t, tc, []frontier.Dedup{frontier.DedupStrings, frontier.DedupFingerprint})
+			diffEngines(t, tc, problem(taxonomy.WT, taxonomy.TC), []frontier.Dedup{frontier.DedupStrings, frontier.DedupFingerprint})
 		})
 	}
 }
@@ -209,4 +253,71 @@ func firstDiff(a, b string) string {
 		}
 	}
 	return fmt.Sprintf("digest lengths differ: %d vs %d lines", len(al), len(bl))
+}
+
+// TestCheckAllDifferential asserts that one walk judged against k problems
+// returns, per problem, what a solo Check of that problem returns — the
+// whole exploreDigest, so violations in order, FirstTrace, census and
+// status — on complete walks and on budget-cut ones. star(3) breaks total
+// consistency, so its WT-TC judge must report the solo run's TC violations
+// beside three judges that find nothing (breadth-first order reaches them
+// past 6000 nodes, hence the second cut); tree-st(3) solves all of its three.
+func TestCheckAllDifferential(t *testing.T) {
+	cases := []struct {
+		name     string
+		proto    sim.Protocol
+		cuts     []int // MaxNodes; 0 walks the whole space
+		problems []taxonomy.Problem
+	}{
+		{"star", protocols.Star{Procs: 3}, []int{0, 6000, 36_000}, []taxonomy.Problem{
+			problem(taxonomy.HT, taxonomy.IC), problem(taxonomy.ST, taxonomy.IC),
+			problem(taxonomy.WT, taxonomy.IC), problem(taxonomy.WT, taxonomy.TC),
+		}},
+		{"tree-st", protocols.Tree{Procs: 3, ST: true}, []int{0, 6000}, []taxonomy.Problem{
+			problem(taxonomy.ST, taxonomy.TC), problem(taxonomy.ST, taxonomy.IC), problem(taxonomy.WT, taxonomy.TC),
+		}},
+	}
+	for _, tc := range cases {
+		for _, maxNodes := range tc.cuts {
+			t.Run(fmt.Sprintf("%s/max%d", tc.name, maxNodes), func(t *testing.T) {
+				if testing.Short() && maxNodes != 6000 {
+					t.Skip("k + 1 walks of most of the space take seconds")
+				}
+				opts := Options{MaxFailures: 2, MaxNodes: maxNodes, TrackTraces: true}
+				xs, err := CheckAll(context.Background(), tc.proto, tc.problems, opts)
+				if len(xs) != len(tc.problems) {
+					t.Fatalf("CheckAll returned %d explorations for %d problems (err=%v)", len(xs), len(tc.problems), err)
+				}
+				for i, p := range tc.problems {
+					solo, soloErr := CheckContext(context.Background(), tc.proto, p, opts)
+					if fmt.Sprint(err) != fmt.Sprint(soloErr) {
+						t.Errorf("%s: err = %v, solo err = %v", p.Name(), err, soloErr)
+					}
+					if got := xs[i].Opts.Problem.Name(); got != p.Name() {
+						t.Errorf("result %d is labelled %s, want %s", i, got, p.Name())
+					}
+					if want, got := exploreDigest(solo), exploreDigest(xs[i]); got != want {
+						t.Errorf("%s: judged beside the others it diverges from its solo check:\n%s", p.Name(), firstDiff(want, got))
+					}
+					if p.Name() == "WT-TC" && tc.name == "star" && maxNodes != 6000 && (len(xs[i].Violations) == 0 || len(xs[i].FirstTrace) == 0) {
+						t.Errorf("star(3) against WT-TC: %d violations, %d trace lines; want the TC violations and their trace",
+							len(xs[i].Violations), len(xs[i].FirstTrace))
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestCheckAllDifferentialRejects pins the two argument errors: no problem
+// at all, and StopAtFirstViolation — which cuts the walk at one problem's
+// first violation — with more than one.
+func TestCheckAllDifferentialRejects(t *testing.T) {
+	two := []taxonomy.Problem{problem(taxonomy.WT, taxonomy.IC), problem(taxonomy.WT, taxonomy.TC)}
+	if xs, err := CheckAll(context.Background(), protocols.Star{Procs: 3}, two, Options{StopAtFirstViolation: true}); xs != nil || err == nil {
+		t.Errorf("two problems with StopAtFirstViolation: %d explorations, err %v; want an error", len(xs), err)
+	}
+	if xs, err := CheckAll(context.Background(), protocols.Star{Procs: 3}, nil, Options{}); xs != nil || err == nil {
+		t.Errorf("no problems: %d explorations, err %v; want an error", len(xs), err)
+	}
 }

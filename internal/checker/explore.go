@@ -59,7 +59,8 @@ type Options struct {
 	// Problem, if non-nil, enables inline conformance checking: the
 	// decision rule is checked at every decision transition, consistency
 	// at every node, and termination at every terminal node. Violations
-	// accumulate in Exploration.Violations (capped at 100).
+	// accumulate in Exploration.Violations (capped at 100). Check and
+	// CheckAll set it on the Explorations they return.
 	Problem *taxonomy.Problem
 	// TrackTraces records parent links so the first violation comes with
 	// a full event trace (FirstTrace). Costs memory proportional to the
@@ -310,21 +311,40 @@ func (x *Exploration) traceToFP(fp fingerprint.Digest) []string {
 	return out
 }
 
-// addViolation appends a violation, respecting the cap, and records the
-// trace to the first violating node when trace tracking is on. The
-// violating node is identified by whichever handle the dedup mode tracks
-// (canonical key or fingerprint).
-func (x *Exploration) addViolation(v taxonomy.Violation, s *succ) {
-	if len(x.Violations) == 0 {
+// judge is one problem riding the walk: what it is judged against, and the
+// violations and first trace that a solo Check of that problem would report.
+// The walk itself never depends on a judge (only StopAtFirstViolation cuts
+// it, and that is accepted with one judge only), so k judges on one walk
+// see exactly the edges and nodes, in exactly the order, of k solo walks.
+type judge struct {
+	problem    taxonomy.Problem
+	violations []taxonomy.Violation
+	firstTrace []string
+}
+
+// verdict is one violation attributed to the judge that found it.
+type verdict struct {
+	judge int
+	taxonomy.Violation
+}
+
+// addViolation appends a violation to its judge, respecting the cap, and
+// records the trace to that judge's first violating node when trace tracking
+// is on. The violating node is identified by whichever handle the dedup mode
+// tracks (canonical key or fingerprint).
+func (e *explorer) addViolation(v verdict, s *succ) {
+	j, x := &e.judges[v.judge], e.x
+	if len(j.violations) == 0 {
 		if x.parents != nil {
-			x.FirstTrace = x.traceTo(s.key)
+			j.firstTrace = x.traceTo(s.key)
 		} else if x.parentsFP != nil {
-			x.FirstTrace = x.traceToFP(s.fp)
+			j.firstTrace = x.traceToFP(s.fp)
 		}
 	}
-	if len(x.Violations) < 100 {
-		x.Violations = append(x.Violations, v)
+	if len(j.violations) < 100 {
+		j.violations = append(j.violations, v.Violation)
 	}
+	e.violated = true
 }
 
 // Conforms reports whether a checked exploration found no violations.
@@ -425,7 +445,7 @@ type succ struct {
 	key      string             // canonical node key; empty under fingerprint dedup
 	fp       fingerprint.Digest // node fingerprint; zero under strings dedup
 	event    sim.Event
-	edgeViol []taxonomy.Violation
+	edgeViol []verdict
 	// nd is nil when the successor was already visited when the expansion
 	// ran. Under fingerprint dedup a nil nd additionally means the
 	// successor was never materialized at all: its fingerprint was derived
@@ -433,7 +453,7 @@ type succ struct {
 	nd        *node
 	stateKeys []string
 	terminal  bool
-	nodeViol  []taxonomy.Violation
+	nodeViol  []verdict
 	// permuted marks a successor whose dedup handle was canonicalized
 	// away from its own frame by a non-identity automorphism; the walk
 	// counts rejected permuted successors as symmetry prunes.
@@ -472,9 +492,17 @@ type explorer struct {
 	// memory can be reclaimed once its children are recorded.
 	queue []*node
 	head  int
-	// events is expandEvents' scratch, reused across expansions so
-	// enumerating enabled events allocates nothing in steady state.
+	// judges are the problems the walk is checked against (none for a plain
+	// Explore); violated records that some judge has a violation, which is
+	// what StopAtFirstViolation waits for.
+	judges   []judge
+	violated bool
+	// events and succs are expandEvents' scratch, reused across expansions
+	// so enumerating enabled events and collecting their edges allocate
+	// nothing in steady state: walk consumes an expansion before the next
+	// one is generated.
 	events []sim.Event
+	succs  []succ
 	// keyCache memoizes state digest → interned state Key string, so the
 	// fingerprint engine builds each distinct state's key exactly once for
 	// the census instead of once per occurrence.
@@ -594,18 +622,24 @@ func (e *explorer) expandEvents(nd *node, tryAmple bool) expansion {
 		}
 	}
 	e.events = events
-	out.succs = make([]succ, 0, len(events))
+	out.succs = e.succs[:0]
+	// The decision rule's "a failure has occurred" is a fact of the
+	// pre-configuration — a crash, or a delivery omission-suppressed — (the
+	// event itself cannot simultaneously fail a processor and decide
+	// another), so one reading serves every edge of the expansion.
+	failureSeen := failedCount > 0 || nd.cfg.OmissionsUsed() > 0
 	// The fast path predicts each successor's fingerprint incrementally
 	// from the parent's and skips materialization for already-visited
 	// successors — the bulk of all edges in a dense state space. It is
-	// sound only when nothing but the fingerprint is needed per seen edge:
-	// fingerprint dedup, no inline conformance checking (edge violations
-	// need the materialized successor), no symmetry (the incremental
+	// sound only when nothing but the prediction is needed per seen edge:
+	// fingerprint dedup, and no canonicalization (the incremental
 	// fingerprint is the successor's own frame, not its canonical handle).
-	fast := e.dedup == frontier.DedupFingerprint && e.opts.Problem == nil && !e.canonicalizing()
+	// The one thing judged on a seen edge, the decision rule, is a
+	// predicate over the prediction (predictSeen).
+	fast := e.dedup == frontier.DedupFingerprint && !e.canonicalizing()
 	for _, ev := range events {
 		if fast {
-			if fp, ok := e.predictSeen(nd, ev); ok {
+			if fp, ok := e.predictSeen(nd, ev, failureSeen); ok {
 				out.succs = append(out.succs, succ{fp: fp, event: ev})
 				continue
 			}
@@ -618,19 +652,16 @@ func (e *explorer) expandEvents(nd *node, tryAmple bool) expansion {
 		nxt := &node{cfg: cfg, ledger: updateLedger(nd.ledger, cfg), inputs: nd.inputs, vec: nd.vec}
 		s := succ{event: ev}
 		e.setHandle(nxt, &s)
-		if e.opts.Problem != nil {
-			s.edgeViol = decisionEdgeViolations(*e.opts.Problem, nd, nxt)
-		}
+		s.edgeViol = e.edgeViolations(nd, nxt, failureSeen)
 		if !e.visited.Seen(s.fp, s.key) {
 			s.nd = nxt
 			s.terminal = cfg.Quiescent()
 			s.stateKeys = e.stateKeysOf(nxt)
-			if e.opts.Problem != nil {
-				s.nodeViol = nodeViolations(*e.opts.Problem, nxt)
-			}
+			s.nodeViol = e.nodeViolations(nxt)
 		}
 		out.succs = append(out.succs, s)
 	}
+	e.succs = out.succs
 	return out
 }
 
@@ -668,9 +699,12 @@ func (e *explorer) apply(cfg *sim.Config, ev sim.Event) (*sim.Config, error) {
 // delta from the predicted post-state's decision — and reports whether
 // that successor is already in the visited set. ok=false means the caller
 // must materialize: the successor is new, the event is irregular (Apply
-// must produce the exact error), or the ledger transition is one the delta
-// rule cannot predict.
-func (e *explorer) predictSeen(nd *node, ev sim.Event) (fingerprint.Digest, bool) {
+// must produce the exact error), the ledger transition is one the delta
+// rule cannot predict, or the predicted step is a decision some judge's
+// rule forbids — so every violation is built, worded and ordered by the
+// materializing path alone, and a prediction only ever vouches for an edge
+// on which there is nothing to report.
+func (e *explorer) predictSeen(nd *node, ev sim.Event, failureSeen bool) (fingerprint.Digest, bool) {
 	pred, ok := e.predictor.Predict(e.proto, nd.cfg, ev)
 	if !ok {
 		return fingerprint.Digest{}, false
@@ -685,6 +719,11 @@ func (e *explorer) predictSeen(nd *node, ev sim.Event) (fingerprint.Digest, bool
 				return fingerprint.Digest{}, false
 			}
 			fp = fp.Add(ledgerTerm(ev.Proc, d))
+			for i := range e.judges {
+				if !e.judges[i].problem.Rule.Permits(d, nd.inputs, failureSeen) {
+					return fingerprint.Digest{}, false
+				}
+			}
 		}
 	}
 	if !e.visited.Seen(fp, "") {
@@ -779,9 +818,9 @@ func (e *explorer) walk(parent *node, exp *expansion) (stop bool, err error) {
 			}
 		}
 		for _, v := range s.edgeViol {
-			x.addViolation(v, s)
+			e.addViolation(v, s)
 		}
-		if e.opts.StopAtFirstViolation && len(x.Violations) > 0 {
+		if e.opts.StopAtFirstViolation && e.violated {
 			return true, nil
 		}
 		if s.nd == nil || !e.visited.Admit(s.fp, s.key) {
@@ -796,9 +835,9 @@ func (e *explorer) walk(parent *node, exp *expansion) (stop bool, err error) {
 		e.record(s)
 		e.censusAdd(s.nd, s.stateKeys)
 		for _, v := range s.nodeViol {
-			x.addViolation(v, s)
+			e.addViolation(v, s)
 		}
-		if e.opts.StopAtFirstViolation && len(x.Violations) > 0 {
+		if e.opts.StopAtFirstViolation && e.violated {
 			return true, nil
 		}
 		e.queue = append(e.queue, s.nd)
@@ -820,9 +859,9 @@ func (e *explorer) record(s *succ) {
 		}
 		idx[p] = id
 	}
-	// The ledger is aliased, not copied: updateLedger builds a fresh slice
-	// per node and nothing mutates one after construction, so the record
-	// can share it.
+	// The ledger is aliased, not copied: nothing mutates a ledger after
+	// updateLedger built it, so the record can share it (as a child whose
+	// step decided nothing shares its parent's).
 	x.Configs = append(x.Configs, ConfigRecord{
 		StateIdx:  idx,
 		Ledger:    s.nd.ledger,
@@ -849,6 +888,18 @@ func (e *explorer) finalize() {
 // error or a *BudgetError). Callers that can use partial results should
 // inspect the returned Exploration even when err != nil.
 func ExploreContext(ctx context.Context, proto sim.Protocol, opts Options) (*Exploration, error) {
+	if opts.Problem != nil {
+		return CheckContext(ctx, proto, *opts.Problem, opts)
+	}
+	x, _, err := explore(ctx, proto, nil, opts)
+	return x, err
+}
+
+// explore is the one walk behind Explore and CheckAll: it explores the space
+// once, judging it against every given problem on the way, and returns the
+// shared Exploration (its Violations and FirstTrace unset) with each
+// problem's findings beside it.
+func explore(ctx context.Context, proto sim.Protocol, problems []taxonomy.Problem, opts Options) (*Exploration, []judge, error) {
 	n := proto.N()
 	maxFail := opts.MaxFailures
 	if maxFail < 0 {
@@ -860,7 +911,7 @@ func ExploreContext(ctx context.Context, proto sim.Protocol, opts Options) (*Exp
 	}
 	pol := opts.omission()
 	if pol.Enabled() && n > 64 {
-		return nil, fmt.Errorf("checker: omission budgets support at most 64 processors, got %d", n)
+		return nil, nil, fmt.Errorf("checker: omission budgets support at most 64 processors, got %d", n)
 	}
 	failAllowed := make([]bool, n)
 	if opts.FailProcs == nil {
@@ -870,7 +921,7 @@ func ExploreContext(ctx context.Context, proto sim.Protocol, opts Options) (*Exp
 	} else {
 		for _, p := range opts.FailProcs {
 			if p < 0 || int(p) >= n {
-				return nil, fmt.Errorf("checker: FailProcs entry %d out of range [0,%d)", p, n)
+				return nil, nil, fmt.Errorf("checker: FailProcs entry %d out of range [0,%d)", p, n)
 			}
 			failAllowed[p] = true
 		}
@@ -900,6 +951,10 @@ func ExploreContext(ctx context.Context, proto sim.Protocol, opts Options) (*Exp
 		visited:     frontier.NewSeqVisited(opts.Dedup),
 		interner:    frontier.NewInterner(),
 		states:      frontier.NewShardedMap[*StateInfo](),
+		judges:      make([]judge, len(problems)),
+	}
+	for i, p := range problems {
+		e.judges[i].problem = p
 	}
 	if opts.Dedup == frontier.DedupFingerprint {
 		e.keyCache = frontier.NewFPShardedMap[string]()
@@ -912,7 +967,7 @@ func ExploreContext(ctx context.Context, proto sim.Protocol, opts Options) (*Exp
 	roots := make([]succ, 0, len(inputVecs))
 	for _, inputs := range inputVecs {
 		if len(inputs) != n {
-			return nil, fmt.Errorf("checker: input vector %v has length %d, want %d", inputs, len(inputs), n)
+			return nil, nil, fmt.Errorf("checker: input vector %v has length %d, want %d", inputs, len(inputs), n)
 		}
 		start := &node{cfg: sim.NewConfigOmission(proto, inputs, pol), ledger: make([]sim.Decision, n), inputs: inputs, vec: inputsKey(inputs)}
 		s := succ{nd: start, terminal: start.cfg.Quiescent()}
@@ -927,9 +982,7 @@ func ExploreContext(ctx context.Context, proto sim.Protocol, opts Options) (*Exp
 			}
 		}
 		s.stateKeys = e.stateKeysOf(start)
-		if opts.Problem != nil {
-			s.nodeViol = nodeViolations(*opts.Problem, start)
-		}
+		s.nodeViol = e.nodeViolations(start)
 		roots = append(roots, s)
 	}
 
@@ -937,18 +990,14 @@ func ExploreContext(ctx context.Context, proto sim.Protocol, opts Options) (*Exp
 	if err != nil {
 		var be *BudgetError
 		if errors.As(err, &be) {
-			e.finalize()
-			return x, be
+			err = be
+		} else if x.Status != StatusInterrupted {
+			// A protocol error (sim.Apply failed) aborts with no result.
+			return nil, nil, err
 		}
-		if x.Status == StatusInterrupted {
-			e.finalize()
-			return x, err
-		}
-		// A protocol error (sim.Apply failed) aborts with no result.
-		return nil, err
 	}
 	e.finalize()
-	return x, nil
+	return x, e.judges, err
 }
 
 // BudgetError reports that exploration exceeded its node budget.
@@ -964,12 +1013,20 @@ func (e *BudgetError) Error() string {
 // updateLedger extends the decision ledger with any decisions visible in the
 // configuration. Decisions are irrevocable (sim enforces it), so a visible
 // decision can only confirm or extend the ledger.
+//
+// Ledgers are immutable once built, so a step that decides nothing — all
+// but the decision edges — returns the parent's slice itself.
 func updateLedger(old []sim.Decision, cfg *sim.Config) []sim.Decision {
-	out := append([]sim.Decision(nil), old...)
+	out, shared := old, true
 	for p, s := range cfg.States {
-		if d, ok := s.Decided(); ok {
-			out[p] = d
+		d, ok := s.Decided()
+		if !ok || out[p] == d {
+			continue
 		}
+		if shared {
+			out, shared = append([]sim.Decision(nil), old...), false
+		}
+		out[p] = d
 	}
 	return out
 }

@@ -1,6 +1,11 @@
 package core
 
 import (
+	"context"
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -143,9 +148,17 @@ func TestWitnessesQuick(t *testing.T) {
 	}
 }
 
+var update = flag.Bool("update", false, "rewrite the golden files with the current output")
+
+// TestWitnessesExhaustive runs every witness and pins the evidence — names,
+// claims, verdicts, every details line, in citation order — against a
+// golden file recorded when each (protocol, problem) pair was still checked
+// by a walk of its own: walking a protocol's space once for all its
+// problems must change no word of it. Regenerate an intended change with
+// `go test ./internal/core -run WitnessesExhaustive -update`.
 func TestWitnessesExhaustive(t *testing.T) {
 	if testing.Short() {
-		t.Skip("exhaustive witnesses take ~1 minute")
+		t.Skip("exhaustive witnesses take ~10 seconds")
 	}
 	evidence := Witnesses(WitnessOptions{Exhaustive: true})
 	for _, ev := range evidence {
@@ -155,6 +168,59 @@ func TestWitnessesExhaustive(t *testing.T) {
 	}
 	if !AllOK(evidence) {
 		t.Error("AllOK should agree with the per-item checks")
+	}
+
+	var sb strings.Builder
+	for _, ev := range evidence {
+		fmt.Fprintln(&sb, ev.String())
+		for _, d := range ev.Details {
+			fmt.Fprintln(&sb, "  "+d)
+		}
+	}
+	path := filepath.Join("testdata", "witnesses_exhaustive.golden")
+	if *update {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(sb.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("rewrote %s", path)
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden file (run with -update to create it): %v", err)
+	}
+	if got := sb.String(); got != string(want) {
+		t.Errorf("evidence diverged from %s:\n--- want\n%s--- got\n%s", path, want, got)
+	}
+}
+
+// TestWitnessesCancellation: with the context already cancelled, every
+// exhaustive walk and the chaos sweep return at once, and none of them
+// claims a verdict it did not reach; the replays and scheme facts, which
+// take milliseconds and no context, still verify.
+func TestWitnessesCancellation(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	walks := 0
+	for _, ev := range Witnesses(WitnessOptions{Exhaustive: true, Context: ctx}) {
+		walked := strings.HasPrefix(ev.Name, "Solver check") || strings.Contains(ev.Name, "(second half)") || strings.Contains(ev.Name, "(checker confirmation)")
+		if !walked {
+			continue
+		}
+		walks++
+		if ev.OK {
+			t.Errorf("%s claims ok under a cancelled context: %v", ev.Name, ev.Details)
+		}
+		if len(ev.Details) != 1 || !strings.Contains(ev.Details[0], "context canceled") {
+			t.Errorf("%s: details %q, want the interruption alone", ev.Name, ev.Details)
+		}
+	}
+	// The chaos sweep, eleven solver checks, and the two violation hunts.
+	if walks != 14 {
+		t.Errorf("%d context-bounded witnesses, want 14", walks)
 	}
 }
 

@@ -191,12 +191,12 @@ func Theorem13Perverse() Evidence {
 
 // Theorem13ChainChecker confirms with the model checker that the amnesic
 // chain variant violates ST-IC (the scenario is not an isolated trace).
-func Theorem13ChainChecker() Evidence {
+func Theorem13ChainChecker(opts WitnessOptions) Evidence {
 	ev := Evidence{
 		Name:  "Theorem 13 (checker confirmation)",
 		Claim: "the amnesic chain variant violates interactive consistency under failures",
 	}
-	x, err := checker.Check(protocols.Chain{Procs: 3, ST: true},
+	x, err := checker.CheckContext(opts.ctx(), protocols.Chain{Procs: 3, ST: true},
 		taxonomy.Problem{Rule: taxonomy.UnanimityRule{}, Termination: taxonomy.ST, Consistency: taxonomy.IC},
 		checker.Options{MaxFailures: 2, StopAtFirstViolation: true})
 	if err != nil {

@@ -22,6 +22,19 @@ type WitnessOptions struct {
 	// MaxFailures bounds failure injection for the exhaustive checks
 	// (default 2).
 	MaxFailures int
+	// Context, when non-nil, bounds the exhaustive walks and the chaos
+	// sweep: once it is cancelled or past its deadline, each remaining one
+	// returns promptly and its evidence reports the interruption instead
+	// of a verdict.
+	Context context.Context
+}
+
+// ctx returns the configured context, defaulting to Background.
+func (o WitnessOptions) ctx() context.Context {
+	if o.Context != nil {
+		return o.Context
+	}
+	return context.Background()
 }
 
 func (o WitnessOptions) maxFailures() int {
@@ -48,7 +61,7 @@ func Witnesses(opts WitnessOptions) []Evidence {
 	if opts.Exhaustive {
 		out = append(out,
 			Theorem8StarChecker(opts),
-			Theorem13ChainChecker(),
+			Theorem13ChainChecker(opts),
 		)
 	}
 	return out
@@ -67,7 +80,8 @@ func AllOK(evidence []Evidence) bool {
 // solverWitnesses model-checks one solving protocol per problem: the
 // executable content of "each problem in the diagram is solvable", which
 // also grounds Theorem 1's reductions (a protocol for the stronger problem
-// is checked against the weaker one too).
+// is checked against the weaker one too — the same runs judged by a weaker
+// predicate, so each protocol's space is walked once for all its problems).
 func solverWitnesses(opts WitnessOptions) []Evidence {
 	cases := []struct {
 		proto    sim.Protocol
@@ -124,32 +138,33 @@ func solverWitnesses(opts WitnessOptions) []Evidence {
 	}
 
 	var out []Evidence
-	out = append(out, perverseFailureAgreement())
+	out = append(out, perverseFailureAgreement(opts))
 	for _, c := range cases {
-		for _, p := range c.problems {
-			copts := checker.Options{MaxFailures: opts.maxFailures()}
-			if c.proto.Name() == (protocols.Perverse{}).Name() {
-				// The perverse protocol's race bookkeeping makes its
-				// failure-injected space intractable to enumerate; it
-				// is checked exhaustively failure-free here, and its
-				// failure behaviour is covered by randomized
-				// injection below.
-				copts.MaxFailures = 0
-			}
-			failNote := fmt.Sprintf("≤%d failures", copts.MaxFailures)
-			if copts.MaxFailures == 0 {
-				failNote = "failure-free (failure runs covered by the chaos sweep)"
-			}
+		copts := checker.Options{MaxFailures: opts.maxFailures()}
+		if c.proto.Name() == (protocols.Perverse{}).Name() {
+			// The perverse protocol's race bookkeeping makes its
+			// failure-injected space intractable to enumerate; it
+			// is checked exhaustively failure-free here, and its
+			// failure behaviour is covered by randomized
+			// injection below.
+			copts.MaxFailures = 0
+		}
+		failNote := fmt.Sprintf("≤%d failures", copts.MaxFailures)
+		if copts.MaxFailures == 0 {
+			failNote = "failure-free (failure runs covered by the chaos sweep)"
+		}
+		xs, err := checker.CheckAll(opts.ctx(), c.proto, c.problems, copts)
+		for i, p := range c.problems {
 			ev := Evidence{
 				Name:  "Solver check (" + c.source + ")",
 				Claim: fmt.Sprintf("%s solves %s over all inputs, %s", c.proto.Name(), p.Name(), failNote),
 			}
-			x, err := checker.Check(c.proto, p, copts)
 			if err != nil {
 				ev.Details = append(ev.Details, err.Error())
 				out = append(out, ev)
 				continue
 			}
+			x := xs[i]
 			ev.OK = x.Conforms()
 			ev.Details = append(ev.Details, fmt.Sprintf("%d nodes, %d states, %d terminal configurations",
 				x.NodeCount, len(x.States), x.Terminals))
@@ -170,7 +185,7 @@ func Theorem8StarChecker(opts WitnessOptions) Evidence {
 		Name:  "Theorem 8 (second half)",
 		Claim: "the Figure 2 star protocol violates total consistency under failures",
 	}
-	x, err := checker.Check(protocols.Star{Procs: 3}, problemOf(taxonomy.WT, taxonomy.TC),
+	x, err := checker.CheckContext(opts.ctx(), protocols.Star{Procs: 3}, problemOf(taxonomy.WT, taxonomy.TC),
 		checker.Options{MaxFailures: opts.maxFailures(), StopAtFirstViolation: true})
 	if err != nil {
 		ev.Details = append(ev.Details, err.Error())
@@ -224,12 +239,12 @@ func problemOf(t taxonomy.Termination, c taxonomy.Consistency) taxonomy.Problem 
 // specification on each — the sampled complement to its failure-free
 // exhaustive check. The sweep is seeded and reproducible; any violation
 // would come back as a shrunk, minimal counterexample schedule.
-func perverseFailureAgreement() Evidence {
+func perverseFailureAgreement(opts WitnessOptions) Evidence {
 	ev := Evidence{
 		Name:  "Solver check (Figure 4 perverse protocol, randomized failures)",
 		Claim: "a seeded 400-run chaos sweep keeps WT-TC under unanimity",
 	}
-	rep, err := chaos.Run(context.Background(), protocols.Perverse{},
+	rep, err := chaos.Run(opts.ctx(), protocols.Perverse{},
 		problemOf(taxonomy.WT, taxonomy.TC),
 		chaos.Options{Runs: 400, Seed: 1984, MaxFailures: 2, Minimize: true})
 	if err != nil {

@@ -279,9 +279,15 @@ func E2Figure2Star(opts Options) Report {
 		r.Measured = append(r.Measured, "WT-TC violation found: "+xTC.Violations[0].Detail)
 	}
 
-	xS, err := checker.ExploreContext(opts.ctx(), protocols.Star{Procs: 3}, checker.Options{MaxFailures: 2})
-	if err != nil {
-		return fail(r, err)
+	// Safety() inspects every accessible state, so it needs the unreduced
+	// space: the HT-IC walk above when that ran unreduced, its own walk
+	// otherwise.
+	xS := x
+	if opts.Reduction != checker.ReduceNone {
+		xS, err = checker.ExploreContext(opts.ctx(), protocols.Star{Procs: 3}, checker.Options{MaxFailures: 2})
+		if err != nil {
+			return fail(r, err)
+		}
 	}
 	rep := xS.Safety()
 	if len(rep.Corollary6) == 0 {
@@ -395,7 +401,12 @@ func E5Lattice(opts Options) Report {
 		OK:       true,
 	}
 	l := core.BuildLattice()
-	evidence := core.Witnesses(core.WitnessOptions{Exhaustive: !opts.Quick})
+	evidence := core.Witnesses(core.WitnessOptions{Exhaustive: !opts.Quick, Context: opts.ctx()})
+	if err := opts.ctx().Err(); err != nil {
+		// The witnesses cut short report the interruption, not a verdict;
+		// a count of the ones that finished would read as a claim.
+		return fail(r, err)
+	}
 	l.Evidence = evidence
 	if !core.AllOK(evidence) {
 		r.OK = false

@@ -1,8 +1,10 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestAllExperimentsQuick(t *testing.T) {
@@ -50,5 +52,25 @@ func TestAllExperimentsExhaustive(t *testing.T) {
 		if !r.OK {
 			t.Errorf("%s (%s) failed:\n%s", r.ID, r.Artifact, strings.Join(r.Measured, "\n"))
 		}
+	}
+}
+
+// TestE5CancelledIsPartial: E5's exhaustive witnesses honour
+// Options.Context like every other experiment's passes. With the context
+// already cancelled the report comes back at once (the full pass takes
+// seconds), marked Partial, claiming neither ok nor any witness count.
+func TestE5CancelledIsPartial(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	start := time.Now()
+	r := E5Lattice(Options{Context: ctx})
+	if d := time.Since(start); d > 2*time.Second {
+		t.Errorf("cancelled E5 took %v; its walks ignored the context", d)
+	}
+	if !r.Partial || r.OK {
+		t.Errorf("cancelled E5: Partial=%v OK=%v, want a partial report with no ok claim", r.Partial, r.OK)
+	}
+	if out := r.String(); strings.Contains(out, "witnesses verified") || !strings.Contains(out, "[PARTIAL]") {
+		t.Errorf("cancelled E5 renders as:\n%s", out)
 	}
 }
