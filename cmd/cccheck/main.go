@@ -25,6 +25,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -32,28 +33,31 @@ import (
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout))
 }
 
-func run() int {
+// run is the whole command: flags from args, the report to out, diagnostics
+// to standard error, and the exit code as its result.
+func run(args []string, out io.Writer) int {
+	fs := flag.NewFlagSet("cccheck", flag.ExitOnError)
 	var (
-		protoName = flag.String("proto", "tree", "protocol: "+strings.Join(consensus.ProtocolNames(), ", "))
-		n         = flag.Int("n", 3, "number of processors (keep small: the exploration is exhaustive)")
-		problem   = flag.String("problem", "WT-TC", "problem: {WT,ST,HT}-{IC,TC}")
-		maxFail   = flag.Int("maxfail", 2, "maximum injected failures per run")
-		maxNodes  = flag.Int("maxnodes", 0, "node budget (0 = default)")
-		timeout   = flag.Duration("timeout", 0, "exploration wall-clock budget (0 = none); on expiry partial results are reported")
-		reduce    = flag.String("reduce", "none", "state-space reduction: none, ample, symmetry, or both (reduced runs keep the verdict; node counts describe the reduced graph)")
-		trace     = flag.Bool("trace", false, "print the event trace to the first violation")
-		safety    = flag.Bool("safety", false, "run the Theorem 2 safe-state analysis")
-		replay    = flag.String("replay", "", "replay a ccchaos trace file and re-assert its violation")
-		omitBudg  = flag.Int("omission-budget", 0, "maximum omission faults per run (0 = none): the adversary may suppress up to this many buffered deliveries")
-		mobileOm  = flag.Int("mobile-omissions", 0, "cap on simultaneously omission-faulty processors (0 = unbounded); the faulty set moves as deliveries succeed")
+		protoName = fs.String("proto", "tree", "protocol: "+strings.Join(consensus.ProtocolNames(), ", "))
+		n         = fs.Int("n", 3, "number of processors (keep small: the exploration is exhaustive)")
+		problem   = fs.String("problem", "WT-TC", "problem: {WT,ST,HT}-{IC,TC}")
+		maxFail   = fs.Int("maxfail", 2, "maximum injected failures per run")
+		maxNodes  = fs.Int("maxnodes", 0, "node budget (0 = default)")
+		timeout   = fs.Duration("timeout", 0, "exploration wall-clock budget (0 = none); on expiry partial results are reported")
+		reduce    = fs.String("reduce", "none", "state-space reduction: none, ample, symmetry, or both (reduced runs keep the verdict; node counts describe the reduced graph)")
+		trace     = fs.Bool("trace", false, "print the event trace to the first violation")
+		safety    = fs.Bool("safety", false, "run the Theorem 2 safe-state analysis")
+		replay    = fs.String("replay", "", "replay a ccchaos trace file and re-assert its violation")
+		omitBudg  = fs.Int("omission-budget", 0, "maximum omission faults per run (0 = none): the adversary may suppress up to this many buffered deliveries")
+		mobileOm  = fs.Int("mobile-omissions", 0, "cap on simultaneously omission-faulty processors (0 = unbounded); the faulty set moves as deliveries succeed")
 	)
-	flag.Parse()
+	_ = fs.Parse(args) // ExitOnError: Parse does not return an error
 
 	if *replay != "" {
-		return replayTrace(*replay)
+		return replayTrace(*replay, out)
 	}
 
 	proto, err := consensus.ProtocolByName(*protoName, *n)
@@ -99,53 +103,59 @@ func run() int {
 		return 1
 	}
 
-	fmt.Printf("%s vs %s: %d configurations, %d states, %d terminal\n",
+	fmt.Fprintf(out, "%s vs %s: %d configurations, %d states, %d terminal\n",
 		proto.Name(), prob.Name(), x.NodeCount, len(x.States), x.Terminals)
 	if *omitBudg > 0 {
-		fmt.Printf("omission budget %d, mobile cap %d\n", *omitBudg, *mobileOm)
+		fmt.Fprintf(out, "omission budget %d, mobile cap %d\n", *omitBudg, *mobileOm)
 	}
 	if reduction != consensus.ReduceNone {
 		rs := x.Reduction
-		fmt.Printf("reduction %s: %d ample + %d full expansions, %d proviso fallbacks, %d symmetry-pruned + %d elision-pruned successors\n",
+		fmt.Fprintf(out, "reduction %s: %d ample + %d full expansions, %d proviso fallbacks, %d symmetry-pruned + %d elision-pruned successors\n",
 			reduction, rs.AmpleNodes, rs.FullNodes, rs.ProvisoFallbacks, rs.SymmetryPrunes, rs.ElisionPrunes)
 	}
 	if x.Status.Partial() {
-		fmt.Printf("PARTIAL (%s): %d nodes visited, %d frontier nodes unexpanded; results below cover the visited prefix only\n",
+		fmt.Fprintf(out, "PARTIAL (%s): %d nodes visited, %d frontier nodes unexpanded; results below cover the visited prefix only\n",
 			x.Status, x.NodeCount, x.FrontierSize)
 	}
 	if x.Conforms() {
 		if x.Status.Partial() {
-			fmt.Println("no violation found in the visited prefix (NOT a proof of conformance)")
+			fmt.Fprintln(out, "no violation found in the visited prefix (NOT a proof of conformance)")
 		} else {
-			fmt.Println("CONFORMS: no violation found")
+			fmt.Fprintln(out, "CONFORMS: no violation found")
 		}
 	} else {
-		fmt.Printf("VIOLATES: %d violation(s); first:\n  %s\n", len(x.Violations), x.Violations[0])
+		fmt.Fprintf(out, "VIOLATES: %d violation(s); first:\n  %s\n", len(x.Violations), x.Violations[0])
 		if *trace {
-			fmt.Println("trace to first violation:")
+			fmt.Fprintln(out, "trace to first violation:")
 			for _, line := range x.FirstTrace {
-				fmt.Println("  " + line)
+				fmt.Fprintln(out, "  "+line)
 			}
 		}
 	}
 
 	if *safety {
 		rep := x.Safety()
-		fmt.Printf("\nsafe-state analysis: %d operational states, %d unsafe, %d Corollary 6 violation(s)\n",
-			rep.TotalStates, len(rep.Unsafe), len(rep.Corollary6))
+		// Unsafe states found on a prefix are real (concurrency sets only
+		// grow as the walk goes on); their absence is not a finding.
+		caveat := ""
+		if rep.Partial {
+			caveat = " in the visited prefix (NOT a proof that every state is safe)"
+		}
+		fmt.Fprintf(out, "\nsafe-state analysis: %d operational states, %d unsafe, %d Corollary 6 violation(s)%s\n",
+			rep.TotalStates, len(rep.Unsafe), len(rep.Corollary6), caveat)
 		for i, u := range rep.Unsafe {
 			if i >= 5 {
-				fmt.Printf("  … and %d more\n", len(rep.Unsafe)-5)
+				fmt.Fprintf(out, "  … and %d more\n", len(rep.Unsafe)-5)
 				break
 			}
-			fmt.Printf("  unsafe: %s\n    reason: %s\n", u.Key, u.Reason)
+			fmt.Fprintf(out, "  unsafe: %s\n    reason: %s\n", u.Key, u.Reason)
 		}
 		for i, v := range rep.Corollary6 {
 			if i >= 3 {
-				fmt.Printf("  … and %d more\n", len(rep.Corollary6)-3)
+				fmt.Fprintf(out, "  … and %d more\n", len(rep.Corollary6)-3)
 				break
 			}
-			fmt.Printf("  corollary 6: %s\n", v.Detail)
+			fmt.Fprintf(out, "  corollary 6: %s\n", v.Detail)
 		}
 	}
 
@@ -162,7 +172,7 @@ func run() int {
 // replayTrace re-executes a ccchaos trace and re-asserts the recorded
 // violation. Exit 2 means the violation reproduced identically; exit 1
 // means the replay diverged from the recording.
-func replayTrace(path string) int {
+func replayTrace(path string, out io.Writer) int {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "cccheck:", err)
@@ -188,7 +198,7 @@ func replayTrace(path string) int {
 		return 1
 	}
 
-	fmt.Printf("replaying %s: %s vs %s, inputs %s, %d events (run %d of sweep seed %d)\n",
+	fmt.Fprintf(out, "replaying %s: %s vs %s, inputs %s, %d events (run %d of sweep seed %d)\n",
 		path, t.Protocol, t.Problem, t.Inputs, len(t.Schedule), t.RunIndex, t.SweepSeed)
 	res, err := consensus.ReplayChaosTrace(t, proto, prob)
 	if err != nil {
@@ -196,13 +206,13 @@ func replayTrace(path string) int {
 		return 1
 	}
 	for _, v := range res.Violations {
-		fmt.Println("  " + v.String())
+		fmt.Fprintln(out, "  "+v.String())
 	}
 	if res.Reproduced {
-		fmt.Println("REPRODUCED: replay exhibits the recorded violation(s) exactly")
+		fmt.Fprintln(out, "REPRODUCED: replay exhibits the recorded violation(s) exactly")
 		return 2
 	}
-	fmt.Printf("DIVERGED: recorded %d violation(s), replay produced %d — the protocol or checker changed since recording\n",
+	fmt.Fprintf(out, "DIVERGED: recorded %d violation(s), replay produced %d — the protocol or checker changed since recording\n",
 		len(t.Violations), len(res.Violations))
 	return 1
 }

@@ -208,6 +208,21 @@ func TestStarViolatesCorollary6(t *testing.T) {
 	}
 }
 
+// allocsPerNode runs one exploration and returns its heap allocations per
+// accepted node.
+func allocsPerNode(t *testing.T, run func() (*Exploration, error)) float64 {
+	t.Helper()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	x, err := run()
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return float64(after.Mallocs-before.Mallocs) / float64(x.NodeCount)
+}
+
 // TestAllocsCheckNearExplore pins what judging costs on top of walking:
 // a Check predicts its already-visited successors exactly as a plain
 // Explore does, so on a conforming cell its allocations per node stay
@@ -217,22 +232,40 @@ func TestAllocsCheckNearExplore(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two tree(3) mf2 walks take ~2 seconds")
 	}
-	perNode := func(run func() (*Exploration, error)) float64 {
-		var before, after runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&before)
-		x, err := run()
-		runtime.ReadMemStats(&after)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return float64(after.Mallocs-before.Mallocs) / float64(x.NodeCount)
-	}
 	proto, opts := protocols.Tree{Procs: 3}, Options{MaxFailures: 2}
-	explore := perNode(func() (*Exploration, error) { return Explore(proto, opts) })
-	check := perNode(func() (*Exploration, error) { return Check(proto, problem(taxonomy.WT, taxonomy.TC), opts) })
+	explore := allocsPerNode(t, func() (*Exploration, error) { return Explore(proto, opts) })
+	check := allocsPerNode(t, func() (*Exploration, error) { return Check(proto, problem(taxonomy.WT, taxonomy.TC), opts) })
 	t.Logf("allocations per node: Explore %.2f, Check %.2f", explore, check)
 	if check > 1.10*explore {
 		t.Errorf("Check allocates %.2f per node, more than 10%% above Explore's %.2f", check, explore)
+	}
+}
+
+// TestAllocsExplorePerNode pins what one accepted node costs the plain walk:
+// the node, its configuration's containers and buffers, its ledger when the
+// step decided — and nothing for the census, the state ids or the dedup
+// handle beyond amortized growth (15.8 and 13.9 when the census was maps of
+// strings and every ConfigRecord allocated its own index slice).
+func TestAllocsExplorePerNode(t *testing.T) {
+	cells := []struct {
+		proto sim.Protocol
+		opts  Options
+		max   float64
+		big   bool
+	}{
+		{protocols.Tree{Procs: 3}, Options{MaxFailures: 2}, 14, false},
+		{protocols.FullExchange{Procs: 3}, Options{MaxFailures: 1}, 11, true},
+	}
+	for _, c := range cells {
+		t.Run(c.proto.Name(), func(t *testing.T) {
+			if c.big && testing.Short() {
+				t.Skip("a 705 904-node walk takes seconds")
+			}
+			got := allocsPerNode(t, func() (*Exploration, error) { return Explore(c.proto, c.opts) })
+			t.Logf("%.2f allocations per node", got)
+			if got > c.max {
+				t.Errorf("Explore allocates %.2f per node, want at most %.0f", got, c.max)
+			}
+		})
 	}
 }

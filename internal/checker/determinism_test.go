@@ -44,38 +44,36 @@ func TestExplorePanicPropagatesDeterministically(t *testing.T) {
 	}
 }
 
-// cancelAfterProto wraps the star protocol and cancels the exploration's
-// context after a fixed number of Receive calls, so cancellation lands in
-// the middle of a run.
-type cancelAfterProto struct {
-	protocols.Star
-	calls  *int
-	after  int
+// cancelAtDequeue is a context that cancels itself the after-th time it is
+// asked whether it is done. The walk asks once per dequeue and nowhere else,
+// so cancellation lands at a known node in the middle of a run — whatever the
+// transition cache does to the number of protocol callbacks.
+type cancelAtDequeue struct {
+	context.Context
 	cancel context.CancelFunc
+	polls  int
+	after  int
 }
 
-func (p cancelAfterProto) Receive(id sim.ProcID, s sim.State, m sim.Message) sim.State {
-	if *p.calls++; *p.calls == p.after {
-		p.cancel()
+func (c *cancelAtDequeue) Err() error {
+	if c.polls++; c.polls == c.after {
+		c.cancel()
 	}
-	return p.Star.Receive(id, s, m)
+	return c.Context.Err()
 }
 
 // TestExploreCancellationMidRun cancels mid-exploration (rather than before
 // it, which the differential suite covers) and asserts the partial-result
-// contract: Interrupted status, context.Canceled error, some accepted
-// configurations, and a non-empty frontier of accepted-but-unexpanded work.
+// contract: Interrupted status, context.Canceled error, and a cut strictly
+// inside the space — some accepted configurations but not all of them, and a
+// non-empty frontier of accepted-but-unexpanded work.
 func TestExploreCancellationMidRun(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
+	const starMF2Nodes = 39_503 // the complete star(3) mf2 space
+	inner, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	proto := cancelAfterProto{
-		Star:   protocols.Star{Procs: 3},
-		calls:  new(int),
-		after:  2_000,
-		cancel: cancel,
-	}
+	ctx := &cancelAtDequeue{Context: inner, cancel: cancel, after: 2_000}
 	prob := problem(taxonomy.WT, taxonomy.TC)
-	x, err := ExploreContext(ctx, proto, Options{MaxFailures: 2, Problem: &prob})
+	x, err := ExploreContext(ctx, protocols.Star{Procs: 3}, Options{MaxFailures: 2, Problem: &prob})
 	if x == nil {
 		t.Fatalf("nil exploration (err=%v)", err)
 	}
@@ -85,8 +83,12 @@ func TestExploreCancellationMidRun(t *testing.T) {
 	if x.Status != StatusInterrupted {
 		t.Fatalf("status = %v, want interrupted", x.Status)
 	}
-	if x.NodeCount < 1 {
-		t.Fatal("interrupted run lost its accepted prefix")
+	if ctx.polls != ctx.after {
+		t.Fatalf("walk polled the context %d times, want it to stop at poll %d", ctx.polls, ctx.after)
+	}
+	if x.NodeCount < ctx.after || x.NodeCount >= starMF2Nodes {
+		t.Fatalf("NodeCount = %d, want a cut strictly inside the space: at least the %d dequeued, fewer than %d",
+			x.NodeCount, ctx.after, starMF2Nodes)
 	}
 	if x.FrontierSize < 1 {
 		t.Fatal("interrupted mid-space but FrontierSize = 0")

@@ -216,9 +216,9 @@ type Exploration struct {
 	FrontierSize int
 	// States maps canonical state key → aggregate info.
 	States map[string]*StateInfo
-	// stateKeys interns state keys for ConfigRecord.
+	// stateKeys resolves the ids in ConfigRecord.StateIdx: one id per
+	// distinct local state, in order of first admission.
 	stateKeys []string
-	stateIdx  map[string]int32
 	// Configs records every distinct explored node, in breadth-first
 	// discovery order.
 	Configs []ConfigRecord
@@ -361,7 +361,7 @@ type node struct {
 	cfg    *sim.Config
 	ledger []sim.Decision
 	inputs []sim.Bit          // shared, read-only
-	vec    string             // inputsKey(inputs)
+	vecIdx int32              // which root input vector; explorer.vecs holds its key
 	ckey   string             // memoized key(); empty under fingerprint dedup
 	fp     fingerprint.Digest // memoized nodeFP(); zero under strings dedup
 }
@@ -438,8 +438,8 @@ func Explore(proto sim.Protocol, opts Options) (*Exploration, error) {
 
 // succ is one edge generated while expanding a frontier node: the successor
 // key, the event, and — when the successor was not already visited when the
-// expansion ran — the precomputed node, its interned per-processor state
-// keys, and its violations. Expansion computes everything here; the walk
+// expansion ran — the precomputed node, the intern ids of its per-processor
+// states, and its violations. Expansion computes everything here; the walk
 // only admits and records.
 type succ struct {
 	key      string             // canonical node key; empty under fingerprint dedup
@@ -450,10 +450,10 @@ type succ struct {
 	// ran. Under fingerprint dedup a nil nd additionally means the
 	// successor was never materialized at all: its fingerprint was derived
 	// from the parent's and found already visited.
-	nd        *node
-	stateKeys []string
-	terminal  bool
-	nodeViol  []verdict
+	nd       *node
+	stateIDs []int32 // intern ids; record rewrites them into public ids
+	terminal bool
+	nodeViol []verdict
 	// permuted marks a successor whose dedup handle was canonicalized
 	// away from its own frame by a non-identity automorphism; the walk
 	// counts rejected permuted successors as symmetry prunes.
@@ -485,8 +485,22 @@ type explorer struct {
 	x           *Exploration
 	dedup       frontier.Dedup
 	visited     *frontier.SeqVisited
-	interner    *frontier.Interner
-	states      *frontier.ShardedMap[*StateInfo]
+	// Every distinct local state gets a dense intern id the first time the
+	// walk materializes it — by state digest under the fingerprint engine,
+	// by canonical key under the other two — and a public id, its index in
+	// Exploration.stateKeys and in census, the first time a configuration
+	// holding it is admitted. public maps intern id → public id, −1 until
+	// then: a successor that is materialized but never admitted (a sibling
+	// with the same canonical handle won) hands out intern ids and must not
+	// shift the order of the public ones. vecs holds the root input vectors'
+	// keys (inputsKey), indexed by node.vecIdx; slab is the chunk stateIDsOf
+	// carves from.
+	internFP  map[fingerprint.Digest]int32
+	internKey map[string]int32
+	public    []int32
+	census    []stateCensus
+	vecs      []string
+	slab      []int32
 	// queue holds accepted nodes not yet consumed by the walk; head is
 	// the next to walk. Consumed slots are nilled so a walked node's
 	// memory can be reclaimed once its children are recorded.
@@ -503,10 +517,6 @@ type explorer struct {
 	// one is generated.
 	events []sim.Event
 	succs  []succ
-	// keyCache memoizes state digest → interned state Key string, so the
-	// fingerprint engine builds each distinct state's key exactly once for
-	// the census instead of once per occurrence.
-	keyCache *frontier.FPShardedMap[string]
 	// predictor memoizes transition outcomes by input digests, so the fast
 	// path's successor fingerprints cost map probes instead of protocol
 	// callbacks plus state hashing. Fingerprint dedup only.
@@ -524,64 +534,6 @@ type explorer struct {
 	// canonicalizeDigest permutes fingerprints, not configurations. Nil
 	// under strings dedup and without symmetry.
 	permMemo *sim.PermuteMemo
-}
-
-// stateKeysOf returns the interned per-processor state keys of one
-// materialized configuration.
-func (e *explorer) stateKeysOf(nd *node) []string {
-	keys := make([]string, e.n)
-	for p := 0; p < e.n; p++ {
-		keys[p] = e.stateKey(nd, p)
-	}
-	return keys
-}
-
-// censusAdd folds one accepted configuration into the state census.
-func (e *explorer) censusAdd(nd *node, keys []string) {
-	for p := 0; p < e.n; p++ {
-		pid := sim.ProcID(p)
-		sample := nd.cfg.States[p]
-		emptyBuffer := len(nd.cfg.Buffers[p]) == 0
-		e.states.Update(keys[p], func(si *StateInfo) *StateInfo {
-			if si == nil {
-				si = &StateInfo{
-					Key:    keys[p],
-					Sample: sample,
-					Procs:  make(map[sim.ProcID]struct{}),
-					Inputs: make(map[string]struct{}),
-					Conc:   make(map[string]struct{}),
-				}
-			}
-			si.Procs[pid] = struct{}{}
-			si.Inputs[nd.vec] = struct{}{}
-			if emptyBuffer {
-				si.SeenEmptyBuffer = true
-			}
-			// Concurrency sets: every pair of states in this
-			// configuration is mutually concurrent.
-			for q := 0; q < e.n; q++ {
-				if q != p {
-					si.Conc[keys[q]] = struct{}{}
-				}
-			}
-			return si
-		})
-	}
-}
-
-// stateKey returns the interned canonical key of nd's processor-p state.
-// The fingerprint engine resolves it through the digest-keyed cache so a
-// state's Key string is built once per distinct state, not once per
-// occurrence; the other engines intern directly (under a hash collision
-// verified mode's one digest-keyed memo, permMemo, can at worst pick a
-// non-minimal orbit member; a shortcut here could mislabel a state).
-func (e *explorer) stateKey(nd *node, p int) string {
-	if e.dedup == frontier.DedupFingerprint {
-		return e.keyCache.GetOrInsert(nd.cfg.StateDigestAt(p), func() string {
-			return e.interner.Intern(nd.cfg.States[p].Key())
-		})
-	}
-	return e.interner.Intern(nd.cfg.States[p].Key())
 }
 
 // expand generates the successors of one frontier node — the ample subset
@@ -649,14 +601,14 @@ func (e *explorer) expandEvents(nd *node, tryAmple bool) expansion {
 			out.err = fmt.Errorf("checker: exploring %s: %w", e.proto.Name(), err)
 			return out
 		}
-		nxt := &node{cfg: cfg, ledger: updateLedger(nd.ledger, cfg), inputs: nd.inputs, vec: nd.vec}
+		nxt := &node{cfg: cfg, ledger: updateLedger(nd.ledger, cfg), inputs: nd.inputs, vecIdx: nd.vecIdx}
 		s := succ{event: ev}
 		e.setHandle(nxt, &s)
 		s.edgeViol = e.edgeViolations(nd, nxt, failureSeen)
 		if !e.visited.Seen(s.fp, s.key) {
 			s.nd = nxt
 			s.terminal = cfg.Quiescent()
-			s.stateKeys = e.stateKeysOf(nxt)
+			s.stateIDs = e.stateIDsOf(nxt)
 			s.nodeViol = e.nodeViolations(nxt)
 		}
 		out.succs = append(out.succs, s)
@@ -833,7 +785,7 @@ func (e *explorer) walk(parent *node, exp *expansion) (stop bool, err error) {
 			return true, &BudgetError{Protocol: e.proto.Name(), Nodes: e.opts.maxNodes()}
 		}
 		e.record(s)
-		e.censusAdd(s.nd, s.stateKeys)
+		e.censusAdd(s.nd, s.stateIDs)
 		for _, v := range s.nodeViol {
 			e.addViolation(v, s)
 		}
@@ -845,27 +797,30 @@ func (e *explorer) walk(parent *node, exp *expansion) (stop bool, err error) {
 	return false, nil
 }
 
-// record accepts one newly discovered configuration: assigns interned state
-// indices in discovery order and appends the ConfigRecord.
+// record accepts one newly discovered configuration: it rewrites the
+// successor's intern ids into public ids in place — assigning the next public
+// id, with the state's key and census entry, to a state admitted for the
+// first time — and appends the ConfigRecord that owns them from here on.
 func (e *explorer) record(s *succ) {
 	x := e.x
-	idx := make([]int32, len(s.stateKeys))
-	for p, key := range s.stateKeys {
-		id, ok := x.stateIdx[key]
-		if !ok {
-			id = int32(len(x.stateKeys))
-			x.stateIdx[key] = id
-			x.stateKeys = append(x.stateKeys, key)
+	for p, id := range s.stateIDs {
+		pub := e.public[id]
+		if pub < 0 {
+			pub = int32(len(x.stateKeys))
+			e.public[id] = pub
+			state := s.nd.cfg.States[p]
+			x.stateKeys = append(x.stateKeys, state.Key())
+			e.census = append(e.census, stateCensus{sample: state})
 		}
-		idx[p] = id
+		s.stateIDs[p] = pub
 	}
 	// The ledger is aliased, not copied: nothing mutates a ledger after
 	// updateLedger built it, so the record can share it (as a child whose
 	// step decided nothing shares its parent's).
 	x.Configs = append(x.Configs, ConfigRecord{
-		StateIdx:  idx,
+		StateIdx:  s.stateIDs,
 		Ledger:    s.nd.ledger,
-		InputsVec: s.nd.vec,
+		InputsVec: e.vecs[s.nd.vecIdx],
 		Terminal:  s.terminal,
 	})
 	if s.terminal {
@@ -876,7 +831,7 @@ func (e *explorer) record(s *succ) {
 // finalize publishes the aggregate state census, the node count, and (in
 // verified mode) the collision count.
 func (e *explorer) finalize() {
-	e.x.States = e.states.Snapshot()
+	e.x.States = e.publishCensus()
 	e.x.NodeCount = len(e.x.Configs)
 	e.x.Collisions = e.visited.Collisions()
 }
@@ -895,23 +850,16 @@ func ExploreContext(ctx context.Context, proto sim.Protocol, opts Options) (*Exp
 	return x, err
 }
 
-// explore is the one walk behind Explore and CheckAll: it explores the space
-// once, judging it against every given problem on the way, and returns the
-// shared Exploration (its Violations and FirstTrace unset) with each
-// problem's findings beside it.
-func explore(ctx context.Context, proto sim.Protocol, problems []taxonomy.Problem, opts Options) (*Exploration, []judge, error) {
+// newExplorer validates the options and builds the empty explorer of one
+// walk: nothing visited, no state interned.
+func newExplorer(proto sim.Protocol, problems []taxonomy.Problem, opts Options) (*explorer, error) {
 	n := proto.N()
 	maxFail := opts.MaxFailures
 	if maxFail < 0 {
 		maxFail = n - 1
 	}
-	inputVecs := opts.Inputs
-	if inputVecs == nil {
-		inputVecs = sim.AllInputs(n)
-	}
-	pol := opts.omission()
-	if pol.Enabled() && n > 64 {
-		return nil, nil, fmt.Errorf("checker: omission budgets support at most 64 processors, got %d", n)
+	if opts.omission().Enabled() && n > 64 {
+		return nil, fmt.Errorf("checker: omission budgets support at most 64 processors, got %d", n)
 	}
 	failAllowed := make([]bool, n)
 	if opts.FailProcs == nil {
@@ -921,17 +869,13 @@ func explore(ctx context.Context, proto sim.Protocol, problems []taxonomy.Proble
 	} else {
 		for _, p := range opts.FailProcs {
 			if p < 0 || int(p) >= n {
-				return nil, nil, fmt.Errorf("checker: FailProcs entry %d out of range [0,%d)", p, n)
+				return nil, fmt.Errorf("checker: FailProcs entry %d out of range [0,%d)", p, n)
 			}
 			failAllowed[p] = true
 		}
 	}
 
-	x := &Exploration{
-		Proto:    proto,
-		Opts:     opts,
-		stateIdx: make(map[string]int32),
-	}
+	x := &Exploration{Proto: proto, Opts: opts}
 	if opts.TrackTraces {
 		if opts.Dedup == frontier.DedupFingerprint {
 			x.parentsFP = make(map[fingerprint.Digest]parentLinkFP)
@@ -949,27 +893,45 @@ func explore(ctx context.Context, proto sim.Protocol, problems []taxonomy.Proble
 		x:           x,
 		dedup:       opts.Dedup,
 		visited:     frontier.NewSeqVisited(opts.Dedup),
-		interner:    frontier.NewInterner(),
-		states:      frontier.NewShardedMap[*StateInfo](),
 		judges:      make([]judge, len(problems)),
 	}
 	for i, p := range problems {
 		e.judges[i].problem = p
 	}
 	if opts.Dedup == frontier.DedupFingerprint {
-		e.keyCache = frontier.NewFPShardedMap[string]()
+		e.internFP = make(map[fingerprint.Digest]int32)
 		e.predictor = sim.NewPredictor()
+	} else {
+		e.internKey = make(map[string]int32)
 	}
 	e.initReduction()
+	return e, nil
+}
+
+// explore is the one walk behind Explore and CheckAll: it explores the space
+// once, judging it against every given problem on the way, and returns the
+// shared Exploration (its Violations and FirstTrace unset) with each
+// problem's findings beside it.
+func explore(ctx context.Context, proto sim.Protocol, problems []taxonomy.Problem, opts Options) (*Exploration, []judge, error) {
+	e, err := newExplorer(proto, problems, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	n, x := e.n, e.x
+	inputVecs := opts.Inputs
+	if inputVecs == nil {
+		inputVecs = sim.AllInputs(n)
+	}
 
 	// Level 0: one root per requested input vector, walked through the
 	// same path as every other node (no parent links, no decision edge).
 	roots := make([]succ, 0, len(inputVecs))
-	for _, inputs := range inputVecs {
+	for i, inputs := range inputVecs {
 		if len(inputs) != n {
 			return nil, nil, fmt.Errorf("checker: input vector %v has length %d, want %d", inputs, len(inputs), n)
 		}
-		start := &node{cfg: sim.NewConfigOmission(proto, inputs, pol), ledger: make([]sim.Decision, n), inputs: inputs, vec: inputsKey(inputs)}
+		start := &node{cfg: sim.NewConfigOmission(proto, inputs, opts.omission()), ledger: make([]sim.Decision, n), inputs: inputs, vecIdx: int32(i)}
+		e.vecs = append(e.vecs, inputsKey(inputs))
 		s := succ{nd: start, terminal: start.cfg.Quiescent()}
 		// Under symmetry, symmetric input vectors collapse to one explored
 		// root; the walk's admission keeps the first.
@@ -981,12 +943,12 @@ func explore(ctx context.Context, proto sim.Protocol, problems []taxonomy.Proble
 				x.rootKeys[start.fp] = start.key()
 			}
 		}
-		s.stateKeys = e.stateKeysOf(start)
+		s.stateIDs = e.stateIDsOf(start)
 		s.nodeViol = e.nodeViolations(start)
 		roots = append(roots, s)
 	}
 
-	err := e.run(ctx, roots)
+	err = e.run(ctx, roots)
 	if err != nil {
 		var be *BudgetError
 		if errors.As(err, &be) {
@@ -1029,14 +991,4 @@ func updateLedger(old []sim.Decision, cfg *sim.Config) []sim.Decision {
 		out[p] = d
 	}
 	return out
-}
-
-// kindOf returns the state kind for an interned index.
-func (x *Exploration) kindOf(i int32) sim.StateKind {
-	return x.States[x.stateKeys[i]].Sample.Kind()
-}
-
-// decisionOf returns the visible decision for an interned index.
-func (x *Exploration) decisionOf(i int32) sim.Decision {
-	return x.States[x.stateKeys[i]].Decision()
 }

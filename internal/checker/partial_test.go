@@ -115,3 +115,25 @@ func TestCompleteExplorationHasCompleteStatus(t *testing.T) {
 		t.Fatalf("complete exploration left %d frontier nodes", x.FrontierSize)
 	}
 }
+
+// TestSafetyReportsPartial: "0 unsafe" over the visited prefix of a budget-cut
+// exploration is not Theorem 2's conclusion, and the report must say which of
+// the two it is.
+func TestSafetyReportsPartial(t *testing.T) {
+	x, err := Explore(protocols.Tree{Procs: 3}, Options{MaxFailures: 2, MaxNodes: 5000})
+	var be *BudgetError
+	if x == nil || !errors.As(err, &be) {
+		t.Fatalf("exploration %v, err %v; want the budget cut", x, err)
+	}
+	if rep := x.Safety(); !rep.Partial || rep.TotalStates != 167 || !rep.AllSafe() {
+		t.Errorf("prefix of 5000 nodes: Partial=%v, %d operational states, %d unsafe; want a partial report over 167 safe states",
+			rep.Partial, rep.TotalStates, len(rep.Unsafe))
+	}
+	x, err = Explore(protocols.Tree{Procs: 3}, Options{MaxFailures: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep := x.Safety(); rep.Partial {
+		t.Error("complete exploration reports a partial safety analysis")
+	}
+}

@@ -31,12 +31,18 @@ type SafetyReport struct {
 	// processor has decided but some nonfaulty processor does not share
 	// its bias.
 	Corollary6 []taxonomy.Violation
+	// Partial is set when the exploration covered only part of the space
+	// (Status.Partial). Every unsafe state and Corollary 6 violation listed
+	// is then still real — concurrency sets only grow as more of the space
+	// is visited — but their absence proves nothing.
+	Partial bool
 }
 
 // AllSafe reports whether every analyzed state is safe.
 func (r *SafetyReport) AllSafe() bool { return len(r.Unsafe) == 0 }
 
-// Safety runs the Theorem 2 analysis on a completed exploration.
+// Safety runs the Theorem 2 analysis on an exploration. On a partial one it
+// analyzes the visited prefix and says so in the report's Partial field.
 //
 // A state s is safe iff (1) its concurrency set C(s) does not contain
 // conflicting decision states, and (2) if C(s) contains a commit state then
@@ -45,7 +51,7 @@ func (r *SafetyReport) AllSafe() bool { return len(r.Unsafe) == 0 }
 // configuration containing s, i.e. under every input vector from which s is
 // reachable.
 func (x *Exploration) Safety() *SafetyReport {
-	r := &SafetyReport{Committable: make(map[string]bool, len(x.States))}
+	r := &SafetyReport{Committable: make(map[string]bool, len(x.States)), Partial: x.Status.Partial()}
 
 	keys := make([]string, 0, len(x.States))
 	for k := range x.States {

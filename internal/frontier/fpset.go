@@ -1,6 +1,5 @@
-// This file holds the dedup engine selector and the fingerprint-keyed
-// sharded structures, which store 16-byte fingerprint.Digest keys instead
-// of full canonical strings.
+// This file holds the dedup engine selector and the two names that only the
+// benchmark's layer probes still call: Owner and FPVisitedSet.
 
 package frontier
 
@@ -43,15 +42,20 @@ func (d Dedup) String() string {
 	}
 }
 
+// fpShards is FPVisitedSet's shard count. A power of two keeps the index
+// computation a mask.
+const fpShards = 64
+
 // shardIndexFP maps a digest to a shard. Digest bits are already uniform,
 // so masking the low bits suffices.
 func shardIndexFP(d fingerprint.Digest) int {
-	return int(d.Lo & (numShards - 1))
+	return int(d.Lo & (fpShards - 1))
 }
 
 // Owner maps a digest to one of workers contiguous shards of the digest
 // space by multiply-shift on the high 64 bits: total and stable for any
-// worker count. Pinned by bench/probes.go (frontier.owner_ns).
+// worker count. No explorer calls it; it is kept because the frozen
+// bench/probes.go times it (frontier.owner_ns).
 func Owner(d fingerprint.Digest, workers int) int {
 	if workers <= 1 {
 		return 0
@@ -61,10 +65,13 @@ func Owner(d fingerprint.Digest, workers int) int {
 }
 
 // FPVisitedSet is a set of 16-byte digests sharded by digest bits; Seen and
-// Add are independently safe for concurrent use. Pinned by bench/probes.go
-// (frontier.fpset_add_ns_p*, which adds from GOMAXPROCS goroutines).
+// Add are independently safe for concurrent use. No explorer calls it — the
+// walks are single-goroutine and use SeqVisited; it is kept because the
+// frozen bench/probes.go adds to it from GOMAXPROCS goroutines
+// (frontier.fpset_add_ns_p*), and it is the package's one concurrent
+// container.
 type FPVisitedSet struct {
-	shards [numShards]fpVisitShard
+	shards [fpShards]fpVisitShard
 }
 
 type fpVisitShard struct {
@@ -110,79 +117,6 @@ func (v *FPVisitedSet) Len() int {
 		sh.mu.RLock()
 		n += len(sh.m)
 		sh.mu.RUnlock()
-	}
-	return n
-}
-
-// FPShardedMap is ShardedMap keyed by fingerprint, for commutative
-// concurrent aggregation under 16-byte keys.
-type FPShardedMap[V any] struct {
-	shards [numShards]fpMapShard[V]
-}
-
-type fpMapShard[V any] struct {
-	mu sync.Mutex
-	m  map[fingerprint.Digest]V // ccvet:guardedby mu
-}
-
-// NewFPShardedMap returns an empty map.
-func NewFPShardedMap[V any]() *FPShardedMap[V] {
-	s := &FPShardedMap[V]{}
-	for i := range s.shards {
-		s.shards[i].m = make(map[fingerprint.Digest]V)
-	}
-	return s
-}
-
-// Update applies fn to the value under d while holding the shard lock. fn
-// receives the zero value if d is absent and its return value is stored.
-// fn must not touch the FPShardedMap (the shard lock is held).
-func (s *FPShardedMap[V]) Update(d fingerprint.Digest, fn func(V) V) {
-	sh := &s.shards[shardIndexFP(d)]
-	sh.mu.Lock()
-	sh.m[d] = fn(sh.m[d])
-	sh.mu.Unlock()
-}
-
-// Get returns the value under d.
-func (s *FPShardedMap[V]) Get(d fingerprint.Digest) (V, bool) {
-	sh := &s.shards[shardIndexFP(d)]
-	sh.mu.Lock()
-	v, ok := sh.m[d]
-	sh.mu.Unlock()
-	return v, ok
-}
-
-// GetOrInsert returns the value under d, inserting the result of compute
-// on first use. compute runs outside the shard lock and may race with
-// another inserter; the first stored value wins and is returned, so
-// compute must be deterministic for a given digest.
-func (s *FPShardedMap[V]) GetOrInsert(d fingerprint.Digest, compute func() V) V {
-	sh := &s.shards[shardIndexFP(d)]
-	sh.mu.Lock()
-	v, ok := sh.m[d]
-	sh.mu.Unlock()
-	if ok {
-		return v
-	}
-	fresh := compute()
-	sh.mu.Lock()
-	if v, ok = sh.m[d]; !ok {
-		sh.m[d] = fresh
-		v = fresh
-	}
-	sh.mu.Unlock()
-	return v
-}
-
-// Len returns the number of digests.
-func (s *FPShardedMap[V]) Len() int {
-	n := 0
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		n += len(sh.m)
-		sh.mu.Unlock()
 	}
 	return n
 }

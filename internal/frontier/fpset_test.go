@@ -53,53 +53,6 @@ func TestFPVisitedSetConcurrent(t *testing.T) {
 	}
 }
 
-func TestFPShardedMap(t *testing.T) {
-	m := NewFPShardedMap[int]()
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 500; i++ {
-				m.Update(fingerprint.OfUint64(uint64(i%50)), func(v int) int { return v + 1 })
-			}
-		}()
-	}
-	wg.Wait()
-	if m.Len() != 50 {
-		t.Fatalf("Len = %d, want 50", m.Len())
-	}
-	for i := 0; i < 50; i++ {
-		v, ok := m.Get(fingerprint.OfUint64(uint64(i)))
-		if !ok || v != 80 {
-			t.Fatalf("digest %d: value = %d, ok = %v, want 80", i, v, ok)
-		}
-	}
-}
-
-func TestFPShardedMapGetOrInsert(t *testing.T) {
-	m := NewFPShardedMap[string]()
-	var wg sync.WaitGroup
-	results := make([]string, 16)
-	d := fingerprint.OfString("x")
-	for w := 0; w < 16; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			results[w] = m.GetOrInsert(d, func() string { return "computed" })
-		}(w)
-	}
-	wg.Wait()
-	for w, r := range results {
-		if r != "computed" {
-			t.Fatalf("worker %d saw %q", w, r)
-		}
-	}
-	if m.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", m.Len())
-	}
-}
-
 func TestDedupString(t *testing.T) {
 	names := map[Dedup]string{
 		DedupFingerprint: "fingerprint",

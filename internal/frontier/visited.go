@@ -1,3 +1,9 @@
+// Package frontier provides the visited set of the checker's
+// configuration-space explorer and the scheme enumerator: SeqVisited, the
+// single-goroutine set behind both walks, with its three dedup engines
+// (Dedup). Nothing the walks use locks. FPVisitedSet, a sharded set that is
+// safe for concurrent use, and Owner remain for the benchmark's layer probes
+// only.
 package frontier
 
 import "repro/internal/fingerprint"

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/fingerprint"
@@ -254,16 +255,55 @@ func TestPredictorExact(t *testing.T) {
 	}
 }
 
-// TestPredictorMaterializeErrors: events the cache cannot vouch for are
-// routed through Apply, so callers observe Apply's exact errors.
+// multiSendProto emits two messages from one sending step.
+type multiSendProto struct{ pingProto }
+
+func (multiSendProto) SendStep(p ProcID, s State) (State, []Envelope) {
+	st := s.(pingState)
+	st.sent = true
+	return st, []Envelope{{To: 1, Payload: echoPayload("a")}, {To: 1, Payload: echoPayload("b")}}
+}
+
+// TestPredictorMaterializeErrors: events the cache cannot vouch for — an
+// inapplicable delivery, a self-send, a multi-send, a revoked decision — are
+// routed through Apply, so callers observe Apply's exact errors, on the
+// first call and again once the cache has remembered the transition as
+// invalid.
 func TestPredictorMaterializeErrors(t *testing.T) {
-	proto := digestProto{n: 3}
-	pr := NewPredictor()
-	c := NewConfig(proto, []Bit{Zero, One, Zero})
-	_, _, err := pr.Materialize(proto, c, Event{Proc: 0, Type: Deliver, Msg: MsgID{From: 1, To: 0, Seq: 1}})
-	_, _, wantErr := Apply(proto, c, Event{Proc: 0, Type: Deliver, Msg: MsgID{From: 1, To: 0, Seq: 1}})
-	if err == nil || wantErr == nil || err.Error() != wantErr.Error() {
-		t.Fatalf("Materialize error %v, Apply error %v — must match", err, wantErr)
+	revoked, _, err := Apply(revokeProto{}, NewConfig(revokeProto{}, []Bit{One, One}), Event{Proc: 0, Type: SendStepEvent})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name  string
+		proto Protocol
+		c     *Config
+		ev    Event
+		want  error
+	}{
+		{"inapplicable", digestProto{n: 3}, NewConfig(digestProto{n: 3}, []Bit{Zero, One, Zero}),
+			Event{Proc: 0, Type: Deliver, Msg: MsgID{From: 1, To: 0, Seq: 1}}, ErrNotApplicable},
+		{"self-send", selfSendProto{}, NewConfig(selfSendProto{}, []Bit{One, One}), Event{Proc: 0, Type: SendStepEvent}, ErrSelfSend},
+		{"multi-send", multiSendProto{}, NewConfig(multiSendProto{}, []Bit{One, One}), Event{Proc: 0, Type: SendStepEvent}, ErrMultiSend},
+		{"revoked-decision", revokeProto{}, revoked, Event{Proc: 0, Type: SendStepEvent}, ErrRevokedDecision},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			pr := NewPredictor()
+			_, _, wantErr := Apply(tc.proto, tc.c, tc.ev)
+			if !errors.Is(wantErr, tc.want) {
+				t.Fatalf("Apply error %v, want %v", wantErr, tc.want)
+			}
+			for _, pass := range []string{"cold", "warm"} {
+				if _, ok := pr.Predict(tc.proto, tc.c, tc.ev); ok {
+					t.Errorf("%s: Predict vouched for an event Apply rejects", pass)
+				}
+				next, _, err := pr.Materialize(tc.proto, tc.c, tc.ev)
+				if next != nil || err == nil || err.Error() != wantErr.Error() {
+					t.Errorf("%s: Materialize = %v, error %v; Apply's error is %v — must match", pass, next, err, wantErr)
+				}
+			}
+		})
 	}
 }
 

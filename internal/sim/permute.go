@@ -103,17 +103,18 @@ func PermuteConfig(c *Config, perm ProcPerm) (*Config, bool) {
 // (permutation, owner, state) and that of a message of (permutation,
 // message), so both are memoized by input digest — which, exactly as for
 // Predictor, makes a 128-bit collision a wrong answer; callers use it only
-// where fingerprints already identify configurations.
+// where fingerprints already identify configurations. Like Predictor it is
+// a plain map, not safe for concurrent use.
 type PermuteMemo struct {
 	perms []ProcPerm
 	inv   []ProcPerm // inv[i][perms[i][p]] = p
-	memo  *digestMemo[fingerprint.Digest]
+	memo  map[fingerprint.Digest]fingerprint.Digest
 }
 
 // NewPermuteMemo returns an empty memo for the given permutations, which
-// must all be valid on the same N. It is safe for concurrent use.
+// must all be valid on the same N.
 func NewPermuteMemo(perms []ProcPerm) *PermuteMemo {
-	pm := &PermuteMemo{perms: perms, inv: make([]ProcPerm, len(perms)), memo: newDigestMemo[fingerprint.Digest]()}
+	pm := &PermuteMemo{perms: perms, inv: make([]ProcPerm, len(perms)), memo: make(map[fingerprint.Digest]fingerprint.Digest)}
 	for i, perm := range perms {
 		pm.inv[i] = make(ProcPerm, len(perm))
 		for p, q := range perm {
@@ -151,14 +152,14 @@ func (pm *PermuteMemo) Fingerprint(c *Config, i int, elide bool) (fingerprint.Di
 	fp := h.Sum().Mixed(saltInputs)
 	for p, s := range c.States {
 		key := permuteMemoKey(1, i, p, c.StateDigestAt(p))
-		d, ok := pm.memo.lookup(key)
+		d, ok := pm.memo[key]
 		if !ok {
 			ps, permutable := s.(Permuter)
 			if !permutable {
 				return fingerprint.Digest{}, false
 			}
 			d = StateDigest(ps.PermuteProcs(perm))
-			pm.memo.store(key, d)
+			pm.memo[key] = d
 		}
 		fp = fp.Add(d.Mixed(saltStateBase + uint64(perm[p])))
 		if elide && deadLetterBox(s) {
@@ -167,10 +168,10 @@ func (pm *PermuteMemo) Fingerprint(c *Config, i int, elide bool) (fingerprint.Di
 		buf := c.Buffers[p]
 		for j := range buf {
 			mkey := permuteMemoKey(2, i, 0, buf[j].Digest())
-			md, ok := pm.memo.lookup(mkey)
+			md, ok := pm.memo[mkey]
 			if !ok {
 				md = PermuteMessage(buf[j], perm).Digest()
-				pm.memo.store(mkey, md)
+				pm.memo[mkey] = md
 			}
 			fp = fp.Add(md.Mixed(saltBufferBase + uint64(perm[p])))
 		}

@@ -1,10 +1,6 @@
 package sim
 
-import (
-	"sync"
-
-	"repro/internal/fingerprint"
-)
+import "repro/internal/fingerprint"
 
 // PredictSuccessor computes the fingerprint that e(C) would have — and the
 // post-state of the stepping processor — without materializing e(C). The
@@ -118,75 +114,68 @@ type Predicted struct {
 // predictEntry caches one transition's outcome, keyed by the digests of
 // its inputs. Transition functions are pure (Init/Receive/SendStep depend
 // only on their arguments — the ccvet purity analyzer enforces it), so a
-// transition's post-state digest, decision, and emitted envelope are
-// functions of (processor, state digest, message digest) and can be
-// memoized across the millions of configurations that repeat them.
+// transition's post-state, decision, and emitted envelope are functions of
+// (processor, state digest, message digest) and can be memoized across the
+// millions of configurations that repeat them. States and payloads are
+// immutable values that configurations already share (Clone copies only
+// containers), so the entry keeps the post-state and payload themselves and
+// Materialize builds a successor without calling the protocol again.
 type predictEntry struct {
 	valid   bool // transition passes Apply's validity checks
+	post    State
 	postD   fingerprint.Digest
 	dec     Decision
 	decided bool
-	// sending steps: the emitted envelope, if any (destination and the
+	// sending steps: the emitted envelope, if any. payloadKey is the
 	// payload's canonical key — enough to reconstruct the sent message's
-	// digest once the sequence number is known).
+	// key and digest once the sequence number is known.
 	hasEnv     bool
 	envTo      ProcID
+	payload    Payload
 	payloadKey string
 }
 
-const predictShards = 64
-
-type digestShard[V any] struct {
-	mu sync.RWMutex
-	m  map[fingerprint.Digest]V // ccvet:guardedby mu
-}
-
-// digestMemo is a concurrency-safe memo table keyed by 128-bit digest,
-// sharded by the key's low bits so concurrent readers rarely meet on a
-// lock. It backs Predictor and PermuteMemo. Entries are only ever added,
-// and racing stores for one key carry equal values (callers memoize pure
-// functions of the key's preimage).
-type digestMemo[V any] struct {
-	shards [predictShards]digestShard[V]
-}
-
-func newDigestMemo[V any]() *digestMemo[V] {
-	dm := &digestMemo[V]{}
-	for i := range dm.shards {
-		dm.shards[i].m = make(map[fingerprint.Digest]V)
-	}
-	return dm
-}
-
-func (dm *digestMemo[V]) lookup(key fingerprint.Digest) (V, bool) {
-	sh := &dm.shards[key.Lo&(predictShards-1)]
-	sh.mu.RLock()
-	v, ok := sh.m[key]
-	sh.mu.RUnlock()
-	return v, ok
-}
-
-func (dm *digestMemo[V]) store(key fingerprint.Digest, v V) {
-	sh := &dm.shards[key.Lo&(predictShards-1)]
-	sh.mu.Lock()
-	sh.m[key] = v
-	sh.mu.Unlock()
-}
-
-// Predictor is a concurrency-safe transition cache for fingerprint
-// prediction. It memoizes Receive/SendStep outcomes by input digests, so
-// repeated transitions cost two map probes instead of a protocol callback
-// plus state hashing. Like fingerprint dedup itself, the cache identifies
-// inputs by 128-bit digest: a hash collision could return the wrong
-// cached outcome, which is why explorers use it only in fingerprint mode
-// (never under verified or string dedup).
+// Predictor is a transition cache for fingerprint prediction. It memoizes
+// Receive/SendStep outcomes by input digests, so repeated transitions cost
+// one map probe instead of a protocol callback plus state hashing. Like
+// fingerprint dedup itself, the cache identifies inputs by 128-bit digest: a
+// hash collision could return the wrong cached outcome, which is why
+// explorers use it only in fingerprint mode (never under verified or string
+// dedup). It is a plain map, not safe for concurrent use: its callers are the
+// checker's and the scheme enumerator's walks, each on one goroutine.
 type Predictor struct {
-	*digestMemo[predictEntry]
+	memo map[fingerprint.Digest]predictEntry
 }
 
 // NewPredictor returns an empty transition cache.
 func NewPredictor() *Predictor {
-	return &Predictor{newDigestMemo[predictEntry]()}
+	return &Predictor{memo: make(map[fingerprint.Digest]predictEntry)}
+}
+
+// sendEntry returns the cached outcome of p's sending step from c, running
+// the protocol on first sight. The caller has warmed c's fingerprint cache.
+func (pr *Predictor) sendEntry(proto Protocol, c *Config, p ProcID) predictEntry {
+	key := sendCacheKey(p, c.stateD[p])
+	ent, ok := pr.memo[key]
+	if !ok {
+		ent = computeSendEntry(proto, p, c.States[p])
+		pr.memo[key] = ent
+	}
+	if ent.hasEnv && int(ent.envTo) >= c.N() {
+		ent.valid = false
+	}
+	return ent
+}
+
+// deliverEntry is sendEntry for p receiving m.
+func (pr *Predictor) deliverEntry(proto Protocol, c *Config, p ProcID, m Message) predictEntry {
+	key := deliverCacheKey(p, c.stateD[p], m.Digest())
+	ent, ok := pr.memo[key]
+	if !ok {
+		ent = computeDeliverEntry(proto, p, c.States[p], m)
+		pr.memo[key] = ent
+	}
+	return ent
 }
 
 // deliverCacheKey identifies a Receive transition by processor, state
@@ -239,18 +228,12 @@ func (pr *Predictor) Predict(proto Protocol, c *Config, e Event) (Predicted, boo
 		if c.States[p].Kind() != Sending {
 			return Predicted{}, false
 		}
-		stateD := c.stateD[p]
-		key := sendCacheKey(p, stateD)
-		ent, ok := pr.lookup(key)
-		if !ok {
-			ent = computeSendEntry(proto, p, c.States[p])
-			pr.store(key, ent)
-		}
-		if !ent.valid || (ent.hasEnv && int(ent.envTo) >= c.N()) {
+		ent := pr.sendEntry(proto, c, p)
+		if !ent.valid {
 			return Predicted{}, false
 		}
 		out := Predicted{Decision: ent.dec, Decided: ent.decided}
-		fp := base.Sub(stateD.Mixed(stateSalt)).Add(ent.postD.Mixed(stateSalt))
+		fp := base.Sub(c.stateD[p].Mixed(stateSalt)).Add(ent.postD.Mixed(stateSalt))
 		if ent.hasEnv {
 			seq := c.seq[int(p)*c.N()+int(ent.envTo)] + 1
 			md := msgDigestParts(p, ent.envTo, seq, false, ent.payloadKey)
@@ -269,30 +252,24 @@ func (pr *Predictor) Predict(proto Protocol, c *Config, e Event) (Predicted, boo
 		if !found {
 			return Predicted{}, false
 		}
-		stateD := c.stateD[p]
-		md := m.Digest()
-		key := deliverCacheKey(p, stateD, md)
-		ent, ok := pr.lookup(key)
-		if !ok {
-			ent = computeDeliverEntry(proto, p, c.States[p], m)
-			pr.store(key, ent)
-		}
+		ent := pr.deliverEntry(proto, c, p, m)
 		if !ent.valid {
 			return Predicted{}, false
 		}
-		fp := base.Sub(stateD.Mixed(stateSalt)).Add(ent.postD.Mixed(stateSalt))
-		fp = fp.Sub(md.Mixed(saltBufferBase + uint64(p)))
+		fp := base.Sub(c.stateD[p].Mixed(stateSalt)).Add(ent.postD.Mixed(stateSalt))
+		fp = fp.Sub(m.Digest().Mixed(saltBufferBase + uint64(p)))
 		return Predicted{CfgFP: c.omissionShiftClear(fp, p), Decision: ent.dec, Decided: ent.decided}, true
 	}
 	return Predicted{}, false
 }
 
 // Materialize is Apply through the transition cache: it builds the real
-// successor configuration but reuses the cached post-state digest, so the
-// dominant cost of materialization — rehashing the stepped processor's
-// state — is paid once per distinct transition instead of once per edge.
-// Any event the cache marks invalid or inapplicable is routed through
-// Apply so the caller sees the authoritative error.
+// successor configuration from the cached post-state, its digest and the
+// cached payload, so a transition the cache has seen costs neither a
+// protocol callback nor a state rehash — both are paid once per distinct
+// transition instead of once per edge. Any event the cache marks invalid or
+// inapplicable is routed through Apply so the caller sees the authoritative
+// error.
 func (pr *Predictor) Materialize(proto Protocol, c *Config, e Event) (*Config, Effect, error) {
 	if int(e.Proc) < 0 || int(e.Proc) >= c.N() {
 		return Apply(proto, c, e)
@@ -300,66 +277,53 @@ func (pr *Predictor) Materialize(proto Protocol, c *Config, e Event) (*Config, E
 	p := e.Proc
 
 	switch e.Type {
-	case Fail, Omit:
-		// Failed-state digests are cheap (no key strings) and omissions
-		// touch no state at all; the plain path is already allocation-lean.
-		return Apply(proto, c, e)
-
 	case SendStepEvent:
 		if c.States[p].Kind() != Sending {
-			return Apply(proto, c, e)
+			break
 		}
 		c.Fingerprint() // warm stateD so cache keys and setStateD apply
-		stateD := c.stateD[p]
-		key := sendCacheKey(p, stateD)
-		ent, ok := pr.lookup(key)
-		if !ok {
-			ent = computeSendEntry(proto, p, c.States[p])
-			pr.store(key, ent)
+		ent := pr.sendEntry(proto, c, p)
+		if !ent.valid {
+			break
 		}
-		if !ent.valid || (ent.hasEnv && int(ent.envTo) >= c.N()) {
-			return Apply(proto, c, e)
-		}
-		s2, envs := proto.SendStep(p, c.States[p])
 		next := c.Clone()
-		next.setStateD(p, s2, ent.postD)
+		next.setStateD(p, ent.post, ent.postD)
 		eff := Effect{Event: e}
-		for _, env := range envs {
+		if ent.hasEnv {
+			id := MsgID{From: p, To: ent.envTo, Seq: next.nextSeq(p, ent.envTo)}
 			m := Message{
-				ID:      MsgID{From: p, To: env.To, Seq: next.nextSeq(p, env.To)},
-				Payload: env.Payload,
-			}.Memoized()
-			next.addMessage(env.To, m)
-			eff.Sent = append(eff.Sent, m)
+				ID:      id,
+				Payload: ent.payload,
+				key:     id.String() + ":" + ent.payloadKey,
+				digest:  msgDigestParts(p, ent.envTo, id.Seq, false, ent.payloadKey),
+			}
+			next.addMessage(ent.envTo, m)
+			eff.Sent = []Message{m}
 		}
 		return next, eff, nil
 
 	case Deliver:
 		if c.States[p].Kind() != Receiving {
-			return Apply(proto, c, e)
+			break
 		}
 		m, found := c.Buffers[p].Find(e.Msg)
 		if !found {
-			return Apply(proto, c, e)
+			break
 		}
 		c.Fingerprint()
-		stateD := c.stateD[p]
-		key := deliverCacheKey(p, stateD, m.Digest())
-		ent, ok := pr.lookup(key)
-		if !ok {
-			ent = computeDeliverEntry(proto, p, c.States[p], m)
-			pr.store(key, ent)
-		}
+		ent := pr.deliverEntry(proto, c, p, m)
 		if !ent.valid {
-			return Apply(proto, c, e)
+			break
 		}
-		s2 := proto.Receive(p, c.States[p], m)
 		next := c.Clone()
-		next.setStateD(p, s2, ent.postD)
+		next.setStateD(p, ent.post, ent.postD)
 		next.removeMessage(p, m)
 		next.noteDeliver(p)
 		return next, Effect{Event: e, Received: &m}, nil
 	}
+	// Failed-state digests are cheap (no key strings) and omissions touch no
+	// state at all, so Fail and Omit take the plain path with everything the
+	// cache cannot vouch for.
 	return Apply(proto, c, e)
 }
 
@@ -370,7 +334,7 @@ func computeSendEntry(proto Protocol, p ProcID, s State) predictEntry {
 	if len(envs) > 1 || checkTransition(s, s2) != nil {
 		return predictEntry{}
 	}
-	ent := predictEntry{valid: true, postD: StateDigest(s2)}
+	ent := predictEntry{valid: true, post: s2, postD: StateDigest(s2)}
 	ent.dec, ent.decided = s2.Decided()
 	for _, env := range envs {
 		if env.To == p || int(env.To) < 0 {
@@ -378,6 +342,7 @@ func computeSendEntry(proto Protocol, p ProcID, s State) predictEntry {
 		}
 		ent.hasEnv = true
 		ent.envTo = env.To
+		ent.payload = env.Payload
 		ent.payloadKey = env.Payload.Key()
 	}
 	return ent
@@ -389,7 +354,7 @@ func computeDeliverEntry(proto Protocol, p ProcID, s State, m Message) predictEn
 	if checkTransition(s, s2) != nil {
 		return predictEntry{}
 	}
-	ent := predictEntry{valid: true, postD: StateDigest(s2)}
+	ent := predictEntry{valid: true, post: s2, postD: StateDigest(s2)}
 	ent.dec, ent.decided = s2.Decided()
 	return ent
 }
