@@ -266,37 +266,6 @@ func BenchmarkPatternExtraction(b *testing.B) {
 	b.ReportMetric(float64(size), "messages")
 }
 
-// BenchmarkExploreEngines compares the visited-set engines on the tracked
-// tree(N=3) exploration through the public API: DedupStrings is the old
-// string-keyed engine, DedupFingerprint the incremental-fingerprint engine
-// that replaced it on the default path, DedupVerified the collision-counting
-// middle ground.
-func BenchmarkExploreEngines(b *testing.B) {
-	engines := []struct {
-		name  string
-		dedup consensus.Dedup
-	}{
-		{"strings", consensus.DedupStrings},
-		{"verified", consensus.DedupVerified},
-		{"fingerprint", consensus.DedupFingerprint},
-	}
-	for _, e := range engines {
-		e := e
-		b.Run(e.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				x, err := consensus.Explore(consensus.Tree(3), consensus.CheckOptions{MaxFailures: 2, Dedup: e.dedup})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if x.Collisions != 0 {
-					b.Fatalf("%d fingerprint collisions", x.Collisions)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkSchemeEnumeration measures exhaustive failure-free enumeration
 // across the witness protocols.
 func BenchmarkSchemeEnumeration(b *testing.B) {

@@ -47,7 +47,6 @@ import (
 	"repro/internal/checker"
 	"repro/internal/core"
 	"repro/internal/experiments"
-	"repro/internal/frontier"
 	"repro/internal/pattern"
 	"repro/internal/protocols"
 	"repro/internal/runtime"
@@ -133,25 +132,6 @@ type (
 	Termination = taxonomy.Termination
 	// Violation records one way a run failed a problem.
 	Violation = taxonomy.Violation
-)
-
-// Dedup selects the visited-set representation used by exhaustive
-// exploration and scheme enumeration (CheckOptions.Dedup and
-// SchemeOptions.Dedup). All engines produce byte-identical results; see
-// README "State hashing and fingerprints".
-type Dedup = frontier.Dedup
-
-// Dedup engines.
-const (
-	// DedupFingerprint (the default) keys visited nodes by 128-bit
-	// fingerprint: 16 bytes per node and an incremental fast path that
-	// skips materializing already-seen successors.
-	DedupFingerprint = frontier.DedupFingerprint
-	// DedupVerified keys by fingerprint but keeps the canonical strings,
-	// verifying every hit and counting collisions (Exploration.Collisions).
-	DedupVerified = frontier.DedupVerified
-	// DedupStrings keys by full canonical strings — the reference engine.
-	DedupStrings = frontier.DedupStrings
 )
 
 // Reduction selects state-space reductions for exhaustive exploration

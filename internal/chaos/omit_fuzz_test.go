@@ -31,7 +31,7 @@ func fuzzProtos() []sim.Protocol {
 //     configuration, key and fingerprint both.
 //  2. Dedup agreement: along the run, two configurations with equal
 //     string keys must have equal fingerprints — the invariant that lets
-//     the fingerprint dedup engine stand in for the string-keyed one.
+//     fingerprint dedup stand in for full canonical keys.
 //  3. Predictor agreement: for every applied event, the incremental
 //     successor fingerprint (PredictSuccessor) matches the fingerprint of
 //     the materialized successor, so omission bookkeeping hashes the same

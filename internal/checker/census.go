@@ -3,7 +3,6 @@ package checker
 import (
 	"math/bits"
 
-	"repro/internal/frontier"
 	"repro/internal/sim"
 )
 
@@ -58,8 +57,11 @@ type stateCensus struct {
 const slabNodes = 1024
 
 // stateIDsOf returns the intern ids of one materialized configuration's
-// local states, carved from the id slab: pointer-free memory the collector
-// never scans, which record rewrites in place into ConfigRecord.StateIdx.
+// local states, assigning the next id the first time the walk materializes
+// a state. A state is identified by the digest the configuration already
+// caches; no key string is built. The ids are carved from the id slab:
+// pointer-free memory the collector never scans, which record rewrites in
+// place into ConfigRecord.StateIdx.
 func (e *explorer) stateIDsOf(nd *node) []int32 {
 	if len(e.slab) < e.n {
 		e.slab = make([]int32, slabNodes*e.n)
@@ -67,33 +69,16 @@ func (e *explorer) stateIDsOf(nd *node) []int32 {
 	ids := e.slab[:e.n:e.n]
 	e.slab = e.slab[e.n:]
 	for p := range ids {
-		ids[p] = e.intern(nd, p)
+		d := nd.cfg.StateDigestAt(p)
+		id, ok := e.internFP[d]
+		if !ok {
+			id = int32(len(e.public))
+			e.internFP[d] = id
+			e.public = append(e.public, -1)
+		}
+		ids[p] = id
 	}
 	return ids
-}
-
-// intern returns the intern id of nd's processor-p state, assigning the next
-// one the first time the walk materializes the state. The fingerprint engine
-// identifies a state by the digest the configuration already caches and
-// builds no key string; the other engines identify it by its canonical key
-// (a digest-keyed shortcut there could mislabel a state under a collision).
-func (e *explorer) intern(nd *node, p int) int32 {
-	next := int32(len(e.public))
-	if e.dedup == frontier.DedupFingerprint {
-		d := nd.cfg.StateDigestAt(p)
-		if id, ok := e.internFP[d]; ok {
-			return id
-		}
-		e.internFP[d] = next
-	} else {
-		k := nd.cfg.States[p].Key()
-		if id, ok := e.internKey[k]; ok {
-			return id
-		}
-		e.internKey[k] = next
-	}
-	e.public = append(e.public, -1)
-	return next
 }
 
 // censusAdd folds one accepted configuration, given by the public ids of its

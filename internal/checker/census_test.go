@@ -1,6 +1,7 @@
 package checker
 
 import (
+	"context"
 	"crypto/sha256"
 	"errors"
 	"flag"
@@ -19,9 +20,7 @@ var update = flag.Bool("update", false, "rewrite the golden files with the curre
 
 // naiveCensus recomputes every state's Procs, Inputs and Conc from the
 // configuration records alone, with one map update per occurrence — the code
-// the walk ran per node before it counted in integers. All three dedup
-// engines share the bitset census, so comparing engines cannot see a census
-// bug; this can.
+// the walk ran per node before it counted in integers.
 func naiveCensus(x *Exploration) map[string]*StateInfo {
 	states := make(map[string]*StateInfo)
 	for i := range x.Configs {
@@ -78,31 +77,46 @@ func checkCensus(t *testing.T, x *Exploration) {
 }
 
 // TestCensusAgainstNaiveOracle checks the census of every differential case
-// on every engine — as the case is given (two complete, six cut at 6000
-// nodes) and cut at 100 nodes, inside every space. One canonicalizing case
-// rides along: under symmetry and elision a successor can be materialized,
-// interned, and then lose admission to a sibling with the same handle, and
-// its states must not reach the census or the public keys.
+// — as the case is given (two complete, six cut at 6000 nodes) and cut at
+// 100 nodes, inside every space. One canonicalizing case rides along: under
+// symmetry and elision a successor can be materialized, interned, and then
+// lose admission to a sibling with the same handle, and its states must not
+// reach the census or the public keys. Each case and cut is walked once by
+// the engine and once by the reference, and three checks (named from when
+// there were three engines) share the walks: "fingerprint" holds the
+// engine's census to the naive recomputation, "strings" the reference
+// walk's, and "verified" the engine's to the reference's — SeenEmptyBuffer
+// and Sample included, which the records cannot recompute. The reference
+// has no reductions, so the last two take the canonicalizing case unreduced.
 func TestCensusAgainstNaiveOracle(t *testing.T) {
 	cases := append(diffCases(),
 		diffCase{"fullexchange-mf1-both", protocols.FullExchange{Procs: 3}, Options{MaxFailures: 1, Reduction: ReduceBoth, MaxNodes: 6000}})
 	for _, tc := range cases {
-		for _, dedup := range diffDedups {
-			for _, maxNodes := range []int{tc.opts.MaxNodes, 100} {
-				t.Run(fmt.Sprintf("%s/%v/max%d", tc.name, dedup, maxNodes), func(t *testing.T) {
-					opts := tc.opts
-					opts.Dedup, opts.MaxNodes = dedup, maxNodes
-					x, err := Explore(tc.proto, opts)
-					var be *BudgetError
-					if x == nil || (err != nil && !errors.As(err, &be)) {
-						t.Fatalf("exploration %v, err %v", x, err)
-					}
-					if maxNodes != 0 && x.Status != StatusExhausted {
-						t.Fatalf("status %v with %d nodes, want the budget cut at %d", x.Status, x.NodeCount, maxNodes)
-					}
-					checkCensus(t, x)
-				})
+		for _, maxNodes := range []int{tc.opts.MaxNodes, 100} {
+			cut := func(x *Exploration, err error) *Exploration {
+				var be *BudgetError
+				if x == nil || (err != nil && !errors.As(err, &be)) || (maxNodes != 0 && x.Status != StatusExhausted) {
+					t.Fatalf("%s: exploration %v, err %v; want the walk cut at %d nodes", tc.name, x, err, maxNodes)
+				}
+				return x
 			}
+			opts := tc.opts
+			opts.MaxNodes = maxNodes
+			x := cut(Explore(tc.proto, opts))
+			plain := x
+			if opts.Reduction != ReduceNone {
+				opts.Reduction = ReduceNone
+				plain = cut(Explore(tc.proto, opts))
+			}
+			ref := cut(refExplore(context.Background(), tc.proto, opts))
+			name := fmt.Sprintf("%s/%%s/max%d", tc.name, maxNodes)
+			t.Run(fmt.Sprintf(name, "fingerprint"), func(t *testing.T) { checkCensus(t, x) })
+			t.Run(fmt.Sprintf(name, "strings"), func(t *testing.T) { checkCensus(t, ref) })
+			t.Run(fmt.Sprintf(name, "verified"), func(t *testing.T) {
+				if want, got := exploreDigest(ref), exploreDigest(plain); got != want {
+					t.Errorf("census diverges from the reference walk's:\n%s", firstDiff(want, got))
+				}
+			})
 		}
 	}
 }

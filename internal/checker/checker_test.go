@@ -23,10 +23,9 @@ func mustCheck(t *testing.T, proto sim.Protocol, p taxonomy.Problem, opts Option
 	return x
 }
 
-// fullMatrix reports whether CC_FULL_MATRIX=1 asks for the exhaustive test
-// matrices. The default run keeps tier-1 inside its budget (EXPERIMENTS.md
-// "Test budget") with at least one cell per property; the race-full and
-// reduction-differential CI jobs set the variable and run everything.
+// fullMatrix reports whether CC_FULL_MATRIX=1 asks for the unreduced
+// fullexchange(3) mf2 walks. The default run keeps tier-1 inside its budget
+// (EXPERIMENTS.md "Test budget"); CI's race-full job sets the variable.
 func fullMatrix() bool { return os.Getenv("CC_FULL_MATRIX") == "1" }
 
 // fullExchangeMF2 is the option set of the fullexchange(3) conformance

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/frontier"
 	"repro/internal/protocols"
 	"repro/internal/sim"
 	"repro/internal/taxonomy"
@@ -63,9 +62,10 @@ func sortedSet(m map[string]struct{}) []string {
 	return out
 }
 
-// diffCase is one protocol/options pair checked across dedup engines.
-// Budget-capped cases deliberately stop mid-space: the partial result of a
-// budget-exhausted exploration is part of the determinism contract.
+// diffCase is one protocol/options pair on which the engine is held to the
+// reference walk. Budget-capped cases deliberately stop mid-space: the
+// partial result of a budget-exhausted exploration is part of the
+// determinism contract.
 type diffCase struct {
 	name  string
 	proto sim.Protocol
@@ -90,54 +90,50 @@ func diffCases() []diffCase {
 	}
 }
 
-// diffDedups is the set of dedup engines the differential suite pits
-// against each other: the string-keyed reference engine first, then the
-// default fingerprint engine and the collision-verification engine, which
-// must reproduce the reference result byte for byte.
-var diffDedups = []frontier.Dedup{frontier.DedupStrings, frontier.DedupFingerprint, frontier.DedupVerified}
+// divergence checks one case against the problem on the engine and on the
+// reference walk (refExplore) and describes where the engine fails to
+// reproduce the reference byte for byte — node counts, interned state keys,
+// configuration records, the aggregate state census, violations in order,
+// FirstTrace, and the error — or returns "" when it does.
+func divergence(ctx context.Context, tc diffCase, prob taxonomy.Problem) (engine, ref *Exploration, diff string) {
+	opts := tc.opts
+	opts.Problem = &prob
+	opts.TrackTraces = true
+	ref, refErr := refExplore(ctx, tc.proto, opts)
+	engine, err := ExploreContext(ctx, tc.proto, opts)
+	switch {
+	case ref == nil || engine == nil:
+		diff = fmt.Sprintf("nil exploration: engine %v (err=%v), reference %v (err=%v)", engine, err, ref, refErr)
+	case fmt.Sprint(err) != fmt.Sprint(refErr):
+		diff = fmt.Sprintf("err = %v, reference err = %v", err, refErr)
+	case exploreDigest(engine) != exploreDigest(ref):
+		diff = "exploration diverges from the reference walk:\n" + firstDiff(exploreDigest(ref), exploreDigest(engine))
+	}
+	return engine, ref, diff
+}
 
-// diffEngines checks one case against the problem on every given engine and
-// asserts each reproduces the first (the string-keyed reference) byte for
-// byte: node counts, interned state keys, configuration records, the
-// aggregate state census, violations in order, FirstTrace, and the error.
-func diffEngines(t *testing.T, tc diffCase, prob taxonomy.Problem, dedups []frontier.Dedup) {
-	var baseDigest, baseErr string
-	for i, dedup := range dedups {
-		opts := tc.opts
-		opts.Dedup = dedup
-		opts.Problem = &prob
-		opts.TrackTraces = true
-		x, err := ExploreContext(context.Background(), tc.proto, opts)
-		if x == nil {
-			t.Fatalf("%v: nil exploration (err=%v)", dedup, err)
-		}
-		if x.Collisions != 0 {
-			t.Errorf("%v: %d fingerprint collisions", dedup, x.Collisions)
-		}
-		errStr := ""
-		if err != nil {
-			errStr = err.Error()
-		}
-		d := exploreDigest(x)
-		if i == 0 {
-			baseDigest, baseErr = d, errStr
-			continue
-		}
-		if errStr != baseErr {
-			t.Errorf("%v: err = %q, want %q", dedup, errStr, baseErr)
-		}
-		if d != baseDigest {
-			t.Errorf("%v: exploration diverges from the string-keyed engine:\n%s", dedup, firstDiff(baseDigest, d))
-		}
+// diffReference fails the test on any divergence of the engine from the
+// reference walk.
+func diffReference(ctx context.Context, t *testing.T, tc diffCase, prob taxonomy.Problem) *Exploration {
+	t.Helper()
+	engine, _, diff := divergence(ctx, tc, prob)
+	if diff != "" {
+		t.Fatal(diff)
+	}
+	return engine
+}
+
+// diffAll runs diffReference on every case, one subtest each.
+func diffAll(t *testing.T, cases []diffCase, prob taxonomy.Problem) {
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) { diffReference(context.Background(), t, tc, prob) })
 	}
 }
 
 // TestExploreDifferential asserts that exploring every library protocol
-// produces byte-identical results on every dedup engine.
+// produces the reference walk's result byte for byte.
 func TestExploreDifferential(t *testing.T) {
-	for _, tc := range diffCases() {
-		t.Run(tc.name, func(t *testing.T) { diffEngines(t, tc, problem(taxonomy.WT, taxonomy.TC), diffDedups) })
-	}
+	diffAll(t, diffCases(), problem(taxonomy.WT, taxonomy.TC))
 }
 
 // grudgingRule is a decision rule no library protocol obeys: it forbids
@@ -157,10 +153,10 @@ func (grudgingRule) Permits(d sim.Decision, _ []sim.Bit, failureSeen bool) bool 
 
 func (grudgingRule) Determined([]sim.Bit) (sim.Decision, bool) { return sim.NoDecision, false }
 
-// TestExploreDifferentialRuleViolations runs the engines against a rule
+// TestExploreDifferentialRuleViolations runs the engine against a rule
 // that is broken on many decision edges, most of them leading to
-// configurations already visited — the edges the fingerprint engine
-// predicts. The strings engine materializes every edge and is the oracle:
+// configurations already visited — the edges the engine predicts. The
+// reference walk materializes every edge and is the oracle:
 // "rule" violations in order (and their cap), FirstTrace, and the node at
 // which StopAtFirstViolation cuts the walk must agree byte for byte, with
 // crashes and with an omission budget.
@@ -179,10 +175,7 @@ func TestExploreDifferentialRuleViolations(t *testing.T) {
 		{"tree-ob2-mobile1-stop", protocols.Tree{Procs: 3}, stop(ob2)},
 		{"ackcommit-mf1-ob1", protocols.AckCommit{Procs: 3}, mf1ob1},
 	}
-	prob := taxonomy.Problem{Rule: grudgingRule{}, Termination: taxonomy.WT, Consistency: taxonomy.TC}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) { diffEngines(t, tc, prob, diffDedups) })
-	}
+	diffAll(t, cases, taxonomy.Problem{Rule: grudgingRule{}, Termination: taxonomy.WT, Consistency: taxonomy.TC})
 }
 
 // TestExploreOmissionDifferential asserts the same contract for
@@ -200,42 +193,21 @@ func TestExploreOmissionDifferential(t *testing.T) {
 		// the deterministic node-budget stop is part of the contract.
 		{"star-mf2-ob2-capped", protocols.Star{Procs: 3}, Options{MaxFailures: 2, OmissionBudget: 2, MobileOmissions: 1, MaxNodes: 6000}},
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			diffEngines(t, tc, problem(taxonomy.WT, taxonomy.TC), []frontier.Dedup{frontier.DedupStrings, frontier.DedupFingerprint})
-		})
-	}
+	diffAll(t, cases, problem(taxonomy.WT, taxonomy.TC))
 }
 
 // TestExploreDifferentialCancelled asserts that a cancelled context cuts
-// the walk at its first dequeue on every engine: identical partial results
-// — Status, NodeCount, FrontierSize, and the full digest.
+// the engine's walk where it cuts the reference's, at the first dequeue:
+// identical partial results — Status, NodeCount, FrontierSize, and the full
+// digest.
 func TestExploreDifferentialCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	prob := problem(taxonomy.WT, taxonomy.TC)
-	var baseDigest string
-	for i, dedup := range diffDedups {
-		x, err := ExploreContext(ctx, protocols.Star{Procs: 3}, Options{
-			MaxFailures: 2, Dedup: dedup, Problem: &prob, TrackTraces: true,
-		})
-		if x == nil {
-			t.Fatalf("%v: nil exploration", dedup)
-		}
-		if err == nil || x.Status != StatusInterrupted {
-			t.Fatalf("%v: status = %v, err = %v, want interrupted", dedup, x.Status, err)
-		}
-		d := exploreDigest(x)
-		if i == 0 {
-			baseDigest = d
-			if x.NodeCount < 1 || x.FrontierSize < 1 {
-				t.Fatalf("cancelled exploration lost its partial snapshot: %d nodes, %d frontier", x.NodeCount, x.FrontierSize)
-			}
-			continue
-		}
-		if d != baseDigest {
-			t.Errorf("%v: cancelled partial result diverges:\n%s", dedup, firstDiff(baseDigest, d))
-		}
+	tc := diffCase{"star-mf2", protocols.Star{Procs: 3}, Options{MaxFailures: 2}}
+	x := diffReference(ctx, t, tc, problem(taxonomy.WT, taxonomy.TC))
+	if x.Status != StatusInterrupted || x.NodeCount < 1 || x.FrontierSize < 1 {
+		t.Fatalf("cancelled exploration: status %v, %d nodes, %d frontier; want interrupted with its partial snapshot",
+			x.Status, x.NodeCount, x.FrontierSize)
 	}
 }
 

@@ -71,18 +71,6 @@ type Options struct {
 	// is found — useful when only the existence of a counterexample
 	// matters.
 	StopAtFirstViolation bool
-	// Dedup selects the visited-set engine. The default,
-	// frontier.DedupFingerprint, admits nodes by 128-bit incremental
-	// fingerprint and never builds canonical key strings on the hot path;
-	// frontier.DedupVerified additionally verifies every fingerprint hit
-	// against the full canonical key (collisions are counted in
-	// Exploration.Collisions and never merge states); and
-	// frontier.DedupStrings is the collision-proof reference engine keyed
-	// by full canonical strings. All three produce byte-identical
-	// Explorations (the differential suite enforces it); they differ only
-	// in speed and in the astronomically unlikely event of a 128-bit
-	// collision.
-	Dedup frontier.Dedup
 	// Reduction selects state-space reductions (ample-set partial-order
 	// reduction and/or symmetry canonicalization; see Reduction). The
 	// default explores every interleaving. Reduced runs keep the
@@ -230,10 +218,6 @@ type Exploration struct {
 	// FirstTrace is the event trace leading to the first violation, when
 	// Options.TrackTraces was set.
 	FirstTrace []string
-	// Collisions counts verified fingerprint collisions (always 0 except
-	// under frontier.DedupVerified, and genuinely expected to stay 0 —
-	// a nonzero value means a 2^-128-probability event, or a broken hash).
-	Collisions int64
 	// Reduction holds the deterministic reduction counters (zero-valued
 	// for unreduced runs apart from FullNodes/FullEvents).
 	Reduction ReductionStats
@@ -243,60 +227,30 @@ type Exploration struct {
 	ReplayWall    time.Duration
 	ReplayBlocked time.Duration
 
-	// parents records trace links keyed by canonical node key (strings and
-	// verified dedup); parentsFP records them keyed by node fingerprint
-	// (fingerprint dedup), with rootKeys resolving root fingerprints back
-	// to the canonical keys printed in a trace's "initial:" line.
-	parents   map[string]parentLink
-	parentsFP map[fingerprint.Digest]parentLinkFP
-	rootKeys  map[fingerprint.Digest]string
+	// parents records trace links keyed by node fingerprint when
+	// Options.TrackTraces is set; rootKeys resolves root fingerprints back
+	// to the canonical keys printed in a trace's "initial:" line. A root
+	// never takes a link, so every chain of links ends at one.
+	parents  map[fingerprint.Digest]parentLink
+	rootKeys map[fingerprint.Digest]string
 }
 
 type parentLink struct {
-	parent string
-	event  sim.Event
-}
-
-type parentLinkFP struct {
 	parent fingerprint.Digest
 	event  sim.Event
 }
 
 // traceTo reconstructs the event trace from an initial configuration to the
-// node with the given key.
-func (x *Exploration) traceTo(key string) []string {
+// node with the given fingerprint: event lines from the links and the
+// root's canonical key from rootKeys.
+func (x *Exploration) traceTo(fp fingerprint.Digest) []string {
 	if x.parents == nil {
-		return nil
-	}
-	var events []sim.Event
-	cur := key
-	for {
-		link, ok := x.parents[cur]
-		if !ok {
-			break
-		}
-		events = append(events, link.event)
-		cur = link.parent
-	}
-	out := make([]string, 0, len(events)+1)
-	out = append(out, "initial: "+cur)
-	for i := len(events) - 1; i >= 0; i-- {
-		out = append(out, events[i].String())
-	}
-	return out
-}
-
-// traceToFP is traceTo for fingerprint-linked parents. The trace renders
-// the same strings as the key-linked walk: event lines from the links and
-// the root's canonical key from rootKeys.
-func (x *Exploration) traceToFP(fp fingerprint.Digest) []string {
-	if x.parentsFP == nil {
 		return nil
 	}
 	var events []sim.Event
 	cur := fp
 	for {
-		link, ok := x.parentsFP[cur]
+		link, ok := x.parents[cur]
 		if !ok {
 			break
 		}
@@ -330,16 +284,11 @@ type verdict struct {
 
 // addViolation appends a violation to its judge, respecting the cap, and
 // records the trace to that judge's first violating node when trace tracking
-// is on. The violating node is identified by whichever handle the dedup mode
-// tracks (canonical key or fingerprint).
+// is on.
 func (e *explorer) addViolation(v verdict, s *succ) {
-	j, x := &e.judges[v.judge], e.x
+	j := &e.judges[v.judge]
 	if len(j.violations) == 0 {
-		if x.parents != nil {
-			j.firstTrace = x.traceTo(s.key)
-		} else if x.parentsFP != nil {
-			j.firstTrace = x.traceToFP(s.fp)
-		}
+		j.firstTrace = e.x.traceTo(s.fp)
 	}
 	if len(j.violations) < 100 {
 		j.violations = append(j.violations, v.Violation)
@@ -362,8 +311,7 @@ type node struct {
 	ledger []sim.Decision
 	inputs []sim.Bit          // shared, read-only
 	vecIdx int32              // which root input vector; explorer.vecs holds its key
-	ckey   string             // memoized key(); empty under fingerprint dedup
-	fp     fingerprint.Digest // memoized nodeFP(); zero under strings dedup
+	fp     fingerprint.Digest // dedup handle: nodeFP(), canonical under a reduction
 }
 
 func (nd *node) key() string {
@@ -437,19 +385,17 @@ func Explore(proto sim.Protocol, opts Options) (*Exploration, error) {
 }
 
 // succ is one edge generated while expanding a frontier node: the successor
-// key, the event, and — when the successor was not already visited when the
-// expansion ran — the precomputed node, the intern ids of its per-processor
-// states, and its violations. Expansion computes everything here; the walk
-// only admits and records.
+// fingerprint, the event, and — when the successor was not already visited
+// when the expansion ran — the precomputed node, the intern ids of its
+// per-processor states, and its violations. Expansion computes everything
+// here; the walk only admits and records.
 type succ struct {
-	key      string             // canonical node key; empty under fingerprint dedup
-	fp       fingerprint.Digest // node fingerprint; zero under strings dedup
+	fp       fingerprint.Digest
 	event    sim.Event
 	edgeViol []verdict
 	// nd is nil when the successor was already visited when the expansion
-	// ran. Under fingerprint dedup a nil nd additionally means the
-	// successor was never materialized at all: its fingerprint was derived
-	// from the parent's and found already visited.
+	// ran — on the fast path it was then never materialized at all: its
+	// fingerprint was derived from the parent's and found already visited.
 	nd       *node
 	stateIDs []int32 // intern ids; record rewrites them into public ids
 	terminal bool
@@ -483,11 +429,9 @@ type explorer struct {
 	maxFail     int
 	failAllowed []bool
 	x           *Exploration
-	dedup       frontier.Dedup
 	visited     *frontier.SeqVisited
 	// Every distinct local state gets a dense intern id the first time the
-	// walk materializes it — by state digest under the fingerprint engine,
-	// by canonical key under the other two — and a public id, its index in
+	// walk materializes it, by state digest, and a public id, its index in
 	// Exploration.stateKeys and in census, the first time a configuration
 	// holding it is admitted. public maps intern id → public id, −1 until
 	// then: a successor that is materialized but never admitted (a sibling
@@ -495,12 +439,11 @@ type explorer struct {
 	// shift the order of the public ones. vecs holds the root input vectors'
 	// keys (inputsKey), indexed by node.vecIdx; slab is the chunk stateIDsOf
 	// carves from.
-	internFP  map[fingerprint.Digest]int32
-	internKey map[string]int32
-	public    []int32
-	census    []stateCensus
-	vecs      []string
-	slab      []int32
+	internFP map[fingerprint.Digest]int32
+	public   []int32
+	census   []stateCensus
+	vecs     []string
+	slab     []int32
 	// queue holds accepted nodes not yet consumed by the walk; head is
 	// the next to walk. Consumed slots are nilled so a walked node's
 	// memory can be reclaimed once its children are recorded.
@@ -511,7 +454,7 @@ type explorer struct {
 	// what StopAtFirstViolation waits for.
 	judges   []judge
 	violated bool
-	// events and succs are expandEvents' scratch, reused across expansions
+	// events and succs are expand's scratch, reused across expansions
 	// so enumerating enabled events and collecting their edges allocate
 	// nothing in steady state: walk consumes an expansion before the next
 	// one is generated.
@@ -519,7 +462,7 @@ type explorer struct {
 	succs  []succ
 	// predictor memoizes transition outcomes by input digests, so the fast
 	// path's successor fingerprints cost map probes instead of protocol
-	// callbacks plus state hashing. Fingerprint dedup only.
+	// callbacks plus state hashing.
 	predictor *sim.Predictor
 	// ample enables ample-set partial-order reduction in expand; elide
 	// enables dead-letter elision in the canonical dedup handle (both are
@@ -531,24 +474,16 @@ type explorer struct {
 	elide    bool
 	symPerms []sim.ProcPerm
 	// permMemo memoizes relabelled component digests for symPerms, so
-	// canonicalizeDigest permutes fingerprints, not configurations. Nil
-	// under strings dedup and without symmetry.
+	// canonicalizeSucc permutes fingerprints, not configurations. Nil
+	// without symmetry.
 	permMemo *sim.PermuteMemo
 }
 
-// expand generates the successors of one frontier node — the ample subset
-// when ample reduction applies, all of them otherwise.
-func (e *explorer) expand(nd *node) expansion {
-	return e.expandEvents(nd, e.ample)
-}
-
-// expandFull generates every successor regardless of the ample setting;
-// the walk calls it when the cycle proviso rejects a reduced expansion.
-func (e *explorer) expandFull(nd *node) expansion {
-	return e.expandEvents(nd, false)
-}
-
-func (e *explorer) expandEvents(nd *node, tryAmple bool) expansion {
+// expand generates the successors of one frontier node: the ample subset
+// when tryAmple is set and an ample processor exists, all of them otherwise
+// (the walk asks again without tryAmple when the cycle proviso rejects a
+// reduced expansion).
+func (e *explorer) expand(nd *node, tryAmple bool) expansion {
 	var out expansion
 	failedCount := 0
 	for p := 0; p < e.n; p++ {
@@ -584,11 +519,11 @@ func (e *explorer) expandEvents(nd *node, tryAmple bool) expansion {
 	// from the parent's and skips materialization for already-visited
 	// successors — the bulk of all edges in a dense state space. It is
 	// sound only when nothing but the prediction is needed per seen edge:
-	// fingerprint dedup, and no canonicalization (the incremental
-	// fingerprint is the successor's own frame, not its canonical handle).
-	// The one thing judged on a seen edge, the decision rule, is a
-	// predicate over the prediction (predictSeen).
-	fast := e.dedup == frontier.DedupFingerprint && !e.canonicalizing()
+	// no canonicalization (the incremental fingerprint is the successor's
+	// own frame, not its canonical handle). The one thing judged on a seen
+	// edge, the decision rule, is a predicate over the prediction
+	// (predictSeen).
+	fast := !e.canonicalizing()
 	for _, ev := range events {
 		if fast {
 			if fp, ok := e.predictSeen(nd, ev, failureSeen); ok {
@@ -596,7 +531,9 @@ func (e *explorer) expandEvents(nd *node, tryAmple bool) expansion {
 				continue
 			}
 		}
-		cfg, err := e.apply(nd.cfg, ev)
+		// The transition cache already holds the stepped state's digest, so
+		// no materialized edge rehashes a state.
+		cfg, _, err := e.predictor.Materialize(e.proto, nd.cfg, ev)
 		if err != nil {
 			out.err = fmt.Errorf("checker: exploring %s: %w", e.proto.Name(), err)
 			return out
@@ -605,7 +542,7 @@ func (e *explorer) expandEvents(nd *node, tryAmple bool) expansion {
 		s := succ{event: ev}
 		e.setHandle(nxt, &s)
 		s.edgeViol = e.edgeViolations(nd, nxt, failureSeen)
-		if !e.visited.Seen(s.fp, s.key) {
+		if !e.visited.Seen(s.fp) {
 			s.nd = nxt
 			s.terminal = cfg.Quiescent()
 			s.stateIDs = e.stateIDsOf(nxt)
@@ -617,33 +554,15 @@ func (e *explorer) expandEvents(nd *node, tryAmple bool) expansion {
 	return out
 }
 
-// setHandle computes the dedup handle of a freshly built node in the
-// representation the engine compares — fingerprint, key, or both — canonical
-// when a reduction rewrites handles, and stores it on the node and its succ.
+// setHandle computes the dedup handle of a freshly built node — its
+// fingerprint, canonical when a reduction rewrites handles — and stores it
+// on the node and its succ.
 func (e *explorer) setHandle(nd *node, s *succ) {
-	if e.dedup != frontier.DedupFingerprint {
-		nd.ckey = nd.key()
-	}
-	if e.dedup != frontier.DedupStrings {
-		nd.fp = nodeFP(nd)
-	}
-	s.key, s.fp = nd.ckey, nd.fp
+	nd.fp = nodeFP(nd)
+	s.fp = nd.fp
 	if e.canonicalizing() {
 		e.canonicalizeSucc(nd, s)
 	}
-}
-
-// apply materializes ev's successor of cfg: under fingerprint dedup through
-// the transition cache, which already holds the stepped state's digest, so
-// no edge rehashes a state; by plain sim.Apply under the other engines.
-func (e *explorer) apply(cfg *sim.Config, ev sim.Event) (*sim.Config, error) {
-	var err error
-	if e.predictor != nil {
-		cfg, _, err = e.predictor.Materialize(e.proto, cfg, ev)
-	} else {
-		cfg, _, err = sim.Apply(e.proto, cfg, ev)
-	}
-	return cfg, err
 }
 
 // predictSeen derives the fingerprint that ev's successor node would have
@@ -678,7 +597,7 @@ func (e *explorer) predictSeen(nd *node, ev sim.Event, failureSeen bool) (finger
 			}
 		}
 	}
-	if !e.visited.Seen(fp, "") {
+	if !e.visited.Seen(fp) {
 		return fingerprint.Digest{}, false
 	}
 	return fp, true
@@ -711,10 +630,10 @@ func (e *explorer) run(ctx context.Context, roots []succ) error {
 			x.FrontierSize = e.frontierLeft()
 			return fmt.Errorf("checker: exploration of %s interrupted: %w", e.proto.Name(), cerr)
 		}
-		exp := e.expand(nd)
+		exp := e.expand(nd, e.ample)
 		if exp.reduced && provisoHit(&exp) {
 			x.Reduction.ProvisoFallbacks++
-			exp = e.expandFull(nd)
+			exp = e.expand(nd, false)
 		}
 		if exp.err == nil {
 			if exp.reduced {
@@ -758,14 +677,12 @@ func (e *explorer) walk(parent *node, exp *expansion) (stop bool, err error) {
 	}
 	for j := range exp.succs {
 		s := &exp.succs[j]
-		if parent != nil {
-			if x.parents != nil {
-				if _, ok := x.parents[s.key]; !ok {
-					x.parents[s.key] = parentLink{parent: parent.ckey, event: s.event}
-				}
-			} else if x.parentsFP != nil {
-				if _, ok := x.parentsFP[s.fp]; !ok {
-					x.parentsFP[s.fp] = parentLinkFP{parent: parent.fp, event: s.event}
+		if parent != nil && x.parents != nil {
+			if _, linked := x.parents[s.fp]; !linked {
+				// A root reached again by a back-edge stays a root: a
+				// link would close a cycle that traceTo never leaves.
+				if _, root := x.rootKeys[s.fp]; !root {
+					x.parents[s.fp] = parentLink{parent: parent.fp, event: s.event}
 				}
 			}
 		}
@@ -775,7 +692,7 @@ func (e *explorer) walk(parent *node, exp *expansion) (stop bool, err error) {
 		if e.opts.StopAtFirstViolation && e.violated {
 			return true, nil
 		}
-		if s.nd == nil || !e.visited.Admit(s.fp, s.key) {
+		if s.nd == nil || !e.visited.Admit(s.fp, "") {
 			e.countPrune(s)
 			continue
 		}
@@ -828,12 +745,10 @@ func (e *explorer) record(s *succ) {
 	}
 }
 
-// finalize publishes the aggregate state census, the node count, and (in
-// verified mode) the collision count.
+// finalize publishes the aggregate state census and the node count.
 func (e *explorer) finalize() {
 	e.x.States = e.publishCensus()
 	e.x.NodeCount = len(e.x.Configs)
-	e.x.Collisions = e.visited.Collisions()
 }
 
 // ExploreContext is Explore with graceful degradation: on context
@@ -877,12 +792,8 @@ func newExplorer(proto sim.Protocol, problems []taxonomy.Problem, opts Options) 
 
 	x := &Exploration{Proto: proto, Opts: opts}
 	if opts.TrackTraces {
-		if opts.Dedup == frontier.DedupFingerprint {
-			x.parentsFP = make(map[fingerprint.Digest]parentLinkFP)
-			x.rootKeys = make(map[fingerprint.Digest]string)
-		} else {
-			x.parents = make(map[string]parentLink)
-		}
+		x.parents = make(map[fingerprint.Digest]parentLink)
+		x.rootKeys = make(map[fingerprint.Digest]string)
 	}
 	e := &explorer{
 		proto:       proto,
@@ -891,18 +802,13 @@ func newExplorer(proto sim.Protocol, problems []taxonomy.Problem, opts Options) 
 		maxFail:     maxFail,
 		failAllowed: failAllowed,
 		x:           x,
-		dedup:       opts.Dedup,
-		visited:     frontier.NewSeqVisited(opts.Dedup),
+		visited:     frontier.NewSeqVisited(frontier.DedupFingerprint),
+		internFP:    make(map[fingerprint.Digest]int32),
+		predictor:   sim.NewPredictor(),
 		judges:      make([]judge, len(problems)),
 	}
 	for i, p := range problems {
 		e.judges[i].problem = p
-	}
-	if opts.Dedup == frontier.DedupFingerprint {
-		e.internFP = make(map[fingerprint.Digest]int32)
-		e.predictor = sim.NewPredictor()
-	} else {
-		e.internKey = make(map[string]int32)
 	}
 	e.initReduction()
 	return e, nil

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/fingerprint"
-	"repro/internal/frontier"
 	"repro/internal/sim"
 	"repro/internal/symmetry"
 )
@@ -17,7 +16,7 @@ import (
 // intermediate configurations, so NodeCount, the Configs list, and the
 // state census describe the reduced graph, not the full one. DESIGN.md §8
 // states the soundness arguments; the reduction differential suite
-// cross-checks every reduced mode against the unreduced strings engine.
+// cross-checks every reduced mode against the unreduced reference walk.
 type Reduction int
 
 const (
@@ -181,28 +180,39 @@ func (e *explorer) canonicalizing() bool {
 //
 // Symmetry (symmetry modes) minimizes the handle over the topology
 // automorphism group's orbit: for each automorphism, the candidate handle
-// is the permuted (erased) node's fingerprint/key in the mode the dedup
-// engine compares, and the minimum (fingerprint by Digest.Less, key by
-// string order, verified by fingerprint with the key riding along from
-// the same candidate) wins. Erasure and permutation commute — an
-// automorphism relocates a processor's state and buffer together — so
-// erasing first is both correct and cheaper.
+// is the permuted (erased) node's fingerprint, and the minimum by
+// Digest.Less wins. Erasure and permutation commute — an automorphism
+// relocates a processor's state and buffer together — so erasing first is
+// both correct and cheaper.
 //
 // The final handle lands on both the succ and the node. The node itself
 // stays in its own frame — every stored configuration is genuinely
 // reachable and traces replay unchanged — only the handle is canonical,
 // so the first-reached member of a class represents the class.
 //
-// The strings engine materializes every candidate (canonicalizeKey) and is
-// the reference oracle; the fingerprint and verified engines compute the
-// same candidates' fingerprints from cached component digests
-// (canonicalizeDigest).
+// No component is hashed twice and nothing is materialized: the erased
+// handle is the warm fingerprint minus the dead letters' terms, and each
+// permuted candidate is a sum of memoized relabelled component digests
+// (sim.PermuteMemo) plus the ledger terms salted at their permuted
+// positions — value-equal to materializing the candidate and hashing it
+// cold, so the same orbit member wins (the tests hold every handle to that
+// materialization).
 func (e *explorer) canonicalizeSucc(nxt *node, s *succ) {
-	if e.dedup == frontier.DedupStrings {
-		e.canonicalizeKey(nxt, s)
-	} else {
-		e.canonicalizeDigest(nxt, s)
+	if e.elide {
+		if fp, changed := nxt.cfg.ElidedFingerprint(); changed {
+			s.fp, s.elided = fp.Add(ledgerFP(nxt.ledger)), true
+		}
 	}
+	for i, perm := range e.symPerms {
+		fp, ok := e.permMemo.Fingerprint(nxt.cfg, i, e.elide)
+		if !ok {
+			panic("checker: symmetry group present but state does not implement sim.Permuter")
+		}
+		if fp = fp.Add(permutedLedgerFP(nxt.ledger, perm)); fp.Less(s.fp) {
+			s.fp, s.permuted = fp, true
+		}
+	}
+	nxt.fp = s.fp
 	if canonicalizeHook != nil {
 		canonicalizeHook(e, nxt, s)
 	}
@@ -213,73 +223,8 @@ func (e *explorer) canonicalizeSucc(nxt *node, s *succ) {
 // materialized path).
 var canonicalizeHook func(e *explorer, nxt *node, s *succ)
 
-func (e *explorer) canonicalizeKey(nxt *node, s *succ) {
-	base := nxt.cfg
-	if e.elide {
-		if erased, changed := base.WithoutDeadBuffers(); changed {
-			base, s.elided = erased, true
-			cand := &node{cfg: base, ledger: nxt.ledger}
-			s.key = cand.key()
-		}
-	}
-	for _, perm := range e.symPerms {
-		pcfg, ok := sim.PermuteConfig(base, perm)
-		if !ok {
-			panic("checker: symmetry group present but state does not implement sim.Permuter")
-		}
-		cand := &node{cfg: pcfg, ledger: permuteLedger(nxt.ledger, perm)}
-		if key := cand.key(); key < s.key {
-			s.key, s.permuted = key, true
-		}
-	}
-	nxt.ckey = s.key
-}
-
-// canonicalizeDigest never hashes a component twice: the erased handle is
-// the warm fingerprint minus the dead letters' terms, and each permuted
-// candidate is a sum of memoized relabelled component digests
-// (sim.PermuteMemo) plus the ledger terms salted at their permuted
-// positions — value-equal to materializing the candidate and hashing it
-// cold, so the same orbit member wins. Nothing is materialized under
-// fingerprint dedup; verified dedup materializes the one winning candidate
-// for the key that rides along, and nothing at all when the successor's
-// own unerased frame wins.
-func (e *explorer) canonicalizeDigest(nxt *node, s *succ) {
-	if e.elide {
-		if fp, changed := nxt.cfg.ElidedFingerprint(); changed {
-			s.fp, s.elided = fp.Add(ledgerFP(nxt.ledger)), true
-		}
-	}
-	winner := -1
-	for i, perm := range e.symPerms {
-		fp, ok := e.permMemo.Fingerprint(nxt.cfg, i, e.elide)
-		if !ok {
-			panic("checker: symmetry group present but state does not implement sim.Permuter")
-		}
-		if fp = fp.Add(permutedLedgerFP(nxt.ledger, perm)); fp.Less(s.fp) {
-			s.fp, s.permuted, winner = fp, true, i
-		}
-	}
-	nxt.fp = s.fp
-	if e.dedup != frontier.DedupVerified {
-		return
-	}
-	if s.elided || winner >= 0 {
-		cand := &node{cfg: nxt.cfg, ledger: nxt.ledger}
-		if s.elided {
-			cand.cfg, _ = cand.cfg.WithoutDeadBuffers()
-		}
-		if winner >= 0 {
-			cand.cfg, _ = sim.PermuteConfig(cand.cfg, e.symPerms[winner])
-			cand.ledger = permuteLedger(nxt.ledger, e.symPerms[winner])
-		}
-		s.key = cand.key()
-	}
-	nxt.ckey = s.key
-}
-
-// permutedLedgerFP is ledgerFP(permuteLedger(ledger, perm)) without
-// building the relabelled ledger: p's term is salted at perm[p].
+// permutedLedgerFP fingerprints the ledger relabelled by perm without
+// building it: p's term is salted at perm[p].
 //
 //ccvet:pure
 func permutedLedgerFP(ledger []sim.Decision, perm sim.ProcPerm) fingerprint.Digest {
@@ -290,16 +235,6 @@ func permutedLedgerFP(ledger []sim.Decision, perm sim.ProcPerm) fingerprint.Dige
 		}
 	}
 	return d
-}
-
-// permuteLedger relabels a decision ledger: processor p's decision moves
-// to position perm[p].
-func permuteLedger(ledger []sim.Decision, perm sim.ProcPerm) []sim.Decision {
-	out := make([]sim.Decision, len(ledger))
-	for p, d := range ledger {
-		out[perm[p]] = d
-	}
-	return out
 }
 
 // initReduction resolves the exploration's reduction configuration: the
@@ -337,7 +272,7 @@ func (e *explorer) initReduction() {
 	e.elide = e.ample
 	if e.opts.Reduction.usesSymmetry() {
 		e.symPerms = symmetry.ForProtocol(e.proto)
-		if len(e.symPerms) > 0 && e.dedup != frontier.DedupStrings {
+		if len(e.symPerms) > 0 {
 			e.permMemo = sim.NewPermuteMemo(e.symPerms)
 		}
 	}

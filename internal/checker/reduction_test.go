@@ -3,10 +3,10 @@ package checker
 import (
 	"context"
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/fingerprint"
-	"repro/internal/frontier"
 	"repro/internal/protocols"
 	"repro/internal/sim"
 	"repro/internal/symmetry"
@@ -14,7 +14,7 @@ import (
 )
 
 // The reduction differential suite cross-checks every reduced mode against
-// the unreduced string-keyed engine. A reduced exploration visits a
+// the unreduced reference walk (refExplore). A reduced exploration visits a
 // different (smaller) node set, so the byte-level digest is NOT expected to
 // match the reference; what must match is the semantics the reductions
 // promise to preserve:
@@ -36,13 +36,6 @@ import (
 // at the first dequeue.
 var reductionModes = []Reduction{ReduceAmple, ReduceSymmetry, ReduceBoth}
 
-// reductionDedups are the engines the reduced matrix runs on. The verified
-// engine rides along in the partial matrix; here the
-// string-keyed and fingerprint engines cover both canonical-handle
-// representations (minimal key vs minimal digest pick different orbit
-// representatives, so engines are compared semantically, not byte-wise).
-var reductionDedups = []frontier.Dedup{frontier.DedupStrings, frontier.DedupFingerprint}
-
 // reductionCase is one complete exploration compared semantically against
 // the unreduced reference. Perverse is absent: its mf≥1 state space does
 // not terminate within any practical budget (it is the cyclic stress
@@ -51,10 +44,7 @@ type reductionCase struct {
 	name  string
 	proto sim.Protocol
 	opts  Options
-	// big cases are skipped in -short runs, and outside CC_FULL_MATRIX=1
-	// run their reduced rows on the fingerprint engine only: the strings
-	// engine materializes every orbit candidate and takes 92 of
-	// fullexchange-mf1's 130 s.
+	// big cases are skipped in -short runs.
 	big bool
 }
 
@@ -135,23 +125,10 @@ func stateCensusKeys(x *Exploration) []string {
 	return sortedSet(set)
 }
 
-func equalStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// TestReductionDifferential explores every feasible library protocol to
-// completion unreduced on the string-keyed engine, then asserts that each
-// reduced mode, on both handle representations, reproduces the verdict and
-// the decision census — exactly under ample, up to relabeling under
-// symmetry.
+// TestReductionDifferential walks every feasible library protocol to
+// completion unreduced on the reference walk, then asserts that each
+// reduced mode reproduces the verdict and the decision census — exactly
+// under ample, up to relabeling under symmetry.
 func TestReductionDifferential(t *testing.T) {
 	prob := problem(taxonomy.WT, taxonomy.TC)
 	for _, tc := range reductionCases() {
@@ -159,63 +136,52 @@ func TestReductionDifferential(t *testing.T) {
 			if tc.big && testing.Short() {
 				t.Skip("large reference space; skipped in -short")
 			}
+			t.Parallel() // the cases share nothing; fullexchange-mf1's reference walk is half the package's time
 			opts := tc.opts
-			opts.Dedup = frontier.DedupStrings
 			opts.Problem = &prob
-			opts.TrackTraces = true
-			ref, err := ExploreContext(context.Background(), tc.proto, opts)
+			ref, err := refExplore(context.Background(), tc.proto, opts)
 			if err != nil {
 				t.Fatalf("unreduced reference: %v", err)
 			}
+			opts.TrackTraces = true
 			perms := symmetry.ForProtocol(tc.proto)
 			refKinds := violationKinds(ref)
 			refCensus := decisionCensus(ref)
 			refCanon := canonicalDecisionCensus(ref, perms)
 			refStates := stateCensusKeys(ref)
 
-			dedups := reductionDedups
-			if tc.big && !fullMatrix() {
-				dedups = []frontier.Dedup{frontier.DedupFingerprint}
-			}
 			for _, mode := range reductionModes {
-				for _, dedup := range dedups {
-					name := fmt.Sprintf("%v/%v", mode, dedup)
-					opts := tc.opts
-					opts.Dedup = dedup
-					opts.Problem = &prob
-					opts.TrackTraces = true
-					opts.Reduction = mode
-					x, err := ExploreContext(context.Background(), tc.proto, opts)
-					if err != nil {
-						t.Fatalf("%s: %v", name, err)
+				opts.Reduction = mode
+				x, err := ExploreContext(context.Background(), tc.proto, opts)
+				if err != nil {
+					t.Fatalf("%v: %v", mode, err)
+				}
+				if x.NodeCount > ref.NodeCount {
+					t.Errorf("%v: reduced run grew the space: %d > %d nodes", mode, x.NodeCount, ref.NodeCount)
+				}
+				if got := violationKinds(x); !slices.Equal(got, refKinds) {
+					t.Errorf("%v: verdict diverged: kinds %v, want %v", mode, got, refKinds)
+				}
+				if mode == ReduceAmple {
+					if got := decisionCensus(x); !slices.Equal(got, refCensus) {
+						t.Errorf("%v: decision census diverged (%d vs %d entries)", mode, len(got), len(refCensus))
 					}
-					if x.NodeCount > ref.NodeCount {
-						t.Errorf("%s: reduced run grew the space: %d > %d nodes", name, x.NodeCount, ref.NodeCount)
+					if got := stateCensusKeys(x); !slices.Equal(got, refStates) {
+						t.Errorf("%v: local-state census diverged (%d vs %d states)", mode, len(got), len(refStates))
 					}
-					if got := violationKinds(x); !equalStrings(got, refKinds) {
-						t.Errorf("%s: verdict diverged: kinds %v, want %v", name, got, refKinds)
+				} else {
+					if got := canonicalDecisionCensus(x, perms); !slices.Equal(got, refCanon) {
+						t.Errorf("%v: canonical decision census diverged (%d vs %d entries)", mode, len(got), len(refCanon))
 					}
-					if mode == ReduceAmple {
-						if got := decisionCensus(x); !equalStrings(got, refCensus) {
-							t.Errorf("%s: decision census diverged (%d vs %d entries)", name, len(got), len(refCensus))
-						}
-						if got := stateCensusKeys(x); !equalStrings(got, refStates) {
-							t.Errorf("%s: local-state census diverged (%d vs %d states)", name, len(got), len(refStates))
-						}
-					} else {
-						if got := canonicalDecisionCensus(x, perms); !equalStrings(got, refCanon) {
-							t.Errorf("%s: canonical decision census diverged (%d vs %d entries)", name, len(got), len(refCanon))
-						}
-					}
-					if x.Conforms() != (len(refKinds) == 0) {
-						t.Errorf("%s: conformance flipped", name)
-					}
-					if !x.Conforms() && len(x.FirstTrace) == 0 {
-						t.Errorf("%s: violating run has no FirstTrace", name)
-					}
-					if x.Conforms() && len(x.FirstTrace) != 0 {
-						t.Errorf("%s: conforming run has a FirstTrace", name)
-					}
+				}
+				if x.Conforms() != (len(refKinds) == 0) {
+					t.Errorf("%v: conformance flipped", mode)
+				}
+				if !x.Conforms() && len(x.FirstTrace) == 0 {
+					t.Errorf("%v: violating run has no FirstTrace", mode)
+				}
+				if x.Conforms() && len(x.FirstTrace) != 0 {
+					t.Errorf("%v: conforming run has a FirstTrace", mode)
 				}
 			}
 		})
@@ -230,47 +196,43 @@ func reducedDigest(x *Exploration) string {
 
 // TestReductionPartialDeterminism asserts that budget-capped reduced
 // explorations — which stop mid-space and report a partial prefix — repeat
-// byte for byte, reduction counters included, for every mode and engine on
-// the diffCases matrix (including Perverse, whose full space never
-// terminates, exercising the proviso on a cyclic graph).
+// byte for byte, reduction counters included, for every mode on the
+// diffCases matrix (including Perverse, whose full space never terminates,
+// exercising the proviso on a cyclic graph).
 func TestReductionPartialDeterminism(t *testing.T) {
 	prob := problem(taxonomy.WT, taxonomy.TC)
-	dedups := []frontier.Dedup{frontier.DedupStrings, frontier.DedupFingerprint, frontier.DedupVerified}
 	for _, tc := range diffCases() {
 		if tc.opts.MaxNodes == 0 {
 			continue // the complete cases are covered by TestReductionDifferential
 		}
 		t.Run(tc.name, func(t *testing.T) {
 			for _, mode := range reductionModes {
-				for _, dedup := range dedups {
-					var base string
-					for run := 0; run < 2; run++ {
-						opts := tc.opts
-						opts.Dedup = dedup
-						opts.Problem = &prob
-						opts.TrackTraces = true
-						opts.Reduction = mode
-						x, err := ExploreContext(context.Background(), tc.proto, opts)
-						if x == nil {
-							t.Fatalf("%v/%v: nil exploration (err=%v)", mode, dedup, err)
+				var base string
+				for run := 0; run < 2; run++ {
+					opts := tc.opts
+					opts.Problem = &prob
+					opts.TrackTraces = true
+					opts.Reduction = mode
+					x, err := ExploreContext(context.Background(), tc.proto, opts)
+					if x == nil {
+						t.Fatalf("%v: nil exploration (err=%v)", mode, err)
+					}
+					// A reduced run may fit the whole quotient space inside
+					// the budget that truncates the full space (that is the
+					// point of the reduction).
+					switch x.Status {
+					case StatusComplete:
+					case StatusExhausted:
+						if x.NodeCount != tc.opts.MaxNodes {
+							t.Errorf("%v: exhausted at %d nodes, want exactly the budget %d", mode, x.NodeCount, tc.opts.MaxNodes)
 						}
-						// A reduced run may fit the whole quotient space inside
-						// the budget that truncates the full space (that is the
-						// point of the reduction).
-						switch x.Status {
-						case StatusComplete:
-						case StatusExhausted:
-							if x.NodeCount != tc.opts.MaxNodes {
-								t.Errorf("%v/%v: exhausted at %d nodes, want exactly the budget %d", mode, dedup, x.NodeCount, tc.opts.MaxNodes)
-							}
-						default:
-							t.Fatalf("%v/%v: status %v, want budget-exhausted or complete", mode, dedup, x.Status)
-						}
-						if d := reducedDigest(x); run == 0 {
-							base = d
-						} else if d != base {
-							t.Errorf("%v/%v: partial reduced run does not repeat:\n%s", mode, dedup, firstDiff(base, d))
-						}
+					default:
+						t.Fatalf("%v: status %v, want budget-exhausted or complete", mode, x.Status)
+					}
+					if d := reducedDigest(x); run == 0 {
+						base = d
+					} else if d != base {
+						t.Errorf("%v: partial reduced run does not repeat:\n%s", mode, firstDiff(base, d))
 					}
 				}
 			}
@@ -305,38 +267,37 @@ func TestReductionCancelledDeterminism(t *testing.T) {
 	}
 }
 
-// materializedHandle is the canonicalization the digest shortcut replaced
-// in the fingerprint and verified engines, kept here as its oracle: every
-// candidate is built (WithoutDeadBuffers, sim.PermuteConfig,
-// permuteLedger) and hashed cold, the Digest.Less-minimal fingerprint wins
-// and its key rides along.
-func materializedHandle(e *explorer, nxt *node) (fp fingerprint.Digest, key string, elided, permuted bool) {
-	own := &node{cfg: nxt.cfg, ledger: nxt.ledger}
-	fp, key = nodeFP(own), own.key()
+// materializedHandle is the canonicalization the digest shortcut replaced,
+// kept here as its oracle: every candidate is built (WithoutDeadBuffers,
+// sim.PermuteConfig, the ledger relabelled so that p's decision sits at
+// perm[p]) and hashed cold, and the Digest.Less-minimal fingerprint wins.
+func materializedHandle(e *explorer, nxt *node) (fp fingerprint.Digest, elided, permuted bool) {
+	fp = nodeFP(&node{cfg: nxt.cfg, ledger: nxt.ledger})
 	base := nxt.cfg
 	if e.elide {
 		if erased, changed := base.WithoutDeadBuffers(); changed {
 			base, elided = erased, true
-			cand := &node{cfg: base, ledger: nxt.ledger}
-			fp, key = nodeFP(cand), cand.key()
+			fp = nodeFP(&node{cfg: base, ledger: nxt.ledger})
 		}
 	}
 	for _, perm := range e.symPerms {
 		pcfg, _ := sim.PermuteConfig(base, perm)
-		cand := &node{cfg: pcfg, ledger: permuteLedger(nxt.ledger, perm)}
-		if cfp := nodeFP(cand); cfp.Less(fp) {
-			fp, key, permuted = cfp, cand.key(), true
+		ledger := make([]sim.Decision, len(nxt.ledger))
+		for p, d := range nxt.ledger {
+			ledger[perm[p]] = d
+		}
+		if cfp := nodeFP(&node{cfg: pcfg, ledger: ledger}); cfp.Less(fp) {
+			fp, permuted = cfp, true
 		}
 	}
-	return fp, key, elided, permuted
+	return fp, elided, permuted
 }
 
 // TestCanonicalizeDigestMatchesMaterialized hooks every canonicalized
 // successor of two ReduceBoth explorations and asserts that the handle the
 // digest path produced is the one full materialization produces — same
-// fingerprint, same flags, and under verified dedup the same key. It then
-// pins the steady-state cost: in fingerprint mode a warm canonicalizeSucc
-// allocates nothing.
+// fingerprint, same flags. It then pins the steady-state cost: a warm
+// canonicalizeSucc allocates nothing.
 func TestCanonicalizeDigestMatchesMaterialized(t *testing.T) {
 	defer func() { canonicalizeHook = nil }()
 	prob := problem(taxonomy.WT, taxonomy.TC)
@@ -347,56 +308,45 @@ func TestCanonicalizeDigestMatchesMaterialized(t *testing.T) {
 		{protocols.Star{Procs: 3}, 2},
 		{protocols.FullExchange{Procs: 3}, 0},
 	} {
-		for _, dedup := range []frontier.Dedup{frontier.DedupFingerprint, frontier.DedupVerified} {
-			var calls, elided, permuted int
-			var warmE *explorer
-			var warm []*node
-			canonicalizeHook = func(e *explorer, nxt *node, s *succ) {
-				fp, key, el, pm := materializedHandle(e, nxt)
-				calls++
-				if el {
-					elided++
-				}
-				if pm {
-					permuted++
-				}
-				if len(warm) < 64 {
-					warmE, warm = e, append(warm, nxt)
-				}
-				if s.fp != fp || nxt.fp != fp || s.elided != el || s.permuted != pm {
-					t.Errorf("%s/%v after %v: digest handle %v (elided=%v permuted=%v), materialized %v (%v %v)",
-						tc.proto.Name(), dedup, s.event, s.fp, s.elided, s.permuted, fp, el, pm)
-				}
-				if dedup == frontier.DedupVerified && (s.key != key || nxt.ckey != key) {
-					t.Errorf("%s/%v after %v: verified key diverged:\n got %q\nwant %q",
-						tc.proto.Name(), dedup, s.event, s.key, key)
-				}
+		var calls, elided, permuted int
+		var warmE *explorer
+		var warm []*node
+		canonicalizeHook = func(e *explorer, nxt *node, s *succ) {
+			fp, el, pm := materializedHandle(e, nxt)
+			calls++
+			if el {
+				elided++
 			}
-			_, err := Explore(tc.proto, Options{
-				MaxFailures: tc.mf, Dedup: dedup, Problem: &prob, Reduction: ReduceBoth,
-			})
-			if err != nil {
-				t.Fatal(err)
+			if pm {
+				permuted++
 			}
-			canonicalizeHook = nil
-			if calls == 0 || permuted == 0 || (tc.mf > 0 && elided == 0) {
-				t.Fatalf("%s/%v: hook saw %d successors, %d elided, %d permuted — matrix does not exercise the shortcut",
-					tc.proto.Name(), dedup, calls, elided, permuted)
+			if len(warm) < 64 {
+				warmE, warm = e, append(warm, nxt)
 			}
-			if dedup != frontier.DedupFingerprint {
-				continue
+			if s.fp != fp || nxt.fp != fp || s.elided != el || s.permuted != pm {
+				t.Errorf("%s after %v: digest handle %v (elided=%v permuted=%v), materialized %v (%v %v)",
+					tc.proto.Name(), s.event, s.fp, s.elided, s.permuted, fp, el, pm)
 			}
-			var s succ
-			allocs := testing.AllocsPerRun(20, func() {
-				for _, nxt := range warm {
-					s = succ{fp: nodeFP(nxt)}
-					warmE.canonicalizeSucc(nxt, &s)
-				}
-			})
-			if allocs != 0 {
-				t.Errorf("%s: warm canonicalizeSucc allocates %.2f times per %d successors in fingerprint mode, want 0",
-					tc.proto.Name(), allocs, len(warm))
+		}
+		_, err := Explore(tc.proto, Options{MaxFailures: tc.mf, Problem: &prob, Reduction: ReduceBoth})
+		if err != nil {
+			t.Fatal(err)
+		}
+		canonicalizeHook = nil
+		if calls == 0 || permuted == 0 || (tc.mf > 0 && elided == 0) {
+			t.Fatalf("%s: hook saw %d successors, %d elided, %d permuted — matrix does not exercise the shortcut",
+				tc.proto.Name(), calls, elided, permuted)
+		}
+		var s succ
+		allocs := testing.AllocsPerRun(20, func() {
+			for _, nxt := range warm {
+				s = succ{fp: nodeFP(nxt)}
+				warmE.canonicalizeSucc(nxt, &s)
 			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: warm canonicalizeSucc allocates %.2f times per %d successors, want 0",
+				tc.proto.Name(), allocs, len(warm))
 		}
 	}
 }

@@ -18,11 +18,10 @@
 //
 // Fingerprints are deterministic: the same data always hashes to the same
 // digest, across runs and across processes (no per-process seeding), which
-// is what lets the differential suites compare fingerprint-keyed and
-// string-keyed explorations byte for byte. Equal canonical encodings imply
-// equal digests by construction; the converse holds only with overwhelming
-// probability, which is why the explorer offers a collision-verification
-// mode that falls back to full canonical keys on fingerprint hits.
+// is what lets the differential suites compare fingerprint-keyed
+// explorations byte for byte with reference walks keyed by full canonical
+// strings. Equal canonical encodings imply equal digests by construction;
+// the converse holds only with overwhelming probability (~2^-128 per pair).
 //
 // Everything here is pure: no package-level mutable state, no mutation of
 // arguments, no ambient inputs. The ccvet purity analyzer enforces this

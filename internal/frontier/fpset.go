@@ -1,5 +1,5 @@
-// This file holds the dedup engine selector and the two names that only the
-// benchmark's layer probes still call: Owner and FPVisitedSet.
+// This file holds the names that only the benchmark's layer probes still
+// call: Dedup, Owner and FPVisitedSet.
 
 package frontier
 
@@ -10,37 +10,14 @@ import (
 	"repro/internal/fingerprint"
 )
 
-// Dedup selects how an explorer deduplicates visited nodes.
+// Dedup is the type of NewSeqVisited's ignored argument, DedupFingerprint
+// its one value.
+//
+// Deprecated: the explorers have one engine; pinned by bench/probes.go.
 type Dedup int
 
-const (
-	// DedupFingerprint (the default) admits nodes by 128-bit fingerprint
-	// alone. Two distinct nodes collide only with probability ~2^-128 per
-	// pair; canonical strings are never built for dedup.
-	DedupFingerprint Dedup = iota
-	// DedupVerified admits by fingerprint but verifies every fingerprint
-	// hit against the stored canonical key, so a collision downgrades to a
-	// counted event (and the colliding node is explored, not dropped).
-	DedupVerified
-	// DedupStrings is the reference engine: admission by full canonical
-	// key, collision-proof and allocation-heavy. The differential suites
-	// pit the other modes against it.
-	DedupStrings
-)
-
-// String names the mode.
-func (d Dedup) String() string {
-	switch d {
-	case DedupFingerprint:
-		return "fingerprint"
-	case DedupVerified:
-		return "verified"
-	case DedupStrings:
-		return "strings"
-	default:
-		return "invalid"
-	}
-}
+// Deprecated: pinned by bench/probes.go.
+const DedupFingerprint Dedup = 0
 
 // fpShards is FPVisitedSet's shard count. A power of two keeps the index
 // computation a mask.

@@ -53,20 +53,6 @@ func TestFPVisitedSetConcurrent(t *testing.T) {
 	}
 }
 
-func TestDedupString(t *testing.T) {
-	names := map[Dedup]string{
-		DedupFingerprint: "fingerprint",
-		DedupVerified:    "verified",
-		DedupStrings:     "strings",
-		Dedup(99):        "invalid",
-	}
-	for d, want := range names { //ccvet:ignore detrange independent assertions; order is unobservable
-		if d.String() != want {
-			t.Fatalf("Dedup(%d).String() = %q, want %q", int(d), d.String(), want)
-		}
-	}
-}
-
 func toyFP(id uint64) fingerprint.Digest {
 	return fingerprint.OfString("toy:" + strconv.FormatUint(id, 10))
 }

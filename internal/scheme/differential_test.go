@@ -6,17 +6,12 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/frontier"
 	"repro/internal/protocols"
 	"repro/internal/sim"
 )
 
-// diffDedups is the differential matrix: the string-keyed engine is the
-// reference the other two must reproduce.
-var diffDedups = []frontier.Dedup{frontier.DedupStrings, frontier.DedupFingerprint, frontier.DedupVerified}
-
-// enumDigest renders an Enumeration canonically so byte-identity across
-// engines is a string comparison.
+// enumDigest renders an Enumeration canonically so byte-identity with the
+// reference walk is a string comparison.
 func enumDigest(en *Enumeration) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "status=%v visited=%d frontier=%d patterns=%d\n",
@@ -49,75 +44,48 @@ func enumDiffCases() []enumDiffCase {
 	}
 }
 
+// diffReference enumerates on the enumerator and on the reference walk
+// (refEnumerate) and asserts the enumerator reproduces the reference byte
+// for byte: the pattern set, visited count, frontier, status, and error.
+func diffReference(ctx context.Context, t *testing.T, proto sim.Protocol, opts Options) *Enumeration {
+	t.Helper()
+	inputs := make([]sim.Bit, proto.N())
+	for i := range inputs {
+		inputs[i] = sim.One
+	}
+	ref, refErr := refEnumerate(ctx, proto, inputs, opts)
+	en, err := EnumerateContext(ctx, proto, inputs, opts)
+	if ref == nil || en == nil {
+		t.Fatalf("nil enumeration: enumerator %v (err=%v), reference %v (err=%v)", en, err, ref, refErr)
+	}
+	if fmt.Sprint(err) != fmt.Sprint(refErr) {
+		t.Errorf("err = %v, reference err = %v", err, refErr)
+	}
+	if want, got := enumDigest(ref), enumDigest(en); got != want {
+		t.Errorf("enumeration diverges from the reference walk\nreference:\n%s\nenumerator:\n%s", want, got)
+	}
+	return en
+}
+
 // TestEnumerateDifferential asserts that enumerating every library
-// protocol's failure-free executions (all-ones inputs) yields byte-identical
-// Enumerations on every dedup engine: the pattern set, visited count,
+// protocol's failure-free executions (all-ones inputs) yields the reference
+// walk's Enumeration byte for byte: the pattern set, visited count,
 // frontier, and status.
 func TestEnumerateDifferential(t *testing.T) {
 	for _, tc := range enumDiffCases() {
-		t.Run(tc.name, func(t *testing.T) {
-			n := tc.proto.N()
-			inputs := make([]sim.Bit, n)
-			for i := range inputs {
-				inputs[i] = sim.One
-			}
-			var baseDigest, baseErr string
-			for i, dedup := range diffDedups {
-				opts := tc.opts
-				opts.Dedup = dedup
-				en, err := EnumerateContext(context.Background(), tc.proto, inputs, opts)
-				if en == nil {
-					t.Fatalf("%v: nil enumeration (err=%v)", dedup, err)
-				}
-				if en.Collisions != 0 {
-					t.Errorf("%v: %d fingerprint collisions", dedup, en.Collisions)
-				}
-				errStr := ""
-				if err != nil {
-					errStr = err.Error()
-				}
-				d := enumDigest(en)
-				if i == 0 {
-					baseDigest, baseErr = d, errStr
-					continue
-				}
-				if errStr != baseErr {
-					t.Errorf("%v: err = %q, want %q", dedup, errStr, baseErr)
-				}
-				if d != baseDigest {
-					t.Errorf("%v: enumeration diverges from the string-keyed engine\nstrings:\n%s\n%v:\n%s", dedup, baseDigest, dedup, d)
-				}
-			}
-		})
+		t.Run(tc.name, func(t *testing.T) { diffReference(context.Background(), t, tc.proto, tc.opts) })
 	}
 }
 
 // TestEnumerateDifferentialCancelled asserts a cancelled context cuts the
-// walk at its first dequeue on every engine: the same partial Enumeration
-// (status, visited, frontier).
+// enumerator's walk where it cuts the reference's, at the first dequeue: the
+// same partial Enumeration (status, visited, frontier).
 func TestEnumerateDifferentialCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	inputs := []sim.Bit{sim.One, sim.One, sim.One}
-	var baseDigest string
-	for i, dedup := range diffDedups {
-		en, err := EnumerateContext(ctx, protocols.Tree{Procs: 3}, inputs, Options{Dedup: dedup})
-		if en == nil {
-			t.Fatalf("%v: nil enumeration", dedup)
-		}
-		if err == nil || en.Status != StatusInterrupted {
-			t.Fatalf("%v: status = %v, err = %v, want interrupted", dedup, en.Status, err)
-		}
-		d := enumDigest(en)
-		if i == 0 {
-			baseDigest = d
-			if en.Visited < 1 || en.Frontier < 1 {
-				t.Fatalf("cancelled enumeration lost its partial snapshot: %d visited, %d frontier", en.Visited, en.Frontier)
-			}
-			continue
-		}
-		if d != baseDigest {
-			t.Errorf("%v: cancelled partial result diverges:\nstrings:\n%s\n%v:\n%s", dedup, baseDigest, dedup, d)
-		}
+	en := diffReference(ctx, t, protocols.Tree{Procs: 3}, Options{})
+	if en.Status != StatusInterrupted || en.Visited < 1 || en.Frontier < 1 {
+		t.Fatalf("cancelled enumeration: status %v, %d visited, %d frontier; want interrupted with its partial snapshot",
+			en.Status, en.Visited, en.Frontier)
 	}
 }

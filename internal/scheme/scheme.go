@@ -31,7 +31,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"strings"
 
 	"repro/internal/fingerprint"
 	"repro/internal/frontier"
@@ -130,12 +129,6 @@ type Options struct {
 	//
 	// Deprecated: ignored; the enumerator is sequential.
 	Parallelism int
-	// Dedup selects the visited-node representation, exactly as in
-	// checker.Options: fingerprint (default), verified, or canonical
-	// strings. All three produce byte-identical Enumerations (the
-	// differential suite proves it); they trade memory and speed against
-	// the astronomically unlikely fingerprint collision.
-	Dedup frontier.Dedup
 }
 
 func (o Options) maxNodes() int {
@@ -194,9 +187,6 @@ type Enumeration struct {
 	Status   Status
 	Visited  int
 	Frontier int
-	// Collisions counts fingerprint collisions detected under
-	// Options.Dedup == frontier.DedupVerified (always 0 otherwise).
-	Collisions int64
 }
 
 // node is one exploration state: a configuration plus the causal bookkeeping
@@ -227,7 +217,7 @@ type node struct {
 
 // fp is the node's 128-bit fingerprint: configuration, pattern, and
 // knowledge contributions under separating salts. It identifies exactly
-// what key identifies, up to hash collision.
+// what the tests' canonical node key identifies, up to hash collision.
 func (nd *node) fp() fingerprint.Digest {
 	return nd.cfg.Fingerprint().Add(nd.patFP.Mixed(saltPat)).Add(nd.knownFP)
 }
@@ -255,31 +245,6 @@ func (nd *node) addKnown(p sim.ProcID, id sim.MsgID) {
 	nd.knownSum[p] = old.Add(sim.MsgIDDigest(id))
 	salt := saltKnownBase + uint64(p)
 	nd.knownFP = nd.knownFP.Sub(old.Mixed(salt)).Add(nd.knownSum[p].Mixed(salt))
-}
-
-func (nd *node) key() string {
-	var sb strings.Builder
-	sb.WriteString(nd.cfg.Key())
-	sb.WriteByte('!')
-	sb.WriteString(nd.pat.Key())
-	sb.WriteByte('!')
-	for p, set := range nd.known {
-		if p > 0 {
-			sb.WriteByte(';')
-		}
-		ids := make([]sim.MsgID, 0, len(set))
-		for id := range set {
-			ids = append(ids, id)
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i].Less(ids[j]) })
-		for i, id := range ids {
-			if i > 0 {
-				sb.WriteByte(',')
-			}
-			sb.WriteString(id.String())
-		}
-	}
-	return sb.String()
 }
 
 // cloneFor clones the node for applying event e, copying only what e can
@@ -326,63 +291,23 @@ func Enumerate(proto sim.Protocol, inputs []sim.Bit, opts Options) (*Set, error)
 	return en.Set, err
 }
 
-// enumSucc is one successor generated while expanding a frontier node. nd is
-// nil when the successor was already visited when the expansion ran.
-type enumSucc struct {
-	key string             // canonical node key; empty under fingerprint dedup
-	fp  fingerprint.Digest // node fingerprint; zero under strings dedup
-	nd  *node
-}
-
-// enumExpansion is one frontier node's worth of results: either the node was
-// maximal (no enabled events — its pattern belongs to the scheme) or it
-// produced successors.
-type enumExpansion struct {
-	maximal *pattern.Pattern
-	succs   []enumSucc
-	err     error
-}
-
-// enumerator carries one enumeration's dedup machinery, mirroring the
-// checker's three engines.
+// enumerator carries one enumeration's dedup machinery: the visited set of
+// node fingerprints and the transition cache.
 type enumerator struct {
 	proto   sim.Protocol
-	dedup   frontier.Dedup
 	visited *frontier.SeqVisited
-	pr      *sim.Predictor // fingerprint dedup only
-}
-
-func newEnumerator(proto sim.Protocol, dedup frontier.Dedup) *enumerator {
-	e := &enumerator{proto: proto, dedup: dedup, visited: frontier.NewSeqVisited(dedup)}
-	if dedup == frontier.DedupFingerprint {
-		e.pr = sim.NewPredictor()
-	}
-	return e
-}
-
-// handles computes the node's dedup handles for the engine in use.
-func (e *enumerator) handles(nd *node) enumSucc {
-	var s enumSucc
-	switch e.dedup {
-	case frontier.DedupFingerprint:
-		s.fp = nd.fp()
-	case frontier.DedupVerified:
-		s.key, s.fp = nd.key(), nd.fp()
-	default:
-		s.key = nd.key()
-	}
-	return s
+	pr      *sim.Predictor
 }
 
 // predictSeen derives the fingerprint that ev's successor node would have
 // — configuration delta from the transition cache, pattern and knowledge
 // deltas from the node's incremental digests — and reports whether that
-// successor is already visited, all without cloning or applying. ok=false
+// successor is already visited, all without cloning or applying. false
 // means the caller must materialize.
-func (e *enumerator) predictSeen(nd *node, ev sim.Event) (fingerprint.Digest, bool) {
+func (e *enumerator) predictSeen(nd *node, ev sim.Event) bool {
 	pred, ok := e.pr.Predict(e.proto, nd.cfg, ev)
 	if !ok {
-		return fingerprint.Digest{}, false
+		return false
 	}
 	p := ev.Proc
 	salt := saltKnownBase + uint64(p)
@@ -408,55 +333,25 @@ func (e *enumerator) predictSeen(nd *node, ev sim.Event) (fingerprint.Digest, bo
 		knownFP = knownFP.Sub(nd.knownSum[p].Mixed(salt)).Add(newSum.Mixed(salt))
 	default:
 		// Failure events never occur in failure-free enumeration.
-		return fingerprint.Digest{}, false
+		return false
 	}
-	fp := pred.CfgFP.Add(patFP.Mixed(saltPat)).Add(knownFP)
-	if !e.visited.Seen(fp, "") {
-		return fingerprint.Digest{}, false
-	}
-	return fp, true
+	return e.visited.Seen(pred.CfgFP.Add(patFP.Mixed(saltPat)).Add(knownFP))
 }
 
-// expand generates one node's successors; it reads the visited set but
-// never writes it. Under fingerprint dedup, successors whose predicted
-// fingerprint is already visited are skipped without cloning the node or
-// applying the event.
-func (e *enumerator) expand(nd *node) enumExpansion {
-	events := sim.Enabled(nd.cfg)
-	if len(events) == 0 {
-		return enumExpansion{maximal: nd.pat}
+// rootNode is the initial node: nothing sent, nothing known.
+func rootNode(proto sim.Protocol, inputs []sim.Bit) *node {
+	start := &node{
+		cfg:      sim.NewConfig(proto, inputs),
+		pat:      pattern.New(),
+		known:    make([]map[sim.MsgID]struct{}, proto.N()),
+		sendPast: make(map[sim.MsgID][]sim.MsgID),
+		knownSum: make([]fingerprint.Digest, proto.N()),
 	}
-	out := enumExpansion{succs: make([]enumSucc, 0, len(events))}
-	fast := e.dedup == frontier.DedupFingerprint
-	for _, ev := range events {
-		if fast {
-			if fp, ok := e.predictSeen(nd, ev); ok {
-				out.succs = append(out.succs, enumSucc{fp: fp})
-				continue
-			}
-		}
-		var cfg *sim.Config
-		var eff sim.Effect
-		var err error
-		if fast {
-			cfg, eff, err = e.pr.Materialize(e.proto, nd.cfg, ev)
-		} else {
-			cfg, eff, err = sim.Apply(e.proto, nd.cfg, ev)
-		}
-		if err != nil {
-			out.err = fmt.Errorf("scheme: exploring %s: %w", e.proto.Name(), err)
-			return out
-		}
-		nxt := nd.cloneFor(ev)
-		nxt.cfg = cfg
-		applyEffect(nxt, eff)
-		s := e.handles(nxt)
-		if !e.visited.Seen(s.fp, s.key) {
-			s.nd = nxt
-		}
-		out.succs = append(out.succs, s)
+	for i := range start.known {
+		start.known[i] = make(map[sim.MsgID]struct{})
+		start.knownFP = start.knownFP.Add(start.knownSum[i].Mixed(saltKnownBase + uint64(i)))
 	}
-	return out
+	return start
 }
 
 // EnumerateContext enumerates with graceful degradation: on context
@@ -472,31 +367,18 @@ func EnumerateContext(ctx context.Context, proto sim.Protocol, inputs []sim.Bit,
 	if len(inputs) != proto.N() {
 		return nil, fmt.Errorf("scheme: protocol %s wants %d inputs, got %d", proto.Name(), proto.N(), len(inputs))
 	}
-	start := &node{
-		cfg:      sim.NewConfig(proto, inputs),
-		pat:      pattern.New(),
-		known:    make([]map[sim.MsgID]struct{}, proto.N()),
-		sendPast: make(map[sim.MsgID][]sim.MsgID),
-		knownSum: make([]fingerprint.Digest, proto.N()),
-	}
-	for i := range start.known {
-		start.known[i] = make(map[sim.MsgID]struct{})
-		start.knownFP = start.knownFP.Add(start.knownSum[i].Mixed(saltKnownBase + uint64(i)))
-	}
-
+	start := rootNode(proto, inputs)
 	en := &Enumeration{Set: NewSet()}
-	e := newEnumerator(proto, opts.Dedup)
+	e := &enumerator{proto: proto, visited: frontier.NewSeqVisited(frontier.DedupFingerprint), pr: sim.NewPredictor()}
 	if opts.maxNodes() < 1 {
 		en.Status = StatusExhausted
 		en.Frontier = 1
 		return en, &BudgetError{Protocol: proto.Name(), Nodes: opts.maxNodes()}
 	}
-	root := e.handles(start)
-	e.visited.Admit(root.fp, root.key)
+	e.visited.Admit(start.fp(), "")
 
-	// queue holds accepted nodes in admission order; slots are nilled once
-	// consumed so walked nodes can be reclaimed.
-	accepted := 1
+	// queue holds every accepted node in admission order; slots are nilled
+	// once consumed so walked nodes can be reclaimed.
 	queue := []*node{start}
 	head := 0
 	for head < len(queue) {
@@ -505,35 +387,41 @@ func EnumerateContext(ctx context.Context, proto sim.Protocol, inputs []sim.Bit,
 		head++
 		if err := ctx.Err(); err != nil {
 			en.Status = StatusInterrupted
-			en.Visited = accepted
+			en.Visited = len(queue)
 			en.Frontier = len(queue) - head + 1
 			return en, fmt.Errorf("scheme: enumeration of %s interrupted: %w", proto.Name(), err)
 		}
-		exp := e.expand(nd)
-		if exp.err != nil {
-			return nil, exp.err
+		events := sim.Enabled(nd.cfg)
+		if len(events) == 0 {
+			// Maximal: nd's pattern belongs to the scheme.
+			en.Set.Add(nd.pat)
 		}
-		if exp.maximal != nil {
-			en.Set.Add(exp.maximal)
-			continue
-		}
-		for j := range exp.succs {
-			s := &exp.succs[j]
-			if s.nd == nil || !e.visited.Admit(s.fp, s.key) {
+		for _, ev := range events {
+			// A successor whose predicted fingerprint is already visited is
+			// skipped without cloning the node or applying the event.
+			if e.predictSeen(nd, ev) {
 				continue
 			}
-			if accepted >= opts.maxNodes() {
+			cfg, eff, err := e.pr.Materialize(proto, nd.cfg, ev)
+			if err != nil {
+				return nil, fmt.Errorf("scheme: exploring %s: %w", proto.Name(), err)
+			}
+			nxt := nd.cloneFor(ev)
+			nxt.cfg = cfg
+			applyEffect(nxt, eff)
+			if !e.visited.Admit(nxt.fp(), "") {
+				continue
+			}
+			if len(queue) >= opts.maxNodes() {
 				en.Status = StatusExhausted
-				en.Visited = accepted
+				en.Visited = len(queue)
 				en.Frontier = len(queue) - head + 1
 				return en, &BudgetError{Protocol: proto.Name(), Nodes: opts.maxNodes()}
 			}
-			accepted++
-			queue = append(queue, s.nd)
+			queue = append(queue, nxt)
 		}
 	}
-	en.Visited = accepted
-	en.Collisions = e.visited.Collisions()
+	en.Visited = len(queue)
 	return en, nil
 }
 

@@ -12,8 +12,8 @@ import "repro/internal/fingerprint"
 // self-send and range limits, decision irrevocability). ok=false means the
 // event is inapplicable or the transition is irregular in a way Apply
 // reports as an error; callers must fall back to Apply so that buggy
-// protocols fail with exactly the same errors the string-keyed engine
-// reports. A successful prediction is exact: Apply(proto, c, e) yields a
+// protocols fail with exactly the same errors a walk that applies every
+// edge reports. A successful prediction is exact: Apply(proto, c, e) yields a
 // configuration whose Fingerprint equals the predicted digest (the sim
 // tests assert this over explored spaces).
 func PredictSuccessor(proto Protocol, c *Config, e Event) (fingerprint.Digest, State, bool) {
@@ -137,12 +137,13 @@ type predictEntry struct {
 
 // Predictor is a transition cache for fingerprint prediction. It memoizes
 // Receive/SendStep outcomes by input digests, so repeated transitions cost
-// one map probe instead of a protocol callback plus state hashing. Like
-// fingerprint dedup itself, the cache identifies inputs by 128-bit digest: a
-// hash collision could return the wrong cached outcome, which is why
-// explorers use it only in fingerprint mode (never under verified or string
-// dedup). It is a plain map, not safe for concurrent use: its callers are the
-// checker's and the scheme enumerator's walks, each on one goroutine.
+// one map probe instead of a protocol callback plus state hashing. Like the
+// explorers' fingerprint dedup itself, the cache identifies inputs by
+// 128-bit digest: a hash collision could return the wrong cached outcome,
+// which the reference walks of the differential suites (every edge a plain
+// Apply) would expose. It is a plain map, not safe for concurrent use: its
+// callers are the checker's and the scheme enumerator's walks, each on one
+// goroutine.
 type Predictor struct {
 	memo map[fingerprint.Digest]predictEntry
 }

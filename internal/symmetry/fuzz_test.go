@@ -20,10 +20,9 @@ var fuzzProtos = []sim.Protocol{
 }
 
 // canonKey returns the orbit-minimal key of a configuration: the minimum of
-// Key over the identity and every group element. This is the string-engine
-// canonical handle the checker dedups on (modulo the decision ledger, which
-// relabels covariantly and is exercised by the checker's differential
-// suite).
+// Key over the identity and every group element: the canonical handle in
+// full strings (modulo the decision ledger, which relabels covariantly and
+// is exercised by the checker's differential suite).
 func canonKey(c *sim.Config, perms []sim.ProcPerm) string {
 	best := c.Key()
 	for _, perm := range perms {
@@ -38,8 +37,8 @@ func canonKey(c *sim.Config, perms []sim.ProcPerm) string {
 	return best
 }
 
-// canonFP is canonKey for the fingerprint engine: the Digest.Less-minimal
-// fingerprint over the orbit.
+// canonFP is the canonical handle the checker dedups on: the
+// Digest.Less-minimal fingerprint over the orbit.
 func canonFP(c *sim.Config, perms []sim.ProcPerm) fingerprint.Digest {
 	best := c.Fingerprint()
 	for _, perm := range perms {
