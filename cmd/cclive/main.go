@@ -247,8 +247,8 @@ func run() int {
 	return runInMemory(ctx, f, proto, prob, plans, *parallel)
 }
 
-// runInMemory is the single-process soak: a worker pool of concurrent live
-// runs over the in-memory transport.
+// runInMemory is the single-process soak: a worker pool of concurrent
+// one-host live runs.
 func runInMemory(ctx context.Context, f soakFlags, proto consensus.Protocol, prob consensus.Problem, plans []consensus.ChaosRunPlan, parallel int) int {
 	outcomes := make([]runOutcome, len(plans))
 	par := parallel
@@ -462,7 +462,7 @@ func executeRun(ctx context.Context, proto consensus.Protocol, prob consensus.Pr
 	return judgeResult(res, proto, prob, f, plan)
 }
 
-// judgeResult converts a finished run (from either transport) into an
+// judgeResult converts a finished run (one host or many) into an
 // outcome: measurements, transport counters, and — for sampled runs — the
 // conformance verdict.
 func judgeResult(res *consensus.LiveResult, proto consensus.Protocol, prob consensus.Problem, f soakFlags, plan consensus.ChaosRunPlan) (out runOutcome) {
@@ -578,6 +578,8 @@ type latencyQuantiles struct {
 	Max   int64 `json:"max"`
 }
 
+// quantiles sorts one copy of a latency sample for both summaries; nil
+// for an empty sample.
 func quantiles(ds []time.Duration) *latencyQuantiles {
 	if len(ds) == 0 {
 		return nil
@@ -594,6 +596,12 @@ func quantiles(ds []time.Duration) *latencyQuantiles {
 		P90:   q(0.9),
 		Max:   int64(sorted[len(sorted)-1]),
 	}
+}
+
+// String renders min/p50/p90/max for the text summary.
+func (q *latencyQuantiles) String() string {
+	us := func(ns int64) time.Duration { return time.Duration(ns).Round(time.Microsecond) }
+	return fmt.Sprintf("min %s  p50 %s  p90 %s  max %s", us(q.Min), us(q.P50), us(q.P90), us(q.Max))
 }
 
 // report prints the soak summary, writes divergence traces and the JSON
@@ -627,7 +635,7 @@ func report(outcomes []runOutcome, protoCanon string, f soakFlags, prob consensu
 		falseSusp += out.falseSusp
 		linkSusp += out.linkSusp
 		events += int64(out.events)
-		transport = addTransport(transport, out.transport)
+		transport.Add(out.transport)
 		if out.detectMax > 0 {
 			detections = append(detections, out.detectMax)
 		}
@@ -663,15 +671,16 @@ func report(outcomes []runOutcome, protoCanon string, f soakFlags, prob consensu
 	// Formerly-silent loss paths: always printed, never dropped quietly.
 	fmt.Printf("  silent-loss: %d encode failures, %d garbage frames\n",
 		st.EncodeFailures, st.GarbageFrames)
-	if len(detections) > 0 {
-		fmt.Printf("  detection latency:  %s\n", distribution(detections))
+	detectQ, recoverQ, decideQ := quantiles(detections), quantiles(recoveries), quantiles(decisions)
+	if detectQ != nil {
+		fmt.Printf("  detection latency:  %s\n", detectQ)
 	}
-	if len(recoveries) > 0 {
+	if recoverQ != nil {
 		fmt.Printf("  recovery latency:   %s (crash → last survivor decision, %d runs)\n",
-			distribution(recoveries), len(recoveries))
+			recoverQ, recoverQ.Count)
 	}
-	if len(decisions) > 0 {
-		fmt.Printf("  decision latency:   %s (go → last decision)\n", distribution(decisions))
+	if decideQ != nil {
+		fmt.Printf("  decision latency:   %s (go → last decision)\n", decideQ)
 	}
 
 	written := 0
@@ -711,9 +720,9 @@ func report(outcomes []runOutcome, protoCanon string, f soakFlags, prob consensu
 			Failing: failing, Conformed: conformed,
 			Crashes: crashes, FalseSuspicions: falseSusp, LinkSuspicions: linkSusp,
 			Events:      events,
-			DetectionNs: quantiles(detections),
-			RecoveryNs:  quantiles(recoveries),
-			DecisionNs:  quantiles(decisions),
+			DetectionNs: detectQ,
+			RecoveryNs:  recoverQ,
+			DecisionNs:  decideQ,
 			Transport:   transport,
 		}
 		if err := writeJSON(f.jsonPath, sum); err != nil {
@@ -746,26 +755,6 @@ func writeJSON(path string, sum jsonSummary) error {
 		return err
 	}
 	return os.WriteFile(path, data, 0o644)
-}
-
-func addTransport(a, b consensus.LiveTransportStats) consensus.LiveTransportStats {
-	return consensus.LiveTransportStats{
-		Accepted:         a.Accepted + b.Accepted,
-		Settled:          a.Settled + b.Settled,
-		EncodeFailures:   a.EncodeFailures + b.EncodeFailures,
-		GarbageFrames:    a.GarbageFrames + b.GarbageFrames,
-		Drops:            a.Drops + b.Drops,
-		Dups:             a.Dups + b.Dups,
-		Omissions:        a.Omissions + b.Omissions,
-		FramesSent:       a.FramesSent + b.FramesSent,
-		FramesResent:     a.FramesResent + b.FramesResent,
-		Dials:            a.Dials + b.Dials,
-		Reconnects:       a.Reconnects + b.Reconnects,
-		Resets:           a.Resets + b.Resets,
-		LinkDowns:        a.LinkDowns + b.LinkDowns,
-		SeveredIntervals: a.SeveredIntervals + b.SeveredIntervals,
-		HeldFrames:       a.HeldFrames + b.HeldFrames,
-	}
 }
 
 // writeDivergenceTrace serializes a failing run in the chaos trace format:
@@ -811,19 +800,6 @@ func writeDivergenceTrace(dir, protoCanon, protoArg string, prob consensus.Probl
 		return "", err
 	}
 	return path, nil
-}
-
-// distribution renders min/p50/p90/max of a latency sample.
-func distribution(ds []time.Duration) string {
-	sorted := append([]time.Duration(nil), ds...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	q := func(p float64) time.Duration {
-		i := int(p * float64(len(sorted)-1))
-		return sorted[i]
-	}
-	return fmt.Sprintf("min %s  p50 %s  p90 %s  max %s",
-		sorted[0].Round(time.Microsecond), q(0.5).Round(time.Microsecond),
-		q(0.9).Round(time.Microsecond), sorted[len(sorted)-1].Round(time.Microsecond))
 }
 
 func renderInputs(inputs []consensus.Bit) string {

@@ -195,7 +195,7 @@ func waitGroupMethod(info *types.Info, call *ast.CallExpr) (name string, wgExpr 
 
 // wgIdentity names a WaitGroup-valued expression by the variable or struct
 // field holding it, so the same WaitGroup is recognized through different
-// receiver names (`nw.wg` in Send vs `nw.wg` in deliverLoop).
+// receiver names (`g.wg` in Group.Start vs `g.wg` in pollLoop).
 func wgIdentity(info *types.Info, e ast.Expr) types.Object {
 	switch x := unparen(e).(type) {
 	case *ast.Ident:

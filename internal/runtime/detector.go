@@ -26,7 +26,7 @@ import (
 // model while detection latency remains an honest timeout measurement.
 type detector struct {
 	col     *collector
-	net     Transport
+	net     *transport
 	beat    time.Duration
 	timeout time.Duration
 
@@ -48,7 +48,15 @@ type pendingCrash struct {
 	at      time.Time
 }
 
-func newDetector(n int, col *collector, net Transport, beat, timeout time.Duration) *detector {
+// newDetector builds the detector; a non-positive beat or timeout takes the
+// default (1ms heartbeats, 15ms of silence before a crash is declared).
+func newDetector(n int, col *collector, net *transport, beat, timeout time.Duration) *detector {
+	if beat <= 0 {
+		beat = time.Millisecond
+	}
+	if timeout <= 0 {
+		timeout = 15 * time.Millisecond
+	}
 	d := &detector{
 		col:       col,
 		net:       net,
@@ -94,9 +102,9 @@ func (d *detector) noteLinkDown() {
 	d.mu.Unlock()
 }
 
-// poll is one detection sweep; the monitor calls it on every tick. For each
-// silent processor: if the collector confirms a crash, the failure is
-// declared detected and its notices enter the transport; otherwise the
+// poll is one detection sweep; the group's pollLoop calls it on every tick.
+// For each silent processor: if the collector confirms a crash, the failure
+// is declared detected and its notices enter the transport; otherwise the
 // silence is a false suspicion, counted once.
 func (d *detector) poll() {
 	now := time.Now()

@@ -23,12 +23,12 @@
 //	  end of session:
 //	coord  → joiner  done                    (joiner exits cleanly)
 //
-// The coordinator aggregates statuses into the distributed quiescence
-// predicate — every host idle with empty boxes, nothing pending or in
-// flight, no undetected crash, all injections fired, and the global event
-// count stable across consecutive fresh rounds — then merges the group
-// results by Lamport order into a runtime.Result identical in shape to a
-// single-process run's, ready for the same conformance replay.
+// The coordinator joins the statuses into one and hands them to
+// runtime.Watch — the monitor a one-host runtime.Run uses, which fires the
+// injections and declares quiescence (runtime.GroupStatus.Quiet, stable
+// across consecutive fresh rounds) — then merges the group results by
+// Lamport order (runtime.MergeGroups, runtime.Finish) into the Result a
+// one-host run returns, ready for the same conformance replay.
 package dist
 
 import (
@@ -218,6 +218,7 @@ type joinerConn struct {
 	mu     sync.Mutex
 	status runtime.GroupStatus // ccvet:guardedby mu
 	gen    int                 // ccvet:guardedby mu — bumps on every status push
+	seen   int                 // ccvet:guardedby mu — gen at the coordinator's last Watch round
 	err    error               // ccvet:guardedby mu — first read error; the session is over
 }
 
@@ -227,7 +228,7 @@ func (j *joinerConn) send(m ctrl) error { return j.enc.Encode(m) }
 func (j *joinerConn) reset() {
 	j.mu.Lock()
 	j.status = runtime.GroupStatus{}
-	j.gen = 0
+	j.gen, j.seen = 0, 0
 	j.mu.Unlock()
 }
 
@@ -391,7 +392,25 @@ func (c *Coordinator) Run(ctx context.Context, spec Spec) (*Report, error) {
 	}
 	group.Start()
 
-	runErr := c.monitor(ctx, &spec, group)
+	fired, runErr := runtime.Watch(ctx, runtime.Watcher{
+		What:     "dist: run",
+		Deadline: spec.deadline(),
+		// Watch at half the status rate so every round can see a fresh
+		// status from every joiner.
+		Interval: 2 * statusInterval,
+		Stable:   3,
+		Failures: spec.Failures,
+		Status:   func() (runtime.GroupStatus, bool, error) { return c.status(group) },
+		Crash: func(p sim.ProcID) {
+			host := spec.Owner[p]
+			if host == 0 {
+				group.Crash(p)
+			} else {
+				_ = c.joiners[host-1].send(ctrl{Type: "crash", Proc: int(p)})
+			}
+			c.opts.logf("crash injected: processor %d on host %d", p, host)
+		},
+	})
 
 	// Finish: collect every host's share, local group last.
 	for _, j := range c.joiners {
@@ -420,119 +439,33 @@ func (c *Coordinator) Run(ctx context.Context, spec Spec) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	merged.Quiescent = runErr == nil
-	merged.Elapsed = time.Duration(time.Now().UnixNano() - startNs)
-	merged.Err = runErr
-	for _, f := range spec.Failures {
-		found := false
-		for _, cr := range merged.Crashes {
-			if cr.Proc == f.Proc {
-				found = true
-				break
-			}
-		}
-		if !found {
-			merged.Unfired = append(merged.Unfired, f)
-		}
-	}
+	runtime.Finish(merged, startNs, spec.Failures, fired, runErr)
 	return &Report{Result: merged, PerHost: results}, nil
 }
 
-// monitor drives injections and detects global quiescence. It returns nil
-// on quiescence and an error on deadline or a host-reported failure.
-func (c *Coordinator) monitor(ctx context.Context, spec *Spec, group *runtime.Group) error {
-	deadline := time.NewTimer(spec.deadline())
-	defer deadline.Stop()
-	// Poll at half the status rate so every quiescence round can see a
-	// fresh status from every joiner.
-	tick := time.NewTicker(2 * statusInterval)
-	defer tick.Stop()
-
-	fired := make([]bool, len(spec.Failures))
-	lastGen := make([]int, len(c.joiners))
-	for i, j := range c.joiners {
+// status joins the local group's status with every joiner's latest push for
+// one Watch round; fresh is false when some joiner has said nothing new
+// since the round before.
+func (c *Coordinator) status(group *runtime.Group) (all runtime.GroupStatus, fresh bool, err error) {
+	all, fresh = group.Status(), true
+	if all.Err != "" {
+		return all, false, fmt.Errorf("dist: host 0: %s", all.Err)
+	}
+	for _, j := range c.joiners {
 		j.mu.Lock()
-		lastGen[i] = j.gen
+		st, gen, jerr := j.status, j.gen, j.err
+		fresh = fresh && gen != j.seen
+		j.seen = gen
 		j.mu.Unlock()
+		if jerr != nil {
+			return all, false, fmt.Errorf("dist: host %d control connection: %w", j.host, jerr)
+		}
+		if st.Err != "" {
+			return all, false, fmt.Errorf("dist: host %d: %s", j.host, st.Err)
+		}
+		all = all.Join(st)
 	}
-	stable, lastEvents := 0, -1
-	for {
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-deadline.C:
-			return fmt.Errorf("dist: run did not quiesce within %s", spec.deadline())
-		case <-tick.C:
-		}
-
-		local := group.Status()
-		if local.Err != "" {
-			return fmt.Errorf("dist: host 0: %s", local.Err)
-		}
-		events := local.Events
-		quiet := local.Idle && local.BoxesEmpty && local.Pending == 0 && local.InFlight == 0 && local.Undetected == 0
-		fresh := true
-		for i, j := range c.joiners {
-			j.mu.Lock()
-			st, gen, jerr := j.status, j.gen, j.err
-			j.mu.Unlock()
-			if jerr != nil {
-				return fmt.Errorf("dist: host %d control connection: %w", j.host, jerr)
-			}
-			if st.Err != "" {
-				return fmt.Errorf("dist: host %d: %s", j.host, st.Err)
-			}
-			events += st.Events
-			if !(st.Idle && st.BoxesEmpty && st.Pending == 0 && st.InFlight == 0 && st.Undetected == 0) {
-				quiet = false
-			}
-			if gen == lastGen[i] {
-				fresh = false // no new word from this host since the last round
-			}
-			lastGen[i] = gen
-		}
-
-		// Fire due injections against the global event count, routed to
-		// the victim's host.
-		for i, f := range spec.Failures {
-			if fired[i] || f.AfterStep > events {
-				continue
-			}
-			fired[i] = true
-			host := spec.Owner[f.Proc]
-			if host == 0 {
-				group.Crash(f.Proc)
-			} else {
-				for _, j := range c.joiners {
-					if j.host == host {
-						_ = j.send(ctrl{Type: "crash", Proc: int(f.Proc)})
-						break
-					}
-				}
-			}
-			c.opts.logf("crash injected: processor %d on host %d (event %d)", f.Proc, host, events)
-		}
-		allFired := true
-		for i := range spec.Failures {
-			if !fired[i] && spec.Failures[i].AfterStep <= events {
-				allFired = false
-			}
-		}
-
-		if quiet && allFired && fresh {
-			if events == lastEvents {
-				stable++
-			} else {
-				stable = 0
-			}
-			lastEvents = events
-			if stable >= 3 {
-				return nil
-			}
-		} else {
-			stable, lastEvents = 0, -1
-		}
-	}
+	return all, fresh, nil
 }
 
 // readLoop drains one joiner's control connection for the whole session:

@@ -78,7 +78,7 @@ func runDistributed(t *testing.T, spec dist.Spec) *dist.Report {
 // TestDistributedRunConforms runs ackcommit N=9 across three processes'
 // worth of groups with message faults and link faults, and requires the
 // merged Lamport-ordered schedule to replay as a legal run of the model —
-// the same conformance bar the in-memory transport clears.
+// the same conformance bar a one-host run clears.
 func TestDistributedRunConforms(t *testing.T) {
 	const n, hosts = 9, 3
 	inputs := make([]sim.Bit, n)
@@ -134,6 +134,42 @@ func TestDistributedRunConforms(t *testing.T) {
 	}
 	if len(rep.PerHost) != hosts {
 		t.Fatalf("%d host reports, want %d", len(rep.PerHost), hosts)
+	}
+}
+
+// TestDistributedOmissionsCounted runs under the receive-omission injector
+// across three hosts: every Omit event of the merged schedule must be in
+// the merged transport counter, whichever host suppressed the delivery (the
+// merge once summed every counter but this one).
+func TestDistributedOmissionsCounted(t *testing.T) {
+	const n, hosts = 6, 3
+	inputs := make([]sim.Bit, n)
+	for i := range inputs {
+		inputs[i] = sim.One
+	}
+	rep := runDistributed(t, dist.Spec{
+		Proto:    "ackcommit",
+		N:        n,
+		Inputs:   inputs,
+		Owner:    contiguousOwner(n, hosts),
+		Faults:   runtime.FaultPlan{Seed: 1984, OmitRate: 0.3, OmitMaxSeq: 4},
+		Deadline: 90 * time.Second,
+	})
+	res := rep.Result
+	if res.Err != nil || !res.Quiescent {
+		t.Fatalf("run error %v, quiescent %v", res.Err, res.Quiescent)
+	}
+	omits := int64(0)
+	for _, e := range res.Schedule {
+		if e.Type == sim.Omit {
+			omits++
+		}
+	}
+	if omits == 0 {
+		t.Fatal("omission injector never fired; the test pins nothing")
+	}
+	if res.Transport.Omissions != omits {
+		t.Errorf("merged transport counts %d omissions, the merged schedule records %d Omit events", res.Transport.Omissions, omits)
 	}
 }
 

@@ -1,7 +1,6 @@
 package runtime
 
 import (
-	"container/heap"
 	"encoding/binary"
 	"fmt"
 	"sync"
@@ -12,15 +11,15 @@ import (
 	"repro/internal/sim"
 )
 
-// This file is the distributed half of the runtime: a Group runs a
-// contiguous slice of a protocol's processors inside one OS process, with
-// local traffic short-circuited through shared mailboxes and remote
-// traffic carried as opaque frames over a netx mesh. Each group stamps its
-// local total order with the collector's Lamport clock; a coordinator
-// merges the groups' schedules into one global total order (MergeGroups)
-// that replays through the same Conform check as a single-process run.
+// A Group runs one host's slice of a protocol's processors inside one OS
+// process — all of them in a one-host run (Run), a contiguous slice under
+// a dist coordinator — with local traffic short-circuited through shared
+// mailboxes and remote traffic carried as opaque frames over a netx mesh.
+// Each group stamps its local total order with the collector's Lamport
+// clock; MergeGroups folds the groups' schedules into one global total
+// order that replays through Conform however many hosts recorded it.
 
-// GroupConfig configures one process's slice of a distributed run.
+// GroupConfig configures one process's slice of a run.
 type GroupConfig struct {
 	// Proto is the full protocol; Proto.N() is the global processor count.
 	Proto sim.Protocol
@@ -32,10 +31,12 @@ type GroupConfig struct {
 	Owner []int
 	// Mesh is the established byte mesh between hosts. The group sends on
 	// it; inbound frames must be routed to DeliverWire by the mesh owner.
+	// Nil when this host owns every processor.
 	Mesh *netx.Mesh
 	// DecodePayload reconstructs a payload value from its canonical key,
 	// for frames that crossed the wire. Injected (rather than imported)
-	// so the runtime stays independent of the protocol library.
+	// so the runtime stays independent of the protocol library. Needed
+	// only with a mesh.
 	DecodePayload func(key string) (sim.Payload, error)
 	// Faults is the message-level fault plan (drops, dups, delays),
 	// applied sender-side above the reliable links.
@@ -46,12 +47,11 @@ type GroupConfig struct {
 	DetectTimeout time.Duration
 }
 
-// GroupStatus is one process's contribution to the distributed quiescence
-// predicate; the coordinator aggregates these across hosts.
+// GroupStatus is one process's contribution to the quiescence predicate;
+// Join aggregates these across hosts and Quiet judges the aggregate.
 type GroupStatus struct {
-	// Events is the number of locally recorded schedule events; the
-	// coordinator's quiescence check requires the global sum stable
-	// across consecutive polls.
+	// Events is the number of locally recorded schedule events; Watch
+	// requires the global sum stable across consecutive rounds.
 	Events int `json:"events"`
 	// Idle: every hosted node is blocked on an empty mailbox or exited.
 	Idle bool `json:"idle"`
@@ -69,7 +69,31 @@ type GroupStatus struct {
 	Err string `json:"err,omitempty"`
 }
 
-// GroupResult is one process's share of a finished distributed run.
+// Quiet is the quiescence predicate at one instant: every node blocked on
+// an empty mailbox or exited, no delivery mid-application, nothing in
+// flight, every confirmed crash detected. Held over Watch's stable rounds
+// it is the live analogue of Config.Quiescent — the system has deadlocked
+// in the model's sense, which is how weakly terminating protocols
+// terminate.
+func (s GroupStatus) Quiet() bool {
+	return s.Idle && s.BoxesEmpty && s.Pending == 0 && s.InFlight == 0 && s.Undetected == 0
+}
+
+// Join folds another host's status into the aggregate; the first Err wins.
+func (s GroupStatus) Join(o GroupStatus) GroupStatus {
+	s.Events += o.Events
+	s.Idle = s.Idle && o.Idle
+	s.BoxesEmpty = s.BoxesEmpty && o.BoxesEmpty
+	s.Pending += o.Pending
+	s.InFlight += o.InFlight
+	s.Undetected += o.Undetected
+	if s.Err == "" {
+		s.Err = o.Err
+	}
+	return s
+}
+
+// GroupResult is one process's share of a finished run.
 // Per-processor slices are indexed by global processor id; entries for
 // processors hosted elsewhere are zero.
 type GroupResult struct {
@@ -87,14 +111,14 @@ type GroupResult struct {
 
 // Group runs the hosted slice of processors. Construction wires everything
 // but starts nothing; Start launches the node goroutines (after the
-// coordinator's barrier), and Finish tears the group down and snapshots
-// its share of the run.
+// coordinator's barrier, if there is one), and Finish tears the group down
+// and snapshots its share of the run.
 type Group struct {
 	cfg     GroupConfig
 	n       int
 	col     *collector
 	det     *detector
-	tr      *tcpTransport
+	tr      *transport
 	boxes   map[sim.ProcID]*mailbox
 	nodes   map[sim.ProcID]*node
 	hosted  []sim.ProcID // owned processors in ascending order
@@ -110,9 +134,6 @@ func StartGroup(cfg GroupConfig) (*Group, error) {
 	n := cfg.Proto.N()
 	if len(cfg.Inputs) != n || len(cfg.Owner) != n {
 		return nil, fmt.Errorf("runtime: group wants %d inputs and owners, got %d and %d", n, len(cfg.Inputs), len(cfg.Owner))
-	}
-	if cfg.Mesh == nil || cfg.DecodePayload == nil {
-		return nil, fmt.Errorf("runtime: group needs a mesh and a payload decoder")
 	}
 	g := &Group{
 		cfg:   cfg,
@@ -133,15 +154,11 @@ func StartGroup(cfg GroupConfig) (*Group, error) {
 		mb.omit = omitHook(cfg.Faults, pid, g.col, counters)
 		g.boxes[pid] = mb
 	}
-	g.tr = newTCPTransport(g, counters)
-	hb, dt := cfg.Heartbeat, cfg.DetectTimeout
-	if hb <= 0 {
-		hb = time.Millisecond
+	if len(g.hosted) < n && (cfg.Mesh == nil || cfg.DecodePayload == nil) {
+		return nil, fmt.Errorf("runtime: a group with remote processors needs a mesh and a payload decoder")
 	}
-	if dt <= 0 {
-		dt = 15 * time.Millisecond
-	}
-	g.det = newDetector(n, g.col, g.tr, hb, dt)
+	g.tr = newTransport(g, counters)
+	g.det = newDetector(n, g.col, g.tr, cfg.Heartbeat, cfg.DetectTimeout)
 	for p := 0; p < n; p++ {
 		if cfg.Owner[p] != cfg.Host {
 			// Remote processors are not this detector's business: their
@@ -314,213 +331,4 @@ func (g *Group) Finish() *GroupResult {
 		}
 	}
 	return res
-}
-
-// ---- The TCP-backed transport ----
-
-// tcpTransport implements Transport for a group: local destinations
-// short-circuit into shared mailboxes, remote destinations ride the mesh.
-// Message-level faults (drop, dup, delay) are applied sender-side by a
-// single scheduler goroutine over a timing heap — never a goroutine per
-// message — and the reliable links below absorb retransmission.
-type tcpTransport struct {
-	g        *Group
-	counters *transportCounters
-	sched    *sendScheduler
-}
-
-func newTCPTransport(g *Group, counters *transportCounters) *tcpTransport {
-	t := &tcpTransport{g: g, counters: counters}
-	t.sched = newSendScheduler(g.cfg.Faults, counters, t.attemptDeliver, g.done)
-	return t
-}
-
-// Send accepts a message: encode once, then hand the delivery schedule to
-// the fault scheduler.
-func (t *tcpTransport) Send(m sim.Message, lamport uint64) {
-	t.counters.accepted.Add(1)
-	frame, err := EncodeMessage(m)
-	if err != nil {
-		t.counters.encodeFailures.Add(1)
-		return
-	}
-	t.sched.accept(m, frame, lamport)
-}
-
-// attemptDeliver performs one non-dropped delivery attempt.
-func (t *tcpTransport) attemptDeliver(a attempt) {
-	to := a.m.ID.To
-	if t.g.cfg.Owner[to] == t.g.cfg.Host {
-		t.g.boxes[to].deliver(a.frame, a.m, a.ts)
-		return
-	}
-	payload := make([]byte, 8+len(a.frame))
-	binary.BigEndian.PutUint64(payload, a.ts)
-	copy(payload[8:], a.frame)
-	// Send blocks under backpressure (full link queue); the scheduler
-	// tolerates that — at-least-once delivery has no deadline.
-	_ = t.g.cfg.Mesh.Send(t.g.cfg.Owner[to], payload)
-}
-
-// InFlight counts messages not yet settled locally plus frames still
-// queued or unacked on the mesh.
-func (t *tcpTransport) InFlight() int {
-	return int(t.sched.inflight.Load()) + t.g.cfg.Mesh.Pending()
-}
-
-// Stats merges the message-level counters with the mesh's link counters.
-func (t *tcpTransport) Stats() TransportStats {
-	st := t.counters.snapshot()
-	ms := t.g.cfg.Mesh.Stats()
-	st.FramesSent = ms.FramesSent
-	st.FramesResent = ms.FramesResent
-	st.Dials = ms.Dials
-	st.Reconnects = ms.Reconnects
-	st.Resets = ms.Resets
-	st.LinkDowns = ms.LinkDowns
-	st.SeveredIntervals = ms.SeveredIntervals
-	st.HeldFrames = ms.HeldFrames
-	return st
-}
-
-// ---- The seeded attempt scheduler ----
-
-// attempt is one pending delivery attempt of one message.
-type attempt struct {
-	due   time.Time
-	m     sim.Message
-	frame []byte
-	ts    uint64
-	try   int
-}
-
-// attemptHeap is a min-heap of attempts by due time.
-type attemptHeap []attempt
-
-func (h attemptHeap) Len() int           { return len(h) }
-func (h attemptHeap) Less(i, j int) bool { return h[i].due.Before(h[j].due) }
-func (h attemptHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *attemptHeap) Push(x any)        { *h = append(*h, x.(attempt)) }
-func (h *attemptHeap) Pop() any {
-	old := *h
-	n := len(old)
-	a := old[n-1]
-	*h = old[:n-1]
-	return a
-}
-
-// sendScheduler executes every message's delivery attempts from one
-// goroutine over a timing heap. Fault decisions remain a pure function of
-// (seed, message triple, attempt) exactly as in the in-memory Network, so
-// a TCP run with the same message-fault seed injects the same drop/dup
-// pattern.
-type sendScheduler struct {
-	faults   FaultPlan
-	counters *transportCounters
-	deliver  func(attempt)
-	done     chan struct{}
-	notify   chan struct{}
-
-	mu       sync.Mutex
-	heap     attemptHeap // ccvet:guardedby mu
-	inflight atomic.Int64
-}
-
-func newSendScheduler(faults FaultPlan, counters *transportCounters, deliver func(attempt), done chan struct{}) *sendScheduler {
-	return &sendScheduler{
-		faults:   faults,
-		counters: counters,
-		deliver:  deliver,
-		done:     done,
-		notify:   make(chan struct{}, 1),
-	}
-}
-
-// accept enqueues a fresh message's first delivery attempt.
-func (s *sendScheduler) accept(m sim.Message, frame []byte, ts uint64) {
-	s.inflight.Add(1)
-	s.push(attempt{
-		due:   time.Now().Add(s.faults.delay(m.ID, 0)),
-		m:     m,
-		frame: frame,
-		ts:    ts,
-	})
-}
-
-func (s *sendScheduler) push(a attempt) {
-	s.mu.Lock()
-	heap.Push(&s.heap, a)
-	s.mu.Unlock()
-	select {
-	case s.notify <- struct{}{}:
-	default:
-	}
-}
-
-// run is the scheduler goroutine: pop due attempts, apply the seeded fault
-// decisions, deliver or reschedule.
-func (s *sendScheduler) run() {
-	for {
-		s.mu.Lock()
-		var wait time.Duration = -1
-		var a attempt
-		ready := false
-		if len(s.heap) > 0 {
-			now := time.Now()
-			if !s.heap[0].due.After(now) {
-				a = heap.Pop(&s.heap).(attempt)
-				ready = true
-			} else {
-				wait = s.heap[0].due.Sub(now)
-			}
-		}
-		s.mu.Unlock()
-		if ready {
-			s.execute(a)
-			continue
-		}
-		if wait < 0 {
-			select {
-			case <-s.notify:
-			case <-s.done:
-				return
-			}
-			continue
-		}
-		t := time.NewTimer(wait)
-		select {
-		case <-t.C:
-		case <-s.notify:
-		case <-s.done:
-			t.Stop()
-			return
-		}
-		t.Stop()
-	}
-}
-
-// execute applies the fault decisions of one due attempt.
-func (s *sendScheduler) execute(a attempt) {
-	if s.faults.drop(a.m.ID, a.try) {
-		s.counters.drops.Add(1)
-		s.requeue(a)
-		return
-	}
-	s.deliver(a)
-	if s.faults.dup(a.m.ID, a.try) {
-		// Ack lost: retransmit a duplicate the receiver's dedup absorbs.
-		s.counters.dups.Add(1)
-		s.requeue(a)
-		return
-	}
-	s.counters.settled.Add(1)
-	s.inflight.Add(-1)
-}
-
-// requeue schedules the next attempt after backoff plus transit delay.
-func (s *sendScheduler) requeue(a attempt) {
-	delay := s.faults.backoff(a.m.ID, a.try)
-	a.try++
-	a.due = time.Now().Add(delay + s.faults.delay(a.m.ID, a.try))
-	s.push(a)
 }

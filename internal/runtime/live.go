@@ -2,17 +2,16 @@ package runtime
 
 import (
 	"context"
+	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/sim"
 )
 
-// Config tunes one live run. The zero value gets sensible defaults: 1ms
-// heartbeats, a 15ms detection timeout, a 10s deadline, and a faultless
-// transport.
+// Config tunes one live run on one host. The zero value gets sensible
+// defaults: 1ms heartbeats, a 15ms detection timeout, a 10s deadline, and a
+// faultless transport.
 type Config struct {
 	// Faults configures the unreliable link (drops, duplicates, latency)
 	// and seeds every randomized choice in the transport.
@@ -30,20 +29,6 @@ type Config struct {
 	// Deadline bounds the whole run; a run that has not quiesced by then
 	// fails with an error (a liveness bug or an unlucky machine).
 	Deadline time.Duration
-}
-
-func (c Config) heartbeat() time.Duration {
-	if c.Heartbeat <= 0 {
-		return time.Millisecond
-	}
-	return c.Heartbeat
-}
-
-func (c Config) detectTimeout() time.Duration {
-	if c.DetectTimeout <= 0 {
-		return 15 * time.Millisecond
-	}
-	return c.DetectTimeout
 }
 
 func (c Config) deadline() time.Duration {
@@ -85,8 +70,8 @@ type Result struct {
 	// FalseSuspicions counts heartbeat timeouts on live processors; the
 	// detector never acts on them, but honesty requires counting them.
 	FalseSuspicions int
-	// LinkSuspicions counts keepalive link-down verdicts from the
-	// transport (always zero for the in-memory transport).
+	// LinkSuspicions counts keepalive link-down verdicts from the mesh
+	// (always zero in a one-host run, which has none).
 	LinkSuspicions int
 	// Decided holds each processor's time-to-first-decision from run
 	// start; zero for processors that never decided.
@@ -106,16 +91,17 @@ type Result struct {
 	Err error
 }
 
-// pollInterval is the monitor's tick: injections, detection, and
-// quiescence are all evaluated on this cadence.
+// pollInterval is the in-process tick: every group's detector sweeps on it,
+// and a one-host run's Watch rounds are paced by it.
 const pollInterval = 200 * time.Microsecond
 
-// Run executes the protocol live on the given inputs: one goroutine per
-// processor over the fault-injected transport, with crash injection,
-// heartbeat failure detection, and quiescence monitoring. The returned
-// Result always carries whatever schedule was recorded, even on failure,
-// so divergences and timeouts leave a replayable artifact. Errors from
-// Run itself are setup errors; run-level failures land in Result.Err.
+// Run executes the protocol live on the given inputs as the one-host case
+// of a distributed run: a single Group owns every processor (no mesh), the
+// same Watch a dist coordinator uses injects the crashes and detects
+// quiescence, and the result is MergeGroups of that one share. The
+// returned Result always carries whatever schedule was recorded, even on
+// failure, so divergences and timeouts leave a replayable artifact. Errors
+// from Run itself are setup errors; run-level failures land in Result.Err.
 func Run(ctx context.Context, proto sim.Protocol, inputs []sim.Bit, cfg Config) (*Result, error) {
 	n := proto.N()
 	if n < 1 {
@@ -129,179 +115,124 @@ func Run(ctx context.Context, proto sim.Protocol, inputs []sim.Bit, cfg Config) 
 			return nil, fmt.Errorf("runtime: failure injection names out-of-range %s", f.Proc)
 		}
 	}
+	owner := make([]int, n) // host 0 owns everybody
+	g, err := StartGroup(GroupConfig{
+		Proto:         proto,
+		Inputs:        inputs,
+		Owner:         owner,
+		Faults:        cfg.Faults,
+		Heartbeat:     cfg.Heartbeat,
+		DetectTimeout: cfg.DetectTimeout,
+	})
+	if err != nil {
+		return nil, err
+	}
+	startNs := time.Now().UnixNano()
+	g.Start()
+	fired, runErr := Watch(ctx, Watcher{
+		What:     "runtime: " + proto.Name(),
+		Deadline: cfg.deadline(),
+		Interval: pollInterval,
+		Stable:   2,
+		Failures: cfg.Failures,
+		Status:   func() (GroupStatus, bool, error) { return g.Status(), true, nil },
+		Crash:    g.Crash,
+	})
+	res, err := MergeGroups(proto.Name(), inputs, owner, []*GroupResult{g.Finish()}, startNs)
+	if err != nil {
+		return nil, err
+	}
+	Finish(res, startNs, cfg.Failures, fired, runErr)
+	return res, nil
+}
 
-	done := make(chan struct{})
-	var pending atomic.Int64
-	counters := &transportCounters{}
-	boxes := make([]*mailbox, n)
-	for p := range boxes {
-		boxes[p] = newMailbox(int64(mix64(uint64(cfg.Faults.Seed)^uint64(p)+1)), cfg.Faults.DisableDedup, &pending, counters)
-	}
-	net := newNetwork(cfg.Faults, boxes, counters, done)
-	col := newCollector(n)
-	for p := range boxes {
-		boxes[p].omit = omitHook(cfg.Faults, sim.ProcID(p), col, counters)
-	}
-	det := newDetector(n, col, net, cfg.heartbeat(), cfg.detectTimeout())
+// Watcher configures one Watch: whose run it is, how long and how often to
+// look, and how to see and to crash the processors — in process or across
+// a control plane.
+type Watcher struct {
+	// What names the run in the deadline error.
+	What string
+	// Deadline bounds the watch; past it the run is declared not quiescent.
+	Deadline time.Duration
+	// Interval paces the rounds.
+	Interval time.Duration
+	// Stable is how many consecutive quiet rounds must repeat the first
+	// one's event count before the run is declared quiescent.
+	Stable int
+	// Failures is the injection schedule, fired against the global event
+	// count.
+	Failures []sim.FailureAt
+	// Status returns the statuses of all hosts joined into one. fresh is
+	// false when some host has not reported since the previous round, so
+	// the round proves nothing about quiescence; an error ends the watch.
+	Status func() (st GroupStatus, fresh bool, err error)
+	// Crash injects a fail-stop failure on p (routed to p's host). A target
+	// that had already crashed still counts as fired: the intended failure
+	// is in the run.
+	Crash func(p sim.ProcID)
+}
 
-	nodes := make([]*node, n)
-	var wg sync.WaitGroup
-	for p := range nodes {
-		nodes[p] = &node{
-			p:       sim.ProcID(p),
-			proto:   proto,
-			state:   proto.Init(sim.ProcID(p), inputs[p], n),
-			mb:      boxes[p],
-			net:     net,
-			col:     col,
-			det:     det,
-			crashed: make(chan struct{}),
-			done:    done,
-		}
-	}
-	start := time.Now()
-	for _, nd := range nodes {
-		wg.Add(1)
-		go func(nd *node) {
-			defer wg.Done()
-			nd.loop()
-		}(nd)
-	}
-
-	fired := make([]bool, len(cfg.Failures))
-	deadline := time.NewTimer(cfg.deadline())
+// Watch drives the failure injections of a started run and waits for
+// global quiescence: GroupStatus.Quiet on a fresh aggregate status, at an
+// event count unchanged over Stable further rounds. A round that is not
+// quiet, is stale, fires an injection or moves the count resets the streak.
+// fired marks the injections that came due, whatever ended the watch; err
+// is nil on quiescence and otherwise the context's error, the deadline, a
+// Status error or a model-contract violation a host reported.
+func Watch(ctx context.Context, w Watcher) (fired []bool, err error) {
+	deadline := time.NewTimer(w.Deadline)
 	defer deadline.Stop()
-	tick := time.NewTicker(pollInterval)
+	tick := time.NewTicker(w.Interval)
 	defer tick.Stop()
 
-	var (
-		runErr     error
-		quiescent  bool
-		lastEvents = -1
-		stable     = 0
-	)
-monitor:
+	fired = make([]bool, len(w.Failures))
+	stable, lastEvents := 0, -1
 	for {
 		select {
 		case <-ctx.Done():
-			runErr = ctx.Err()
-			break monitor
+			return fired, ctx.Err()
 		case <-deadline.C:
-			runErr = fmt.Errorf("runtime: %s did not quiesce within %s", proto.Name(), cfg.deadline())
-			break monitor
+			return fired, fmt.Errorf("%s did not quiesce within %s", w.What, w.Deadline)
 		case <-tick.C:
 		}
-
-		ev := col.events()
-		for i, f := range cfg.Failures {
-			if fired[i] || f.AfterStep > ev {
-				continue
-			}
-			fired[i] = true
-			notices, ts, ok := col.recordCrash(f.Proc)
-			if ok {
-				det.markCrashed(f.Proc, notices, ts, time.Now())
-				close(nodes[f.Proc].crashed)
-				boxes[f.Proc].close()
-			}
-			// !ok means the target had already crashed; the intended
-			// failure is in the run, so the injection counts as fired.
+		st, fresh, err := w.Status()
+		if err != nil {
+			return fired, err
 		}
-		det.poll()
-		if err := col.failure(); err != nil {
-			runErr = err
-			break monitor
+		if st.Err != "" {
+			return fired, errors.New(st.Err)
 		}
-		if quiescentNow(nodes, boxes, net, det, &pending, cfg.Failures, fired, ev) {
-			e := col.events()
-			if e == lastEvents {
-				stable++
-			} else {
-				stable = 0
+		quiet := fresh && st.Quiet()
+		for i, f := range w.Failures {
+			if !fired[i] && f.AfterStep <= st.Events {
+				fired[i] = true
+				w.Crash(f.Proc)
+				quiet = false
 			}
-			lastEvents = e
-			if stable >= 2 {
-				quiescent = true
-				break monitor
-			}
-		} else {
+		}
+		switch {
+		case !quiet:
 			stable, lastEvents = 0, -1
+		case st.Events != lastEvents:
+			stable, lastEvents = 0, st.Events
+		default:
+			if stable++; stable >= w.Stable {
+				return fired, nil
+			}
 		}
 	}
+}
 
-	close(done)
-	wg.Wait()
-	net.wait()
-
-	sched, _, decisions, decidedAt, crashAt := col.snapshot()
-	latencies, falseSusp, linkSusp := det.stats()
-	res := &Result{
-		Proto:           proto.Name(),
-		Inputs:          append([]sim.Bit(nil), inputs...),
-		Schedule:        sched,
-		Decisions:       decisions,
-		Quiescent:       quiescent,
-		FalseSuspicions: falseSusp,
-		LinkSuspicions:  linkSusp,
-		Decided:         make([]time.Duration, n),
-		Transport:       net.Stats(),
-		Elapsed:         time.Since(start),
-		Err:             runErr,
-	}
-	for p := 0; p < n; p++ {
-		if !decidedAt[p].IsZero() {
-			res.Decided[p] = decidedAt[p].Sub(start)
-		}
-	}
-	for i, f := range cfg.Failures {
+// Finish stamps the run-level verdict of Watch on a merged result: whether
+// the run quiesced, how long it took from the go signal, what cut it short,
+// and which injections never came due.
+func Finish(res *Result, startNs int64, failures []sim.FailureAt, fired []bool, runErr error) {
+	res.Quiescent = runErr == nil
+	res.Elapsed = time.Duration(time.Now().UnixNano() - startNs)
+	res.Err = runErr
+	for i, f := range failures {
 		if !fired[i] {
 			res.Unfired = append(res.Unfired, f)
 		}
 	}
-	var firstCrash time.Time
-	for p := 0; p < n; p++ {
-		if crashAt[p].IsZero() {
-			continue
-		}
-		res.Crashes = append(res.Crashes, CrashReport{Proc: sim.ProcID(p), Detection: latencies[sim.ProcID(p)]})
-		if firstCrash.IsZero() || crashAt[p].Before(firstCrash) {
-			firstCrash = crashAt[p]
-		}
-	}
-	if !firstCrash.IsZero() {
-		for p := 0; p < n; p++ {
-			if crashAt[p].IsZero() && !decidedAt[p].IsZero() && decidedAt[p].After(firstCrash) {
-				if rec := decidedAt[p].Sub(firstCrash); rec > res.Recovery {
-					res.Recovery = rec
-				}
-			}
-		}
-	}
-	return res, nil
-}
-
-// quiescentNow evaluates the quiescence predicate at one poll: every node
-// blocked on an empty mailbox or exited, nothing in flight, no delivery
-// mid-application, every confirmed crash detected, and no injection still
-// due at the current event count. Together with two stable polls of the
-// event counter, this is the live analogue of Config.Quiescent — the
-// system has deadlocked in the model's sense, which is how weakly
-// terminating protocols terminate.
-func quiescentNow(nodes []*node, boxes []*mailbox, net *Network, det *detector, pending *atomic.Int64, failures []sim.FailureAt, fired []bool, events int) bool {
-	for i, f := range failures {
-		if !fired[i] && f.AfterStep <= events {
-			return false
-		}
-	}
-	for _, nd := range nodes {
-		if nd.phase.Load() == phaseRunning {
-			return false
-		}
-	}
-	for _, mb := range boxes {
-		if !mb.empty() {
-			return false
-		}
-	}
-	return net.InFlight() == 0 && pending.Load() == 0 && det.undetected() == 0
 }

@@ -129,7 +129,7 @@ func TestLiveDisabledDedupFailsConformance(t *testing.T) {
 	inputs := []sim.Bit{sim.One, sim.One, sim.One}
 	faults := FaultPlan{Seed: 3, DupRate: 1.0, DisableDedup: true}
 	cfg := fastConfig(faults, nil)
-	// With every ack lost the delivery agents retransmit forever, so the
+	// With every ack lost the scheduler retransmits forever, so the
 	// run can never quiesce; a short deadline cuts it off once the
 	// duplicated deliveries are in the trace.
 	cfg.Deadline = 1500 * time.Millisecond

@@ -8,9 +8,9 @@ import (
 	"repro/internal/sim"
 )
 
-// MergeGroups folds the per-host results of a distributed run into one
-// Result whose schedule is a global total order, ready for the same
-// conformance replay a single-process run gets.
+// MergeGroups folds the per-host results of a run into one Result whose
+// schedule is a global total order, ready for the conformance replay. A
+// one-host run merges its single share: the sort is then the identity.
 //
 // The merge key is (Lamport timestamp, host, local index). Each collector's
 // timestamps are strictly increasing, so sorting preserves every host's
@@ -109,27 +109,7 @@ func MergeGroups(protoName string, inputs []sim.Bit, owner []int, groups []*Grou
 	for _, g := range groups {
 		res.FalseSuspicions += g.FalseSuspicions
 		res.LinkSuspicions += g.LinkSuspicions
-		res.Transport = addStats(res.Transport, g.Transport)
+		res.Transport.Add(g.Transport)
 	}
 	return res, nil
-}
-
-// addStats sums two transport snapshots field-wise.
-func addStats(a, b TransportStats) TransportStats {
-	return TransportStats{
-		Accepted:         a.Accepted + b.Accepted,
-		Settled:          a.Settled + b.Settled,
-		EncodeFailures:   a.EncodeFailures + b.EncodeFailures,
-		GarbageFrames:    a.GarbageFrames + b.GarbageFrames,
-		Drops:            a.Drops + b.Drops,
-		Dups:             a.Dups + b.Dups,
-		FramesSent:       a.FramesSent + b.FramesSent,
-		FramesResent:     a.FramesResent + b.FramesResent,
-		Dials:            a.Dials + b.Dials,
-		Reconnects:       a.Reconnects + b.Reconnects,
-		Resets:           a.Resets + b.Resets,
-		LinkDowns:        a.LinkDowns + b.LinkDowns,
-		SeveredIntervals: a.SeveredIntervals + b.SeveredIntervals,
-		HeldFrames:       a.HeldFrames + b.HeldFrames,
-	}
 }

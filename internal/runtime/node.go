@@ -7,8 +7,8 @@ import (
 	"repro/internal/sim"
 )
 
-// Node phases, for the quiescence monitor: a run can only be quiescent
-// when every node is blocked on an empty mailbox or has exited.
+// Node phases, for GroupStatus.Idle: a run can only be quiescent when
+// every node is blocked on an empty mailbox or has exited.
 const (
 	phaseRunning int32 = iota
 	phaseBlocked
@@ -30,7 +30,7 @@ type node struct {
 	proto sim.Protocol
 	state sim.State
 	mb    *mailbox
-	net   Transport
+	net   *transport
 	col   *collector
 	det   *detector
 

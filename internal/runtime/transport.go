@@ -1,6 +1,8 @@
 package runtime
 
 import (
+	"container/heap"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -160,34 +162,11 @@ func (fp FaultPlan) backoff(id sim.MsgID, attempt int) time.Duration {
 	return d + jitter
 }
 
-// Transport is the message system underneath a live run: it must emulate
-// the model's faultless, fair, unordered message system — at-least-once
-// delivery into the destination's mailbox, upgraded to exactly-once by
-// receiver-side dedup. Two implementations exist: the in-memory Network
-// below (goroutine-per-message delivery agents over shared mailboxes) and
-// the TCP transport in group.go (per-link queues over a netx mesh spanning
-// OS processes). Both run the identical conformance suite: a recorded trace
-// must replay as a legal run of the model whichever transport carried it.
-type Transport interface {
-	// Send accepts a message for delivery. It never fails: from the
-	// sender's point of view the message system is faultless. lamport is
-	// the collector timestamp of the send event, carried on the wire so a
-	// distributed run's merged schedule preserves the happens-before
-	// order (the in-memory transport ignores it).
-	Send(m sim.Message, lamport uint64)
-	// InFlight returns the number of accepted messages not yet settled
-	// (delivered to a mailbox, or discarded at a closed one); quiescence
-	// requires zero.
-	InFlight() int
-	// Stats snapshots the transport's counters.
-	Stats() TransportStats
-}
-
 // TransportStats counts everything the transport did — including the two
 // formerly silent loss paths (unencodable messages discarded at Send,
 // garbage frames discarded at delivery), which are now first-class run
 // statistics surfaced by the cclive soak summary. Link-level fields stay
-// zero for the in-memory transport.
+// zero in a one-host run, which has no mesh.
 type TransportStats struct {
 	// Accepted counts messages handed to Send.
 	Accepted int64 `json:"accepted"`
@@ -229,6 +208,26 @@ type TransportStats struct {
 	// severed or stalled.
 	SeveredIntervals int64 `json:"severedIntervals,omitempty"`
 	HeldFrames       int64 `json:"heldFrames,omitempty"`
+}
+
+// Add sums o into s field by field (TestTransportStatsAddCoversEveryField
+// holds it to every counter of the struct).
+func (s *TransportStats) Add(o TransportStats) {
+	s.Accepted += o.Accepted
+	s.Settled += o.Settled
+	s.EncodeFailures += o.EncodeFailures
+	s.GarbageFrames += o.GarbageFrames
+	s.Drops += o.Drops
+	s.Dups += o.Dups
+	s.Omissions += o.Omissions
+	s.FramesSent += o.FramesSent
+	s.FramesResent += o.FramesResent
+	s.Dials += o.Dials
+	s.Reconnects += o.Reconnects
+	s.Resets += o.Resets
+	s.LinkDowns += o.LinkDowns
+	s.SeveredIntervals += o.SeveredIntervals
+	s.HeldFrames += o.HeldFrames
 }
 
 // transportCounters is the mutable atomic counter block behind
@@ -420,94 +419,228 @@ func (mb *mailbox) empty() bool {
 	return mb.closed || len(mb.msgs) == 0
 }
 
-// Network is the transport: it emulates the model's faultless, fair,
-// unordered message system on top of unreliable links. Each accepted
-// message gets its own delivery agent that retransmits with exponential
-// backoff until a non-dropped attempt lands — at-least-once — and
-// receiver-side dedup upgrades that to the exactly-once buffering the
-// model's buffers provide. Agents outlive their senders on purpose: a
-// fail-stop crash halts a processor, never the message system, so a
-// message recorded as sent before the crash still reaches its buffer.
-type Network struct {
-	faults   FaultPlan
-	boxes    []*mailbox
+// transport is the message system underneath a live run: it emulates the
+// model's faultless, fair, unordered message system on top of unreliable
+// links — at-least-once delivery into the destination's mailbox, upgraded
+// to exactly-once by receiver-side dedup. Destinations the group hosts
+// short-circuit into their mailboxes; remote ones ride the netx mesh, whose
+// reliable links absorb retransmission. Message-level faults (drop, dup,
+// delay) are applied sender-side by a single scheduler goroutine over a
+// timing heap — never a goroutine per message. The scheduler stops with the
+// run, never with a sender: a fail-stop crash halts a processor, not the
+// message system, so a message recorded as sent before the crash still
+// reaches its buffer.
+type transport struct {
+	g        *Group
 	counters *transportCounters
-	inFlight atomic.Int64
-	done     chan struct{}
-	wg       sync.WaitGroup
+	sched    *sendScheduler
 }
 
-func newNetwork(faults FaultPlan, boxes []*mailbox, counters *transportCounters, done chan struct{}) *Network {
-	return &Network{faults: faults, boxes: boxes, counters: counters, done: done}
+func newTransport(g *Group, counters *transportCounters) *transport {
+	t := &transport{g: g, counters: counters}
+	t.sched = newSendScheduler(g.cfg.Faults, counters, t.attemptDeliver, g.done)
+	return t
 }
 
-// Send accepts a message for delivery. It never blocks and never fails:
-// from the sender's point of view the message system is faultless.
-func (nw *Network) Send(m sim.Message, lamport uint64) {
-	nw.counters.accepted.Add(1)
+// Send accepts a message: encode once, then hand the delivery schedule to
+// the fault scheduler. It never blocks and never fails: from the sender's
+// point of view the message system is faultless. lamport is the collector
+// timestamp of the send event, carried with the frame so a merged schedule
+// preserves the happens-before order.
+func (t *transport) Send(m sim.Message, lamport uint64) {
+	t.counters.accepted.Add(1)
 	frame, err := EncodeMessage(m)
 	if err != nil {
 		// Unencodable messages cannot occur for in-range processors; count
 		// the loss so a bug here shows up in run stats, not only as an
 		// unexplained conformance divergence.
-		nw.counters.encodeFailures.Add(1)
+		t.counters.encodeFailures.Add(1)
 		return
 	}
-	nw.inFlight.Add(1)
-	nw.wg.Add(1)
-	go nw.deliverLoop(m, frame, lamport)
+	t.sched.accept(m, frame, lamport)
 }
 
-// deliverLoop is one message's reliable-delivery agent.
-func (nw *Network) deliverLoop(m sim.Message, frame []byte, ts uint64) {
-	defer nw.wg.Done()
-	defer nw.inFlight.Add(-1)
-	defer nw.counters.settled.Add(1)
-	for attempt := 0; ; attempt++ {
-		if d := nw.faults.delay(m.ID, attempt); d > 0 {
-			if !nw.sleep(d) {
-				return
+// attemptDeliver performs one non-dropped delivery attempt.
+func (t *transport) attemptDeliver(a attempt) {
+	to := a.m.ID.To
+	if t.g.cfg.Owner[to] == t.g.cfg.Host {
+		t.g.boxes[to].deliver(a.frame, a.m, a.ts)
+		return
+	}
+	payload := make([]byte, 8+len(a.frame))
+	binary.BigEndian.PutUint64(payload, a.ts)
+	copy(payload[8:], a.frame)
+	// Send blocks under backpressure (full link queue); the scheduler
+	// tolerates that — at-least-once delivery has no deadline.
+	_ = t.g.cfg.Mesh.Send(t.g.cfg.Owner[to], payload)
+}
+
+// InFlight counts accepted messages not yet settled (delivered to a
+// mailbox, or discarded at a closed one) plus frames still queued or
+// unacked on the mesh; quiescence requires zero.
+func (t *transport) InFlight() int {
+	n := int(t.sched.inflight.Load())
+	if mesh := t.g.cfg.Mesh; mesh != nil {
+		n += mesh.Pending()
+	}
+	return n
+}
+
+// Stats merges the message-level counters with the mesh's link counters.
+func (t *transport) Stats() TransportStats {
+	st := t.counters.snapshot()
+	if t.g.cfg.Mesh == nil {
+		return st
+	}
+	ms := t.g.cfg.Mesh.Stats()
+	st.FramesSent = ms.FramesSent
+	st.FramesResent = ms.FramesResent
+	st.Dials = ms.Dials
+	st.Reconnects = ms.Reconnects
+	st.Resets = ms.Resets
+	st.LinkDowns = ms.LinkDowns
+	st.SeveredIntervals = ms.SeveredIntervals
+	st.HeldFrames = ms.HeldFrames
+	return st
+}
+
+// ---- The seeded attempt scheduler ----
+
+// attempt is one pending delivery attempt of one message.
+type attempt struct {
+	due   time.Time
+	m     sim.Message
+	frame []byte
+	ts    uint64
+	try   int
+}
+
+// attemptHeap is a min-heap of attempts by due time.
+type attemptHeap []attempt
+
+func (h attemptHeap) Len() int           { return len(h) }
+func (h attemptHeap) Less(i, j int) bool { return h[i].due.Before(h[j].due) }
+func (h attemptHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *attemptHeap) Push(x any)        { *h = append(*h, x.(attempt)) }
+func (h *attemptHeap) Pop() any {
+	old := *h
+	n := len(old)
+	a := old[n-1]
+	*h = old[:n-1]
+	return a
+}
+
+// sendScheduler executes every message's delivery attempts from one
+// goroutine over a timing heap. Fault decisions are a pure function of
+// (seed, message triple, attempt), so two runs with the same message-fault
+// seed inject the same drop/dup pattern however many hosts carry them.
+type sendScheduler struct {
+	faults   FaultPlan
+	counters *transportCounters
+	deliver  func(attempt)
+	done     chan struct{}
+	notify   chan struct{}
+
+	mu       sync.Mutex
+	heap     attemptHeap // ccvet:guardedby mu
+	inflight atomic.Int64
+}
+
+func newSendScheduler(faults FaultPlan, counters *transportCounters, deliver func(attempt), done chan struct{}) *sendScheduler {
+	return &sendScheduler{
+		faults:   faults,
+		counters: counters,
+		deliver:  deliver,
+		done:     done,
+		notify:   make(chan struct{}, 1),
+	}
+}
+
+// accept enqueues a fresh message's first delivery attempt.
+func (s *sendScheduler) accept(m sim.Message, frame []byte, ts uint64) {
+	s.inflight.Add(1)
+	s.push(attempt{
+		due:   time.Now().Add(s.faults.delay(m.ID, 0)),
+		m:     m,
+		frame: frame,
+		ts:    ts,
+	})
+}
+
+func (s *sendScheduler) push(a attempt) {
+	s.mu.Lock()
+	heap.Push(&s.heap, a)
+	s.mu.Unlock()
+	select {
+	case s.notify <- struct{}{}:
+	default:
+	}
+}
+
+// run is the scheduler goroutine: pop due attempts, apply the seeded fault
+// decisions, deliver or reschedule.
+func (s *sendScheduler) run() {
+	for {
+		s.mu.Lock()
+		var wait time.Duration = -1
+		var a attempt
+		ready := false
+		if len(s.heap) > 0 {
+			now := time.Now()
+			if !s.heap[0].due.After(now) {
+				a = heap.Pop(&s.heap).(attempt)
+				ready = true
+			} else {
+				wait = s.heap[0].due.Sub(now)
 			}
 		}
-		if nw.faults.drop(m.ID, attempt) {
-			// Lost in transit: retransmit after backoff.
-			nw.counters.drops.Add(1)
-			if !nw.sleep(nw.faults.backoff(m.ID, attempt)) {
+		s.mu.Unlock()
+		if ready {
+			s.execute(a)
+			continue
+		}
+		if wait < 0 {
+			select {
+			case <-s.notify:
+			case <-s.done:
 				return
 			}
 			continue
 		}
-		nw.boxes[m.ID.To].deliver(frame, m, ts)
-		if !nw.faults.dup(m.ID, attempt) {
+		t := time.NewTimer(wait)
+		select {
+		case <-t.C:
+		case <-s.notify:
+		case <-s.done:
+			t.Stop()
 			return
 		}
-		// The acknowledgement was lost: the agent cannot know the message
-		// arrived, so it retransmits a duplicate after backoff.
-		nw.counters.dups.Add(1)
-		if !nw.sleep(nw.faults.backoff(m.ID, attempt)) {
-			return
-		}
+		t.Stop()
 	}
 }
 
-// sleep waits d unless the run shuts down first.
-func (nw *Network) sleep(d time.Duration) bool {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-nw.done:
-		return false
+// execute applies the fault decisions of one due attempt.
+func (s *sendScheduler) execute(a attempt) {
+	if s.faults.drop(a.m.ID, a.try) {
+		s.counters.drops.Add(1)
+		s.requeue(a)
+		return
 	}
+	s.deliver(a)
+	if s.faults.dup(a.m.ID, a.try) {
+		// Ack lost: retransmit a duplicate the receiver's dedup absorbs.
+		s.counters.dups.Add(1)
+		s.requeue(a)
+		return
+	}
+	s.counters.settled.Add(1)
+	s.inflight.Add(-1)
 }
 
-// InFlight returns the number of accepted messages not yet delivered (or
-// discarded at a closed mailbox).
-func (nw *Network) InFlight() int { return int(nw.inFlight.Load()) }
-
-// Stats snapshots the transport's counters.
-func (nw *Network) Stats() TransportStats { return nw.counters.snapshot() }
-
-// wait blocks until every delivery agent has exited.
-func (nw *Network) wait() { nw.wg.Wait() }
+// requeue schedules the next attempt after backoff plus transit delay.
+func (s *sendScheduler) requeue(a attempt) {
+	delay := s.faults.backoff(a.m.ID, a.try)
+	a.try++
+	a.due = time.Now().Add(delay + s.faults.delay(a.m.ID, a.try))
+	s.push(a)
+}
