@@ -692,7 +692,8 @@ func report(outcomes []runOutcome, protoCanon string, f soakFlags, prob consensu
 			} else if fl.out.err != nil {
 				what = fl.out.err.Error()
 			}
-			fmt.Printf("  run %d (seed %d, inputs %s): %s\n", fl.idx, fl.out.plan.Seed, renderInputs(fl.out.plan.Inputs), what)
+			fmt.Printf("  run %d (seed %d, inputs %s, accepted/settled %d/%d): %s\n", fl.idx, fl.out.plan.Seed,
+				renderInputs(fl.out.plan.Inputs), fl.out.transport.Accepted, fl.out.transport.Settled, what)
 		} else if i == 5 {
 			fmt.Printf("  … and %d more failing runs (use -v to list all)\n", len(failures)-5)
 		}

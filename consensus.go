@@ -460,11 +460,12 @@ func LiveConform(res *LiveResult, p Protocol, problem Problem) (*LiveConformance
 	return runtime.Conform(res, p, problem)
 }
 
-// LiveConformStream is LiveConform in O(N) memory: the replay holds only
-// the current configuration, so crash-amplified traces with millions of
-// events — routine in distributed soaks at N=100 — check in flat memory
-// instead of retaining the whole configuration history. The verdict is
-// identical; the returned Conformance.Run is nil.
+// LiveConformStream is LiveConform in flat memory: the replay steps one
+// configuration in place — O(N) states plus the O(N²) channel counters and
+// whatever is buffered — so crash-amplified traces with millions of events,
+// routine in distributed soaks at N=100, check without retaining the whole
+// configuration history. The verdict is identical; the returned
+// Conformance.Run is nil.
 func LiveConformStream(res *LiveResult, p Protocol, problem Problem) (*LiveConformance, error) {
 	return runtime.ConformStream(res, p, problem)
 }

@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"context"
 	"reflect"
 	"testing"
 	"time"
@@ -61,6 +62,53 @@ func TestConformStreamMatchesConform(t *testing.T) {
 	bogus.Schedule = append(append([]sim.Event(nil), clean.Schedule...),
 		sim.Event{Proc: 0, Type: sim.Deliver, Msg: sim.MsgID{From: 2, To: 0, Seq: 99}})
 	assertSameConformance(t, "bogus-event", &bogus, treeProto, problem(taxonomy.WT, taxonomy.TC))
+
+	// An inapplicable event mid-schedule stops both replays at the same
+	// event with the same text; the in-place replay's configuration is
+	// never consulted past it.
+	mid := len(clean.Schedule) / 2
+	cut := *clean
+	cut.Schedule = append(append(append([]sim.Event(nil), clean.Schedule[:mid]...), bogus.Schedule[len(clean.Schedule)]), clean.Schedule[mid:]...)
+	assertSameConformance(t, "inapplicable-mid-schedule", &cut, treeProto, problem(taxonomy.WT, taxonomy.TC))
+	if conf, _ := ConformStream(&cut, treeProto, problem(taxonomy.WT, taxonomy.TC)); conf.Replayed != mid || len(conf.Divergences) != 1 {
+		t.Errorf("inapplicable-mid-schedule: replayed %d with %v, want %d and the one replay divergence", conf.Replayed, conf.Divergences, mid)
+	}
+
+	// Omit events replay in place like any other.
+	ackProto := protocols.AckCommit{Procs: 4}
+	omitting, err := Run(context.Background(), ackProto, []sim.Bit{sim.One, sim.One, sim.One, sim.One},
+		fastConfig(FaultPlan{Seed: 1984, DropRate: 0.05, DupRate: 0.05, OmitRate: 0.3, OmitMaxSeq: 4}, nil))
+	if err != nil || omitting.Err != nil {
+		t.Fatalf("omission run: %v, %v", err, omitting.Err)
+	}
+	if omitting.Transport.Omissions == 0 {
+		t.Fatal("test bug: the omission trace carries no Omit event")
+	}
+	assertSameConformance(t, "omission-trace", omitting, ackProto, problem(taxonomy.WT, taxonomy.TC))
+}
+
+// TestAllocsConformStream pins what replaying in place bought: the
+// streaming replay of a star(24) trace allocates for the protocol's
+// transitions, the effect and the messages, not for a copy of the
+// configuration per event (52.7 allocations/event with sim.Apply).
+func TestAllocsConformStream(t *testing.T) {
+	proto := protocols.Star{Procs: 24}
+	inputs := make([]sim.Bit, proto.N())
+	for i := range inputs {
+		inputs[i] = sim.One
+	}
+	res := mustRun(t, proto, inputs, fastConfig(FaultPlan{Seed: 1}, nil))
+	prob := problem(taxonomy.HT, taxonomy.IC)
+	perRun := testing.AllocsPerRun(5, func() {
+		if conf, err := ConformStream(res, proto, prob); err != nil || !conf.OK() {
+			t.Fatalf("ConformStream: %v, %v", err, conf)
+		}
+	})
+	if perEvent := perRun / float64(len(res.Schedule)); perEvent > 12 {
+		t.Errorf("streaming replay allocates %.1f times per event over %d events, want ≤ 12", perEvent, len(res.Schedule))
+	} else {
+		t.Logf("%.1f allocations/event over %d events", perEvent, len(res.Schedule))
+	}
 }
 
 // TestConformStreamClean is the streaming replay's own happy path: a live

@@ -121,13 +121,14 @@ func hasOmissions(sched sim.Schedule) bool {
 	return false
 }
 
-// ConformStream is Conform in O(N) memory: it replays the schedule holding
-// only the current configuration and folds each one into a streaming
-// validator instead of materializing the run. Conform retains every
-// intermediate configuration — O(events × N²) memory — which at N=100 with
-// a crash-amplified trace of a few million events is tens of gigabytes;
-// the streaming replay of the same trace stays flat. The verdict is
-// identical (TestConformStreamMatchesConform) except that the returned
+// ConformStream is Conform in flat memory: it replays the schedule on one
+// configuration it owns, stepped in place (sim.Config.ApplyInPlace) — O(N)
+// states, the buffered messages and the O(N²) channel counters — and folds
+// each step into a streaming validator instead of materializing the run.
+// Conform retains every intermediate configuration — O(events × N²) memory —
+// which at N=100 with a crash-amplified trace of a few million events is
+// tens of gigabytes. The verdict is identical
+// (TestConformStreamMatchesConform) except that the returned
 // Conformance.Run is nil.
 //
 //ccvet:pure
@@ -136,20 +137,18 @@ func ConformStream(res *Result, proto sim.Protocol, problem taxonomy.Problem) (*
 	if err != nil {
 		return nil, err
 	}
-	cur := run.Final()
+	cur := run.Final() // the run is dropped: nobody else holds its configuration
 	checker := taxonomy.NewStreamChecker(problem, cur)
 	conf := &Conformance{}
 	for i, e := range res.Schedule {
-		next, _, err := sim.Apply(proto, cur, e)
-		if err != nil {
+		if _, err := cur.ApplyInPlace(proto, e); err != nil {
 			conf.Divergences = append(conf.Divergences, Divergence{
 				Kind:   "replay",
 				Detail: fmt.Sprintf("event %d (%s) does not apply: %v", i, e, err),
 			})
 			break
 		}
-		cur = next
-		checker.Observe(e, next)
+		checker.Observe(e, cur)
 		conf.Replayed++
 	}
 	replayedAll := conf.Replayed == len(res.Schedule)

@@ -27,6 +27,7 @@ import (
 type detector struct {
 	col     *collector
 	net     *transport
+	work    *tokens
 	beat    time.Duration
 	timeout time.Duration
 
@@ -50,7 +51,7 @@ type pendingCrash struct {
 
 // newDetector builds the detector; a non-positive beat or timeout takes the
 // default (1ms heartbeats, 15ms of silence before a crash is declared).
-func newDetector(n int, col *collector, net *transport, beat, timeout time.Duration) *detector {
+func newDetector(n int, col *collector, net *transport, work *tokens, beat, timeout time.Duration) *detector {
 	if beat <= 0 {
 		beat = time.Millisecond
 	}
@@ -60,6 +61,7 @@ func newDetector(n int, col *collector, net *transport, beat, timeout time.Durat
 	d := &detector{
 		col:       col,
 		net:       net,
+		work:      work,
 		beat:      beat,
 		timeout:   timeout,
 		lastBeat:  make([]atomic.Int64, n),
@@ -122,8 +124,11 @@ func (d *detector) poll() {
 				d.detected[p] = now.Sub(pc.at)
 			}
 			d.mu.Unlock()
-			for _, m := range pc.notices {
-				d.net.Send(m, pc.ts)
+			if ok {
+				for _, m := range pc.notices {
+					d.net.Send(m, pc.ts)
+				}
+				d.work.release() // the crash's token; each notice now has its own
 			}
 			continue
 		}
@@ -137,14 +142,6 @@ func (d *detector) poll() {
 		}
 		d.mu.Unlock()
 	}
-}
-
-// undetected returns the number of confirmed crashes whose notices have
-// not yet been released; quiescence waits for zero.
-func (d *detector) undetected() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return len(d.pending)
 }
 
 // stats returns detection latencies per crashed processor, the false

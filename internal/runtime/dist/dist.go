@@ -25,8 +25,9 @@
 //
 // The coordinator joins the statuses into one and hands them to
 // runtime.Watch — the monitor a one-host runtime.Run uses, which fires the
-// injections and declares quiescence (runtime.GroupStatus.Quiet, stable
-// across consecutive fresh rounds) — then merges the group results by
+// injections and declares quiescence (runtime.GroupStatus.Quiet: the hosts'
+// token counts sum to zero, stable across consecutive fresh rounds because
+// the sum is not one atomic read) — then merges the group results by
 // Lamport order (runtime.MergeGroups, runtime.Finish) into the Result a
 // one-host run returns, ready for the same conformance replay.
 package dist
@@ -398,6 +399,9 @@ func (c *Coordinator) Run(ctx context.Context, spec Spec) (*Report, error) {
 		// Watch at half the status rate so every round can see a fresh
 		// status from every joiner.
 		Interval: 2 * statusInterval,
+		// Each host's count is exact, but their sum is read at different
+		// instants: a message can leave one snapshot before it enters the
+		// next, so zero must hold at an unmoved event count over fresh rounds.
 		Stable:   3,
 		Failures: spec.Failures,
 		Status:   func() (runtime.GroupStatus, bool, error) { return c.status(group) },
@@ -411,6 +415,7 @@ func (c *Coordinator) Run(ctx context.Context, spec Spec) (*Report, error) {
 			c.opts.logf("crash injected: processor %d on host %d", p, host)
 		},
 	})
+	endNs := time.Now().UnixNano()
 
 	// Finish: collect every host's share, local group last.
 	for _, j := range c.joiners {
@@ -439,7 +444,7 @@ func (c *Coordinator) Run(ctx context.Context, spec Spec) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	runtime.Finish(merged, startNs, spec.Failures, fired, runErr)
+	runtime.Finish(merged, startNs, endNs, spec.Failures, fired, runErr)
 	return &Report{Result: merged, PerHost: results}, nil
 }
 

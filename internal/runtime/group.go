@@ -50,43 +50,26 @@ type GroupConfig struct {
 // GroupStatus is one process's contribution to the quiescence predicate;
 // Join aggregates these across hosts and Quiet judges the aggregate.
 type GroupStatus struct {
-	// Events is the number of locally recorded schedule events; Watch
-	// requires the global sum stable across consecutive rounds.
+	// Events is the number of locally recorded schedule events.
 	Events int `json:"events"`
-	// Idle: every hosted node is blocked on an empty mailbox or exited.
-	Idle bool `json:"idle"`
-	// BoxesEmpty: every hosted mailbox holds nothing deliverable.
-	BoxesEmpty bool `json:"boxesEmpty"`
-	// Pending counts deliveries popped but not yet recorded and applied.
-	Pending int64 `json:"pending"`
-	// InFlight counts accepted messages not yet settled, including frames
-	// still queued or unacked on outbound links.
-	InFlight int `json:"inFlight"`
-	// Undetected counts confirmed local crashes whose notices have not
-	// been released yet.
-	Undetected int `json:"undetected"`
+	// Work is the host's token count (see tokens) plus the frames still
+	// queued or unacked on its outbound links.
+	Work int64 `json:"work"`
 	// Err is a local model-contract violation, fatal to the run.
 	Err string `json:"err,omitempty"`
 }
 
-// Quiet is the quiescence predicate at one instant: every node blocked on
-// an empty mailbox or exited, no delivery mid-application, nothing in
-// flight, every confirmed crash detected. Held over Watch's stable rounds
-// it is the live analogue of Config.Quiescent — the system has deadlocked
-// in the model's sense, which is how weakly terminating protocols
-// terminate.
-func (s GroupStatus) Quiet() bool {
-	return s.Idle && s.BoxesEmpty && s.Pending == 0 && s.InFlight == 0 && s.Undetected == 0
-}
+// Quiet is the quiescence predicate: nobody holds a token, so no node is
+// running, no message is in flight, buffered or mid-application, and every
+// confirmed crash has handed over its notices. It is the live analogue of
+// Config.Quiescent — the system has deadlocked in the model's sense, which
+// is how weakly terminating protocols terminate.
+func (s GroupStatus) Quiet() bool { return s.Work == 0 }
 
 // Join folds another host's status into the aggregate; the first Err wins.
 func (s GroupStatus) Join(o GroupStatus) GroupStatus {
 	s.Events += o.Events
-	s.Idle = s.Idle && o.Idle
-	s.BoxesEmpty = s.BoxesEmpty && o.BoxesEmpty
-	s.Pending += o.Pending
-	s.InFlight += o.InFlight
-	s.Undetected += o.Undetected
+	s.Work += o.Work
 	if s.Err == "" {
 		s.Err = o.Err
 	}
@@ -109,6 +92,40 @@ type GroupResult struct {
 	Transport       TransportStats `json:"transport"`
 }
 
+// tokens is a group's termination detector: one conserved count of
+// everything that can still make an event happen on this host. A token is
+// held by each hosted node while it is neither blocked on an empty mailbox
+// nor exited, by each message from the scheduler's accept until it is
+// settled, by each message a mailbox buffers until its delivery is applied
+// or discarded, and by each confirmed crash until the detector has handed
+// its notices to Send. A token is only ever taken by a holder of another —
+// a hand-off takes the new one before releasing the old — so the count
+// never passes through zero while work remains, and once at zero it stays
+// there: one read of zero proves the host quiescent. (Two exceptions, both
+// harmless: Crash, an intervention from outside, voids the Watch round that
+// fires it; and a blocked node woken by a stale notify retakes its token,
+// finds its mailbox still empty and releases it again. A host with a mesh
+// also receives work from its peers, which is why only a one-host run
+// trusts a single read.)
+type tokens struct {
+	n atomic.Int64
+	// wake gets a non-blocking send from the release that reaches zero.
+	wake chan struct{}
+}
+
+func newTokens() *tokens { return &tokens{wake: make(chan struct{}, 1)} }
+
+func (t *tokens) take(k int) { t.n.Add(int64(k)) }
+
+func (t *tokens) release() {
+	if t.n.Add(-1) == 0 {
+		select {
+		case t.wake <- struct{}{}:
+		default:
+		}
+	}
+}
+
 // Group runs the hosted slice of processors. Construction wires everything
 // but starts nothing; Start launches the node goroutines (after the
 // coordinator's barrier, if there is one), and Finish tears the group down
@@ -122,7 +139,7 @@ type Group struct {
 	boxes   map[sim.ProcID]*mailbox
 	nodes   map[sim.ProcID]*node
 	hosted  []sim.ProcID // owned processors in ascending order
-	pending atomic.Int64
+	work    *tokens
 	done    chan struct{}
 	started bool
 	wg      sync.WaitGroup
@@ -141,6 +158,7 @@ func StartGroup(cfg GroupConfig) (*Group, error) {
 		col:   newCollector(n),
 		boxes: make(map[sim.ProcID]*mailbox),
 		nodes: make(map[sim.ProcID]*node),
+		work:  newTokens(),
 		done:  make(chan struct{}),
 	}
 	counters := &transportCounters{}
@@ -150,7 +168,7 @@ func StartGroup(cfg GroupConfig) (*Group, error) {
 		}
 		pid := sim.ProcID(p)
 		g.hosted = append(g.hosted, pid)
-		mb := newMailbox(int64(mix64(uint64(cfg.Faults.Seed)^uint64(p)+1)), cfg.Faults.DisableDedup, &g.pending, counters)
+		mb := newMailbox(int64(mix64(uint64(cfg.Faults.Seed)^uint64(p)+1)), cfg.Faults.DisableDedup, g.work, counters)
 		mb.omit = omitHook(cfg.Faults, pid, g.col, counters)
 		g.boxes[pid] = mb
 	}
@@ -158,7 +176,7 @@ func StartGroup(cfg GroupConfig) (*Group, error) {
 		return nil, fmt.Errorf("runtime: a group with remote processors needs a mesh and a payload decoder")
 	}
 	g.tr = newTransport(g, counters)
-	g.det = newDetector(n, g.col, g.tr, cfg.Heartbeat, cfg.DetectTimeout)
+	g.det = newDetector(n, g.col, g.tr, g.work, cfg.Heartbeat, cfg.DetectTimeout)
 	for p := 0; p < n; p++ {
 		if cfg.Owner[p] != cfg.Host {
 			// Remote processors are not this detector's business: their
@@ -175,6 +193,7 @@ func StartGroup(cfg GroupConfig) (*Group, error) {
 			net:     g.tr,
 			col:     g.col,
 			det:     g.det,
+			work:    g.work,
 			crashed: make(chan struct{}),
 			done:    g.done,
 		}
@@ -193,6 +212,7 @@ func (g *Group) Start() {
 	for _, p := range g.hosted {
 		g.det.lastBeat[p].Store(now)
 	}
+	g.work.take(len(g.hosted)) // every node starts running
 	g.wg.Add(1)
 	go func() {
 		defer g.wg.Done()
@@ -271,29 +291,26 @@ func (g *Group) Crash(p sim.ProcID) {
 	if !ok {
 		return
 	}
+	g.work.take(1) // held until the detector hands the notices to Send
 	g.det.markCrashed(p, notices, ts, time.Now())
 	close(nd.crashed)
 	g.boxes[p].close()
 }
 
+// Wake is signalled whenever the group's token count reaches zero, so a
+// one-host Watch need not wait for its next tick.
+func (g *Group) Wake() <-chan struct{} { return g.work.wake }
+
 // Status snapshots the group's contribution to the quiescence predicate.
+// The reads are ordered with the hand-offs: the token count before the
+// mesh (a remote send is queued on its link before its token is released),
+// and both before the event count, which is final once the work is zero.
 func (g *Group) Status() GroupStatus {
-	st := GroupStatus{
-		Events:     g.col.events(),
-		Idle:       true,
-		BoxesEmpty: true,
-		Pending:    g.pending.Load(),
-		InFlight:   g.tr.InFlight(),
-		Undetected: g.det.undetected(),
+	st := GroupStatus{Work: g.work.n.Load()}
+	if g.cfg.Mesh != nil {
+		st.Work += int64(g.cfg.Mesh.Pending())
 	}
-	for _, p := range g.hosted {
-		if g.nodes[p].phase.Load() == phaseRunning {
-			st.Idle = false
-		}
-		if !g.boxes[p].empty() {
-			st.BoxesEmpty = false
-		}
-	}
+	st.Events = g.col.events()
 	if err := g.col.failure(); err != nil {
 		st.Err = err.Error()
 	}

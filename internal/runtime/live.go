@@ -84,7 +84,9 @@ type Result struct {
 	// the last post-crash decision by a survivor. Zero when no survivor
 	// decided after a crash.
 	Recovery time.Duration
-	// Elapsed is the wall-clock length of the run.
+	// Elapsed is the wall-clock length of the run, from the go signal to
+	// Watch's verdict; teardown, report collection and the merge are not
+	// part of it.
 	Elapsed time.Duration
 	// Err is a run-level failure: deadline exceeded, context cancelled,
 	// or a model-contract violation caught at the collector.
@@ -92,7 +94,10 @@ type Result struct {
 }
 
 // pollInterval is the in-process tick: every group's detector sweeps on it,
-// and a one-host run's Watch rounds are paced by it.
+// and a one-host run's Watch looks for due injections on it. It is a floor,
+// not a period — in an otherwise idle process the runtime's timers fire
+// about a millisecond apart (EXPERIMENTS.md) — which is why quiescence is
+// signalled by Group.Wake and not waited for on this tick.
 const pollInterval = 200 * time.Microsecond
 
 // Run executes the protocol live on the given inputs as the one-host case
@@ -115,11 +120,10 @@ func Run(ctx context.Context, proto sim.Protocol, inputs []sim.Bit, cfg Config) 
 			return nil, fmt.Errorf("runtime: failure injection names out-of-range %s", f.Proc)
 		}
 	}
-	owner := make([]int, n) // host 0 owns everybody
 	g, err := StartGroup(GroupConfig{
 		Proto:         proto,
 		Inputs:        inputs,
-		Owner:         owner,
+		Owner:         make([]int, n), // host 0 owns everybody
 		Faults:        cfg.Faults,
 		Heartbeat:     cfg.Heartbeat,
 		DetectTimeout: cfg.DetectTimeout,
@@ -127,22 +131,33 @@ func Run(ctx context.Context, proto sim.Protocol, inputs []sim.Bit, cfg Config) 
 	if err != nil {
 		return nil, err
 	}
+	return runGroup(ctx, g, cfg)
+}
+
+// runGroup is Run from the go signal on: start the one group, watch it to
+// a verdict, tear it down and assemble the result.
+func runGroup(ctx context.Context, g *Group, cfg Config) (*Result, error) {
+	proto := g.cfg.Proto
 	startNs := time.Now().UnixNano()
 	g.Start()
 	fired, runErr := Watch(ctx, Watcher{
 		What:     "runtime: " + proto.Name(),
 		Deadline: cfg.deadline(),
 		Interval: pollInterval,
-		Stable:   2,
+		// One host's token count is one atomic integer: a single read of
+		// zero is a proof, with nothing for further rounds to confirm.
+		Stable:   0,
+		Wake:     g.Wake(),
 		Failures: cfg.Failures,
 		Status:   func() (GroupStatus, bool, error) { return g.Status(), true, nil },
 		Crash:    g.Crash,
 	})
-	res, err := MergeGroups(proto.Name(), inputs, owner, []*GroupResult{g.Finish()}, startNs)
+	endNs := time.Now().UnixNano()
+	res, err := MergeGroups(proto.Name(), g.cfg.Inputs, g.cfg.Owner, []*GroupResult{g.Finish()}, startNs)
 	if err != nil {
 		return nil, err
 	}
-	Finish(res, startNs, cfg.Failures, fired, runErr)
+	Finish(res, startNs, endNs, cfg.Failures, fired, runErr)
 	return res, nil
 }
 
@@ -156,8 +171,12 @@ type Watcher struct {
 	Deadline time.Duration
 	// Interval paces the rounds.
 	Interval time.Duration
+	// Wake, if set, triggers a round at once: the hosts signal it when
+	// their work reaches zero.
+	Wake <-chan struct{}
 	// Stable is how many consecutive quiet rounds must repeat the first
-	// one's event count before the run is declared quiescent.
+	// one's event count before the run is declared quiescent. Zero suits a
+	// status that is one atomic read; a sum of per-host snapshots is not.
 	Stable int
 	// Failures is the injection schedule, fired against the global event
 	// count.
@@ -187,16 +206,18 @@ func Watch(ctx context.Context, w Watcher) (fired []bool, err error) {
 
 	fired = make([]bool, len(w.Failures))
 	stable, lastEvents := 0, -1
+	var st GroupStatus
 	for {
 		select {
 		case <-ctx.Done():
 			return fired, ctx.Err()
 		case <-deadline.C:
-			return fired, fmt.Errorf("%s did not quiesce within %s", w.What, w.Deadline)
+			return fired, fmt.Errorf("%s did not quiesce within %s (work %d, events %d)", w.What, w.Deadline, st.Work, st.Events)
 		case <-tick.C:
+		case <-w.Wake:
 		}
-		st, fresh, err := w.Status()
-		if err != nil {
+		var fresh bool
+		if st, fresh, err = w.Status(); err != nil {
 			return fired, err
 		}
 		if st.Err != "" {
@@ -213,22 +234,24 @@ func Watch(ctx context.Context, w Watcher) (fired []bool, err error) {
 		switch {
 		case !quiet:
 			stable, lastEvents = 0, -1
+			continue
 		case st.Events != lastEvents:
 			stable, lastEvents = 0, st.Events
 		default:
-			if stable++; stable >= w.Stable {
-				return fired, nil
-			}
+			stable++
+		}
+		if stable >= w.Stable {
+			return fired, nil
 		}
 	}
 }
 
 // Finish stamps the run-level verdict of Watch on a merged result: whether
-// the run quiesced, how long it took from the go signal, what cut it short,
-// and which injections never came due.
-func Finish(res *Result, startNs int64, failures []sim.FailureAt, fired []bool, runErr error) {
+// the run quiesced, how long it took from the go signal to the moment Watch
+// returned (endNs), what cut it short, and which injections never came due.
+func Finish(res *Result, startNs, endNs int64, failures []sim.FailureAt, fired []bool, runErr error) {
 	res.Quiescent = runErr == nil
-	res.Elapsed = time.Duration(time.Now().UnixNano() - startNs)
+	res.Elapsed = time.Duration(endNs - startNs)
 	res.Err = runErr
 	for i, f := range failures {
 		if !fired[i] {

@@ -3,7 +3,6 @@ package runtime
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/sim"
@@ -23,8 +22,7 @@ func mkMsg(t *testing.T, from, to sim.ProcID, seq int) (sim.Message, []byte) {
 
 func newTestMailbox(seed int64, dedupOff bool) (*mailbox, *transportCounters) {
 	counters := &transportCounters{}
-	var pending atomic.Int64
-	return newMailbox(seed, dedupOff, &pending, counters), counters
+	return newMailbox(seed, dedupOff, newTokens(), counters), counters
 }
 
 // TestMailboxAgingBound checks the fair-buffer guarantee under a steady
@@ -68,22 +66,23 @@ func TestMailboxAgingBound(t *testing.T) {
 
 // TestMailboxDeliverAfterClose checks the model's rule that the buffers of
 // failed processors are ignored: frames delivered after close are
-// discarded, buffered frames are dropped, and tryRecv never yields again.
+// discarded, buffered frames are dropped with their tokens, and tryRecv
+// never yields again.
 func TestMailboxDeliverAfterClose(t *testing.T) {
 	mb, counters := newTestMailbox(7, false)
 	m1, f1 := mkMsg(t, 0, 1, 1)
 	mb.deliver(f1, m1, 1)
 	mb.close()
-	if !mb.empty() {
-		t.Error("closed mailbox is not empty")
+	if got := mb.work.n.Load(); got != 0 {
+		t.Errorf("closed mailbox still holds %d tokens", got)
 	}
 	m2, f2 := mkMsg(t, 0, 1, 2)
 	mb.deliver(f2, m2, 2)
 	if _, _, ok := mb.tryRecv(); ok {
 		t.Error("tryRecv yielded a message from a closed mailbox")
 	}
-	if !mb.empty() {
-		t.Error("delivery to a closed mailbox left it non-empty")
+	if got := mb.work.n.Load(); got != 0 {
+		t.Errorf("delivery to a closed mailbox left %d tokens", got)
 	}
 	if got := counters.garbageFrames.Load(); got != 0 {
 		t.Errorf("deliver-after-close counted %d garbage frames; it is a discard, not garbage", got)

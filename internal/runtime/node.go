@@ -1,18 +1,9 @@
 package runtime
 
 import (
-	"sync/atomic"
 	"time"
 
 	"repro/internal/sim"
-)
-
-// Node phases, for GroupStatus.Idle: a run can only be quiescent when
-// every node is blocked on an empty mailbox or has exited.
-const (
-	phaseRunning int32 = iota
-	phaseBlocked
-	phaseExited
 )
 
 // node runs one processor: a goroutine driving the protocol's pure δ/β
@@ -33,15 +24,22 @@ type node struct {
 	net   *transport
 	col   *collector
 	det   *detector
+	work  *tokens
 
 	crashed chan struct{} // closed when a crash is injected on p
 	done    chan struct{} // closed when the run shuts down
-	phase   atomic.Int32
 }
 
 // loop is the processor's life: step until halted, crashed, or shut down.
+// The node holds one token (taken for it by Start) except while blocked on
+// an empty mailbox, and releases it last on exit.
 func (nd *node) loop() {
-	defer nd.phase.Store(phaseExited)
+	blocked := false
+	defer func() {
+		if !blocked {
+			nd.work.release()
+		}
+	}()
 	defer nd.det.markExited(nd.p)
 	stop := make(chan struct{})
 	defer close(stop)
@@ -71,10 +69,13 @@ func (nd *node) loop() {
 		case sim.Receiving:
 			m, witness, ok := nd.mb.tryRecv()
 			if !ok {
-				nd.phase.Store(phaseBlocked)
+				blocked = true
+				nd.work.release()
 				select {
 				case <-nd.mb.notify:
-					nd.phase.Store(phaseRunning)
+					// The delivery that notified still holds its token.
+					nd.work.take(1)
+					blocked = false
 					continue
 				case <-nd.crashed:
 					return

@@ -267,9 +267,10 @@ type mailbox struct {
 	dedupOff bool
 	rng      *rand.Rand // ccvet:guardedby mu — seeded delivery-order source; draws must be serialized
 	notify   chan struct{}
-	// pending counts messages popped by recv but not yet recorded and
-	// applied by the node; the quiescence monitor must see zero.
-	pending *atomic.Int64
+	// work holds one token per buffered message, from deliver until the
+	// node has recorded and applied the delivery (stepDone) or close
+	// discards it.
+	work *tokens
 	// counters is the owning transport's counter block: garbage frames
 	// discarded here are counted, never silently lost.
 	counters *transportCounters
@@ -280,13 +281,13 @@ type mailbox struct {
 	omit func(m sim.Message, ts uint64) bool
 }
 
-func newMailbox(seed int64, dedupOff bool, pending *atomic.Int64, counters *transportCounters) *mailbox {
+func newMailbox(seed int64, dedupOff bool, work *tokens, counters *transportCounters) *mailbox {
 	return &mailbox{
 		seen:     make(map[sim.MsgID]bool),
 		dedupOff: dedupOff,
 		rng:      rand.New(rand.NewSource(seed)),
 		notify:   make(chan struct{}, 1),
-		pending:  pending,
+		work:     work,
 		counters: counters,
 	}
 }
@@ -349,6 +350,10 @@ func (mb *mailbox) deliver(frame []byte, m sim.Message, ts uint64) {
 	mb.msgs = append(mb.msgs, m)
 	mb.tss = append(mb.tss, ts)
 	mb.passed = append(mb.passed, 0)
+	// Taken under the lock — the node may pop and apply the message the
+	// moment it is visible — and before the deliverer releases its own
+	// token, so the hand-off never reads as zero.
+	mb.work.take(1)
 	mb.mu.Unlock()
 	select {
 	case mb.notify <- struct{}{}:
@@ -356,9 +361,9 @@ func (mb *mailbox) deliver(frame []byte, m sim.Message, ts uint64) {
 	}
 }
 
-// tryRecv pops one message if any is buffered. On success the global
-// pending counter is raised; the node must call stepDone once the delivery
-// is recorded and applied. On failure the node blocks on mb.notify.
+// tryRecv pops one message if any is buffered. The message keeps its token;
+// the node must call stepDone once the delivery is recorded and applied. On
+// failure the node blocks on mb.notify.
 func (mb *mailbox) tryRecv() (sim.Message, uint64, bool) {
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
@@ -366,7 +371,6 @@ func (mb *mailbox) tryRecv() (sim.Message, uint64, bool) {
 		return sim.Message{}, 0, false
 	}
 	m, ts := mb.pick()
-	mb.pending.Add(1)
 	return m, ts, true
 }
 
@@ -399,24 +403,23 @@ func (mb *mailbox) pick() (sim.Message, uint64) {
 	return m, ts
 }
 
-func (mb *mailbox) stepDone() { mb.pending.Add(-1) }
+// stepDone releases the token of the popped message.
+func (mb *mailbox) stepDone() { mb.work.release() }
 
-// close discards current and future contents; the owner halted or crashed.
+// close discards current and future contents, with the tokens of what was
+// buffered; the owner halted or crashed. The caller holds a token of its
+// own (the halting node's, the crash's).
 func (mb *mailbox) close() {
 	mb.mu.Lock()
+	discarded := len(mb.msgs)
 	mb.closed = true
 	mb.msgs = nil
 	mb.tss = nil
 	mb.passed = nil
 	mb.mu.Unlock()
-}
-
-// empty reports whether the mailbox holds no deliverable messages; a
-// closed mailbox is vacuously empty.
-func (mb *mailbox) empty() bool {
-	mb.mu.Lock()
-	defer mb.mu.Unlock()
-	return mb.closed || len(mb.msgs) == 0
+	for ; discarded > 0; discarded-- {
+		mb.work.release()
+	}
 }
 
 // transport is the message system underneath a live run: it emulates the
@@ -438,7 +441,7 @@ type transport struct {
 
 func newTransport(g *Group, counters *transportCounters) *transport {
 	t := &transport{g: g, counters: counters}
-	t.sched = newSendScheduler(g.cfg.Faults, counters, t.attemptDeliver, g.done)
+	t.sched = newSendScheduler(g.cfg.Faults, counters, g.work, t.attemptDeliver, g.done)
 	return t
 }
 
@@ -473,17 +476,6 @@ func (t *transport) attemptDeliver(a attempt) {
 	// Send blocks under backpressure (full link queue); the scheduler
 	// tolerates that — at-least-once delivery has no deadline.
 	_ = t.g.cfg.Mesh.Send(t.g.cfg.Owner[to], payload)
-}
-
-// InFlight counts accepted messages not yet settled (delivered to a
-// mailbox, or discarded at a closed one) plus frames still queued or
-// unacked on the mesh; quiescence requires zero.
-func (t *transport) InFlight() int {
-	n := int(t.sched.inflight.Load())
-	if mesh := t.g.cfg.Mesh; mesh != nil {
-		n += mesh.Pending()
-	}
-	return n
 }
 
 // Stats merges the message-level counters with the mesh's link counters.
@@ -537,19 +529,20 @@ func (h *attemptHeap) Pop() any {
 type sendScheduler struct {
 	faults   FaultPlan
 	counters *transportCounters
+	work     *tokens // one token per accepted message until it is settled
 	deliver  func(attempt)
 	done     chan struct{}
 	notify   chan struct{}
 
-	mu       sync.Mutex
-	heap     attemptHeap // ccvet:guardedby mu
-	inflight atomic.Int64
+	mu   sync.Mutex
+	heap attemptHeap // ccvet:guardedby mu
 }
 
-func newSendScheduler(faults FaultPlan, counters *transportCounters, deliver func(attempt), done chan struct{}) *sendScheduler {
+func newSendScheduler(faults FaultPlan, counters *transportCounters, work *tokens, deliver func(attempt), done chan struct{}) *sendScheduler {
 	return &sendScheduler{
 		faults:   faults,
 		counters: counters,
+		work:     work,
 		deliver:  deliver,
 		done:     done,
 		notify:   make(chan struct{}, 1),
@@ -558,7 +551,7 @@ func newSendScheduler(faults FaultPlan, counters *transportCounters, deliver fun
 
 // accept enqueues a fresh message's first delivery attempt.
 func (s *sendScheduler) accept(m sim.Message, frame []byte, ts uint64) {
-	s.inflight.Add(1)
+	s.work.take(1)
 	s.push(attempt{
 		due:   time.Now().Add(s.faults.delay(m.ID, 0)),
 		m:     m,
@@ -634,7 +627,7 @@ func (s *sendScheduler) execute(a attempt) {
 		return
 	}
 	s.counters.settled.Add(1)
-	s.inflight.Add(-1)
+	s.work.release()
 }
 
 // requeue schedules the next attempt after backoff plus transit delay.

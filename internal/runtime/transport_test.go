@@ -32,11 +32,11 @@ func TestTransportStatsAddCoversEveryField(t *testing.T) {
 }
 
 // waitSettled blocks until the scheduler has settled every accepted message.
-func waitSettled(t *testing.T, s *sendScheduler) {
+func waitSettled(t *testing.T, c *transportCounters) {
 	t.Helper()
-	for deadline := time.Now().Add(10 * time.Second); s.inflight.Load() != 0; time.Sleep(200 * time.Microsecond) {
+	for deadline := time.Now().Add(10 * time.Second); c.settled.Load() != c.accepted.Load(); time.Sleep(200 * time.Microsecond) {
 		if time.Now().After(deadline) {
-			t.Fatalf("%d messages still in flight", s.inflight.Load())
+			t.Fatalf("accepted %d messages, settled %d", c.accepted.Load(), c.settled.Load())
 		}
 	}
 }
@@ -54,7 +54,8 @@ func TestSendSchedulerFollowsFaultRolls(t *testing.T) {
 	)
 	tr := &transport{counters: &transportCounters{}} // no group: Send needs only the counters and the scheduler
 	done := make(chan struct{})
-	tr.sched = newSendScheduler(plan, tr.counters, func(a attempt) {
+	work := newTokens()
+	tr.sched = newSendScheduler(plan, tr.counters, work, func(a attempt) {
 		mu.Lock()
 		delivered[a.m.ID]++
 		mu.Unlock()
@@ -83,7 +84,7 @@ func TestSendSchedulerFollowsFaultRolls(t *testing.T) {
 		}
 		tr.Send(m, uint64(i))
 	}
-	waitSettled(t, tr.sched)
+	waitSettled(t, tr.counters)
 	close(done)
 	wg.Wait()
 
@@ -98,7 +99,7 @@ func TestSendSchedulerFollowsFaultRolls(t *testing.T) {
 			t.Errorf("message %v delivered %d times, the rolls predict %d", id, delivered[id], n)
 		}
 	}
-	st, inflight := tr.counters.snapshot(), tr.sched.inflight.Load()
+	st, inflight := tr.counters.snapshot(), work.n.Load()
 	if st.Drops != drops || st.Dups != dups {
 		t.Errorf("counted %d drops and %d dups, the rolls predict %d and %d", st.Drops, st.Dups, drops, dups)
 	}
@@ -133,7 +134,7 @@ func TestAcceptedMessageOutlivesItsSender(t *testing.T) {
 		defer g.wg.Done()
 		g.tr.sched.run()
 	}()
-	waitSettled(t, g.tr.sched)
+	waitSettled(t, g.tr.counters)
 	got, _, ok := g.boxes[1].tryRecv()
 	if !ok || got.ID != m.ID {
 		t.Fatalf("mailbox of p1 holds %v (ok=%v), want the message its crashed sender had sent", got.ID, ok)

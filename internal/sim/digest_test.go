@@ -268,7 +268,8 @@ func (multiSendProto) SendStep(p ProcID, s State) (State, []Envelope) {
 // inapplicable delivery, a self-send, a multi-send, a revoked decision — are
 // routed through Apply, so callers observe Apply's exact errors, on the
 // first call and again once the cache has remembered the transition as
-// invalid.
+// invalid. ApplyInPlace returns the same errors and, having run every check
+// before its first write, leaves the configuration untouched.
 func TestPredictorMaterializeErrors(t *testing.T) {
 	revoked, _, err := Apply(revokeProto{}, NewConfig(revokeProto{}, []Bit{One, One}), Event{Proc: 0, Type: SendStepEvent})
 	if err != nil {
@@ -293,6 +294,14 @@ func TestPredictorMaterializeErrors(t *testing.T) {
 			_, _, wantErr := Apply(tc.proto, tc.c, tc.ev)
 			if !errors.Is(wantErr, tc.want) {
 				t.Fatalf("Apply error %v, want %v", wantErr, tc.want)
+			}
+			own := tc.c.Clone()
+			own.Fingerprint()
+			if _, err := own.ApplyInPlace(tc.proto, tc.ev); err == nil || err.Error() != wantErr.Error() {
+				t.Errorf("ApplyInPlace error %v; Apply's error is %v — must match", err, wantErr)
+			}
+			if own.Key() != tc.c.Key() || own.Fingerprint() != tc.c.Clone().Fingerprint() {
+				t.Errorf("the refused ApplyInPlace changed the configuration:\n  %s\n  %s", own.Key(), tc.c.Key())
 			}
 			for _, pass := range []string{"cold", "warm"} {
 				if _, ok := pr.Predict(tc.proto, tc.c, tc.ev); ok {

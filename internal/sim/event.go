@@ -141,6 +141,28 @@ func Apply(proto Protocol, c *Config, e Event) (*Config, Effect, error) {
 		return nil, Effect{}, fmt.Errorf("%w: %s", ErrNotApplicable, e)
 	}
 	next := c.Clone()
+	eff, err := applyInto(proto, c, next, e)
+	if err != nil {
+		return nil, Effect{}, err
+	}
+	return next, eff, nil
+}
+
+// ApplyInPlace is Apply for a caller that owns c and drops the predecessor:
+// c becomes e(C) without the per-event Clone (states, buffer headers and the
+// N×N channel counters). The checks, the effect and the errors are Apply's;
+// on an error c is left as it was.
+func (c *Config) ApplyInPlace(proto Protocol, e Event) (Effect, error) {
+	if !Applicable(c, e) {
+		return Effect{}, fmt.Errorf("%w: %s", ErrNotApplicable, e)
+	}
+	return applyInto(proto, c, c, e)
+}
+
+// applyInto writes the successor of c under the applicable event e into
+// next, which is either a clone of c or c itself. Every read of c and every
+// check that can fail therefore precedes the first write to next.
+func applyInto(proto Protocol, c, next *Config, e Event) (Effect, error) {
 	eff := Effect{Event: e}
 	p := e.Proc
 
@@ -164,24 +186,26 @@ func Apply(proto Protocol, c *Config, e Event) (*Config, Effect, error) {
 			next.addMessage(ProcID(q), m)
 			eff.Sent = append(eff.Sent, m)
 		}
-		return next, eff, nil
+		return eff, nil
 
 	case SendStepEvent:
 		s2, envs := proto.SendStep(p, c.States[p])
 		if len(envs) > 1 {
-			return nil, Effect{}, fmt.Errorf("%w: %s emitted %d messages", ErrMultiSend, p, len(envs))
+			return Effect{}, fmt.Errorf("%w: %s emitted %d messages", ErrMultiSend, p, len(envs))
 		}
 		if err := checkTransition(c.States[p], s2); err != nil {
-			return nil, Effect{}, fmt.Errorf("%s send step: %w", p, err)
+			return Effect{}, fmt.Errorf("%s send step: %w", p, err)
+		}
+		for _, env := range envs {
+			if env.To == p {
+				return Effect{}, fmt.Errorf("%w: from %s", ErrSelfSend, p)
+			}
+			if int(env.To) < 0 || int(env.To) >= next.N() {
+				return Effect{}, fmt.Errorf("sim: %s sent to out-of-range %s", p, env.To)
+			}
 		}
 		next.setState(p, s2)
 		for _, env := range envs {
-			if env.To == p {
-				return nil, Effect{}, fmt.Errorf("%w: from %s", ErrSelfSend, p)
-			}
-			if int(env.To) < 0 || int(env.To) >= next.N() {
-				return nil, Effect{}, fmt.Errorf("sim: %s sent to out-of-range %s", p, env.To)
-			}
 			m := Message{
 				ID:      MsgID{From: p, To: env.To, Seq: next.nextSeq(p, env.To)},
 				Payload: env.Payload,
@@ -189,28 +213,28 @@ func Apply(proto Protocol, c *Config, e Event) (*Config, Effect, error) {
 			next.addMessage(env.To, m)
 			eff.Sent = append(eff.Sent, m)
 		}
-		return next, eff, nil
+		return eff, nil
 
 	case Deliver:
 		m, _ := c.Buffers[p].Find(e.Msg)
 		s2 := proto.Receive(p, c.States[p], m)
 		if err := checkTransition(c.States[p], s2); err != nil {
-			return nil, Effect{}, fmt.Errorf("%s receiving %s: %w", p, m.ID, err)
+			return Effect{}, fmt.Errorf("%s receiving %s: %w", p, m.ID, err)
 		}
 		next.setState(p, s2)
 		next.removeMessage(p, m)
 		next.noteDeliver(p)
 		eff.Received = &m
-		return next, eff, nil
+		return eff, nil
 
 	case Omit:
 		m, _ := c.Buffers[p].Find(e.Msg)
 		next.removeMessage(p, m)
 		next.noteOmit(p)
 		eff.Omitted = &m
-		return next, eff, nil
+		return eff, nil
 	}
-	return nil, Effect{}, fmt.Errorf("%w: %s", ErrNotApplicable, e)
+	return Effect{}, fmt.Errorf("%w: %s", ErrNotApplicable, e)
 }
 
 // checkTransition enforces decision irrevocability: once a processor enters a
