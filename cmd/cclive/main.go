@@ -75,6 +75,8 @@ type runOutcome struct {
 	crashes   int
 	detectMax time.Duration
 	decideMax time.Duration
+	quiesce   time.Duration // last decision → Watch's verdict
+	waves     int           // probe waves the coordinator sent (distributed)
 	recovery  time.Duration
 	falseSusp int
 	linkSusp  int
@@ -422,6 +424,7 @@ func runServe(ctx context.Context, f soakFlags, proto consensus.Protocol, prob c
 			break
 		}
 		outcomes[i] = judgeResult(rep.Result, proto, prob, f, plan)
+		outcomes[i].waves = rep.Waves
 	}
 	_ = coord.Close()
 	for _, child := range children {
@@ -485,6 +488,9 @@ func judgeResult(res *consensus.LiveResult, proto consensus.Protocol, prob conse
 		if d > out.decideMax {
 			out.decideMax = d
 		}
+	}
+	if res.Quiescent && out.decideMax > 0 {
+		out.quiesce = res.Elapsed - out.decideMax
 	}
 	if res.Err != nil {
 		out.err = res.Err
@@ -563,9 +569,11 @@ type jsonSummary struct {
 	LinkSuspicions  int   `json:"linkSuspicions"`
 	Events          int64 `json:"events"`
 
-	DetectionNs *latencyQuantiles `json:"detectionNs,omitempty"`
-	RecoveryNs  *latencyQuantiles `json:"recoveryNs,omitempty"`
-	DecisionNs  *latencyQuantiles `json:"decisionNs,omitempty"`
+	DetectionNs  *latencyQuantiles `json:"detectionNs,omitempty"`
+	RecoveryNs   *latencyQuantiles `json:"recoveryNs,omitempty"`
+	DecisionNs   *latencyQuantiles `json:"decisionNs,omitempty"`
+	QuiescenceNs *latencyQuantiles `json:"quiescenceNs,omitempty"`
+	ProbeWaves   int               `json:"probeWaves,omitempty"`
 
 	Transport consensus.LiveTransportStats `json:"transport"`
 }
@@ -609,10 +617,10 @@ func (q *latencyQuantiles) String() string {
 func report(outcomes []runOutcome, protoCanon string, f soakFlags, prob consensus.Problem, mode string, hosts int) int {
 	var (
 		completed, quiesced, failing, aborted, conformed int
-		crashes, falseSusp, linkSusp                     int
+		crashes, falseSusp, linkSusp, waves              int
 		events                                           int64
 		transport                                        consensus.LiveTransportStats
-		detections, recoveries, decisions                []time.Duration
+		detections, recoveries, decisions, quiesces      []time.Duration
 	)
 	type failure struct {
 		idx int
@@ -645,6 +653,10 @@ func report(outcomes []runOutcome, protoCanon string, f soakFlags, prob consensu
 		if out.decideMax > 0 {
 			decisions = append(decisions, out.decideMax)
 		}
+		if out.quiesce > 0 {
+			quiesces = append(quiesces, out.quiesce)
+		}
+		waves += out.waves
 		if out.diverged || out.err != nil {
 			failing++
 			failures = append(failures, failure{i, out})
@@ -671,7 +683,7 @@ func report(outcomes []runOutcome, protoCanon string, f soakFlags, prob consensu
 	// Formerly-silent loss paths: always printed, never dropped quietly.
 	fmt.Printf("  silent-loss: %d encode failures, %d garbage frames\n",
 		st.EncodeFailures, st.GarbageFrames)
-	detectQ, recoverQ, decideQ := quantiles(detections), quantiles(recoveries), quantiles(decisions)
+	detectQ, recoverQ, decideQ, quiesceQ := quantiles(detections), quantiles(recoveries), quantiles(decisions), quantiles(quiesces)
 	if detectQ != nil {
 		fmt.Printf("  detection latency:  %s\n", detectQ)
 	}
@@ -681,6 +693,13 @@ func report(outcomes []runOutcome, protoCanon string, f soakFlags, prob consensu
 	}
 	if decideQ != nil {
 		fmt.Printf("  decision latency:   %s (go → last decision)\n", decideQ)
+	}
+	if quiesceQ != nil {
+		how := "one read of zero"
+		if mode == "distributed" {
+			how = fmt.Sprintf("%d probe waves", waves)
+		}
+		fmt.Printf("  quiescence latency: %s (last decision → verdict, %s)\n", quiesceQ, how)
 	}
 
 	written := 0
@@ -720,11 +739,13 @@ func report(outcomes []runOutcome, protoCanon string, f soakFlags, prob consensu
 			Completed: completed, Aborted: aborted, Quiesced: quiesced,
 			Failing: failing, Conformed: conformed,
 			Crashes: crashes, FalseSuspicions: falseSusp, LinkSuspicions: linkSusp,
-			Events:      events,
-			DetectionNs: detectQ,
-			RecoveryNs:  recoverQ,
-			DecisionNs:  decideQ,
-			Transport:   transport,
+			Events:       events,
+			DetectionNs:  detectQ,
+			RecoveryNs:   recoverQ,
+			DecisionNs:   decideQ,
+			Transport:    transport,
+			QuiescenceNs: quiesceQ,
+			ProbeWaves:   waves,
 		}
 		if err := writeJSON(f.jsonPath, sum); err != nil {
 			fmt.Fprintln(os.Stderr, "cclive:", err)

@@ -15,8 +15,10 @@
 //	coord  → joiner  peers{addrs}            (all hosts known)
 //	joiner → coord   armed                   (group built, mesh wired)
 //	coord  → joiner  go{startNs}             (everybody starts together)
-//	joiner → coord   status…                 (periodic, drives quiescence)
+//	joiner → coord   status…                 (first wave: pushed whenever the host's work reaches zero, and every 2 ms)
 //	coord  → joiner  crash{proc}             (routed failure injections)
+//	coord  → joiner  probe{round}            (second wave: every pushed status reads idle)
+//	joiner → coord   status{round}           (a fresh look, taken after the probe arrived)
 //	coord  → joiner  finish                  (global quiescence or deadline)
 //	joiner → coord   report{group result}
 //	coord  → joiner  bye                     (run over; next welcome or done)
@@ -25,11 +27,20 @@
 //
 // The coordinator joins the statuses into one and hands them to
 // runtime.Watch — the monitor a one-host runtime.Run uses, which fires the
-// injections and declares quiescence (runtime.GroupStatus.Quiet: the hosts'
-// token counts sum to zero, stable across consecutive fresh rounds because
-// the sum is not one atomic read) — then merges the group results by
-// Lamport order (runtime.MergeGroups, runtime.Finish) into the Result a
-// one-host run returns, ready for the same conformance replay.
+// injections and declares quiescence. The hosts' token counts summing to
+// zero (runtime.GroupStatus.Quiet) is not yet that: the sum is of reads
+// taken at different instants. So when it is zero the coordinator probes,
+// and every host — the coordinator's own after the probes have left — looks
+// again. A host whose second look is idle at the epoch of its first took
+// nothing in between (runtime.GroupStatus.IdleSince), so if every host is,
+// all were idle together at the instant the first probe left, and since a
+// frame stays on its sender's count until the receiver holds its token, the
+// global count was zero at that instant: quiescent, one round trip after
+// the last host went idle. A crash command precedes any later probe on the
+// joiner's FIFO control connection, so an injection voids the wave. The
+// coordinator then merges the group results by Lamport order
+// (runtime.MergeGroups, runtime.Finish) into the Result a one-host run
+// returns, ready for the same conformance replay.
 package dist
 
 import (
@@ -152,6 +163,9 @@ func (o Options) logf(format string, args ...any) {
 type Report struct {
 	Result  *runtime.Result
 	PerHost []*runtime.GroupResult
+	// Waves counts the probe waves the coordinator sent: one for a run whose
+	// hosts went idle once, more when a joined zero did not hold.
+	Waves int
 }
 
 // ctrl is the one JSON-lines message shape of the control plane; Type
@@ -165,12 +179,14 @@ type ctrl struct {
 	StartNs  int64                `json:"startNs,omitempty"`
 	Status   *runtime.GroupStatus `json:"status,omitempty"`
 	Proc     int                  `json:"proc,omitempty"`
+	Round    int                  `json:"round,omitempty"` // probe wave; echoed by the status that answers it
 	Report   *runtime.GroupResult `json:"report,omitempty"`
 	Err      string               `json:"err,omitempty"`
 }
 
-// statusInterval is how often each host pushes its status; the
-// coordinator's quiescence rounds are paced by it.
+// statusInterval is how often a host pushes its status unprompted. Idleness
+// is pushed the moment it happens (Group.Wake); the tick carries the event
+// count that failure injections wait for.
 const statusInterval = 2 * time.Millisecond
 
 func startMesh(host int, spec *Spec, holder *atomic.Pointer[runtime.Group]) (*netx.Mesh, error) {
@@ -184,6 +200,11 @@ func startMesh(host int, spec *Spec, holder *atomic.Pointer[runtime.Group]) (*ne
 		OnFrame: func(_ int, payload []byte) {
 			if g := holder.Load(); g != nil {
 				g.DeliverWire(payload)
+			}
+		},
+		OnAck: func(_, n int) {
+			if g := holder.Load(); g != nil {
+				g.FramesAcked(n)
 			}
 		},
 		OnPeerDown: func(int) {
@@ -217,19 +238,18 @@ type joinerConn struct {
 	enc  *json.Encoder
 
 	mu     sync.Mutex
-	status runtime.GroupStatus // ccvet:guardedby mu
-	gen    int                 // ccvet:guardedby mu — bumps on every status push
-	seen   int                 // ccvet:guardedby mu — gen at the coordinator's last Watch round
+	status runtime.GroupStatus // ccvet:guardedby mu — latest, pushed or probed
+	round  int                 // ccvet:guardedby mu — wave of the latest probe reply
 	err    error               // ccvet:guardedby mu — first read error; the session is over
 }
 
 func (j *joinerConn) send(m ctrl) error { return j.enc.Encode(m) }
 
-// reset clears per-run state before a new welcome goes out.
-func (j *joinerConn) reset() {
+// reset sets the status a host has at the go signal, before it has said
+// anything: every processor it owns is running.
+func (j *joinerConn) reset(owned int) {
 	j.mu.Lock()
-	j.status = runtime.GroupStatus{}
-	j.gen, j.seen = 0, 0
+	j.status = runtime.GroupStatus{Work: int64(owned)}
 	j.mu.Unlock()
 }
 
@@ -241,8 +261,15 @@ type Coordinator struct {
 	joiners   []*joinerConn
 	handshake chan ctrl
 	reports   chan *runtime.GroupResult
-	wg        sync.WaitGroup
-	closed    bool
+	// group is the current run's local group: the mesh delivers to it and a
+	// joiner's status push nudges its Wake.
+	group atomic.Pointer[runtime.Group]
+	// round numbers the probe waves of the session; replied gets a
+	// non-blocking send whenever a probe is answered or a connection is lost.
+	round   int
+	replied chan struct{}
+	wg      sync.WaitGroup
+	closed  bool
 }
 
 // NewCoordinator binds the control plane on listenAddr and admits exactly
@@ -264,6 +291,7 @@ func NewCoordinator(ctx context.Context, listenAddr string, joins int, opts Opti
 		ln:        ln,
 		handshake: make(chan ctrl, joins+1),
 		reports:   make(chan *runtime.GroupResult, joins+1),
+		replied:   make(chan struct{}, 1),
 	}
 	if opts.OnListen != nil {
 		opts.OnListen(ln.Addr().String())
@@ -338,8 +366,8 @@ func (c *Coordinator) Run(ctx context.Context, spec Spec) (*Report, error) {
 	}
 
 	// Handshake: fresh mesh + group on every host.
-	var holder atomic.Pointer[runtime.Group]
-	mesh, err := startMesh(0, &spec, &holder)
+	defer c.group.Store(nil)
+	mesh, err := startMesh(0, &spec, &c.group)
 	if err != nil {
 		return nil, err
 	}
@@ -347,18 +375,18 @@ func (c *Coordinator) Run(ctx context.Context, spec Spec) (*Report, error) {
 	addrs := map[int]string{0: mesh.Addr()}
 
 	for _, j := range c.joiners {
-		j.reset()
+		j.reset(countOwned(spec.Owner, j.host))
 		if err := j.send(ctrl{Type: "welcome", Host: j.host, Spec: &spec}); err != nil {
 			return nil, fmt.Errorf("dist: welcome host %d: %w", j.host, err)
 		}
 	}
 	for range c.joiners {
-		m, err := next(ctx, c.handshake)
+		m, err := c.nextFrom(ctx, "ready", func(h int) bool { return addrs[h] != "" })
 		if err != nil {
 			return nil, err
 		}
-		if m.Type != "ready" || m.DataAddr == "" {
-			return nil, fmt.Errorf("dist: expected ready, got %q", m.Type)
+		if m.DataAddr == "" {
+			return nil, fmt.Errorf("dist: ready from host %d without a data address", m.Host)
 		}
 		addrs[m.Host] = m.DataAddr
 	}
@@ -367,21 +395,20 @@ func (c *Coordinator) Run(ctx context.Context, spec Spec) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	holder.Store(group)
+	c.group.Store(group)
 	mesh.SetPeers(addrs)
 	for _, j := range c.joiners {
 		if err := j.send(ctrl{Type: "peers", Peers: addrs}); err != nil {
 			return nil, fmt.Errorf("dist: peers to host %d: %w", j.host, err)
 		}
 	}
+	armed := make(map[int]bool)
 	for range c.joiners {
-		m, err := next(ctx, c.handshake)
+		m, err := c.nextFrom(ctx, "armed", func(h int) bool { return armed[h] })
 		if err != nil {
 			return nil, err
 		}
-		if m.Type != "armed" {
-			return nil, fmt.Errorf("dist: expected armed, got %q", m.Type)
-		}
+		armed[m.Host] = true
 	}
 
 	// Go.
@@ -393,18 +420,18 @@ func (c *Coordinator) Run(ctx context.Context, spec Spec) (*Report, error) {
 	}
 	group.Start()
 
+	// reported holds, per host, the statuses the latest joined status was
+	// summed from: what a probe wave's answers are held against.
+	reported := make([]runtime.GroupStatus, c.Hosts())
+	firstRound := c.round
 	fired, runErr := runtime.Watch(ctx, runtime.Watcher{
 		What:     "dist: run",
 		Deadline: spec.deadline(),
-		// Watch at half the status rate so every round can see a fresh
-		// status from every joiner.
-		Interval: 2 * statusInterval,
-		// Each host's count is exact, but their sum is read at different
-		// instants: a message can leave one snapshot before it enters the
-		// next, so zero must hold at an unmoved event count over fresh rounds.
-		Stable:   3,
+		Interval: statusInterval,
+		Wake:     group.Wake(),
 		Failures: spec.Failures,
-		Status:   func() (runtime.GroupStatus, bool, error) { return c.status(group) },
+		Status:   func() (runtime.GroupStatus, error) { return c.status(group, reported) },
+		Confirm:  func(ctx context.Context) (bool, error) { return c.probe(ctx, group, reported) },
 		Crash: func(p sim.ProcID) {
 			host := spec.Owner[p]
 			if host == 0 {
@@ -445,32 +472,89 @@ func (c *Coordinator) Run(ctx context.Context, spec Spec) (*Report, error) {
 		return nil, err
 	}
 	runtime.Finish(merged, startNs, endNs, spec.Failures, fired, runErr)
-	return &Report{Result: merged, PerHost: results}, nil
+	return &Report{Result: merged, PerHost: results, Waves: c.round - firstRound}, nil
 }
 
-// status joins the local group's status with every joiner's latest push for
-// one Watch round; fresh is false when some joiner has said nothing new
-// since the round before.
-func (c *Coordinator) status(group *runtime.Group) (all runtime.GroupStatus, fresh bool, err error) {
-	all, fresh = group.Status(), true
+// nextFrom returns the next handshake message, which must be of the given
+// type and from a joiner of this session that has not sent one yet: a
+// missing or doubled host would leave the mesh short of a peer, and the run
+// idling to its deadline.
+func (c *Coordinator) nextFrom(ctx context.Context, typ string, seen func(host int) bool) (ctrl, error) {
+	m, err := next(ctx, c.handshake)
+	switch {
+	case err != nil:
+		return m, err
+	case m.Type != typ:
+		return m, fmt.Errorf("dist: expected %s, got %q from host %d", typ, m.Type, m.Host)
+	case m.Host < 1 || m.Host >= c.Hosts():
+		return m, fmt.Errorf("dist: %s from unknown host %d (the session's joiners are hosts 1..%d)", typ, m.Host, len(c.joiners))
+	case seen(m.Host):
+		return m, fmt.Errorf("dist: %s from host %d twice", typ, m.Host)
+	}
+	return m, nil
+}
+
+// status joins the local group's status with every joiner's latest for one
+// Watch round, and records in reported what each host contributed.
+func (c *Coordinator) status(group *runtime.Group, reported []runtime.GroupStatus) (runtime.GroupStatus, error) {
+	all := group.Status()
+	reported[0] = all
 	if all.Err != "" {
-		return all, false, fmt.Errorf("dist: host 0: %s", all.Err)
+		return all, fmt.Errorf("dist: host 0: %s", all.Err)
 	}
 	for _, j := range c.joiners {
 		j.mu.Lock()
-		st, gen, jerr := j.status, j.gen, j.err
-		fresh = fresh && gen != j.seen
-		j.seen = gen
+		st, jerr := j.status, j.err
 		j.mu.Unlock()
 		if jerr != nil {
-			return all, false, fmt.Errorf("dist: host %d control connection: %w", j.host, jerr)
+			return all, fmt.Errorf("dist: host %d control connection: %w", j.host, jerr)
 		}
 		if st.Err != "" {
-			return all, false, fmt.Errorf("dist: host %d: %s", j.host, st.Err)
+			return all, fmt.Errorf("dist: host %d: %s", j.host, st.Err)
 		}
+		reported[j.host] = st
 		all = all.Join(st)
 	}
-	return all, fresh, nil
+	return all, nil
+}
+
+// probe is the second wave (runtime.Watcher.Confirm): every host looks
+// again, and the run is quiescent if each was idle since the status it had
+// reported. The local group is read after the probes have left, so its
+// second look, like every joiner's, is later than the instant the first
+// probe left and its first look earlier — the instant they all vouch for.
+func (c *Coordinator) probe(ctx context.Context, group *runtime.Group, reported []runtime.GroupStatus) (bool, error) {
+	c.round++
+	for _, j := range c.joiners {
+		if err := j.send(ctrl{Type: "probe", Round: c.round}); err != nil {
+			return false, fmt.Errorf("dist: probe host %d: %w", j.host, err)
+		}
+	}
+	if !group.Status().IdleSince(reported[0]) {
+		return false, nil // the late answers still update the joiners' statuses
+	}
+	for _, j := range c.joiners {
+		for {
+			j.mu.Lock()
+			st, round, jerr := j.status, j.round, j.err
+			j.mu.Unlock()
+			if jerr != nil {
+				return false, fmt.Errorf("dist: host %d control connection: %w", j.host, jerr)
+			}
+			if round == c.round {
+				if !st.IdleSince(reported[j.host]) {
+					return false, nil
+				}
+				break
+			}
+			select {
+			case <-c.replied:
+			case <-ctx.Done():
+				return false, ctx.Err()
+			}
+		}
+	}
+	return true, nil
 }
 
 // readLoop drains one joiner's control connection for the whole session:
@@ -487,7 +571,8 @@ func (c *Coordinator) readLoop(j *joinerConn) {
 				j.err = err
 			}
 			j.mu.Unlock()
-			// Unblock a Run that is waiting on this host's report.
+			// Unblock a Run that is waiting on this host's answer or report.
+			notify(c.replied)
 			select {
 			case c.reports <- nil:
 			default:
@@ -496,17 +581,32 @@ func (c *Coordinator) readLoop(j *joinerConn) {
 		}
 		switch m.Type {
 		case "status":
-			if m.Status != nil {
-				j.mu.Lock()
-				j.status = *m.Status
-				j.gen++
-				j.mu.Unlock()
+			if m.Status == nil {
+				continue
+			}
+			j.mu.Lock()
+			j.status = *m.Status
+			if m.Round != 0 {
+				j.round = m.Round
+			}
+			j.mu.Unlock()
+			if m.Round != 0 {
+				notify(c.replied)
+			} else if g := c.group.Load(); g != nil {
+				g.Nudge()
 			}
 		case "report":
 			c.reports <- m.Report
 		default:
 			c.handshake <- m
 		}
+	}
+}
+
+func notify(ch chan<- struct{}) {
+	select {
+	case ch <- struct{}{}:
+	default:
 	}
 }
 
@@ -711,32 +811,13 @@ func (j *joinerSession) runOne(spec Spec, host int) error {
 	group.Start()
 	j.opts.logf("host %d running %d processor(s)", host, countOwned(spec.Owner, host))
 
-	tick := time.NewTicker(statusInterval)
-	defer tick.Stop()
-loop:
-	for {
-		select {
-		case <-j.ctx.Done():
-			return j.ctx.Err()
-		case <-tick.C:
-			st := group.Status()
-			if err := j.enc.Encode(ctrl{Type: "status", Host: host, Status: &st}); err != nil {
-				return fmt.Errorf("dist: status push: %w", err)
-			}
-		case m, ok := <-j.inCh:
-			if !ok {
-				return fmt.Errorf("dist: control connection lost: %v", <-j.readErr)
-			}
-			switch m.Type {
-			case "crash":
-				group.Crash(sim.ProcID(m.Proc))
-			case "finish":
-				break loop
-			}
-		}
-	}
-
+	// Whatever ends the run — finish, a cancelled context, a lost control
+	// connection — the started group is finished exactly once.
+	err = j.serve(group, host)
 	res := group.Finish()
+	if err != nil {
+		return err
+	}
 	if err := j.enc.Encode(ctrl{Type: "report", Host: host, Report: res}); err != nil {
 		return fmt.Errorf("dist: report: %w", err)
 	}
@@ -745,6 +826,48 @@ loop:
 		return err
 	}
 	return nil
+}
+
+// serve is a joiner's run loop from go to finish: it pushes the group's
+// status whenever its work reaches zero and on every tick, answers probes
+// with a fresh one, and applies routed crashes. Crashes and probes are
+// handled in arrival order, so a probe sent after a crash sees it.
+func (j *joinerSession) serve(group *runtime.Group, host int) error {
+	push := func(round int) error {
+		st := group.Status()
+		if err := j.enc.Encode(ctrl{Type: "status", Host: host, Status: &st, Round: round}); err != nil {
+			return fmt.Errorf("dist: status push: %w", err)
+		}
+		return nil
+	}
+	tick := time.NewTicker(statusInterval)
+	defer tick.Stop()
+	for {
+		var err error
+		select {
+		case <-j.ctx.Done():
+			return j.ctx.Err()
+		case <-group.Wake():
+			err = push(0)
+		case <-tick.C:
+			err = push(0)
+		case m, ok := <-j.inCh:
+			if !ok {
+				return fmt.Errorf("dist: control connection lost: %v", <-j.readErr)
+			}
+			switch m.Type {
+			case "crash":
+				group.Crash(sim.ProcID(m.Proc))
+			case "probe":
+				err = push(m.Round)
+			case "finish":
+				return nil
+			}
+		}
+		if err != nil {
+			return err
+		}
+	}
 }
 
 func dialRetry(ctx context.Context, addr string, budget time.Duration) (net.Conn, error) {

@@ -52,9 +52,12 @@ type GroupConfig struct {
 type GroupStatus struct {
 	// Events is the number of locally recorded schedule events.
 	Events int `json:"events"`
-	// Work is the host's token count (see tokens) plus the frames still
-	// queued or unacked on its outbound links.
+	// Work is the host's token count (see tokens), the frames still queued
+	// or unacked on its outbound links included.
 	Work int64 `json:"work"`
+	// Epoch numbers the host's busy periods: it moves whenever the token
+	// count leaves zero. It is one host's and means nothing once joined.
+	Epoch uint32 `json:"epoch,omitempty"`
 	// Err is a local model-contract violation, fatal to the run.
 	Err string `json:"err,omitempty"`
 }
@@ -63,13 +66,23 @@ type GroupStatus struct {
 // running, no message is in flight, buffered or mid-application, and every
 // confirmed crash has handed over its notices. It is the live analogue of
 // Config.Quiescent — the system has deadlocked in the model's sense, which
-// is how weakly terminating protocols terminate.
-func (s GroupStatus) Quiet() bool { return s.Work == 0 }
+// is how weakly terminating protocols terminate. A host that stopped on a
+// contract violation is never quiet.
+func (s GroupStatus) Quiet() bool { return s.Work == 0 && s.Err == "" }
+
+// IdleSince reports whether the host that reported earlier and now reports s
+// did nothing in between: both statuses are quiet and no busy period began.
+// Only a token holder takes a token or queues a frame on the mesh, so a host
+// idle at both ends of an interval with its epoch unmoved was idle throughout.
+func (s GroupStatus) IdleSince(earlier GroupStatus) bool {
+	return earlier.Quiet() && s.Quiet() && s.Epoch == earlier.Epoch
+}
 
 // Join folds another host's status into the aggregate; the first Err wins.
 func (s GroupStatus) Join(o GroupStatus) GroupStatus {
 	s.Events += o.Events
 	s.Work += o.Work
+	s.Epoch = 0
 	if s.Err == "" {
 		s.Err = o.Err
 	}
@@ -96,34 +109,58 @@ type GroupResult struct {
 // everything that can still make an event happen on this host. A token is
 // held by each hosted node while it is neither blocked on an empty mailbox
 // nor exited, by each message from the scheduler's accept until it is
-// settled, by each message a mailbox buffers until its delivery is applied
-// or discarded, and by each confirmed crash until the detector has handed
-// its notices to Send. A token is only ever taken by a holder of another —
-// a hand-off takes the new one before releasing the old — so the count
-// never passes through zero while work remains, and once at zero it stays
-// there: one read of zero proves the host quiescent. (Two exceptions, both
-// harmless: Crash, an intervention from outside, voids the Watch round that
-// fires it; and a blocked node woken by a stale notify retakes its token,
-// finds its mailbox still empty and releases it again. A host with a mesh
-// also receives work from its peers, which is why only a one-host run
-// trusts a single read.)
+// settled, by each frame queued on the mesh until the peer has acked it, by
+// each message a mailbox buffers until its delivery is applied or
+// discarded, and by each confirmed crash until the detector has handed its
+// notices to Send. A token is only ever taken by a holder of another — a
+// hand-off takes the new one before releasing the old — so the count never
+// passes through zero while work remains, and once at zero it stays there
+// until something from outside the host moves it: one read of zero proves a
+// one-host run quiescent. (From outside: Crash, which voids the Watch round
+// that fires it, and a frame from a peer, which is why a run over a mesh
+// asks for a second wave, Watcher.Confirm; the peer acks the frame only once
+// this host holds its token, so the hosts' counts never sum to zero while
+// it is on its way. One more take is harmless: a blocked node woken by a
+// stale notify retakes its token, finds its mailbox still empty and
+// releases it again.)
+//
+// The count shares one atomic word with an epoch that the take leaving zero
+// bumps, so a reader sees both at one instant. Every take returns before the
+// thing it vouches for is visible to whoever will release it, so the count
+// cannot come back to zero ahead of the bump: two reads of zero at one epoch
+// prove that nothing was taken in between (GroupStatus.IdleSince).
 type tokens struct {
-	n atomic.Int64
+	state atomic.Uint64 // epoch<<32 | count
 	// wake gets a non-blocking send from the release that reaches zero.
 	wake chan struct{}
 }
 
 func newTokens() *tokens { return &tokens{wake: make(chan struct{}, 1)} }
 
-func (t *tokens) take(k int) { t.n.Add(int64(k)) }
+func (t *tokens) take(k int) {
+	if uint32(t.state.Add(uint64(k))) == uint32(k) {
+		t.state.Add(1 << 32)
+	}
+}
 
 func (t *tokens) release() {
-	if t.n.Add(-1) == 0 {
-		select {
-		case t.wake <- struct{}{}:
-		default:
-		}
+	if uint32(t.state.Add(^uint64(0))) == 0 {
+		t.nudge()
 	}
+}
+
+func (t *tokens) nudge() {
+	select {
+	case t.wake <- struct{}{}:
+	default:
+	}
+}
+
+// read returns the epoch and the count as they were at one instant. A
+// negative count is a release without a take: a bug, and never quiet.
+func (t *tokens) read() (epoch uint32, n int64) {
+	v := t.state.Load()
+	return uint32(v >> 32), int64(int32(uint32(v)))
 }
 
 // Group runs the hosted slice of processors. Construction wires everything
@@ -277,6 +314,14 @@ func (g *Group) DeliverWire(payload []byte) {
 	mb.deliver(frame, m, ts)
 }
 
+// FramesAcked releases the tokens of n frames this group queued on the mesh:
+// the peer has acked them, so its mailboxes hold tokens for what they carried.
+func (g *Group) FramesAcked(n int) {
+	for ; n > 0; n-- {
+		g.work.release()
+	}
+}
+
 // NoteLinkDown forwards a mesh keepalive verdict to the failure detector
 // as suspicion-only evidence.
 func (g *Group) NoteLinkDown() { g.det.noteLinkDown() }
@@ -298,18 +343,19 @@ func (g *Group) Crash(p sim.ProcID) {
 }
 
 // Wake is signalled whenever the group's token count reaches zero, so a
-// one-host Watch need not wait for its next tick.
+// Watch (or a joiner's status push) need not wait for its next tick.
 func (g *Group) Wake() <-chan struct{} { return g.work.wake }
 
-// Status snapshots the group's contribution to the quiescence predicate.
-// The reads are ordered with the hand-offs: the token count before the
-// mesh (a remote send is queued on its link before its token is released),
-// and both before the event count, which is final once the work is zero.
+// Nudge signals Wake from outside: a dist coordinator calls it when a
+// joiner's status arrives, so its Watch looks again at once.
+func (g *Group) Nudge() { g.work.nudge() }
+
+// Status snapshots the group's contribution to the quiescence predicate:
+// the token count before the event count, which is final once the work is
+// zero.
 func (g *Group) Status() GroupStatus {
-	st := GroupStatus{Work: g.work.n.Load()}
-	if g.cfg.Mesh != nil {
-		st.Work += int64(g.cfg.Mesh.Pending())
-	}
+	var st GroupStatus
+	st.Epoch, st.Work = g.work.read()
 	st.Events = g.col.events()
 	if err := g.col.failure(); err != nil {
 		st.Err = err.Error()

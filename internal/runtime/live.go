@@ -140,16 +140,15 @@ func runGroup(ctx context.Context, g *Group, cfg Config) (*Result, error) {
 	proto := g.cfg.Proto
 	startNs := time.Now().UnixNano()
 	g.Start()
+	// No Confirm: one host's token count is one atomic word, so a single
+	// read of zero is already a proof.
 	fired, runErr := Watch(ctx, Watcher{
 		What:     "runtime: " + proto.Name(),
 		Deadline: cfg.deadline(),
 		Interval: pollInterval,
-		// One host's token count is one atomic integer: a single read of
-		// zero is a proof, with nothing for further rounds to confirm.
-		Stable:   0,
 		Wake:     g.Wake(),
 		Failures: cfg.Failures,
-		Status:   func() (GroupStatus, bool, error) { return g.Status(), true, nil },
+		Status:   func() (GroupStatus, error) { return g.Status(), nil },
 		Crash:    g.Crash,
 	})
 	endNs := time.Now().UnixNano()
@@ -174,17 +173,21 @@ type Watcher struct {
 	// Wake, if set, triggers a round at once: the hosts signal it when
 	// their work reaches zero.
 	Wake <-chan struct{}
-	// Stable is how many consecutive quiet rounds must repeat the first
-	// one's event count before the run is declared quiescent. Zero suits a
-	// status that is one atomic read; a sum of per-host snapshots is not.
-	Stable int
 	// Failures is the injection schedule, fired against the global event
 	// count.
 	Failures []sim.FailureAt
-	// Status returns the statuses of all hosts joined into one. fresh is
-	// false when some host has not reported since the previous round, so
-	// the round proves nothing about quiescence; an error ends the watch.
-	Status func() (st GroupStatus, fresh bool, err error)
+	// Status returns the statuses of all hosts joined into one; an error
+	// ends the watch.
+	Status func() (GroupStatus, error)
+	// Confirm, if set, is asked whenever a round finds the joined status
+	// quiet and fires nothing, and only its yes is quiescence. A joined
+	// status sums reads taken at different instants — a message can leave
+	// one host's read before it enters the next — so Confirm is the second,
+	// causally later wave: every host looks again, and the hosts' answers
+	// must show each one idle since the status it had reported
+	// (GroupStatus.IdleSince). Nil suits a Status that is one atomic read.
+	// The context expires with the watch.
+	Confirm func(ctx context.Context) (bool, error)
 	// Crash injects a fail-stop failure on p (routed to p's host). A target
 	// that had already crashed still counts as fired: the intended failure
 	// is in the run.
@@ -192,38 +195,37 @@ type Watcher struct {
 }
 
 // Watch drives the failure injections of a started run and waits for
-// global quiescence: GroupStatus.Quiet on a fresh aggregate status, at an
-// event count unchanged over Stable further rounds. A round that is not
-// quiet, is stale, fires an injection or moves the count resets the streak.
-// fired marks the injections that came due, whatever ended the watch; err
-// is nil on quiescence and otherwise the context's error, the deadline, a
-// Status error or a model-contract violation a host reported.
+// global quiescence: a round whose aggregate status is GroupStatus.Quiet,
+// that fires no injection, and that Confirm (if any) upholds. fired marks
+// the injections that came due, whatever ended the watch; err is nil on
+// quiescence and otherwise the context's error, the deadline, a Status or
+// Confirm error, or a model-contract violation a host reported.
 func Watch(ctx context.Context, w Watcher) (fired []bool, err error) {
-	deadline := time.NewTimer(w.Deadline)
-	defer deadline.Stop()
+	caller := ctx
+	ctx, cancel := context.WithTimeout(caller, w.Deadline)
+	defer cancel()
 	tick := time.NewTicker(w.Interval)
 	defer tick.Stop()
 
 	fired = make([]bool, len(w.Failures))
-	stable, lastEvents := 0, -1
 	var st GroupStatus
 	for {
 		select {
 		case <-ctx.Done():
-			return fired, ctx.Err()
-		case <-deadline.C:
+			if err := caller.Err(); err != nil {
+				return fired, err
+			}
 			return fired, fmt.Errorf("%s did not quiesce within %s (work %d, events %d)", w.What, w.Deadline, st.Work, st.Events)
 		case <-tick.C:
 		case <-w.Wake:
 		}
-		var fresh bool
-		if st, fresh, err = w.Status(); err != nil {
+		if st, err = w.Status(); err != nil {
 			return fired, err
 		}
 		if st.Err != "" {
 			return fired, errors.New(st.Err)
 		}
-		quiet := fresh && st.Quiet()
+		quiet := st.Quiet()
 		for i, f := range w.Failures {
 			if !fired[i] && f.AfterStep <= st.Events {
 				fired[i] = true
@@ -231,17 +233,17 @@ func Watch(ctx context.Context, w Watcher) (fired []bool, err error) {
 				quiet = false
 			}
 		}
-		switch {
-		case !quiet:
-			stable, lastEvents = 0, -1
+		if !quiet {
 			continue
-		case st.Events != lastEvents:
-			stable, lastEvents = 0, st.Events
-		default:
-			stable++
 		}
-		if stable >= w.Stable {
+		if w.Confirm == nil {
 			return fired, nil
+		}
+		switch ok, err := w.Confirm(ctx); {
+		case ok:
+			return fired, nil
+		case err != nil && ctx.Err() == nil:
+			return fired, err
 		}
 	}
 }

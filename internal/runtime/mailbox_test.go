@@ -73,7 +73,7 @@ func TestMailboxDeliverAfterClose(t *testing.T) {
 	m1, f1 := mkMsg(t, 0, 1, 1)
 	mb.deliver(f1, m1, 1)
 	mb.close()
-	if got := mb.work.n.Load(); got != 0 {
+	if got := mb.work.count(); got != 0 {
 		t.Errorf("closed mailbox still holds %d tokens", got)
 	}
 	m2, f2 := mkMsg(t, 0, 1, 2)
@@ -81,7 +81,7 @@ func TestMailboxDeliverAfterClose(t *testing.T) {
 	if _, _, ok := mb.tryRecv(); ok {
 		t.Error("tryRecv yielded a message from a closed mailbox")
 	}
-	if got := mb.work.n.Load(); got != 0 {
+	if got := mb.work.count(); got != 0 {
 		t.Errorf("delivery to a closed mailbox left %d tokens", got)
 	}
 	if got := counters.garbageFrames.Load(); got != 0 {

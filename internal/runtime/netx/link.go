@@ -85,6 +85,9 @@ func (l *link) onAck(cum uint64) {
 		l.cond.Broadcast()
 	}
 	l.mu.Unlock()
+	if drop > 0 && l.m.cfg.OnAck != nil {
+		l.m.cfg.OnAck(l.to, drop)
+	}
 }
 
 // close shuts the link down for good.

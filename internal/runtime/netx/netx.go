@@ -13,8 +13,10 @@
 // across any number of connection failures, resets, and reconnections —
 // the sender replays everything above the receiver's last cumulative ack
 // after every redial, and the receiver discards already-seen sequence
-// numbers. Send blocks when the link's outbound queue is full
-// (backpressure), never spawning per-payload goroutines.
+// numbers. A frame is acked only after OnFrame has returned for it, so
+// Pending counts it until the receiver owns it. Send blocks when the link's
+// outbound queue is full (backpressure), never spawning per-payload
+// goroutines.
 package netx
 
 import (
@@ -49,8 +51,13 @@ type Config struct {
 	// Faults schedules link faults; the zero plan injects nothing.
 	Faults LinkFaultPlan
 	// OnFrame receives each delivered payload exactly once, in per-link
-	// order, from the receiving connection's goroutine. Required.
+	// order, from the receiving connection's goroutine, which holds the
+	// link's inbox meanwhile: it must not block on the mesh. Required.
 	OnFrame func(from int, payload []byte)
+	// OnAck is called, from the outbound link's ack reader, when the peer
+	// has acked n more payloads: OnFrame has returned for each of them over
+	// there, and Pending no longer counts them. Optional.
+	OnAck func(peer, n int)
 	// OnPeerDown is called on each keepalive verdict against an inbound
 	// link (at most once per connection incarnation). Optional.
 	OnPeerDown func(peer int)
@@ -117,8 +124,8 @@ func (c *meshCounters) snapshot() Stats {
 // inbox is the persistent receive state of one directed inbound link; it
 // survives reconnections so resumed frames dedup correctly.
 type inbox struct {
-	mu  sync.Mutex
-	cum uint64 // ccvet:guardedby mu — all data frames ≤ cum delivered
+	mu  sync.Mutex // held across OnFrame: deliveries from one peer are serial
+	cum uint64     // ccvet:guardedby mu — all data frames ≤ cum delivered, none beyond begun
 }
 
 // Mesh is one process's endpoint in the byte mesh.
@@ -204,7 +211,8 @@ func (m *Mesh) Send(to int, payload []byte) error {
 }
 
 // Pending returns the number of payloads enqueued but not yet acked across
-// all outbound links; distributed quiescence requires zero.
+// all outbound links. (The runtime keeps its own count of them through
+// OnAck: distributed quiescence requires zero.)
 func (m *Mesh) Pending() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -356,12 +364,17 @@ func (m *Mesh) handle(conn net.Conn) {
 			if err != nil {
 				return
 			}
+			// Delivered inside the inbox's critical section: after a reset a
+			// second connection's goroutine can hold the replay of this very
+			// frame, and it must neither ack it nor deliver its successor
+			// until OnFrame has returned. An ack is the sender's licence to
+			// forget the frame, so the receiver has to own it by then.
 			ib.mu.Lock()
-			deliver := seq == ib.cum+1
-			if deliver {
+			gap := seq > ib.cum+1
+			if seq == ib.cum+1 {
+				m.cfg.OnFrame(peer, append([]byte(nil), payload...))
 				ib.cum = seq
 			}
-			gap := seq > ib.cum+1
 			cum := ib.cum
 			ib.mu.Unlock()
 			if gap {
@@ -369,9 +382,6 @@ func (m *Mesh) handle(conn net.Conn) {
 				// on a healthy link; drop the connection and let the
 				// sender resume from the last ack.
 				return
-			}
-			if deliver {
-				m.cfg.OnFrame(peer, append([]byte(nil), payload...))
 			}
 			out = appendAck(out[:0], cum)
 			if _, err := conn.Write(out); err != nil {

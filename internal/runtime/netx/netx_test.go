@@ -4,6 +4,8 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -133,6 +135,68 @@ func TestReconnectResumesFromAck(t *testing.T) {
 	}
 	if st.Reconnects == 0 {
 		t.Error("link never reconnected after a reset")
+	}
+}
+
+// TestDeliverBeforeAck: an ack tells the sender to forget the frame, so none
+// may be written for a frame whose OnFrame has not returned — not even by a
+// second connection that, after a reset, holds the replay of that frame and
+// sees it as a duplicate. The test plays the sender on raw sockets: frame 1
+// stalls in OnFrame on the first connection, the second replays it, and until
+// the stall ends neither connection may carry an ack.
+func TestDeliverBeforeAck(t *testing.T) {
+	entered, release := make(chan struct{}), make(chan struct{})
+	deliveries := 0
+	m, err := Listen("127.0.0.1:0", Config{Self: 0, OnFrame: func(int, []byte) {
+		deliveries++ // serial by contract: the race detector holds the mesh to it
+		entered <- struct{}{}
+		<-release
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	endStall := sync.OnceFunc(func() { close(release) })
+	defer m.Close()
+	defer endStall() // a failed assertion must not leave Close waiting on the stalled delivery
+	replay := func() net.Conn {
+		conn, err := net.Dial("tcp", m.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { conn.Close() })
+		if _, err := conn.Write(appendData(appendHello(nil, 7), 1, payload(1))); err != nil {
+			t.Fatal(err)
+		}
+		return conn
+	}
+	readAck := func(conn net.Conn, wait time.Duration) (uint64, error) {
+		_ = conn.SetReadDeadline(time.Now().Add(wait))
+		typ, body, _, err := readWireFrame(bufio.NewReader(conn), nil)
+		if err != nil {
+			return 0, err
+		}
+		if typ != frameAck {
+			t.Fatalf("frame type %d on an inbound link, want an ack", typ)
+		}
+		return parseAck(body)
+	}
+	first := replay()
+	<-entered // frame 1 is mid-delivery
+	second := replay()
+	for _, conn := range []net.Conn{second, first} {
+		var ne net.Error
+		if cum, err := readAck(conn, 100*time.Millisecond); !errors.As(err, &ne) || !ne.Timeout() {
+			t.Fatalf("ack %d (err %v) written while OnFrame had not returned for frame 1", cum, err)
+		}
+	}
+	endStall()
+	for _, conn := range []net.Conn{first, second} {
+		if cum, err := readAck(conn, 5*time.Second); err != nil || cum != 1 {
+			t.Fatalf("after the delivery: ack %d, err %v; want 1 on both connections", cum, err)
+		}
+	}
+	if deliveries != 1 {
+		t.Errorf("frame 1 delivered %d times", deliveries)
 	}
 }
 

@@ -36,6 +36,11 @@ func newTokenRig(t *testing.T, faults FaultPlan) *tokenRig {
 	return &tokenRig{t: t, g: g, seq: make(map[[2]sim.ProcID]int)}
 }
 
+func (t *tokens) count() int64 {
+	_, n := t.read()
+	return n
+}
+
 // live counts the tokens that should exist: one per attempt on the
 // scheduler's heap (every unsettled message has exactly one), one per
 // buffered message, one per popped delivery, one per undetected crash. The
@@ -58,7 +63,7 @@ func (r *tokenRig) live() int64 {
 
 func (r *tokenRig) check(step string) {
 	r.t.Helper()
-	if got, want := r.g.work.n.Load(), r.live(); got != want {
+	if got, want := r.g.work.count(), r.live(); got != want {
 		r.t.Fatalf("after %s: work = %d, but %d tokens are live", step, got, want)
 	}
 }
@@ -150,7 +155,7 @@ func TestTokenConservation(t *testing.T) {
 					r.stepDone()
 				}
 			}
-			if r.g.work.n.Load() == 0 {
+			if r.g.work.count() == 0 {
 				t.Fatal("test bug: the random drive left nothing outstanding")
 			}
 			select {
@@ -158,7 +163,7 @@ func TestTokenConservation(t *testing.T) {
 			default:
 			}
 			r.drain()
-			if got := r.g.work.n.Load(); got != 0 {
+			if got := r.g.work.count(); got != 0 {
 				t.Fatalf("everything settled and applied, work = %d", got)
 			}
 			select {
@@ -177,6 +182,55 @@ func TestTokenConservation(t *testing.T) {
 	}
 }
 
+// TestTokenEpochProperty: two reads of zero at one epoch prove that nothing
+// was taken in between, whatever the interleaving — the rule the probe wave
+// rests on (GroupStatus.IdleSince). Workers take a token, count one unit of
+// work while they hold it and let go; a reader that brackets two looks at the
+// work counter between two reads of the tokens must see the counter unmoved
+// whenever both reads say idle at the same epoch.
+func TestTokenEpochProperty(t *testing.T) {
+	tk := newTokens()
+	var (
+		wg   sync.WaitGroup
+		work atomic.Int64
+		stop atomic.Bool
+	)
+	for w := 0; w < 3; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !stop.Load() {
+				tk.take(1)
+				work.Add(1)
+				tk.release()
+			}
+		}()
+	}
+	idlePairs := 0
+	for work.Load() < 300000 {
+		e1, n1 := tk.read()
+		w1 := work.Load()
+		w2 := work.Load()
+		e2, n2 := tk.read()
+		if n1 != 0 || n2 != 0 || e1 != e2 {
+			continue
+		}
+		idlePairs++
+		if w1 != w2 {
+			t.Errorf("idle at epoch %d on both reads, yet the work counter moved %d -> %d between them", e1, w1, w2)
+			break
+		}
+	}
+	stop.Store(true)
+	wg.Wait()
+	if idlePairs == 0 {
+		t.Error("the reader never saw two idle reads at one epoch: the property was not exercised")
+	}
+	if e, n := tk.read(); n != 0 || e == 0 {
+		t.Errorf("after the workers left: count %d at epoch %d, want zero at a moved epoch", n, e)
+	}
+}
+
 // TestTokenCloseAndCrash: closing a mailbox returns the tokens of what it
 // had buffered but not the token of a delivery already popped, and a crash
 // on a blocked node lifts a zero count to one until the detector has handed
@@ -191,43 +245,43 @@ func TestTokenCloseAndCrash(t *testing.T) {
 	if !r.recv(1) {
 		t.Fatal("nothing buffered at p1")
 	}
-	if got := r.g.work.n.Load(); got != 3 {
+	if got := r.g.work.count(); got != 3 {
 		t.Fatalf("two buffered and one popped: work = %d, want 3", got)
 	}
 	r.g.boxes[1].close()
 	r.check("close")
-	if got := r.g.work.n.Load(); got != 1 {
+	if got := r.g.work.count(); got != 1 {
 		t.Fatalf("close kept %d tokens, want 1: the popped delivery's", got)
 	}
 	r.send(2, 1) // to the closed mailbox: settled, never buffered
 	for r.attempt() {
 	}
 	r.stepDone()
-	if got := r.g.work.n.Load(); got != 0 {
+	if got := r.g.work.count(); got != 0 {
 		t.Fatalf("work = %d after the popped delivery was applied, want 0", got)
 	}
 	<-r.g.Wake()
 
 	r.g.Crash(2)
 	r.check("Crash")
-	if got := r.g.work.n.Load(); got != 1 {
+	if got := r.g.work.count(); got != 1 {
 		t.Fatalf("a confirmed crash at work 0 gives work = %d, want 1", got)
 	}
 	r.g.det.poll() // p2's heartbeat is fresh: not detected yet
 	r.check("early poll")
-	if got := r.g.work.n.Load(); got != 1 {
+	if got := r.g.work.count(); got != 1 {
 		t.Fatalf("work = %d before detection, want the crash's 1", got)
 	}
 	r.g.det.lastBeat[2].Store(0) // silent since the epoch
 	r.g.det.poll()
 	r.check("detecting poll")
-	if got, want := r.g.work.n.Load(), int64(len(r.g.hosted)-1); got != want {
+	if got, want := r.g.work.count(), int64(len(r.g.hosted)-1); got != want {
 		t.Fatalf("work = %d once the notices are accepted, want one per survivor = %d", got, want)
 	}
 	r.g.det.poll() // detected once: no second release
 	r.check("repeat poll")
 	r.drain()
-	if got := r.g.work.n.Load(); got != 0 {
+	if got := r.g.work.count(); got != 0 {
 		t.Fatalf("work = %d after the notices were delivered, want 0", got)
 	}
 }

@@ -473,9 +473,14 @@ func (t *transport) attemptDeliver(a attempt) {
 	payload := make([]byte, 8+len(a.frame))
 	binary.BigEndian.PutUint64(payload, a.ts)
 	copy(payload[8:], a.frame)
-	// Send blocks under backpressure (full link queue); the scheduler
-	// tolerates that — at-least-once delivery has no deadline.
-	_ = t.g.cfg.Mesh.Send(t.g.cfg.Owner[to], payload)
+	// The frame holds a token of its own from here to the peer's ack
+	// (Group.FramesAcked), which the peer writes only once its mailbox holds
+	// the message's. Send blocks under backpressure (full link queue); the
+	// scheduler tolerates that — at-least-once delivery has no deadline.
+	t.g.work.take(1)
+	if err := t.g.cfg.Mesh.Send(t.g.cfg.Owner[to], payload); err != nil {
+		t.g.work.release() // the mesh is closed: the run is over
+	}
 }
 
 // Stats merges the message-level counters with the mesh's link counters.

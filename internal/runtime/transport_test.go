@@ -99,7 +99,7 @@ func TestSendSchedulerFollowsFaultRolls(t *testing.T) {
 			t.Errorf("message %v delivered %d times, the rolls predict %d", id, delivered[id], n)
 		}
 	}
-	st, inflight := tr.counters.snapshot(), work.n.Load()
+	st, inflight := tr.counters.snapshot(), work.count()
 	if st.Drops != drops || st.Dups != dups {
 		t.Errorf("counted %d drops and %d dups, the rolls predict %d and %d", st.Drops, st.Dups, drops, dups)
 	}
