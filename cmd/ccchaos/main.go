@@ -14,8 +14,9 @@
 //	ccchaos -proto chain-st -n 3 -problem ST-IC -trace-dir traces
 //	cccheck -replay traces/chain-st-ST-IC-run00042.json
 //
-// Exit codes: 0 clean, 1 usage or I/O error, 2 violations found, 3 sweep
-// interrupted before completing.
+// Exit codes: 0 clean, 1 usage or I/O error, 2 violations found (or, like a
+// malformed flag, a negative -runs or -max-steps: a sweep that would test
+// nothing is refused, not passed), 3 sweep interrupted before completing.
 package main
 
 import (
@@ -33,39 +34,42 @@ import (
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run() int {
+// run is the whole command: flags from args, the report to stdout,
+// diagnostics to stderr, and the exit code as its result.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("ccchaos", flag.ExitOnError)
 	var (
-		protoName = flag.String("proto", "tree", "protocol: "+strings.Join(consensus.ProtocolNames(), ", "))
-		n         = flag.Int("n", 3, "number of processors")
-		problem   = flag.String("problem", "WT-TC", "problem: {WT,ST,HT}-{IC,TC}")
-		runs      = flag.Int("runs", 1000, "number of randomized executions")
-		seed      = flag.Int64("seed", 1, "sweep seed; equal seeds and flags give byte-identical traces")
-		parallel  = flag.Int("parallel", 0, "worker-pool size (0 = GOMAXPROCS); affects speed only, never results")
-		maxFail   = flag.Int("max-failures", -1, "maximum injected failures per run (-1 = N-1, 0 = failure-free)")
-		maxSteps  = flag.Int("max-steps", 10_000, "per-run step budget")
-		timeout   = flag.Duration("timeout", 0, "whole-sweep wall-clock budget (0 = none); on expiry partial results are reported")
-		minimize  = flag.Bool("minimize", true, "shrink violating schedules to 1-minimal counterexamples")
-		traceDir  = flag.String("trace-dir", "", "directory for violation traces (empty = don't write)")
-		inputsArg = flag.String("inputs", "", "fixed input vector like 101 (empty = random per run)")
-		verbose   = flag.Bool("v", false, "print every failure, not just the first five")
-		adversary = flag.String("adversary", "uniform", "scheduling adversary: uniform, delay, or adaptive")
-		omitBudg  = flag.Int("omission-budget", 0, "maximum omission faults per run (0 = none): the adversary may suppress up to this many buffered deliveries")
-		mobileOm  = flag.Int("mobile-omissions", 0, "cap on simultaneously omission-faulty processors (0 = unbounded); the faulty set moves as deliveries succeed")
-		jsonOut   = flag.Bool("json", false, "print the sweep report as JSON (per-run and aggregate injection accounting) instead of text")
+		protoName = fs.String("proto", "tree", "protocol: "+strings.Join(consensus.ProtocolNames(), ", "))
+		n         = fs.Int("n", 3, "number of processors")
+		problem   = fs.String("problem", "WT-TC", "problem: {WT,ST,HT}-{IC,TC}")
+		runs      = fs.Int("runs", 1000, "number of randomized executions")
+		seed      = fs.Int64("seed", 1, "sweep seed; equal seeds and flags give byte-identical traces")
+		parallel  = fs.Int("parallel", 0, "worker-pool size (0 = GOMAXPROCS); affects speed only, never results")
+		maxFail   = fs.Int("max-failures", -1, "maximum injected failures per run (-1 = N-1, 0 = failure-free)")
+		maxSteps  = fs.Int("max-steps", 10_000, "per-run step budget")
+		timeout   = fs.Duration("timeout", 0, "whole-sweep wall-clock budget (0 = none); on expiry partial results are reported")
+		minimize  = fs.Bool("minimize", true, "shrink violating schedules to 1-minimal counterexamples")
+		traceDir  = fs.String("trace-dir", "", "directory for violation traces (empty = don't write)")
+		inputsArg = fs.String("inputs", "", "fixed input vector like 101 (empty = random per run)")
+		verbose   = fs.Bool("v", false, "print every failure, not just the first five")
+		adversary = fs.String("adversary", "uniform", "scheduling adversary: uniform, delay, or adaptive")
+		omitBudg  = fs.Int("omission-budget", 0, "maximum omission faults per run (0 = none): the adversary may suppress up to this many buffered deliveries")
+		mobileOm  = fs.Int("mobile-omissions", 0, "cap on simultaneously omission-faulty processors (0 = unbounded); the faulty set moves as deliveries succeed")
+		jsonOut   = fs.Bool("json", false, "print the sweep report as JSON (per-run and aggregate injection accounting) instead of text")
 	)
-	flag.Parse()
+	_ = fs.Parse(args) // ExitOnError: Parse does not return an error
 
 	proto, err := consensus.ProtocolByName(*protoName, *n)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "ccchaos:", err)
+		fmt.Fprintln(stderr, "ccchaos:", err)
 		return 1
 	}
 	prob, err := consensus.ParseProblem(*problem)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "ccchaos:", err)
+		fmt.Fprintln(stderr, "ccchaos:", err)
 		return 1
 	}
 	opts := consensus.ChaosOptions{
@@ -82,7 +86,7 @@ func run() int {
 	if *inputsArg != "" {
 		in, err := consensus.ParseInputs(*inputsArg)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "ccchaos:", err)
+			fmt.Fprintln(stderr, "ccchaos:", err)
 			return 1
 		}
 		opts.Inputs = [][]consensus.Bit{in}
@@ -97,23 +101,26 @@ func run() int {
 
 	rep, sweepErr := consensus.Chaos(ctx, proto, prob, opts)
 	if rep == nil {
-		fmt.Fprintln(os.Stderr, "ccchaos:", sweepErr)
+		fmt.Fprintln(stderr, "ccchaos:", sweepErr)
+		if errors.Is(sweepErr, consensus.ErrChaosOptions) {
+			return 2
+		}
 		return 1
 	}
 	if sweepErr != nil && !errors.Is(sweepErr, context.DeadlineExceeded) && !errors.Is(sweepErr, context.Canceled) {
-		fmt.Fprintln(os.Stderr, "ccchaos:", sweepErr)
+		fmt.Fprintln(stderr, "ccchaos:", sweepErr)
 		return 1
 	}
 
 	quiet := *jsonOut
 	if !quiet {
-		fmt.Printf("%s vs %s: %d runs, seed %d (%s)\n", rep.Proto, rep.Problem.Name(), rep.Runs, rep.Seed, rep.Status)
-		fmt.Printf("  passed %d, violated %d, panicked %d, unresolved %d, aborted %d\n",
+		fmt.Fprintf(stdout, "%s vs %s: %d runs, seed %d (%s)\n", rep.Proto, rep.Problem.Name(), rep.Runs, rep.Seed, rep.Status)
+		fmt.Fprintf(stdout, "  passed %d, violated %d, panicked %d, unresolved %d, aborted %d\n",
 			rep.Passed, rep.Violated, rep.Panicked, rep.Unresolved, rep.Aborted)
-		fmt.Printf("  failure injections: %d planned, %d fired, %d unfired\n",
+		fmt.Fprintf(stdout, "  failure injections: %d planned, %d fired, %d unfired\n",
 			rep.InjectionsPlanned, rep.InjectionsFired, rep.InjectionsUnfired)
 		if rep.Adversary != consensus.ChaosAdversaryUniform || rep.OmissionBudget > 0 {
-			fmt.Printf("  adversary %s, omission budget %d (mobile cap %d), %d omission(s) injected\n",
+			fmt.Fprintf(stdout, "  adversary %s, omission budget %d (mobile cap %d), %d omission(s) injected\n",
 				rep.Adversary, rep.OmissionBudget, rep.MobileOmissions, rep.Omissions)
 		}
 	}
@@ -121,32 +128,32 @@ func run() int {
 	written := 0
 	for i, f := range rep.Failures {
 		if !quiet && (*verbose || i < 5) {
-			fmt.Printf("  run %d (seed %d, inputs %s): %s\n", f.RunIndex, f.Seed, renderInputs(f.Inputs), f.Violations[0])
+			fmt.Fprintf(stdout, "  run %d (seed %d, inputs %s): %s\n", f.RunIndex, f.Seed, renderInputs(f.Inputs), f.Violations[0])
 			if f.Outcome == consensus.ChaosOutcomeViolated {
-				fmt.Printf("    schedule: %d events (shrunk from %d, %d candidates tried)\n",
+				fmt.Fprintf(stdout, "    schedule: %d events (shrunk from %d, %d candidates tried)\n",
 					len(f.Schedule), f.OriginalSteps, f.ShrinkCandidates)
 			}
 		} else if !quiet && i == 5 {
-			fmt.Printf("  … and %d more failures (use -v to list all)\n", len(rep.Failures)-5)
+			fmt.Fprintf(stdout, "  … and %d more failures (use -v to list all)\n", len(rep.Failures)-5)
 		}
 		if *traceDir != "" {
 			path, err := writeTrace(*traceDir, rep, f, *protoName, opts.MaxSteps)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "ccchaos:", err)
+				fmt.Fprintln(stderr, "ccchaos:", err)
 				return 1
 			}
 			written++
 			if !quiet && (*verbose || i < 5) {
-				fmt.Printf("    trace: %s\n", path)
+				fmt.Fprintf(stdout, "    trace: %s\n", path)
 			}
 		}
 	}
 	if !quiet && written > 0 {
-		fmt.Printf("  %d trace(s) written to %s (replay with: cccheck -replay <file>)\n", written, *traceDir)
+		fmt.Fprintf(stdout, "  %d trace(s) written to %s (replay with: cccheck -replay <file>)\n", written, *traceDir)
 	}
 	if *jsonOut {
-		if err := emitJSON(os.Stdout, rep); err != nil {
-			fmt.Fprintln(os.Stderr, "ccchaos:", err)
+		if err := emitJSON(stdout, rep); err != nil {
+			fmt.Fprintln(stderr, "ccchaos:", err)
 			return 1
 		}
 	}
@@ -154,17 +161,17 @@ func run() int {
 	switch {
 	case rep.Status == consensus.ChaosStatusInterrupted:
 		if !quiet {
-			fmt.Println("INTERRUPTED: partial results above")
+			fmt.Fprintln(stdout, "INTERRUPTED: partial results above")
 		}
 		return 3
 	case !rep.Clean():
 		if !quiet {
-			fmt.Printf("VIOLATES: %d failing run(s)\n", len(rep.Failures))
+			fmt.Fprintf(stdout, "VIOLATES: %d failing run(s)\n", len(rep.Failures))
 		}
 		return 2
 	default:
 		if !quiet {
-			fmt.Println("OK: no violations found")
+			fmt.Fprintln(stdout, "OK: no violations found")
 		}
 		return 0
 	}

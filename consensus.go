@@ -429,6 +429,10 @@ func ExploreContext(ctx context.Context, p Protocol, opts CheckOptions) (*Explor
 	return checker.ExploreContext(ctx, p, opts)
 }
 
+// ErrChaosOptions is wrapped by the error Chaos returns when it refuses a
+// sweep whose options hold a negative count.
+var ErrChaosOptions = chaos.ErrOptions
+
 // Chaos sweeps a protocol with randomized failure-injected executions,
 // checking each against the problem and shrinking every violating schedule
 // to a minimal, replayable counterexample. Cancellation is graceful: the

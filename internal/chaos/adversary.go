@@ -10,14 +10,17 @@ import (
 // Adversary is a deterministic message-scheduling strategy behind the
 // chaos scheduler's Choose hook (Aspnes, "Randomized Protocols for
 // Asynchronous Consensus": the adversary controls scheduling and may adapt
-// to the execution so far). One instance drives one run — strategies may
-// carry per-run state — and every choice draws only from the per-run
-// seeded PRNG, so a run remains a pure function of its seed and options.
+// to the execution so far). It chooses from the current configuration: one
+// instance drives one run and is consulted at every step of it, so what a
+// strategy needs of the past it carries as per-run state. Every choice
+// draws only from the per-run seeded PRNG, so a run remains a pure function
+// of its seed and options.
 type Adversary interface {
 	// Name is the strategy's flag name.
 	Name() string
-	// Choose returns the index of the enabled event to apply next.
-	Choose(rng *rand.Rand, proto sim.Protocol, run *sim.Run, enabled []sim.Event) int
+	// Choose returns the index of the event to apply next among those
+	// enabled at c. Both arguments are the scheduler's: read, do not keep.
+	Choose(rng *rand.Rand, proto sim.Protocol, c *sim.Config, enabled []sim.Event) int
 }
 
 // Adversary strategy names accepted by Options.Adversary and the
@@ -58,14 +61,14 @@ type uniformAdversary struct{}
 
 func (uniformAdversary) Name() string { return AdversaryUniform }
 
-func (uniformAdversary) Choose(rng *rand.Rand, _ sim.Protocol, _ *sim.Run, enabled []sim.Event) int {
+func (uniformAdversary) Choose(rng *rand.Rand, _ sim.Protocol, _ *sim.Config, enabled []sim.Event) int {
 	return rng.Intn(len(enabled))
 }
 
 // decidedTracker accumulates which processors have ever visibly decided.
-// Decisions are irrevocable, so OR-ing the visible decisions of each final
-// configuration over the run reconstructs the ever-decided set in O(N) per
-// step instead of O(steps) history scans.
+// Decisions are irrevocable, so OR-ing the visible decisions of each
+// configuration the adversary is shown reconstructs the ever-decided set in
+// O(N) per step, without a history.
 type decidedTracker struct {
 	decided []bool
 }
@@ -88,12 +91,11 @@ type delayAdversary struct {
 
 func (*delayAdversary) Name() string { return AdversaryDelay }
 
-func (a *delayAdversary) Choose(rng *rand.Rand, _ sim.Protocol, run *sim.Run, enabled []sim.Event) int {
-	final := run.Final()
-	a.update(final)
+func (a *delayAdversary) Choose(rng *rand.Rand, _ sim.Protocol, c *sim.Config, enabled []sim.Event) int {
+	a.update(c)
 	victim := sim.ProcID(-1)
-	for p := 0; p < final.N(); p++ {
-		if !a.decided[p] && final.States[p].Kind() != sim.Failed {
+	for p := 0; p < c.N(); p++ {
+		if !a.decided[p] && c.States[p].Kind() != sim.Failed {
 			victim = sim.ProcID(p)
 			break
 		}
@@ -126,17 +128,17 @@ func (a *delayAdversary) Choose(rng *rand.Rand, _ sim.Protocol, run *sim.Run, en
 // adaptiveAdversary greedily keeps the decided set smallest.
 type adaptiveAdversary struct {
 	decidedTracker
+	best []int // scratch: the indices tied for the best score
 }
 
 func (*adaptiveAdversary) Name() string { return AdversaryAdaptive }
 
-func (a *adaptiveAdversary) Choose(rng *rand.Rand, proto sim.Protocol, run *sim.Run, enabled []sim.Event) int {
-	final := run.Final()
-	a.update(final)
-	best := make([]int, 0, len(enabled))
+func (a *adaptiveAdversary) Choose(rng *rand.Rand, proto sim.Protocol, c *sim.Config, enabled []sim.Event) int {
+	a.update(c)
+	best := a.best[:0]
 	bestScore := int(^uint(0) >> 1)
 	for i, e := range enabled {
-		score := a.score(proto, final, e)
+		score := a.score(proto, c, e)
 		if score < bestScore {
 			bestScore = score
 			best = best[:0]
@@ -145,23 +147,26 @@ func (a *adaptiveAdversary) Choose(rng *rand.Rand, proto sim.Protocol, run *sim.
 			best = append(best, i)
 		}
 	}
+	a.best = best
 	return best[rng.Intn(len(best))]
 }
 
 // score is the number of processors the event would newly decide (0 or 1:
 // only the stepping processor's state changes, and decisions are
 // irrevocable). Omissions and failures never decide, so they score 0
-// without materializing; an event Apply rejects scores worst so the run
-// surfaces the authoritative error only when nothing else is enabled.
+// without asking the protocol; the rest are judged by the stepping
+// processor's post-state, no successor built. An event Apply rejects scores
+// worst so the run surfaces the authoritative error only when nothing else
+// is enabled.
 func (a *adaptiveAdversary) score(proto sim.Protocol, c *sim.Config, e sim.Event) int {
 	if a.decided[e.Proc] || e.Type == sim.Omit || e.Type == sim.Fail {
 		return 0
 	}
-	next, _, err := sim.Apply(proto, c, e)
+	post, err := sim.PostState(proto, c, e)
 	if err != nil {
 		return int(^uint(0)>>1) - 1
 	}
-	if _, ok := next.States[e.Proc].Decided(); ok {
+	if _, ok := post.Decided(); ok {
 		return 1
 	}
 	return 0

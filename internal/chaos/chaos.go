@@ -276,6 +276,10 @@ type runResult struct {
 	omissions int
 }
 
+// ErrOptions is wrapped by the error Run returns for a sweep it refuses to
+// start because a count in its Options is negative.
+var ErrOptions = errors.New("chaos: invalid options")
+
 // Run executes a chaos sweep of the protocol against the problem. The
 // context cancels gracefully: finished runs keep their verdicts, in-flight
 // runs abort at their next scheduling step, and the partial report is
@@ -284,6 +288,14 @@ func Run(ctx context.Context, proto sim.Protocol, problem taxonomy.Problem, opts
 	n := proto.N()
 	if n < 1 {
 		return nil, fmt.Errorf("chaos: protocol %s has no processors", proto.Name())
+	}
+	// A negative count is not a default: a sweep of no runs, or of runs
+	// with no steps, would test nothing and report that it passed.
+	if opts.Runs < 0 {
+		return nil, fmt.Errorf("%w: Runs is negative (%d)", ErrOptions, opts.Runs)
+	}
+	if opts.MaxSteps < 0 {
+		return nil, fmt.Errorf("%w: MaxSteps is negative (%d)", ErrOptions, opts.MaxSteps)
 	}
 	for _, in := range opts.Inputs {
 		if len(in) != n {
@@ -449,40 +461,45 @@ func execute(ctx context.Context, proto sim.Protocol, problem taxonomy.Problem, 
 	rng := rand.New(rand.NewSource(pl.Seed))
 	// Options were validated by Run, so the adversary name resolves.
 	adv, _ := NewAdversary(opts.Adversary)
-	choose := func(r *sim.Run, enabled []sim.Event) int {
-		select {
-		case <-ctx.Done():
-			return -1
-		default:
-		}
-		return adv.Choose(rng, proto, r, enabled)
-	}
-	run, err := sim.RandomRun(proto, pl.Inputs, sim.RunnerOptions{
-		Seed:     pl.Seed,
+	// One configuration, stepped in place and judged as it goes: neither
+	// the adversary nor the verdict reads a history, so none is kept.
+	c := sim.NewConfigOmission(proto, pl.Inputs, opts.omission())
+	checker := taxonomy.NewStreamChecker(problem, c)
+	omissions := 0 // reported only by a run that returns: a panicking one reports none
+	sched, unfired, err := sim.RandomWalk(proto, c, sim.RunnerOptions{
 		MaxSteps: maxSteps,
 		Failures: pl.Failures,
-		Omission: opts.omission(),
-		Choose:   choose,
+		Choose: func(c *sim.Config, enabled []sim.Event) int {
+			select {
+			case <-ctx.Done():
+				return -1
+			default:
+			}
+			return adv.Choose(rng, proto, c, enabled)
+		},
+	}, func(e sim.Event, c *sim.Config) {
+		if e.Type == sim.Omit {
+			omissions++
+		}
+		checker.Observe(e, c)
 	})
-	if run != nil {
-		res.unfired = len(run.Unfired)
-		res.fired = len(pl.Failures) - len(run.Unfired)
-		res.omissions = run.Omissions()
-	}
+	res.unfired = len(unfired)
+	res.fired = len(pl.Failures) - len(unfired)
+	res.omissions = omissions
 
 	var violations []taxonomy.Violation
 	switch {
 	case err == nil:
 		res.outcome = OutcomePassed
-		violations = problem.Validate(run, true)
+		violations = checker.Finish(true)
 	case errors.Is(err, sim.ErrRunAborted):
 		res.outcome = OutcomeAborted
 		return res
 	case errors.Is(err, sim.ErrStepBudget):
 		res.outcome = OutcomeUnresolved
-		violations = problem.Validate(run, false)
+		violations = checker.Finish(false)
 	default:
-		// Apply surfaced a model-contract violation (self-send,
+		// The step surfaced a model-contract violation (self-send,
 		// multi-send, revoked decision): the protocol is broken in a way
 		// the taxonomy does not name, so report it under "model".
 		res.outcome = OutcomeViolated
@@ -500,8 +517,8 @@ func execute(ctx context.Context, proto sim.Protocol, problem taxonomy.Problem, 
 		Injections:    pl.Failures,
 		Outcome:       OutcomeViolated,
 		Violations:    violations,
-		Schedule:      append(sim.Schedule(nil), run.Schedule...),
-		OriginalSteps: len(run.Schedule),
+		Schedule:      sched,
+		OriginalSteps: len(sched),
 	}
 	if opts.Minimize {
 		shrunk, vs, tried := Shrink(proto, pl.Inputs, f.Schedule, problem, violations[0].Kind)

@@ -7,7 +7,7 @@ import (
 	"repro/internal/taxonomy"
 )
 
-// verdict is the outcome of replaying a candidate schedule from scratch.
+// verdict is the outcome of replaying a schedule from scratch.
 type verdict struct {
 	// applicable reports whether every event of the schedule applied in
 	// order. An inapplicable candidate (e.g. a delivery whose message was
@@ -26,9 +26,11 @@ type verdict struct {
 }
 
 // Evaluate replays a schedule from the initial configuration on the given
-// inputs and judges it against the problem. Liveness (termination) is only
-// judged when the replay ends quiescent. Panics in protocol code are
-// recovered and render the candidate inapplicable.
+// inputs, keeping the run for Replay's callers to inspect, and judges it
+// against the problem. Liveness (termination) is only judged when the
+// replay ends quiescent. Panics in protocol code are recovered and render
+// the schedule inapplicable. The shrinker's candidates, which nobody
+// inspects, go through replayer.judge instead; the verdicts agree.
 func Evaluate(proto sim.Protocol, inputs []sim.Bit, sched sim.Schedule, problem taxonomy.Problem) (v verdict) {
 	defer func() {
 		if recover() != nil {
@@ -55,6 +57,52 @@ func Evaluate(proto sim.Protocol, inputs []sim.Bit, sched sim.Schedule, problem 
 	}
 }
 
+// replayer judges schedules the way Evaluate does, without the run: each
+// schedule is replayed on a scratch copy of one initial configuration,
+// stepped in place under a streaming validator.
+type replayer struct {
+	proto   sim.Protocol
+	inputs  []sim.Bit
+	problem taxonomy.Problem
+	initial *sim.Config // built by the first judge, under its recover
+	scratch sim.Config
+}
+
+// judge returns Evaluate's applicable and violations for the schedule. It
+// stops at the first event that does not apply, asking before it steps so
+// that no error is formatted to be thrown away: most of a shrinker's
+// candidates end that way.
+func (r *replayer) judge(sched sim.Schedule) (applicable bool, violations []taxonomy.Violation) {
+	defer func() {
+		if recover() != nil {
+			applicable, violations = false, nil
+		}
+	}()
+	if r.initial == nil {
+		r.initial = sim.NewConfig(r.proto, r.inputs)
+	}
+	c := &r.scratch
+	c.CopyFrom(r.initial)
+	checker := taxonomy.NewStreamChecker(r.problem, c)
+	for _, e := range sched {
+		if !sim.Applicable(c, e) {
+			return false, nil
+		}
+		if err := c.ApplyInPlace(r.proto, e); err != nil {
+			return true, []taxonomy.Violation{{Kind: "model", Detail: err.Error()}}
+		}
+		checker.Observe(e, c)
+	}
+	return true, checker.Finish(c.Quiescent())
+}
+
+// violates is the predicate the shrinker preserves: the schedule is
+// applicable and exhibits a violation of the given kind.
+func (r *replayer) violates(sched sim.Schedule, kind string) bool {
+	applicable, vs := r.judge(sched)
+	return applicable && hasKind(vs, kind)
+}
+
 // hasKind reports whether any violation has the given kind.
 func hasKind(vs []taxonomy.Violation, kind string) bool {
 	for _, v := range vs {
@@ -66,10 +114,10 @@ func hasKind(vs []taxonomy.Violation, kind string) bool {
 }
 
 // Violates reports whether the schedule is applicable and exhibits a
-// violation of the given kind — the predicate the shrinker preserves.
+// violation of the given kind.
 func Violates(proto sim.Protocol, inputs []sim.Bit, sched sim.Schedule, problem taxonomy.Problem, kind string) bool {
-	v := Evaluate(proto, inputs, sched, problem)
-	return v.applicable && hasKind(v.violations, kind)
+	r := replayer{proto: proto, inputs: inputs, problem: problem}
+	return r.violates(sched, kind)
 }
 
 // Shrink delta-debugs a violating schedule to a locally minimal
@@ -91,15 +139,16 @@ func Violates(proto sim.Protocol, inputs []sim.Bit, sched sim.Schedule, problem 
 // violate (which a correct caller never passes), it is returned unchanged.
 func Shrink(proto sim.Protocol, inputs []sim.Bit, sched sim.Schedule, problem taxonomy.Problem, kind string) (sim.Schedule, []taxonomy.Violation, int) {
 	tried := 0
+	r := replayer{proto: proto, inputs: inputs, problem: problem}
 	violates := func(cand sim.Schedule) bool {
 		tried++
-		return Violates(proto, inputs, cand, problem, kind)
+		return r.violates(cand, kind)
 	}
 
 	cur := append(sim.Schedule(nil), sched...)
 	if !violates(cur) {
-		v := Evaluate(proto, inputs, cur, problem)
-		return cur, v.violations, tried
+		_, vs := r.judge(cur)
+		return cur, vs, tried
 	}
 
 	removePass := func() bool {
@@ -176,6 +225,6 @@ func Shrink(proto sim.Protocol, inputs []sim.Bit, sched sim.Schedule, problem ta
 		}
 	}
 
-	v := Evaluate(proto, inputs, cur, problem)
-	return cur, v.violations, tried
+	_, vs := r.judge(cur)
+	return cur, vs, tried
 }

@@ -293,7 +293,7 @@ func replayPanic(t *Trace, proto sim.Protocol, inputs []sim.Bit) (res *ReplayRes
 	if advErr != nil {
 		return nil, fmt.Errorf("chaos: trace adversary: %w", advErr)
 	}
-	choose := func(r *sim.Run, enabled []sim.Event) int { return adv.Choose(rng, proto, r, enabled) }
+	choose := func(c *sim.Config, enabled []sim.Event) int { return adv.Choose(rng, proto, c, enabled) }
 	run, runErr := sim.RandomRun(proto, inputs, sim.RunnerOptions{
 		Seed:     t.RunSeed,
 		MaxSteps: t.MaxSteps,

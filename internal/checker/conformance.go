@@ -160,7 +160,7 @@ func appendNodeViolations(out []verdict, judge int, problem taxonomy.Problem, nd
 	// processors are exempt like crashed ones: a processor some delivery
 	// to which was suppressed is receive-omission faulty, and the
 	// termination conditions promise progress only to correct processors
-	// (taxonomy.CheckTermination applies the same exemption).
+	// (taxonomy.StreamChecker applies the same exemption to runs).
 	for p, s := range nd.cfg.States {
 		pid := sim.ProcID(p)
 		if s.Kind() == sim.Failed || nd.cfg.OmissionTarget(pid) {

@@ -141,7 +141,7 @@ func ConformStream(res *Result, proto sim.Protocol, problem taxonomy.Problem) (*
 	checker := taxonomy.NewStreamChecker(problem, cur)
 	conf := &Conformance{}
 	for i, e := range res.Schedule {
-		if _, err := cur.ApplyInPlace(proto, e); err != nil {
+		if err := cur.ApplyInPlace(proto, e); err != nil {
 			conf.Divergences = append(conf.Divergences, Divergence{
 				Kind:   "replay",
 				Detail: fmt.Sprintf("event %d (%s) does not apply: %v", i, e, err),

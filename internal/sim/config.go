@@ -214,23 +214,24 @@ func (c *Config) N() int { return len(c.States) }
 // messages are immutable values, so only the containers are copied; the
 // Inputs vector never changes after NewConfig and is shared outright.
 func (c *Config) Clone() *Config {
-	out := &Config{
-		States:      append([]State(nil), c.States...),
-		Buffers:     make([]Buffer, len(c.Buffers)),
-		Inputs:      c.Inputs,
-		seq:         append([]int(nil), c.seq...),
-		pol:         c.pol,
-		omitsUsed:   c.omitsUsed,
-		omitFaulty:  c.omitFaulty,
-		omitTargets: c.omitTargets,
-		fp:          c.fp,
-		fpOK:        c.fpOK,
-	}
-	copy(out.Buffers, c.Buffers) // buffers are persistent; Add/Remove copy
-	if c.fpOK {
-		out.stateD = append([]fingerprint.Digest(nil), c.stateD...)
-	}
+	out := &Config{}
+	out.CopyFrom(c)
 	return out
+}
+
+// CopyFrom makes c the independent copy of src that Clone would return,
+// reusing c's containers: the scratch configuration of a caller that
+// replays many schedules from one starting point.
+func (c *Config) CopyFrom(src *Config) {
+	states, buffers, seq, stateD := c.States, c.Buffers, c.seq, c.stateD
+	*c = *src
+	c.States = append(states[:0], src.States...)
+	c.Buffers = append(buffers[:0], src.Buffers...) // buffers are persistent; Add/Remove copy
+	c.seq = append(seq[:0], src.seq...)
+	c.stateD = nil
+	if src.fpOK {
+		c.stateD = append(stateD[:0], src.stateD...)
+	}
 }
 
 // WithoutDeadBuffers returns a derived configuration whose dead letters are

@@ -297,7 +297,7 @@ func TestPredictorMaterializeErrors(t *testing.T) {
 			}
 			own := tc.c.Clone()
 			own.Fingerprint()
-			if _, err := own.ApplyInPlace(tc.proto, tc.ev); err == nil || err.Error() != wantErr.Error() {
+			if err := own.ApplyInPlace(tc.proto, tc.ev); err == nil || err.Error() != wantErr.Error() {
 				t.Errorf("ApplyInPlace error %v; Apply's error is %v — must match", err, wantErr)
 			}
 			if own.Key() != tc.c.Key() || own.Fingerprint() != tc.c.Clone().Fingerprint() {

@@ -137,34 +137,100 @@ type Effect struct {
 // model's validity conditions and returns an error if the protocol violates
 // them; scheduling errors (inapplicable events) return ErrNotApplicable.
 func Apply(proto Protocol, c *Config, e Event) (*Config, Effect, error) {
-	if !Applicable(c, e) {
-		return nil, Effect{}, fmt.Errorf("%w: %s", ErrNotApplicable, e)
-	}
-	next := c.Clone()
-	eff, err := applyInto(proto, c, next, e)
+	post, envs, m, err := transition(proto, c, e)
 	if err != nil {
 		return nil, Effect{}, err
 	}
+	next := c.Clone()
+	eff := Effect{Event: e}
+	next.commit(e, post, envs, m, &eff)
 	return next, eff, nil
 }
 
 // ApplyInPlace is Apply for a caller that owns c and drops the predecessor:
 // c becomes e(C) without the per-event Clone (states, buffer headers and the
-// N×N channel counters). The checks, the effect and the errors are Apply's;
-// on an error c is left as it was.
-func (c *Config) ApplyInPlace(proto Protocol, e Event) (Effect, error) {
-	if !Applicable(c, e) {
-		return Effect{}, fmt.Errorf("%w: %s", ErrNotApplicable, e)
+// N×N channel counters) and without an Effect, which a walk that keeps no
+// history has no use for. The checks and the errors are Apply's; on an error
+// c is left as it was.
+func (c *Config) ApplyInPlace(proto Protocol, e Event) error {
+	post, envs, m, err := transition(proto, c, e)
+	if err != nil {
+		return err
 	}
-	return applyInto(proto, c, c, e)
+	c.commit(e, post, envs, m, nil)
+	return nil
 }
 
-// applyInto writes the successor of c under the applicable event e into
-// next, which is either a clone of c or c itself. Every read of c and every
-// check that can fail therefore precedes the first write to next.
-func applyInto(proto Protocol, c, next *Config, e Event) (Effect, error) {
-	eff := Effect{Event: e}
+// PostState returns the local state e.Proc holds in e(C) without building
+// e(C): the transition and every check Apply runs on it, with Apply's
+// errors, and nothing written. It answers "what would this step do to its
+// processor?" for schedulers that choose from the current configuration.
+func PostState(proto Protocol, c *Config, e Event) (State, error) {
+	post, _, _, err := transition(proto, c, e)
+	return post, err
+}
+
+// transition is the reading half of applying e at c: applicability, then
+// the protocol's step — the stepping processor's post-state, the envelope a
+// sending step emits (at most one) and the message a delivery or an
+// omission consumes. Every check that can fail is here; nothing is written.
+func transition(proto Protocol, c *Config, e Event) (post State, envs []Envelope, m Message, err error) {
+	if !Applicable(c, e) {
+		return nil, nil, Message{}, fmt.Errorf("%w: %s", ErrNotApplicable, e)
+	}
 	p := e.Proc
+	switch e.Type {
+	case Fail:
+		post = FailedStateFor(p)
+
+	case SendStepEvent:
+		post, envs = proto.SendStep(p, c.States[p])
+		if len(envs) > 1 {
+			return nil, nil, Message{}, fmt.Errorf("%w: %s emitted %d messages", ErrMultiSend, p, len(envs))
+		}
+		if err := checkTransition(c.States[p], post); err != nil {
+			return nil, nil, Message{}, fmt.Errorf("%s send step: %w", p, err)
+		}
+		for _, env := range envs {
+			if env.To == p {
+				return nil, nil, Message{}, fmt.Errorf("%w: from %s", ErrSelfSend, p)
+			}
+			if int(env.To) < 0 || int(env.To) >= c.N() {
+				return nil, nil, Message{}, fmt.Errorf("sim: %s sent to out-of-range %s", p, env.To)
+			}
+		}
+
+	case Deliver:
+		m, _ = c.Buffers[p].Find(e.Msg)
+		post = proto.Receive(p, c.States[p], m)
+		if err := checkTransition(c.States[p], post); err != nil {
+			return nil, nil, Message{}, fmt.Errorf("%s receiving %s: %w", p, m.ID, err)
+		}
+
+	case Omit:
+		m, _ = c.Buffers[p].Find(e.Msg)
+		post = c.States[p]
+	}
+	return post, envs, m, nil
+}
+
+// commit is the writing half: it turns c, a configuration at which
+// transition accepted e (or a clone of one), into e(C). It cannot fail. A
+// non-nil eff, already carrying the event, collects what the step sent and
+// consumed.
+func (c *Config) commit(e Event, post State, envs []Envelope, m Message, eff *Effect) {
+	p := e.Proc
+	send := func(to ProcID, payload Payload, notice bool) {
+		sent := Message{
+			ID:      MsgID{From: p, To: to, Seq: c.nextSeq(p, to)},
+			Payload: payload,
+			Notice:  notice,
+		}.Memoized()
+		c.addMessage(to, sent)
+		if eff != nil {
+			eff.Sent = append(eff.Sent, sent)
+		}
+	}
 
 	switch e.Type {
 	case Fail:
@@ -173,68 +239,37 @@ func applyInto(proto Protocol, c, next *Config, e Event) (Effect, error) {
 		// both atomically; the intermediate z_a is never observable in
 		// our configurations, and the net effect — notices everywhere,
 		// no further sends, no restart — is identical.
-		next.setState(p, FailedStateFor(p))
-		next.noteFail(p)
-		for q := 0; q < next.N(); q++ {
-			if ProcID(q) == p {
-				continue
+		c.setState(p, post)
+		c.noteFail(p)
+		for q := 0; q < c.N(); q++ {
+			if ProcID(q) != p {
+				send(ProcID(q), nil, true)
 			}
-			m := Message{
-				ID:     MsgID{From: p, To: ProcID(q), Seq: next.nextSeq(p, ProcID(q))},
-				Notice: true,
-			}.Memoized()
-			next.addMessage(ProcID(q), m)
-			eff.Sent = append(eff.Sent, m)
 		}
-		return eff, nil
 
 	case SendStepEvent:
-		s2, envs := proto.SendStep(p, c.States[p])
-		if len(envs) > 1 {
-			return Effect{}, fmt.Errorf("%w: %s emitted %d messages", ErrMultiSend, p, len(envs))
-		}
-		if err := checkTransition(c.States[p], s2); err != nil {
-			return Effect{}, fmt.Errorf("%s send step: %w", p, err)
-		}
+		c.setState(p, post)
 		for _, env := range envs {
-			if env.To == p {
-				return Effect{}, fmt.Errorf("%w: from %s", ErrSelfSend, p)
-			}
-			if int(env.To) < 0 || int(env.To) >= next.N() {
-				return Effect{}, fmt.Errorf("sim: %s sent to out-of-range %s", p, env.To)
-			}
+			send(env.To, env.Payload, false)
 		}
-		next.setState(p, s2)
-		for _, env := range envs {
-			m := Message{
-				ID:      MsgID{From: p, To: env.To, Seq: next.nextSeq(p, env.To)},
-				Payload: env.Payload,
-			}.Memoized()
-			next.addMessage(env.To, m)
-			eff.Sent = append(eff.Sent, m)
-		}
-		return eff, nil
 
 	case Deliver:
-		m, _ := c.Buffers[p].Find(e.Msg)
-		s2 := proto.Receive(p, c.States[p], m)
-		if err := checkTransition(c.States[p], s2); err != nil {
-			return Effect{}, fmt.Errorf("%s receiving %s: %w", p, m.ID, err)
+		c.setState(p, post)
+		c.removeMessage(p, m)
+		c.noteDeliver(p)
+		if eff != nil {
+			received := m
+			eff.Received = &received
 		}
-		next.setState(p, s2)
-		next.removeMessage(p, m)
-		next.noteDeliver(p)
-		eff.Received = &m
-		return eff, nil
 
 	case Omit:
-		m, _ := c.Buffers[p].Find(e.Msg)
-		next.removeMessage(p, m)
-		next.noteOmit(p)
-		eff.Omitted = &m
-		return eff, nil
+		c.removeMessage(p, m)
+		c.noteOmit(p)
+		if eff != nil {
+			omitted := m
+			eff.Omitted = &omitted
+		}
 	}
-	return Effect{}, fmt.Errorf("%w: %s", ErrNotApplicable, e)
 }
 
 // checkTransition enforces decision irrevocability: once a processor enters a

@@ -3,29 +3,11 @@ package sim_test
 import (
 	"fmt"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"repro/internal/protocols"
 	"repro/internal/sim"
 )
-
-// effectString renders everything an Effect carries, for comparison.
-func effectString(eff sim.Effect) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%s sent[", eff.Event)
-	for _, m := range eff.Sent {
-		fmt.Fprintf(&sb, "%s %s;", m.ID, m.Key())
-	}
-	sb.WriteString("]")
-	if eff.Received != nil {
-		fmt.Fprintf(&sb, " received %s %s", eff.Received.ID, eff.Received.Key())
-	}
-	if eff.Omitted != nil {
-		fmt.Fprintf(&sb, " omitted %s %s", eff.Omitted.ID, eff.Omitted.Key())
-	}
-	return sb.String()
-}
 
 // candidates lists what a live trace can carry at c: the enabled events, a
 // crash of every live processor, an omission of every buffered message
@@ -54,8 +36,9 @@ func candidates(c *sim.Config) (applicable, inapplicable []sim.Event) {
 // omissions included — applying every event twice: sim.Apply on a
 // persistent chain of configurations, ApplyInPlace on one configuration the
 // walk owns. After every event the two agree on key, fingerprint, states,
-// buffers, channel counters (sameConfig), quiescence and effect; an event
-// that does not apply gets the same error from both and leaves the owned
+// buffers, channel counters (sameConfig) and quiescence, and PostState has
+// named the stepping processor's new state beforehand; an event that does
+// not apply gets the same error from all three and leaves the owned
 // configuration as it was. The fingerprint cache is exercised warm (kept up
 // to date incrementally by both) and cold (never asked for on the walked
 // configurations; the comparison fingerprints clones).
@@ -84,9 +67,13 @@ func TestApplyInPlaceMatchesApply(t *testing.T) {
 						bad := inapplicable[rng.Intn(len(inapplicable))]
 						before := own.Key()
 						_, _, wantErr := sim.Apply(proto, chain, bad)
-						_, gotErr := own.ApplyInPlace(proto, bad)
+						gotErr := own.ApplyInPlace(proto, bad)
+						_, postErr := sim.PostState(proto, own, bad)
 						if wantErr == nil || gotErr == nil || gotErr.Error() != wantErr.Error() || own.Key() != before {
 							t.Fatalf("%s: %s: in-place error %v, Apply's %v; configuration changed: %v", name, bad, gotErr, wantErr, own.Key() != before)
+						}
+						if postErr == nil || postErr.Error() != wantErr.Error() {
+							t.Fatalf("%s: %s: PostState error %v, Apply's %v", name, bad, postErr, wantErr)
 						}
 						refused++
 						if len(applicable) == 0 {
@@ -98,16 +85,17 @@ func TestApplyInPlaceMatchesApply(t *testing.T) {
 						if enabled := sim.Enabled(chain); len(enabled) > 0 && rng.Intn(4) > 0 {
 							ev = enabled[rng.Intn(len(enabled))]
 						}
-						next, wantEff, err := sim.Apply(proto, chain, ev)
+						next, _, err := sim.Apply(proto, chain, ev)
 						if err != nil {
 							t.Fatalf("%s: Apply %s: %v", name, ev, err)
 						}
-						gotEff, err := own.ApplyInPlace(proto, ev)
-						if err != nil {
-							t.Fatalf("%s: ApplyInPlace %s: %v", name, ev, err)
+						post, err := sim.PostState(proto, own, ev)
+						if err != nil || post.Key() != next.States[ev.Proc].Key() || own.Key() != before {
+							t.Fatalf("%s: PostState %s = %v, %v; Apply put the processor in %s; configuration changed: %v",
+								name, ev, post, err, next.States[ev.Proc].Key(), own.Key() != before)
 						}
-						if got, want := effectString(gotEff), effectString(wantEff); got != want {
-							t.Fatalf("%s: effect %s, Apply's %s", name, got, want)
+						if err := own.ApplyInPlace(proto, ev); err != nil {
+							t.Fatalf("%s: ApplyInPlace %s: %v", name, ev, err)
 						}
 						if own.Quiescent() != next.Quiescent() || own.OmissionsUsed() != next.OmissionsUsed() {
 							t.Fatalf("%s: after %s quiescent %v, omissions %d; Apply's %v, %d", name, ev,

@@ -8,91 +8,51 @@ import "repro/internal/fingerprint"
 // Clone/Apply for them entirely; only genuinely new configurations are
 // materialized.
 //
-// Prediction mirrors Apply's validity checks (applicability, single-send,
-// self-send and range limits, decision irrevocability). ok=false means the
-// event is inapplicable or the transition is irregular in a way Apply
-// reports as an error; callers must fall back to Apply so that buggy
-// protocols fail with exactly the same errors a walk that applies every
+// Prediction runs Apply's validity checks (transition: applicability,
+// single-send, self-send and range limits, decision irrevocability).
+// ok=false means the event is inapplicable or the transition is irregular in
+// a way Apply reports as an error; callers must fall back to Apply so that
+// buggy protocols fail with exactly the same errors a walk that applies every
 // edge reports. A successful prediction is exact: Apply(proto, c, e) yields a
 // configuration whose Fingerprint equals the predicted digest (the sim
 // tests assert this over explored spaces).
 func PredictSuccessor(proto Protocol, c *Config, e Event) (fingerprint.Digest, State, bool) {
-	if int(e.Proc) < 0 || int(e.Proc) >= c.N() {
+	post, envs, m, err := transition(proto, c, e)
+	if err != nil {
 		return fingerprint.Digest{}, nil, false
 	}
-	base := c.Fingerprint()
-	p := e.Proc
-	stateSalt := saltStateBase + uint64(p)
+	fp := c.Fingerprint()
+	p, n := e.Proc, c.N()
+	if e.Type != Omit {
+		stateSalt := saltStateBase + uint64(p)
+		fp = fp.Sub(c.stateD[p].Mixed(stateSalt)).Add(StateDigest(post).Mixed(stateSalt))
+	}
+	// sent is the digest term of the next message p sends to q.
+	sent := func(q ProcID, payload Payload, notice bool) fingerprint.Digest {
+		next := Message{ID: MsgID{From: p, To: q, Seq: c.seq[int(p)*n+int(q)] + 1}, Payload: payload, Notice: notice}
+		return next.computeDigest().Mixed(saltBufferBase + uint64(q))
+	}
 
 	switch e.Type {
 	case Fail:
-		if c.States[p].Kind() == Failed {
-			return fingerprint.Digest{}, nil, false
-		}
-		post := FailedStateFor(p)
-		fp := base.Sub(c.stateD[p].Mixed(stateSalt)).Add(StateDigest(post).Mixed(stateSalt))
-		n := c.N()
 		for q := 0; q < n; q++ {
-			if ProcID(q) == p {
-				continue
+			if ProcID(q) != p {
+				fp = fp.Add(sent(ProcID(q), nil, true))
 			}
-			m := Message{
-				ID:     MsgID{From: p, To: ProcID(q), Seq: c.seq[int(p)*n+q] + 1},
-				Notice: true,
-			}
-			fp = fp.Add(m.computeDigest().Mixed(saltBufferBase + uint64(q)))
 		}
 		return c.omissionShiftClear(fp, p), post, true
-
 	case SendStepEvent:
-		if c.States[p].Kind() != Sending {
-			return fingerprint.Digest{}, nil, false
-		}
-		s2, envs := proto.SendStep(p, c.States[p])
-		if len(envs) > 1 || checkTransition(c.States[p], s2) != nil {
-			return fingerprint.Digest{}, nil, false
-		}
-		fp := base.Sub(c.stateD[p].Mixed(stateSalt)).Add(StateDigest(s2).Mixed(stateSalt))
 		for _, env := range envs {
-			if env.To == p || int(env.To) < 0 || int(env.To) >= c.N() {
-				return fingerprint.Digest{}, nil, false
-			}
-			m := Message{
-				ID:      MsgID{From: p, To: env.To, Seq: c.seq[int(p)*c.N()+int(env.To)] + 1},
-				Payload: env.Payload,
-			}
-			fp = fp.Add(m.computeDigest().Mixed(saltBufferBase + uint64(env.To)))
+			fp = fp.Add(sent(env.To, env.Payload, false))
 		}
-		return fp, s2, true
-
+		return fp, post, true
 	case Deliver:
-		if c.States[p].Kind() != Receiving {
-			return fingerprint.Digest{}, nil, false
-		}
-		m, ok := c.Buffers[p].Find(e.Msg)
-		if !ok {
-			return fingerprint.Digest{}, nil, false
-		}
-		s2 := proto.Receive(p, c.States[p], m)
-		if checkTransition(c.States[p], s2) != nil {
-			return fingerprint.Digest{}, nil, false
-		}
-		fp := base.Sub(c.stateD[p].Mixed(stateSalt)).Add(StateDigest(s2).Mixed(stateSalt))
 		fp = fp.Sub(m.Digest().Mixed(saltBufferBase + uint64(p)))
-		return c.omissionShiftClear(fp, p), s2, true
-
-	case Omit:
-		if c.States[p].Kind() == Failed {
-			return fingerprint.Digest{}, nil, false
-		}
-		m, ok := c.Buffers[p].Find(e.Msg)
-		if !ok {
-			return fingerprint.Digest{}, nil, false
-		}
-		fp := base.Sub(m.Digest().Mixed(saltBufferBase + uint64(p)))
-		return c.omissionShiftOmit(fp, p), c.States[p], true
+		return c.omissionShiftClear(fp, p), post, true
+	default: // Omit
+		fp = fp.Sub(m.Digest().Mixed(saltBufferBase + uint64(p)))
+		return c.omissionShiftOmit(fp, p), post, true
 	}
-	return fingerprint.Digest{}, nil, false
 }
 
 // Predicted is a Predictor result: the successor configuration's

@@ -56,7 +56,7 @@ func (r *Run) Initial() *Config { return r.Configs[0] }
 func (r *Run) Steps() int { return len(r.Schedule) }
 
 // FailureFree reports whether the run contains no crash-failure events.
-// Omission faults are counted separately; see Omissions and OmissionFaulty.
+// Omission faults are counted separately; see Omissions.
 func (r *Run) FailureFree() bool {
 	for _, e := range r.Schedule {
 		if e.Type == Fail {
@@ -77,38 +77,10 @@ func (r *Run) Omissions() int {
 	return n
 }
 
-// OmissionFaulty reports whether some delivery to processor p was
-// suppressed by an Omit event in the run. Such a processor is
-// receive-omission faulty, and termination validators exempt it the way
-// they exempt crashed processors.
-func (r *Run) OmissionFaulty(p ProcID) bool {
-	for _, e := range r.Schedule {
-		if e.Type == Omit && e.Proc == p {
-			return true
-		}
-	}
-	return false
-}
-
 // Nonfaulty reports whether processor p never occupies a failed state in the
 // run.
 func (r *Run) Nonfaulty(p ProcID) bool {
 	return r.Final().States[p].Kind() != Failed
-}
-
-// Deciding reports whether every nonfaulty processor enters a decision state
-// at some point in the run (the paper's "deciding run"). Amnesic states
-// count as having decided: the processor passed through a decision state.
-func (r *Run) Deciding() bool {
-	for p := 0; p < r.Final().N(); p++ {
-		if !r.Nonfaulty(ProcID(p)) {
-			continue
-		}
-		if _, ok := r.DecisionOf(ProcID(p)); !ok {
-			return false
-		}
-	}
-	return true
 }
 
 // DecisionOf returns the decision processor p made at any point during the
@@ -153,14 +125,22 @@ func (r *Run) StepsOf(p ProcID) int {
 // Extend applies further events to the run in place.
 func (r *Run) Extend(sched Schedule) error {
 	for _, e := range sched {
-		next, eff, err := Apply(r.Proto, r.Final(), e)
-		if err != nil {
+		if err := r.step(e); err != nil {
 			return err
 		}
-		r.Schedule = append(r.Schedule, e)
-		r.Configs = append(r.Configs, next)
-		r.Effects = append(r.Effects, eff)
 	}
+	return nil
+}
+
+// step applies one event, recording the successor and the effect.
+func (r *Run) step(e Event) error {
+	next, eff, err := Apply(r.Proto, r.Final(), e)
+	if err != nil {
+		return err
+	}
+	r.Schedule = append(r.Schedule, e)
+	r.Configs = append(r.Configs, next)
+	r.Effects = append(r.Effects, eff)
 	return nil
 }
 
@@ -186,11 +166,12 @@ type RunnerOptions struct {
 	// omissions.
 	Omission OmissionPolicy
 	// Choose, if non-nil, replaces the PRNG's uniform event choice: it is
-	// called with the run so far and the enabled events and must return
-	// the index of the event to apply. Returning an out-of-range index
-	// aborts the run with ErrRunAborted (the partial run is still
-	// returned), which is how chaos sweeps cut off runs on cancellation.
-	Choose func(run *Run, enabled []Event) int
+	// called with the current configuration and its enabled events (both
+	// the scheduler's own: read, do not keep) and must return the index of
+	// the event to apply. Returning an out-of-range index aborts the run
+	// with ErrRunAborted (the partial run is still returned), which is how
+	// chaos sweeps cut off runs on cancellation.
+	Choose func(c *Config, enabled []Event) int
 }
 
 // ErrRunAborted reports that a Choose callback cut the run short; the
@@ -210,11 +191,51 @@ var ErrStepBudget = errors.New("sim: run did not quiesce within the step budget"
 // Failure injections whose AfterStep lies beyond quiescence (or beyond the
 // cutoff) never fire; they are reported in the returned Run's Unfired field
 // rather than silently dropped.
+//
+// RandomRun keeps the run's history — a configuration and an effect per
+// event — for callers that read it (pattern extraction, experiments,
+// replays). RandomWalk is the same scheduler for callers that do not.
 func RandomRun(proto Protocol, inputs []Bit, opts RunnerOptions) (*Run, error) {
 	if len(inputs) != proto.N() {
 		return nil, fmt.Errorf("sim: protocol %s wants %d inputs, got %d", proto.Name(), proto.N(), len(inputs))
 	}
+	if opts.Omission.Enabled() && len(inputs) > maxOmissionProcs {
+		return nil, fmt.Errorf("sim: omission policies support at most %d processors, got %d", maxOmissionProcs, len(inputs))
+	}
+	run := &Run{Proto: proto, Configs: []*Config{NewConfigOmission(proto, inputs, opts.Omission)}}
+	var err error
+	run.Unfired, err = schedule(proto, opts, run.Final, run.step)
+	return run, err
+}
+
+// RandomWalk is RandomRun without the history: the scheduler steps c, which
+// the caller built (NewConfigOmission: the policy in force is c's, not
+// opts.Omission) and owns, in place, and after every event hands the event
+// and c to observe. observe sees the same *Config every time — what it
+// wants of a configuration it must read before returning. The schedule
+// walked and the unfired injections are returned, with RandomRun's errors.
+func RandomWalk(proto Protocol, c *Config, opts RunnerOptions, observe func(Event, *Config)) (Schedule, []FailureAt, error) {
+	var sched Schedule
+	unfired, err := schedule(proto, opts, func() *Config { return c }, func(e Event) error {
+		if err := c.ApplyInPlace(proto, e); err != nil {
+			return err
+		}
+		sched = append(sched, e)
+		observe(e, c)
+		return nil
+	})
+	return sched, unfired, err
+}
+
+// schedule is the scheduler of RandomRun and RandomWalk: failure injection,
+// the choice among enabled events, the step budget and the account of
+// injections that never fired. The two differ only in how a step is taken
+// (step) and where the configuration it produced is found (current).
+func schedule(proto Protocol, opts RunnerOptions, current func() *Config, step func(Event) error) (unfired []FailureAt, err error) {
 	maxSteps := opts.MaxSteps
+	if maxSteps < 0 {
+		return nil, fmt.Errorf("sim: RunnerOptions.MaxSteps is negative (%d)", maxSteps)
+	}
 	if maxSteps == 0 {
 		maxSteps = 100_000
 	}
@@ -222,23 +243,18 @@ func RandomRun(proto Protocol, inputs []Bit, opts RunnerOptions) (*Run, error) {
 	if opts.Choose == nil {
 		rng = rand.New(rand.NewSource(opts.Seed))
 	}
-	if opts.Omission.Enabled() && len(inputs) > maxOmissionProcs {
-		return nil, fmt.Errorf("sim: omission policies support at most %d processors, got %d", maxOmissionProcs, len(inputs))
-	}
-	c := NewConfigOmission(proto, inputs, opts.Omission)
-	run := &Run{Proto: proto, Configs: []*Config{c}}
 
 	injected := make([]bool, len(opts.Failures))
-	// recordUnfired notes, at any exit point, which injections never got
-	// their turn. An injection "handled" because its target had already
-	// failed counts as fired: the intended failure is in the run.
-	recordUnfired := func() {
+	// At any exit, the injections that never got their turn are reported.
+	// An injection "handled" because its target had already failed counts
+	// as fired: the intended failure is in the run.
+	defer func() {
 		for i, f := range opts.Failures {
 			if !injected[i] {
-				run.Unfired = append(run.Unfired, f)
+				unfired = append(unfired, f)
 			}
 		}
-	}
+	}()
 	// injectFailures fires every failure scheduled at or before the given
 	// count of normal (non-failure) events.
 	injectFailures := func(normalSteps int) error {
@@ -247,44 +263,40 @@ func RandomRun(proto Protocol, inputs []Bit, opts RunnerOptions) (*Run, error) {
 				continue
 			}
 			injected[i] = true
-			if run.Final().States[f.Proc].Kind() == Failed {
+			if current().States[f.Proc].Kind() == Failed {
 				continue
 			}
-			if err := run.Extend(Schedule{{Proc: f.Proc, Type: Fail}}); err != nil {
+			if err := step(Event{Proc: f.Proc, Type: Fail}); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
 
-	for step := 0; step < maxSteps; step++ {
-		if err := injectFailures(step); err != nil {
-			recordUnfired()
-			return run, err
+	var enabled []Event
+	for n := 0; n < maxSteps; n++ {
+		if err := injectFailures(n); err != nil {
+			return nil, err
 		}
-		enabled := Enabled(run.Final())
+		enabled = AppendEnabled(enabled[:0], current())
 		if len(enabled) == 0 {
-			recordUnfired()
-			return run, nil
+			return nil, nil
 		}
 		var idx int
 		if opts.Choose != nil {
-			idx = opts.Choose(run, enabled)
+			idx = opts.Choose(current(), enabled)
 			if idx < 0 || idx >= len(enabled) {
-				recordUnfired()
-				return run, ErrRunAborted
+				return nil, ErrRunAborted
 			}
 		} else {
 			idx = rng.Intn(len(enabled))
 		}
-		if err := run.Extend(Schedule{enabled[idx]}); err != nil {
-			recordUnfired()
-			return run, err
+		if err := step(enabled[idx]); err != nil {
+			return nil, err
 		}
 	}
-	recordUnfired()
-	if !run.Final().Quiescent() {
-		return run, fmt.Errorf("%w: %s after %d steps", ErrStepBudget, proto.Name(), maxSteps)
+	if !current().Quiescent() {
+		return nil, fmt.Errorf("%w: %s after %d steps", ErrStepBudget, proto.Name(), maxSteps)
 	}
-	return run, nil
+	return nil, nil
 }

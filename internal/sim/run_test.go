@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"strings"
 	"testing"
 )
 
@@ -41,7 +42,7 @@ func TestAllInjectionsFiredMeansNoUnfired(t *testing.T) {
 func TestChooseCallbackDrivesScheduling(t *testing.T) {
 	calls := 0
 	run, err := RandomRun(pingProto{}, []Bit{One, One}, RunnerOptions{
-		Choose: func(r *Run, enabled []Event) int {
+		Choose: func(c *Config, enabled []Event) int {
 			calls++
 			return 0
 		},
@@ -59,7 +60,7 @@ func TestChooseCallbackDrivesScheduling(t *testing.T) {
 
 func TestChooseOutOfRangeAbortsRun(t *testing.T) {
 	run, err := RandomRun(pingProto{}, []Bit{One, One}, RunnerOptions{
-		Choose: func(r *Run, enabled []Event) int { return -1 },
+		Choose: func(c *Config, enabled []Event) int { return -1 },
 	})
 	if !errors.Is(err, ErrRunAborted) {
 		t.Fatalf("err = %v, want ErrRunAborted", err)
@@ -69,5 +70,19 @@ func TestChooseOutOfRangeAbortsRun(t *testing.T) {
 	}
 	if run.Steps() != 0 {
 		t.Fatalf("aborted at first choice but run has %d steps", run.Steps())
+	}
+}
+
+// TestNegativeMaxStepsIsRefused: zero means the default budget; a negative
+// budget used to mean "take no step and call the run unresolved".
+func TestNegativeMaxStepsIsRefused(t *testing.T) {
+	opts := RunnerOptions{Seed: 1, MaxSteps: -5}
+	if _, err := RandomRun(pingProto{}, []Bit{One, One}, opts); err == nil || !strings.Contains(err.Error(), "RunnerOptions.MaxSteps") {
+		t.Errorf("RandomRun: %v, want an error naming RunnerOptions.MaxSteps", err)
+	}
+	c := NewConfig(pingProto{}, []Bit{One, One})
+	sched, _, err := RandomWalk(pingProto{}, c, opts, func(Event, *Config) {})
+	if err == nil || !strings.Contains(err.Error(), "RunnerOptions.MaxSteps") || len(sched) != 0 {
+		t.Errorf("RandomWalk: %d events, %v, want none and an error naming RunnerOptions.MaxSteps", len(sched), err)
 	}
 }

@@ -76,6 +76,19 @@ func (t Termination) Implies(u Termination) bool { return t >= u }
 // Problem is a consensus problem in the taxonomy: a decision rule, a
 // consistency constraint, and a termination condition. Section 4's six
 // problems fix the rule to unanimity and vary the other two axes.
+//
+// In the vocabulary of Civit et al., "On the Validity of Consensus"
+// (PAPERS.md), Rule is the problem's validity property — a map from input
+// configurations to the sets of admissible decisions — and a CONFORMS
+// verdict is relative to it: val(inputs, f) = {d : Rule.Permits(d, inputs,
+// f)}. Two things differ from their formalism, both the paper's: an input
+// configuration here is the whole input vector (faults are benign, so a
+// processor's bit counts whether or not it later crashes) together with one
+// bit f, "a crash or an omission preceded the decision"; and validity is
+// judged at each processor's first decision, not at the end of the run.
+// Under UnanimityRule val is {commit} on all-ones without a failure,
+// {abort} whenever some input is 0, and {commit, abort} on all-ones after a
+// failure: the validity of atomic commitment.
 type Problem struct {
 	Rule        DecisionRule
 	Consistency Consistency
@@ -129,158 +142,13 @@ func (v Violation) String() string { return v.Kind + ": " + v.Detail }
 // rule are safety properties checked on every run; the termination
 // conditions are liveness properties checked only when complete is true
 // (the run is maximal: quiescent under a fair scheduler, so nothing more
-// can ever happen).
+// can ever happen). It is a StreamChecker fed the run's history — the
+// properties have one implementation — so r.Configs must hold the
+// configuration after every event of r.Schedule.
 func (p Problem) Validate(r *sim.Run, complete bool) []Violation {
-	var out []Violation
-	out = append(out, p.validateRule(r)...)
-	switch p.Consistency {
-	case IC:
-		out = append(out, CheckIC(r)...)
-	case TC:
-		out = append(out, CheckTC(r)...)
+	sc := NewStreamChecker(p, r.Configs[0])
+	for i, e := range r.Schedule {
+		sc.Observe(e, r.Configs[i+1])
 	}
-	if complete {
-		out = append(out, CheckTermination(r, p.Termination)...)
-	}
-	return out
-}
-
-// validateRule checks every decision made in the run against the decision
-// rule. A failure "counts" for a decision if some processor had failed —
-// by crashing or by having a delivery omission-suppressed — before the
-// configuration in which the decision first appears.
-func (p Problem) validateRule(r *sim.Run) []Violation {
-	var out []Violation
-	inputs := r.Initial().Inputs
-	failedBy := make([]bool, len(r.Configs)) // failedBy[i]: a failure occurred before Configs[i]
-	anyFail := false
-	for i := range r.Configs {
-		failedBy[i] = anyFail
-		if i < len(r.Schedule) && (r.Schedule[i].Type == sim.Fail || r.Schedule[i].Type == sim.Omit) {
-			anyFail = true
-		}
-	}
-	for proc := 0; proc < r.Initial().N(); proc++ {
-		pid := sim.ProcID(proc)
-		for i, c := range r.Configs {
-			d, ok := c.States[pid].Decided()
-			if !ok {
-				continue
-			}
-			if !p.Rule.Permits(d, inputs, failedBy[i]) {
-				out = append(out, Violation{
-					Kind: "rule",
-					Detail: fmt.Sprintf("%s decided %s on inputs %v (failureSeen=%v), forbidden by %s",
-						pid, d, inputs, failedBy[i], p.Rule.Name()),
-				})
-			}
-			break // first decision only; irrevocability is enforced by sim
-		}
-	}
-	return out
-}
-
-// CheckIC checks interactive consistency: in no configuration may two
-// simultaneously nonfaulty processors stand by different decisions.
-// Decisions are irrevocable, so a decision counts from the configuration it
-// is made in onward, even after the processor hides it in an amnesic state
-// ("it may even be reminded of its decision by the other processors").
-func CheckIC(r *sim.Run) []Violation {
-	n := r.Initial().N()
-	ledger := make([]sim.Decision, n)
-	for i, c := range r.Configs {
-		seen := sim.NoDecision
-		var seenBy sim.ProcID
-		for proc, s := range c.States {
-			if d, ok := s.Decided(); ok {
-				ledger[proc] = d
-			}
-			if s.Kind() == sim.Failed {
-				continue
-			}
-			d := ledger[proc]
-			if d == sim.NoDecision {
-				continue
-			}
-			if seen == sim.NoDecision {
-				seen, seenBy = d, sim.ProcID(proc)
-				continue
-			}
-			if d != seen {
-				return []Violation{{
-					Kind: "IC",
-					Detail: fmt.Sprintf("configuration %d: %s decided %s while %s decided %s",
-						i, seenBy, seen, sim.ProcID(proc), d),
-				}}
-			}
-		}
-	}
-	return nil
-}
-
-// CheckTC checks total consistency: no two processors ever decide
-// differently, counting decisions by processors that later failed or became
-// amnesic (DecisionOf scans the whole history).
-func CheckTC(r *sim.Run) []Violation {
-	seen := sim.NoDecision
-	var seenBy sim.ProcID
-	for proc := 0; proc < r.Initial().N(); proc++ {
-		pid := sim.ProcID(proc)
-		d, ok := r.DecisionOf(pid)
-		if !ok {
-			continue
-		}
-		if seen == sim.NoDecision {
-			seen, seenBy = d, pid
-			continue
-		}
-		if d != seen {
-			return []Violation{{
-				Kind:   "TC",
-				Detail: fmt.Sprintf("%s decided %s but %s decided %s", seenBy, seen, pid, d),
-			}}
-		}
-	}
-	return nil
-}
-
-// CheckTermination checks the given termination condition on a complete
-// (maximal) run. Crashed processors are exempt, and so are
-// receive-omission-faulty ones (a processor some delivery to which was
-// suppressed): the termination conditions promise progress only to correct
-// processors, and a processor starved of a message it needed is faulty in
-// the omission model even though its state never shows it.
-func CheckTermination(r *sim.Run, t Termination) []Violation {
-	var out []Violation
-	final := r.Final()
-	for proc := 0; proc < final.N(); proc++ {
-		pid := sim.ProcID(proc)
-		if !r.Nonfaulty(pid) || r.OmissionFaulty(pid) {
-			continue
-		}
-		if _, ok := r.DecisionOf(pid); !ok {
-			out = append(out, Violation{
-				Kind:   "WT",
-				Detail: fmt.Sprintf("nonfaulty %s never decided", pid),
-			})
-			continue
-		}
-		s := final.States[pid]
-		if t >= ST && !s.Amnesic() && s.Kind() != sim.Halted {
-			// Strong termination requires eventually forgetting the
-			// decision. A halted processor has completed its role,
-			// which subsumes amnesia (HT is strictly stronger).
-			out = append(out, Violation{
-				Kind:   "ST",
-				Detail: fmt.Sprintf("nonfaulty %s never became amnesic (final state %s)", pid, s.Key()),
-			})
-		}
-		if t >= HT && s.Kind() != sim.Halted {
-			out = append(out, Violation{
-				Kind:   "HT",
-				Detail: fmt.Sprintf("nonfaulty %s never halted (final state %s)", pid, s.Key()),
-			})
-		}
-	}
-	return out
+	return sc.Finish(complete)
 }

@@ -7,20 +7,19 @@ import (
 )
 
 // StreamChecker validates a run against a problem one configuration at a
-// time, retaining O(N) state instead of the run's whole configuration
-// history. It exists for conformance replay of live traces: a distributed
-// soak at N=100 records millions of events, and materializing a sim.Run
-// for Problem.Validate would hold every intermediate configuration —
-// O(events × N²) memory — while the checks themselves only ever need the
-// current configuration, a per-processor first-decision ledger, and a
-// has-a-failure-happened flag.
+// time, retaining O(N) state instead of the run's configuration history:
+// the checks only ever need the current configuration, a per-processor
+// first-decision ledger, and a has-a-failure-happened flag. It is the one
+// implementation of the decision rule, IC, TC and the termination
+// conditions: the chaos sweeper and the live conformance replay feed it a
+// configuration they step in place, and Problem.Validate feeds it a
+// materialized sim.Run.
 //
-// StreamChecker produces exactly the violations Problem.Validate produces
-// on the equivalent materialized run, in the same order with the same
-// details (TestStreamCheckerMatchesValidate holds the two implementations
-// together). Decisions are irrevocable in the model — sim.Apply rejects a
-// revision — which is what makes the first-decision ledger a faithful
-// substitute for scanning the history.
+// The observer never keeps a configuration beyond the latest (Final), so a
+// caller may hand it the same *sim.Config, mutated, at every step.
+// Decisions are irrevocable in the model — sim.Apply rejects a revision —
+// which is what makes the first-decision ledger a faithful substitute for
+// scanning a history.
 type StreamChecker struct {
 	p      Problem
 	inputs []sim.Bit
@@ -32,9 +31,8 @@ type StreamChecker struct {
 
 	omitted []bool // omitted[p]: a delivery to p was omission-suppressed
 
-	first       []sim.Decision // first decision each processor ever held
-	firstHas    []bool
-	firstFailed []bool // a failure preceded the first-decision configuration
+	first    []sim.Decision // first decision each processor ever held
+	firstHas []bool
 
 	ruleViol []*Violation // per-processor decision-rule violation, at most one
 	icViol   *Violation   // first interactive-consistency violation
@@ -47,16 +45,15 @@ type StreamChecker struct {
 func NewStreamChecker(p Problem, c *sim.Config) *StreamChecker {
 	n := c.N()
 	sc := &StreamChecker{
-		p:           p,
-		inputs:      c.Inputs,
-		n:           n,
-		idx:         -1,
-		undecided:   n,
-		omitted:     make([]bool, n),
-		first:       make([]sim.Decision, n),
-		firstHas:    make([]bool, n),
-		firstFailed: make([]bool, n),
-		ruleViol:    make([]*Violation, n),
+		p:         p,
+		inputs:    c.Inputs,
+		n:         n,
+		idx:       -1,
+		undecided: n,
+		omitted:   make([]bool, n),
+		first:     make([]sim.Decision, n),
+		firstHas:  make([]bool, n),
+		ruleViol:  make([]*Violation, n),
 	}
 	sc.observe(c)
 	return sc
@@ -93,7 +90,6 @@ func (sc *StreamChecker) observe(c *sim.Config) {
 			}
 			sc.first[proc] = d
 			sc.firstHas[proc] = true
-			sc.firstFailed[proc] = sc.anyFail
 			sc.undecided--
 			if !sc.p.Rule.Permits(d, sc.inputs, sc.anyFail) {
 				sc.ruleViol[proc] = &Violation{
@@ -109,10 +105,12 @@ func (sc *StreamChecker) observe(c *sim.Config) {
 	}
 }
 
-// checkIC is CheckIC's inner per-configuration scan: no two simultaneously
-// nonfaulty processors may stand by different decisions. The first-decision
-// ledger doubles as CheckIC's decision ledger because decisions are
-// irrevocable.
+// checkIC is interactive consistency at one configuration: no two
+// simultaneously nonfaulty processors may stand by different decisions. A
+// decision counts from the configuration it is made in onward, even after
+// the processor hides it in an amnesic state ("it may even be reminded of
+// its decision by the other processors"), which is the first-decision
+// ledger.
 func (sc *StreamChecker) checkIC(c *sim.Config) {
 	seen := sim.NoDecision
 	var seenBy sim.ProcID
@@ -140,7 +138,8 @@ func (sc *StreamChecker) checkIC(c *sim.Config) {
 }
 
 // Decision returns the first decision processor p made at any point in the
-// observed prefix — sim.Run.DecisionOf over the streamed history.
+// observed prefix, decisions later hidden by amnesia or failure included —
+// sim.Run.DecisionOf without the history.
 func (sc *StreamChecker) Decision(p sim.ProcID) (sim.Decision, bool) {
 	if !sc.firstHas[p] {
 		return sim.NoDecision, false
@@ -151,9 +150,10 @@ func (sc *StreamChecker) Decision(p sim.ProcID) (sim.Decision, bool) {
 // Final returns the most recently observed configuration.
 func (sc *StreamChecker) Final() *sim.Config { return sc.final }
 
-// Finish returns the violations of the observed run, exactly as
-// Problem.Validate would report them on the materialized equivalent.
-// Termination conditions are checked only when complete is true.
+// Finish returns the violations of the observed run: the decision rule per
+// processor, then consistency — for TC, no two processors ever decide
+// differently, counting decisions by processors that later failed or became
+// amnesic — then, only when complete is true, termination.
 func (sc *StreamChecker) Finish(complete bool) []Violation {
 	var out []Violation
 	for _, v := range sc.ruleViol {
@@ -193,8 +193,13 @@ func (sc *StreamChecker) Finish(complete bool) []Violation {
 	return out
 }
 
-// checkTermination is CheckTermination on the streamed run: every check
-// reads only the final configuration and the first-decision ledger.
+// checkTermination checks the problem's termination condition on a complete
+// (maximal) run; it reads only the final configuration and the ledgers.
+// Crashed processors are exempt, and so are receive-omission-faulty ones (a
+// processor some delivery to which was suppressed): the termination
+// conditions promise progress only to correct processors, and a processor
+// starved of a message it needed is faulty in the omission model even
+// though its state never shows it.
 func (sc *StreamChecker) checkTermination() []Violation {
 	var out []Violation
 	t := sc.p.Termination
@@ -212,6 +217,9 @@ func (sc *StreamChecker) checkTermination() []Violation {
 			continue
 		}
 		if t >= ST && !s.Amnesic() && s.Kind() != sim.Halted {
+			// Strong termination requires eventually forgetting the
+			// decision. A halted processor has completed its role,
+			// which subsumes amnesia (HT is strictly stronger).
 			out = append(out, Violation{
 				Kind:   "ST",
 				Detail: fmt.Sprintf("nonfaulty %s never became amnesic (final state %s)", pid, s.Key()),

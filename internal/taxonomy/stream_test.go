@@ -1,7 +1,10 @@
 package taxonomy
 
 import (
+	"fmt"
+	"os"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/protocols"
@@ -18,52 +21,91 @@ func streamViolations(p Problem, run *sim.Run, complete bool) []Violation {
 	return sc.Finish(complete)
 }
 
-// assertStreamMatches holds StreamChecker and Problem.Validate together:
-// identical violations, in order, details included, for both the
-// incomplete and the complete reading of the run.
-func assertStreamMatches(t *testing.T, name string, p Problem, run *sim.Run) {
-	t.Helper()
-	for _, complete := range []bool{false, true} {
-		want := p.Validate(run, complete)
-		got := streamViolations(p, run, complete)
-		if !reflect.DeepEqual(want, got) {
-			t.Errorf("%s (complete=%v):\n stream   %v\n validate %v", name, complete, got, want)
-		}
+func chainStuck(kind, what string, heard ...string) []Violation {
+	var out []Violation
+	for p, h := range heard {
+		out = append(out, Violation{kind, fmt.Sprintf("nonfaulty p%d never %s (final state chain{p%d n3 in1 done heard%s conj1 dec:commit rm0})", p, what, p, h)})
 	}
+	return out
 }
 
+// interleave merges per-processor violation lists processor by processor,
+// the order the termination check reports them in.
+func interleave(a, b []Violation) []Violation {
+	var out []Violation
+	for i := range a {
+		out = append(out, a[i], b[i])
+	}
+	return out
+}
+
+// TestStreamCheckerMatchesValidate pins what the validator reports — kinds, details and
+// order, for the incomplete and the complete reading of each run — to the
+// strings recorded at 1b5fe81, the last commit with a second, history-
+// scanning implementation (CheckIC, CheckTC, CheckTermination,
+// validateRule) that the streaming one was held against. Problem.Validate
+// is now a StreamChecker fed the history, so both spellings are checked
+// against the record, not against each other.
 func TestStreamCheckerMatchesValidate(t *testing.T) {
-	wtTC := Problem{Rule: UnanimityRule{}, Termination: WT, Consistency: TC}
+	problem := func(term Termination, c Consistency) Problem {
+		return Problem{Rule: UnanimityRule{}, Termination: term, Consistency: c}
+	}
+	chainST := chainStuck("ST", "became amnesic", "6", "0", "0")
+	chainHT := chainStuck("HT", "halted", "6", "0", "0")
+	anyway := []Violation{
+		{"rule", "p0 decided commit on inputs [0 1] (failureSeen=false), forbidden by unanimity"},
+		{"rule", "p1 decided commit on inputs [0 1] (failureSeen=false), forbidden by unanimity"},
+	}
+	splitRule := Violation{"rule", "p1 decided abort on inputs [1 1] (failureSeen=false), forbidden by unanimity"}
+	splitTC := Violation{"TC", "p0 decided commit but p1 decided abort"}
 	cases := []struct {
 		name string
 		p    Problem
 		run  *sim.Run
+		// safety is reported whether or not the run is complete; liveness
+		// only when it is.
+		safety, liveness []Violation
 	}{
-		{"clean-ackcommit", wtTC, completeRun(t, protocols.AckCommit{Procs: 4}, "1111")},
-		{"halting-commit", Problem{Rule: UnanimityRule{}, Termination: HT, Consistency: TC},
-			completeRun(t, protocols.HaltingCommit{Procs: 4}, "1101")},
-		{"chain-misses-HT", Problem{Rule: UnanimityRule{}, Termination: HT, Consistency: TC},
-			completeRun(t, protocols.Chain{Procs: 3}, "111")},
-		{"chain-misses-ST", Problem{Rule: UnanimityRule{}, Termination: ST, Consistency: TC},
-			completeRun(t, protocols.Chain{Procs: 3}, "111")},
-		{"amnesic-tree-ST", Problem{Rule: UnanimityRule{}, Termination: ST, Consistency: TC},
-			completeRun(t, protocols.Tree{Procs: 3, ST: true}, "111")},
-		{"crash-ackcommit", wtTC,
-			completeRun(t, protocols.AckCommit{Procs: 5}, "11111", sim.FailureAt{Proc: 2, AfterStep: 3})},
-		{"rule-violation", wtTC, mustRandomRun(t, commitAnywayProto{}, []sim.Bit{sim.Zero, sim.One})},
-		{"star-TC-violation", wtTC, starTCViolationRun(t)},
-		{"star-under-IC", Problem{Rule: UnanimityRule{}, Termination: WT, Consistency: IC}, starTCViolationRun(t)},
-		{"split-decisions-TC", wtTC, splitDecisionRun()},
-		{"split-decisions-IC", Problem{Rule: UnanimityRule{}, Termination: WT, Consistency: IC}, splitDecisionRun()},
+		{"clean-ackcommit", problem(WT, TC), completeRun(t, protocols.AckCommit{Procs: 4}, "1111"), nil, nil},
+		{"halting-commit", problem(HT, TC), completeRun(t, protocols.HaltingCommit{Procs: 4}, "1101"), nil, nil},
+		{"chain-satisfies-WT", problem(WT, TC), completeRun(t, protocols.Chain{Procs: 3}, "111"), nil, nil},
+		{"chain-misses-ST", problem(ST, TC), completeRun(t, protocols.Chain{Procs: 3}, "111"), nil, chainST},
+		{"chain-misses-HT", problem(HT, TC), completeRun(t, protocols.Chain{Procs: 3}, "111"), nil, interleave(chainST, chainHT)},
+		{"amnesic-tree-ST", problem(ST, TC), completeRun(t, protocols.Tree{Procs: 3, ST: true}, "111"), nil, nil},
+		{"crash-ackcommit", problem(WT, TC),
+			completeRun(t, protocols.AckCommit{Procs: 5}, "11111", sim.FailureAt{Proc: 2, AfterStep: 3}), nil, nil},
+		{"rule-violation", problem(WT, TC), mustRandomRun(t, commitAnywayProto{}, []sim.Bit{sim.Zero, sim.One}), anyway, nil},
+		// Theorem 8: the failed coordinator committed, the survivor aborted.
+		// TC counts the dead processor's decision; IC does not (p0 failed
+		// before p1 decided).
+		{"star-TC-violation", problem(WT, TC), starTCViolationRun(t), []Violation{splitTC}, nil},
+		{"star-under-IC", problem(WT, IC), starTCViolationRun(t), nil, nil},
+		{"split-decisions-TC", problem(WT, TC), splitDecisionRun(), []Violation{splitRule, splitTC}, nil},
+		{"split-decisions-IC", problem(WT, IC), splitDecisionRun(),
+			[]Violation{splitRule, {"IC", "configuration 0: p0 decided commit while p1 decided abort"}}, nil},
 	}
 	for _, tc := range cases {
-		assertStreamMatches(t, tc.name, tc.p, tc.run)
+		for _, complete := range []bool{false, true} {
+			want := tc.safety
+			if complete {
+				want = append(append([]Violation(nil), tc.safety...), tc.liveness...)
+			}
+			for spelling, got := range map[string][]Violation{
+				"Validate":      tc.p.Validate(tc.run, complete),
+				"StreamChecker": streamViolations(tc.p, tc.run, complete),
+			} {
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%s (complete=%v) %s:\n got  %v\n want %v", tc.name, complete, spelling, got, want)
+				}
+			}
+		}
 	}
 }
 
-// TestStreamCheckerMatchesValidateRandom sweeps seeded random runs — with
-// and without crashes — across protocols and problems, holding the two
-// validators together on executions nobody hand-picked.
+// TestStreamCheckerMatchesValidateRandom sweeps seeded random runs — with and without
+// crashes — across protocols and problems, on executions nobody
+// hand-picked, against testdata/validate_random.golden: Problem.Validate's
+// output on the same runs at 1b5fe81.
 func TestStreamCheckerMatchesValidateRandom(t *testing.T) {
 	protos := []sim.Protocol{
 		protocols.AckCommit{Procs: 4},
@@ -76,22 +118,41 @@ func TestStreamCheckerMatchesValidateRandom(t *testing.T) {
 		{Rule: UnanimityRule{}, Termination: ST, Consistency: TC},
 		{Rule: UnanimityRule{}, Termination: HT, Consistency: IC},
 	}
+	var got strings.Builder
 	for _, proto := range protos {
 		inputs := make([]sim.Bit, proto.N())
 		for i := range inputs {
 			inputs[i] = sim.One
 		}
 		for seed := int64(1); seed <= 3; seed++ {
-			for _, failures := range [][]sim.FailureAt{nil, {{Proc: sim.ProcID(seed) % sim.ProcID(proto.N()), AfterStep: int(seed)}}} {
+			for crash, failures := range [][]sim.FailureAt{nil, {{Proc: sim.ProcID(seed) % sim.ProcID(proto.N()), AfterStep: int(seed)}}} {
 				run, err := sim.RandomRun(proto, inputs, sim.RunnerOptions{Seed: seed, Failures: failures})
 				if err != nil {
 					t.Fatalf("%s seed %d: %v", proto.Name(), seed, err)
 				}
 				for _, p := range problems {
-					assertStreamMatches(t, proto.Name(), p, run)
+					for _, complete := range []bool{false, true} {
+						fmt.Fprintf(&got, "%s seed=%d crash=%d %s complete=%v steps=%d\n", proto.Name(), seed, crash, p.Name(), complete, run.Steps())
+						for _, v := range p.Validate(run, complete) {
+							fmt.Fprintf(&got, "\t%s: %s\n", v.Kind, v.Detail)
+						}
+					}
 				}
 			}
 		}
+	}
+	want, err := os.ReadFile("testdata/validate_random.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != string(want) {
+		gl, wl := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+		for i := 0; i < len(gl) && i < len(wl); i++ {
+			if gl[i] != wl[i] {
+				t.Fatalf("line %d differs from the golden:\n got  %s\n want %s", i+1, gl[i], wl[i])
+			}
+		}
+		t.Fatalf("golden has %d lines, this build produced %d", len(wl), len(gl))
 	}
 }
 
@@ -104,10 +165,10 @@ func mustRandomRun(t *testing.T, proto sim.Protocol, inputs []sim.Bit) *sim.Run 
 	return run
 }
 
-// starTCViolationRun rebuilds the Theorem 8 counterexample of
-// TestCheckTCFindsStarViolation: the coordinator commits, halts, and
-// fails; the lone survivor aborts — a TC violation with failures in the
-// middle of the schedule.
+// starTCViolationRun drives the star protocol into its Theorem 8
+// counterexample: the coordinator commits, halts, and fails; the lone
+// survivor aborts — a TC violation with failures in the middle of the
+// schedule.
 func starTCViolationRun(t *testing.T) *sim.Run {
 	t.Helper()
 	in, err := sim.InputsFromString("111")

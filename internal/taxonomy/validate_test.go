@@ -1,6 +1,7 @@
 package taxonomy
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/protocols"
@@ -40,7 +41,7 @@ func TestValidateHaltingRun(t *testing.T) {
 func TestValidateDetectsMissedTermination(t *testing.T) {
 	// The chain protocol never halts, so HT must flag every processor.
 	run := completeRun(t, protocols.Chain{Procs: 3}, "111")
-	vs := CheckTermination(run, HT)
+	vs := Problem{Rule: UnanimityRule{}, Termination: HT, Consistency: TC}.Validate(run, true)
 	htCount := 0
 	for _, v := range vs {
 		if v.Kind == "HT" {
@@ -50,20 +51,21 @@ func TestValidateDetectsMissedTermination(t *testing.T) {
 	if htCount != 3 {
 		t.Fatalf("expected 3 HT violations for the non-halting chain, got %d: %v", htCount, vs)
 	}
-	if vs2 := CheckTermination(run, WT); len(vs2) != 0 {
+	if vs2 := (Problem{Rule: UnanimityRule{}, Termination: WT, Consistency: TC}).Validate(run, true); len(vs2) != 0 {
 		t.Fatalf("the same run satisfies WT: %v", vs2)
 	}
 }
 
 func TestValidateDetectsSTViolation(t *testing.T) {
 	// Non-amnesic protocols fail ST on complete runs.
+	stTC := Problem{Rule: UnanimityRule{}, Termination: ST, Consistency: TC}
 	run := completeRun(t, protocols.Chain{Procs: 3}, "111")
-	if vs := CheckTermination(run, ST); len(vs) == 0 {
+	if vs := stTC.Validate(run, true); len(vs) != 3 || vs[0].Kind != "ST" {
 		t.Fatal("non-amnesic chain should violate ST")
 	}
 	// The amnesic tree variant satisfies ST.
 	runST := completeRun(t, protocols.Tree{Procs: 3, ST: true}, "111")
-	if vs := CheckTermination(runST, ST); len(vs) != 0 {
+	if vs := stTC.Validate(runST, true); len(vs) != 0 {
 		t.Fatalf("amnesic tree should satisfy ST: %v", vs)
 	}
 }
@@ -111,10 +113,11 @@ func TestCheckTCFindsStarViolation(t *testing.T) {
 		t.Fatalf("p1 should have aborted alone: %v %v (state %s)", d, ok, run.Final().States[1].Key())
 	}
 
-	if vs := CheckTC(run); len(vs) == 0 {
-		t.Fatal("total consistency violation should be detected (failed p0 committed, p1 aborted)")
+	wantTC := []Violation{{Kind: "TC", Detail: "p0 decided commit but p1 decided abort"}}
+	if vs := (Problem{Rule: UnanimityRule{}, Termination: WT, Consistency: TC}).Validate(run, false); !reflect.DeepEqual(vs, wantTC) {
+		t.Fatalf("total consistency violation should be detected (failed p0 committed, p1 aborted): %v", vs)
 	}
-	if vs := CheckIC(run); len(vs) != 0 {
+	if vs := (Problem{Rule: UnanimityRule{}, Termination: WT, Consistency: IC}).Validate(run, false); len(vs) != 0 {
 		t.Fatalf("interactive consistency holds (p0 failed before p1 decided): %v", vs)
 	}
 }
