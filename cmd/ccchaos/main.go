@@ -128,7 +128,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	written := 0
 	for i, f := range rep.Failures {
 		if !quiet && (*verbose || i < 5) {
-			fmt.Fprintf(stdout, "  run %d (seed %d, inputs %s): %s\n", f.RunIndex, f.Seed, renderInputs(f.Inputs), f.Violations[0])
+			fmt.Fprintf(stdout, "  run %d (seed %d, inputs %s): %s\n", f.RunIndex, f.Seed, consensus.FormatInputs(f.Inputs), f.Violations[0])
 			if f.Outcome == consensus.ChaosOutcomeViolated {
 				fmt.Fprintf(stdout, "    schedule: %d events (shrunk from %d, %d candidates tried)\n",
 					len(f.Schedule), f.OriginalSteps, f.ShrinkCandidates)
@@ -254,16 +254,4 @@ func writeTrace(dir string, rep *consensus.ChaosReport, f *consensus.ChaosFailur
 		return "", err
 	}
 	return path, nil
-}
-
-func renderInputs(inputs []consensus.Bit) string {
-	var sb strings.Builder
-	for _, b := range inputs {
-		if b == consensus.One {
-			sb.WriteByte('1')
-		} else {
-			sb.WriteByte('0')
-		}
-	}
-	return sb.String()
 }

@@ -40,3 +40,19 @@ func TestSafetyLineCarriesThePartialCaveat(t *testing.T) {
 	}
 	safetyLine(out.String())
 }
+
+// TestNegativeBudgetsAreRefused: a negative -maxnodes is not a budget that
+// ran out (exit 3 over "0 configurations"), and a negative omission flag is
+// not the unbounded model; each is refused before anything is explored.
+func TestNegativeBudgetsAreRefused(t *testing.T) {
+	for _, args := range [][]string{
+		{"-maxnodes", "-5"},
+		{"-omission-budget", "-1"},
+		{"-mobile-omissions", "-2", "-omission-budget", "1"},
+	} {
+		var out strings.Builder
+		if code := run(append([]string{"-proto", "tree", "-n", "3"}, args...), &out); code != 1 || out.Len() != 0 {
+			t.Errorf("cccheck %v exits %d, want 1 with nothing on stdout; printed:\n%s", args, code, out.String())
+		}
+	}
+}

@@ -41,6 +41,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/exec"
 	"os/signal"
@@ -57,13 +58,14 @@ import (
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// runOutcome is one live run's verdict.
+// runOutcome is one live run's verdict: what the run itself measured is
+// read from result (nil when the run never produced one); the rest is what
+// judging it added.
 type runOutcome struct {
 	done      bool
-	quiescent bool
 	diverged  bool
 	panicked  bool
 	aborted   bool
@@ -72,20 +74,17 @@ type runOutcome struct {
 	divs      []consensus.LiveDivergence
 	result    *consensus.LiveResult
 	plan      consensus.ChaosRunPlan
-	crashes   int
 	detectMax time.Duration
 	decideMax time.Duration
 	quiesce   time.Duration // last decision → Watch's verdict
 	waves     int           // probe waves the coordinator sent (distributed)
-	recovery  time.Duration
-	falseSusp int
-	linkSusp  int
-	events    int
-	transport consensus.LiveTransportStats
 }
 
-// soakFlags carries every parsed flag the soak modes share.
+// soakFlags carries every parsed flag the soak modes share, and where they
+// print.
 type soakFlags struct {
+	stdout, stderr io.Writer
+
 	protoName, problem string
 	seed               int64
 	runs               int
@@ -116,54 +115,58 @@ type soakFlags struct {
 	printFaults bool
 }
 
-func run() int {
+// run is the whole command: flags from args, the report to stdout,
+// diagnostics to stderr, and the exit code as its result.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("cclive", flag.ExitOnError)
 	var (
-		protoName = flag.String("proto", "tree", "protocol: "+strings.Join(consensus.ProtocolNames(), ", "))
-		n         = flag.Int("n", 3, "number of processors")
-		problem   = flag.String("problem", "WT-TC", "problem: {WT,ST,HT}-{IC,TC}")
-		ruleName  = flag.String("rule", "unanimity", "decision rule: unanimity, threshold-K, or broadcast-P (termination standalone satisfies threshold-1, not unanimity)")
-		runs      = flag.Int("runs", 200, "number of live executions")
-		seed      = flag.Int64("seed", 1, "soak seed; derives per-run seeds, inputs, crash schedules, and link-fault schedules")
-		parallel  = flag.Int("parallel", 0, "concurrent live runs, in-memory mode only (0 = GOMAXPROCS)")
-		maxFail   = flag.Int("max-failures", -1, "maximum injected crashes per run (-1 = N-1, 0 = crash-free)")
-		drop      = flag.Float64("drop", 0.1, "per-attempt probability a delivery is lost in transit")
-		dup       = flag.Float64("dup", 0.1, "per-delivery probability the ack is lost (duplicate retransmit)")
-		delay     = flag.Duration("delay", 300*time.Microsecond, "maximum per-attempt transit latency")
-		heartbeat = flag.Duration("heartbeat", time.Millisecond, "heartbeat interval")
-		detect    = flag.Duration("detect", 12*time.Millisecond, "failure-detection timeout (silence before a crash is declared)")
-		deadline  = flag.Duration("deadline", 20*time.Second, "per-run deadline; a run that has not quiesced by then fails")
-		timeout   = flag.Duration("timeout", 0, "whole-soak wall-clock budget (0 = none); on expiry partial results are reported")
-		inputsArg = flag.String("inputs", "", "fixed input vector like 101 (empty = random per run)")
-		traceDir  = flag.String("trace-dir", "", "directory for divergence traces (empty = don't write)")
-		noDedup   = flag.Bool("no-dedup", false, "disable receiver-side dedup (teeth check: conformance must then fail under -dup)")
-		jsonPath  = flag.String("json", "", "write a machine-readable soak summary to this file (\"-\" = stdout)")
-		sample    = flag.Float64("conform-sample", 1, "fraction of runs whose traces are conformance-replayed (seeded per run; 1 = all)")
-		crashHor  = flag.Int("crash-horizon", 0, "fold planned crash steps into [0,H) so injections land inside short large-N runs (0 = as planned)")
-		omitRate  = flag.Float64("omit-rate", 0, "per-message probability the receiver omission-suppresses a delivery (permanent loss, recorded as an Omit event the conformance replay validates)")
-		omitSeq   = flag.Int("omit-max-seq", 0, "only omit messages with sequence number at most this, keeping each run's omission schedule finite and printable (0 = no bound)")
-		verbose   = flag.Bool("v", false, "print every failing run, not just the first five")
+		protoName = fs.String("proto", "tree", "protocol: "+strings.Join(consensus.ProtocolNames(), ", "))
+		n         = fs.Int("n", 3, "number of processors")
+		problem   = fs.String("problem", "WT-TC", "problem: {WT,ST,HT}-{IC,TC}")
+		ruleName  = fs.String("rule", "unanimity", "decision rule: unanimity, threshold-K, or broadcast-P (termination standalone satisfies threshold-1, not unanimity)")
+		runs      = fs.Int("runs", 200, "number of live executions")
+		seed      = fs.Int64("seed", 1, "soak seed; derives per-run seeds, inputs, crash schedules, and link-fault schedules")
+		parallel  = fs.Int("parallel", 0, "concurrent live runs, in-memory mode only (0 = GOMAXPROCS)")
+		maxFail   = fs.Int("max-failures", -1, "maximum injected crashes per run (-1 = N-1, 0 = crash-free)")
+		drop      = fs.Float64("drop", 0.1, "per-attempt probability a delivery is lost in transit")
+		dup       = fs.Float64("dup", 0.1, "per-delivery probability the ack is lost (duplicate retransmit)")
+		delay     = fs.Duration("delay", 300*time.Microsecond, "maximum per-attempt transit latency")
+		heartbeat = fs.Duration("heartbeat", time.Millisecond, "heartbeat interval")
+		detect    = fs.Duration("detect", 12*time.Millisecond, "failure-detection timeout (silence before a crash is declared)")
+		deadline  = fs.Duration("deadline", 20*time.Second, "per-run deadline; a run that has not quiesced by then fails")
+		timeout   = fs.Duration("timeout", 0, "whole-soak wall-clock budget (0 = none); on expiry partial results are reported")
+		inputsArg = fs.String("inputs", "", "fixed input vector like 101 (empty = random per run)")
+		traceDir  = fs.String("trace-dir", "", "directory for divergence traces (empty = don't write)")
+		noDedup   = fs.Bool("no-dedup", false, "disable receiver-side dedup (teeth check: conformance must then fail under -dup)")
+		jsonPath  = fs.String("json", "", "write a machine-readable soak summary to this file (\"-\" = stdout)")
+		sample    = fs.Float64("conform-sample", 1, "fraction of runs whose traces are conformance-replayed (seeded per run; 1 = all)")
+		crashHor  = fs.Int("crash-horizon", 0, "fold planned crash steps into [0,H) so injections land inside short large-N runs (0 = as planned)")
+		omitRate  = fs.Float64("omit-rate", 0, "per-message probability the receiver omission-suppresses a delivery (permanent loss, recorded as an Omit event the conformance replay validates)")
+		omitSeq   = fs.Int("omit-max-seq", 0, "only omit messages with sequence number at most this, keeping each run's omission schedule finite and printable (0 = no bound)")
+		verbose   = fs.Bool("v", false, "print every failing run, not just the first five")
 
-		serve       = flag.Bool("serve", false, "coordinator mode: run the soak across -joins joiner processes over TCP")
-		joinAddr    = flag.String("join", "", "joiner mode: serve runs for the coordinator at this control address")
-		joins       = flag.Int("joins", 2, "number of joiner processes (serve mode; hosts = joins+1)")
-		listen      = flag.String("listen", "127.0.0.1:0", "control-plane listen address (serve mode)")
-		spawn       = flag.Int("spawn", 0, "fork this many joiner processes automatically (serve mode; implies -joins)")
-		partInt     = flag.Duration("partition-interval", 250*time.Millisecond, "wall length of one link-fault interval")
-		severRate   = flag.Float64("sever-rate", 0, "per-(link,interval) probability the link is severed (one side of a partition)")
-		stallRate   = flag.Float64("stall-rate", 0, "per-(link,interval) probability the link stalls for half the interval")
-		resetRate   = flag.Float64("reset-rate", 0, "per-(link,interval) probability the connection is reset")
-		partIvals   = flag.Int("partition-intervals", 8, "link faults only fire in the first this-many intervals, so every schedule heals")
-		isolateArg  = flag.String("isolate", "", "comma-separated host ids permanently partitioned from the rest (teeth check: the soak must fail)")
-		printFaults = flag.Bool("print-faults", false, "print every planned run's fault schedule — crashes, omissions, link faults — and exit (pure; nothing runs)")
+		serve       = fs.Bool("serve", false, "coordinator mode: run the soak across -joins joiner processes over TCP")
+		joinAddr    = fs.String("join", "", "joiner mode: serve runs for the coordinator at this control address")
+		joins       = fs.Int("joins", 2, "number of joiner processes (serve mode; hosts = joins+1)")
+		listen      = fs.String("listen", "127.0.0.1:0", "control-plane listen address (serve mode)")
+		spawn       = fs.Int("spawn", 0, "fork this many joiner processes automatically (serve mode; implies -joins)")
+		partInt     = fs.Duration("partition-interval", 250*time.Millisecond, "wall length of one link-fault interval")
+		severRate   = fs.Float64("sever-rate", 0, "per-(link,interval) probability the link is severed (one side of a partition)")
+		stallRate   = fs.Float64("stall-rate", 0, "per-(link,interval) probability the link stalls for half the interval")
+		resetRate   = fs.Float64("reset-rate", 0, "per-(link,interval) probability the connection is reset")
+		partIvals   = fs.Int("partition-intervals", 8, "link faults only fire in the first this-many intervals, so every schedule heals")
+		isolateArg  = fs.String("isolate", "", "comma-separated host ids permanently partitioned from the rest (teeth check: the soak must fail)")
+		printFaults = fs.Bool("print-faults", false, "print every planned run's fault schedule — crashes, omissions, link faults — and exit (pure; nothing runs)")
 	)
-	flag.Parse()
+	_ = fs.Parse(args) // ExitOnError: Parse does not return an error
 
 	isolate, err := parseIsolate(*isolateArg)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "cclive:", err)
+		fmt.Fprintln(stderr, "cclive:", err)
 		return 1
 	}
 	f := soakFlags{
+		stdout: stdout, stderr: stderr,
 		protoName: *protoName, problem: *problem, seed: *seed, runs: *runs,
 		drop: *drop, dup: *dup, delay: *delay,
 		heartbeat: *heartbeat, detect: *detect, deadline: *deadline, timeout: *timeout,
@@ -183,8 +186,8 @@ func run() int {
 
 	// Joiner mode needs no protocol flags: everything arrives in the spec.
 	if f.joinAddr != "" {
-		if err := consensus.DistJoin(ctx, f.joinAddr, distOptions()); err != nil {
-			fmt.Fprintln(os.Stderr, "cclive: join:", err)
+		if err := consensus.DistJoin(ctx, f.joinAddr, distOptions(stderr)); err != nil {
+			fmt.Fprintln(stderr, "cclive: join:", err)
 			return 1
 		}
 		return 0
@@ -192,17 +195,17 @@ func run() int {
 
 	proto, err := consensus.ProtocolByName(f.protoName, *n)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "cclive:", err)
+		fmt.Fprintln(stderr, "cclive:", err)
 		return 1
 	}
 	prob, err := consensus.ParseProblem(f.problem)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "cclive:", err)
+		fmt.Fprintln(stderr, "cclive:", err)
 		return 1
 	}
 	rule, err := consensus.ParseRule(*ruleName)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "cclive:", err)
+		fmt.Fprintln(stderr, "cclive:", err)
 		return 1
 	}
 	prob.Rule = rule
@@ -210,7 +213,7 @@ func run() int {
 	if *inputsArg != "" {
 		in, err := consensus.ParseInputs(*inputsArg)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "cclive:", err)
+			fmt.Fprintln(stderr, "cclive:", err)
 			return 1
 		}
 		fixed = [][]consensus.Bit{in}
@@ -292,12 +295,12 @@ feed:
 }
 
 // distOptions is the registry both sides of the control plane share.
-func distOptions() consensus.DistOptions {
+func distOptions(stderr io.Writer) consensus.DistOptions {
 	return consensus.DistOptions{
 		Resolve: consensus.ProtocolByName,
 		Decode:  consensus.ParsePayloadKey,
 		Logf: func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, "cclive: "+format+"\n", args...)
+			fmt.Fprintf(stderr, "cclive: "+format+"\n", args...)
 		},
 	}
 }
@@ -359,12 +362,12 @@ func dumpFaultSchedules(f soakFlags, nProcs int, plans []consensus.ChaosRunPlan)
 		hostIDs[h] = h
 	}
 	for i, plan := range plans {
-		fmt.Printf("run %d seed=%d linkseed=%d\n", i, plan.Seed, plan.LinkSeed)
+		fmt.Fprintf(f.stdout, "run %d seed=%d linkseed=%d\n", i, plan.Seed, plan.LinkSeed)
 		for _, inj := range plan.Failures {
-			fmt.Printf("crash p%d after step %d\n", inj.Proc, inj.AfterStep)
+			fmt.Fprintf(f.stdout, "crash p%d after step %d\n", inj.Proc, inj.AfterStep)
 		}
-		fmt.Print(planFaults(f, plan).RenderOmissions(nProcs))
-		fmt.Print(planLinks(f, plan).Render(hostIDs, f.partIvals))
+		fmt.Fprint(f.stdout, planFaults(f, plan).RenderOmissions(nProcs))
+		fmt.Fprint(f.stdout, planLinks(f, plan).Render(hostIDs, f.partIvals))
 	}
 	return 0
 }
@@ -374,7 +377,7 @@ func dumpFaultSchedules(f soakFlags, nProcs int, plans []consensus.ChaosRunPlan)
 func runServe(ctx context.Context, f soakFlags, proto consensus.Protocol, prob consensus.Problem, plans []consensus.ChaosRunPlan) int {
 	nProcs := proto.N()
 	hosts := f.joins + 1
-	opts := distOptions()
+	opts := distOptions(f.stderr)
 
 	// -spawn forks the joiners as soon as the control address is bound, so
 	// one command runs the whole multi-process soak.
@@ -383,10 +386,10 @@ func runServe(ctx context.Context, f soakFlags, proto consensus.Protocol, prob c
 		opts.OnListen = func(addr string) {
 			for i := 0; i < f.spawn; i++ {
 				child := exec.Command(os.Args[0], "-join", addr)
-				child.Stdout = os.Stderr
-				child.Stderr = os.Stderr
+				child.Stdout = f.stderr
+				child.Stderr = f.stderr
 				if err := child.Start(); err != nil {
-					fmt.Fprintln(os.Stderr, "cclive: spawn:", err)
+					fmt.Fprintln(f.stderr, "cclive: spawn:", err)
 					return
 				}
 				children = append(children, child)
@@ -395,7 +398,7 @@ func runServe(ctx context.Context, f soakFlags, proto consensus.Protocol, prob c
 	}
 	coord, err := consensus.NewDistCoordinator(ctx, f.listen, f.joins, opts)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "cclive: serve:", err)
+		fmt.Fprintln(f.stderr, "cclive: serve:", err)
 		return 1
 	}
 
@@ -415,7 +418,7 @@ func runServe(ctx context.Context, f soakFlags, proto consensus.Protocol, prob c
 			}
 			// A control-plane failure kills the session; no later run
 			// can succeed, so fail fast.
-			fmt.Fprintf(os.Stderr, "cclive: run %d: %v\n", i, err)
+			fmt.Fprintf(f.stderr, "cclive: run %d: %v\n", i, err)
 			code = 1
 			for j := i; j < len(plans); j++ {
 				outcomes[j].plan = plans[j]
@@ -472,13 +475,6 @@ func judgeResult(res *consensus.LiveResult, proto consensus.Protocol, prob conse
 	out.plan = plan
 	out.done = true
 	out.result = res
-	out.quiescent = res.Quiescent
-	out.events = len(res.Schedule)
-	out.crashes = len(res.Crashes)
-	out.recovery = res.Recovery
-	out.falseSusp = res.FalseSuspicions
-	out.linkSusp = res.LinkSuspicions
-	out.transport = res.Transport
 	for _, c := range res.Crashes {
 		if c.Detection > out.detectMax {
 			out.detectMax = c.Detection
@@ -627,28 +623,31 @@ func report(outcomes []runOutcome, protoCanon string, f soakFlags, prob consensu
 		out runOutcome
 	}
 	var failures []failure
+	w := f.stdout
 	for i, out := range outcomes {
 		if !out.done {
 			aborted++
 			continue
 		}
 		completed++
-		if out.quiescent {
-			quiesced++
-		}
 		if out.conformed {
 			conformed++
 		}
-		crashes += out.crashes
-		falseSusp += out.falseSusp
-		linkSusp += out.linkSusp
-		events += int64(out.events)
-		transport.Add(out.transport)
+		if res := out.result; res != nil {
+			if res.Quiescent {
+				quiesced++
+			}
+			crashes += len(res.Crashes)
+			falseSusp += res.FalseSuspicions
+			linkSusp += res.LinkSuspicions
+			events += int64(len(res.Schedule))
+			transport.Add(res.Transport)
+			if res.Recovery > 0 {
+				recoveries = append(recoveries, res.Recovery)
+			}
+		}
 		if out.detectMax > 0 {
 			detections = append(detections, out.detectMax)
-		}
-		if out.recovery > 0 {
-			recoveries = append(recoveries, out.recovery)
 		}
 		if out.decideMax > 0 {
 			decisions = append(decisions, out.decideMax)
@@ -667,39 +666,39 @@ func report(outcomes []runOutcome, protoCanon string, f soakFlags, prob consensu
 	if mode == "distributed" {
 		where = fmt.Sprintf(" across %d hosts", hosts)
 	}
-	fmt.Printf("%s vs %s: %d live runs%s, seed %d (%d completed, %d aborted)\n",
+	fmt.Fprintf(w, "%s vs %s: %d live runs%s, seed %d (%d completed, %d aborted)\n",
 		protoCanon, prob.Name(), f.runs, where, f.seed, completed, aborted)
-	fmt.Printf("  quiesced %d, failing %d, conformance-replayed %d, crashes injected %d\n",
+	fmt.Fprintf(w, "  quiesced %d, failing %d, conformance-replayed %d, crashes injected %d\n",
 		quiesced, failing, conformed, crashes)
-	fmt.Printf("  suspicions: %d false, %d link-loss\n", falseSusp, linkSusp)
+	fmt.Fprintf(w, "  suspicions: %d false, %d link-loss\n", falseSusp, linkSusp)
 	st := transport
-	fmt.Printf("  transport: %d accepted, %d settled, %d dropped, %d duplicated, %d omitted\n",
+	fmt.Fprintf(w, "  transport: %d accepted, %d settled, %d dropped, %d duplicated, %d omitted\n",
 		st.Accepted, st.Settled, st.Drops, st.Dups, st.Omissions)
 	if mode == "distributed" {
-		fmt.Printf("  mesh: %d frames sent (%d resent), %d dials (%d reconnects, %d resets), %d link-downs, %d severed intervals, %d frames held\n",
+		fmt.Fprintf(w, "  mesh: %d frames sent (%d resent), %d dials (%d reconnects, %d resets), %d link-downs, %d severed intervals, %d frames held\n",
 			st.FramesSent, st.FramesResent, st.Dials, st.Reconnects, st.Resets,
 			st.LinkDowns, st.SeveredIntervals, st.HeldFrames)
 	}
 	// Formerly-silent loss paths: always printed, never dropped quietly.
-	fmt.Printf("  silent-loss: %d encode failures, %d garbage frames\n",
+	fmt.Fprintf(w, "  silent-loss: %d encode failures, %d garbage frames\n",
 		st.EncodeFailures, st.GarbageFrames)
 	detectQ, recoverQ, decideQ, quiesceQ := quantiles(detections), quantiles(recoveries), quantiles(decisions), quantiles(quiesces)
 	if detectQ != nil {
-		fmt.Printf("  detection latency:  %s\n", detectQ)
+		fmt.Fprintf(w, "  detection latency:  %s\n", detectQ)
 	}
 	if recoverQ != nil {
-		fmt.Printf("  recovery latency:   %s (crash → last survivor decision, %d runs)\n",
+		fmt.Fprintf(w, "  recovery latency:   %s (crash → last survivor decision, %d runs)\n",
 			recoverQ, recoverQ.Count)
 	}
 	if decideQ != nil {
-		fmt.Printf("  decision latency:   %s (go → last decision)\n", decideQ)
+		fmt.Fprintf(w, "  decision latency:   %s (go → last decision)\n", decideQ)
 	}
 	if quiesceQ != nil {
 		how := "one read of zero"
 		if mode == "distributed" {
 			how = fmt.Sprintf("%d probe waves", waves)
 		}
-		fmt.Printf("  quiescence latency: %s (last decision → verdict, %s)\n", quiesceQ, how)
+		fmt.Fprintf(w, "  quiescence latency: %s (last decision → verdict, %s)\n", quiesceQ, how)
 	}
 
 	written := 0
@@ -711,25 +710,29 @@ func report(outcomes []runOutcome, protoCanon string, f soakFlags, prob consensu
 			} else if fl.out.err != nil {
 				what = fl.out.err.Error()
 			}
-			fmt.Printf("  run %d (seed %d, inputs %s, accepted/settled %d/%d): %s\n", fl.idx, fl.out.plan.Seed,
-				renderInputs(fl.out.plan.Inputs), fl.out.transport.Accepted, fl.out.transport.Settled, what)
+			var tr consensus.LiveTransportStats
+			if fl.out.result != nil {
+				tr = fl.out.result.Transport
+			}
+			fmt.Fprintf(w, "  run %d (seed %d, inputs %s, accepted/settled %d/%d): %s\n", fl.idx, fl.out.plan.Seed,
+				consensus.FormatInputs(fl.out.plan.Inputs), tr.Accepted, tr.Settled, what)
 		} else if i == 5 {
-			fmt.Printf("  … and %d more failing runs (use -v to list all)\n", len(failures)-5)
+			fmt.Fprintf(w, "  … and %d more failing runs (use -v to list all)\n", len(failures)-5)
 		}
 		if f.traceDir != "" && fl.out.result != nil {
 			path, err := writeDivergenceTrace(f.traceDir, protoCanon, f.protoName, prob, f.seed, fl.idx, fl.out)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "cclive:", err)
+				fmt.Fprintln(f.stderr, "cclive:", err)
 				return 1
 			}
 			written++
 			if f.verbose || i < 5 {
-				fmt.Printf("    trace: %s\n", path)
+				fmt.Fprintf(w, "    trace: %s\n", path)
 			}
 		}
 	}
 	if written > 0 {
-		fmt.Printf("  %d trace(s) written to %s\n", written, f.traceDir)
+		fmt.Fprintf(w, "  %d trace(s) written to %s\n", written, f.traceDir)
 	}
 
 	if f.jsonPath != "" {
@@ -747,33 +750,33 @@ func report(outcomes []runOutcome, protoCanon string, f soakFlags, prob consensu
 			QuiescenceNs: quiesceQ,
 			ProbeWaves:   waves,
 		}
-		if err := writeJSON(f.jsonPath, sum); err != nil {
-			fmt.Fprintln(os.Stderr, "cclive:", err)
+		if err := writeJSON(w, f.jsonPath, sum); err != nil {
+			fmt.Fprintln(f.stderr, "cclive:", err)
 			return 1
 		}
 	}
 
 	switch {
 	case aborted > 0:
-		fmt.Println("INTERRUPTED: partial results above")
+		fmt.Fprintln(w, "INTERRUPTED: partial results above")
 		return 3
 	case failing > 0:
-		fmt.Printf("VIOLATES: %d failing run(s)\n", failing)
+		fmt.Fprintf(w, "VIOLATES: %d failing run(s)\n", failing)
 		return 2
 	default:
-		fmt.Println("OK: every live trace replays as a legal run of the model")
+		fmt.Fprintln(w, "OK: every live trace replays as a legal run of the model")
 		return 0
 	}
 }
 
-func writeJSON(path string, sum jsonSummary) error {
+func writeJSON(stdout io.Writer, path string, sum jsonSummary) error {
 	data, err := json.MarshalIndent(sum, "", "  ")
 	if err != nil {
 		return err
 	}
 	data = append(data, '\n')
 	if path == "-" {
-		_, err = os.Stdout.Write(data)
+		_, err = stdout.Write(data)
 		return err
 	}
 	return os.WriteFile(path, data, 0o644)
@@ -790,7 +793,7 @@ func writeDivergenceTrace(dir, protoCanon, protoArg string, prob consensus.Probl
 		ProtoArg:      protoArg,
 		N:             len(res.Inputs),
 		Problem:       prob.Name(),
-		Inputs:        renderInputs(res.Inputs),
+		Inputs:        consensus.FormatInputs(res.Inputs),
 		SweepSeed:     sweepSeed,
 		RunSeed:       out.plan.Seed,
 		RunIndex:      idx,
@@ -822,16 +825,4 @@ func writeDivergenceTrace(dir, protoCanon, protoArg string, prob consensus.Probl
 		return "", err
 	}
 	return path, nil
-}
-
-func renderInputs(inputs []consensus.Bit) string {
-	var sb strings.Builder
-	for _, b := range inputs {
-		if b == consensus.One {
-			sb.WriteByte('1')
-		} else {
-			sb.WriteByte('0')
-		}
-	}
-	return sb.String()
 }

@@ -1,0 +1,74 @@
+package main
+
+import (
+	"bytes"
+	"strings"
+	"testing"
+)
+
+// cclive runs the command in-process, in memory: no subprocess, no socket.
+func cclive(args ...string) (code int, stdout, stderr string) {
+	var out, errOut bytes.Buffer
+	code = run(args, &out, &errOut)
+	return code, out.String(), errOut.String()
+}
+
+// TestPrintFaultsIsAFunctionOfTheSeed: the fault schedule dump — crashes,
+// omissions, link faults — repeats byte for byte and moves with the seed.
+func TestPrintFaultsIsAFunctionOfTheSeed(t *testing.T) {
+	dump := func(seed string) string {
+		code, out, errOut := cclive("-proto", "ackcommit", "-n", "4", "-runs", "5", "-seed", seed,
+			"-omit-rate", "0.15", "-omit-max-seq", "4", "-crash-horizon", "8", "-sever-rate", "0.2", "-print-faults")
+		if code != 0 || errOut != "" || !strings.HasPrefix(out, "run 0 seed=") {
+			t.Fatalf("-print-faults -seed %s: exit %d, stderr %q, stdout:\n%s", seed, code, errOut, out)
+		}
+		return out
+	}
+	a := dump("1984")
+	if b := dump("1984"); a != b {
+		t.Errorf("two dumps of seed 1984 differ:\n%s\n---\n%s", a, b)
+	}
+	if a == dump("1985") {
+		t.Error("seeds 1984 and 1985 dump the same schedule")
+	}
+	for _, want := range []string{"crash p", "omit ", "sever"} {
+		if !strings.Contains(a, want) {
+			t.Errorf("dump shows no %q line:\n%s", want, a)
+		}
+	}
+}
+
+// TestMalformedFlagsAreUsageErrors: exit 1, the complaint on stderr, nothing
+// run and nothing on stdout.
+func TestMalformedFlagsAreUsageErrors(t *testing.T) {
+	for _, args := range [][]string{
+		{"-isolate", "1,x"},
+		{"-proto", "nope"},
+		{"-problem", "XX"},
+	} {
+		code, out, errOut := cclive(args...)
+		if code != 1 || out != "" || !strings.HasPrefix(errOut, "cclive: ") {
+			t.Errorf("cclive %v: exit %d, stdout %q, stderr %q; want exit 1 and a diagnostic", args, code, out, errOut)
+		}
+	}
+}
+
+// TestCleanSoakConforms: a fault-free in-memory soak replays as legal runs.
+func TestCleanSoakConforms(t *testing.T) {
+	code, out, errOut := cclive("-proto", "tree", "-n", "3", "-runs", "4", "-seed", "1984",
+		"-max-failures", "0", "-drop", "0", "-dup", "0", "-delay", "0")
+	if code != 0 || !strings.Contains(out, "\nOK: ") || !strings.Contains(out, "(4 completed, 0 aborted)") {
+		t.Errorf("clean soak: exit %d, stderr %q, stdout:\n%s", code, errOut, out)
+	}
+}
+
+// TestDuplicatesWithoutDedupAreCaught is the soak's teeth: with receiver
+// dedup off and half of all acks lost, a duplicate delivery must reach a
+// processor in some of eight runs, and the conformance replay must refuse it.
+func TestDuplicatesWithoutDedupAreCaught(t *testing.T) {
+	code, out, errOut := cclive("-proto", "tree", "-n", "3", "-problem", "WT-TC", "-runs", "8", "-seed", "5",
+		"-no-dedup", "-dup", "0.5", "-max-failures", "0", "-deadline", "5s")
+	if code != 2 || !strings.Contains(out, "VIOLATES: ") {
+		t.Errorf("no-dedup soak: exit %d, stderr %q, stdout:\n%s", code, errOut, out)
+	}
+}

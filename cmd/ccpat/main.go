@@ -64,7 +64,7 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%s on inputs %s: %d failure-free pattern(s)\n\n", proto.Name(), render(inputs), set.Len())
+		fmt.Printf("%s on inputs %s: %d failure-free pattern(s)\n\n", proto.Name(), consensus.FormatInputs(inputs), set.Len())
 		for i, p := range set.Patterns() {
 			fmt.Printf("pattern %d (%d messages, depth %d):\n%s\n", i+1, p.Size(), p.Depth(), p.RenderASCII())
 		}
@@ -80,7 +80,7 @@ func run() error {
 		return err
 	}
 	fmt.Printf("%s on inputs %s (seed %d): %d events, %d messages\n",
-		proto.Name(), render(inputs), *seed, runResult.Steps(), runResult.MessagesSent())
+		proto.Name(), consensus.FormatInputs(inputs), *seed, runResult.Steps(), runResult.MessagesSent())
 	for p := 0; p < proto.N(); p++ {
 		pid := consensus.ProcID(p)
 		status := "undecided"
@@ -129,16 +129,4 @@ func parseFailures(spec string) ([]consensus.FailureAt, error) {
 		out = append(out, consensus.FailureAt{Proc: consensus.ProcID(proc), AfterStep: step})
 	}
 	return out, nil
-}
-
-func render(inputs []consensus.Bit) string {
-	var sb strings.Builder
-	for _, b := range inputs {
-		if b == consensus.One {
-			sb.WriteByte('1')
-		} else {
-			sb.WriteByte('0')
-		}
-	}
-	return sb.String()
 }

@@ -640,6 +640,9 @@ func MustInputs(s string) []Bit {
 // ParseInputs parses a vector like "1011".
 func ParseInputs(s string) ([]Bit, error) { return sim.InputsFromString(s) }
 
+// FormatInputs renders a vector as "1011", the form ParseInputs parses.
+func FormatInputs(inputs []Bit) string { return sim.InputsString(inputs) }
+
 // AllInputs enumerates every input vector of length n.
 func AllInputs(n int) [][]Bit { return sim.AllInputs(n) }
 

@@ -88,7 +88,7 @@ func FuzzOmitReplay(f *testing.F) {
 			Protocol:        proto.Name(),
 			N:               n,
 			Problem:         "WT-TC",
-			Inputs:          inputsString(inputs),
+			Inputs:          sim.InputsString(inputs),
 			RunSeed:         seed,
 			MaxSteps:        2048,
 			OriginalSteps:   run.Steps(),

@@ -97,7 +97,7 @@ func BuildTrace(rep *Report, f *Failure, maxSteps int) *Trace {
 		Protocol:      rep.Proto,
 		N:             len(f.Inputs),
 		Problem:       rep.Problem.Name(),
-		Inputs:        inputsString(f.Inputs),
+		Inputs:        sim.InputsString(f.Inputs),
 		SweepSeed:     rep.Seed,
 		RunSeed:       f.Seed,
 		RunIndex:      f.RunIndex,
@@ -122,18 +122,6 @@ func BuildTrace(rep *Report, f *Failure, maxSteps int) *Trace {
 		t.Violations = append(t.Violations, TraceViolation{Kind: v.Kind, Detail: v.Detail})
 	}
 	return t
-}
-
-func inputsString(inputs []sim.Bit) string {
-	buf := make([]byte, len(inputs))
-	for i, b := range inputs {
-		if b == sim.One {
-			buf[i] = '1'
-		} else {
-			buf[i] = '0'
-		}
-	}
-	return string(buf)
 }
 
 // EncodeEvent converts a schedule element to its serialized form. It is the

@@ -43,7 +43,7 @@ func (b bitset) next(i int) int {
 
 // stateCensus is what the walk knows about one accessible local state, in
 // integers: StateInfo's three sets as bitsets over processors, root input
-// vectors and public state ids. finalize turns it into the public StateInfo.
+// vectors and state ids. finalize turns it into the public StateInfo.
 type stateCensus struct {
 	sample          sim.State // from the first admitted configuration holding the state
 	procs           bitset
@@ -56,12 +56,12 @@ type stateCensus struct {
 // holds.
 const slabNodes = 1024
 
-// stateIDsOf returns the intern ids of one materialized configuration's
-// local states, assigning the next id the first time the walk materializes
-// a state. A state is identified by the digest the configuration already
-// caches; no key string is built. The ids are carved from the id slab:
-// pointer-free memory the collector never scans, which record rewrites in
-// place into ConfigRecord.StateIdx.
+// stateIDsOf returns the ids of one admitted configuration's local states,
+// giving a state admitted for the first time the next id, with its key and
+// its census entry. A state is identified by the digest the configuration
+// already caches; a key string is built once per distinct state. The ids are
+// carved from the id slab — pointer-free memory the collector never scans —
+// and become the ConfigRecord's StateIdx.
 func (e *explorer) stateIDsOf(nd *node) []int32 {
 	if len(e.slab) < e.n {
 		e.slab = make([]int32, slabNodes*e.n)
@@ -70,19 +70,21 @@ func (e *explorer) stateIDsOf(nd *node) []int32 {
 	e.slab = e.slab[e.n:]
 	for p := range ids {
 		d := nd.cfg.StateDigestAt(p)
-		id, ok := e.internFP[d]
+		id, ok := e.stateID[d]
 		if !ok {
-			id = int32(len(e.public))
-			e.internFP[d] = id
-			e.public = append(e.public, -1)
+			id = int32(len(e.census))
+			e.stateID[d] = id
+			state := nd.cfg.States[p]
+			e.x.stateKeys = append(e.x.stateKeys, state.Key())
+			e.census = append(e.census, stateCensus{sample: state})
 		}
 		ids[p] = id
 	}
 	return ids
 }
 
-// censusAdd folds one accepted configuration, given by the public ids of its
-// local states, into the state census.
+// censusAdd folds one accepted configuration, given by the ids of its local
+// states, into the state census.
 func (e *explorer) censusAdd(nd *node, ids []int32) {
 	for p, id := range ids {
 		c := &e.census[id]

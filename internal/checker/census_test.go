@@ -208,9 +208,9 @@ func TestCensusEBarGolden(t *testing.T) {
 }
 
 // TestAllocsRecordCensus pins the per-node cost of accepting a
-// configuration once the walk is warm — every state interned, every census
-// bit set: carving its ids, record and censusAdd allocate nothing but slab
-// chunks and the doubling of Configs.
+// configuration once the walk is warm — every state numbered, every census
+// bit set: record (carving its ids, the ConfigRecord, censusAdd) allocates
+// nothing but slab chunks and the doubling of Configs.
 func TestAllocsRecordCensus(t *testing.T) {
 	const accepted = 10_000
 	proto := protocols.Tree{Procs: 3}
@@ -219,11 +219,11 @@ func TestAllocsRecordCensus(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A breadth-first corpus of configurations with their fingerprint caches
-	// warm, as expansion hands them to the walk; duplicates are as good as
-	// distinct ones to record.
+	// warm, as admit hands them to record; duplicates are as good as distinct
+	// ones to record.
 	var nodes []*node
 	for i, inputs := range sim.AllInputs(e.n) {
-		e.vecs = append(e.vecs, inputsKey(inputs))
+		e.vecs = append(e.vecs, sim.InputsString(inputs))
 		nodes = append(nodes, &node{cfg: sim.NewConfig(proto, inputs), ledger: make([]sim.Decision, e.n), inputs: inputs, vecIdx: int32(i)})
 	}
 	for head := 0; len(nodes) < accepted; head++ {
@@ -246,12 +246,10 @@ func TestAllocsRecordCensus(t *testing.T) {
 	nodes = nodes[:accepted]
 	accept := func() {
 		for _, nd := range nodes {
-			s := succ{nd: nd, stateIDs: e.stateIDsOf(nd)}
-			e.record(&s)
-			e.censusAdd(nd, s.stateIDs)
+			e.record(nd)
 		}
 	}
-	// AllocsPerRun's own warm-up call is the pass that interns and sets bits.
+	// AllocsPerRun's own warm-up call is the pass that numbers states and sets bits.
 	perNode := testing.AllocsPerRun(1, accept) / accepted
 	t.Logf("%.4f allocations per accepted node over %d states", perNode, len(e.census))
 	if perNode >= 0.05 {

@@ -6,17 +6,18 @@
 // 8 and 13.
 //
 // The explorer is one breadth-first FIFO walk on the calling goroutine:
-// nodes are expanded in the order they were admitted to the visited set,
-// and each node's successors are admitted in event order, so admission
-// order is result order. Node counts, the state census, violation order,
-// and FirstTrace are therefore a pure function of the root set and the
-// options — including the partial results returned on cancellation or
-// budget exhaustion, which cut the walk at a dequeue (DESIGN.md §6a).
+// nodes are stepped in the order they were admitted to the visited set, and
+// each of a node's successors is offered to the visited set, in event order,
+// as soon as it is built — so admission order is result order, and state
+// ids, keys and census entries exist only for admitted nodes. Node counts,
+// the state census, violation order, and FirstTrace are therefore a pure
+// function of the root set and the options — including the partial results
+// returned on cancellation (cut at a dequeue) or budget exhaustion (cut at
+// the admission that would exceed it; DESIGN.md §6a).
 package checker
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"strings"
 	"time"
@@ -37,12 +38,14 @@ type Options struct {
 	// adversary may instead suppress it (sim.Omit), up to this many times
 	// per run. The budget is tracked inside the configuration, so
 	// deduplication distinguishes "same states, different budget left".
-	// Requires N ≤ 64. Zero keeps the crash-only space.
+	// Requires N ≤ 64. Zero keeps the crash-only space; negative is an
+	// error.
 	OmissionBudget int
 	// MobileOmissions, when positive with OmissionBudget, caps the number
 	// of simultaneously omission-faulty processors at k — the mobile
 	// omission model: the faulty set moves as suppressed processors are
-	// rehabilitated by successful deliveries.
+	// rehabilitated by successful deliveries. Zero leaves the faulty set
+	// unbounded; negative is an error.
 	MobileOmissions int
 	// FailProcs restricts which processors may be failed (nil = all).
 	FailProcs []sim.ProcID
@@ -50,7 +53,7 @@ type Options struct {
 	Inputs [][]sim.Bit
 	// MaxNodes caps the exploration (default sim.DefaultMaxNodes, the
 	// budget shared with scheme.Options). Exceeding it is an error, never
-	// a silent truncation.
+	// a silent truncation; so is a negative value.
 	MaxNodes int
 	// Parallelism is pinned by bench/explore.go.
 	//
@@ -285,10 +288,10 @@ type verdict struct {
 // addViolation appends a violation to its judge, respecting the cap, and
 // records the trace to that judge's first violating node when trace tracking
 // is on.
-func (e *explorer) addViolation(v verdict, s *succ) {
+func (e *explorer) addViolation(v verdict, at fingerprint.Digest) {
 	j := &e.judges[v.judge]
 	if len(j.violations) == 0 {
-		j.firstTrace = e.x.traceTo(s.fp)
+		j.firstTrace = e.x.traceTo(at)
 	}
 	if len(j.violations) < 100 {
 		j.violations = append(j.violations, v.Violation)
@@ -364,18 +367,6 @@ func nodeFP(nd *node) fingerprint.Digest {
 	return nd.cfg.Fingerprint().Add(ledgerFP(nd.ledger))
 }
 
-func inputsKey(inputs []sim.Bit) string {
-	var sb strings.Builder
-	for _, b := range inputs {
-		if b == sim.One {
-			sb.WriteByte('1')
-		} else {
-			sb.WriteByte('0')
-		}
-	}
-	return sb.String()
-}
-
 // Explore walks the reachable configuration space of the protocol over the
 // requested input vectors, injecting up to MaxFailures fail-stop failures at
 // every point, and aggregates states, concurrency sets, and configuration
@@ -384,39 +375,21 @@ func Explore(proto sim.Protocol, opts Options) (*Exploration, error) {
 	return ExploreContext(context.Background(), proto, opts)
 }
 
-// succ is one edge generated while expanding a frontier node: the successor
-// fingerprint, the event, and — when the successor was not already visited
-// when the expansion ran — the precomputed node, the intern ids of its
-// per-processor states, and its violations. Expansion computes everything
-// here; the walk only admits and records.
+// succ is one built successor on its way to admission: the node (its fp the
+// dedup handle), the event that reached it, and what the decision rule found
+// on the edge.
 type succ struct {
-	fp       fingerprint.Digest
+	nd       *node
 	event    sim.Event
 	edgeViol []verdict
-	// nd is nil when the successor was already visited when the expansion
-	// ran — on the fast path it was then never materialized at all: its
-	// fingerprint was derived from the parent's and found already visited.
-	nd       *node
-	stateIDs []int32 // intern ids; record rewrites them into public ids
-	terminal bool
-	nodeViol []verdict
 	// permuted marks a successor whose dedup handle was canonicalized
-	// away from its own frame by a non-identity automorphism; the walk
-	// counts rejected permuted successors as symmetry prunes.
+	// away from its own frame by a non-identity automorphism; a rejected
+	// permuted successor counts as a symmetry prune.
 	permuted bool
 	// elided marks a successor whose dedup handle was computed with dead
-	// letters erased (sim.Config.WithoutDeadBuffers); the walk counts
-	// rejected elided successors as elision prunes.
+	// letters erased (sim.Config.WithoutDeadBuffers); a rejected elided
+	// successor counts as an elision prune.
 	elided bool
-}
-
-// expansion is one frontier node's worth of generated edges. reduced marks
-// an ample-set expansion (a strict subset of the enabled events); the
-// walk substitutes the full expansion when the cycle proviso demands it.
-type expansion struct {
-	succs   []succ
-	err     error
-	reduced bool
 }
 
 // explorer is the state of one exploration: the visited set, whose
@@ -430,20 +403,15 @@ type explorer struct {
 	failAllowed []bool
 	x           *Exploration
 	visited     *frontier.SeqVisited
-	// Every distinct local state gets a dense intern id the first time the
-	// walk materializes it, by state digest, and a public id, its index in
-	// Exploration.stateKeys and in census, the first time a configuration
-	// holding it is admitted. public maps intern id → public id, −1 until
-	// then: a successor that is materialized but never admitted (a sibling
-	// with the same canonical handle won) hands out intern ids and must not
-	// shift the order of the public ones. vecs holds the root input vectors'
-	// keys (inputsKey), indexed by node.vecIdx; slab is the chunk stateIDsOf
-	// carves from.
-	internFP map[fingerprint.Digest]int32
-	public   []int32
-	census   []stateCensus
-	vecs     []string
-	slab     []int32
+	// Every distinct local state gets a dense id — its index in
+	// Exploration.stateKeys and in census — the first time a configuration
+	// holding it is admitted; stateID finds it by state digest. vecs holds
+	// the root input vectors' keys, indexed by node.vecIdx; slab is the
+	// chunk stateIDsOf carves from.
+	stateID map[fingerprint.Digest]int32
+	census  []stateCensus
+	vecs    []string
+	slab    []int32
 	// queue holds accepted nodes not yet consumed by the walk; head is
 	// the next to walk. Consumed slots are nilled so a walked node's
 	// memory can be reclaimed once its children are recorded.
@@ -454,17 +422,14 @@ type explorer struct {
 	// what StopAtFirstViolation waits for.
 	judges   []judge
 	violated bool
-	// events and succs are expand's scratch, reused across expansions
-	// so enumerating enabled events and collecting their edges allocate
-	// nothing in steady state: walk consumes an expansion before the next
-	// one is generated.
+	// events is step's scratch, reused across nodes so enumerating the
+	// enabled events allocates nothing in steady state.
 	events []sim.Event
-	succs  []succ
 	// predictor memoizes transition outcomes by input digests, so the fast
 	// path's successor fingerprints cost map probes instead of protocol
 	// callbacks plus state hashing.
 	predictor *sim.Predictor
-	// ample enables ample-set partial-order reduction in expand; elide
+	// ample enables ample-set partial-order reduction in step; elide
 	// enables dead-letter elision in the canonical dedup handle (both are
 	// switched by the ample reduction modes); symPerms holds the
 	// protocol's non-identity topology automorphisms when symmetry
@@ -479,106 +444,146 @@ type explorer struct {
 	permMemo *sim.PermuteMemo
 }
 
-// expand generates the successors of one frontier node: the ample subset
-// when tryAmple is set and an ample processor exists, all of them otherwise
-// (the walk asks again without tryAmple when the cycle proviso rejects a
-// reduced expansion).
-func (e *explorer) expand(nd *node, tryAmple bool) expansion {
-	var out expansion
+// step folds one dequeued node into the exploration: each enabled event, in
+// event order, either is vouched for by predictSeen or has its successor
+// built and handed straight to admit. stop is admit's, or set beside a
+// protocol error.
+func (e *explorer) step(nd *node) (stop bool, err error) {
+	x := e.x
 	failedCount := 0
 	for p := 0; p < e.n; p++ {
 		if nd.cfg.Faulty(sim.ProcID(p)) {
 			failedCount++
 		}
 	}
-	events := e.events[:0]
-	if tryAmple {
-		if p, ok := ampleProc(nd.cfg); ok {
-			events = e.appendAmpleEvents(events, p, failedCount)
-			out.reduced = true
-		}
+	// The decision rule's "a failure has occurred" is a fact of the
+	// pre-configuration — a crash, or a delivery omission-suppressed — (the
+	// event itself cannot simultaneously fail a processor and decide
+	// another), so one reading serves every edge of the node.
+	failureSeen := failedCount > 0 || nd.cfg.OmissionsUsed() > 0
+
+	p, reduced := sim.ProcID(0), false
+	if e.ample {
+		p, reduced = ampleProc(nd.cfg)
 	}
-	if !out.reduced {
-		events = sim.AppendEnabled(events, nd.cfg)
-		if failedCount < e.maxFail {
-			for p := 0; p < e.n; p++ {
-				if e.failAllowed[p] && !nd.cfg.Faulty(sim.ProcID(p)) {
-					events = append(events, sim.Event{Proc: sim.ProcID(p), Type: sim.Fail})
+	if reduced {
+		// The ample set's successors are the only ones ever held before they
+		// are admitted: the proviso must see both handles first.
+		var (
+			scratch [2]sim.Event
+			built   [2]succ
+			fresh   bool
+		)
+		events := e.appendAmpleEvents(scratch[:0], p, failedCount)
+		for i, ev := range events {
+			if built[i], err = e.build(nd, ev, failureSeen); err != nil {
+				return true, err
+			}
+			fresh = fresh || !e.visited.Seen(built[i].nd.fp)
+		}
+		// The breadth-first form of the ample progress proviso
+		// (Bošnački/Holzmann): the ample set stands only if some successor
+		// is not yet visited; otherwise what was built is dropped — no link,
+		// violation, prune or counter — and the node takes its full event
+		// set. Every node stepped reduced thus discovers a new state, so the
+		// exploration can never spin over a closed reduced component while
+		// indefinitely deferring the independent events.
+		//
+		// The reachability properties the checker reports do not lean on
+		// this condition at all — every full-graph terminal configuration
+		// and violating edge/node is reachable inside the reduced graph by
+		// the run-commutation argument of DESIGN.md §8, which only needs
+		// the ample set to contain all of the ample processor's enabled
+		// events. The proviso exists so a reduced exploration also keeps
+		// the structural guarantee the standard theory wants from BFS ample
+		// sets; full LTL-style liveness over cycles (which the six-problem
+		// lattice never asks for) would need the stricter any-revisit
+		// fallback, documented and rejected in DESIGN.md §8.
+		if fresh {
+			x.Reduction.AmpleNodes++
+			x.Reduction.AmpleEvents += int64(len(events))
+			for i := range events {
+				if stop, err = e.admit(nd, &built[i]); stop {
+					return true, err
 				}
+			}
+			return false, nil
+		}
+		x.Reduction.ProvisoFallbacks++
+	}
+
+	events := sim.AppendEnabled(e.events[:0], nd.cfg)
+	if failedCount < e.maxFail {
+		for p := 0; p < e.n; p++ {
+			if e.failAllowed[p] && !nd.cfg.Faulty(sim.ProcID(p)) {
+				events = append(events, sim.Event{Proc: sim.ProcID(p), Type: sim.Fail})
 			}
 		}
 	}
 	e.events = events
-	out.succs = e.succs[:0]
-	// The decision rule's "a failure has occurred" is a fact of the
-	// pre-configuration — a crash, or a delivery omission-suppressed — (the
-	// event itself cannot simultaneously fail a processor and decide
-	// another), so one reading serves every edge of the expansion.
-	failureSeen := failedCount > 0 || nd.cfg.OmissionsUsed() > 0
+	x.Reduction.FullNodes++
+	x.Reduction.FullEvents += int64(len(events))
 	// The fast path predicts each successor's fingerprint incrementally
-	// from the parent's and skips materialization for already-visited
-	// successors — the bulk of all edges in a dense state space. It is
-	// sound only when nothing but the prediction is needed per seen edge:
-	// no canonicalization (the incremental fingerprint is the successor's
-	// own frame, not its canonical handle). The one thing judged on a seen
+	// from the parent's and skips building already-visited successors — the
+	// bulk of all edges in a dense state space. It is sound only when
+	// nothing but the prediction is needed per seen edge: no
+	// canonicalization (the incremental fingerprint is the successor's own
+	// frame, not its canonical handle). The one thing judged on a seen
 	// edge, the decision rule, is a predicate over the prediction
 	// (predictSeen).
 	fast := !e.canonicalizing()
 	for _, ev := range events {
-		if fast {
-			if fp, ok := e.predictSeen(nd, ev, failureSeen); ok {
-				out.succs = append(out.succs, succ{fp: fp, event: ev})
-				continue
-			}
+		if fast && e.predictSeen(nd, ev, failureSeen) {
+			continue
 		}
-		// The transition cache already holds the stepped state's digest, so
-		// no materialized edge rehashes a state.
-		cfg, _, err := e.predictor.Materialize(e.proto, nd.cfg, ev)
-		if err != nil {
-			out.err = fmt.Errorf("checker: exploring %s: %w", e.proto.Name(), err)
-			return out
+		var s succ
+		if s, err = e.build(nd, ev, failureSeen); err != nil {
+			return true, err
 		}
-		nxt := &node{cfg: cfg, ledger: updateLedger(nd.ledger, cfg), inputs: nd.inputs, vecIdx: nd.vecIdx}
-		s := succ{event: ev}
-		e.setHandle(nxt, &s)
-		s.edgeViol = e.edgeViolations(nd, nxt, failureSeen)
-		if !e.visited.Seen(s.fp) {
-			s.nd = nxt
-			s.terminal = cfg.Quiescent()
-			s.stateIDs = e.stateIDsOf(nxt)
-			s.nodeViol = e.nodeViolations(nxt)
+		if stop, err = e.admit(nd, &s); stop {
+			return true, err
 		}
-		out.succs = append(out.succs, s)
 	}
-	e.succs = out.succs
-	return out
+	return false, nil
 }
 
-// setHandle computes the dedup handle of a freshly built node — its
-// fingerprint, canonical when a reduction rewrites handles — and stores it
-// on the node and its succ.
-func (e *explorer) setHandle(nd *node, s *succ) {
-	nd.fp = nodeFP(nd)
-	s.fp = nd.fp
+// build materializes ev's successor of nd — the transition cache already
+// holds the stepped state's digest, so no built edge rehashes a state — with
+// its ledger, its dedup handle and what the judges' decision rules find on
+// the edge.
+func (e *explorer) build(nd *node, ev sim.Event, failureSeen bool) (succ, error) {
+	cfg, _, err := e.predictor.Materialize(e.proto, nd.cfg, ev)
+	if err != nil {
+		return succ{}, fmt.Errorf("checker: exploring %s: %w", e.proto.Name(), err)
+	}
+	s := succ{event: ev, nd: &node{cfg: cfg, ledger: updateLedger(nd.ledger, cfg), inputs: nd.inputs, vecIdx: nd.vecIdx}}
+	e.setHandle(&s)
+	s.edgeViol = e.edgeViolations(nd, s.nd, failureSeen)
+	return s, nil
+}
+
+// setHandle computes the dedup handle of a freshly built node: its
+// fingerprint, canonical when a reduction rewrites handles.
+func (e *explorer) setHandle(s *succ) {
+	s.nd.fp = nodeFP(s.nd)
 	if e.canonicalizing() {
-		e.canonicalizeSucc(nd, s)
+		e.canonicalizeSucc(s)
 	}
 }
 
-// predictSeen derives the fingerprint that ev's successor node would have
-// — configuration fingerprint via the memoizing sim.Predictor, ledger
-// delta from the predicted post-state's decision — and reports whether
-// that successor is already in the visited set. ok=false means the caller
-// must materialize: the successor is new, the event is irregular (Apply
-// must produce the exact error), the ledger transition is one the delta
-// rule cannot predict, or the predicted step is a decision some judge's
-// rule forbids — so every violation is built, worded and ordered by the
-// materializing path alone, and a prediction only ever vouches for an edge
-// on which there is nothing to report.
-func (e *explorer) predictSeen(nd *node, ev sim.Event, failureSeen bool) (fingerprint.Digest, bool) {
+// predictSeen reports whether ev's successor is already in the visited set,
+// judged by the fingerprint it would have — configuration fingerprint via
+// the memoizing sim.Predictor, ledger delta from the predicted post-state's
+// decision. false means the caller must build it: the successor is new, the
+// event is irregular (Apply must produce the exact error), the ledger
+// transition is one the delta rule cannot predict, or the predicted step is
+// a decision some judge's rule forbids — so every violation is built, worded
+// and ordered by the building path alone, and a prediction only ever
+// vouches for an edge on which there is nothing to report or to link.
+func (e *explorer) predictSeen(nd *node, ev sim.Event, failureSeen bool) bool {
 	pred, ok := e.predictor.Predict(e.proto, nd.cfg, ev)
 	if !ok {
-		return fingerprint.Digest{}, false
+		return false
 	}
 	fp := nd.fp.Sub(nd.cfg.Fingerprint()).Add(pred.CfgFP)
 	if d := pred.Decision; pred.Decided {
@@ -586,42 +591,51 @@ func (e *explorer) predictSeen(nd *node, ev sim.Event, failureSeen bool) (finger
 			if old != sim.NoDecision {
 				// A decision change by way of an amnesic detour; the
 				// ledger delta is not a single added term, so fall back
-				// to the materializing path.
-				return fingerprint.Digest{}, false
+				// to the building path.
+				return false
 			}
 			fp = fp.Add(ledgerTerm(ev.Proc, d))
 			for i := range e.judges {
 				if !e.judges[i].problem.Rule.Permits(d, nd.inputs, failureSeen) {
-					return fingerprint.Digest{}, false
+					return false
 				}
 			}
 		}
 	}
-	if !e.visited.Seen(fp) {
-		return fingerprint.Digest{}, false
-	}
-	return fp, true
+	return e.visited.Seen(fp)
 }
 
 // frontierLeft is the partial-stop frontier measure: accepted nodes the
-// walk has not consumed, counting the node being walked (or the one whose
+// walk has not consumed, counting the node being stepped (or the one whose
 // acceptance was rejected).
 func (e *explorer) frontierLeft() int { return len(e.queue) - e.head + 1 }
 
-// run walks breadth-first from the synthetic root expansion to completion,
-// budget exhaustion, first violation, or interruption. The context is
-// checked at every dequeue, so a cancellation cuts the result at a node
-// boundary. It also enforces the ample cycle proviso — a reduced expansion
-// whose successors are all already visited is re-expanded in full before
-// walking — and counts the reduction statistics.
-func (e *explorer) run(ctx context.Context, roots []succ) error {
+// run admits the roots — one per input vector, no parent, no decision edge;
+// under symmetry, symmetric vectors collapse to the first — and then walks
+// breadth-first to completion, budget exhaustion, first violation, or
+// interruption. The context is checked at every dequeue, so a cancellation
+// cuts the result at a node boundary.
+func (e *explorer) run(ctx context.Context, inputVecs [][]sim.Bit) error {
 	x := e.x
 	if clock := e.opts.Clock; clock != nil {
 		start := clock()
 		defer func() { x.ReplayWall = clock() - start }()
 	}
-	stop, err := e.walk(nil, &expansion{succs: roots})
-	for err == nil && !stop && e.head < len(e.queue) {
+	for i, inputs := range inputVecs {
+		root := succ{nd: &node{cfg: sim.NewConfigOmission(e.proto, inputs, e.opts.omission()), ledger: make([]sim.Decision, e.n), inputs: inputs, vecIdx: int32(i)}}
+		e.setHandle(&root)
+		if x.rootKeys != nil {
+			// First-wins: under symmetry two roots can share a canonical
+			// fingerprint, and the admitted one is the first.
+			if _, ok := x.rootKeys[root.nd.fp]; !ok {
+				x.rootKeys[root.nd.fp] = root.nd.key()
+			}
+		}
+		if stop, err := e.admit(nil, &root); stop {
+			return err
+		}
+	}
+	for e.head < len(e.queue) {
 		nd := e.queue[e.head]
 		e.queue[e.head] = nil
 		e.head++
@@ -630,119 +644,80 @@ func (e *explorer) run(ctx context.Context, roots []succ) error {
 			x.FrontierSize = e.frontierLeft()
 			return fmt.Errorf("checker: exploration of %s interrupted: %w", e.proto.Name(), cerr)
 		}
-		exp := e.expand(nd, e.ample)
-		if exp.reduced && provisoHit(&exp) {
-			x.Reduction.ProvisoFallbacks++
-			exp = e.expand(nd, false)
+		if stop, err := e.step(nd); stop {
+			return err
 		}
-		if exp.err == nil {
-			if exp.reduced {
-				x.Reduction.AmpleNodes++
-				x.Reduction.AmpleEvents += int64(len(exp.succs))
-			} else {
-				x.Reduction.FullNodes++
-				x.Reduction.FullEvents += int64(len(exp.succs))
-			}
-		}
-		stop, err = e.walk(nd, &exp)
 	}
-	return err
+	return nil
 }
 
-// countPrune attributes a rejected successor to the canonicalization that
-// rewrote its handle: symmetry when a non-identity automorphism won (it
-// strictly improved on the already-erased identity handle), dead-letter
-// elision otherwise.
-func (e *explorer) countPrune(s *succ) {
-	switch {
-	case s.permuted:
-		e.x.Reduction.SymmetryPrunes++
-	case s.elided:
-		e.x.Reduction.ElisionPrunes++
-	}
-}
-
-// walk folds one node's expansion into the exploration, its edges in event
-// order. A successor is accepted when expansion materialized it (it was not
-// yet visited then) and the visited set admits it now (no earlier sibling
-// of the same expansion shares its handle); rejected successors whose
-// handle was rewritten by a canonicalization count as prunes. stop is set
-// when the exploration should end with the current partial result (first
-// violation reached, or budget exhausted — the latter also carries a
+// admit offers one built node — a root when parent is nil — to the
+// exploration: the trace link and the edge's violations come first, since an
+// edge into a visited node is still an edge; then the visited set decides,
+// and only a node it admits gets state ids, a ConfigRecord, census entries,
+// its node violations and a place in the queue. A rejected node whose handle
+// a canonicalization rewrote counts as that canonicalization's prune:
+// symmetry when a non-identity automorphism won (it strictly improved on the
+// already-erased identity handle), dead-letter elision otherwise. stop is
+// set when the exploration should end with the current partial result
+// (first violation reached, or budget exhausted — the latter also carries a
 // *BudgetError).
-func (e *explorer) walk(parent *node, exp *expansion) (stop bool, err error) {
-	x := e.x
-	if exp.err != nil {
-		return false, exp.err
-	}
-	for j := range exp.succs {
-		s := &exp.succs[j]
-		if parent != nil && x.parents != nil {
-			if _, linked := x.parents[s.fp]; !linked {
-				// A root reached again by a back-edge stays a root: a
-				// link would close a cycle that traceTo never leaves.
-				if _, root := x.rootKeys[s.fp]; !root {
-					x.parents[s.fp] = parentLink{parent: parent.fp, event: s.event}
-				}
+func (e *explorer) admit(parent *node, s *succ) (stop bool, err error) {
+	x, nd := e.x, s.nd
+	if parent != nil && x.parents != nil {
+		if _, linked := x.parents[nd.fp]; !linked {
+			// A root reached again by a back-edge stays a root: a
+			// link would close a cycle that traceTo never leaves.
+			if _, root := x.rootKeys[nd.fp]; !root {
+				x.parents[nd.fp] = parentLink{parent: parent.fp, event: s.event}
 			}
 		}
-		for _, v := range s.edgeViol {
-			e.addViolation(v, s)
-		}
-		if e.opts.StopAtFirstViolation && e.violated {
-			return true, nil
-		}
-		if s.nd == nil || !e.visited.Admit(s.fp, "") {
-			e.countPrune(s)
-			continue
-		}
-		if len(x.Configs) >= e.opts.maxNodes() {
-			x.Status = StatusExhausted
-			x.FrontierSize = e.frontierLeft()
-			return true, &BudgetError{Protocol: e.proto.Name(), Nodes: e.opts.maxNodes()}
-		}
-		e.record(s)
-		e.censusAdd(s.nd, s.stateIDs)
-		for _, v := range s.nodeViol {
-			e.addViolation(v, s)
-		}
-		if e.opts.StopAtFirstViolation && e.violated {
-			return true, nil
-		}
-		e.queue = append(e.queue, s.nd)
 	}
+	for _, v := range s.edgeViol {
+		e.addViolation(v, nd.fp)
+	}
+	if e.opts.StopAtFirstViolation && e.violated {
+		return true, nil
+	}
+	if !e.visited.Admit(nd.fp, "") {
+		switch {
+		case s.permuted:
+			x.Reduction.SymmetryPrunes++
+		case s.elided:
+			x.Reduction.ElisionPrunes++
+		}
+		return false, nil
+	}
+	if len(x.Configs) >= e.opts.maxNodes() {
+		x.Status = StatusExhausted
+		x.FrontierSize = e.frontierLeft()
+		return true, &BudgetError{Protocol: e.proto.Name(), Nodes: e.opts.maxNodes()}
+	}
+	e.record(nd)
+	for _, v := range e.nodeViolations(nd) {
+		e.addViolation(v, nd.fp)
+	}
+	if e.opts.StopAtFirstViolation && e.violated {
+		return true, nil
+	}
+	e.queue = append(e.queue, nd)
 	return false, nil
 }
 
-// record accepts one newly discovered configuration: it rewrites the
-// successor's intern ids into public ids in place — assigning the next public
-// id, with the state's key and census entry, to a state admitted for the
-// first time — and appends the ConfigRecord that owns them from here on.
-func (e *explorer) record(s *succ) {
+// record accepts one newly admitted configuration: its ConfigRecord, which
+// owns the state ids from here on, and its share of the state census.
+func (e *explorer) record(nd *node) {
 	x := e.x
-	for p, id := range s.stateIDs {
-		pub := e.public[id]
-		if pub < 0 {
-			pub = int32(len(x.stateKeys))
-			e.public[id] = pub
-			state := s.nd.cfg.States[p]
-			x.stateKeys = append(x.stateKeys, state.Key())
-			e.census = append(e.census, stateCensus{sample: state})
-		}
-		s.stateIDs[p] = pub
-	}
+	ids := e.stateIDsOf(nd)
 	// The ledger is aliased, not copied: nothing mutates a ledger after
 	// updateLedger built it, so the record can share it (as a child whose
 	// step decided nothing shares its parent's).
-	x.Configs = append(x.Configs, ConfigRecord{
-		StateIdx:  s.stateIDs,
-		Ledger:    s.nd.ledger,
-		InputsVec: e.vecs[s.nd.vecIdx],
-		Terminal:  s.terminal,
-	})
-	if s.terminal {
+	rec := ConfigRecord{StateIdx: ids, Ledger: nd.ledger, InputsVec: e.vecs[nd.vecIdx], Terminal: nd.cfg.Quiescent()}
+	x.Configs = append(x.Configs, rec)
+	if rec.Terminal {
 		x.Terminals++
 	}
+	e.censusAdd(nd, ids)
 }
 
 // finalize publishes the aggregate state census and the node count.
@@ -766,12 +741,22 @@ func ExploreContext(ctx context.Context, proto sim.Protocol, opts Options) (*Exp
 }
 
 // newExplorer validates the options and builds the empty explorer of one
-// walk: nothing visited, no state interned.
+// walk: nothing visited, no state numbered.
 func newExplorer(proto sim.Protocol, problems []taxonomy.Problem, opts Options) (*explorer, error) {
 	n := proto.N()
 	maxFail := opts.MaxFailures
 	if maxFail < 0 {
 		maxFail = n - 1
+	}
+	// A negative budget is not a default: it would cut the walk before its
+	// first node, or explore the unbounded model under a bounded one's name.
+	for _, f := range []struct {
+		name  string
+		value int
+	}{{"MaxNodes", opts.MaxNodes}, {"OmissionBudget", opts.OmissionBudget}, {"MobileOmissions", opts.MobileOmissions}} {
+		if f.value < 0 {
+			return nil, fmt.Errorf("checker: %s is negative (%d)", f.name, f.value)
+		}
 	}
 	if opts.omission().Enabled() && n > 64 {
 		return nil, fmt.Errorf("checker: omission budgets support at most 64 processors, got %d", n)
@@ -803,7 +788,7 @@ func newExplorer(proto sim.Protocol, problems []taxonomy.Problem, opts Options) 
 		failAllowed: failAllowed,
 		x:           x,
 		visited:     frontier.NewSeqVisited(frontier.DedupFingerprint),
-		internFP:    make(map[fingerprint.Digest]int32),
+		stateID:     make(map[fingerprint.Digest]int32),
 		predictor:   sim.NewPredictor(),
 		judges:      make([]judge, len(problems)),
 	}
@@ -829,40 +814,17 @@ func explore(ctx context.Context, proto sim.Protocol, problems []taxonomy.Proble
 		inputVecs = sim.AllInputs(n)
 	}
 
-	// Level 0: one root per requested input vector, walked through the
-	// same path as every other node (no parent links, no decision edge).
-	roots := make([]succ, 0, len(inputVecs))
-	for i, inputs := range inputVecs {
+	for _, inputs := range inputVecs {
 		if len(inputs) != n {
 			return nil, nil, fmt.Errorf("checker: input vector %v has length %d, want %d", inputs, len(inputs), n)
 		}
-		start := &node{cfg: sim.NewConfigOmission(proto, inputs, opts.omission()), ledger: make([]sim.Decision, n), inputs: inputs, vecIdx: int32(i)}
-		e.vecs = append(e.vecs, inputsKey(inputs))
-		s := succ{nd: start, terminal: start.cfg.Quiescent()}
-		// Under symmetry, symmetric input vectors collapse to one explored
-		// root; the walk's admission keeps the first.
-		e.setHandle(start, &s)
-		if x.rootKeys != nil {
-			// First-wins: under symmetry two roots can share a canonical
-			// fingerprint, and the admitted one is the first.
-			if _, ok := x.rootKeys[start.fp]; !ok {
-				x.rootKeys[start.fp] = start.key()
-			}
-		}
-		s.stateIDs = e.stateIDsOf(start)
-		s.nodeViol = e.nodeViolations(start)
-		roots = append(roots, s)
+		e.vecs = append(e.vecs, sim.InputsString(inputs))
 	}
 
-	err = e.run(ctx, roots)
-	if err != nil {
-		var be *BudgetError
-		if errors.As(err, &be) {
-			err = be
-		} else if x.Status != StatusInterrupted {
-			// A protocol error (sim.Apply failed) aborts with no result.
-			return nil, nil, err
-		}
+	err = e.run(ctx, inputVecs)
+	if err != nil && !x.Status.Partial() {
+		// A protocol error (sim.Apply failed) aborts with no result.
+		return nil, nil, err
 	}
 	e.finalize()
 	return x, e.judges, err

@@ -22,6 +22,25 @@ func TestExploreRejectsBadFailProcs(t *testing.T) {
 	}
 }
 
+// TestExploreRejectsNegativeBudgets: a negative budget is refused by name,
+// not read as a default or as a budget that ran out. MaxFailures < 0 alone
+// keeps its meaning, N−1.
+func TestExploreRejectsNegativeBudgets(t *testing.T) {
+	for field, opts := range map[string]Options{
+		"MaxNodes":        {MaxNodes: -5},
+		"OmissionBudget":  {OmissionBudget: -1},
+		"MobileOmissions": {OmissionBudget: 1, MobileOmissions: -2},
+	} {
+		x, err := Explore(protocols.Tree{Procs: 3}, opts)
+		if x != nil || err == nil || !strings.Contains(err.Error(), field+" is negative") {
+			t.Errorf("negative %s: exploration %v, err %v; want no exploration and an error naming the field", field, x != nil, err)
+		}
+	}
+	if _, err := Explore(protocols.Tree{Procs: 3}, Options{MaxFailures: -1, MaxNodes: 100}); !errors.As(err, new(*BudgetError)) {
+		t.Errorf("MaxFailures -1 with a budget of 100: err %v, want the N−1 space to exhaust it", err)
+	}
+}
+
 func TestCancelledExploreReturnsPartialResults(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

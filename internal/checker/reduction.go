@@ -79,18 +79,17 @@ func (r Reduction) usesSymmetry() bool { return r == ReduceSymmetry || r == Redu
 // ReductionStats are the deterministic reduction counters of one
 // exploration, all counted by the walk in admission order.
 type ReductionStats struct {
-	// AmpleNodes / FullNodes split the walked expansions into reduced
-	// (ample subset) and full ones. Unreduced runs count everything in
+	// AmpleNodes / FullNodes split the stepped nodes into reduced (ample
+	// subset) and full ones. Unreduced runs count everything in
 	// FullNodes.
 	AmpleNodes int
 	FullNodes  int
-	// AmpleEvents / FullEvents count the successor edges those expansions
-	// generated; AmpleEvents/AmpleNodes is the average ample-set size.
+	// AmpleEvents / FullEvents count the events those nodes took; AmpleEvents/AmpleNodes is the average ample-set size.
 	AmpleEvents int64
 	FullEvents  int64
-	// ProvisoFallbacks counts reduced expansions the walk re-expanded in
-	// full because every reduced successor was already visited (the ample
-	// progress proviso; see provisoHit). They are counted under FullNodes.
+	// ProvisoFallbacks counts nodes whose ample set was dropped for the
+	// full event set because every ample successor was already visited (the
+	// ample progress proviso; see step). They are counted under FullNodes.
 	ProvisoFallbacks int
 	// SymmetryPrunes counts rejected successors whose dedup handle was
 	// canonicalized away from their own frame by a non-identity
@@ -117,7 +116,7 @@ type ReductionStats struct {
 // taking an ample event first (C1), the set is nonempty whenever any event
 // is enabled at a non-quiescent configuration with a Sending processor
 // (C0), and deferred events stay enabled. The cycle condition is enforced
-// by provisoHit as each reduced expansion is walked.
+// by step's proviso as each ample set is built.
 func ampleProc(cfg *sim.Config) (sim.ProcID, bool) {
 	for p := range cfg.States {
 		if cfg.States[p].Kind() == sim.Sending {
@@ -135,32 +134,6 @@ func (e *explorer) appendAmpleEvents(events []sim.Event, p sim.ProcID, failedCou
 		events = append(events, sim.Event{Proc: p, Type: sim.Fail})
 	}
 	return events
-}
-
-// provisoHit reports whether every successor of a reduced expansion was
-// already visited when it was expanded (expansion leaves exactly those
-// unmaterialized); the walk then substitutes the full expansion. This is the breadth-first form of the ample progress
-// proviso (Bošnački/Holzmann): every walked reduced expansion either
-// discovers at least one new state or is expanded in full, so the
-// exploration can never spin over a closed reduced component while
-// indefinitely deferring the independent events.
-//
-// The reachability properties the checker reports do not lean on this
-// condition at all — every full-graph terminal configuration and violating
-// edge/node is reachable inside the reduced graph by the run-commutation
-// argument of DESIGN.md §8, which only needs the ample set to contain all
-// of the ample processor's enabled events. The proviso exists so a reduced
-// exploration also keeps the structural guarantee the standard theory
-// wants from BFS ample sets; full LTL-style liveness over cycles (which
-// the six-problem lattice never asks for) would need the stricter
-// any-revisit fallback, documented and rejected in DESIGN.md §8.
-func provisoHit(exp *expansion) bool {
-	for j := range exp.succs {
-		if exp.succs[j].nd != nil {
-			return false
-		}
-	}
-	return true
 }
 
 // canonicalizing reports whether dedup handles are canonical forms rather
@@ -185,7 +158,7 @@ func (e *explorer) canonicalizing() bool {
 // relocates a processor's state and buffer together — so erasing first is
 // both correct and cheaper.
 //
-// The final handle lands on both the succ and the node. The node itself
+// The handle lands on the node, its flags on the succ. The node itself
 // stays in its own frame — every stored configuration is genuinely
 // reachable and traces replay unchanged — only the handle is canonical,
 // so the first-reached member of a class represents the class.
@@ -197,31 +170,31 @@ func (e *explorer) canonicalizing() bool {
 // positions — value-equal to materializing the candidate and hashing it
 // cold, so the same orbit member wins (the tests hold every handle to that
 // materialization).
-func (e *explorer) canonicalizeSucc(nxt *node, s *succ) {
+func (e *explorer) canonicalizeSucc(s *succ) {
+	nd := s.nd
 	if e.elide {
-		if fp, changed := nxt.cfg.ElidedFingerprint(); changed {
-			s.fp, s.elided = fp.Add(ledgerFP(nxt.ledger)), true
+		if fp, changed := nd.cfg.ElidedFingerprint(); changed {
+			nd.fp, s.elided = fp.Add(ledgerFP(nd.ledger)), true
 		}
 	}
 	for i, perm := range e.symPerms {
-		fp, ok := e.permMemo.Fingerprint(nxt.cfg, i, e.elide)
+		fp, ok := e.permMemo.Fingerprint(nd.cfg, i, e.elide)
 		if !ok {
 			panic("checker: symmetry group present but state does not implement sim.Permuter")
 		}
-		if fp = fp.Add(permutedLedgerFP(nxt.ledger, perm)); fp.Less(s.fp) {
-			s.fp, s.permuted = fp, true
+		if fp = fp.Add(permutedLedgerFP(nd.ledger, perm)); fp.Less(nd.fp) {
+			nd.fp, s.permuted = fp, true
 		}
 	}
-	nxt.fp = s.fp
 	if canonicalizeHook != nil {
-		canonicalizeHook(e, nxt, s)
+		canonicalizeHook(e, *s)
 	}
 }
 
 // canonicalizeHook, when set, observes every canonicalized successor. Only
 // tests set it (to cross-check the digest shortcut against the
 // materialized path).
-var canonicalizeHook func(e *explorer, nxt *node, s *succ)
+var canonicalizeHook func(e *explorer, s succ)
 
 // permutedLedgerFP fingerprints the ledger relabelled by perm without
 // building it: p's term is salted at perm[p].

@@ -311,7 +311,8 @@ func TestCanonicalizeDigestMatchesMaterialized(t *testing.T) {
 		var calls, elided, permuted int
 		var warmE *explorer
 		var warm []*node
-		canonicalizeHook = func(e *explorer, nxt *node, s *succ) {
+		canonicalizeHook = func(e *explorer, s succ) {
+			nxt := s.nd
 			fp, el, pm := materializedHandle(e, nxt)
 			calls++
 			if el {
@@ -323,9 +324,9 @@ func TestCanonicalizeDigestMatchesMaterialized(t *testing.T) {
 			if len(warm) < 64 {
 				warmE, warm = e, append(warm, nxt)
 			}
-			if s.fp != fp || nxt.fp != fp || s.elided != el || s.permuted != pm {
+			if nxt.fp != fp || s.elided != el || s.permuted != pm {
 				t.Errorf("%s after %v: digest handle %v (elided=%v permuted=%v), materialized %v (%v %v)",
-					tc.proto.Name(), s.event, s.fp, s.elided, s.permuted, fp, el, pm)
+					tc.proto.Name(), s.event, nxt.fp, s.elided, s.permuted, fp, el, pm)
 			}
 		}
 		_, err := Explore(tc.proto, Options{MaxFailures: tc.mf, Problem: &prob, Reduction: ReduceBoth})
@@ -337,11 +338,9 @@ func TestCanonicalizeDigestMatchesMaterialized(t *testing.T) {
 			t.Fatalf("%s: hook saw %d successors, %d elided, %d permuted — matrix does not exercise the shortcut",
 				tc.proto.Name(), calls, elided, permuted)
 		}
-		var s succ
 		allocs := testing.AllocsPerRun(20, func() {
 			for _, nxt := range warm {
-				s = succ{fp: nodeFP(nxt)}
-				warmE.canonicalizeSucc(nxt, &s)
+				warmE.setHandle(&succ{nd: nxt})
 			}
 		})
 		if allocs != 0 {

@@ -76,7 +76,7 @@ func refExplore(ctx context.Context, proto sim.Protocol, opts Options) (*Explora
 			x.Status, x.FrontierSize = StatusExhausted, len(queue)-head+1
 			return true, &BudgetError{Protocol: proto.Name(), Nodes: opts.maxNodes()}
 		}
-		rec := ConfigRecord{StateIdx: make([]int32, n), Ledger: nd.ledger, InputsVec: inputsKey(nd.inputs), Terminal: nd.cfg.Quiescent()}
+		rec := ConfigRecord{StateIdx: make([]int32, n), Ledger: nd.ledger, InputsVec: sim.InputsString(nd.inputs), Terminal: nd.cfg.Quiescent()}
 		keys := make([]string, n)
 		for p, st := range nd.cfg.States {
 			k := st.Key()

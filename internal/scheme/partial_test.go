@@ -3,6 +3,7 @@ package scheme
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/protocols"
@@ -35,6 +36,15 @@ func TestCancelledOfReturnsPartialResults(t *testing.T) {
 	}
 	if !e.Status.Partial() {
 		t.Fatalf("status = %v, want partial", e.Status)
+	}
+}
+
+// TestNegativeMaxNodesIsRefused: a negative budget is an error naming the
+// field, not an enumeration that exhausted it before the root.
+func TestNegativeMaxNodesIsRefused(t *testing.T) {
+	e, err := EnumerateContext(context.Background(), protocols.FullExchange{Procs: 3}, allOnes(3), Options{MaxNodes: -1})
+	if e != nil || err == nil || !strings.Contains(err.Error(), "MaxNodes is negative") {
+		t.Fatalf("EnumerateContext = (%v, %v), want no enumeration and an error naming MaxNodes", e, err)
 	}
 }
 

@@ -40,9 +40,6 @@ func refEnumerate(ctx context.Context, proto sim.Protocol, inputs []sim.Bit, opt
 		en.Status, en.Visited, en.Frontier = StatusExhausted, visited, frontier
 		return en, &BudgetError{Protocol: proto.Name(), Nodes: opts.maxNodes()}
 	}
-	if opts.maxNodes() < 1 {
-		return exhausted(0, 1)
-	}
 	start := rootNode(proto, inputs)
 	visited := map[string]bool{start.key(): true}
 	queue := []*node{start} // every accepted node, in admission order

@@ -367,14 +367,12 @@ func EnumerateContext(ctx context.Context, proto sim.Protocol, inputs []sim.Bit,
 	if len(inputs) != proto.N() {
 		return nil, fmt.Errorf("scheme: protocol %s wants %d inputs, got %d", proto.Name(), proto.N(), len(inputs))
 	}
+	if opts.MaxNodes < 0 {
+		return nil, fmt.Errorf("scheme: MaxNodes is negative (%d)", opts.MaxNodes)
+	}
 	start := rootNode(proto, inputs)
 	en := &Enumeration{Set: NewSet()}
 	e := &enumerator{proto: proto, visited: frontier.NewSeqVisited(frontier.DedupFingerprint), pr: sim.NewPredictor()}
-	if opts.maxNodes() < 1 {
-		en.Status = StatusExhausted
-		en.Frontier = 1
-		return en, &BudgetError{Protocol: proto.Name(), Nodes: opts.maxNodes()}
-	}
 	e.visited.Admit(start.fp(), "")
 
 	// queue holds every accepted node in admission order; slots are nilled

@@ -413,13 +413,8 @@ func (c *Config) Key() string {
 		sb.WriteString(b.Key())
 	}
 	sb.WriteByte('#')
-	for _, in := range c.Inputs {
-		if in == One {
-			sb.WriteByte('1')
-		} else {
-			sb.WriteByte('0')
-		}
-	}
+	var vec [64]byte // on the stack for every N the omission masks allow
+	sb.Write(appendInputs(vec[:0], c.Inputs))
 	sb.Write(c.omissionKeySuffix(nil))
 	return sb.String()
 }

@@ -81,6 +81,23 @@ func InputsFromString(s string) ([]Bit, error) {
 	return out, nil
 }
 
+// InputsString renders a vector as "1011", the form InputsFromString parses.
+func InputsString(inputs []Bit) string {
+	return string(appendInputs(make([]byte, 0, len(inputs)), inputs))
+}
+
+// appendInputs appends InputsString(inputs) to dst.
+func appendInputs(dst []byte, inputs []Bit) []byte {
+	for _, b := range inputs {
+		if b == One {
+			dst = append(dst, '1')
+		} else {
+			dst = append(dst, '0')
+		}
+	}
+	return dst
+}
+
 // InvalidInputError reports a malformed input-vector string.
 type InvalidInputError struct{ Input string }
 

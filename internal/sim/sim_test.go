@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -298,6 +299,20 @@ func TestInputsFromString(t *testing.T) {
 	}
 	if _, err := InputsFromString("10x"); err == nil {
 		t.Error("expected error for malformed vector")
+	}
+}
+
+// TestInputsStringRoundTrip holds the renderer to the parser on every
+// vector up to N = 10.
+func TestInputsStringRoundTrip(t *testing.T) {
+	for n := 0; n <= 10; n++ {
+		for _, v := range AllInputs(n) {
+			s := InputsString(v)
+			back, err := InputsFromString(s)
+			if err != nil || len(s) != n || !slices.Equal(back, v) {
+				t.Fatalf("InputsFromString(InputsString(%v)) = %v, %v via %q", v, back, err, s)
+			}
+		}
 	}
 }
 

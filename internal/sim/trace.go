@@ -10,7 +10,7 @@ import (
 // decision first visible in the resulting configuration.
 func (r *Run) Trace() []string {
 	out := make([]string, 0, len(r.Schedule)+1)
-	out = append(out, fmt.Sprintf("initial configuration: inputs %s", renderInputs(r.Initial().Inputs)))
+	out = append(out, fmt.Sprintf("initial configuration: inputs %s", InputsString(r.Initial().Inputs)))
 	decided := make([]bool, r.Initial().N())
 	for i, e := range r.Schedule {
 		var sb strings.Builder
@@ -68,18 +68,6 @@ func (r *Run) Summary() string {
 			status += ", amnesic"
 		}
 		fmt.Fprintf(&sb, "  %s: %s (%d steps)\n", pid, status, r.StepsOf(pid))
-	}
-	return sb.String()
-}
-
-func renderInputs(inputs []Bit) string {
-	var sb strings.Builder
-	for _, b := range inputs {
-		if b == One {
-			sb.WriteByte('1')
-		} else {
-			sb.WriteByte('0')
-		}
 	}
 	return sb.String()
 }
