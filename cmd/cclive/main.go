@@ -208,6 +208,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "cclive:", err)
 		return 1
 	}
+	// broadcast-P names its general by index: one outside the protocol would
+	// panic in every run's judge and read as the protocol's fault.
+	if g, ok := strings.CutPrefix(strings.ToLower(strings.TrimSpace(*ruleName)), "broadcast-"); ok {
+		if p, _ := strconv.Atoi(g); p >= proto.N() {
+			fmt.Fprintf(stderr, "cclive: -rule %s names p%d, but %s has N=%d processors\n", *ruleName, p, proto.Name(), proto.N())
+			return 1
+		}
+	}
 	prob.Rule = rule
 	var fixed [][]consensus.Bit
 	if *inputsArg != "" {

@@ -53,6 +53,23 @@ func TestMalformedFlagsAreUsageErrors(t *testing.T) {
 	}
 }
 
+// TestBroadcastGeneralOutsideTheProtocolIsRefused: -rule broadcast-P with
+// P ≥ N is a usage error before any run, not a panic in every run's judge
+// reported as the protocol violating; P < N still soaks.
+func TestBroadcastGeneralOutsideTheProtocolIsRefused(t *testing.T) {
+	for _, p := range []string{"3", "7"} {
+		code, out, errOut := cclive("-proto", "tree", "-n", "3", "-rule", "broadcast-"+p, "-runs", "2")
+		if code != 1 || out != "" || !strings.Contains(errOut, "-rule broadcast-"+p) || !strings.Contains(errOut, "N=3") {
+			t.Errorf("-rule broadcast-%s with N=3: exit %d, stdout %q, stderr %q; want exit 1 naming -rule and N", p, code, out, errOut)
+		}
+	}
+	code, out, errOut := cclive("-proto", "broadcast", "-n", "3", "-rule", "broadcast-0", "-runs", "2", "-seed", "1984",
+		"-max-failures", "0", "-drop", "0", "-dup", "0", "-delay", "0")
+	if code != 0 || !strings.Contains(out, "\nOK: ") {
+		t.Errorf("-rule broadcast-0 with N=3: exit %d, stderr %q, stdout:\n%s", code, errOut, out)
+	}
+}
+
 // TestCleanSoakConforms: a fault-free in-memory soak replays as legal runs.
 func TestCleanSoakConforms(t *testing.T) {
 	code, out, errOut := cclive("-proto", "tree", "-n", "3", "-runs", "4", "-seed", "1984",

@@ -249,6 +249,28 @@ func (b *Box) Push(v int) {
 	wantFindings(t, vetFixture(t, PurityAnalyzer, src), 1, "Box.Push")
 }
 
+func TestPurityAppendToDstIsTheContract(t *testing.T) {
+	// Appending to dst — the first parameter, returned as the result's slice
+	// type — is the Append idiom; appending to any other argument still
+	// writes into a backing array the caller did not hand over.
+	src := `package fixture
+
+type State struct{ log []int }
+
+//ccvet:pure
+func AppendLog(dst []int, s State) []int {
+	return append(dst, s.log...)
+}
+
+//ccvet:pure
+func AppendInto(dst []int, other []int) []int {
+	other = append(other, 1)
+	return append(dst, other...)
+}
+`
+	wantFindings(t, vetFixture(t, PurityAnalyzer, src), 1, "append to other")
+}
+
 func TestPuritySentinelErrorAndForeignValueVarExempt(t *testing.T) {
 	// Sentinel errors and stdlib value-typed namespace vars (the
 	// binary.BigEndian idiom) are readable from pure bodies; module-local

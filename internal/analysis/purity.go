@@ -47,6 +47,11 @@ import (
 // state except through δ/β: an annotated body may build and return fresh
 // values but may not write through its arguments or receiver.
 //
+// One append to an argument is the contract, not a mutation: to dst, the
+// first parameter of a function that returns a value of dst's slice type —
+// the strconv.AppendInt idiom, in which the caller hands over dst's spare
+// capacity and takes the result back (taxonomy's judge appends violations so).
+//
 // Two reference classes are exempt from the package-level-variable rule:
 // sentinel error values (error-typed vars are read-only by convention; pure
 // codecs wrap them with %w), and value-typed vars from outside the module
@@ -558,7 +563,7 @@ func checkExpr(pass *Pass, fd *ast.FuncDecl, ts *taintState, e ast.Expr) {
 func checkCall(pass *Pass, fd *ast.FuncDecl, ts *taintState, call *ast.CallExpr) {
 	if id, ok := unparen(call.Fun).(*ast.Ident); ok {
 		if b, ok := pass.Info.ObjectOf(id).(*types.Builtin); ok && b.Name() == "append" && len(call.Args) > 0 {
-			if ts.exprTainted(call.Args[0]) {
+			if ts.exprTainted(call.Args[0]) && !isAppendDst(pass, fd, call.Args[0]) {
 				pass.Reportf(call.Pos(), "%s: append to %s may write into a backing array shared with the caller's state; copy before appending",
 					displayName(fd), exprString(call.Args[0]))
 			}
@@ -595,6 +600,22 @@ func checkCall(pass *Pass, fd *ast.FuncDecl, ts *taintState, call *ast.CallExpr)
 		pass.Reportf(call.Pos(), "%s: calling pointer-receiver method %s on %s may mutate state shared with the caller",
 			displayName(fd), f.Name(), exprString(sel.X))
 	}
+}
+
+// isAppendDst reports whether e names fd's dst: its first parameter, of the
+// slice type of its first result.
+func isAppendDst(pass *Pass, fd *ast.FuncDecl, e ast.Expr) bool {
+	id, ok := unparen(e).(*ast.Ident)
+	params, results := fd.Type.Params.List, fd.Type.Results
+	if !ok || len(params) == 0 || len(params[0].Names) == 0 || results == nil {
+		return false
+	}
+	dst := pass.Info.Defs[params[0].Names[0]]
+	if dst == nil || pass.Info.Uses[id] != dst {
+		return false
+	}
+	_, isSlice := dst.Type().Underlying().(*types.Slice)
+	return isSlice && types.Identical(dst.Type(), pass.Info.TypeOf(results.List[0].Type))
 }
 
 // checkPackageVar flags references to package-level mutable variables inside

@@ -13,7 +13,9 @@ import (
 // the executable counterpart of "Q is a protocol for P": the decision rule
 // is enforced at every decision transition, the consistency constraint at
 // every accessible configuration, and the termination condition at every
-// terminal (quiescent) configuration.
+// terminal (quiescent) configuration — each by the taxonomy judge that also
+// judges runs (taxonomy.Problem.AppendRule, AppendConsistency,
+// AppendTermination), so a violation reads the same in both.
 func Check(proto sim.Protocol, problem taxonomy.Problem, opts Options) (*Exploration, error) {
 	return CheckContext(context.Background(), proto, problem, opts)
 }
@@ -52,139 +54,37 @@ func CheckAll(ctx context.Context, proto sim.Protocol, problems []taxonomy.Probl
 	for i := range judges {
 		xi := *x
 		xi.Opts.Problem = &judges[i].problem
-		xi.Violations, xi.FirstTrace = judges[i].violations, judges[i].firstTrace
+		xi.Violations = judges[i].violations
+		if len(xi.Violations) > 0 {
+			xi.FirstTrace = x.traceTo(judges[i].firstAt)
+		}
 		out[i] = &xi
 	}
 	return out, err
 }
 
-// edgeViolations validates every judge's decision rule at the moment a
-// decision is made: applying one event turned some processor's ledger entry
-// from undecided to decided. failureSeen is the expansion's reading of
-// "a failure has occurred" in the pre-configuration.
-func (e *explorer) edgeViolations(prev, next *node, failureSeen bool) []verdict {
-	var out []verdict
-	for i := range e.judges {
-		rule := e.judges[i].problem.Rule
-		for p := range next.ledger {
-			if prev.ledger[p] != sim.NoDecision || next.ledger[p] == sim.NoDecision {
-				continue
-			}
-			d := next.ledger[p]
-			if !rule.Permits(d, prev.inputs, failureSeen) {
-				out = append(out, verdict{i, taxonomy.Violation{
-					Kind: "rule",
-					Detail: fmt.Sprintf("%s decided %s on inputs %v (failureSeen=%v), forbidden by %s",
-						sim.ProcID(p), d, prev.inputs, failureSeen, rule.Name()),
-				}})
-			}
+// edgeViolations appends what problem's decision rule finds on the edge
+// prev → next: applying one event turned some processor's ledger entry from
+// undecided to decided. failureSeen is the explorer's reading of "a failure
+// has occurred" in the pre-configuration.
+func edgeViolations(out []taxonomy.Violation, problem taxonomy.Problem, prev, next *node, failureSeen bool) []taxonomy.Violation {
+	for p, d := range next.ledger {
+		if prev.ledger[p] == sim.NoDecision && d != sim.NoDecision {
+			out = problem.AppendRule(out, sim.ProcID(p), d, prev.inputs, failureSeen)
 		}
 	}
 	return out
 }
 
-// nodeViolations validates every judge's consistency constraint on one
-// accessible configuration, and its termination condition if the
-// configuration is terminal.
-func (e *explorer) nodeViolations(nd *node) []verdict {
-	var out []verdict
-	for i := range e.judges {
-		out = appendNodeViolations(out, i, e.judges[i].problem, nd)
-	}
-	return out
-}
-
-// appendNodeViolations appends what one judge finds on one configuration.
-func appendNodeViolations(out []verdict, judge int, problem taxonomy.Problem, nd *node) []verdict {
-	switch problem.Consistency {
-	case taxonomy.TC:
-		// Total consistency constrains every decision ever made,
-		// including by processors that subsequently failed — exactly
-		// what the ledger records.
-		seen := sim.NoDecision
-		var seenBy sim.ProcID
-		for p, d := range nd.ledger {
-			if d == sim.NoDecision {
-				continue
-			}
-			if seen == sim.NoDecision {
-				seen, seenBy = d, sim.ProcID(p)
-				continue
-			}
-			if d != seen {
-				return append(out, verdict{judge, taxonomy.Violation{
-					Kind:   "TC",
-					Detail: fmt.Sprintf("%s decided %s but %s decided %s", seenBy, seen, sim.ProcID(p), d),
-				}})
-			}
-		}
-	case taxonomy.IC:
-		// Interactive consistency constrains the decisions of
-		// processors that are simultaneously nonfaulty. Decisions are
-		// irrevocable, so a processor's decision stands even once it
-		// is hidden by an amnesic state ("it may even be reminded of
-		// its decision by the other processors") — hence the ledger,
-		// restricted to currently nonfaulty processors. Without this,
-		// IC would be vacuous for ST protocols: deciding and
-		// immediately forgetting would never exhibit two simultaneous
-		// decision states.
-		seen := sim.NoDecision
-		var seenBy sim.ProcID
-		for p, s := range nd.cfg.States {
-			if s.Kind() == sim.Failed {
-				continue
-			}
-			d := nd.ledger[p]
-			if d == sim.NoDecision {
-				continue
-			}
-			if seen == sim.NoDecision {
-				seen, seenBy = d, sim.ProcID(p)
-				continue
-			}
-			if d != seen {
-				return append(out, verdict{judge, taxonomy.Violation{
-					Kind:   "IC",
-					Detail: fmt.Sprintf("%s occupies %s while %s occupies %s", seenBy, seen, sim.ProcID(p), d),
-				}})
-			}
-		}
-	}
-
-	if !nd.cfg.Quiescent() {
-		return out
-	}
-	// Terminal node: a maximal fair run ends here (the scheduler may
-	// inject no further failures), so the termination condition must
-	// already hold for every nonfaulty processor. Omission-targeted
-	// processors are exempt like crashed ones: a processor some delivery
-	// to which was suppressed is receive-omission faulty, and the
-	// termination conditions promise progress only to correct processors
-	// (taxonomy.StreamChecker applies the same exemption to runs).
-	for p, s := range nd.cfg.States {
-		pid := sim.ProcID(p)
-		if s.Kind() == sim.Failed || nd.cfg.OmissionTarget(pid) {
-			continue
-		}
-		if nd.ledger[p] == sim.NoDecision {
-			out = append(out, verdict{judge, taxonomy.Violation{
-				Kind:   "WT",
-				Detail: fmt.Sprintf("terminal configuration with nonfaulty %s undecided (state %s)", pid, s.Key()),
-			}})
-			continue
-		}
-		if problem.Termination >= taxonomy.ST && !s.Amnesic() && s.Kind() != sim.Halted {
-			out = append(out, verdict{judge, taxonomy.Violation{
-				Kind:   "ST",
-				Detail: fmt.Sprintf("terminal configuration with nonfaulty %s not amnesic (state %s)", pid, s.Key()),
-			}})
-		}
-		if problem.Termination >= taxonomy.HT && s.Kind() != sim.Halted {
-			out = append(out, verdict{judge, taxonomy.Violation{
-				Kind:   "HT",
-				Detail: fmt.Sprintf("terminal configuration with nonfaulty %s not halted (state %s)", pid, s.Key()),
-			}})
-		}
+// nodeViolations appends what problem finds on the configuration admitted
+// at index at: its consistency constraint, and its termination condition if
+// the configuration is terminal — a maximal fair run ends there (the
+// scheduler may inject no further failures). The omission exemption reads
+// the configuration's own record of suppressed deliveries.
+func nodeViolations(out []taxonomy.Violation, problem taxonomy.Problem, at int, nd *node) []taxonomy.Violation {
+	out = problem.AppendConsistency(out, at, nd.cfg, nd.ledger)
+	if nd.cfg.Quiescent() {
+		out = problem.AppendTermination(out, nd.cfg, nd.ledger, nd.cfg.OmissionTarget)
 	}
 	return out
 }

@@ -269,33 +269,30 @@ func (x *Exploration) traceTo(fp fingerprint.Digest) []string {
 }
 
 // judge is one problem riding the walk: what it is judged against, and the
-// violations and first trace that a solo Check of that problem would report.
-// The walk itself never depends on a judge (only StopAtFirstViolation cuts
-// it, and that is accepted with one judge only), so k judges on one walk
-// see exactly the edges and nodes, in exactly the order, of k solo walks.
+// violations that a solo Check of that problem would report. The walk
+// itself never depends on a judge (only StopAtFirstViolation cuts it, and
+// that is accepted with one judge only), so k judges on one walk see
+// exactly the edges and nodes, in exactly the order, of k solo walks.
+// firstAt is the node of the first violation; CheckAll renders its trace
+// once the walk has ended, from links and root keys that are first-wins and
+// so read then what they read at the violation.
 type judge struct {
 	problem    taxonomy.Problem
 	violations []taxonomy.Violation
-	firstTrace []string
+	firstAt    fingerprint.Digest
 }
 
-// verdict is one violation attributed to the judge that found it.
-type verdict struct {
-	judge int
-	taxonomy.Violation
-}
-
-// addViolation appends a violation to its judge, respecting the cap, and
-// records the trace to that judge's first violating node when trace tracking
-// is on.
-func (e *explorer) addViolation(v verdict, at fingerprint.Digest) {
-	j := &e.judges[v.judge]
+// report adds what judge i found at the node with handle at to its
+// violations, up to the cap of 100, and remembers its first violating node.
+func (e *explorer) report(i int, found []taxonomy.Violation, at fingerprint.Digest) {
+	if len(found) == 0 {
+		return
+	}
+	j := &e.judges[i]
 	if len(j.violations) == 0 {
-		j.firstTrace = e.x.traceTo(at)
+		j.firstAt = at
 	}
-	if len(j.violations) < 100 {
-		j.violations = append(j.violations, v.Violation)
-	}
+	j.violations = append(j.violations, found[:min(len(found), 100-len(j.violations))]...)
 	e.violated = true
 }
 
@@ -376,12 +373,10 @@ func Explore(proto sim.Protocol, opts Options) (*Exploration, error) {
 }
 
 // succ is one built successor on its way to admission: the node (its fp the
-// dedup handle), the event that reached it, and what the decision rule found
-// on the edge.
+// dedup handle) and the event that reached it.
 type succ struct {
-	nd       *node
-	event    sim.Event
-	edgeViol []verdict
+	nd    *node
+	event sim.Event
 	// permuted marks a successor whose dedup handle was canonicalized
 	// away from its own frame by a non-identity automorphism; a rejected
 	// permuted successor counts as a symmetry prune.
@@ -476,7 +471,7 @@ func (e *explorer) step(nd *node) (stop bool, err error) {
 		)
 		events := e.appendAmpleEvents(scratch[:0], p, failedCount)
 		for i, ev := range events {
-			if built[i], err = e.build(nd, ev, failureSeen); err != nil {
+			if built[i], err = e.build(nd, ev); err != nil {
 				return true, err
 			}
 			fresh = fresh || !e.visited.Seen(built[i].nd.fp)
@@ -503,7 +498,7 @@ func (e *explorer) step(nd *node) (stop bool, err error) {
 			x.Reduction.AmpleNodes++
 			x.Reduction.AmpleEvents += int64(len(events))
 			for i := range events {
-				if stop, err = e.admit(nd, &built[i]); stop {
+				if stop, err = e.admit(nd, &built[i], failureSeen); stop {
 					return true, err
 				}
 			}
@@ -537,10 +532,10 @@ func (e *explorer) step(nd *node) (stop bool, err error) {
 			continue
 		}
 		var s succ
-		if s, err = e.build(nd, ev, failureSeen); err != nil {
+		if s, err = e.build(nd, ev); err != nil {
 			return true, err
 		}
-		if stop, err = e.admit(nd, &s); stop {
+		if stop, err = e.admit(nd, &s, failureSeen); stop {
 			return true, err
 		}
 	}
@@ -549,16 +544,14 @@ func (e *explorer) step(nd *node) (stop bool, err error) {
 
 // build materializes ev's successor of nd — the transition cache already
 // holds the stepped state's digest, so no built edge rehashes a state — with
-// its ledger, its dedup handle and what the judges' decision rules find on
-// the edge.
-func (e *explorer) build(nd *node, ev sim.Event, failureSeen bool) (succ, error) {
+// its ledger and its dedup handle.
+func (e *explorer) build(nd *node, ev sim.Event) (succ, error) {
 	cfg, _, err := e.predictor.Materialize(e.proto, nd.cfg, ev)
 	if err != nil {
 		return succ{}, fmt.Errorf("checker: exploring %s: %w", e.proto.Name(), err)
 	}
 	s := succ{event: ev, nd: &node{cfg: cfg, ledger: updateLedger(nd.ledger, cfg), inputs: nd.inputs, vecIdx: nd.vecIdx}}
 	e.setHandle(&s)
-	s.edgeViol = e.edgeViolations(nd, s.nd, failureSeen)
 	return s, nil
 }
 
@@ -631,7 +624,7 @@ func (e *explorer) run(ctx context.Context, inputVecs [][]sim.Bit) error {
 				x.rootKeys[root.nd.fp] = root.nd.key()
 			}
 		}
-		if stop, err := e.admit(nil, &root); stop {
+		if stop, err := e.admit(nil, &root, false); stop {
 			return err
 		}
 	}
@@ -652,17 +645,18 @@ func (e *explorer) run(ctx context.Context, inputVecs [][]sim.Bit) error {
 }
 
 // admit offers one built node — a root when parent is nil — to the
-// exploration: the trace link and the edge's violations come first, since an
-// edge into a visited node is still an edge; then the visited set decides,
-// and only a node it admits gets state ids, a ConfigRecord, census entries,
-// its node violations and a place in the queue. A rejected node whose handle
-// a canonicalization rewrote counts as that canonicalization's prune:
-// symmetry when a non-identity automorphism won (it strictly improved on the
-// already-erased identity handle), dead-letter elision otherwise. stop is
-// set when the exploration should end with the current partial result
-// (first violation reached, or budget exhausted — the latter also carries a
-// *BudgetError).
-func (e *explorer) admit(parent *node, s *succ) (stop bool, err error) {
+// exploration: the trace link and the judges' decision rules on the edge
+// come first, since an edge into a visited node is still an edge
+// (failureSeen is the parent's reading); then the visited set decides, and
+// only a node it admits gets state ids, a ConfigRecord, census entries, its
+// judgement as a configuration and a place in the queue. A rejected node
+// whose handle a canonicalization rewrote counts as that canonicalization's
+// prune: symmetry when a non-identity automorphism won (it strictly improved
+// on the already-erased identity handle), dead-letter elision otherwise.
+// stop is set when the exploration should end with the current partial
+// result (first violation reached, or budget exhausted — the latter also
+// carries a *BudgetError).
+func (e *explorer) admit(parent *node, s *succ, failureSeen bool) (stop bool, err error) {
 	x, nd := e.x, s.nd
 	if parent != nil && x.parents != nil {
 		if _, linked := x.parents[nd.fp]; !linked {
@@ -673,8 +667,10 @@ func (e *explorer) admit(parent *node, s *succ) (stop bool, err error) {
 			}
 		}
 	}
-	for _, v := range s.edgeViol {
-		e.addViolation(v, nd.fp)
+	if parent != nil {
+		for i := range e.judges {
+			e.report(i, edgeViolations(nil, e.judges[i].problem, parent, nd, failureSeen), nd.fp)
+		}
 	}
 	if e.opts.StopAtFirstViolation && e.violated {
 		return true, nil
@@ -694,8 +690,8 @@ func (e *explorer) admit(parent *node, s *succ) (stop bool, err error) {
 		return true, &BudgetError{Protocol: e.proto.Name(), Nodes: e.opts.maxNodes()}
 	}
 	e.record(nd)
-	for _, v := range e.nodeViolations(nd) {
-		e.addViolation(v, nd.fp)
+	for i := range e.judges {
+		e.report(i, nodeViolations(nil, e.judges[i].problem, len(x.Configs)-1, nd), nd.fp)
 	}
 	if e.opts.StopAtFirstViolation && e.violated {
 		return true, nil

@@ -6,6 +6,7 @@ import (
 	"slices"
 
 	"repro/internal/sim"
+	"repro/internal/taxonomy"
 )
 
 // refExplore is the oracle the differential suites hold Explore to: an
@@ -16,8 +17,9 @@ import (
 // no fingerprint, prediction, transition cache, intern id or bitset is read,
 // so a broken hash, a stale cache entry or a miscounted census in the engine
 // shows as a different exploreDigest. It shares what identity is not about:
-// sim, updateLedger, and the wording of violations (edgeViolations and
-// nodeViolations, borrowed through an explorer that holds only the judge).
+// sim, updateLedger, and the judge (edgeViolations and nodeViolations, which
+// call taxonomy's), numbering a node for the IC wording by its admission, as
+// the engine does.
 func refExplore(ctx context.Context, proto sim.Protocol, opts Options) (*Exploration, error) {
 	n := proto.N()
 	maxFail := opts.MaxFailures
@@ -29,9 +31,9 @@ func refExplore(ctx context.Context, proto sim.Protocol, opts Options) (*Explora
 	if inputVecs == nil {
 		inputVecs = sim.AllInputs(n)
 	}
-	rules := &explorer{}
+	var problems []taxonomy.Problem // the one judge, if any
 	if opts.Problem != nil {
-		rules.judges = []judge{{problem: *opts.Problem}}
+		problems = append(problems, *opts.Problem)
 	}
 
 	type link struct {
@@ -49,7 +51,7 @@ func refExplore(ctx context.Context, proto sim.Protocol, opts Options) (*Explora
 		head     int
 		violated bool
 	)
-	violate := func(found []verdict, key string) {
+	violate := func(found []taxonomy.Violation, key string) {
 		for _, v := range found {
 			if len(x.Violations) == 0 && opts.TrackTraces {
 				var events []string
@@ -60,7 +62,7 @@ func refExplore(ctx context.Context, proto sim.Protocol, opts Options) (*Explora
 				x.FirstTrace = append([]string{"initial: " + cur}, events...)
 			}
 			if len(x.Violations) < 100 {
-				x.Violations = append(x.Violations, v.Violation)
+				x.Violations = append(x.Violations, v)
 			}
 			violated = true
 		}
@@ -104,7 +106,9 @@ func refExplore(ctx context.Context, proto sim.Protocol, opts Options) (*Explora
 		if rec.Terminal {
 			x.Terminals++
 		}
-		violate(rules.nodeViolations(nd), key)
+		for _, p := range problems {
+			violate(nodeViolations(nil, p, len(x.Configs)-1, nd), key)
+		}
 		if opts.StopAtFirstViolation && violated {
 			return true, nil
 		}
@@ -150,7 +154,9 @@ func refExplore(ctx context.Context, proto sim.Protocol, opts Options) (*Explora
 			if _, linked := parents[key]; opts.TrackTraces && !linked && !roots[key] {
 				parents[key] = link{ndKey, ev}
 			}
-			violate(rules.edgeViolations(nd, nxt, failureSeen), key)
+			for _, p := range problems {
+				violate(edgeViolations(nil, p, nd, nxt, failureSeen), key)
+			}
 			if opts.StopAtFirstViolation && violated {
 				return x, nil
 			}
