@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/protocols"
 	"repro/internal/sim"
+	"repro/internal/taxonomy"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden files with the current output")
@@ -151,6 +152,18 @@ func TestCensusBeyondOneWord(t *testing.T) {
 	}
 }
 
+// e7Cells are the five complete explorations E7 analyzes; the last,
+// fullexchange(3) mf1, is 705 904 nodes.
+func e7Cells() []diffCase {
+	return []diffCase{
+		{"tree-mf2", protocols.Tree{Procs: 3}, Options{MaxFailures: 2}},
+		{"ackcommit-mf2", protocols.AckCommit{Procs: 3}, Options{MaxFailures: 2}},
+		{"perverse-mf0", protocols.Perverse{}, Options{MaxFailures: 0}},
+		{"star-mf2", protocols.Star{Procs: 3}, Options{MaxFailures: 2}},
+		{"fullexchange-mf1", protocols.FullExchange{Procs: 3}, Options{MaxFailures: 1}},
+	}
+}
+
 // TestCensusEBarGolden pins what the configuration records cannot
 // recompute — SeenEmptyBuffer, read through EBarStates — and, by its hash,
 // the whole exploreDigest of the five explorations E7 analyzes, against a
@@ -158,23 +171,12 @@ func TestCensusBeyondOneWord(t *testing.T) {
 // bitsets. Regenerate an intended change with
 // `go test ./internal/checker -run CensusEBarGolden -update`.
 func TestCensusEBarGolden(t *testing.T) {
-	cells := []struct {
-		name    string
-		proto   sim.Protocol
-		maxFail int
-	}{
-		{"tree-mf2", protocols.Tree{Procs: 3}, 2},
-		{"ackcommit-mf2", protocols.AckCommit{Procs: 3}, 2},
-		{"perverse-mf0", protocols.Perverse{}, 0},
-		{"star-mf2", protocols.Star{Procs: 3}, 2},
-		{"fullexchange-mf1", protocols.FullExchange{Procs: 3}, 1},
-	}
-	for _, c := range cells {
+	for _, c := range e7Cells() {
 		t.Run(c.name, func(t *testing.T) {
-			if c.name == "fullexchange-mf1" && testing.Short() {
+			if c.opts.MaxFailures == 1 && testing.Short() {
 				t.Skip("a 705 904-node walk and its digest take seconds")
 			}
-			x, err := Explore(c.proto, Options{MaxFailures: c.maxFail})
+			x, err := Explore(c.proto, c.opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -257,5 +259,70 @@ func TestAllocsRecordCensus(t *testing.T) {
 	}
 	if len(e.x.Configs) != 2*accepted || len(e.census) < 50 {
 		t.Fatalf("recorded %d configurations over %d states; the corpus did not reach the census", len(e.x.Configs), len(e.census))
+	}
+}
+
+// corollary6Scan is Corollary 6 as a scan of every configuration record:
+// after any decision in the ledger (the first by processor), each processor
+// not in a failed state must occupy a state whose bias matches it. It
+// reports one violation per (record, processor), uncapped.
+func corollary6Scan(x *Exploration, recs []ConfigRecord, committable map[string]bool) []taxonomy.Violation {
+	var out []taxonomy.Violation
+	for _, rec := range recs {
+		decided := sim.NoDecision
+		for _, d := range rec.Ledger {
+			if d != sim.NoDecision {
+				decided = d
+				break
+			}
+		}
+		if decided == sim.NoDecision {
+			continue
+		}
+		for p, idx := range rec.StateIdx {
+			key := x.stateKeys[idx]
+			if x.States[key].Sample.Kind() == sim.Failed {
+				continue
+			}
+			if committable[key] != (decided == sim.Commit) {
+				out = append(out, taxonomy.Violation{
+					Kind: "corollary6",
+					Detail: fmt.Sprintf("after a %s decision, nonfaulty %s occupies %s with bias committable=%v",
+						decided, sim.ProcID(p), key, committable[key]),
+				})
+			}
+		}
+	}
+	return out
+}
+
+// TestCensusCorollary6AgainstConfigScan holds Safety's Corollary 6 list to
+// the scan of every configuration record, on the five E7 cells and on the
+// differential cases, budget-cut ones included.
+func TestCensusCorollary6AgainstConfigScan(t *testing.T) {
+	violating := 0
+	for _, tc := range append(e7Cells(), diffCases()...) {
+		name := fmt.Sprintf("%s/max%d", tc.name, tc.opts.MaxNodes)
+		t.Run(name, func(t *testing.T) {
+			if tc.opts.MaxFailures == 1 && tc.opts.MaxNodes == 0 && testing.Short() {
+				t.Skip("a 705 904-node walk takes seconds")
+			}
+			x, err := Explore(tc.proto, tc.opts)
+			if x == nil {
+				t.Fatalf("nil exploration (err=%v)", err)
+			}
+			rep := x.Safety()
+			want := corollary6Scan(x, x.Configs, rep.Committable)
+			want = want[:min(len(want), 20)]
+			if !reflect.DeepEqual(rep.Corollary6, want) {
+				t.Errorf("Corollary 6 from the census:\n%v\nfrom the configuration scan:\n%v", rep.Corollary6, want)
+			}
+			if len(want) > 0 {
+				violating++
+			}
+		})
+	}
+	if violating == 0 {
+		t.Error("no cell violates Corollary 6; the comparison proves nothing")
 	}
 }

@@ -20,8 +20,26 @@ func TestE5LatticeGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("E5 exhaustive pass is slow; skipped with -short")
 	}
-	got := E5Lattice(Options{}).String()
-	path := filepath.Join("testdata", "e5_lattice.golden")
+	checkGolden(t, "e5_lattice.golden", E5Lattice(Options{}).String())
+}
+
+// TestE2E7Golden pins the two reports that read the safe-state analysis:
+// E2's first Corollary 6 violation of star(3) and E7's table of states,
+// unsafe states and Corollary 6 counts over five complete explorations.
+// Regenerate an intended change with `go test -run E2E7Golden -update`.
+func TestE2E7Golden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("E2 and E7 walk five complete spaces; skipped with -short")
+	}
+	checkGolden(t, "e2_report.golden", E2Figure2Star(Options{}).String())
+	checkGolden(t, "e7_report.golden", E7Theorem2(Options{}).String())
+}
+
+// checkGolden compares got with testdata/name, or rewrites the file under
+// -update.
+func checkGolden(t *testing.T, name, got string) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
 	if *update {
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
@@ -37,7 +55,7 @@ func TestE5LatticeGolden(t *testing.T) {
 		t.Fatalf("missing golden file (run with -update to create it): %v", err)
 	}
 	if got != string(want) {
-		t.Fatalf("E5 output diverged from the golden file.\nIf the change is intended, regenerate with:\n  go test ./internal/experiments -run E5LatticeGolden -update\n\ndiff:\n%s", diffLines(string(want), got))
+		t.Fatalf("output diverged from %s.\nIf the change is intended, regenerate with:\n  go test ./internal/experiments -run %s -update\n\ndiff:\n%s", path, t.Name(), diffLines(string(want), got))
 	}
 }
 
