@@ -11,12 +11,15 @@ import (
 // fits one machine word.
 type bitset []uint64
 
-func (b *bitset) set(i int32) {
+// set adds i and reports whether it was absent.
+func (b *bitset) set(i int32) bool {
 	w := int(i >> 6)
 	if w >= len(*b) {
 		*b = append(*b, make([]uint64, w+1-len(*b))...)
 	}
+	old := (*b)[w]
 	(*b)[w] |= 1 << (uint(i) & 63)
+	return (*b)[w] != old
 }
 
 func (b bitset) count() int {
@@ -43,7 +46,7 @@ func (b bitset) next(i int) int {
 
 // stateCensus is what the walk knows about one accessible local state, in
 // integers: StateInfo's three sets as bitsets over processors, root input
-// vectors and state ids. finalize turns it into the public StateInfo.
+// vectors and state ids. publishCensus turns it into the public StateInfo.
 type stateCensus struct {
 	sample          sim.State // from the first admitted configuration holding the state
 	procs           bitset
@@ -52,22 +55,22 @@ type stateCensus struct {
 	seenEmptyBuffer bool
 }
 
-// slabNodes is how many configurations' worth of state ids one slab chunk
-// holds.
-const slabNodes = 1024
+// occupancy is one (state, position, decision) triple: state occupied by
+// processor pos in an admitted configuration whose ledger's first decision
+// (by processor) is decided. Corollary 6 is a predicate over these.
+type occupancy struct {
+	state   int32
+	pos     sim.ProcID
+	decided sim.Decision
+}
 
 // stateIDsOf returns the ids of one admitted configuration's local states,
 // giving a state admitted for the first time the next id, with its key and
 // its census entry. A state is identified by the digest the configuration
-// already caches; a key string is built once per distinct state. The ids are
-// carved from the id slab — pointer-free memory the collector never scans —
-// and become the ConfigRecord's StateIdx.
+// already caches; a key string is built once per distinct state. The ids
+// are the explorer's one reused slice, valid until the next call.
 func (e *explorer) stateIDsOf(nd *node) []int32 {
-	if len(e.slab) < e.n {
-		e.slab = make([]int32, slabNodes*e.n)
-	}
-	ids := e.slab[:e.n:e.n]
-	e.slab = e.slab[e.n:]
+	ids := e.ids
 	for p := range ids {
 		d := nd.cfg.StateDigestAt(p)
 		id, ok := e.stateID[d]
@@ -84,14 +87,25 @@ func (e *explorer) stateIDsOf(nd *node) []int32 {
 }
 
 // censusAdd folds one accepted configuration, given by the ids of its local
-// states, into the state census.
+// states, into the state census. An occupancy seen for the first time —
+// its bit in explorer.beside newly set — is appended to the Exploration's.
 func (e *explorer) censusAdd(nd *node, ids []int32) {
+	decided := sim.NoDecision
+	for _, d := range nd.ledger {
+		if d != sim.NoDecision {
+			decided = d
+			break
+		}
+	}
 	for p, id := range ids {
 		c := &e.census[id]
 		c.procs.set(int32(p))
 		c.inputs.set(nd.vecIdx)
 		if len(nd.cfg.Buffers[p]) == 0 {
 			c.seenEmptyBuffer = true
+		}
+		if decided != sim.NoDecision && e.beside.set((id*int32(e.n)+int32(p))*2+int32(decided-sim.Abort)) {
+			e.x.occupancies = append(e.x.occupancies, occupancy{id, sim.ProcID(p), decided})
 		}
 		// Concurrency sets: every pair of states in this configuration is
 		// mutually concurrent.

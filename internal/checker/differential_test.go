@@ -3,6 +3,7 @@ package checker
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -12,20 +13,41 @@ import (
 	"repro/internal/taxonomy"
 )
 
-// exploreDigest renders every observable field of an Exploration into one
-// canonical string, so "byte-identical results" is literally a string
-// comparison. Interned state keys and Configs are emitted in discovery
-// order; the aggregate States map is emitted sorted by key with its sets
-// sorted, since map-valued aggregates carry no order of their own.
-func exploreDigest(x *Exploration) string {
+// admission is what the walk knew of one admitted node, as Options.observe
+// hands it over: the ids of its local states, its decision ledger (what each
+// processor has ever decided by this configuration), its input vector and
+// whether it is terminal (quiescent).
+type admission struct {
+	StateIdx  []int32
+	Ledger    []sim.Decision
+	InputsVec string
+	Terminal  bool
+}
+
+// observing returns opts with an observer that appends every admitted node's
+// record to *log, in admission order. The ledger is aliased, not copied:
+// nothing mutates a ledger once updateLedger has built it.
+func observing(opts Options, log *[]admission) Options {
+	opts.observe = func(ids []int32, nd *node) {
+		*log = append(*log, admission{slices.Clone(ids), nd.ledger, sim.InputsString(nd.inputs), nd.cfg.Quiescent()})
+	}
+	return opts
+}
+
+// exploreDigest renders every observable field of an Exploration, and the
+// admission records its walk reported, into one canonical string, so
+// "byte-identical results" is literally a string comparison. Interned state
+// keys and admissions are emitted in discovery order; the aggregate States
+// map is emitted sorted by key with its sets sorted, since map-valued
+// aggregates carry no order of their own.
+func exploreDigest(x *Exploration, log []admission) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "nodes=%d status=%v frontier=%d terminals=%d\n",
 		x.NodeCount, x.Status, x.FrontierSize, x.Terminals)
 	for i, k := range x.stateKeys {
 		fmt.Fprintf(&sb, "S%d %s\n", i, k)
 	}
-	for i := range x.Configs {
-		c := &x.Configs[i]
+	for _, c := range log {
 		fmt.Fprintf(&sb, "C %v %v %s %v\n", c.StateIdx, c.Ledger, c.InputsVec, c.Terminal)
 	}
 	keys := make([]string, 0, len(x.States))
@@ -90,24 +112,33 @@ func diffCases() []diffCase {
 	}
 }
 
+// walked is one exploration and the admission records its walk reported.
+type walked struct {
+	x   *Exploration
+	log []admission
+}
+
+func (w walked) digest() string { return exploreDigest(w.x, w.log) }
+
 // divergence checks one case against the problem on the engine and on the
 // reference walk (refExplore) and describes where the engine fails to
 // reproduce the reference byte for byte — node counts, interned state keys,
-// configuration records, the aggregate state census, violations in order,
+// admission records, the aggregate state census, violations in order,
 // FirstTrace, and the error — or returns "" when it does.
-func divergence(ctx context.Context, tc diffCase, prob taxonomy.Problem) (engine, ref *Exploration, diff string) {
+func divergence(ctx context.Context, tc diffCase, prob taxonomy.Problem) (engine, ref walked, diff string) {
 	opts := tc.opts
 	opts.Problem = &prob
 	opts.TrackTraces = true
-	ref, refErr := refExplore(ctx, tc.proto, opts)
-	engine, err := ExploreContext(ctx, tc.proto, opts)
+	var refErr, err error
+	ref.x, refErr = refExplore(ctx, tc.proto, observing(opts, &ref.log))
+	engine.x, err = ExploreContext(ctx, tc.proto, observing(opts, &engine.log))
 	switch {
-	case ref == nil || engine == nil:
-		diff = fmt.Sprintf("nil exploration: engine %v (err=%v), reference %v (err=%v)", engine, err, ref, refErr)
+	case ref.x == nil || engine.x == nil:
+		diff = fmt.Sprintf("nil exploration: engine %v (err=%v), reference %v (err=%v)", engine.x, err, ref.x, refErr)
 	case fmt.Sprint(err) != fmt.Sprint(refErr):
 		diff = fmt.Sprintf("err = %v, reference err = %v", err, refErr)
-	case exploreDigest(engine) != exploreDigest(ref):
-		diff = "exploration diverges from the reference walk:\n" + firstDiff(exploreDigest(ref), exploreDigest(engine))
+	case engine.digest() != ref.digest():
+		diff = "exploration diverges from the reference walk:\n" + firstDiff(ref.digest(), engine.digest())
 	}
 	return engine, ref, diff
 }
@@ -120,7 +151,7 @@ func diffReference(ctx context.Context, t *testing.T, tc diffCase, prob taxonomy
 	if diff != "" {
 		t.Fatal(diff)
 	}
-	return engine
+	return engine.x
 }
 
 // diffAll runs diffReference on every case, one subtest each.
@@ -256,19 +287,21 @@ func TestCheckAllDifferential(t *testing.T) {
 					t.Skip("k + 1 walks of most of the space take seconds")
 				}
 				opts := Options{MaxFailures: 2, MaxNodes: maxNodes, TrackTraces: true}
-				xs, err := CheckAll(context.Background(), tc.proto, tc.problems, opts)
+				var log []admission
+				xs, err := CheckAll(context.Background(), tc.proto, tc.problems, observing(opts, &log))
 				if len(xs) != len(tc.problems) {
 					t.Fatalf("CheckAll returned %d explorations for %d problems (err=%v)", len(xs), len(tc.problems), err)
 				}
 				for i, p := range tc.problems {
-					solo, soloErr := CheckContext(context.Background(), tc.proto, p, opts)
+					var soloLog []admission
+					solo, soloErr := CheckContext(context.Background(), tc.proto, p, observing(opts, &soloLog))
 					if fmt.Sprint(err) != fmt.Sprint(soloErr) {
 						t.Errorf("%s: err = %v, solo err = %v", p.Name(), err, soloErr)
 					}
 					if got := xs[i].Opts.Problem.Name(); got != p.Name() {
 						t.Errorf("result %d is labelled %s, want %s", i, got, p.Name())
 					}
-					if want, got := exploreDigest(solo), exploreDigest(xs[i]); got != want {
+					if want, got := exploreDigest(solo, soloLog), exploreDigest(xs[i], log); got != want {
 						t.Errorf("%s: judged beside the others it diverges from its solo check:\n%s", p.Name(), firstDiff(want, got))
 					}
 					if p.Name() == "WT-TC" && tc.name == "star" && maxNodes != 6000 && (len(xs[i].Violations) == 0 || len(xs[i].FirstTrace) == 0) {

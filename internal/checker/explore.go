@@ -86,6 +86,10 @@ type Options struct {
 	// — determinism-critical code cannot branch on time — so a caller that
 	// wants the measurement injects one. Pinned by bench/explore.go.
 	Clock func() time.Duration
+	// observe, when set, is handed every admitted node with the ids of its
+	// local states, in admission order. ids is reused for the next node.
+	// Only tests set it: the walk itself keeps nothing per node.
+	observe func(ids []int32, nd *node)
 }
 
 func (o Options) maxNodes() int {
@@ -142,17 +146,6 @@ func (si *StateInfo) ImpliesAllOnes() bool {
 	return true
 }
 
-// ConfigRecord is the per-configuration information retained after
-// exploration: interned state keys, the decision ledger (what each processor
-// has ever decided by this configuration), and whether the configuration is
-// terminal (quiescent).
-type ConfigRecord struct {
-	StateIdx  []int32
-	Ledger    []sim.Decision
-	InputsVec string
-	Terminal  bool
-}
-
 // Status reports how an exploration ended. The zero value is Complete so
 // that explorations which ran to the end need no special handling.
 type Status int
@@ -186,20 +179,21 @@ func (s Status) String() string {
 // Partial reports whether the exploration covered only part of the space.
 func (s Status) Partial() bool { return s != StatusComplete }
 
-// Exploration is the result of exploring a protocol's configuration space.
+// Exploration is the result of exploring a protocol's configuration space:
+// the census of its local states, into which each admitted configuration is
+// folded, so it holds O(states) however many nodes the walk visited.
 type Exploration struct {
 	Proto     sim.Protocol
 	Opts      Options
-	NodeCount int
+	NodeCount int // configurations admitted
 	// Status records whether the exploration completed, was interrupted by
 	// context cancellation, or exhausted its node budget. When Status is
 	// partial, every aggregate below still describes the visited prefix —
 	// partial results are returned, never discarded. The state census is
-	// fed exclusively by accepted configurations, so States, Configs,
-	// Violations, NodeCount, and FrontierSize of a budget-exhausted run
-	// repeat exactly; a mid-run cancellation stops the walk at whichever
-	// dequeue first observes it, and the result is the walk's prefix up to
-	// there.
+	// fed exclusively by accepted configurations, so States, Violations,
+	// NodeCount, and FrontierSize of a budget-exhausted run repeat exactly;
+	// a mid-run cancellation stops the walk at whichever dequeue first
+	// observes it, and the result is the walk's prefix up to there.
 	Status Status
 	// FrontierSize is the number of accepted nodes the walk had
 	// not yet consumed when a partial exploration stopped, counting the
@@ -207,12 +201,12 @@ type Exploration struct {
 	FrontierSize int
 	// States maps canonical state key → aggregate info.
 	States map[string]*StateInfo
-	// stateKeys resolves the ids in ConfigRecord.StateIdx: one id per
-	// distinct local state, in order of first admission.
+	// stateKeys resolves state ids: one id per distinct local state, in
+	// order of first admission.
 	stateKeys []string
-	// Configs records every distinct explored node, in breadth-first
-	// discovery order.
-	Configs []ConfigRecord
+	// occupancies lists each (state, position, decision) triple of the
+	// census once, in order of first admission: what checkCorollary6 reads.
+	occupancies []occupancy
 	// Terminals counts quiescent nodes.
 	Terminals int
 	// Violations lists conformance violations found when Options.Problem
@@ -299,9 +293,6 @@ func (e *explorer) report(i int, found []taxonomy.Violation, at fingerprint.Dige
 // Conforms reports whether a checked exploration found no violations.
 func (x *Exploration) Conforms() bool { return len(x.Violations) == 0 }
 
-// StateKeyAt resolves an interned index back to its key.
-func (x *Exploration) StateKeyAt(i int32) string { return x.stateKeys[i] }
-
 // node is one exploration state: configuration plus the decision ledger
 // (needed because total consistency constrains decisions that failure or
 // amnesia later hide). The initial input vector rides along because the
@@ -366,8 +357,8 @@ func nodeFP(nd *node) fingerprint.Digest {
 
 // Explore walks the reachable configuration space of the protocol over the
 // requested input vectors, injecting up to MaxFailures fail-stop failures at
-// every point, and aggregates states, concurrency sets, and configuration
-// records.
+// every point, and aggregates the state census: states, concurrency sets,
+// and the decisions each state occurs beside.
 func Explore(proto sim.Protocol, opts Options) (*Exploration, error) {
 	return ExploreContext(context.Background(), proto, opts)
 }
@@ -401,12 +392,14 @@ type explorer struct {
 	// Every distinct local state gets a dense id — its index in
 	// Exploration.stateKeys and in census — the first time a configuration
 	// holding it is admitted; stateID finds it by state digest. vecs holds
-	// the root input vectors' keys, indexed by node.vecIdx; slab is the
-	// chunk stateIDsOf carves from.
+	// the root input vectors' keys, indexed by node.vecIdx; ids is
+	// stateIDsOf's reused result. beside has bit (id·N + p)·2 + (d − Abort)
+	// set once state id occurred at position p by a ledger first deciding d.
 	stateID map[fingerprint.Digest]int32
 	census  []stateCensus
 	vecs    []string
-	slab    []int32
+	ids     []int32
+	beside  bitset
 	// queue holds accepted nodes not yet consumed by the walk; head is
 	// the next to walk. Consumed slots are nilled so a walked node's
 	// memory can be reclaimed once its children are recorded.
@@ -648,7 +641,7 @@ func (e *explorer) run(ctx context.Context, inputVecs [][]sim.Bit) error {
 // exploration: the trace link and the judges' decision rules on the edge
 // come first, since an edge into a visited node is still an edge
 // (failureSeen is the parent's reading); then the visited set decides, and
-// only a node it admits gets state ids, a ConfigRecord, census entries, its
+// only a node it admits gets a number, state ids, census entries, its
 // judgement as a configuration and a place in the queue. A rejected node
 // whose handle a canonicalization rewrote counts as that canonicalization's
 // prune: symmetry when a non-identity automorphism won (it strictly improved
@@ -684,14 +677,14 @@ func (e *explorer) admit(parent *node, s *succ, failureSeen bool) (stop bool, er
 		}
 		return false, nil
 	}
-	if len(x.Configs) >= e.opts.maxNodes() {
+	if x.NodeCount >= e.opts.maxNodes() {
 		x.Status = StatusExhausted
 		x.FrontierSize = e.frontierLeft()
 		return true, &BudgetError{Protocol: e.proto.Name(), Nodes: e.opts.maxNodes()}
 	}
 	e.record(nd)
 	for i := range e.judges {
-		e.report(i, nodeViolations(nil, e.judges[i].problem, len(x.Configs)-1, nd), nd.fp)
+		e.report(i, nodeViolations(nil, e.judges[i].problem, x.NodeCount-1, nd), nd.fp)
 	}
 	if e.opts.StopAtFirstViolation && e.violated {
 		return true, nil
@@ -700,34 +693,27 @@ func (e *explorer) admit(parent *node, s *succ, failureSeen bool) (stop bool, er
 	return false, nil
 }
 
-// record accepts one newly admitted configuration: its ConfigRecord, which
-// owns the state ids from here on, and its share of the state census.
+// record accepts one newly admitted configuration: its number and its share
+// of the state census. Nothing of it is kept per node.
 func (e *explorer) record(nd *node) {
 	x := e.x
-	ids := e.stateIDsOf(nd)
-	// The ledger is aliased, not copied: nothing mutates a ledger after
-	// updateLedger built it, so the record can share it (as a child whose
-	// step decided nothing shares its parent's).
-	rec := ConfigRecord{StateIdx: ids, Ledger: nd.ledger, InputsVec: e.vecs[nd.vecIdx], Terminal: nd.cfg.Quiescent()}
-	x.Configs = append(x.Configs, rec)
-	if rec.Terminal {
+	x.NodeCount++
+	if nd.cfg.Quiescent() {
 		x.Terminals++
 	}
+	ids := e.stateIDsOf(nd)
 	e.censusAdd(nd, ids)
-}
-
-// finalize publishes the aggregate state census and the node count.
-func (e *explorer) finalize() {
-	e.x.States = e.publishCensus()
-	e.x.NodeCount = len(e.x.Configs)
+	if e.opts.observe != nil {
+		e.opts.observe(ids, nd)
+	}
 }
 
 // ExploreContext is Explore with graceful degradation: on context
 // cancellation or budget exhaustion it returns the partial Exploration —
-// visited nodes, aggregated states, and every violation found so far, with
-// Status and FrontierSize set — alongside a non-nil error (the context's
-// error or a *BudgetError). Callers that can use partial results should
-// inspect the returned Exploration even when err != nil.
+// node count, the census of the states visited, and every violation found
+// so far, with Status and FrontierSize set — alongside a non-nil error (the
+// context's error or a *BudgetError). Callers that can use partial results
+// should inspect the returned Exploration even when err != nil.
 func ExploreContext(ctx context.Context, proto sim.Protocol, opts Options) (*Exploration, error) {
 	if opts.Problem != nil {
 		return CheckContext(ctx, proto, *opts.Problem, opts)
@@ -785,6 +771,7 @@ func newExplorer(proto sim.Protocol, problems []taxonomy.Problem, opts Options) 
 		x:           x,
 		visited:     frontier.NewSeqVisited(frontier.DedupFingerprint),
 		stateID:     make(map[fingerprint.Digest]int32),
+		ids:         make([]int32, n),
 		predictor:   sim.NewPredictor(),
 		judges:      make([]judge, len(problems)),
 	}
@@ -822,7 +809,7 @@ func explore(ctx context.Context, proto sim.Protocol, problems []taxonomy.Proble
 		// A protocol error (sim.Apply failed) aborts with no result.
 		return nil, nil, err
 	}
-	e.finalize()
+	x.States = e.publishCensus()
 	return x, e.judges, err
 }
 

@@ -22,7 +22,7 @@ import (
 // sibling of a symmetric pair is kept, which ample successor is admitted
 // first, which state gets the next id — would pass both. Each line of the
 // golden is one exploration: the sha256 of its reducedDigest (reduction
-// counters, state numbering, configuration records, census, violations in
+// counters, state numbering, admission records, census, violations in
 // order, FirstTrace) and its error. Regenerate an intended change with
 // `go test ./internal/checker -run ReducedDigestsGolden -update`.
 func TestReducedDigestsGolden(t *testing.T) {
@@ -79,11 +79,12 @@ func TestReducedDigestsGolden(t *testing.T) {
 				opts.TrackTraces = true
 				opts.Reduction = c.mode
 				opts.StopAtFirstViolation = c.stop
-				x, err := ExploreContext(context.Background(), c.tc.proto, opts)
+				var log []admission
+				x, err := ExploreContext(context.Background(), c.tc.proto, observing(opts, &log))
 				if x == nil {
 					t.Fatalf("nil exploration (err=%v)", err)
 				}
-				lines[i] = fmt.Sprintf("%s %x err=%v\n", c.name, sha256.Sum256([]byte(reducedDigest(x))), err)
+				lines[i] = fmt.Sprintf("%s %x err=%v\n", c.name, sha256.Sum256([]byte(reducedDigest(x, log))), err)
 			})
 		}
 	})

@@ -115,18 +115,19 @@ func TestDifferentialCatchesADishonestDigest(t *testing.T) {
 	if diff != "" {
 		t.Fatal(diff)
 	}
-	a := honest.StateKeyAt(honest.Configs[0].StateIdx[1])
+	p1State := func(i int) string { return honest.x.stateKeys[honest.log[i].StateIdx[1]] }
+	a := p1State(0)
 	b := a
 	for i := 0; b == a; i++ {
-		b = honest.StateKeyAt(honest.Configs[i].StateIdx[1])
+		b = p1State(i)
 	}
 	tc.proto = lyingProto{tc.proto, a, b}
 	engine, ref, diff := divergence(context.Background(), tc, prob)
-	if exploreDigest(ref) != exploreDigest(honest) {
-		t.Fatalf("the lie reached the reference walk:\n%s", firstDiff(exploreDigest(honest), exploreDigest(ref)))
+	if ref.digest() != honest.digest() {
+		t.Fatalf("the lie reached the reference walk:\n%s", firstDiff(honest.digest(), ref.digest()))
 	}
-	if diff == "" || engine.NodeCount >= ref.NodeCount {
+	if diff == "" || engine.x.NodeCount >= ref.x.NodeCount {
 		t.Fatalf("engine walked %d nodes, reference %d, differential reported %q; want fewer nodes and a reported divergence",
-			engine.NodeCount, ref.NodeCount, diff)
+			engine.x.NodeCount, ref.x.NodeCount, diff)
 	}
 }

@@ -101,9 +101,10 @@ func TestBudgetExhaustionKeepsPartialResults(t *testing.T) {
 // at a level boundary.
 func TestBudgetExhaustionExact(t *testing.T) {
 	const budget = 6_000
+	var log []admission
 	x, err := CheckContext(context.Background(), protocols.Star{Procs: 3},
 		problem(taxonomy.WT, taxonomy.TC),
-		Options{MaxFailures: 2, MaxNodes: budget})
+		observing(Options{MaxFailures: 2, MaxNodes: budget}, &log))
 	if x == nil {
 		t.Fatal("exhausted exploration must still return the partial Exploration")
 	}
@@ -117,8 +118,8 @@ func TestBudgetExhaustionExact(t *testing.T) {
 	if x.NodeCount != budget {
 		t.Fatalf("NodeCount = %d, want exactly the budget %d", x.NodeCount, budget)
 	}
-	if len(x.Configs) != budget {
-		t.Fatalf("len(Configs) = %d, want exactly the budget %d", len(x.Configs), budget)
+	if len(log) != budget {
+		t.Fatalf("%d admissions observed, want exactly the budget %d", len(log), budget)
 	}
 	if x.FrontierSize == 0 {
 		t.Fatal("exhausted mid-space but FrontierSize = 0")

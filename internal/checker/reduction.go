@@ -13,9 +13,9 @@ import (
 // kinds) and the terminal decision structure — ample sets preserve the
 // exact terminal configurations and decision census; symmetry preserves
 // them up to processor relabeling — but a reduced run visits fewer
-// intermediate configurations, so NodeCount, the Configs list, and the
-// state census describe the reduced graph, not the full one. DESIGN.md §8
-// states the soundness arguments; the reduction differential suite
+// intermediate configurations, so NodeCount and the state census describe
+// the reduced graph, not the full one (Safety on it is Partial). DESIGN.md
+// §8 states the soundness arguments; the reduction differential suite
 // cross-checks every reduced mode against the unreduced reference walk.
 type Reduction int
 

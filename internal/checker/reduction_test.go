@@ -71,11 +71,10 @@ func violationKinds(x *Exploration) []string {
 }
 
 // decisionCensus renders the set of (inputs vector, decision ledger) pairs
-// over terminal configurations, sorted.
-func decisionCensus(x *Exploration) []string {
+// over a walk's terminal admissions, sorted.
+func decisionCensus(log []admission) []string {
 	set := map[string]struct{}{}
-	for i := range x.Configs {
-		c := &x.Configs[i]
+	for _, c := range log {
 		if c.Terminal {
 			set[censusLine(c.InputsVec, c.Ledger)] = struct{}{}
 		}
@@ -87,10 +86,9 @@ func decisionCensus(x *Exploration) []string {
 // (vector, ledger) pair is replaced by its minimum over the automorphism
 // group, so censuses taken in different orbit frames become comparable.
 // With an empty group this is decisionCensus.
-func canonicalDecisionCensus(x *Exploration, perms []sim.ProcPerm) []string {
+func canonicalDecisionCensus(log []admission, perms []sim.ProcPerm) []string {
 	set := map[string]struct{}{}
-	for i := range x.Configs {
-		c := &x.Configs[i]
+	for _, c := range log {
 		if !c.Terminal {
 			continue
 		}
@@ -139,20 +137,22 @@ func TestReductionDifferential(t *testing.T) {
 			t.Parallel() // the cases share nothing; fullexchange-mf1's reference walk is half the package's time
 			opts := tc.opts
 			opts.Problem = &prob
-			ref, err := refExplore(context.Background(), tc.proto, opts)
+			var refLog []admission
+			ref, err := refExplore(context.Background(), tc.proto, observing(opts, &refLog))
 			if err != nil {
 				t.Fatalf("unreduced reference: %v", err)
 			}
 			opts.TrackTraces = true
 			perms := symmetry.ForProtocol(tc.proto)
 			refKinds := violationKinds(ref)
-			refCensus := decisionCensus(ref)
-			refCanon := canonicalDecisionCensus(ref, perms)
+			refCensus := decisionCensus(refLog)
+			refCanon := canonicalDecisionCensus(refLog, perms)
 			refStates := stateCensusKeys(ref)
 
 			for _, mode := range reductionModes {
 				opts.Reduction = mode
-				x, err := ExploreContext(context.Background(), tc.proto, opts)
+				var log []admission
+				x, err := ExploreContext(context.Background(), tc.proto, observing(opts, &log))
 				if err != nil {
 					t.Fatalf("%v: %v", mode, err)
 				}
@@ -163,14 +163,14 @@ func TestReductionDifferential(t *testing.T) {
 					t.Errorf("%v: verdict diverged: kinds %v, want %v", mode, got, refKinds)
 				}
 				if mode == ReduceAmple {
-					if got := decisionCensus(x); !slices.Equal(got, refCensus) {
+					if got := decisionCensus(log); !slices.Equal(got, refCensus) {
 						t.Errorf("%v: decision census diverged (%d vs %d entries)", mode, len(got), len(refCensus))
 					}
 					if got := stateCensusKeys(x); !slices.Equal(got, refStates) {
 						t.Errorf("%v: local-state census diverged (%d vs %d states)", mode, len(got), len(refStates))
 					}
 				} else {
-					if got := canonicalDecisionCensus(x, perms); !slices.Equal(got, refCanon) {
+					if got := canonicalDecisionCensus(log, perms); !slices.Equal(got, refCanon) {
 						t.Errorf("%v: canonical decision census diverged (%d vs %d entries)", mode, len(got), len(refCanon))
 					}
 				}
@@ -190,8 +190,8 @@ func TestReductionDifferential(t *testing.T) {
 
 // reducedDigest is exploreDigest plus the reduction counters, so the
 // repeat-run comparison also pins the stats the walk counts.
-func reducedDigest(x *Exploration) string {
-	return fmt.Sprintf("%+v\n%s", x.Reduction, exploreDigest(x))
+func reducedDigest(x *Exploration, log []admission) string {
+	return fmt.Sprintf("%+v\n%s", x.Reduction, exploreDigest(x, log))
 }
 
 // TestReductionPartialDeterminism asserts that budget-capped reduced
@@ -213,7 +213,8 @@ func TestReductionPartialDeterminism(t *testing.T) {
 					opts.Problem = &prob
 					opts.TrackTraces = true
 					opts.Reduction = mode
-					x, err := ExploreContext(context.Background(), tc.proto, opts)
+					var log []admission
+					x, err := ExploreContext(context.Background(), tc.proto, observing(opts, &log))
 					if x == nil {
 						t.Fatalf("%v: nil exploration (err=%v)", mode, err)
 					}
@@ -229,7 +230,7 @@ func TestReductionPartialDeterminism(t *testing.T) {
 					default:
 						t.Fatalf("%v: status %v, want budget-exhausted or complete", mode, x.Status)
 					}
-					if d := reducedDigest(x); run == 0 {
+					if d := reducedDigest(x, log); run == 0 {
 						base = d
 					} else if d != base {
 						t.Errorf("%v: partial reduced run does not repeat:\n%s", mode, firstDiff(base, d))

@@ -16,7 +16,8 @@ import (
 // parents linked by key, and the census is one map update per occurrence —
 // no fingerprint, prediction, transition cache, intern id or bitset is read,
 // so a broken hash, a stale cache entry or a miscounted census in the engine
-// shows as a different exploreDigest. It shares what identity is not about:
+// shows as a different exploreDigest. It reports its admissions to
+// Options.observe as the engine does. It shares what identity is not about:
 // sim, updateLedger, and the judge (edgeViolations and nodeViolations, which
 // call taxonomy's), numbering a node for the IC wording by its admission, as
 // the engine does.
@@ -74,12 +75,12 @@ func refExplore(ctx context.Context, proto sim.Protocol, opts Options) (*Explora
 			return false, nil
 		}
 		visited[key] = true
-		if len(x.Configs) >= opts.maxNodes() {
+		if x.NodeCount >= opts.maxNodes() {
 			x.Status, x.FrontierSize = StatusExhausted, len(queue)-head+1
 			return true, &BudgetError{Protocol: proto.Name(), Nodes: opts.maxNodes()}
 		}
-		rec := ConfigRecord{StateIdx: make([]int32, n), Ledger: nd.ledger, InputsVec: sim.InputsString(nd.inputs), Terminal: nd.cfg.Quiescent()}
-		keys := make([]string, n)
+		x.NodeCount++
+		ids, keys, vec := make([]int32, n), make([]string, n), sim.InputsString(nd.inputs)
 		for p, st := range nd.cfg.States {
 			k := st.Key()
 			id, ok := stateID[k]
@@ -89,12 +90,12 @@ func refExplore(ctx context.Context, proto sim.Protocol, opts Options) (*Explora
 				x.stateKeys = append(x.stateKeys, k)
 				x.States[k] = &StateInfo{Key: k, Sample: st, Procs: map[sim.ProcID]struct{}{}, Inputs: map[string]struct{}{}, Conc: map[string]struct{}{}}
 			}
-			keys[p], rec.StateIdx[p] = k, id
+			keys[p], ids[p] = k, id
 		}
 		for p, k := range keys {
 			si := x.States[k]
 			si.Procs[sim.ProcID(p)] = struct{}{}
-			si.Inputs[rec.InputsVec] = struct{}{}
+			si.Inputs[vec] = struct{}{}
 			si.SeenEmptyBuffer = si.SeenEmptyBuffer || len(nd.cfg.Buffers[p]) == 0
 			for q, other := range keys {
 				if q != p {
@@ -102,12 +103,14 @@ func refExplore(ctx context.Context, proto sim.Protocol, opts Options) (*Explora
 				}
 			}
 		}
-		x.Configs, x.NodeCount = append(x.Configs, rec), x.NodeCount+1
-		if rec.Terminal {
+		if nd.cfg.Quiescent() {
 			x.Terminals++
 		}
+		if opts.observe != nil {
+			opts.observe(ids, nd)
+		}
 		for _, p := range problems {
-			violate(nodeViolations(nil, p, len(x.Configs)-1, nd), key)
+			violate(nodeViolations(nil, p, x.NodeCount-1, nd), key)
 		}
 		if opts.StopAtFirstViolation && violated {
 			return true, nil

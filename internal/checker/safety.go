@@ -27,22 +27,26 @@ type SafetyReport struct {
 	// state implies all inputs are 1 and its concurrency set contains no
 	// abort state.
 	Committable map[string]bool
-	// Corollary6 lists violations of Corollary 6 — configurations where a
-	// processor has decided but some nonfaulty processor does not share
-	// its bias.
+	// Corollary6 lists violations of Corollary 6 — a processor has decided
+	// but some nonfaulty processor occupies a state that does not share its
+	// bias — one per (state, position, decision), in order of first
+	// admission, at most 20.
 	Corollary6 []taxonomy.Violation
-	// Partial is set when the exploration covered only part of the space
-	// (Status.Partial). Every unsafe state and Corollary 6 violation listed
-	// is then still real — concurrency sets only grow as more of the space
-	// is visited — but their absence proves nothing.
+	// Partial is set when the walk admitted only some accessible
+	// configurations: it was cut (Status.Partial) or reduced (Opts.Reduction
+	// is not ReduceNone), so concurrency and input sets are subsets of the
+	// full ones. A partial report proves no absence. Every unsafe state it
+	// lists is real, and so is every Corollary 6 violation after a commit;
+	// one after an abort may not be, since bias is lost as the sets grow.
 	Partial bool
 }
 
 // AllSafe reports whether every analyzed state is safe.
 func (r *SafetyReport) AllSafe() bool { return len(r.Unsafe) == 0 }
 
-// Safety runs the Theorem 2 analysis on an exploration. On a partial one it
-// analyzes the visited prefix and says so in the report's Partial field.
+// Safety runs the Theorem 2 analysis on an exploration. On a partial or
+// reduced one it analyzes what was visited and says so in the report's
+// Partial field.
 //
 // A state s is safe iff (1) its concurrency set C(s) does not contain
 // conflicting decision states, and (2) if C(s) contains a commit state then
@@ -51,7 +55,8 @@ func (r *SafetyReport) AllSafe() bool { return len(r.Unsafe) == 0 }
 // configuration containing s, i.e. under every input vector from which s is
 // reachable.
 func (x *Exploration) Safety() *SafetyReport {
-	r := &SafetyReport{Committable: make(map[string]bool, len(x.States)), Partial: x.Status.Partial()}
+	partial := x.Status.Partial() || x.Opts.Reduction != ReduceNone
+	r := &SafetyReport{Committable: make(map[string]bool, len(x.States)), Partial: partial}
 
 	keys := make([]string, 0, len(x.States))
 	for k := range x.States {
@@ -118,38 +123,26 @@ func countMixed(si *StateInfo) int {
 	return n
 }
 
-// checkCorollary6 verifies Corollary 6 on every recorded configuration: if
-// any processor has decided (per the ledger — decisions by since-failed
+// checkCorollary6 verifies Corollary 6 on the census's occupancies: if any
+// processor has decided (per the ledger — decisions by since-failed
 // processors count under total consistency), then every nonfaulty processor
-// occupies a state of the same bias.
+// occupies a state of the same bias. Each violating (state, position,
+// decision) triple is reported once, in order of first admission.
 func (x *Exploration) checkCorollary6(committable map[string]bool) []taxonomy.Violation {
 	var out []taxonomy.Violation
-	for _, rec := range x.Configs {
-		decided := sim.NoDecision
-		for _, d := range rec.Ledger {
-			if d != sim.NoDecision {
-				decided = d
-				break
-			}
-		}
-		if decided == sim.NoDecision {
+	for _, o := range x.occupancies {
+		key := x.stateKeys[o.state]
+		if x.States[key].Sample.Kind() == sim.Failed {
 			continue
 		}
-		wantCommittable := decided == sim.Commit
-		for p, idx := range rec.StateIdx {
-			key := x.stateKeys[idx]
-			if x.States[key].Sample.Kind() == sim.Failed {
-				continue
-			}
-			if committable[key] != wantCommittable {
-				out = append(out, taxonomy.Violation{
-					Kind: "corollary6",
-					Detail: fmt.Sprintf("after a %s decision, nonfaulty %s occupies %s with bias committable=%v",
-						decided, sim.ProcID(p), key, committable[key]),
-				})
-				if len(out) >= 20 {
-					return out
-				}
+		if committable[key] != (o.decided == sim.Commit) {
+			out = append(out, taxonomy.Violation{
+				Kind: "corollary6",
+				Detail: fmt.Sprintf("after a %s decision, nonfaulty %s occupies %s with bias committable=%v",
+					o.decided, o.pos, key, committable[key]),
+			})
+			if len(out) >= 20 {
+				break
 			}
 		}
 	}
