@@ -165,6 +165,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "cclive:", err)
 		return 1
 	}
+	if *runs < 0 {
+		fmt.Fprintf(stderr, "cclive: -runs %d is negative\n", *runs)
+		return 1
+	}
+	for _, rate := range []struct {
+		flag string
+		p    float64
+	}{{"drop", *drop}, {"dup", *dup}, {"omit-rate", *omitRate}, {"sever-rate", *severRate}, {"stall-rate", *stallRate}, {"reset-rate", *resetRate}} {
+		if !(rate.p >= 0 && rate.p <= 1) { // NaN included
+			fmt.Fprintf(stderr, "cclive: -%s %v is not a probability in [0,1]\n", rate.flag, rate.p)
+			return 1
+		}
+	}
 	f := soakFlags{
 		stdout: stdout, stderr: stderr,
 		protoName: *protoName, problem: *problem, seed: *seed, runs: *runs,
@@ -299,7 +312,7 @@ feed:
 	close(idxCh)
 	wg.Wait()
 
-	return report(outcomes, proto.Name(), f, prob, "memory", 1)
+	return report(outcomes, proto, f, prob, "memory", 1)
 }
 
 // distOptions is the registry both sides of the control plane share.
@@ -441,7 +454,7 @@ func runServe(ctx context.Context, f soakFlags, proto consensus.Protocol, prob c
 	for _, child := range children {
 		_ = child.Wait()
 	}
-	if rc := report(outcomes, proto.Name(), f, prob, "distributed", hosts); code == 0 {
+	if rc := report(outcomes, proto, f, prob, "distributed", hosts); code == 0 {
 		code = rc
 	}
 	return code
@@ -503,9 +516,9 @@ func judgeResult(res *consensus.LiveResult, proto consensus.Protocol, prob conse
 		return out
 	}
 	out.conformed = true
-	// The streaming replay keeps memory flat: distributed soaks at N=100
-	// record crash-amplified traces of millions of events, and the
-	// materializing replay would retain every intermediate configuration.
+	// The replay steps one configuration in place, so memory stays flat on
+	// the crash-amplified traces of millions of events that distributed
+	// soaks at N=100 record.
 	conf, cerr := consensus.LiveConformStream(res, proto, prob)
 	if cerr != nil {
 		out.err = cerr
@@ -618,7 +631,8 @@ func (q *latencyQuantiles) String() string {
 
 // report prints the soak summary, writes divergence traces and the JSON
 // summary, and chooses the exit code.
-func report(outcomes []runOutcome, protoCanon string, f soakFlags, prob consensus.Problem, mode string, hosts int) int {
+func report(outcomes []runOutcome, proto consensus.Protocol, f soakFlags, prob consensus.Problem, mode string, hosts int) int {
+	protoCanon := proto.Name()
 	var (
 		completed, quiesced, failing, aborted, conformed int
 		crashes, falseSusp, linkSusp, waves              int
@@ -745,7 +759,7 @@ func report(outcomes []runOutcome, protoCanon string, f soakFlags, prob consensu
 
 	if f.jsonPath != "" {
 		sum := jsonSummary{
-			Proto: protoCanon, Problem: prob.Name(), N: len(outcomes[0].plan.Inputs),
+			Proto: protoCanon, Problem: prob.Name(), N: proto.N(),
 			Runs: f.runs, Seed: f.seed, Mode: mode, Hosts: hosts,
 			Completed: completed, Aborted: aborted, Quiesced: quiesced,
 			Failing: failing, Conformed: conformed,

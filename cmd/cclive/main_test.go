@@ -39,17 +39,33 @@ func TestPrintFaultsIsAFunctionOfTheSeed(t *testing.T) {
 }
 
 // TestMalformedFlagsAreUsageErrors: exit 1, the complaint on stderr, nothing
-// run and nothing on stdout.
+// run and nothing on stdout. A rate outside [0,1] would otherwise drop every
+// attempt and wait out the deadline on every run; the 100ms one bounds this
+// test if it is not refused.
 func TestMalformedFlagsAreUsageErrors(t *testing.T) {
 	for _, args := range [][]string{
 		{"-isolate", "1,x"},
 		{"-proto", "nope"},
 		{"-problem", "XX"},
+		{"-runs", "-1"},
+		{"-runs", "1", "-deadline", "100ms", "-drop", "2"},
+		{"-runs", "1", "-deadline", "100ms", "-dup", "-0.5"},
+		{"-runs", "1", "-deadline", "100ms", "-omit-rate", "1.5"},
+		{"-runs", "1", "-deadline", "100ms", "-sever-rate", "NaN"},
 	} {
 		code, out, errOut := cclive(args...)
 		if code != 1 || out != "" || !strings.HasPrefix(errOut, "cclive: ") {
 			t.Errorf("cclive %v: exit %d, stdout %q, stderr %q; want exit 1 and a diagnostic", args, code, out, errOut)
 		}
+	}
+}
+
+// TestEmptySoakReportsTheProtocolsN: a soak of zero runs is clean, and its
+// JSON summary takes N from the protocol, not from a run that never was.
+func TestEmptySoakReportsTheProtocolsN(t *testing.T) {
+	code, out, errOut := cclive("-runs", "0", "-json", "-")
+	if code != 0 || !strings.Contains(out, "\nOK: ") || !strings.Contains(out, `"n": 3`) {
+		t.Errorf("-runs 0 -json -: exit %d, stderr %q, stdout:\n%s", code, errOut, out)
 	}
 }
 

@@ -187,7 +187,8 @@ type (
 	ChaosTraceInjection = chaos.TraceInjection
 	// ChaosTraceViolation is a serialized violation.
 	ChaosTraceViolation = chaos.TraceViolation
-	// ChaosReplayResult is the outcome of re-executing a trace.
+	// ChaosReplayResult is the outcome of re-executing a trace: the
+	// violations the replay found and whether they match the recorded ones.
 	ChaosReplayResult = chaos.ReplayResult
 	// ChaosAdversary is a deterministic scheduling strategy driving a chaos
 	// run's event choices (uniform, delay, adaptive).
@@ -457,19 +458,12 @@ func Live(ctx context.Context, p Protocol, inputs []Bit, cfg LiveConfig) (*LiveR
 	return runtime.Run(ctx, p, inputs, cfg)
 }
 
-// LiveConform replays a live result through the deterministic simulator
-// and checks it against the problem's predicates; divergences mean the
-// live execution left the model.
-func LiveConform(res *LiveResult, p Protocol, problem Problem) (*LiveConformance, error) {
-	return runtime.Conform(res, p, problem)
-}
-
-// LiveConformStream is LiveConform in flat memory: the replay steps one
+// LiveConformStream replays a live result through the deterministic
+// simulator and checks it against the problem's predicates; divergences
+// mean the live execution left the model. The replay steps one
 // configuration in place — O(N) states plus the O(N²) channel counters and
 // whatever is buffered — so crash-amplified traces with millions of events,
-// routine in distributed soaks at N=100, check without retaining the whole
-// configuration history. The verdict is identical; the returned
-// Conformance.Run is nil.
+// routine in distributed soaks at N=100, check in flat memory.
 func LiveConformStream(res *LiveResult, p Protocol, problem Problem) (*LiveConformance, error) {
 	return runtime.ConformStream(res, p, problem)
 }

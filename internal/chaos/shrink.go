@@ -1,8 +1,6 @@
 package chaos
 
 import (
-	"errors"
-
 	"repro/internal/sim"
 	"repro/internal/taxonomy"
 )
@@ -17,8 +15,6 @@ type verdict struct {
 	// complete reports whether the final configuration is quiescent, i.e.
 	// whether liveness could be judged.
 	complete bool
-	// run is the replayed execution (the applied prefix on model errors).
-	run *sim.Run
 	// violations is what the run violates: the problem's verdicts, plus a
 	// synthetic "model" violation when the protocol broke a model
 	// contract mid-replay.
@@ -26,40 +22,15 @@ type verdict struct {
 }
 
 // Evaluate replays a schedule from the initial configuration on the given
-// inputs, keeping the run for Replay's callers to inspect, and judges it
-// against the problem. Liveness (termination) is only judged when the
-// replay ends quiescent. Panics in protocol code are recovered and render
-// the schedule inapplicable. The shrinker's candidates, which nobody
-// inspects, go through replayer.judge instead; the verdicts agree.
-func Evaluate(proto sim.Protocol, inputs []sim.Bit, sched sim.Schedule, problem taxonomy.Problem) (v verdict) {
-	defer func() {
-		if recover() != nil {
-			v = verdict{}
-		}
-	}()
-	run := &sim.Run{Proto: proto, Configs: []*sim.Config{sim.NewConfig(proto, inputs)}}
-	if err := run.Extend(sched); err != nil {
-		if errors.Is(err, sim.ErrNotApplicable) {
-			return verdict{run: run}
-		}
-		return verdict{
-			applicable: true,
-			run:        run,
-			violations: []taxonomy.Violation{{Kind: "model", Detail: err.Error()}},
-		}
-	}
-	complete := run.Final().Quiescent()
-	return verdict{
-		applicable: true,
-		complete:   complete,
-		run:        run,
-		violations: problem.Validate(run, complete),
-	}
+// inputs and judges it against the problem: replayer.judge for one
+// schedule.
+func Evaluate(proto sim.Protocol, inputs []sim.Bit, sched sim.Schedule, problem taxonomy.Problem) verdict {
+	r := replayer{proto: proto, inputs: inputs, problem: problem}
+	return r.judge(sched)
 }
 
-// replayer judges schedules the way Evaluate does, without the run: each
-// schedule is replayed on a scratch copy of one initial configuration,
-// stepped in place under a streaming validator.
+// replayer judges schedules: each is replayed on a scratch copy of one
+// initial configuration, stepped in place by taxonomy.StreamChecker.Replay.
 type replayer struct {
 	proto   sim.Protocol
 	inputs  []sim.Bit
@@ -68,14 +39,15 @@ type replayer struct {
 	scratch sim.Config
 }
 
-// judge returns Evaluate's applicable and violations for the schedule. It
-// stops at the first event that does not apply, asking before it steps so
-// that no error is formatted to be thrown away: most of a shrinker's
-// candidates end that way.
-func (r *replayer) judge(sched sim.Schedule) (applicable bool, violations []taxonomy.Violation) {
+// judge replays the schedule and judges it. A schedule with an event that
+// does not apply is inapplicable, and one on which the protocol broke a
+// model contract is applicable with a "model" violation. Liveness
+// (termination) is judged only when the replay ends quiescent. Panics in
+// protocol code are recovered and render the schedule inapplicable.
+func (r *replayer) judge(sched sim.Schedule) (v verdict) {
 	defer func() {
 		if recover() != nil {
-			applicable, violations = false, nil
+			v = verdict{}
 		}
 	}()
 	if r.initial == nil {
@@ -84,23 +56,22 @@ func (r *replayer) judge(sched sim.Schedule) (applicable bool, violations []taxo
 	c := &r.scratch
 	c.CopyFrom(r.initial)
 	checker := taxonomy.NewStreamChecker(r.problem, c)
-	for _, e := range sched {
-		if !sim.Applicable(c, e) {
-			return false, nil
-		}
-		if err := c.ApplyInPlace(r.proto, e); err != nil {
-			return true, []taxonomy.Violation{{Kind: "model", Detail: err.Error()}}
-		}
-		checker.Observe(e, c)
+	applied, err := checker.Replay(r.proto, c, sched)
+	switch {
+	case err != nil:
+		return verdict{applicable: true, violations: []taxonomy.Violation{{Kind: "model", Detail: err.Error()}}}
+	case applied < len(sched):
+		return verdict{}
 	}
-	return true, checker.Finish(c.Quiescent())
+	complete := c.Quiescent()
+	return verdict{applicable: true, complete: complete, violations: checker.Finish(complete)}
 }
 
 // violates is the predicate the shrinker preserves: the schedule is
 // applicable and exhibits a violation of the given kind.
 func (r *replayer) violates(sched sim.Schedule, kind string) bool {
-	applicable, vs := r.judge(sched)
-	return applicable && hasKind(vs, kind)
+	v := r.judge(sched)
+	return v.applicable && hasKind(v.violations, kind)
 }
 
 // hasKind reports whether any violation has the given kind.
@@ -147,8 +118,7 @@ func Shrink(proto sim.Protocol, inputs []sim.Bit, sched sim.Schedule, problem ta
 
 	cur := append(sim.Schedule(nil), sched...)
 	if !violates(cur) {
-		_, vs := r.judge(cur)
-		return cur, vs, tried
+		return cur, r.judge(cur).violations, tried
 	}
 
 	removePass := func() bool {
@@ -225,6 +195,5 @@ func Shrink(proto sim.Protocol, inputs []sim.Bit, sched sim.Schedule, problem ta
 		}
 	}
 
-	_, vs := r.judge(cur)
-	return cur, vs, tried
+	return cur, r.judge(cur).violations, tried
 }

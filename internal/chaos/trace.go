@@ -208,8 +208,6 @@ func (t *Trace) ScheduleEvents() (sim.Schedule, error) {
 
 // ReplayResult is the outcome of re-executing a trace.
 type ReplayResult struct {
-	// Run is the replayed execution (nil for reproduced panics).
-	Run *sim.Run
 	// Complete reports whether the replay ended quiescent.
 	Complete bool
 	// Violations is what the replay violated.
@@ -223,8 +221,9 @@ type ReplayResult struct {
 
 // Replay re-executes a trace against the given protocol (which must match
 // the trace's canonical name and size) and re-asserts its violation.
-// Schedule traces are applied event by event; panic traces re-run the
-// seeded scheduler with the recorded injections.
+// Schedule traces are judged by Evaluate, event by event on one
+// configuration stepped in place; panic traces re-run the seeded scheduler
+// (sim.RandomWalk) with the recorded injections.
 func Replay(t *Trace, proto sim.Protocol, problem taxonomy.Problem) (*ReplayResult, error) {
 	if proto.Name() != t.Protocol {
 		return nil, fmt.Errorf("chaos: trace is for %s, got protocol %s", t.Protocol, proto.Name())
@@ -255,7 +254,7 @@ func Replay(t *Trace, proto sim.Protocol, problem taxonomy.Problem) (*ReplayResu
 	if !v.applicable {
 		return nil, fmt.Errorf("chaos: trace schedule no longer applies to %s — protocol changed since recording", proto.Name())
 	}
-	res := &ReplayResult{Run: v.run, Complete: v.complete, Violations: v.violations}
+	res := &ReplayResult{Complete: v.complete, Violations: v.violations}
 	res.Reproduced = violationsMatch(v.violations, t.Violations)
 	return res, nil
 }
@@ -281,18 +280,13 @@ func replayPanic(t *Trace, proto sim.Protocol, inputs []sim.Bit) (res *ReplayRes
 	if advErr != nil {
 		return nil, fmt.Errorf("chaos: trace adversary: %w", advErr)
 	}
-	choose := func(c *sim.Config, enabled []sim.Event) int { return adv.Choose(rng, proto, c, enabled) }
-	run, runErr := sim.RandomRun(proto, inputs, sim.RunnerOptions{
-		Seed:     t.RunSeed,
+	c := sim.NewConfigOmission(proto, inputs, sim.OmissionPolicy{Budget: t.OmissionBudget, Mobile: t.MobileOmissions})
+	_, _, runErr := sim.RandomWalk(proto, c, sim.RunnerOptions{
 		MaxSteps: t.MaxSteps,
 		Failures: failures,
-		Omission: sim.OmissionPolicy{Budget: t.OmissionBudget, Mobile: t.MobileOmissions},
-		Choose:   choose,
-	})
-	res.Run = run
-	if runErr == nil && run != nil {
-		res.Complete = run.Final().Quiescent()
-	}
+		Choose:   func(c *sim.Config, enabled []sim.Event) int { return adv.Choose(rng, proto, c, enabled) },
+	}, func(sim.Event, *sim.Config) {})
+	res.Complete = runErr == nil && c.Quiescent()
 	return res, fmt.Errorf("chaos: panic trace did not panic on replay — protocol changed since recording")
 }
 

@@ -114,7 +114,9 @@ func TestCensusAgainstNaiveOracle(t *testing.T) {
 				opts.Reduction = ReduceNone
 				plain = walk(ExploreContext, opts)
 			}
-			ref := walk(refExplore, opts)
+			ref := walk(func(ctx context.Context, proto sim.Protocol, opts Options) (*Exploration, error) {
+				return refExplore(ctx, proto, nil, opts)
+			}, opts)
 			name := fmt.Sprintf("%s/%%s/max%d", tc.name, maxNodes)
 			t.Run(fmt.Sprintf(name, "fingerprint"), func(t *testing.T) { checkCensus(t, x) })
 			t.Run(fmt.Sprintf(name, "strings"), func(t *testing.T) { checkCensus(t, ref) })

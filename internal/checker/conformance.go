@@ -53,7 +53,6 @@ func CheckAll(ctx context.Context, proto sim.Protocol, problems []taxonomy.Probl
 	out := make([]*Exploration, len(judges))
 	for i := range judges {
 		xi := *x
-		xi.Opts.Problem = &judges[i].problem
 		xi.Violations = judges[i].violations
 		if len(xi.Violations) > 0 {
 			xi.FirstTrace = x.traceTo(judges[i].firstAt)

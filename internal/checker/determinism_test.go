@@ -26,9 +26,8 @@ func (p panicProto) Receive(id sim.ProcID, s sim.State, m sim.Message) sim.State
 func explorePanicValue(t *testing.T) (val any) {
 	t.Helper()
 	defer func() { val = recover() }()
-	prob := problem(taxonomy.WT, taxonomy.TC)
-	_, _ = ExploreContext(context.Background(), panicProto{protocols.Tree{Procs: 3}},
-		Options{MaxFailures: 1, Problem: &prob})
+	_, _ = CheckContext(context.Background(), panicProto{protocols.Tree{Procs: 3}},
+		problem(taxonomy.WT, taxonomy.TC), Options{MaxFailures: 1})
 	return nil
 }
 
@@ -72,8 +71,7 @@ func TestExploreCancellationMidRun(t *testing.T) {
 	inner, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	ctx := &cancelAtDequeue{Context: inner, cancel: cancel, after: 2_000}
-	prob := problem(taxonomy.WT, taxonomy.TC)
-	x, err := ExploreContext(ctx, protocols.Star{Procs: 3}, Options{MaxFailures: 2, Problem: &prob})
+	x, err := CheckContext(ctx, protocols.Star{Procs: 3}, problem(taxonomy.WT, taxonomy.TC), Options{MaxFailures: 2})
 	if x == nil {
 		t.Fatalf("nil exploration (err=%v)", err)
 	}

@@ -59,12 +59,6 @@ type Options struct {
 	//
 	// Deprecated: ignored; the explorer is sequential.
 	Parallelism int
-	// Problem, if non-nil, enables inline conformance checking: the
-	// decision rule is checked at every decision transition, consistency
-	// at every node, and termination at every terminal node. Violations
-	// accumulate in Exploration.Violations (capped at 100). Check and
-	// CheckAll set it on the Explorations they return.
-	Problem *taxonomy.Problem
 	// TrackTraces records parent links so the first violation comes with
 	// a full event trace (FirstTrace). Costs memory proportional to the
 	// node count. Under breadth-first exploration the recorded trace is a
@@ -209,8 +203,10 @@ type Exploration struct {
 	occupancies []occupancy
 	// Terminals counts quiescent nodes.
 	Terminals int
-	// Violations lists conformance violations found when Options.Problem
-	// was set, capped at 100.
+	// Violations lists the conformance violations Check, CheckContext or
+	// CheckAll found, capped at 100: the decision rule judged at every
+	// decision transition, consistency at every node, and termination at
+	// every terminal node.
 	Violations []taxonomy.Violation
 	// FirstTrace is the event trace leading to the first violation, when
 	// Options.TrackTraces was set.
@@ -710,14 +706,12 @@ func (e *explorer) record(nd *node) {
 
 // ExploreContext is Explore with graceful degradation: on context
 // cancellation or budget exhaustion it returns the partial Exploration —
-// node count, the census of the states visited, and every violation found
-// so far, with Status and FrontierSize set — alongside a non-nil error (the
-// context's error or a *BudgetError). Callers that can use partial results
-// should inspect the returned Exploration even when err != nil.
+// node count and the census of the states visited, with Status and
+// FrontierSize set — alongside a non-nil error (the context's error or a
+// *BudgetError). Callers that can use partial results should inspect the
+// returned Exploration even when err != nil. It judges nothing; CheckContext
+// is the same walk judged against a problem.
 func ExploreContext(ctx context.Context, proto sim.Protocol, opts Options) (*Exploration, error) {
-	if opts.Problem != nil {
-		return CheckContext(ctx, proto, *opts.Problem, opts)
-	}
 	x, _, err := explore(ctx, proto, nil, opts)
 	return x, err
 }

@@ -75,12 +75,11 @@ func TestReducedDigestsGolden(t *testing.T) {
 			t.Run(c.name, func(t *testing.T) {
 				t.Parallel()
 				opts := c.tc.opts
-				opts.Problem = &c.prob
 				opts.TrackTraces = true
 				opts.Reduction = c.mode
 				opts.StopAtFirstViolation = c.stop
 				var log []admission
-				x, err := ExploreContext(context.Background(), c.tc.proto, observing(opts, &log))
+				x, err := CheckContext(context.Background(), c.tc.proto, c.prob, observing(opts, &log))
 				if x == nil {
 					t.Fatalf("nil exploration (err=%v)", err)
 				}

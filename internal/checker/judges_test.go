@@ -17,7 +17,7 @@ import (
 )
 
 // TestJudgesAgreeAcrossEngines holds the explorer and the run engines
-// (chaos.Evaluate's Problem.Validate, the sweeper, cccheck -replay) to one
+// (taxonomy.StreamChecker: the sweeper, the shrinker, cccheck -replay) to one
 // meaning of "violates", in both directions: the explorer's first violation,
 // replayed as a run along its trace, is reported by the run's judge; and
 // every violation a committed chaos trace records comes out of the

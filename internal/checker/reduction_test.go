@@ -136,9 +136,8 @@ func TestReductionDifferential(t *testing.T) {
 			}
 			t.Parallel() // the cases share nothing; fullexchange-mf1's reference walk is half the package's time
 			opts := tc.opts
-			opts.Problem = &prob
 			var refLog []admission
-			ref, err := refExplore(context.Background(), tc.proto, observing(opts, &refLog))
+			ref, err := refExplore(context.Background(), tc.proto, []taxonomy.Problem{prob}, observing(opts, &refLog))
 			if err != nil {
 				t.Fatalf("unreduced reference: %v", err)
 			}
@@ -152,7 +151,7 @@ func TestReductionDifferential(t *testing.T) {
 			for _, mode := range reductionModes {
 				opts.Reduction = mode
 				var log []admission
-				x, err := ExploreContext(context.Background(), tc.proto, observing(opts, &log))
+				x, err := CheckContext(context.Background(), tc.proto, prob, observing(opts, &log))
 				if err != nil {
 					t.Fatalf("%v: %v", mode, err)
 				}
@@ -210,11 +209,10 @@ func TestReductionPartialDeterminism(t *testing.T) {
 				var base string
 				for run := 0; run < 2; run++ {
 					opts := tc.opts
-					opts.Problem = &prob
 					opts.TrackTraces = true
 					opts.Reduction = mode
 					var log []admission
-					x, err := ExploreContext(context.Background(), tc.proto, observing(opts, &log))
+					x, err := CheckContext(context.Background(), tc.proto, prob, observing(opts, &log))
 					if x == nil {
 						t.Fatalf("%v: nil exploration (err=%v)", mode, err)
 					}
@@ -249,8 +247,8 @@ func TestReductionCancelledDeterminism(t *testing.T) {
 	cancel()
 	prob := problem(taxonomy.WT, taxonomy.TC)
 	for _, mode := range reductionModes {
-		x, err := ExploreContext(ctx, protocols.Star{Procs: 3}, Options{
-			MaxFailures: 2, Problem: &prob, TrackTraces: true, Reduction: mode,
+		x, err := CheckContext(ctx, protocols.Star{Procs: 3}, prob, Options{
+			MaxFailures: 2, TrackTraces: true, Reduction: mode,
 		})
 		if x == nil {
 			t.Fatalf("%v: nil exploration", mode)
@@ -330,7 +328,7 @@ func TestCanonicalizeDigestMatchesMaterialized(t *testing.T) {
 					tc.proto.Name(), s.event, nxt.fp, s.elided, s.permuted, fp, el, pm)
 			}
 		}
-		_, err := Explore(tc.proto, Options{MaxFailures: tc.mf, Problem: &prob, Reduction: ReduceBoth})
+		_, err := CheckContext(context.Background(), tc.proto, prob, Options{MaxFailures: tc.mf, Reduction: ReduceBoth})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -20,8 +20,8 @@ import (
 // Options.observe as the engine does. It shares what identity is not about:
 // sim, updateLedger, and the judge (edgeViolations and nodeViolations, which
 // call taxonomy's), numbering a node for the IC wording by its admission, as
-// the engine does.
-func refExplore(ctx context.Context, proto sim.Protocol, opts Options) (*Exploration, error) {
+// the engine does; problems holds the one judge, if any.
+func refExplore(ctx context.Context, proto sim.Protocol, problems []taxonomy.Problem, opts Options) (*Exploration, error) {
 	n := proto.N()
 	maxFail := opts.MaxFailures
 	if maxFail < 0 {
@@ -31,10 +31,6 @@ func refExplore(ctx context.Context, proto sim.Protocol, opts Options) (*Explora
 	inputVecs := opts.Inputs
 	if inputVecs == nil {
 		inputVecs = sim.AllInputs(n)
-	}
-	var problems []taxonomy.Problem // the one judge, if any
-	if opts.Problem != nil {
-		problems = append(problems, *opts.Problem)
 	}
 
 	type link struct {

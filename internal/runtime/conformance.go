@@ -24,10 +24,6 @@ func (d Divergence) String() string { return d.Kind + ": " + d.Detail }
 // Conformance is the verdict of replaying a live run through the
 // deterministic simulator.
 type Conformance struct {
-	// Run is the replayed execution, up to the first inapplicable event.
-	// ConformStream leaves it nil: the streaming replay never materializes
-	// the configuration history.
-	Run *sim.Run
 	// Replayed is how many schedule events applied cleanly.
 	Replayed int
 	// Divergences lists every disagreement between the live run and the
@@ -39,7 +35,7 @@ type Conformance struct {
 // OK reports whether the live run conformed.
 func (c *Conformance) OK() bool { return len(c.Divergences) == 0 }
 
-// Conform replays a live result through the simulator and checks it
+// ConformStream replays a live result through the simulator and checks it
 // against the problem. This is the bridge from "ran" to "ran correctly":
 //
 //   - Every recorded event must apply under the model's rules. A transport
@@ -62,48 +58,56 @@ func (c *Conformance) OK() bool { return len(c.Divergences) == 0 }
 // replay, quiescence, decision, rule, and consistency checks all still
 // apply in full.
 //
+// The replay is taxonomy.StreamChecker.Replay: one configuration stepped in
+// place — O(N) states, the buffered messages and the O(N²) channel
+// counters — so a crash-amplified trace of millions of events at N=100
+// checks in flat memory, where a configuration per event would take tens
+// of gigabytes.
+//
 // The returned error reports setup problems only (wrong input length);
 // divergences are data, not errors.
 //
 //ccvet:pure
-func Conform(res *Result, proto sim.Protocol, problem taxonomy.Problem) (*Conformance, error) {
+func ConformStream(res *Result, proto sim.Protocol, problem taxonomy.Problem) (*Conformance, error) {
 	run, err := sim.NewRun(proto, res.Inputs)
 	if err != nil {
 		return nil, err
 	}
-	conf := &Conformance{Run: run}
-	for i, e := range res.Schedule {
-		if err := run.Extend(sim.Schedule{e}); err != nil {
-			conf.Divergences = append(conf.Divergences, Divergence{
-				Kind:   "replay",
-				Detail: fmt.Sprintf("event %d (%s) does not apply: %v", i, e, err),
-			})
-			break
+	cur := run.Final() // the run is dropped: nobody else holds its configuration
+	checker := taxonomy.NewStreamChecker(problem, cur)
+	conf := &Conformance{}
+	var why error
+	conf.Replayed, why = checker.Replay(proto, cur, res.Schedule)
+	if conf.Replayed < len(res.Schedule) {
+		e := res.Schedule[conf.Replayed]
+		if why == nil {
+			why = cur.ApplyInPlace(proto, e) // sim's own words for why e does not apply; cur is left as it was
 		}
-		conf.Replayed++
+		conf.Divergences = append(conf.Divergences, Divergence{
+			Kind:   "replay",
+			Detail: fmt.Sprintf("event %d (%s) does not apply: %v", conf.Replayed, e, why),
+		})
+		return conf, nil
 	}
-	replayedAll := conf.Replayed == len(res.Schedule)
 
-	if replayedAll && res.Quiescent && !run.Final().Quiescent() {
+	if res.Quiescent && !cur.Quiescent() {
 		conf.Divergences = append(conf.Divergences, Divergence{
 			Kind:   "quiescence",
 			Detail: "live run claimed quiescence but the replayed configuration has enabled events (a message the transport lost?)",
 		})
 	}
-	if replayedAll {
-		for p := 0; p < proto.N(); p++ {
-			replayed, _ := run.DecisionOf(sim.ProcID(p))
-			if live := res.Decisions[p]; live != replayed {
-				conf.Divergences = append(conf.Divergences, Divergence{
-					Kind:   "decision",
-					Detail: fmt.Sprintf("%s decided %s live but %s in replay", sim.ProcID(p), live, replayed),
-				})
-			}
+	for p := 0; p < proto.N(); p++ {
+		replayed, _ := checker.Decision(sim.ProcID(p))
+		if live := res.Decisions[p]; live != replayed {
+			conf.Divergences = append(conf.Divergences, Divergence{
+				Kind:   "decision",
+				Detail: fmt.Sprintf("%s decided %s live but %s in replay", sim.ProcID(p), live, replayed),
+			})
 		}
-		complete := res.Quiescent && run.Final().Quiescent() && !hasOmissions(res.Schedule)
-		for _, v := range problem.Validate(run, complete) {
-			conf.Divergences = append(conf.Divergences, Divergence{Kind: v.Kind, Detail: v.Detail})
-		}
+	}
+	complete := res.Quiescent && cur.Quiescent() && !hasOmissions(res.Schedule)
+	for _, v := range checker.Finish(complete) {
+		conf.Divergences = append(conf.Divergences, Divergence{Kind: v.Kind, Detail: v.Detail})
 	}
 	return conf, nil
 }
@@ -119,60 +123,4 @@ func hasOmissions(sched sim.Schedule) bool {
 		}
 	}
 	return false
-}
-
-// ConformStream is Conform in flat memory: it replays the schedule on one
-// configuration it owns, stepped in place (sim.Config.ApplyInPlace) — O(N)
-// states, the buffered messages and the O(N²) channel counters — and folds
-// each step into a streaming validator instead of materializing the run.
-// Conform retains every intermediate configuration — O(events × N²) memory —
-// which at N=100 with a crash-amplified trace of a few million events is
-// tens of gigabytes. The verdict is identical
-// (TestConformStreamMatchesConform) except that the returned
-// Conformance.Run is nil.
-//
-//ccvet:pure
-func ConformStream(res *Result, proto sim.Protocol, problem taxonomy.Problem) (*Conformance, error) {
-	run, err := sim.NewRun(proto, res.Inputs)
-	if err != nil {
-		return nil, err
-	}
-	cur := run.Final() // the run is dropped: nobody else holds its configuration
-	checker := taxonomy.NewStreamChecker(problem, cur)
-	conf := &Conformance{}
-	for i, e := range res.Schedule {
-		if err := cur.ApplyInPlace(proto, e); err != nil {
-			conf.Divergences = append(conf.Divergences, Divergence{
-				Kind:   "replay",
-				Detail: fmt.Sprintf("event %d (%s) does not apply: %v", i, e, err),
-			})
-			break
-		}
-		checker.Observe(e, cur)
-		conf.Replayed++
-	}
-	replayedAll := conf.Replayed == len(res.Schedule)
-
-	if replayedAll && res.Quiescent && !cur.Quiescent() {
-		conf.Divergences = append(conf.Divergences, Divergence{
-			Kind:   "quiescence",
-			Detail: "live run claimed quiescence but the replayed configuration has enabled events (a message the transport lost?)",
-		})
-	}
-	if replayedAll {
-		for p := 0; p < proto.N(); p++ {
-			replayed, _ := checker.Decision(sim.ProcID(p))
-			if live := res.Decisions[p]; live != replayed {
-				conf.Divergences = append(conf.Divergences, Divergence{
-					Kind:   "decision",
-					Detail: fmt.Sprintf("%s decided %s live but %s in replay", sim.ProcID(p), live, replayed),
-				})
-			}
-		}
-		complete := res.Quiescent && cur.Quiescent() && !hasOmissions(res.Schedule)
-		for _, v := range checker.Finish(complete) {
-			conf.Divergences = append(conf.Divergences, Divergence{Kind: v.Kind, Detail: v.Detail})
-		}
-	}
-	return conf, nil
 }

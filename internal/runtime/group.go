@@ -17,7 +17,7 @@ import (
 // mailboxes and remote traffic carried as opaque frames over a netx mesh.
 // Each group stamps its local total order with the collector's Lamport
 // clock; MergeGroups folds the groups' schedules into one global total
-// order that replays through Conform however many hosts recorded it.
+// order that replays through ConformStream however many hosts recorded it.
 
 // GroupConfig configures one process's slice of a run.
 type GroupConfig struct {

@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"context"
+	"fmt"
 	"testing"
 	"time"
 
@@ -44,9 +45,9 @@ func mustRun(t *testing.T, proto sim.Protocol, inputs []sim.Bit, cfg Config) *Re
 
 func mustConform(t *testing.T, res *Result, proto sim.Protocol, prob taxonomy.Problem) *Conformance {
 	t.Helper()
-	conf, err := Conform(res, proto, prob)
+	conf, err := ConformStream(res, proto, prob)
 	if err != nil {
-		t.Fatalf("Conform: %v", err)
+		t.Fatalf("ConformStream: %v", err)
 	}
 	if !conf.OK() {
 		for _, d := range conf.Divergences {
@@ -137,9 +138,9 @@ func TestLiveDisabledDedupFailsConformance(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	conf, err := Conform(res, proto, problem(taxonomy.WT, taxonomy.TC))
+	conf, err := ConformStream(res, proto, problem(taxonomy.WT, taxonomy.TC))
 	if err != nil {
-		t.Fatalf("Conform: %v", err)
+		t.Fatalf("ConformStream: %v", err)
 	}
 	if conf.OK() {
 		t.Fatalf("broken transport (dedup disabled, every ack lost) passed conformance — the check has no teeth")
@@ -178,9 +179,9 @@ func TestConformCatchesLostMessage(t *testing.T) {
 	for _, e := range res.Schedule[cut+1:] {
 		doctored.Schedule = append(doctored.Schedule, e)
 	}
-	conf, err := Conform(&doctored, proto, problem(taxonomy.WT, taxonomy.TC))
+	conf, err := ConformStream(&doctored, proto, problem(taxonomy.WT, taxonomy.TC))
 	if err != nil {
-		t.Fatalf("Conform: %v", err)
+		t.Fatalf("ConformStream: %v", err)
 	}
 	if conf.OK() {
 		t.Fatal("a trace with a swallowed delivery passed conformance")
@@ -191,9 +192,10 @@ func TestLiveOmissionSoakConforms(t *testing.T) {
 	// A miniature of the cclive omission soak: seeded plans drive live runs
 	// under an omission injector (suppress-after-accept, recorded as Omit
 	// events) stacked on a lossy transport. Every trace must replay clean —
-	// Conform and ConformStream agreeing — and the injector must actually
-	// fire: each run's Omit events must match its transport counter, and
-	// the sweep as a whole must suppress at least one delivery.
+	// ConformStream and its materializing oracle agreeing — and the
+	// injector must actually fire: each run's Omit events must match its
+	// transport counter, and the sweep as a whole must suppress at least
+	// one delivery.
 	if testing.Short() {
 		t.Skip("soak in -short mode")
 	}
@@ -224,14 +226,8 @@ func TestLiveOmissionSoakConforms(t *testing.T) {
 				i, omitEvents, res.Transport.Omissions)
 		}
 		totalOmitted += res.Transport.Omissions
-		conf := mustConform(t, res, proto, prob)
-		stream, err := ConformStream(res, proto, prob)
-		if err != nil {
-			t.Fatalf("run %d: ConformStream: %v", i, err)
-		}
-		if !stream.OK() || stream.Replayed != conf.Replayed {
-			t.Fatalf("run %d: streaming conformance disagrees with Conform: %v", i, stream.Divergences)
-		}
+		mustConform(t, res, proto, prob)
+		assertSameConformance(t, fmt.Sprintf("run %d", i), res, proto, prob)
 	}
 	if totalOmitted == 0 {
 		t.Fatal("omission injector never fired across the soak")

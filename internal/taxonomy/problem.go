@@ -144,7 +144,9 @@ func (v Violation) String() string { return v.Kind + ": " + v.Detail }
 // (the run is maximal: quiescent under a fair scheduler, so nothing more
 // can ever happen). It is a StreamChecker fed the run's history — the
 // properties have one implementation — so r.Configs must hold the
-// configuration after every event of r.Schedule.
+// configuration after every event of r.Schedule. Only bench/probes.go and
+// tests call it: every engine judges a recorded schedule with
+// StreamChecker.Replay, which keeps no history.
 func (p Problem) Validate(r *sim.Run, complete bool) []Violation {
 	sc := NewStreamChecker(p, r.Configs[0])
 	for i, e := range r.Schedule {

@@ -6,9 +6,10 @@ import "repro/internal/sim"
 // time, retaining O(N) state instead of the run's configuration history: a
 // fold of the judge (judge.go) over the run, which needs only the current
 // configuration, the first-decision ledger, and whether a failure has
-// happened. The chaos sweeper and the live conformance replay feed it a
-// configuration they step in place, and Problem.Validate feeds it a
-// materialized sim.Run.
+// happened. The chaos sweeper feeds it the configuration sim.RandomWalk
+// steps in place; every recorded schedule — a shrinker candidate, a chaos
+// trace, a live run's trace — is judged through Replay, which steps one
+// configuration in place; Problem.Validate feeds it a materialized sim.Run.
 //
 // The observer never keeps a configuration beyond the latest, so a caller
 // may hand it the same *sim.Config, mutated, at every step. Decisions are
@@ -61,6 +62,27 @@ func (sc *StreamChecker) Observe(e sim.Event, next *sim.Config) {
 		sc.omitted[e.Proc] = true
 	}
 	sc.observe(next)
+}
+
+// Replay steps c — the configuration last observed, owned by the caller —
+// through sched in place (sim.Config.ApplyInPlace), observing every step. It
+// stops at the first event that does not apply and returns how many did.
+// err is nil when that event is simply not applicable to c (asked with
+// sim.Applicable before stepping, so no error is formatted), and the model
+// error when the protocol broke a contract on it (self-send, multi-send,
+// revoked decision). Either way c is left at the configuration the applied
+// prefix reaches.
+func (sc *StreamChecker) Replay(proto sim.Protocol, c *sim.Config, sched sim.Schedule) (applied int, err error) {
+	for i, e := range sched {
+		if !sim.Applicable(c, e) {
+			return i, nil
+		}
+		if err := c.ApplyInPlace(proto, e); err != nil {
+			return i, err
+		}
+		sc.Observe(e, c)
+	}
+	return len(sched), nil
 }
 
 // observe folds one configuration into the ledger — judging the decision
