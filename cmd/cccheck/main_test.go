@@ -1,9 +1,54 @@
 package main
 
 import (
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/*.trace.golden from this build")
+
+// traceCells are the flag sets whose -trace stdout (exit code appended) is
+// committed under testdata: a crash-only walk, a walk under both
+// reductions, an omission walk whose root key carries the omission
+// accounting and whose trace ends in an omit, and an IC violation found
+// under symmetry.
+var traceCells = []struct{ name, args string }{
+	{"2pc3-WT-TC", "-proto 2pc -n 3 -problem WT-TC"},
+	{"star3-WT-TC-both", "-proto star -n 3 -problem WT-TC -reduce both"},
+	{"ackcommit3-WT-TC-omit1", "-proto ackcommit -n 3 -problem WT-TC -omission-budget 1 -maxfail 0"},
+	{"chain-st3-ST-IC-symmetry", "-proto chain-st -n 3 -problem ST-IC -reduce symmetry"},
+}
+
+// TestTraceGolden pins what -trace prints — the summary, the first
+// violation, and the trace to it from its initial configuration — byte for
+// byte.
+func TestTraceGolden(t *testing.T) {
+	for _, c := range traceCells {
+		t.Run(c.name, func(t *testing.T) {
+			var out strings.Builder
+			code := run(append(strings.Fields(c.args), "-trace"), &out)
+			fmt.Fprintf(&out, "exit %d\n", code)
+			path := filepath.Join("testdata", c.name+".trace.golden")
+			if *update {
+				if err := os.WriteFile(path, []byte(out.String()), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if out.String() != string(want) {
+				t.Errorf("cccheck %s -trace differs from %s; this build printed:\n%s", c.args, path, out.String())
+			}
+		})
+	}
+}
 
 // TestSafetyLineCarriesThePartialCaveat: on a budget-cut exploration the
 // safe-state line must not read as a proof — "0 unsafe" covers the visited
