@@ -20,6 +20,7 @@
 package main
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -27,7 +28,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"strings"
 
 	consensus "repro"
@@ -137,7 +137,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stdout, "  … and %d more failures (use -v to list all)\n", len(rep.Failures)-5)
 		}
 		if *traceDir != "" {
-			path, err := writeTrace(*traceDir, rep, f, *protoName, opts.MaxSteps)
+			path, err := consensus.WriteChaosTrace(*traceDir, "", *protoName, rep, f, cmp.Or(opts.MaxSteps, 10_000))
 			if err != nil {
 				fmt.Fprintln(stderr, "ccchaos:", err)
 				return 1
@@ -231,27 +231,4 @@ func emitJSON(w io.Writer, rep *consensus.ChaosReport) error {
 	}
 	_, err = fmt.Fprintln(w, string(data))
 	return err
-}
-
-// writeTrace serializes one failure into the trace directory with a
-// deterministic name.
-func writeTrace(dir string, rep *consensus.ChaosReport, f *consensus.ChaosFailure, protoArg string, maxSteps int) (string, error) {
-	if maxSteps == 0 {
-		maxSteps = 10_000
-	}
-	t := consensus.BuildChaosTrace(rep, f, maxSteps)
-	t.ProtoArg = protoArg
-	data, err := t.Encode()
-	if err != nil {
-		return "", err
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return "", err
-	}
-	name := fmt.Sprintf("%s-%s-run%05d.json", protoArg, rep.Problem.Name(), f.RunIndex)
-	path := filepath.Join(dir, name)
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		return "", err
-	}
-	return path, nil
 }

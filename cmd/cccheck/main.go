@@ -3,11 +3,13 @@
 // vector, injecting up to -maxfail fail-stop failures, and reports any
 // violation of the decision rule, the consistency constraint, or the
 // termination condition. With -safety it additionally runs the Theorem 2
-// safe-state analysis (concurrency sets, bias, Corollary 6).
+// safe-state analysis (concurrency sets, bias, Corollary 6). With -trace
+// it prints the first violation's counterexample: the initial
+// configuration and the schedule from it, a run chaos.Evaluate replays.
 //
-// With -replay it instead re-executes a ccchaos violation trace and
-// re-asserts that the recorded schedule still exhibits the recorded
-// violation.
+// With -replay it instead re-executes a ccchaos or cclive violation trace,
+// under the decision rule the trace records, and re-asserts that the
+// recorded schedule still exhibits the recorded violation.
 //
 // Usage:
 //
@@ -127,7 +129,7 @@ func run(args []string, out io.Writer) int {
 		fmt.Fprintf(out, "VIOLATES: %d violation(s); first:\n  %s\n", len(x.Violations), x.Violations[0])
 		if *trace {
 			fmt.Fprintln(out, "trace to first violation:")
-			for _, line := range x.FirstTrace {
+			for _, line := range x.FirstTraceLines() {
 				fmt.Fprintln(out, "  "+line)
 			}
 		}
@@ -193,6 +195,9 @@ func replayTrace(path string, out io.Writer) int {
 		return 1
 	}
 	prob, err := consensus.ParseProblem(t.Problem)
+	if err == nil && t.Rule != "" {
+		prob.Rule, err = consensus.ParseRule(t.Rule)
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "cccheck:", err)
 		return 1

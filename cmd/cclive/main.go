@@ -45,7 +45,6 @@ import (
 	"os"
 	"os/exec"
 	"os/signal"
-	"path/filepath"
 	"runtime"
 	"sort"
 	"strconv"
@@ -804,47 +803,19 @@ func writeJSON(stdout io.Writer, path string, sum jsonSummary) error {
 	return os.WriteFile(path, data, 0o644)
 }
 
-// writeDivergenceTrace serializes a failing run in the chaos trace format:
-// the recorded live schedule, the injections, and the divergences as
-// violations, so the artifact replays through the same tooling.
+// writeDivergenceTrace writes a failing run as a chaos trace: the recorded
+// live schedule, the injections, and the divergences as violations, so the
+// artifact replays through the same tooling.
 func writeDivergenceTrace(dir, protoCanon, protoArg string, prob consensus.Problem, sweepSeed int64, idx int, out runOutcome) (string, error) {
 	res := out.result
-	t := &consensus.ChaosTrace{
-		Version:       1,
-		Protocol:      protoCanon,
-		ProtoArg:      protoArg,
-		N:             len(res.Inputs),
-		Problem:       prob.Name(),
-		Inputs:        consensus.FormatInputs(res.Inputs),
-		SweepSeed:     sweepSeed,
-		RunSeed:       out.plan.Seed,
-		RunIndex:      idx,
-		MaxSteps:      len(res.Schedule),
-		OriginalSteps: len(res.Schedule),
-	}
-	for _, inj := range out.plan.Failures {
-		t.Injections = append(t.Injections, consensus.ChaosTraceInjection{Proc: int(inj.Proc), AfterStep: inj.AfterStep})
-	}
-	for _, e := range res.Schedule {
-		t.Schedule = append(t.Schedule, consensus.EncodeChaosEvent(e))
-	}
+	f := &consensus.ChaosFailure{RunIndex: idx, Seed: out.plan.Seed, Inputs: res.Inputs, Injections: out.plan.Failures,
+		Schedule: res.Schedule, OriginalSteps: len(res.Schedule)}
 	for _, d := range out.divs {
-		t.Violations = append(t.Violations, consensus.ChaosTraceViolation{Kind: d.Kind, Detail: d.Detail})
+		f.Violations = append(f.Violations, consensus.Violation{Kind: d.Kind, Detail: d.Detail})
 	}
 	if out.err != nil {
-		t.Violations = append(t.Violations, consensus.ChaosTraceViolation{Kind: "run", Detail: out.err.Error()})
+		f.Violations = append(f.Violations, consensus.Violation{Kind: "run", Detail: out.err.Error()})
 	}
-	data, err := t.Encode()
-	if err != nil {
-		return "", err
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return "", err
-	}
-	name := fmt.Sprintf("live-%s-%s-run%05d.json", protoArg, prob.Name(), idx)
-	path := filepath.Join(dir, name)
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		return "", err
-	}
-	return path, nil
+	rep := &consensus.ChaosReport{Proto: protoCanon, Problem: prob, Seed: sweepSeed}
+	return consensus.WriteChaosTrace(dir, "live-", protoArg, rep, f, len(res.Schedule))
 }

@@ -2,8 +2,12 @@ package main
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	consensus "repro"
 )
 
 // cclive runs the command in-process, in memory: no subprocess, no socket.
@@ -103,5 +107,46 @@ func TestDuplicatesWithoutDedupAreCaught(t *testing.T) {
 		"-no-dedup", "-dup", "0.5", "-max-failures", "0", "-deadline", "5s")
 	if code != 2 || !strings.Contains(out, "VIOLATES: ") {
 		t.Errorf("no-dedup soak: exit %d, stderr %q, stdout:\n%s", code, errOut, out)
+	}
+}
+
+// TestTracesReplayUnderTheirRule: a soak judged under a decision rule other
+// than unanimity writes the rule into its traces, every trace replays to its
+// recorded violations under that rule, as cccheck -replay reads it, and a
+// replay under unanimity is refused rather than judged DIVERGED.
+func TestTracesReplayUnderTheirRule(t *testing.T) {
+	dir := t.TempDir()
+	code, out, errOut := cclive("-proto", "tree", "-n", "3", "-problem", "WT-TC", "-rule", "broadcast-1",
+		"-runs", "20", "-seed", "3", "-trace-dir", dir)
+	files, _ := filepath.Glob(filepath.Join(dir, "*.json"))
+	if code != 2 || len(files) == 0 {
+		t.Fatalf("exit %d with %d traces, stderr %q; want exit 2 and traces; stdout:\n%s", code, len(files), errOut, out)
+	}
+	for _, file := range files {
+		data, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, err := consensus.DecodeChaosTrace(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		proto, err := consensus.ProtocolByName(tr.ProtoArg, tr.N)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prob, err := consensus.ParseProblem(tr.Problem)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := consensus.ReplayChaosTrace(tr, proto, prob); err == nil || tr.Rule != "broadcast-1" {
+			t.Errorf("%s records rule %q and replays under unanimity (err %v)", file, tr.Rule, err)
+		}
+		if prob.Rule, err = consensus.ParseRule(tr.Rule); err != nil {
+			t.Fatal(err)
+		}
+		if res, err := consensus.ReplayChaosTrace(tr, proto, prob); err != nil || !res.Reproduced {
+			t.Errorf("%s does not reproduce under %s: %v", file, tr.Rule, err)
+		}
 	}
 }

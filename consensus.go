@@ -448,9 +448,6 @@ func ChaosPlanRuns(seed int64, runs, n, maxFail int, fixed [][]Bit) []ChaosRunPl
 	return chaos.PlanRuns(seed, runs, n, maxFail, fixed)
 }
 
-// EncodeChaosEvent serializes a schedule event into the trace format.
-func EncodeChaosEvent(e Event) chaos.TraceEvent { return chaos.EncodeEvent(e) }
-
 // Live executes the protocol as one goroutine per processor over the
 // fault-injected transport, with heartbeat failure detection, returning
 // the recorded total-order schedule and live decisions.
@@ -489,10 +486,12 @@ func DistOwner(n, hosts int) []int { return dist.ContiguousOwner(n, hosts) }
 // wire-format key; it is the decode half of a distributed registry.
 func ParsePayloadKey(key string) (Payload, error) { return protocols.ParsePayloadKey(key) }
 
-// BuildChaosTrace serializes one failure of a chaos report into a
-// replayable trace; maxSteps is the sweep's effective per-run budget.
-func BuildChaosTrace(rep *ChaosReport, f *ChaosFailure, maxSteps int) *ChaosTrace {
-	return chaos.BuildTrace(rep, f, maxSteps)
+// WriteChaosTrace writes one failure of a chaos report — a sweep's, or a
+// live soak's — as a replayable trace file in dir, named
+// <prefix><protoArg>-<problem>-run<index>.json, and returns its path;
+// maxSteps is the per-run step budget.
+func WriteChaosTrace(dir, prefix, protoArg string, rep *ChaosReport, f *ChaosFailure, maxSteps int) (string, error) {
+	return chaos.WriteTrace(dir, prefix, protoArg, rep, f, maxSteps)
 }
 
 // DecodeChaosTrace parses a serialized chaos trace.

@@ -73,7 +73,7 @@ func run() error {
 	}
 	fmt.Printf("  2pc(3) vs WT-TC: %s\n", x.Violations[0])
 	fmt.Println("  trace to the violation:")
-	for _, line := range x.FirstTrace {
+	for _, line := range x.FirstTraceLines() {
 		fmt.Println("    " + line)
 	}
 

@@ -5,20 +5,21 @@ import (
 	"repro/internal/taxonomy"
 )
 
-// verdict is the outcome of replaying a schedule from scratch.
+// verdict is the outcome of replaying a schedule from scratch. Its fields
+// are exported so that other engines' tests can read what Evaluate found.
 type verdict struct {
-	// applicable reports whether every event of the schedule applied in
+	// Applicable reports whether every event of the schedule applied in
 	// order. An inapplicable candidate (e.g. a delivery whose message was
 	// never sent because the send was dropped) is simply invalid — not a
 	// pass, not a violation.
-	applicable bool
-	// complete reports whether the final configuration is quiescent, i.e.
+	Applicable bool
+	// Complete reports whether the final configuration is quiescent, i.e.
 	// whether liveness could be judged.
-	complete bool
-	// violations is what the run violates: the problem's verdicts, plus a
+	Complete bool
+	// Violations is what the run violates: the problem's verdicts, plus a
 	// synthetic "model" violation when the protocol broke a model
 	// contract mid-replay.
-	violations []taxonomy.Violation
+	Violations []taxonomy.Violation
 }
 
 // Evaluate replays a schedule from the initial configuration on the given
@@ -59,19 +60,19 @@ func (r *replayer) judge(sched sim.Schedule) (v verdict) {
 	applied, err := checker.Replay(r.proto, c, sched)
 	switch {
 	case err != nil:
-		return verdict{applicable: true, violations: []taxonomy.Violation{{Kind: "model", Detail: err.Error()}}}
+		return verdict{Applicable: true, Violations: []taxonomy.Violation{{Kind: "model", Detail: err.Error()}}}
 	case applied < len(sched):
 		return verdict{}
 	}
 	complete := c.Quiescent()
-	return verdict{applicable: true, complete: complete, violations: checker.Finish(complete)}
+	return verdict{Applicable: true, Complete: complete, Violations: checker.Finish(complete)}
 }
 
 // violates is the predicate the shrinker preserves: the schedule is
 // applicable and exhibits a violation of the given kind.
 func (r *replayer) violates(sched sim.Schedule, kind string) bool {
 	v := r.judge(sched)
-	return v.applicable && hasKind(v.violations, kind)
+	return v.Applicable && hasKind(v.Violations, kind)
 }
 
 // hasKind reports whether any violation has the given kind.
@@ -118,7 +119,7 @@ func Shrink(proto sim.Protocol, inputs []sim.Bit, sched sim.Schedule, problem ta
 
 	cur := append(sim.Schedule(nil), sched...)
 	if !violates(cur) {
-		return cur, r.judge(cur).violations, tried
+		return cur, r.judge(cur).Violations, tried
 	}
 
 	removePass := func() bool {
@@ -195,5 +196,5 @@ func Shrink(proto sim.Protocol, inputs []sim.Bit, sched sim.Schedule, problem ta
 		}
 	}
 
-	return cur, r.judge(cur).violations, tried
+	return cur, r.judge(cur).Violations, tried
 }

@@ -1,10 +1,13 @@
 package chaos
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 
 	"repro/internal/sim"
 	"repro/internal/taxonomy"
@@ -51,6 +54,10 @@ type Trace struct {
 	N        int    `json:"n"`
 	// Problem is the paper's T-C notation, e.g. "ST-IC".
 	Problem string `json:"problem"`
+	// Rule is the problem's decision rule as cclive's -rule spells it,
+	// omitted for unanimity, so traces recorded before it existed read as
+	// what they were.
+	Rule string `json:"rule,omitempty"`
 	// Inputs is the initial input vector, e.g. "101".
 	Inputs string `json:"inputs"`
 	// SweepSeed and RunSeed locate the run in its sweep; RunIndex is its
@@ -112,6 +119,9 @@ func BuildTrace(rep *Report, f *Failure, maxSteps int) *Trace {
 	if rep.Adversary != AdversaryUniform {
 		t.Adversary = rep.Adversary
 	}
+	if rule := ruleArg(rep.Problem.Rule); rule != unanimity {
+		t.Rule = rule
+	}
 	for _, inj := range f.Injections {
 		t.Injections = append(t.Injections, TraceInjection{Proc: int(inj.Proc), AfterStep: inj.AfterStep})
 	}
@@ -124,9 +134,40 @@ func BuildTrace(rep *Report, f *Failure, maxSteps int) *Trace {
 	return t
 }
 
+// WriteTrace writes one failure of a report, as BuildTrace serializes it,
+// to dir (created if missing) under the name
+// <prefix><protoArg>-<problem>-run<index>.json, and returns the path.
+// protoArg is the name that resolves the protocol when the trace is
+// replayed.
+func WriteTrace(dir, prefix, protoArg string, rep *Report, f *Failure, maxSteps int) (string, error) {
+	t := BuildTrace(rep, f, maxSteps)
+	t.ProtoArg = protoArg
+	data, err := t.Encode()
+	if err != nil {
+		return "", err
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return "", err
+	}
+	path := filepath.Join(dir, fmt.Sprintf("%s%s-%s-run%05d.json", prefix, protoArg, t.Problem, t.RunIndex))
+	return path, os.WriteFile(path, data, 0o644)
+}
+
+// unanimity is the -rule spelling of the rule a trace without one was
+// judged under.
+const unanimity = "unanimity"
+
+// ruleArg spells a decision rule as cclive's -rule flag accepts it: the
+// strong broadcast rule as "broadcast-P", any other by its name.
+func ruleArg(r taxonomy.DecisionRule) string {
+	if b, ok := r.(taxonomy.BroadcastRule); ok && !b.Weak {
+		return fmt.Sprintf("broadcast-%d", b.General)
+	}
+	return r.Name()
+}
+
 // EncodeEvent converts a schedule element to its serialized form. It is the
-// inverse of TraceEvent.DecodeEvent and is shared with the live runtime,
-// which writes its divergence artifacts in this trace format.
+// inverse of TraceEvent.DecodeEvent.
 func EncodeEvent(e sim.Event) TraceEvent {
 	switch e.Type {
 	case sim.Deliver:
@@ -234,6 +275,9 @@ func Replay(t *Trace, proto sim.Protocol, problem taxonomy.Problem) (*ReplayResu
 	if problem.Name() != t.Problem {
 		return nil, fmt.Errorf("chaos: trace is for problem %s, got %s", t.Problem, problem.Name())
 	}
+	if want, got := cmp.Or(t.Rule, unanimity), ruleArg(problem.Rule); got != want {
+		return nil, fmt.Errorf("chaos: trace is for rule %s, got %s", want, got)
+	}
 	inputs, err := sim.InputsFromString(t.Inputs)
 	if err != nil {
 		return nil, fmt.Errorf("chaos: trace inputs: %w", err)
@@ -251,11 +295,11 @@ func Replay(t *Trace, proto sim.Protocol, problem taxonomy.Problem) (*ReplayResu
 		return nil, err
 	}
 	v := Evaluate(proto, inputs, sched, problem)
-	if !v.applicable {
+	if !v.Applicable {
 		return nil, fmt.Errorf("chaos: trace schedule no longer applies to %s — protocol changed since recording", proto.Name())
 	}
-	res := &ReplayResult{Complete: v.complete, Violations: v.violations}
-	res.Reproduced = violationsMatch(v.violations, t.Violations)
+	res := &ReplayResult{Complete: v.Complete, Violations: v.Violations}
+	res.Reproduced = violationsMatch(v.Violations, t.Violations)
 	return res, nil
 }
 

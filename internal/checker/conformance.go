@@ -35,7 +35,7 @@ func CheckContext(ctx context.Context, proto sim.Protocol, problem taxonomy.Prob
 // its configuration space: the space does not depend on what it is judged
 // against, so the i-th Exploration returned is field for field what
 // CheckContext(ctx, proto, problems[i], opts) returns — its own Violations
-// (capped at 100) and FirstTrace; the node count, census, configuration
+// (capped at 100) and counterexample; the node count, census, configuration
 // records and status of the one shared walk — partial results included.
 // StopAtFirstViolation cuts the walk at one problem's first violation, so it
 // is accepted with a single problem only.
@@ -53,10 +53,7 @@ func CheckAll(ctx context.Context, proto sim.Protocol, problems []taxonomy.Probl
 	out := make([]*Exploration, len(judges))
 	for i := range judges {
 		xi := *x
-		xi.Violations = judges[i].violations
-		if len(xi.Violations) > 0 {
-			xi.FirstTrace = x.traceTo(judges[i].firstAt)
-		}
+		xi.Violations, xi.FirstInputs, xi.FirstTrace = judges[i].violations, judges[i].inputs, judges[i].trace
 		out[i] = &xi
 	}
 	return out, err

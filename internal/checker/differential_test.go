@@ -69,7 +69,7 @@ func exploreDigest(x *Exploration, log []admission) string {
 	for _, v := range x.Violations {
 		fmt.Fprintf(&sb, "V %s %s\n", v.Kind, v.Detail)
 	}
-	for _, s := range x.FirstTrace {
+	for _, s := range x.FirstTraceLines() {
 		fmt.Fprintf(&sb, "T %s\n", s)
 	}
 	return sb.String()

@@ -10,7 +10,7 @@
 // each of a node's successors is offered to the visited set, in event order,
 // as soon as it is built — so admission order is result order, and state
 // ids, keys and census entries exist only for admitted nodes. Node counts,
-// the state census, violation order, and FirstTrace are therefore a pure
+// the state census, violation order, and counterexample are therefore a pure
 // function of the root set and the options — including the partial results
 // returned on cancellation (cut at a dequeue) or budget exhaustion (cut at
 // the admission that would exceed it; DESIGN.md §6a).
@@ -19,6 +19,7 @@ package checker
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -60,9 +61,9 @@ type Options struct {
 	// Deprecated: ignored; the explorer is sequential.
 	Parallelism int
 	// TrackTraces records parent links so the first violation comes with
-	// a full event trace (FirstTrace). Costs memory proportional to the
-	// node count. Under breadth-first exploration the recorded trace is a
-	// shortest path to the violating configuration.
+	// its counterexample (FirstInputs, FirstTrace). Costs memory
+	// proportional to the node count. Under breadth-first exploration the
+	// recorded trace is a shortest path to the violating configuration.
 	TrackTraces bool
 	// StopAtFirstViolation ends the exploration as soon as one violation
 	// is found — useful when only the existence of a counterexample
@@ -208,9 +209,12 @@ type Exploration struct {
 	// decision transition, consistency at every node, and termination at
 	// every terminal node.
 	Violations []taxonomy.Violation
-	// FirstTrace is the event trace leading to the first violation, when
-	// Options.TrackTraces was set.
-	FirstTrace []string
+	// FirstInputs and FirstTrace are the first violation's counterexample
+	// when Options.TrackTraces was set: the input vector of the stored root
+	// the violating node descends from, and the schedule from that root to
+	// it — a run chaos.Evaluate replays. FirstInputs is nil without one.
+	FirstInputs []sim.Bit
+	FirstTrace  sim.Schedule
 	// Reduction holds the deterministic reduction counters (zero-valued
 	// for unreduced runs apart from FullNodes/FullEvents).
 	Reduction ReductionStats
@@ -219,68 +223,70 @@ type Exploration struct {
 	// deterministic result. Both pinned by bench/explore.go.
 	ReplayWall    time.Duration
 	ReplayBlocked time.Duration
-
-	// parents records trace links keyed by node fingerprint when
-	// Options.TrackTraces is set; rootKeys resolves root fingerprints back
-	// to the canonical keys printed in a trace's "initial:" line. A root
-	// never takes a link, so every chain of links ends at one.
-	parents  map[fingerprint.Digest]parentLink
-	rootKeys map[fingerprint.Digest]string
 }
 
+// FirstTraceLines renders the first violation's counterexample as cccheck
+// -trace prints it: "initial: " and the root node's key, then one line per
+// event. It is nil without a counterexample.
+func (x *Exploration) FirstTraceLines() []string {
+	if x.FirstInputs == nil {
+		return nil
+	}
+	root := node{cfg: sim.NewConfigOmission(x.Proto, x.FirstInputs, x.Opts.omission()), ledger: make([]sim.Decision, len(x.FirstInputs))}
+	lines := []string{"initial: " + root.key()}
+	for _, ev := range x.FirstTrace {
+		lines = append(lines, ev.String())
+	}
+	return lines
+}
+
+// parentLink is the first edge that reached a node: its parent's handle,
+// the event, and the index of the input vector the node descends from. A
+// root links to itself.
 type parentLink struct {
 	parent fingerprint.Digest
 	event  sim.Event
+	vec    int32
 }
 
-// traceTo reconstructs the event trace from an initial configuration to the
-// node with the given fingerprint: event lines from the links and the
-// root's canonical key from rootKeys.
-func (x *Exploration) traceTo(fp fingerprint.Digest) []string {
-	if x.parents == nil {
-		return nil
+// traceTo is the counterexample ending at the node with handle fp: the
+// links back to the root they end at, that root's input vector, and the
+// events from it.
+func (e *explorer) traceTo(fp fingerprint.Digest) ([]sim.Bit, sim.Schedule) {
+	var sched sim.Schedule
+	link := e.parents[fp]
+	for link.parent != fp {
+		sched = append(sched, link.event)
+		fp = link.parent
+		link = e.parents[fp]
 	}
-	var events []sim.Event
-	cur := fp
-	for {
-		link, ok := x.parents[cur]
-		if !ok {
-			break
-		}
-		events = append(events, link.event)
-		cur = link.parent
-	}
-	out := make([]string, 0, len(events)+1)
-	out = append(out, "initial: "+x.rootKeys[cur])
-	for i := len(events) - 1; i >= 0; i-- {
-		out = append(out, events[i].String())
-	}
-	return out
+	slices.Reverse(sched)
+	return e.inputs[link.vec], sched
 }
 
-// judge is one problem riding the walk: what it is judged against, and the
-// violations that a solo Check of that problem would report. The walk
-// itself never depends on a judge (only StopAtFirstViolation cuts it, and
-// that is accepted with one judge only), so k judges on one walk see
-// exactly the edges and nodes, in exactly the order, of k solo walks.
-// firstAt is the node of the first violation; CheckAll renders its trace
-// once the walk has ended, from links and root keys that are first-wins and
-// so read then what they read at the violation.
+// judge is one problem riding the walk: what it is judged against, the
+// violations that a solo Check of that problem would report, and the
+// counterexample of the first, traced when it is found (links are
+// first-wins, so none on its path changes after). The walk itself never
+// depends on a judge (only StopAtFirstViolation cuts it, and that is
+// accepted with one judge only), so k judges on one walk see exactly the
+// edges and nodes, in exactly the order, of k solo walks.
 type judge struct {
 	problem    taxonomy.Problem
 	violations []taxonomy.Violation
-	firstAt    fingerprint.Digest
+	inputs     []sim.Bit
+	trace      sim.Schedule
 }
 
 // report adds what judge i found at the node with handle at to its
-// violations, up to the cap of 100, and remembers its first violating node.
+// violations, up to the cap of 100, and traces its first violating node.
 func (e *explorer) report(i int, found []taxonomy.Violation, at fingerprint.Digest) {
 	if len(found) == 0 {
 		return
 	}
 	j := &e.judges[i]
-	if len(j.violations) == 0 {
-		j.firstAt = at
+	if len(j.violations) == 0 && e.parents != nil {
+		j.inputs, j.trace = e.traceTo(at)
 	}
 	j.violations = append(j.violations, found[:min(len(found), 100-len(j.violations))]...)
 	e.violated = true
@@ -297,7 +303,7 @@ type node struct {
 	cfg    *sim.Config
 	ledger []sim.Decision
 	inputs []sim.Bit          // shared, read-only
-	vecIdx int32              // which root input vector; explorer.vecs holds its key
+	vecIdx int32              // which root input vector, in explorer.inputs
 	fp     fingerprint.Digest // dedup handle: nodeFP(), canonical under a reduction
 }
 
@@ -387,15 +393,19 @@ type explorer struct {
 	visited     *frontier.SeqVisited
 	// Every distinct local state gets a dense id — its index in
 	// Exploration.stateKeys and in census — the first time a configuration
-	// holding it is admitted; stateID finds it by state digest. vecs holds
-	// the root input vectors' keys, indexed by node.vecIdx; ids is
-	// stateIDsOf's reused result. beside has bit (id·N + p)·2 + (d − Abort)
+	// holding it is admitted; stateID finds it by state digest. inputs
+	// holds the root input vectors and vecs their keys, indexed by
+	// node.vecIdx; ids is stateIDsOf's reused result. beside has bit (id·N + p)·2 + (d − Abort)
 	// set once state id occurred at position p by a ledger first deciding d.
 	stateID map[fingerprint.Digest]int32
 	census  []stateCensus
+	inputs  [][]sim.Bit
 	vecs    []string
 	ids     []int32
 	beside  bitset
+	// parents holds each linked node's first link, keyed by handle, when
+	// Options.TrackTraces is set.
+	parents map[fingerprint.Digest]parentLink
 	// queue holds accepted nodes not yet consumed by the walk; head is
 	// the next to walk. Consumed slots are nilled so a walked node's
 	// memory can be reclaimed once its children are recorded.
@@ -597,22 +607,15 @@ func (e *explorer) frontierLeft() int { return len(e.queue) - e.head + 1 }
 // breadth-first to completion, budget exhaustion, first violation, or
 // interruption. The context is checked at every dequeue, so a cancellation
 // cuts the result at a node boundary.
-func (e *explorer) run(ctx context.Context, inputVecs [][]sim.Bit) error {
+func (e *explorer) run(ctx context.Context) error {
 	x := e.x
 	if clock := e.opts.Clock; clock != nil {
 		start := clock()
 		defer func() { x.ReplayWall = clock() - start }()
 	}
-	for i, inputs := range inputVecs {
+	for i, inputs := range e.inputs {
 		root := succ{nd: &node{cfg: sim.NewConfigOmission(e.proto, inputs, e.opts.omission()), ledger: make([]sim.Decision, e.n), inputs: inputs, vecIdx: int32(i)}}
 		e.setHandle(&root)
-		if x.rootKeys != nil {
-			// First-wins: under symmetry two roots can share a canonical
-			// fingerprint, and the admitted one is the first.
-			if _, ok := x.rootKeys[root.nd.fp]; !ok {
-				x.rootKeys[root.nd.fp] = root.nd.key()
-			}
-		}
 		if stop, err := e.admit(nil, &root, false); stop {
 			return err
 		}
@@ -634,7 +637,9 @@ func (e *explorer) run(ctx context.Context, inputVecs [][]sim.Bit) error {
 }
 
 // admit offers one built node — a root when parent is nil — to the
-// exploration: the trace link and the judges' decision rules on the edge
+// exploration: the trace link (first-wins, so under symmetry the first of
+// roots sharing a handle keeps it, and a back-edge into a root finds the
+// root linked to itself) and the judges' decision rules on the edge
 // come first, since an edge into a visited node is still an edge
 // (failureSeen is the parent's reading); then the visited set decides, and
 // only a node it admits gets a number, state ids, census entries, its
@@ -647,13 +652,13 @@ func (e *explorer) run(ctx context.Context, inputVecs [][]sim.Bit) error {
 // carries a *BudgetError).
 func (e *explorer) admit(parent *node, s *succ, failureSeen bool) (stop bool, err error) {
 	x, nd := e.x, s.nd
-	if parent != nil && x.parents != nil {
-		if _, linked := x.parents[nd.fp]; !linked {
-			// A root reached again by a back-edge stays a root: a
-			// link would close a cycle that traceTo never leaves.
-			if _, root := x.rootKeys[nd.fp]; !root {
-				x.parents[nd.fp] = parentLink{parent: parent.fp, event: s.event}
+	if e.parents != nil {
+		if _, linked := e.parents[nd.fp]; !linked {
+			link := parentLink{parent: nd.fp, vec: nd.vecIdx}
+			if parent != nil {
+				link.parent, link.event = parent.fp, s.event
 			}
+			e.parents[nd.fp] = link
 		}
 	}
 	if parent != nil {
@@ -752,10 +757,6 @@ func newExplorer(proto sim.Protocol, problems []taxonomy.Problem, opts Options) 
 	}
 
 	x := &Exploration{Proto: proto, Opts: opts}
-	if opts.TrackTraces {
-		x.parents = make(map[fingerprint.Digest]parentLink)
-		x.rootKeys = make(map[fingerprint.Digest]string)
-	}
 	e := &explorer{
 		proto:       proto,
 		n:           n,
@@ -769,6 +770,9 @@ func newExplorer(proto sim.Protocol, problems []taxonomy.Problem, opts Options) 
 		predictor:   sim.NewPredictor(),
 		judges:      make([]judge, len(problems)),
 	}
+	if opts.TrackTraces {
+		e.parents = make(map[fingerprint.Digest]parentLink)
+	}
 	for i, p := range problems {
 		e.judges[i].problem = p
 	}
@@ -778,7 +782,7 @@ func newExplorer(proto sim.Protocol, problems []taxonomy.Problem, opts Options) 
 
 // explore is the one walk behind Explore and CheckAll: it explores the space
 // once, judging it against every given problem on the way, and returns the
-// shared Exploration (its Violations and FirstTrace unset) with each
+// shared Exploration (its Violations and counterexample unset) with each
 // problem's findings beside it.
 func explore(ctx context.Context, proto sim.Protocol, problems []taxonomy.Problem, opts Options) (*Exploration, []judge, error) {
 	e, err := newExplorer(proto, problems, opts)
@@ -786,19 +790,19 @@ func explore(ctx context.Context, proto sim.Protocol, problems []taxonomy.Proble
 		return nil, nil, err
 	}
 	n, x := e.n, e.x
-	inputVecs := opts.Inputs
-	if inputVecs == nil {
-		inputVecs = sim.AllInputs(n)
+	e.inputs = opts.Inputs
+	if e.inputs == nil {
+		e.inputs = sim.AllInputs(n)
 	}
 
-	for _, inputs := range inputVecs {
+	for _, inputs := range e.inputs {
 		if len(inputs) != n {
 			return nil, nil, fmt.Errorf("checker: input vector %v has length %d, want %d", inputs, len(inputs), n)
 		}
 		e.vecs = append(e.vecs, sim.InputsString(inputs))
 	}
 
-	err = e.run(ctx, inputVecs)
+	err = e.run(ctx)
 	if err != nil && !x.Status.Partial() {
 		// A protocol error (sim.Apply failed) aborts with no result.
 		return nil, nil, err

@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"repro/internal/chaos"
-	"repro/internal/fingerprint"
 	"repro/internal/protocols"
 	"repro/internal/sim"
 	"repro/internal/taxonomy"
@@ -34,13 +33,13 @@ func TestJudgesAgreeAcrossEngines(t *testing.T) {
 				t.Run(fmt.Sprintf("%s/%v", tc.name, mode), func(t *testing.T) {
 					opts := tc.opts
 					opts.TrackTraces, opts.Reduction = true, mode
-					x, judges, err := explore(context.Background(), tc.proto, problems, opts)
-					if x == nil {
+					xs, err := CheckAll(context.Background(), tc.proto, problems, opts)
+					if xs == nil {
 						t.Fatal(err)
 					}
-					for _, j := range judges {
-						if len(j.violations) > 0 {
-							firstOnRun(t, tc, x, j)
+					for i, x := range xs {
+						if !x.Conforms() {
+							firstOnRun(t, problems[i], x)
 							replayed++
 						}
 					}
@@ -68,48 +67,24 @@ func TestJudgesAgreeAcrossEngines(t *testing.T) {
 	})
 }
 
-// firstOnRun replays judge j's first violating path as a sim.Run and
-// requires Problem.Validate to report j's first violation. The path is the
-// trace's: links from the first violating node back to a root. IC numbers a
-// configuration by its step in a run and by its admission in an
-// exploration, so only that number may differ.
-func firstOnRun(t *testing.T, tc diffCase, x *Exploration, j judge) {
+// firstOnRun replays x's counterexample — its inputs and schedule — through
+// chaos.Evaluate and requires the run's judge to report x's first
+// violation. IC numbers a configuration by its step in a run and by its
+// admission in an exploration, so only that number may differ.
+func firstOnRun(t *testing.T, prob taxonomy.Problem, x *Exploration) {
 	t.Helper()
-	var path sim.Schedule
-	cur := j.firstAt
-	for link, ok := x.parents[cur]; ok; link, ok = x.parents[cur] {
-		path, cur = append(path, link.event), link.parent
+	v := chaos.Evaluate(x.Proto, x.FirstInputs, x.FirstTrace, prob)
+	if !v.Applicable {
+		t.Fatalf("%s: the first violation's schedule does not apply from inputs %v: %v", prob.Name(), x.FirstInputs, x.FirstTrace)
 	}
-	slices.Reverse(path)
-	run, err := sim.NewRun(tc.proto, rootInputs(t, tc, x, cur))
-	if err == nil {
-		err = run.Extend(path)
-	}
-	if err != nil {
-		t.Fatalf("%s: the first violating path does not replay: %v", j.problem.Name(), err)
-	}
-	want := j.violations[0]
+	want := x.Violations[0]
 	if want.Kind == "IC" {
 		_, rest, _ := strings.Cut(want.Detail, ": ")
-		want.Detail = fmt.Sprintf("configuration %d: %s", len(path), rest)
+		want.Detail = fmt.Sprintf("configuration %d: %s", len(x.FirstTrace), rest)
 	}
-	if got := j.problem.Validate(run, run.Final().Quiescent()); !slices.Contains(got, want) {
-		t.Errorf("%s: the explorer's first violation %v is not among the run's %v (path %v)", j.problem.Name(), j.violations[0], got, path)
+	if !slices.Contains(v.Violations, want) {
+		t.Errorf("%s: the explorer's first violation %v is not among the run's %v (schedule %v)", prob.Name(), x.Violations[0], v.Violations, x.FirstTrace)
 	}
-}
-
-// rootInputs finds the input vector of the root whose handle is fp: the
-// first vector whose root node has the key the exploration recorded for it.
-func rootInputs(t *testing.T, tc diffCase, x *Exploration, fp fingerprint.Digest) []sim.Bit {
-	t.Helper()
-	for _, in := range sim.AllInputs(tc.proto.N()) {
-		root := &node{cfg: sim.NewConfigOmission(tc.proto, in, tc.opts.omission()), ledger: make([]sim.Decision, tc.proto.N())}
-		if root.key() == x.rootKeys[fp] {
-			return in
-		}
-	}
-	t.Fatalf("no input vector has the root key %q", x.rootKeys[fp])
-	return nil
 }
 
 // traceOnExplorer steps one chaos trace through the explorer's judges —
@@ -125,15 +100,7 @@ func traceOnExplorer(t *testing.T, body string) {
 	if tr.Panic != "" {
 		t.Skipf("a panic trace records no schedule to step")
 	}
-	var proto sim.Protocol
-	for _, p := range []sim.Protocol{
-		protocols.TwoPhaseCommit{Procs: tr.N}, protocols.Chain{Procs: tr.N}, protocols.Perverse{},
-		protocols.Star{Procs: tr.N}, protocols.Tree{Procs: tr.N},
-	} {
-		if p.Name() == tr.Protocol {
-			proto = p
-		}
-	}
+	proto := goldenProtocol(tr)
 	var prob taxonomy.Problem
 	for _, p := range taxonomy.SixProblems() {
 		if p.Name() == tr.Problem {
@@ -187,4 +154,18 @@ func traceOnExplorer(t *testing.T, body string) {
 	if !slices.Equal(termGot, termWant) {
 		t.Errorf("termination at the final configuration:\n got  %q\n want %q", termGot, termWant)
 	}
+}
+
+// goldenProtocol is the protocol a committed chaos golden trace was recorded
+// on, or nil.
+func goldenProtocol(tr *chaos.Trace) sim.Protocol {
+	for _, p := range []sim.Protocol{
+		protocols.TwoPhaseCommit{Procs: tr.N}, protocols.Chain{Procs: tr.N}, protocols.Perverse{},
+		protocols.Star{Procs: tr.N}, protocols.Tree{Procs: tr.N},
+	} {
+		if p.Name() == tr.Protocol {
+			return p
+		}
+	}
+	return nil
 }

@@ -40,7 +40,7 @@ func refExplore(ctx context.Context, proto sim.Protocol, problems []taxonomy.Pro
 	var (
 		x        = &Exploration{Proto: proto, Opts: opts, States: map[string]*StateInfo{}}
 		visited  = map[string]bool{}
-		roots    = map[string]bool{}
+		roots    = map[string][]sim.Bit{} // root key → its input vector
 		parents  = map[string]link{}
 		stateID  = map[string]int32{}
 		queue    []*node  // accepted and not yet walked, from head on,
@@ -51,12 +51,12 @@ func refExplore(ctx context.Context, proto sim.Protocol, problems []taxonomy.Pro
 	violate := func(found []taxonomy.Violation, key string) {
 		for _, v := range found {
 			if len(x.Violations) == 0 && opts.TrackTraces {
-				var events []string
 				cur := key
 				for l, ok := parents[cur]; ok; l, ok = parents[cur] {
-					events, cur = append([]string{l.event.String()}, events...), l.parent
+					x.FirstTrace, cur = append(x.FirstTrace, l.event), l.parent
 				}
-				x.FirstTrace = append([]string{"initial: " + cur}, events...)
+				slices.Reverse(x.FirstTrace)
+				x.FirstInputs = roots[cur]
 			}
 			if len(x.Violations) < 100 {
 				x.Violations = append(x.Violations, v)
@@ -117,7 +117,7 @@ func refExplore(ctx context.Context, proto sim.Protocol, problems []taxonomy.Pro
 
 	for _, inputs := range inputVecs {
 		root := &node{cfg: sim.NewConfigOmission(proto, inputs, opts.omission()), ledger: make([]sim.Decision, n), inputs: inputs}
-		roots[root.key()] = true
+		roots[root.key()] = inputs
 		if stop, err := admit(root, root.key()); stop {
 			return x, err
 		}
@@ -150,7 +150,7 @@ func refExplore(ctx context.Context, proto sim.Protocol, problems []taxonomy.Pro
 			}
 			nxt := &node{cfg: cfg, ledger: updateLedger(nd.ledger, cfg), inputs: nd.inputs}
 			key := nxt.key()
-			if _, linked := parents[key]; opts.TrackTraces && !linked && !roots[key] {
+			if _, linked := parents[key]; opts.TrackTraces && !linked && roots[key] == nil {
 				parents[key] = link{ndKey, ev}
 			}
 			for _, p := range problems {
