@@ -111,7 +111,12 @@ func replayReproduces(t *testing.T, name string, data []byte) {
 // violations found" and exited 0 — a sweep that tested nothing and said it
 // passed. Both are refused with the option named, and exit 2.
 func TestNegativeCountsAreRefused(t *testing.T) {
-	for flagName, option := range map[string]string{"-runs": "Runs", "-max-steps": "MaxSteps"} {
+	for flagName, option := range map[string]string{
+		"-runs":             "Runs",
+		"-max-steps":        "MaxSteps",
+		"-omission-budget":  "OmissionBudget",
+		"-mobile-omissions": "MobileOmissions",
+	} {
 		var stdout, stderr bytes.Buffer
 		code := run([]string{"-proto", "tree", "-n", "3", flagName, "-5"}, &stdout, &stderr)
 		if code != 2 || stdout.Len() != 0 || !strings.Contains(stderr.String(), option+" is negative (-5)") {

@@ -56,11 +56,25 @@ func TestMalformedFlagsAreUsageErrors(t *testing.T) {
 		{"-runs", "1", "-deadline", "100ms", "-dup", "-0.5"},
 		{"-runs", "1", "-deadline", "100ms", "-omit-rate", "1.5"},
 		{"-runs", "1", "-deadline", "100ms", "-sever-rate", "NaN"},
+		{"-runs", "1", "-deadline", "100ms", "-conform-sample", "-1"},
+		{"-runs", "1", "-deadline", "100ms", "-conform-sample", "NaN"},
+		{"-runs", "1", "-deadline", "100ms", "-conform-sample", "1.5"},
 	} {
 		code, out, errOut := cclive(args...)
 		if code != 1 || out != "" || !strings.HasPrefix(errOut, "cclive: ") {
 			t.Errorf("cclive %v: exit %d, stdout %q, stderr %q; want exit 1 and a diagnostic", args, code, out, errOut)
 		}
+	}
+}
+
+// TestSampledSoakCountsItsReplays: when -conform-sample leaves runs
+// unreplayed, the OK line says how many traces were replayed of how many,
+// not that every one was.
+func TestSampledSoakCountsItsReplays(t *testing.T) {
+	code, out, errOut := cclive("-proto", "tree", "-n", "3", "-runs", "4", "-seed", "1", "-conform-sample", "0.5")
+	if code != 0 || !strings.Contains(out, "conformance-replayed 2,") ||
+		!strings.Contains(out, "\nOK: 2 of 4 live traces replayed, each as a legal run of the model\n") {
+		t.Errorf("-conform-sample 0.5: exit %d, stderr %q, stdout:\n%s", code, errOut, out)
 	}
 }
 

@@ -23,6 +23,7 @@ import (
 	"runtime"
 	"sync"
 
+	"repro/internal/fingerprint"
 	"repro/internal/sim"
 	"repro/internal/taxonomy"
 )
@@ -256,13 +257,7 @@ type RunPlan struct {
 // linkSeed derives a run's link-fault seed from its scheduler seed with a
 // splitmix64 finalizer, keeping the master RNG stream untouched.
 func linkSeed(seed int64) int64 {
-	x := uint64(seed) ^ 0xd6e8feb86659fd93
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return int64(x)
+	return int64(fingerprint.Mix64(uint64(seed) ^ 0xd6e8feb86659fd93))
 }
 
 // runResult is one worker's verdict on one run.
@@ -290,12 +285,20 @@ func Run(ctx context.Context, proto sim.Protocol, problem taxonomy.Problem, opts
 		return nil, fmt.Errorf("chaos: protocol %s has no processors", proto.Name())
 	}
 	// A negative count is not a default: a sweep of no runs, or of runs
-	// with no steps, would test nothing and report that it passed.
-	if opts.Runs < 0 {
-		return nil, fmt.Errorf("%w: Runs is negative (%d)", ErrOptions, opts.Runs)
-	}
-	if opts.MaxSteps < 0 {
-		return nil, fmt.Errorf("%w: MaxSteps is negative (%d)", ErrOptions, opts.MaxSteps)
+	// with no steps or no omissions, would test nothing and report that it
+	// passed.
+	for _, count := range []struct {
+		name  string
+		value int
+	}{
+		{"Runs", opts.Runs},
+		{"MaxSteps", opts.MaxSteps},
+		{"OmissionBudget", opts.OmissionBudget},
+		{"MobileOmissions", opts.MobileOmissions},
+	} {
+		if count.value < 0 {
+			return nil, fmt.Errorf("%w: %s is negative (%d)", ErrOptions, count.name, count.value)
+		}
 	}
 	for _, in := range opts.Inputs {
 		if len(in) != n {

@@ -184,8 +184,10 @@ func TestRunConfigsStayUnaliased(t *testing.T) {
 func TestNegativeOptionsAreRefused(t *testing.T) {
 	problem := taxonomy.Problem{Rule: taxonomy.UnanimityRule{}, Termination: taxonomy.WT, Consistency: taxonomy.TC}
 	for field, opts := range map[string]chaos.Options{
-		"Runs":     {Runs: -1},
-		"MaxSteps": {Runs: 10, MaxSteps: -5},
+		"Runs":            {Runs: -1},
+		"MaxSteps":        {Runs: 10, MaxSteps: -5},
+		"OmissionBudget":  {Runs: 10, OmissionBudget: -1},
+		"MobileOmissions": {Runs: 10, OmissionBudget: 2, MobileOmissions: -3},
 	} {
 		rep, err := chaos.Run(context.Background(), consensus.Tree(3), problem, opts)
 		if rep != nil || !errors.Is(err, chaos.ErrOptions) || !strings.Contains(err.Error(), field+" is negative") {

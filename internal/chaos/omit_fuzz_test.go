@@ -33,7 +33,7 @@ func fuzzProtos() []sim.Protocol {
 //     string keys must have equal fingerprints — the invariant that lets
 //     fingerprint dedup stand in for full canonical keys.
 //  3. Predictor agreement: for every applied event, the incremental
-//     successor fingerprint (PredictSuccessor) matches the fingerprint of
+//     successor fingerprint (Predictor.Predict) matches the fingerprint of
 //     the materialized successor, so omission bookkeeping hashes the same
 //     on the fast path as on the slow one.
 func FuzzOmitReplay(f *testing.F) {
@@ -72,12 +72,13 @@ func FuzzOmitReplay(f *testing.F) {
 				fpByKey[key] = fp
 			}
 		}
+		pr := sim.NewPredictor()
 		for i, e := range run.Schedule {
-			fp, _, ok := sim.PredictSuccessor(proto, run.Configs[i], e)
+			pred, ok := pr.Predict(proto, run.Configs[i], e)
 			if !ok {
-				t.Fatalf("step %d: PredictSuccessor refused an applied event %s", i, e)
+				t.Fatalf("step %d: Predict refused an applied event %s", i, e)
 			}
-			if fp != run.Configs[i+1].Fingerprint() {
+			if pred.CfgFP != run.Configs[i+1].Fingerprint() {
 				t.Fatalf("step %d (%s): predicted fingerprint diverges from materialized successor", i, e)
 			}
 		}

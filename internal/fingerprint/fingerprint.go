@@ -58,9 +58,9 @@ func (d Digest) Sub(o Digest) Digest {
 // unrelated, so sums over salted contributions distinguish both content
 // and position.
 func (d Digest) Mixed(salt uint64) Digest {
-	s := mix64(salt ^ 0xa24baed4963ee407)
-	lo := mix64(d.Lo ^ s)
-	hi := mix64(d.Hi + s + lo*0x9e3779b97f4a7c15)
+	s := Mix64(salt ^ 0xa24baed4963ee407)
+	lo := Mix64(d.Lo ^ s)
+	hi := Mix64(d.Hi + s + lo*0x9e3779b97f4a7c15)
 	return Digest{Lo: lo, Hi: hi}
 }
 
@@ -90,8 +90,12 @@ func appendHex16(buf []byte, v uint64) []byte {
 	return buf
 }
 
-// mix64 is the splitmix64 finalizer: a bijective avalanche scramble.
-func mix64(x uint64) uint64 {
+// Mix64 is the splitmix64 finalizer: a bijective avalanche scramble, and
+// the one every seeded decision in the module derives its bits from, each
+// caller under its own xor salt.
+//
+//ccvet:pure
+func Mix64(x uint64) uint64 {
 	x ^= x >> 30
 	x *= 0xbf58476d1ce4e5b9
 	x ^= x >> 27
@@ -140,14 +144,14 @@ func (h *Hasher) WriteString(s string) {
 // callers must not mix them for data that should compare equal.
 func (h *Hasher) WriteUint64(v uint64) {
 	h.lo = (h.lo ^ v) * fnvPrime
-	h.hi = (h.hi ^ mix64(v)) * lane2Mult
+	h.hi = (h.hi ^ Mix64(v)) * lane2Mult
 }
 
 // Sum finalizes the hash into a digest. Sum does not consume the hasher:
 // further writes may follow and Sum may be called again.
 func (h *Hasher) Sum() Digest {
-	lo := mix64(h.lo ^ (h.hi >> 32))
-	hi := mix64(h.hi + lo)
+	lo := Mix64(h.lo ^ (h.hi >> 32))
+	hi := Mix64(h.hi + lo)
 	return Digest{Lo: lo, Hi: hi}
 }
 
@@ -161,8 +165,8 @@ func OfString(s string) Digest {
 // OfUint64 fingerprints a single 64-bit word. It is the cheap path for
 // structural keys that pack into one word (message triples, decisions).
 func OfUint64(v uint64) Digest {
-	lo := mix64(v ^ 0x8e5cd1f6a2b3c4d5)
-	hi := mix64(v + 0x71c947a3b2e058d1 + lo)
+	lo := Mix64(v ^ 0x8e5cd1f6a2b3c4d5)
+	hi := Mix64(v + 0x71c947a3b2e058d1 + lo)
 	return Digest{Lo: lo, Hi: hi}
 }
 

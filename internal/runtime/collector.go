@@ -1,7 +1,6 @@
 package runtime
 
 import (
-	"fmt"
 	"sync"
 	"time"
 
@@ -78,31 +77,20 @@ func (co *collector) nextSeq(from, to sim.ProcID) int {
 	return co.seq[i]
 }
 
-// recordSend admits one sending step: it validates the envelopes against
-// the model contracts (at most one message, no self-send, in-range
-// destination), appends the event, and returns the stamped messages for
-// the node to hand to the network. ok is false if p has crashed or the run
-// already failed; err is non-nil for a model-contract violation, which
-// aborts the run.
+// recordSend admits one sending step: it holds the envelopes to the
+// model's send contract (sim.CheckEnvelopes), appends the event, and
+// returns the stamped messages for the node to hand to the network. ok is
+// false if p has crashed or the run already failed; err is non-nil for a
+// model-contract violation, which aborts the run.
 func (co *collector) recordSend(p sim.ProcID, envs []sim.Envelope) (msgs []sim.Message, ts uint64, ok bool, err error) {
 	co.mu.Lock()
 	defer co.mu.Unlock()
 	if co.failed[p] || co.err != nil {
 		return nil, 0, false, nil
 	}
-	if len(envs) > 1 {
-		co.err = fmt.Errorf("%w: %s emitted %d messages", sim.ErrMultiSend, p, len(envs))
-		return nil, 0, false, co.err
-	}
-	for _, env := range envs {
-		if env.To == p {
-			co.err = fmt.Errorf("%w: from %s", sim.ErrSelfSend, p)
-			return nil, 0, false, co.err
-		}
-		if int(env.To) < 0 || int(env.To) >= co.n {
-			co.err = fmt.Errorf("runtime: %s sent to out-of-range %s", p, env.To)
-			return nil, 0, false, co.err
-		}
+	if err := sim.CheckEnvelopes(p, co.n, envs); err != nil {
+		co.err = err
+		return nil, 0, false, err
 	}
 	co.sch = append(co.sch, sim.Event{Proc: p, Type: sim.SendStepEvent})
 	ts = co.tick(0)

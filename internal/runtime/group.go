@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/fingerprint"
 	"repro/internal/runtime/netx"
 	"repro/internal/sim"
 )
@@ -205,7 +206,7 @@ func StartGroup(cfg GroupConfig) (*Group, error) {
 		}
 		pid := sim.ProcID(p)
 		g.hosted = append(g.hosted, pid)
-		mb := newMailbox(int64(mix64(uint64(cfg.Faults.Seed)^uint64(p)+1)), cfg.Faults.DisableDedup, g.work, counters)
+		mb := newMailbox(int64(fingerprint.Mix64(uint64(cfg.Faults.Seed)^uint64(p)+1)), cfg.Faults.DisableDedup, g.work, counters)
 		mb.omit = omitHook(cfg.Faults, pid, g.col, counters)
 		g.boxes[pid] = mb
 	}

@@ -261,3 +261,70 @@ func TestLiveSoakSeededPlans(t *testing.T) {
 		}
 	}
 }
+
+// contractBreaker is star(3) with every sending step's envelopes rewritten
+// by breach, so the run's first sending step breaks the model's send
+// contract.
+type contractBreaker struct {
+	protocols.Star
+	breach func(p sim.ProcID) []sim.Envelope
+}
+
+func (b contractBreaker) SendStep(p sim.ProcID, s sim.State) (sim.State, []sim.Envelope) {
+	s2, _ := b.Star.SendStep(p, s)
+	return s2, b.breach(p)
+}
+
+// TestCollectorEnforcesSendContract: a live run of a protocol that sends to
+// itself, sends two messages, or sends out of range is cut at its first
+// sending step, long before its deadline, with the error sim.Apply gives
+// that step.
+func TestCollectorEnforcesSendContract(t *testing.T) {
+	const n = 3
+	cases := []struct {
+		name   string
+		breach func(p sim.ProcID) []sim.Envelope
+	}{
+		{"self-send", func(p sim.ProcID) []sim.Envelope { return []sim.Envelope{{To: p}} }},
+		{"multi-send", func(p sim.ProcID) []sim.Envelope {
+			q := (p + 1) % n
+			return []sim.Envelope{{To: q}, {To: q}}
+		}},
+		{"out-of-range", func(sim.ProcID) []sim.Envelope { return []sim.Envelope{{To: n}} }},
+	}
+	inputs := []sim.Bit{sim.One, sim.One, sim.One}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			proto := contractBreaker{Star: protocols.Star{Procs: n}, breach: tc.breach}
+			// The first sending step the collector sees is some processor's
+			// first: nothing is ever delivered.
+			root := sim.NewConfig(proto, inputs)
+			want := make(map[string]bool)
+			for p := 0; p < n; p++ {
+				if root.States[p].Kind() != sim.Sending {
+					continue
+				}
+				if _, _, err := sim.Apply(proto, root, sim.Event{Proc: sim.ProcID(p), Type: sim.SendStepEvent}); err != nil {
+					want[err.Error()] = true
+				}
+			}
+			if len(want) == 0 {
+				t.Fatal("no processor starts in a sending state")
+			}
+			cfg := fastConfig(FaultPlan{}, nil)
+			res, err := Run(context.Background(), proto, inputs, cfg)
+			if err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+			if res.Err == nil || !want[res.Err.Error()] {
+				t.Fatalf("Result.Err = %v, want one of %v", res.Err, want)
+			}
+			if res.Quiescent || len(res.Schedule) != 0 {
+				t.Errorf("quiescent %v after %d events; the refused step must end the run with none", res.Quiescent, len(res.Schedule))
+			}
+			if res.Elapsed > cfg.Deadline/10 {
+				t.Errorf("the run took %s of its %s deadline", res.Elapsed, cfg.Deadline)
+			}
+		})
+	}
+}

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+
+	"repro/internal/fingerprint"
 )
 
 // LinkState is the fault plan's verdict for one directed link over one
@@ -74,19 +76,6 @@ type LinkFaultPlan struct {
 // Salt separating link-fault rolls from every other seeded decision.
 const saltLink uint64 = 0xd6e8feb86659fd93
 
-// mix64 is a splitmix64 finalizer: a cheap, well-distributed hash from a
-// 64-bit key to a 64-bit value.
-//
-//ccvet:pure
-func mix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
-
 // Enabled reports whether the plan can ever produce a fault.
 //
 //ccvet:pure
@@ -111,9 +100,9 @@ func (p LinkFaultPlan) isolated(id int) bool {
 //
 //ccvet:pure
 func (p LinkFaultPlan) roll(from, to, interval int) float64 {
-	x := mix64(uint64(p.Seed) ^ saltLink)
-	x = mix64(x ^ uint64(from)<<32 ^ uint64(to))
-	x = mix64(x ^ uint64(interval))
+	x := fingerprint.Mix64(uint64(p.Seed) ^ saltLink)
+	x = fingerprint.Mix64(x ^ uint64(from)<<32 ^ uint64(to))
+	x = fingerprint.Mix64(x ^ uint64(interval))
 	return float64(x>>11) / float64(1<<53)
 }
 

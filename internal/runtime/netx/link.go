@@ -5,6 +5,8 @@ import (
 	"net"
 	"sync"
 	"time"
+
+	"repro/internal/fingerprint"
 )
 
 // queued is one payload awaiting acknowledgement on an outbound link.
@@ -199,7 +201,7 @@ func dialBackoff(seed int64, from, to, attempt int) time.Duration {
 	if d > ceiling || d <= 0 {
 		d = ceiling
 	}
-	x := mix64(uint64(seed) ^ saltLink ^ uint64(from)<<32 ^ uint64(to)<<16 ^ uint64(attempt))
+	x := fingerprint.Mix64(uint64(seed) ^ saltLink ^ uint64(from)<<32 ^ uint64(to)<<16 ^ uint64(attempt))
 	jitter := time.Duration(float64(x>>11) / float64(1<<53) * float64(d) / 2)
 	return d + jitter
 }

@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/fingerprint"
 	"repro/internal/sim"
 )
 
@@ -56,27 +57,14 @@ const (
 	saltOmit uint64 = 0xd6e8feb86659fd93
 )
 
-// mix64 is a splitmix64 finalizer: a cheap, well-distributed hash from a
-// 64-bit key to a 64-bit value.
-//
-//ccvet:pure
-func mix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
-
 // roll returns a deterministic value in [0, 1) for one fault decision.
 //
 //ccvet:pure
 func (fp FaultPlan) roll(salt uint64, id sim.MsgID, attempt int) float64 {
 	x := uint64(fp.Seed)
-	x = mix64(x ^ salt)
-	x = mix64(x ^ uint64(id.From)<<40 ^ uint64(id.To)<<20 ^ uint64(id.Seq))
-	x = mix64(x ^ uint64(attempt))
+	x = fingerprint.Mix64(x ^ salt)
+	x = fingerprint.Mix64(x ^ uint64(id.From)<<40 ^ uint64(id.To)<<20 ^ uint64(id.Seq))
+	x = fingerprint.Mix64(x ^ uint64(attempt))
 	return float64(x>>11) / float64(1<<53)
 }
 

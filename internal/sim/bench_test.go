@@ -14,11 +14,12 @@ func benchConfig(b *testing.B) *Config {
 		{Proc: 1, Type: SendStepEvent},
 		{Proc: 2, Type: Fail},
 	}
-	out, _, err := ApplySchedule(proto, c, sched)
-	if err != nil {
-		b.Fatal(err)
+	for _, e := range sched {
+		if err := c.ApplyInPlace(proto, e); err != nil {
+			b.Fatal(err)
+		}
 	}
-	return out
+	return c
 }
 
 // BenchmarkConfigKey measures the old dedup key: building the full
@@ -42,17 +43,18 @@ func BenchmarkConfigFingerprintCold(b *testing.B) {
 	}
 }
 
-// BenchmarkPredictSuccessorFail measures the new dedup key for a failure
+// BenchmarkPredictFail measures the new dedup key for a failure
 // successor: incremental derivation from the parent fingerprint, no
 // successor materialization.
-func BenchmarkPredictSuccessorFail(b *testing.B) {
+func BenchmarkPredictFail(b *testing.B) {
 	proto := digestProto{n: 3}
+	pr := NewPredictor()
 	c := benchConfig(b)
 	c.Fingerprint()
 	ev := Event{Proc: 0, Type: Fail}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, _, ok := PredictSuccessor(proto, c, ev); !ok {
+		if _, ok := pr.Predict(proto, c, ev); !ok {
 			b.Fatal("prediction failed")
 		}
 	}

@@ -107,12 +107,20 @@ func (b Buffer) removeAt(i int, out Buffer) Buffer {
 
 // Find returns the buffered message with the given ID.
 func (b Buffer) Find(id MsgID) (Message, bool) {
-	for _, m := range b {
-		if m.ID == id {
-			return m, true
-		}
+	if m := b.lookup(id); m != nil {
+		return *m, true
 	}
 	return Message{}, false
+}
+
+// lookup is Find returning the buffered message in place, or nil.
+func (b Buffer) lookup(id MsgID) *Message {
+	for i := range b {
+		if b[i].ID == id {
+			return &b[i]
+		}
+	}
+	return nil
 }
 
 // Key canonically encodes the buffer contents.
@@ -307,6 +315,11 @@ func (c *Config) nextSeq(from, to ProcID) int {
 	return c.seq[i]
 }
 
+// peekSeq is the sequence number nextSeq would allocate from→to.
+func (c *Config) peekSeq(from, to ProcID) int {
+	return c.seq[int(from)*c.N()+int(to)] + 1
+}
+
 // Fingerprint returns the configuration's 128-bit fingerprint: the salted
 // sum of the inputs digest, each processor's state digest, and each
 // buffered message's digest. It covers exactly what Key covers — states,
@@ -351,19 +364,13 @@ func (c *Config) StateDigestAt(p int) fingerprint.Digest {
 }
 
 // setState replaces p's local state, updating the fingerprint cache by
-// swapping p's state contribution.
-func (c *Config) setState(p ProcID, s State) {
+// swapping p's state contribution. d is s's digest when the caller has it
+// (from the transition cache) and zero otherwise; a cold cache needs none.
+func (c *Config) setState(p ProcID, s State, d fingerprint.Digest) {
 	if c.fpOK {
-		c.setStateD(p, s, StateDigest(s))
-		return
-	}
-	c.States[p] = s
-}
-
-// setStateD is setState with the new state's digest already in hand (from
-// the transition cache), so the swap skips rehashing the state.
-func (c *Config) setStateD(p ProcID, s State, d fingerprint.Digest) {
-	if c.fpOK {
+		if d.IsZero() {
+			d = StateDigest(s)
+		}
 		salt := saltStateBase + uint64(p)
 		c.fp = c.fp.Sub(c.stateD[p].Mixed(salt)).Add(d.Mixed(salt))
 		c.stateD[p] = d

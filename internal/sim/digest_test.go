@@ -120,59 +120,6 @@ func TestFingerprintMatchesKey(t *testing.T) {
 	}
 }
 
-// TestPredictSuccessorExact: for every event applicable to every explored
-// configuration, the predicted successor fingerprint and post-state must
-// match what Apply actually produces. This is the contract that lets the
-// explorer skip Apply for already-seen successors.
-func TestPredictSuccessorExact(t *testing.T) {
-	proto := digestProto{n: 3}
-	checked := 0
-	var walk func(c *Config, failures int, depth int)
-	seen := make(map[string]struct{})
-	walk = func(c *Config, failures int, depth int) {
-		if _, dup := seen[c.Key()]; dup || depth == 0 {
-			return
-		}
-		seen[c.Key()] = struct{}{}
-		events := Enabled(c)
-		if failures < 1 {
-			for p := 0; p < c.N(); p++ {
-				if c.States[p].Kind() != Failed {
-					events = append(events, Event{Proc: ProcID(p), Type: Fail})
-				}
-			}
-		}
-		for _, e := range events {
-			fp, post, ok := PredictSuccessor(proto, c, e)
-			next, _, err := Apply(proto, c, e)
-			if err != nil {
-				t.Fatalf("apply %s: %v", e, err)
-			}
-			if !ok {
-				t.Fatalf("prediction refused applicable event %s", e)
-			}
-			if got := next.Fingerprint(); got != fp {
-				t.Fatalf("predicted fingerprint %v, applied %v (event %s at %s)", fp, got, e, c.Key())
-			}
-			if post.Key() != next.States[e.Proc].Key() {
-				t.Fatalf("predicted post-state %s, applied %s", post.Key(), next.States[e.Proc].Key())
-			}
-			checked++
-			nf := failures
-			if e.Type == Fail {
-				nf++
-			}
-			walk(next, nf, depth-1)
-		}
-	}
-	for _, inputs := range AllInputs(3) {
-		walk(NewConfig(proto, inputs), 0, 5)
-	}
-	if checked < 100 {
-		t.Fatalf("too few predictions checked: %d", checked)
-	}
-}
-
 // TestPredictorExact: the memoizing Predictor must agree with Apply on
 // every applicable event of every explored configuration — Predict's
 // fingerprint and decision match the applied successor, and Materialize
@@ -316,22 +263,23 @@ func TestPredictorMaterializeErrors(t *testing.T) {
 	}
 }
 
-// TestPredictSuccessorRejects: prediction must refuse inapplicable events
-// rather than fabricate fingerprints.
-func TestPredictSuccessorRejects(t *testing.T) {
+// TestPredictorRejects: prediction must refuse inapplicable events rather
+// than fabricate fingerprints.
+func TestPredictorRejects(t *testing.T) {
 	proto := digestProto{n: 3}
+	pr := NewPredictor()
 	c := NewConfig(proto, []Bit{Zero, One, Zero})
-	if _, _, ok := PredictSuccessor(proto, c, Event{Proc: 0, Type: Deliver, Msg: MsgID{From: 1, To: 0, Seq: 1}}); ok {
+	if _, ok := pr.Predict(proto, c, Event{Proc: 0, Type: Deliver, Msg: MsgID{From: 1, To: 0, Seq: 1}}); ok {
 		t.Fatal("predicted delivery of an unbuffered message")
 	}
-	if _, _, ok := PredictSuccessor(proto, c, Event{Proc: 99, Type: Fail}); ok {
+	if _, ok := pr.Predict(proto, c, Event{Proc: 99, Type: Fail}); ok {
 		t.Fatal("predicted event for out-of-range processor")
 	}
 	failed, _, err := Apply(proto, c, Event{Proc: 0, Type: Fail})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, ok := PredictSuccessor(proto, failed, Event{Proc: 0, Type: Fail}); ok {
+	if _, ok := pr.Predict(proto, failed, Event{Proc: 0, Type: Fail}); ok {
 		t.Fatal("predicted failure of an already-failed processor")
 	}
 }
@@ -349,13 +297,15 @@ func TestFingerprintColdPath(t *testing.T) {
 		{Proc: 2, Type: SendStepEvent},
 		{Proc: 1, Type: Fail},
 	}
-	w, _, err := ApplySchedule(proto, warm, sched)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, _, err := ApplySchedule(proto, cold, sched)
-	if err != nil {
-		t.Fatal(err)
+	w, c := warm, cold
+	for _, e := range sched {
+		var err error
+		if w, _, err = Apply(proto, w, e); err != nil {
+			t.Fatal(err)
+		}
+		if c, _, err = Apply(proto, c, e); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if w.Fingerprint() != c.Fingerprint() {
 		t.Fatalf("warm and cold fingerprints diverge: %v vs %v", w.Fingerprint(), c.Fingerprint())
@@ -417,15 +367,16 @@ func TestBufferDigestMultiset(t *testing.T) {
 }
 
 // TestAllocsFailPrediction: predicting a failure successor on a warm
-// configuration is allocation-free — the zero-alloc cached path the
-// explorer leans on for the O(N) failure events injected per node.
+// configuration is allocation-free — the zero-alloc path the explorer
+// leans on for the O(N) failure events injected per node.
 func TestAllocsFailPrediction(t *testing.T) {
 	proto := digestProto{n: 3}
+	pr := NewPredictor()
 	c := NewConfig(proto, []Bit{Zero, One, One})
 	c.Fingerprint()
 	ev := Event{Proc: 1, Type: Fail}
 	allocs := testing.AllocsPerRun(200, func() {
-		if _, _, ok := PredictSuccessor(proto, c, ev); !ok {
+		if _, ok := pr.Predict(proto, c, ev); !ok {
 			t.Fatal("prediction failed")
 		}
 	})
@@ -434,19 +385,21 @@ func TestAllocsFailPrediction(t *testing.T) {
 	}
 }
 
-// TestAllocsDeliverPrediction: delivery prediction allocates nothing
-// beyond the protocol's own Receive callback (which boxes its returned
-// state) and that state's digest. The fingerprint arithmetic itself is
-// allocation-free.
+// TestAllocsDeliverPrediction: a delivery the transition cache has not seen
+// allocates nothing beyond the protocol's own Receive callback (which boxes
+// its returned state) and that state's digest, and one it has seen
+// allocates nothing. The fingerprint arithmetic itself is allocation-free.
 func TestAllocsDeliverPrediction(t *testing.T) {
 	proto := digestProto{n: 3}
-	c := NewConfig(proto, []Bit{Zero, One, One})
-	next, _, err := ApplySchedule(proto, c, Schedule{
+	pr := NewPredictor()
+	next := NewConfig(proto, []Bit{Zero, One, One})
+	for _, e := range []Event{
 		{Proc: 0, Type: SendStepEvent}, // sends to p1
 		{Proc: 1, Type: SendStepEvent}, // moves p1 into its receiving phase
-	})
-	if err != nil {
-		t.Fatal(err)
+	} {
+		if err := next.ApplyInPlace(proto, e); err != nil {
+			t.Fatal(err)
+		}
 	}
 	next.Fingerprint()
 	ev := Event{Proc: 1, Type: Deliver, Msg: MsgID{From: 0, To: 1, Seq: 1}}
@@ -457,13 +410,20 @@ func TestAllocsDeliverPrediction(t *testing.T) {
 	baseline := testing.AllocsPerRun(200, func() {
 		StateDigest(proto.Receive(1, next.States[1], m))
 	})
-	allocs := testing.AllocsPerRun(200, func() {
-		if _, _, ok := PredictSuccessor(proto, next, ev); !ok {
+	predict := func() {
+		if _, ok := pr.Predict(proto, next, ev); !ok {
 			t.Fatal("prediction failed")
 		}
+	}
+	cold := testing.AllocsPerRun(200, func() {
+		clear(pr.memo)
+		predict()
 	})
-	if allocs > baseline {
-		t.Errorf("deliver prediction allocates %.1f times per run, want ≤ %.1f (the Receive callback baseline)", allocs, baseline)
+	if cold > baseline {
+		t.Errorf("deliver prediction allocates %.1f times per run, want ≤ %.1f (the Receive callback baseline)", cold, baseline)
+	}
+	if warm := testing.AllocsPerRun(200, predict); warm != 0 {
+		t.Errorf("remembered deliver prediction allocates %.1f times per run, want 0", warm)
 	}
 }
 

@@ -3,6 +3,8 @@ package sim
 import (
 	"errors"
 	"fmt"
+
+	"repro/internal/fingerprint"
 )
 
 // EventType distinguishes the three kinds of step in the model.
@@ -88,35 +90,43 @@ var (
 // Applicable reports whether the event can be applied to the configuration
 // under the rules of Section 3.
 func Applicable(c *Config, e Event) bool {
+	_, ok := c.applicable(e)
+	return ok
+}
+
+// applicable is Applicable that also returns the buffered message a Deliver
+// or an Omit consumes, in place: buffers are persistent, so the pointer
+// stays valid.
+func (c *Config) applicable(e Event) (*Message, bool) {
 	if int(e.Proc) < 0 || int(e.Proc) >= c.N() {
-		return false
+		return nil, false
 	}
-	s := c.States[e.Proc]
+	k := c.States[e.Proc].Kind()
 	switch e.Type {
 	case Fail:
 		// Any non-failed processor (including a halted one) may fail.
-		return s.Kind() != Failed
+		return nil, k != Failed
 	case SendStepEvent:
-		return s.Kind() == Sending
+		return nil, k == Sending
 	case Deliver:
-		if s.Kind() != Receiving {
-			return false
+		if k != Receiving {
+			return nil, false
 		}
-		_, ok := c.Buffers[e.Proc].Find(e.Msg)
-		return ok
+		m := c.Buffers[e.Proc].lookup(e.Msg)
+		return m, m != nil
 	case Omit:
 		// Structurally applicable whenever the message is buffered and the
 		// target has not crashed (a halted target is fine: the live runtime
 		// can suppress a delivery racing a halt, and replay must accept it).
 		// Budget and mobility constraints are enforced where events are
 		// *enumerated* (AppendEnabled), not here, for the same reason.
-		if s.Kind() == Failed {
-			return false
+		if k == Failed {
+			return nil, false
 		}
-		_, ok := c.Buffers[e.Proc].Find(e.Msg)
-		return ok
+		m := c.Buffers[e.Proc].lookup(e.Msg)
+		return m, m != nil
 	default:
-		return false
+		return nil, false
 	}
 }
 
@@ -137,13 +147,11 @@ type Effect struct {
 // model's validity conditions and returns an error if the protocol violates
 // them; scheduling errors (inapplicable events) return ErrNotApplicable.
 func Apply(proto Protocol, c *Config, e Event) (*Config, Effect, error) {
-	post, envs, m, err := transition(proto, c, e)
+	st, err := transition(proto, c, e)
 	if err != nil {
 		return nil, Effect{}, err
 	}
-	next := c.Clone()
-	eff := Effect{Event: e}
-	next.commit(e, post, envs, m, &eff)
+	next, eff := c.successor(e, st)
 	return next, eff, nil
 }
 
@@ -153,11 +161,11 @@ func Apply(proto Protocol, c *Config, e Event) (*Config, Effect, error) {
 // history has no use for. The checks and the errors are Apply's; on an error
 // c is left as it was.
 func (c *Config) ApplyInPlace(proto Protocol, e Event) error {
-	post, envs, m, err := transition(proto, c, e)
+	st, err := transition(proto, c, e)
 	if err != nil {
 		return err
 	}
-	c.commit(e, post, envs, m, nil)
+	c.commit(e, st, nil)
 	return nil
 }
 
@@ -166,69 +174,119 @@ func (c *Config) ApplyInPlace(proto Protocol, e Event) error {
 // errors, and nothing written. It answers "what would this step do to its
 // processor?" for schedulers that choose from the current configuration.
 func PostState(proto Protocol, c *Config, e Event) (State, error) {
-	post, _, _, err := transition(proto, c, e)
-	return post, err
+	st, err := transition(proto, c, e)
+	return st.post, err
+}
+
+// step is what applying one event reads: the stepping processor's
+// post-state, the envelope a sending step emits and the message a delivery
+// or an omission consumes. With C it determines e(C): commit and
+// fingerprintAfter take channel counters and omission accounting from C.
+type step struct {
+	post State
+	// postD is post's digest, zero until known: the transition cache stores
+	// it, and commit computes it only for a configuration whose fingerprint
+	// cache is warm.
+	postD fingerprint.Digest
+	sends bool // a sending step that emits env
+	env   Envelope
+	// payloadKey is env.Payload.Key() once computed — by the transition
+	// cache or by commit — so no sent message computes it twice.
+	payloadKey string
+	m          *Message // in C's buffer
 }
 
 // transition is the reading half of applying e at c: applicability, then
-// the protocol's step — the stepping processor's post-state, the envelope a
-// sending step emits (at most one) and the message a delivery or an
-// omission consumes. Every check that can fail is here; nothing is written.
-func transition(proto Protocol, c *Config, e Event) (post State, envs []Envelope, m Message, err error) {
-	if !Applicable(c, e) {
-		return nil, nil, Message{}, fmt.Errorf("%w: %s", ErrNotApplicable, e)
+// the protocol's step. Every check that can fail is here; nothing is
+// written.
+func transition(proto Protocol, c *Config, e Event) (step, error) {
+	m, ok := c.applicable(e)
+	if !ok {
+		return step{}, fmt.Errorf("%w: %s", ErrNotApplicable, e)
 	}
 	p := e.Proc
+	var st step
+	var err error
 	switch e.Type {
 	case Fail:
-		post = FailedStateFor(p)
-
+		st.post = FailedStateFor(p)
 	case SendStepEvent:
-		post, envs = proto.SendStep(p, c.States[p])
-		if len(envs) > 1 {
-			return nil, nil, Message{}, fmt.Errorf("%w: %s emitted %d messages", ErrMultiSend, p, len(envs))
-		}
-		if err := checkTransition(c.States[p], post); err != nil {
-			return nil, nil, Message{}, fmt.Errorf("%s send step: %w", p, err)
-		}
-		for _, env := range envs {
-			if env.To == p {
-				return nil, nil, Message{}, fmt.Errorf("%w: from %s", ErrSelfSend, p)
-			}
-			if int(env.To) < 0 || int(env.To) >= c.N() {
-				return nil, nil, Message{}, fmt.Errorf("sim: %s sent to out-of-range %s", p, env.To)
-			}
-		}
-
+		st, err = sendStep(proto, p, c.States[p], c.N())
 	case Deliver:
-		m, _ = c.Buffers[p].Find(e.Msg)
-		post = proto.Receive(p, c.States[p], m)
-		if err := checkTransition(c.States[p], post); err != nil {
-			return nil, nil, Message{}, fmt.Errorf("%s receiving %s: %w", p, m.ID, err)
-		}
-
+		st, err = receiveStep(proto, p, c.States[p], *m)
 	case Omit:
-		m, _ = c.Buffers[p].Find(e.Msg)
-		post = c.States[p]
+		st.post = c.States[p]
 	}
-	return post, envs, m, nil
+	st.m = m
+	return st, err
+}
+
+// sendStep runs p's sending step from s among n processors and holds it to
+// the model: at most one message, not to p itself, in range, and no revoked
+// decision. It depends on nothing but its arguments, which is what lets the
+// transition cache remember it.
+func sendStep(proto Protocol, p ProcID, s State, n int) (step, error) {
+	post, envs := proto.SendStep(p, s)
+	if err := CheckEnvelopes(p, n, envs); err != nil {
+		return step{}, err
+	}
+	if err := checkTransition(s, post); err != nil {
+		return step{}, fmt.Errorf("%s send step: %w", p, err)
+	}
+	st := step{post: post}
+	if len(envs) == 1 {
+		st.sends, st.env = true, envs[0]
+	}
+	return st, nil
+}
+
+// receiveStep runs p's receipt of m in state s and holds it to the model:
+// no revoked decision.
+func receiveStep(proto Protocol, p ProcID, s State, m Message) (step, error) {
+	post := proto.Receive(p, s, m)
+	if err := checkTransition(s, post); err != nil {
+		return step{}, fmt.Errorf("%s receiving %s: %w", p, m.ID, err)
+	}
+	return step{post: post}, nil
+}
+
+// CheckEnvelopes holds what processor p emitted in one sending step, among n
+// processors, to the model's send contract: at most one message, never to p
+// itself, and to a processor that exists. The simulator and the live
+// runtime both enforce it here, with the same errors.
+func CheckEnvelopes(p ProcID, n int, envs []Envelope) error {
+	if len(envs) > 1 {
+		return fmt.Errorf("%w: %s emitted %d messages", ErrMultiSend, p, len(envs))
+	}
+	for _, env := range envs {
+		if env.To == p {
+			return fmt.Errorf("%w: from %s", ErrSelfSend, p)
+		}
+		if int(env.To) < 0 || int(env.To) >= n {
+			return fmt.Errorf("sim: %s sent to out-of-range %s", p, env.To)
+		}
+	}
+	return nil
+}
+
+// successor is the clone of c that e's step turns into e(C), with the effect.
+func (c *Config) successor(e Event, st step) (*Config, Effect) {
+	next := c.Clone()
+	eff := Effect{Event: e}
+	next.commit(e, st, &eff)
+	return next, eff
 }
 
 // commit is the writing half: it turns c, a configuration at which
 // transition accepted e (or a clone of one), into e(C). It cannot fail. A
 // non-nil eff, already carrying the event, collects what the step sent and
 // consumed.
-func (c *Config) commit(e Event, post State, envs []Envelope, m Message, eff *Effect) {
+func (c *Config) commit(e Event, st step, eff *Effect) {
 	p := e.Proc
-	send := func(to ProcID, payload Payload, notice bool) {
-		sent := Message{
-			ID:      MsgID{From: p, To: to, Seq: c.nextSeq(p, to)},
-			Payload: payload,
-			Notice:  notice,
-		}.Memoized()
-		c.addMessage(to, sent)
+	send := func(m Message) {
+		c.addMessage(m.ID.To, m)
 		if eff != nil {
-			eff.Sent = append(eff.Sent, sent)
+			eff.Sent = append(eff.Sent, m)
 		}
 	}
 
@@ -239,36 +297,77 @@ func (c *Config) commit(e Event, post State, envs []Envelope, m Message, eff *Ef
 		// both atomically; the intermediate z_a is never observable in
 		// our configurations, and the net effect — notices everywhere,
 		// no further sends, no restart — is identical.
-		c.setState(p, post)
+		c.setState(p, st.post, st.postD)
 		c.noteFail(p)
 		for q := 0; q < c.N(); q++ {
 			if ProcID(q) != p {
-				send(ProcID(q), nil, true)
+				id := MsgID{From: p, To: ProcID(q), Seq: c.nextSeq(p, ProcID(q))}
+				send(Message{ID: id, Notice: true}.Memoized())
 			}
 		}
 
 	case SendStepEvent:
-		c.setState(p, post)
-		for _, env := range envs {
-			send(env.To, env.Payload, false)
+		c.setState(p, st.post, st.postD)
+		if st.sends {
+			if st.payloadKey == "" {
+				st.payloadKey = st.env.Payload.Key()
+			}
+			id := MsgID{From: p, To: st.env.To, Seq: c.nextSeq(p, st.env.To)}
+			send(Message{
+				ID:      id,
+				Payload: st.env.Payload,
+				key:     id.String() + ":" + st.payloadKey,
+				digest:  msgDigestParts(p, id.To, id.Seq, false, st.payloadKey),
+			})
 		}
 
 	case Deliver:
-		c.setState(p, post)
-		c.removeMessage(p, m)
+		c.setState(p, st.post, st.postD)
+		c.removeMessage(p, *st.m)
 		c.noteDeliver(p)
 		if eff != nil {
-			received := m
-			eff.Received = &received
+			eff.Received = st.m
 		}
 
 	case Omit:
-		c.removeMessage(p, m)
+		c.removeMessage(p, *st.m)
 		c.noteOmit(p)
 		if eff != nil {
-			omitted := m
-			eff.Omitted = &omitted
+			eff.Omitted = st.m
 		}
+	}
+}
+
+// fingerprintAfter is the fingerprint commit would give e(C), computed from
+// C's warm fingerprint without building e(C). It needs st.postD and, for a
+// send, st.payloadKey: the transition cache supplies both.
+func (c *Config) fingerprintAfter(e Event, st step) fingerprint.Digest {
+	fp, p := c.Fingerprint(), e.Proc
+	if e.Type != Omit {
+		salt := saltStateBase + uint64(p)
+		fp = fp.Sub(c.stateD[p].Mixed(salt)).Add(st.postD.Mixed(salt))
+	}
+
+	switch e.Type {
+	case Fail:
+		for q := ProcID(0); int(q) < c.N(); q++ {
+			if q != p {
+				fp = fp.Add(msgDigestParts(p, q, c.peekSeq(p, q), true, "").Mixed(saltBufferBase + uint64(q)))
+			}
+		}
+		return c.omissionShiftClear(fp, p)
+	case SendStepEvent:
+		if st.sends {
+			to := st.env.To
+			fp = fp.Add(msgDigestParts(p, to, c.peekSeq(p, to), false, st.payloadKey).Mixed(saltBufferBase + uint64(to)))
+		}
+		return fp
+	case Deliver:
+		fp = fp.Sub(st.m.Digest().Mixed(saltBufferBase + uint64(p)))
+		return c.omissionShiftClear(fp, p)
+	default: // Omit
+		fp = fp.Sub(st.m.Digest().Mixed(saltBufferBase + uint64(p)))
+		return c.omissionShiftOmit(fp, p)
 	}
 }
 
@@ -324,21 +423,4 @@ func AppendEnabled(dst []Event, c *Config) []Event {
 		}
 	}
 	return dst
-}
-
-// ApplySchedule applies a whole schedule to a configuration, returning the
-// final configuration and the per-event effects. It stops at the first
-// inapplicable event.
-func ApplySchedule(proto Protocol, c *Config, sched Schedule) (*Config, []Effect, error) {
-	effects := make([]Effect, 0, len(sched))
-	cur := c
-	for i, e := range sched {
-		next, eff, err := Apply(proto, cur, e)
-		if err != nil {
-			return cur, effects, fmt.Errorf("event %d: %w", i, err)
-		}
-		effects = append(effects, eff)
-		cur = next
-	}
-	return cur, effects, nil
 }

@@ -110,34 +110,41 @@ func (ppTestProto) SendStep(p ProcID, s State) (State, []Envelope) {
 	return st, nil
 }
 
-func TestApplySchedule(t *testing.T) {
+// TestRunExtend: a run extends by a schedule event by event, and an
+// inapplicable event stops it with an error and the prefix applied.
+func TestRunExtend(t *testing.T) {
 	proto := ppTestProto{}
-	c := NewConfig(proto, []Bit{One, One})
-	final, effects, err := ApplySchedule(proto, c, Schedule{
+	r, err := NewRun(proto, []Bit{One, One})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Extend(Schedule{
 		{Proc: 0, Type: SendStepEvent},
 		{Proc: 1, Type: Deliver, Msg: MsgID{From: 0, To: 1, Seq: 1}},
 		{Proc: 1, Type: SendStepEvent},
 		{Proc: 0, Type: Deliver, Msg: MsgID{From: 1, To: 0, Seq: 1}},
-	})
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(r.Effects) != 4 {
+		t.Fatalf("effects = %d", len(r.Effects))
+	}
+	if !r.Final().Quiescent() {
+		t.Fatal("final configuration should be quiescent")
+	}
+	r2, err := NewRun(proto, []Bit{One, One})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(effects) != 4 {
-		t.Fatalf("effects = %d", len(effects))
-	}
-	if !final.Quiescent() {
-		t.Fatal("final configuration should be quiescent")
-	}
-	// An inapplicable suffix stops with an error and the prefix applied.
-	_, effects2, err := ApplySchedule(proto, c, Schedule{
+	err = r2.Extend(Schedule{
 		{Proc: 0, Type: SendStepEvent},
 		{Proc: 0, Type: SendStepEvent}, // p0 is receiving now
 	})
 	if err == nil {
 		t.Fatal("expected error on inapplicable event")
 	}
-	if len(effects2) != 1 {
-		t.Fatalf("prefix effects = %d, want 1", len(effects2))
+	if len(r2.Effects) != 1 {
+		t.Fatalf("prefix effects = %d, want 1", len(r2.Effects))
 	}
 }
 
