@@ -40,6 +40,7 @@ package consensus
 
 import (
 	"context"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -653,7 +654,12 @@ func ProtocolNames() []string {
 
 // ProtocolByName resolves a protocol by CLI-friendly name and size. The
 // perverse protocols are fixed at four processors; n is ignored for them.
+// Every other protocol needs two processors or more: a smaller n is refused
+// with a *ProtocolSizeError.
 func ProtocolByName(name string, n int) (Protocol, error) {
+	if n < 2 && name != "perverse" && name != "perverse-forgetful" && slices.Contains(ProtocolNames(), name) {
+		return nil, &ProtocolSizeError{Name: name, N: n}
+	}
 	switch name {
 	case "tree":
 		return Tree(n), nil
@@ -686,6 +692,17 @@ func ProtocolByName(name string, n int) (Protocol, error) {
 	default:
 		return nil, &UnknownProtocolError{Name: name}
 	}
+}
+
+// ProtocolSizeError reports a protocol asked for with fewer than two
+// processors, where consensus is not a question.
+type ProtocolSizeError struct {
+	Name string
+	N    int
+}
+
+func (e *ProtocolSizeError) Error() string {
+	return "protocol " + e.Name + " needs at least 2 processors, got " + strconv.Itoa(e.N)
 }
 
 // UnknownProtocolError reports an unrecognized protocol name.

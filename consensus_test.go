@@ -2,6 +2,7 @@ package consensus_test
 
 import (
 	"context"
+	"errors"
 	"runtime"
 	"strings"
 	"testing"
@@ -114,6 +115,22 @@ func TestProtocolByName(t *testing.T) {
 	}
 	if _, err := consensus.ProtocolByName("nope", 3); err == nil {
 		t.Error("unknown name should error")
+	}
+	// Below two processors consensus is not a question: every sized
+	// protocol refuses the size, and no library protocol needs more.
+	for _, name := range consensus.ProtocolNames() {
+		for _, n := range []int{-1, 0, 1, 2} {
+			proto, err := consensus.ProtocolByName(name, n)
+			var sizeErr *consensus.ProtocolSizeError
+			switch fixed := name == "perverse" || name == "perverse-forgetful"; {
+			case fixed || n == 2:
+				if err != nil {
+					t.Errorf("%s n=%d: %v", name, n, err)
+				}
+			case !errors.As(err, &sizeErr) || sizeErr.Name != name || sizeErr.N != n || proto != nil:
+				t.Errorf("%s n=%d: got %v, %v; want a *ProtocolSizeError", name, n, proto, err)
+			}
+		}
 	}
 }
 

@@ -365,11 +365,18 @@ func Explore(proto sim.Protocol, opts Options) (*Exploration, error) {
 	return ExploreContext(context.Background(), proto, opts)
 }
 
-// succ is one built successor on its way to admission: the node (its fp the
-// dedup handle) and the event that reached it.
+// succ is one successor on its way to admission: the event that reached it,
+// its dedup handle, and the node — nil for a canonicalizing walk's successor
+// whose handle was predicted and that is not built yet.
 type succ struct {
 	nd    *node
 	event sim.Event
+	fp    fingerprint.Digest // the dedup handle; nd.fp once built
+	// vec is a canonicalizing walk's candidate handles of the successor (see
+	// canonicalizeSucc), in scratch the explorer owns; predicted marks a
+	// handle and vector predictHandle derived from the parent's.
+	vec       []fingerprint.Digest
+	predicted bool
 	// permuted marks a successor whose dedup handle was canonicalized
 	// away from its own frame by a non-identity automorphism; a rejected
 	// permuted successor counts as a symmetry prune.
@@ -432,16 +439,26 @@ type explorer struct {
 	ample    bool
 	elide    bool
 	symPerms []sim.ProcPerm
-	// permMemo memoizes relabelled component digests for symPerms, so
-	// canonicalizeSucc permutes fingerprints, not configurations. Nil
-	// without symmetry.
+	// permMemo memoizes each component's relabelled terms under symPerms,
+	// so handles are computed from fingerprints, not configurations. Nil
+	// unless canonicalizing.
 	permMemo *sim.PermuteMemo
+	// A canonicalizing walk keeps every queued node's vector (its candidate
+	// handles, permMemo.Width() digests) in qvecs, in queue order from
+	// qvecHead; pvec holds the vector of the node being stepped and svecs
+	// the vectors of the at most two successors held at once. All nil on
+	// other walks, so node carries none of it.
+	qvecs    []fingerprint.Digest
+	qvecHead int
+	pvec     []fingerprint.Digest
+	svecs    [2][]fingerprint.Digest
 }
 
 // step folds one dequeued node into the exploration: each enabled event, in
-// event order, either is vouched for by predictSeen or has its successor
-// built and handed straight to admit. stop is admit's, or set beside a
-// protocol error.
+// event order, either is vouched for as already visited by a prediction
+// (predictSeen, or predictHandle on a canonicalizing walk) or has its
+// successor built once and handed straight to admit. stop is admit's, or
+// set beside a protocol error.
 func (e *explorer) step(nd *node) (stop bool, err error) {
 	x := e.x
 	failedCount := 0
@@ -465,19 +482,20 @@ func (e *explorer) step(nd *node) (stop bool, err error) {
 		// are admitted: the proviso must see both handles first.
 		var (
 			scratch [2]sim.Event
-			built   [2]succ
+			held    [2]succ
 			fresh   bool
 		)
 		events := e.appendAmpleEvents(scratch[:0], p, failedCount)
 		for i, ev := range events {
-			if built[i], err = e.build(nd, ev); err != nil {
+			held[i] = succ{event: ev, vec: e.svecs[i]}
+			if err = e.handle(nd, &held[i], failureSeen); err != nil {
 				return true, err
 			}
-			fresh = fresh || !e.visited.Seen(built[i].nd.fp)
+			fresh = fresh || !e.visited.Seen(held[i].fp)
 		}
 		// The breadth-first form of the ample progress proviso
 		// (Bošnački/Holzmann): the ample set stands only if some successor
-		// is not yet visited; otherwise what was built is dropped — no link,
+		// is not yet visited; otherwise what was held is dropped — no link,
 		// violation, prune or counter — and the node takes its full event
 		// set. Every node stepped reduced thus discovers a new state, so the
 		// exploration can never spin over a closed reduced component while
@@ -497,7 +515,7 @@ func (e *explorer) step(nd *node) (stop bool, err error) {
 			x.Reduction.AmpleNodes++
 			x.Reduction.AmpleEvents += int64(len(events))
 			for i := range events {
-				if stop, err = e.admit(nd, &built[i], failureSeen); stop {
+				if stop, err = e.offer(nd, &held[i], failureSeen); stop {
 					return true, err
 				}
 			}
@@ -517,21 +535,31 @@ func (e *explorer) step(nd *node) (stop bool, err error) {
 	e.events = events
 	x.Reduction.FullNodes++
 	x.Reduction.FullEvents += int64(len(events))
-	// The fast path predicts each successor's fingerprint incrementally
-	// from the parent's and skips building already-visited successors — the
-	// bulk of all edges in a dense state space. It is sound only when
-	// nothing but the prediction is needed per seen edge: no
-	// canonicalization (the incremental fingerprint is the successor's own
-	// frame, not its canonical handle). The one thing judged on a seen
-	// edge, the decision rule, is a predicate over the prediction
-	// (predictSeen).
-	fast := !e.canonicalizing()
+	// Each successor's handle is predicted incrementally from the parent's
+	// and an already-visited successor is never built — the bulk of all
+	// edges in a dense state space. An unreduced walk predicts the
+	// successor's own fingerprint (predictSeen); a canonicalizing one
+	// shifts the parent's vector of candidate handles (predictHandle). The
+	// one thing judged on a seen edge, the decision rule, is a predicate
+	// over the prediction.
+	if e.canonicalizing() {
+		for _, ev := range events {
+			s := succ{event: ev, vec: e.svecs[0]}
+			if err = e.handle(nd, &s, failureSeen); err != nil {
+				return true, err
+			}
+			if stop, err = e.offer(nd, &s, failureSeen); stop {
+				return true, err
+			}
+		}
+		return false, nil
+	}
 	for _, ev := range events {
-		if fast && e.predictSeen(nd, ev, failureSeen) {
+		if e.predictSeen(nd, ev, failureSeen) {
 			continue
 		}
-		var s succ
-		if s, err = e.build(nd, ev); err != nil {
+		s := succ{event: ev}
+		if err = e.build(nd, &s); err != nil {
 			return true, err
 		}
 		if stop, err = e.admit(nd, &s, failureSeen); stop {
@@ -541,26 +569,67 @@ func (e *explorer) step(nd *node) (stop bool, err error) {
 	return false, nil
 }
 
-// build materializes ev's successor of nd — the transition cache already
-// holds the stepped state's digest, so no built edge rehashes a state — with
-// its ledger and its dedup handle.
-func (e *explorer) build(nd *node, ev sim.Event) (succ, error) {
-	cfg, _, err := e.predictor.Materialize(e.proto, nd.cfg, ev)
-	if err != nil {
-		return succ{}, fmt.Errorf("checker: exploring %s: %w", e.proto.Name(), err)
+// handle gives a canonicalizing walk's successor s of nd its handle and
+// vector: predicted from the parent's vector where predictHandle can vouch
+// for the edge, built and canonicalized otherwise.
+func (e *explorer) handle(nd *node, s *succ, failureSeen bool) error {
+	if e.predictHandle(nd, e.pvec, s, failureSeen) {
+		return nil
 	}
-	s := succ{event: ev, nd: &node{cfg: cfg, ledger: updateLedger(nd.ledger, cfg), inputs: nd.inputs, vecIdx: nd.vecIdx}}
-	e.setHandle(&s)
-	return s, nil
+	return e.build(nd, s)
 }
 
-// setHandle computes the dedup handle of a freshly built node: its
-// fingerprint, canonical when a reduction rewrites handles.
-func (e *explorer) setHandle(s *succ) {
-	s.nd.fp = nodeFP(s.nd)
-	if e.canonicalizing() {
-		e.canonicalizeSucc(s)
+// offer hands a canonicalizing walk's successor to admit, building it
+// first if only its handle was predicted — unless that handle is already
+// visited: then it is rejected as admit would reject it (a seen predicted
+// edge has nothing to link or report), and never built.
+func (e *explorer) offer(parent *node, s *succ, failureSeen bool) (stop bool, err error) {
+	if s.nd == nil {
+		if e.visited.Seen(s.fp) {
+			e.countPrune(s)
+			return false, nil
+		}
+		if s.nd, err = e.materialize(parent, s.event); err != nil {
+			return true, err
+		}
+		s.nd.fp = s.fp
+		if canonicalizeHook != nil {
+			canonicalizeHook(e, parent, *s)
+		}
 	}
+	return e.admit(parent, s, failureSeen)
+}
+
+// build materializes s.event's successor of nd with its dedup handle.
+func (e *explorer) build(nd *node, s *succ) (err error) {
+	if s.nd, err = e.materialize(nd, s.event); err != nil {
+		return err
+	}
+	e.setHandle(nd, s)
+	return nil
+}
+
+// materialize builds ev's successor of nd with its ledger — the transition
+// cache already holds the stepped state's digest, so no built edge rehashes
+// a state — and no handle.
+func (e *explorer) materialize(nd *node, ev sim.Event) (*node, error) {
+	cfg, _, err := e.predictor.Materialize(e.proto, nd.cfg, ev)
+	if err != nil {
+		return nil, fmt.Errorf("checker: exploring %s: %w", e.proto.Name(), err)
+	}
+	return &node{cfg: cfg, ledger: updateLedger(nd.ledger, cfg), inputs: nd.inputs, vecIdx: nd.vecIdx}, nil
+}
+
+// setHandle computes the dedup handle of a freshly built node stepped from
+// parent (nil for a root): its fingerprint, canonical when a reduction
+// rewrites handles.
+func (e *explorer) setHandle(parent *node, s *succ) {
+	if e.canonicalizing() {
+		e.canonicalizeSucc(parent, s)
+		return
+	}
+	s.nd.fp = nodeFP(s.nd)
+	s.fp = s.nd.fp
 }
 
 // predictSeen reports whether ev's successor is already in the visited set,
@@ -578,23 +647,33 @@ func (e *explorer) predictSeen(nd *node, ev sim.Event, failureSeen bool) bool {
 		return false
 	}
 	fp := nd.fp.Sub(nd.cfg.Fingerprint()).Add(pred.CfgFP)
-	if d := pred.Decision; pred.Decided {
-		if old := nd.ledger[ev.Proc]; old != d {
-			if old != sim.NoDecision {
-				// A decision change by way of an amnesic detour; the
-				// ledger delta is not a single added term, so fall back
-				// to the building path.
-				return false
-			}
-			fp = fp.Add(ledgerTerm(ev.Proc, d))
-			for i := range e.judges {
-				if !e.judges[i].problem.Rule.Permits(d, nd.inputs, failureSeen) {
-					return false
-				}
-			}
-		}
+	d, ok := e.newDecision(nd, ev.Proc, pred.Decision, pred.Decided, failureSeen)
+	if !ok {
+		return false
+	}
+	if d != sim.NoDecision {
+		fp = fp.Add(ledgerTerm(ev.Proc, d))
 	}
 	return e.visited.Seen(fp)
+}
+
+// newDecision is the decision a predicted step of p — whose post-state
+// shows decision d when decided — adds to nd's ledger, NoDecision when it
+// adds none. ok=false sends the edge to the building path: a decision
+// change by way of an amnesic detour (the ledger delta is not a single
+// added term), or a decision some judge's rule forbids.
+func (e *explorer) newDecision(nd *node, p sim.ProcID, d sim.Decision, decided, failureSeen bool) (sim.Decision, bool) {
+	if old := nd.ledger[p]; !decided || old == d {
+		return sim.NoDecision, true
+	} else if old != sim.NoDecision {
+		return sim.NoDecision, false
+	}
+	for i := range e.judges {
+		if !e.judges[i].problem.Rule.Permits(d, nd.inputs, failureSeen) {
+			return sim.NoDecision, false
+		}
+	}
+	return d, true
 }
 
 // frontierLeft is the partial-stop frontier measure: accepted nodes the
@@ -614,8 +693,8 @@ func (e *explorer) run(ctx context.Context) error {
 		defer func() { x.ReplayWall = clock() - start }()
 	}
 	for i, inputs := range e.inputs {
-		root := succ{nd: &node{cfg: sim.NewConfigOmission(e.proto, inputs, e.opts.omission()), ledger: make([]sim.Decision, e.n), inputs: inputs, vecIdx: int32(i)}}
-		e.setHandle(&root)
+		root := succ{nd: &node{cfg: sim.NewConfigOmission(e.proto, inputs, e.opts.omission()), ledger: make([]sim.Decision, e.n), inputs: inputs, vecIdx: int32(i)}, vec: e.svecs[0]}
+		e.setHandle(nil, &root)
 		if stop, err := e.admit(nil, &root, false); stop {
 			return err
 		}
@@ -624,6 +703,9 @@ func (e *explorer) run(ctx context.Context) error {
 		nd := e.queue[e.head]
 		e.queue[e.head] = nil
 		e.head++
+		if e.pvec != nil {
+			e.popVec()
+		}
 		if cerr := ctx.Err(); cerr != nil {
 			x.Status = StatusInterrupted
 			x.FrontierSize = e.frontierLeft()
@@ -670,12 +752,7 @@ func (e *explorer) admit(parent *node, s *succ, failureSeen bool) (stop bool, er
 		return true, nil
 	}
 	if !e.visited.Admit(nd.fp, "") {
-		switch {
-		case s.permuted:
-			x.Reduction.SymmetryPrunes++
-		case s.elided:
-			x.Reduction.ElisionPrunes++
-		}
+		e.countPrune(s)
 		return false, nil
 	}
 	if x.NodeCount >= e.opts.maxNodes() {
@@ -691,7 +768,33 @@ func (e *explorer) admit(parent *node, s *succ, failureSeen bool) (stop bool, er
 		return true, nil
 	}
 	e.queue = append(e.queue, nd)
+	if e.pvec != nil {
+		e.qvecs = append(e.qvecs, s.vec...)
+	}
 	return false, nil
+}
+
+// countPrune counts a rejected successor whose handle a canonicalization
+// rewrote as that canonicalization's prune.
+func (e *explorer) countPrune(s *succ) {
+	switch {
+	case s.permuted:
+		e.x.Reduction.SymmetryPrunes++
+	case s.elided:
+		e.x.Reduction.ElisionPrunes++
+	}
+}
+
+// popVec moves the vector of the node just dequeued into pvec, compacting
+// qvecs once its consumed prefix is the larger half.
+func (e *explorer) popVec() {
+	w := len(e.pvec)
+	copy(e.pvec, e.qvecs[e.qvecHead:e.qvecHead+w])
+	e.qvecHead += w
+	if e.qvecHead >= 1<<16 && 2*e.qvecHead >= len(e.qvecs) {
+		e.qvecs = e.qvecs[:copy(e.qvecs, e.qvecs[e.qvecHead:])]
+		e.qvecHead = 0
+	}
 }
 
 // record accepts one newly admitted configuration: its number and its share

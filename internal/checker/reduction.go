@@ -143,8 +143,8 @@ func (e *explorer) canonicalizing() bool {
 	return e.elide || len(e.symPerms) > 0
 }
 
-// canonicalizeSucc replaces the successor's dedup handle with its
-// canonical form. Two canonicalizations compose:
+// canonicalizeSucc gives a built successor its canonical dedup handle and
+// fills its vector. Two canonicalizations compose:
 //
 // Dead-letter elision (ample modes) erases the buffers of failed and
 // halted processors before hashing, so configurations that differ only in
@@ -163,38 +163,81 @@ func (e *explorer) canonicalizing() bool {
 // reachable and traces replay unchanged — only the handle is canonical,
 // so the first-reached member of a class represents the class.
 //
-// No component is hashed twice and nothing is materialized: the erased
-// handle is the warm fingerprint minus the dead letters' terms, and each
-// permuted candidate is a sum of memoized relabelled component digests
-// (sim.PermuteMemo) plus the ledger terms salted at their permuted
-// positions — value-equal to materializing the candidate and hashing it
-// cold, so the same orbit member wins (the tests hold every handle to that
-// materialization).
-func (e *explorer) canonicalizeSucc(s *succ) {
+// The candidates are the node's vector: sim.PermuteMemo's vector of the
+// configuration (one memoized row of relabelled terms per component) plus
+// the ledger's terms at each candidate's positions — value-equal to
+// materializing each candidate and hashing it cold, so the same orbit member
+// wins (the tests hold every handle to that materialization). A queued node
+// keeps its vector, so its successors' vectors are predicted by shifting it
+// (predictHandle) and only edges the prediction cannot vouch for come here.
+func (e *explorer) canonicalizeSucc(parent *node, s *succ) {
 	nd := s.nd
-	if e.elide {
-		if fp, changed := nd.cfg.ElidedFingerprint(); changed {
-			nd.fp, s.elided = fp.Add(ledgerFP(nd.ledger)), true
-		}
+	elided, ok := e.permMemo.Vector(s.vec, nd.cfg, e.elide)
+	if !ok {
+		panic("checker: symmetry group present but state does not implement sim.Permuter")
 	}
+	s.vec[0] = s.vec[0].Add(ledgerFP(nd.ledger))
 	for i, perm := range e.symPerms {
-		fp, ok := e.permMemo.Fingerprint(nd.cfg, i, e.elide)
-		if !ok {
-			panic("checker: symmetry group present but state does not implement sim.Permuter")
-		}
-		if fp = fp.Add(permutedLedgerFP(nd.ledger, perm)); fp.Less(nd.fp) {
-			nd.fp, s.permuted = fp, true
-		}
+		s.vec[1+i] = s.vec[1+i].Add(permutedLedgerFP(nd.ledger, perm))
 	}
+	s.elided = elided
+	s.fp, s.permuted = leastHandle(s.vec)
+	nd.fp = s.fp
 	if canonicalizeHook != nil {
-		canonicalizeHook(e, *s)
+		canonicalizeHook(e, parent, *s)
 	}
 }
 
-// canonicalizeHook, when set, observes every canonicalized successor. Only
-// tests set it (to cross-check the digest shortcut against the
-// materialized path).
-var canonicalizeHook func(e *explorer, s succ)
+// predictHandle is predictSeen for a canonicalizing walk: it derives the
+// handle of s.event's successor of nd — with its vector, from pvec, nd's —
+// without building it, and leaves s unbuilt (s.nd nil). false means the
+// caller must build it: the event is irregular, the ledger transition is one
+// the delta rule cannot predict, or the decision is one some judge's rule
+// forbids — so every violation is built, worded and ordered by the building
+// path alone.
+func (e *explorer) predictHandle(nd *node, pvec []fingerprint.Digest, s *succ, failureSeen bool) bool {
+	copy(s.vec, pvec)
+	sh, ok := e.predictor.Shift(e.proto, nd.cfg, s.event, e.permMemo, e.elide, s.vec)
+	if !ok {
+		return false
+	}
+	d, ok := e.newDecision(nd, s.event.Proc, sh.Decision, sh.Decided, failureSeen)
+	if !ok {
+		return false
+	}
+	if p := s.event.Proc; d != sim.NoDecision {
+		s.vec[0] = s.vec[0].Add(ledgerTerm(p, d))
+		for i, perm := range e.symPerms {
+			s.vec[1+i] = s.vec[1+i].Add(ledgerTerm(perm[p], d))
+		}
+	}
+	s.nd, s.elided, s.predicted = nil, sh.Elided, true
+	s.fp, s.permuted = leastHandle(s.vec)
+	if canonicalizeHook != nil {
+		canonicalizeHook(e, nd, *s)
+	}
+	return true
+}
+
+// leastHandle is the canonical handle among a vector's candidates: the
+// Digest.Less-least, the identity slot winning ties; permuted reports that
+// a relabelled candidate won.
+func leastHandle(vec []fingerprint.Digest) (fp fingerprint.Digest, permuted bool) {
+	fp = vec[0]
+	for _, c := range vec[1:] {
+		if c.Less(fp) {
+			fp, permuted = c, true
+		}
+	}
+	return fp, permuted
+}
+
+// canonicalizeHook, when set, observes every canonical handle the walk
+// computes, with the parent it was stepped from (nil for a root): predicted
+// ones (s.predicted, s.nd nil), predicted ones again once built (s.nd set),
+// and built-and-canonicalized ones. Only tests set it, to hold every handle
+// to the materialized path.
+var canonicalizeHook func(e *explorer, parent *node, s succ)
 
 // permutedLedgerFP fingerprints the ledger relabelled by perm without
 // building it: p's term is salted at perm[p].
@@ -245,8 +288,11 @@ func (e *explorer) initReduction() {
 	e.elide = e.ample
 	if e.opts.Reduction.usesSymmetry() {
 		e.symPerms = symmetry.ForProtocol(e.proto)
-		if len(e.symPerms) > 0 {
-			e.permMemo = sim.NewPermuteMemo(e.symPerms)
-		}
+	}
+	if e.canonicalizing() {
+		e.permMemo = sim.NewPermuteMemo(e.symPerms)
+		w := e.permMemo.Width()
+		e.pvec = make([]fingerprint.Digest, w)
+		e.svecs = [2][]fingerprint.Digest{make([]fingerprint.Digest, w), make([]fingerprint.Digest, w)}
 	}
 }

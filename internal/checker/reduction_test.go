@@ -292,26 +292,48 @@ func materializedHandle(e *explorer, nxt *node) (fp fingerprint.Digest, elided, 
 	return fp, elided, permuted
 }
 
-// TestCanonicalizeDigestMatchesMaterialized hooks every canonicalized
-// successor of two ReduceBoth explorations and asserts that the handle the
-// digest path produced is the one full materialization produces — same
-// fingerprint, same flags. It then pins the steady-state cost: a warm
-// canonicalizeSucc allocates nothing.
+// TestCanonicalizeDigestMatchesMaterialized hooks every handle three
+// ReduceBoth explorations compute — predicted from the parent's vector and
+// never built, predicted and then built, and built then canonicalized (the
+// fallback, and the roots) — and asserts that it is the one full
+// materialization produces: same fingerprint, same flags. Every edge's
+// successor is rebuilt by sim.Apply from the parent, not taken from the
+// walk. The grudging rule forbids decisions on many edges, which drives
+// the fallback. It then pins the steady-state cost: a warm canonicalizeSucc
+// and a warm predicted edge whose handle is already visited allocate
+// nothing.
 func TestCanonicalizeDigestMatchesMaterialized(t *testing.T) {
 	defer func() { canonicalizeHook = nil }()
-	prob := problem(taxonomy.WT, taxonomy.TC)
+	wttc := problem(taxonomy.WT, taxonomy.TC)
+	grudging := taxonomy.Problem{Rule: grudgingRule{}, Termination: taxonomy.WT, Consistency: taxonomy.TC}
 	for _, tc := range []struct {
 		proto sim.Protocol
 		mf    int
+		prob  taxonomy.Problem
 	}{
-		{protocols.Star{Procs: 3}, 2},
-		{protocols.FullExchange{Procs: 3}, 0},
+		{protocols.Star{Procs: 3}, 2, wttc},
+		{protocols.FullExchange{Procs: 3}, 0, wttc},
+		{protocols.Star{Procs: 3}, 1, grudging},
 	} {
-		var calls, elided, permuted int
+		var calls, elided, permuted, predicted, predictedBuilt, fallback int
 		var warmE *explorer
 		var warm []*node
-		canonicalizeHook = func(e *explorer, s succ) {
+		type edge struct {
+			parent      *node
+			pvec        []fingerprint.Digest
+			event       sim.Event
+			failureSeen bool
+		}
+		var seen []edge
+		canonicalizeHook = func(e *explorer, parent *node, s succ) {
 			nxt := s.nd
+			if parent != nil {
+				cfg, _, err := sim.Apply(e.proto, parent.cfg, s.event)
+				if err != nil {
+					t.Fatalf("%s: %v", s.event, err)
+				}
+				nxt = &node{cfg: cfg, ledger: updateLedger(parent.ledger, cfg)}
+			}
 			fp, el, pm := materializedHandle(e, nxt)
 			calls++
 			if el {
@@ -320,31 +342,76 @@ func TestCanonicalizeDigestMatchesMaterialized(t *testing.T) {
 			if pm {
 				permuted++
 			}
-			if len(warm) < 64 {
-				warmE, warm = e, append(warm, nxt)
+			switch {
+			case s.predicted && s.nd == nil:
+				predicted++
+				if e.visited.Seen(s.fp) && len(seen) < 64 {
+					pvec := make([]fingerprint.Digest, len(e.pvec))
+					copy(pvec, e.pvec)
+					seen = append(seen, edge{parent, pvec, s.event, parent.cfg.OmissionsUsed() > 0 || failedIn(parent.cfg)})
+				}
+			case s.predicted:
+				predictedBuilt++
+			case parent != nil:
+				fallback++
 			}
-			if nxt.fp != fp || s.elided != el || s.permuted != pm {
-				t.Errorf("%s after %v: digest handle %v (elided=%v permuted=%v), materialized %v (%v %v)",
-					tc.proto.Name(), s.event, nxt.fp, s.elided, s.permuted, fp, el, pm)
+			if s.nd != nil && len(warm) < 64 {
+				warmE, warm = e, append(warm, s.nd)
+			}
+			if s.fp != fp || (s.nd != nil && s.nd.fp != fp) || s.elided != el || s.permuted != pm {
+				t.Errorf("%s after %v: digest handle %v (elided=%v permuted=%v predicted=%v), materialized %v (%v %v)",
+					tc.proto.Name(), s.event, s.fp, s.elided, s.permuted, s.predicted, fp, el, pm)
 			}
 		}
-		_, err := CheckContext(context.Background(), tc.proto, prob, Options{MaxFailures: tc.mf, Reduction: ReduceBoth})
+		_, err := CheckContext(context.Background(), tc.proto, tc.prob, Options{MaxFailures: tc.mf, Reduction: ReduceBoth})
 		if err != nil {
 			t.Fatal(err)
 		}
 		canonicalizeHook = nil
+		t.Logf("%s mf%d %s: %d handles: %d predicted (%d of them built), %d built then canonicalized, %d elided, %d permuted",
+			tc.proto.Name(), tc.mf, tc.prob.Rule.Name(), calls, predicted, predictedBuilt, fallback, elided, permuted)
 		if calls == 0 || permuted == 0 || (tc.mf > 0 && elided == 0) {
 			t.Fatalf("%s: hook saw %d successors, %d elided, %d permuted — matrix does not exercise the shortcut",
 				tc.proto.Name(), calls, elided, permuted)
 		}
+		if predictedBuilt == 0 || predicted <= predictedBuilt || len(seen) == 0 {
+			t.Fatalf("%s: %d predicted handles, %d of them built, %d seen — matrix does not exercise the prediction",
+				tc.proto.Name(), predicted, predictedBuilt, len(seen))
+		}
+		if tc.prob.Rule == (grudgingRule{}) && fallback == 0 {
+			t.Fatalf("%s: no edge fell back to building — matrix does not exercise the fallback", tc.proto.Name())
+		}
+		vec := make([]fingerprint.Digest, warmE.permMemo.Width())
 		allocs := testing.AllocsPerRun(20, func() {
 			for _, nxt := range warm {
-				warmE.setHandle(&succ{nd: nxt})
+				warmE.setHandle(nil, &succ{nd: nxt, vec: vec})
 			}
 		})
 		if allocs != 0 {
 			t.Errorf("%s: warm canonicalizeSucc allocates %.2f times per %d successors, want 0",
 				tc.proto.Name(), allocs, len(warm))
 		}
+		allocs = testing.AllocsPerRun(20, func() {
+			for _, ed := range seen {
+				s := succ{event: ed.event, vec: vec}
+				if !warmE.predictHandle(ed.parent, ed.pvec, &s, ed.failureSeen) || !warmE.visited.Seen(s.fp) {
+					t.Fatalf("%s: warm predicted edge %v no longer predicted seen", tc.proto.Name(), ed.event)
+				}
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: a warm predicted edge to a visited handle allocates %.2f times per %d edges, want 0",
+				tc.proto.Name(), allocs, len(seen))
+		}
 	}
+}
+
+// failedIn reports whether some processor of c has crashed.
+func failedIn(c *sim.Config) bool {
+	for p := range c.States {
+		if c.Faulty(sim.ProcID(p)) {
+			return true
+		}
+	}
+	return false
 }

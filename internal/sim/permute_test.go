@@ -3,6 +3,7 @@ package sim_test
 import (
 	"testing"
 
+	"repro/internal/fingerprint"
 	"repro/internal/protocols"
 	"repro/internal/sim"
 	"repro/internal/symmetry"
@@ -36,36 +37,38 @@ func warmFullExchangeSucc(t *testing.T) (*sim.Config, []sim.ProcPerm) {
 }
 
 // TestAllocsPermutedFingerprint: once the memo has seen a configuration's
-// components, the fingerprints of all its S_3 relabellings — raw and with
-// dead letters erased — are computed without a single allocation, and
-// equal the materialized ones.
+// components, its vector — its own fingerprint and those of all its S_3
+// relabellings, raw and with dead letters erased — is filled without a
+// single allocation, and each relabelled slot equals the materialized
+// fingerprint.
 func TestAllocsPermutedFingerprint(t *testing.T) {
 	c, perms := warmFullExchangeSucc(t)
 	if len(perms) != 5 {
 		t.Fatalf("fullexchange(3) has %d non-identity automorphisms, want 5", len(perms))
 	}
 	memo := sim.NewPermuteMemo(perms)
+	vec := make([]fingerprint.Digest, memo.Width())
 	erased, _ := c.WithoutDeadBuffers()
-	for i, perm := range perms {
-		for _, elide := range []bool{false, true} {
-			base := c
-			if elide {
-				base = erased
-			}
-			pc, _ := sim.PermuteConfig(base, perm)
-			if got, ok := memo.Fingerprint(c, i, elide); !ok || got != pc.Fingerprint() {
-				t.Fatalf("perm %v elide=%v: digest-level %v, materialized %v", perm, elide, got, pc.Fingerprint())
+	for _, elide := range []bool{false, true} {
+		base := c
+		if elide {
+			base = erased
+		}
+		if elided, ok := memo.Vector(vec, c, elide); !ok || elided != elide || vec[0] != base.Fingerprint() {
+			t.Fatalf("elide=%v: identity slot %v (elided=%v ok=%v), want %v", elide, vec[0], elided, ok, base.Fingerprint())
+		}
+		for i, perm := range perms {
+			if pc, _ := sim.PermuteConfig(base, perm); vec[1+i] != pc.Fingerprint() {
+				t.Fatalf("perm %v elide=%v: digest-level %v, materialized %v", perm, elide, vec[1+i], pc.Fingerprint())
 			}
 		}
 	}
 	allocs := testing.AllocsPerRun(200, func() {
-		for i := range perms {
-			memo.Fingerprint(c, i, false)
-			memo.Fingerprint(c, i, true)
-		}
+		memo.Vector(vec, c, false)
+		memo.Vector(vec, c, true)
 	})
 	if allocs != 0 {
-		t.Errorf("permuted fingerprints over S_3 allocate %.1f times per run on memo hits, want 0", allocs)
+		t.Errorf("vectors over S_3 allocate %.1f times per run on memo hits, want 0", allocs)
 	}
 }
 

@@ -146,3 +146,106 @@ func (pr *Predictor) Materialize(proto Protocol, c *Config, e Event) (*Config, E
 	next, eff := c.successor(e, st)
 	return next, eff, nil
 }
+
+// Shifted is a Predictor.Shift result: the visible decision of the stepping
+// processor's post-state, and whether e(C) has dead letters to erase — what
+// e(C).ElidedFingerprint reports as changed.
+type Shifted struct {
+	Decision Decision
+	Decided  bool
+	Elided   bool
+}
+
+// Shift is Predict for a walk that dedups on canonical handles: vec holds
+// C's vector as pm.Vector fills it (with elide as given), plus any per-slot
+// terms the caller keeps beside it, which pass through; Shift turns it into
+// e(C)'s vector without building e(C). Fingerprints are sums of component
+// terms, so it subtracts and adds the rows of exactly the components e
+// changes: the state at e.Proc, the message a delivery consumes, the message
+// a sending step emits or the notices a failure broadcasts, and — under
+// elide — the buffer of a processor whose box goes dead. Terms in a dead box
+// are never added. ok=false means the event is inapplicable, irregular or
+// outside what the shift covers (an omission policy, a box revived, a state
+// without Permuter): the caller builds e(C) instead, and vec is scratch.
+func (pr *Predictor) Shift(proto Protocol, c *Config, e Event, pm *PermuteMemo, elide bool, vec []fingerprint.Digest) (Shifted, bool) {
+	if c.pol.Enabled() {
+		return Shifted{}, false
+	}
+	st, ok := pr.recall(proto, c, e)
+	if !ok {
+		return Shifted{}, false
+	}
+	p, pre := e.Proc, c.States[e.Proc]
+	preDead, postDead := elide && deadLetterBox(pre), elide && deadLetterBox(st.post)
+	if preDead && !postDead {
+		return Shifted{}, false // a dead box never revives in the model
+	}
+	v := vec[1:]
+	if e.Type != Omit {
+		from, ok := pm.stateRow(p, c.stateD[p], pre)
+		if !ok {
+			return Shifted{}, false
+		}
+		to, ok := pm.stateRow(p, st.postD, st.post)
+		if !ok {
+			return Shifted{}, false
+		}
+		salt := saltStateBase + uint64(p)
+		vec[0] = vec[0].Sub(c.stateD[p].Mixed(salt)).Add(st.postD.Mixed(salt))
+		subRow(v, from)
+		addRow(v, to)
+	}
+	if !preDead {
+		buf, salt := c.Buffers[p], saltBufferBase+uint64(p)
+		for j := range buf {
+			if m := &buf[j]; m == st.m || postDead {
+				vec[0] = vec[0].Sub(m.Digest().Mixed(salt))
+				subRow(v, pm.msgRow(m))
+			}
+		}
+	}
+	switch e.Type {
+	case Fail:
+		for q := ProcID(0); int(q) < c.N(); q++ {
+			if q != p && !(elide && deadLetterBox(c.States[q])) {
+				id := MsgID{From: p, To: q, Seq: c.peekSeq(p, q)}
+				pm.addEmitted(vec, Message{ID: id, Notice: true, digest: msgDigestParts(p, q, id.Seq, true, "")})
+			}
+		}
+	case SendStepEvent:
+		if to := st.env.To; st.sends && !(elide && deadLetterBox(c.States[to])) {
+			id := MsgID{From: p, To: to, Seq: c.peekSeq(p, to)}
+			pm.addEmitted(vec, Message{ID: id, Payload: st.env.Payload, digest: msgDigestParts(p, to, id.Seq, false, st.payloadKey)})
+		}
+	}
+	out := Shifted{Elided: elide && c.deadLettersAfter(e, st)}
+	out.Decision, out.Decided = st.post.Decided()
+	return out, true
+}
+
+// addEmitted adds the terms of m, a message a step emits (its digest set),
+// to vec.
+func (pm *PermuteMemo) addEmitted(vec []fingerprint.Digest, m Message) {
+	vec[0] = vec[0].Add(m.digest.Mixed(saltBufferBase + uint64(m.ID.To)))
+	addRow(vec[1:], pm.msgRow(&m))
+}
+
+// deadLettersAfter reports whether e(C), with st the step e takes, has a
+// failed or halted processor with a nonempty buffer.
+func (c *Config) deadLettersAfter(e Event, st step) bool {
+	for q, s := range c.States {
+		n := len(c.Buffers[q])
+		switch {
+		case ProcID(q) == e.Proc:
+			if s = st.post; st.m != nil {
+				n--
+			}
+		case e.Type == Fail || (st.sends && st.env.To == ProcID(q)):
+			n++
+		}
+		if n > 0 && deadLetterBox(s) {
+			return true
+		}
+	}
+	return false
+}

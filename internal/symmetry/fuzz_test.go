@@ -63,11 +63,12 @@ func canonFP(c *sim.Config, perms []sim.ProcPerm) fingerprint.Digest {
 // sound).
 //
 // It also pins the digest-level shortcuts to the materialized functions
-// they replace in the checker: for every π, sim.PermuteMemo's fingerprint
-// equals PermuteConfig(c, π).Fingerprint(), Config.ElidedFingerprint equals
-// WithoutDeadBuffers().Fingerprint(), and the two compose in either order.
-// One memo lives for the whole run, so early steps take the miss path and
-// later ones the hit path.
+// they replace in the checker: slot 1+i of sim.PermuteMemo's vector equals
+// PermuteConfig(c, π_i).Fingerprint() and its slot 0 c.Fingerprint(),
+// Config.ElidedFingerprint equals WithoutDeadBuffers().Fingerprint(), and
+// the two compose in either order — the elided vector's slots are the erased
+// view's. One memo lives for the whole run, so early steps take the miss
+// path and later ones the hit path.
 func FuzzOrbitCanonical(f *testing.F) {
 	f.Add(uint8(0), []byte{0, 1, 2, 3, 4, 5, 6, 7})
 	f.Add(uint8(1), []byte{7, 6, 5, 4, 3, 2, 1, 0})
@@ -92,6 +93,7 @@ func FuzzOrbitCanonical(f *testing.F) {
 		}
 		c := sim.NewConfig(proto, inputs)
 		memo := sim.NewPermuteMemo(perms)
+		vec, evec := make([]fingerprint.Digest, memo.Width()), make([]fingerprint.Digest, memo.Width())
 		check := func(c *sim.Config) {
 			wantKey, wantFP := canonKey(c, perms), canonFP(c, perms)
 			erased, wasErased := c.WithoutDeadBuffers()
@@ -99,16 +101,22 @@ func FuzzOrbitCanonical(f *testing.F) {
 			if got, changed := c.ElidedFingerprint(); got != erased.Fingerprint() || changed != wasErased {
 				t.Fatalf("ElidedFingerprint = %v, %v; WithoutDeadBuffers gives %v, %v", got, changed, erased.Fingerprint(), wasErased)
 			}
+			if _, ok := memo.Vector(vec, c, false); !ok || vec[0] != c.Fingerprint() {
+				t.Fatalf("vector refused (ok=%v) or identity slot %v, want %v", ok, vec[0], c.Fingerprint())
+			}
+			if elided, ok := memo.Vector(evec, c, true); !ok || elided != wasErased || evec[0] != erased.Fingerprint() {
+				t.Fatalf("elided vector: identity slot %v (elided=%v ok=%v), want %v (%v)", evec[0], elided, ok, erased.Fingerprint(), wasErased)
+			}
 			for i, perm := range perms {
 				pc, ok := sim.PermuteConfig(c, perm)
 				if !ok {
 					t.Fatal("protocol state does not implement sim.Permuter")
 				}
-				if got, ok := memo.Fingerprint(c, i, false); !ok || got != pc.Fingerprint() {
-					t.Fatalf("digest-level fingerprint under %v = %v, %v; PermuteConfig gives %v", perm, got, ok, pc.Fingerprint())
+				if got := vec[1+i]; got != pc.Fingerprint() {
+					t.Fatalf("digest-level fingerprint under %v = %v; PermuteConfig gives %v", perm, got, pc.Fingerprint())
 				}
 				pce, _ := sim.PermuteConfig(erased, perm)
-				got, _ := memo.Fingerprint(c, i, true)
+				got := evec[1+i]
 				if got != pce.Fingerprint() {
 					t.Fatalf("erase-then-permute under %v = %v, materialized %v", perm, got, pce.Fingerprint())
 				}

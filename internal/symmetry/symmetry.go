@@ -34,12 +34,13 @@ import (
 )
 
 // maxGroup bounds the enumerated group size. Orbit minimization runs on
-// every generated successor and costs, per group element, one memo probe
-// and one salted add per processor and per buffered message
-// (sim.PermuteMemo), so a group this large would cost more than the dedup
-// saves; oversized groups are reported as no usable symmetry. The bound
-// admits fullexchange to N=6 (6!−1 = 719), star to N=7, and trees to N=15
-// (2^7 = 128).
+// every generated successor and costs one memo probe per component the
+// step changes plus one digest add per group element per such component
+// (sim.PermuteMemo's rows, shifted by sim.Predictor.Shift), and every
+// queued node keeps one digest per group element; a group much larger
+// would cost more than the dedup saves, so oversized groups are reported
+// as no usable symmetry. The bound admits fullexchange to N=6 (6!−1 =
+// 719), star to N=7, and trees to N=15 (2^7 = 128).
 const maxGroup = 720
 
 // ForProtocol returns the non-identity automorphisms of the protocol's
