@@ -251,7 +251,7 @@ func TestAllocsRecordCensus(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			nodes = append(nodes, &node{cfg: cfg, ledger: updateLedger(nd.ledger, cfg), inputs: nd.inputs, vecIdx: nd.vecIdx})
+			nodes = append(nodes, &node{cfg: cfg, ledger: ledgerAfter(nd.ledger, cfg), inputs: nd.inputs, vecIdx: nd.vecIdx})
 		}
 	}
 	nodes = nodes[:accepted]

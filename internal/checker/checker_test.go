@@ -1,6 +1,7 @@
 package checker
 
 import (
+	"context"
 	"os"
 	"runtime"
 	"testing"
@@ -242,13 +243,15 @@ func TestAllocsCheckNearExplore(t *testing.T) {
 }
 
 // TestAllocsExplorePerNode pins what one accepted node costs the plain walk:
-// the node, its configuration's containers and buffers, its ledger when the
-// step decided — and nothing for the census, the state ids or the dedup
-// handle beyond amortized growth. Measured: 11.83 allocations (12.11 under
-// the race detector) and 1 080 bytes per node on tree(3) mf2, 8.55 and 858
-// on fullexchange(3) mf1 (15.8 and 13.9 allocations when the census was maps
-// of strings and every node kept a record with its own index slice; 1 483
-// and 1 313 bytes while the records stayed, in slab-carved ids).
+// the buffers a step changes, its ledger when the step decided, its share of
+// the transition cache — and nothing for the node, its configuration's
+// containers, the census, the state ids or the dedup handle beyond amortized
+// growth, since stepped nodes are recycled. Measured: 3.82 allocations (4.11
+// under the race detector) and 435 bytes per node on tree(3) mf2, 1.88 and
+// 295 on fullexchange(3) mf1 (11.83 and 1 080, 8.55 and 858 while every built
+// successor was a fresh node and a fresh clone; 15.8 and 13.9 allocations
+// when the census was maps of strings and every node kept a record with its
+// own index slice).
 func TestAllocsExplorePerNode(t *testing.T) {
 	cells := []struct {
 		proto     sim.Protocol
@@ -256,8 +259,8 @@ func TestAllocsExplorePerNode(t *testing.T) {
 		max, maxB float64
 		big       bool
 	}{
-		{protocols.Tree{Procs: 3}, Options{MaxFailures: 2}, 12.5, 1200, false},
-		{protocols.FullExchange{Procs: 3}, Options{MaxFailures: 1}, 9, 950, true},
+		{protocols.Tree{Procs: 3}, Options{MaxFailures: 2}, 4.5, 500, false},
+		{protocols.FullExchange{Procs: 3}, Options{MaxFailures: 1}, 2.5, 350, true},
 	}
 	for _, c := range cells {
 		t.Run(c.proto.Name(), func(t *testing.T) {
@@ -270,5 +273,49 @@ func TestAllocsExplorePerNode(t *testing.T) {
 				t.Errorf("Explore allocates %.2f times and %.0f bytes per node, want at most %.1f and %.0f", got, bytes, c.max, c.maxB)
 			}
 		})
+	}
+}
+
+// TestAllocsWarmWalkPerNode pins the explorer's steady state on tree(3) mf2,
+// unreduced: a walk whose transition cache an identical walk has already
+// filled. What it still allocates per admitted node is the successor's own —
+// the buffers a step changes, a sent message's key, a ledger on a decision
+// edge — plus amortized growth of the visited set, the census and the queue;
+// a node and its configuration come off the free list. Measured: 3.15
+// allocations per node, 3.27 under the race detector (10.72 when every built
+// successor was a fresh node and a fresh clone).
+func TestAllocsWarmWalkPerNode(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two tree(3) mf2 walks take ~1 second")
+	}
+	proto, opts := protocols.Tree{Procs: 3}, Options{MaxFailures: 2}
+	var warm *sim.Predictor
+	for pass := 0; pass < 2; pass++ {
+		e, err := newExplorer(proto, nil, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if warm != nil {
+			e.predictor = warm
+		}
+		warm = e.predictor
+		e.inputs = sim.AllInputs(e.n)
+		for _, inputs := range e.inputs {
+			e.vecs = append(e.vecs, sim.InputsString(inputs))
+		}
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		if err := e.run(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		if pass == 1 {
+			got := float64(after.Mallocs-before.Mallocs) / float64(e.x.NodeCount)
+			t.Logf("%.2f allocations per admitted node over %d nodes", got, e.x.NodeCount)
+			if got > 3.3 {
+				t.Errorf("a warm walk allocates %.2f times per admitted node, want at most 3.3", got)
+			}
+		}
 	}
 }

@@ -82,8 +82,10 @@ type Options struct {
 	// wants the measurement injects one. Pinned by bench/explore.go.
 	Clock func() time.Duration
 	// observe, when set, is handed every admitted node with the ids of its
-	// local states, in admission order. ids is reused for the next node.
-	// Only tests set it: the walk itself keeps nothing per node.
+	// local states, in admission order. ids is reused for the next node,
+	// and nd (configuration included) once the walk has stepped it; its
+	// ledger is never written. Only tests set it: the walk itself keeps
+	// nothing per node.
 	observe func(ids []int32, nd *node)
 }
 
@@ -414,10 +416,18 @@ type explorer struct {
 	// Options.TrackTraces is set.
 	parents map[fingerprint.Digest]parentLink
 	// queue holds accepted nodes not yet consumed by the walk; head is
-	// the next to walk. Consumed slots are nilled so a walked node's
-	// memory can be reclaimed once its children are recorded.
+	// the next to walk. Consumed slots are nilled, and the consumed prefix
+	// is dropped once it is the larger half (popNode), so the queue holds
+	// O(frontier) slots, not one per admitted node.
 	queue []*node
 	head  int
+	// free holds nodes the walk is done with — stepped, or built and
+	// rejected — whose node and configuration the next built successor is
+	// written into. Nothing reads a node after that: queue slots are
+	// nilled, parent links and canonical vectors are digests, violations
+	// are strings. Ledgers are shared between nodes, so they are dropped,
+	// never reused.
+	free []*node
 	// judges are the problems the walk is checked against (none for a plain
 	// Explore); violated records that some judge has a violation, which is
 	// what StopAtFirstViolation waits for.
@@ -522,6 +532,11 @@ func (e *explorer) step(nd *node) (stop bool, err error) {
 			return false, nil
 		}
 		x.Reduction.ProvisoFallbacks++
+		for i := range events {
+			if held[i].nd != nil {
+				e.release(held[i].nd)
+			}
+		}
 	}
 
 	events := sim.AppendEnabled(e.events[:0], nd.cfg)
@@ -611,13 +626,33 @@ func (e *explorer) build(nd *node, s *succ) (err error) {
 
 // materialize builds ev's successor of nd with its ledger — the transition
 // cache already holds the stepped state's digest, so no built edge rehashes
-// a state — and no handle.
+// a state — and no handle, into a node from the free list when it has one.
 func (e *explorer) materialize(nd *node, ev sim.Event) (*node, error) {
-	cfg, _, err := e.predictor.Materialize(e.proto, nd.cfg, ev)
+	var nxt *node
+	if k := len(e.free) - 1; k >= 0 {
+		nxt, e.free = e.free[k], e.free[:k]
+	} else {
+		nxt = &node{}
+	}
+	cfg, err := e.predictor.Materialize(e.proto, nd.cfg, ev, nxt.cfg, nil)
 	if err != nil {
+		e.release(nxt)
 		return nil, fmt.Errorf("checker: exploring %s: %w", e.proto.Name(), err)
 	}
-	return &node{cfg: cfg, ledger: updateLedger(nd.ledger, cfg), inputs: nd.inputs, vecIdx: nd.vecIdx}, nil
+	*nxt = node{cfg: cfg, ledger: updateLedger(nd.ledger, cfg, ev.Proc), inputs: nd.inputs, vecIdx: nd.vecIdx}
+	return nxt, nil
+}
+
+// release puts a node the walk is done with on the free list, dropping what
+// it shares with other nodes — its ledger, and the states and buffers its
+// configuration points to — so that a parked node keeps nothing alive.
+func (e *explorer) release(nd *node) {
+	if nd.cfg != nil {
+		clear(nd.cfg.States)
+		clear(nd.cfg.Buffers)
+	}
+	nd.ledger = nil
+	e.free = append(e.free, nd)
 }
 
 // setHandle computes the dedup handle of a freshly built node stepped from
@@ -700,9 +735,7 @@ func (e *explorer) run(ctx context.Context) error {
 		}
 	}
 	for e.head < len(e.queue) {
-		nd := e.queue[e.head]
-		e.queue[e.head] = nil
-		e.head++
+		nd := e.popNode()
 		if e.pvec != nil {
 			e.popVec()
 		}
@@ -714,8 +747,22 @@ func (e *explorer) run(ctx context.Context) error {
 		if stop, err := e.step(nd); stop {
 			return err
 		}
+		e.release(nd)
 	}
 	return nil
+}
+
+// popNode dequeues the next node to walk, compacting the queue once its
+// consumed prefix is the larger half, as popVec compacts qvecs.
+func (e *explorer) popNode() *node {
+	nd := e.queue[e.head]
+	e.queue[e.head] = nil
+	e.head++
+	if e.head >= 1<<16 && 2*e.head >= len(e.queue) {
+		e.queue = e.queue[:copy(e.queue, e.queue[e.head:])]
+		e.head = 0
+	}
+	return nd
 }
 
 // admit offers one built node — a root when parent is nil — to the
@@ -753,6 +800,7 @@ func (e *explorer) admit(parent *node, s *succ, failureSeen bool) (stop bool, er
 	}
 	if !e.visited.Admit(nd.fp, "") {
 		e.countPrune(s)
+		e.release(nd)
 		return false, nil
 	}
 	if x.NodeCount >= e.opts.maxNodes() {
@@ -924,23 +972,20 @@ func (e *BudgetError) Error() string {
 	return fmt.Sprintf("checker: exploration of %s exceeded %d nodes", e.Protocol, e.Nodes)
 }
 
-// updateLedger extends the decision ledger with any decisions visible in the
-// configuration. Decisions are irrevocable (sim enforces it), so a visible
-// decision can only confirm or extend the ledger.
+// updateLedger extends the parent's decision ledger old with the decision
+// visible at p in cfg, the successor of a step of p. Only p's state differs
+// from the parent's, whose visible decisions old already holds, and
+// decisions are irrevocable (sim enforces it), so a visible decision can
+// only confirm or extend the ledger.
 //
 // Ledgers are immutable once built, so a step that decides nothing — all
 // but the decision edges — returns the parent's slice itself.
-func updateLedger(old []sim.Decision, cfg *sim.Config) []sim.Decision {
-	out, shared := old, true
-	for p, s := range cfg.States {
-		d, ok := s.Decided()
-		if !ok || out[p] == d {
-			continue
-		}
-		if shared {
-			out, shared = append([]sim.Decision(nil), old...), false
-		}
-		out[p] = d
+func updateLedger(old []sim.Decision, cfg *sim.Config, p sim.ProcID) []sim.Decision {
+	d, ok := cfg.DecidedAt(p)
+	if !ok || old[p] == d {
+		return old
 	}
+	out := slices.Clone(old)
+	out[p] = d
 	return out
 }

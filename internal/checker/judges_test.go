@@ -88,7 +88,7 @@ func firstOnRun(t *testing.T, prob taxonomy.Problem, x *Exploration) {
 }
 
 // traceOnExplorer steps one chaos trace through the explorer's judges —
-// sim.Apply, updateLedger, the trace's own omission policy — numbering each
+// sim.Apply, ledgerAfter, the trace's own omission policy — numbering each
 // configuration by its step, and requires every violation the trace records
 // to come out, and the final configuration's termination verdict to be
 // exactly the recorded one.
@@ -129,7 +129,7 @@ func traceOnExplorer(t *testing.T, body string) {
 			t.Skipf("the recorded omission policy (budget %d, mobile %d) refuses the shrunk schedule at event %d: %v",
 				tr.OmissionBudget, tr.MobileOmissions, i, err)
 		}
-		next := &node{cfg: cfg, ledger: updateLedger(nd.ledger, cfg), inputs: inputs}
+		next := &node{cfg: cfg, ledger: ledgerAfter(nd.ledger, cfg), inputs: inputs}
 		found = edgeViolations(found, prob, nd, next, failed > 0 || nd.cfg.OmissionsUsed() > 0)
 		atFinal = nodeViolations(nil, prob, i+1, next)
 		found, nd = append(found, atFinal...), next

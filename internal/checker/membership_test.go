@@ -89,7 +89,7 @@ func TestSweepTracesStayInTheCheckersSpace(t *testing.T) {
 					if err != nil {
 						t.Fatalf("run %d: event %d of %v: %v", f.RunIndex, i, f.Schedule, err)
 					}
-					nd = &node{cfg: cfg, ledger: updateLedger(nd.ledger, cfg)}
+					nd = &node{cfg: cfg, ledger: ledgerAfter(nd.ledger, cfg)}
 				}
 			}
 			if len(rep.Failures) == 0 {

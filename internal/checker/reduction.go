@@ -2,6 +2,7 @@ package checker
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/fingerprint"
 	"repro/internal/sim"
@@ -119,7 +120,7 @@ type ReductionStats struct {
 // by step's proviso as each ample set is built.
 func ampleProc(cfg *sim.Config) (sim.ProcID, bool) {
 	for p := range cfg.States {
-		if cfg.States[p].Kind() == sim.Sending {
+		if cfg.KindAt(sim.ProcID(p)) == sim.Sending {
 			return sim.ProcID(p), true
 		}
 	}
@@ -236,7 +237,8 @@ func leastHandle(vec []fingerprint.Digest) (fp fingerprint.Digest, permuted bool
 // computes, with the parent it was stepped from (nil for a root): predicted
 // ones (s.predicted, s.nd nil), predicted ones again once built (s.nd set),
 // and built-and-canonicalized ones. Only tests set it, to hold every handle
-// to the materialized path.
+// to the materialized path. A hook that keeps a node or its parent must keep
+// a copy: the walk recycles nodes it is done with.
 var canonicalizeHook func(e *explorer, parent *node, s succ)
 
 // permutedLedgerFP fingerprints the ledger relabelled by perm without
@@ -255,8 +257,9 @@ func permutedLedgerFP(ledger []sim.Decision, perm sim.ProcPerm) fingerprint.Dige
 
 // initReduction resolves the exploration's reduction configuration: the
 // ample modes switch on ample-set expansion and dead-letter elision, the
-// symmetry modes resolve the protocol's automorphism group (empty for
-// protocols without usable symmetry, which then canonicalize nothing).
+// symmetry modes resolve the protocol's automorphism group, less the
+// automorphisms that move FailProcs (empty for protocols without usable
+// symmetry, which then canonicalize nothing).
 //
 // When an omission budget is enabled, every reduction is conservatively
 // disabled and the space explores in full (DESIGN.md §8):
@@ -287,7 +290,19 @@ func (e *explorer) initReduction() {
 	e.ample = e.opts.Reduction.ample()
 	e.elide = e.ample
 	if e.opts.Reduction.usesSymmetry() {
-		e.symPerms = symmetry.ForProtocol(e.proto)
+		// An automorphism relabels runs into runs only if it maps the
+		// processors FailProcs lets fail onto themselves: otherwise the
+		// relabelled run fails a processor the options forbid to fail. The
+		// automorphisms that do form a subgroup (the setwise stabilizer of
+		// FailProcs), so minimizing over them alone stays sound.
+		e.symPerms = slices.DeleteFunc(slices.Clone(symmetry.ForProtocol(e.proto)), func(perm sim.ProcPerm) bool {
+			for p, q := range perm {
+				if e.failAllowed[p] != e.failAllowed[q] {
+					return true
+				}
+			}
+			return false
+		})
 	}
 	if e.canonicalizing() {
 		e.permMemo = sim.NewPermuteMemo(e.symPerms)

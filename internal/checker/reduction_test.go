@@ -187,6 +187,49 @@ func TestReductionDifferential(t *testing.T) {
 	}
 }
 
+// TestReductionFailProcs holds the symmetry modes to the unreduced walk
+// when FailProcs is not invariant under the automorphism group: each of the
+// six problems must get the same verdict and, where neither walk reached
+// the cap of 100 violations, the same violation kinds (a capped list holds
+// the kinds of the first 100, which depend on the walk's order). Minimizing
+// over an automorphism that moves FailProcs merges a configuration with one
+// whose failures the options forbid; on fullexchange(3) that hid every TC
+// violation for FailProcs [p1]. -short skips the fullexchange(3) cells
+// (2–5 s each unreduced).
+func TestReductionFailProcs(t *testing.T) {
+	problems := taxonomy.SixProblems()
+	for _, proto := range []sim.Protocol{protocols.Star{Procs: 3}, protocols.Tree{Procs: 3}, protocols.FullExchange{Procs: 3}} {
+		for _, fail := range [][]sim.ProcID{{0}, {1}, {2}, {0, 1}} {
+			t.Run(fmt.Sprintf("%s/%v", proto.Name(), fail), func(t *testing.T) {
+				if _, big := proto.(protocols.FullExchange); big && testing.Short() {
+					t.Skip("fullexchange(3) mf1 walks take seconds")
+				}
+				t.Parallel()
+				opts := Options{MaxFailures: 1, FailProcs: fail}
+				ref, err := CheckAll(context.Background(), proto, problems, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, mode := range []Reduction{ReduceSymmetry, ReduceBoth} {
+					opts.Reduction = mode
+					xs, err := CheckAll(context.Background(), proto, problems, opts)
+					if err != nil {
+						t.Fatalf("%v: %v", mode, err)
+					}
+					for i, x := range xs {
+						got, want := violationKinds(x), violationKinds(ref[i])
+						capped := len(x.Violations) == 100 || len(ref[i].Violations) == 100
+						if x.Conforms() != ref[i].Conforms() || !capped && !slices.Equal(got, want) {
+							t.Errorf("%v, %s: %d violations of kinds %v, unreduced %d of %v",
+								mode, problems[i].Name(), len(x.Violations), got, len(ref[i].Violations), want)
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
 // reducedDigest is exploreDigest plus the reduction counters, so the
 // repeat-run comparison also pins the stats the walk counts.
 func reducedDigest(x *Exploration, log []admission) string {
@@ -332,7 +375,7 @@ func TestCanonicalizeDigestMatchesMaterialized(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", s.event, err)
 				}
-				nxt = &node{cfg: cfg, ledger: updateLedger(parent.ledger, cfg)}
+				nxt = &node{cfg: cfg, ledger: ledgerAfter(parent.ledger, cfg)}
 			}
 			fp, el, pm := materializedHandle(e, nxt)
 			calls++
@@ -348,7 +391,7 @@ func TestCanonicalizeDigestMatchesMaterialized(t *testing.T) {
 				if e.visited.Seen(s.fp) && len(seen) < 64 {
 					pvec := make([]fingerprint.Digest, len(e.pvec))
 					copy(pvec, e.pvec)
-					seen = append(seen, edge{parent, pvec, s.event, parent.cfg.OmissionsUsed() > 0 || failedIn(parent.cfg)})
+					seen = append(seen, edge{keep(parent), pvec, s.event, parent.cfg.OmissionsUsed() > 0 || failedIn(parent.cfg)})
 				}
 			case s.predicted:
 				predictedBuilt++
@@ -356,7 +399,7 @@ func TestCanonicalizeDigestMatchesMaterialized(t *testing.T) {
 				fallback++
 			}
 			if s.nd != nil && len(warm) < 64 {
-				warmE, warm = e, append(warm, s.nd)
+				warmE, warm = e, append(warm, keep(s.nd))
 			}
 			if s.fp != fp || (s.nd != nil && s.nd.fp != fp) || s.elided != el || s.permuted != pm {
 				t.Errorf("%s after %v: digest handle %v (elided=%v permuted=%v predicted=%v), materialized %v (%v %v)",
@@ -404,6 +447,14 @@ func TestCanonicalizeDigestMatchesMaterialized(t *testing.T) {
 				tc.proto.Name(), allocs, len(seen))
 		}
 	}
+}
+
+// keep is what a hook holds on to of a node the walk hands it: a copy. The
+// walk recycles a node, configuration included, once it is done with it.
+func keep(nd *node) *node {
+	cp := *nd
+	cp.cfg, cp.ledger = nd.cfg.Clone(), slices.Clone(nd.ledger)
+	return &cp
 }
 
 // failedIn reports whether some processor of c has crashed.

@@ -17,10 +17,12 @@ import (
 // no fingerprint, prediction, transition cache, intern id or bitset is read,
 // so a broken hash, a stale cache entry or a miscounted census in the engine
 // shows as a different exploreDigest. It reports its admissions to
-// Options.observe as the engine does. It shares what identity is not about:
-// sim, updateLedger, and the judge (edgeViolations and nodeViolations, which
-// call taxonomy's), numbering a node for the IC wording by its admission, as
-// the engine does; problems holds the one judge, if any.
+// Options.observe as the engine does. Its ledgers are ledgerAfter's, which
+// reads every processor's state where the engine's updateLedger reads the
+// stepping one's cached decision. It shares what identity is not about: sim
+// and the judge (edgeViolations and nodeViolations, which call taxonomy's),
+// numbering a node for the IC wording by its admission, as the engine does;
+// problems holds the one judge, if any.
 func refExplore(ctx context.Context, proto sim.Protocol, problems []taxonomy.Problem, opts Options) (*Exploration, error) {
 	n := proto.N()
 	maxFail := opts.MaxFailures
@@ -148,7 +150,7 @@ func refExplore(ctx context.Context, proto sim.Protocol, problems []taxonomy.Pro
 			if err != nil {
 				return nil, fmt.Errorf("checker: exploring %s: %w", proto.Name(), err)
 			}
-			nxt := &node{cfg: cfg, ledger: updateLedger(nd.ledger, cfg), inputs: nd.inputs}
+			nxt := &node{cfg: cfg, ledger: ledgerAfter(nd.ledger, cfg), inputs: nd.inputs}
 			key := nxt.key()
 			if _, linked := parents[key]; opts.TrackTraces && !linked && roots[key] == nil {
 				parents[key] = link{ndKey, ev}
@@ -165,4 +167,23 @@ func refExplore(ctx context.Context, proto sim.Protocol, problems []taxonomy.Pro
 		}
 	}
 	return x, nil
+}
+
+// ledgerAfter is the oracles' ledger update: old extended with every
+// decision visible in cfg, read from the states themselves. Decisions are
+// irrevocable, so a visible one can only confirm or extend the ledger; a
+// ledger that gains nothing is returned as is.
+func ledgerAfter(old []sim.Decision, cfg *sim.Config) []sim.Decision {
+	out, shared := old, true
+	for p, s := range cfg.States {
+		d, ok := s.Decided()
+		if !ok || out[p] == d {
+			continue
+		}
+		if shared {
+			out, shared = slices.Clone(old), false
+		}
+		out[p] = d
+	}
+	return out
 }

@@ -7,30 +7,53 @@ package frontier
 
 import "repro/internal/fingerprint"
 
-// SeqVisited is the explorers' visited set: one plain map of 128-bit node
-// fingerprints, with no sharding or locking, because the checker's and the
-// scheme enumerator's walks are single-goroutine. A node belongs to the
-// result exactly when Admit accepted it, so results depend only on the walk
-// order. Two distinct nodes collide with probability ~2^-128 per pair; the
-// test suites hold both walks to reference walks that identify nodes by
-// their full canonical keys.
+// SeqVisited is the explorers' visited set: a flat, linearly probed table
+// of 128-bit node fingerprints (TLC's FPSet), with no sharding or locking,
+// because the checker's and the scheme enumerator's walks are
+// single-goroutine. Fingerprint bits are already uniform, so a slot is
+// indexed by the low bits of Lo and a probe compares 16 bytes — no hashing,
+// no per-entry allocation. A node belongs to the result exactly when Admit
+// accepted it, so results depend only on the walk order. Two distinct nodes
+// collide with probability ~2^-128 per pair; the test suites hold both walks
+// to reference walks that identify nodes by their full canonical keys.
 type SeqVisited struct {
-	fp map[fingerprint.Digest]struct{}
+	// slots has a power-of-two length; the zero digest marks an empty slot,
+	// so the zero fingerprint itself is recorded in zero instead.
+	slots []fingerprint.Digest
+	n     int // fingerprints in slots
+	zero  bool
 }
+
+// seqMinSlots is a fresh table's size.
+const seqMinSlots = 1 << 10
 
 // NewSeqVisited returns an empty set. The argument is deprecated: ignored;
 // pinned by bench/probes.go.
 func NewSeqVisited(Dedup) *SeqVisited {
-	return &SeqVisited{fp: make(map[fingerprint.Digest]struct{})}
+	return &SeqVisited{slots: make([]fingerprint.Digest, seqMinSlots)}
 }
 
 // Admit inserts the node's fingerprint, reporting whether it was new. The
 // string argument is deprecated: ignored; pinned by bench/probes.go.
 func (v *SeqVisited) Admit(fp fingerprint.Digest, _ string) bool {
-	if _, ok := v.fp[fp]; ok {
+	if fp.IsZero() {
+		added := !v.zero
+		v.zero = true
+		return added
+	}
+	i, found := v.find(fp)
+	if found {
 		return false
 	}
-	v.fp[fp] = struct{}{}
+	v.slots[i] = fp
+	v.n++
+	// Grow at a load of three quarters: a probe for an absent fingerprint
+	// then reads at most 8.5 slots on average, a hit 2.5 — two or three
+	// cache lines — and a table holds 21 to 43 bytes per fingerprint, about
+	// what a Go map of 16-byte keys holds.
+	if 4*v.n > 3*len(v.slots) {
+		v.grow()
+	}
 	return true
 }
 
@@ -38,6 +61,35 @@ func (v *SeqVisited) Admit(fp fingerprint.Digest, _ string) bool {
 // admitting it. Expansion uses it to skip materializing successors that are
 // already visited.
 func (v *SeqVisited) Seen(fp fingerprint.Digest) bool {
-	_, ok := v.fp[fp]
-	return ok
+	if fp.IsZero() {
+		return v.zero
+	}
+	_, found := v.find(fp)
+	return found
+}
+
+// find returns fp's slot when it is in the table, else the empty slot where
+// it would go. fp is not zero.
+func (v *SeqVisited) find(fp fingerprint.Digest) (int, bool) {
+	mask := uint64(len(v.slots) - 1)
+	for i := fp.Lo & mask; ; i = (i + 1) & mask {
+		switch v.slots[i] {
+		case fp:
+			return int(i), true
+		case fingerprint.Digest{}:
+			return int(i), false
+		}
+	}
+}
+
+// grow doubles the table and reinserts every fingerprint.
+func (v *SeqVisited) grow() {
+	old := v.slots
+	v.slots = make([]fingerprint.Digest, 2*len(old))
+	for _, fp := range old {
+		if !fp.IsZero() {
+			i, _ := v.find(fp)
+			v.slots[i] = fp
+		}
+	}
 }

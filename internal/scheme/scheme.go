@@ -400,7 +400,8 @@ func EnumerateContext(ctx context.Context, proto sim.Protocol, inputs []sim.Bit,
 			if e.predictSeen(nd, ev) {
 				continue
 			}
-			cfg, eff, err := e.pr.Materialize(proto, nd.cfg, ev)
+			var eff sim.Effect
+			cfg, err := e.pr.Materialize(proto, nd.cfg, ev, nil, &eff)
 			if err != nil {
 				return nil, fmt.Errorf("scheme: exploring %s: %w", proto.Name(), err)
 			}

@@ -173,15 +173,33 @@ type Config struct {
 	omitTargets uint64
 
 	// Incremental fingerprint cache. Once Fingerprint is first called on a
-	// configuration, fp and the unmixed per-processor state digests are
-	// maintained across Apply, so successors derive their fingerprint from
-	// the parent's by updating only the changed contributions. fpOK false
-	// means the cache is cold and fingerprints are recomputed on demand;
-	// execution paths that never ask for fingerprints (random runs, chaos
-	// replay) pay nothing.
+	// configuration, fp and each processor's stateMemo are maintained across
+	// Apply, so successors derive their fingerprint from the parent's by
+	// updating only the changed contributions, and KindAt and DecidedAt read
+	// the memo instead of calling the state. fpOK false means the cache is
+	// cold and fingerprints are recomputed on demand; execution paths that
+	// never ask for fingerprints (random runs, chaos replay) pay nothing.
 	fp     fingerprint.Digest
-	stateD []fingerprint.Digest
+	stateM []stateMemo
 	fpOK   bool
+}
+
+// stateMemo is what the fingerprint cache keeps of one processor's local
+// state: its unmixed digest, its kind and its visible decision. Library
+// states are value receivers of a few hundred bytes, so every call through
+// State copies one; the hot loops read these instead. Kind and decision are
+// a byte each, so a memo is 24 bytes: every queued configuration holds N.
+type stateMemo struct {
+	d       fingerprint.Digest
+	kind    uint8
+	dec     int8
+	decided bool
+}
+
+// memoOf is the stateMemo of a state with digest d, kind k and visible
+// decision (dec, decided).
+func memoOf(d fingerprint.Digest, k StateKind, dec Decision, decided bool) stateMemo {
+	return stateMemo{d: d, kind: uint8(k), dec: int8(dec), decided: decided}
 }
 
 // NewConfig builds the initial configuration of a protocol on the given
@@ -229,16 +247,17 @@ func (c *Config) Clone() *Config {
 
 // CopyFrom makes c the independent copy of src that Clone would return,
 // reusing c's containers: the scratch configuration of a caller that
-// replays many schedules from one starting point.
+// replays many schedules from one starting point, or of a walk that recycles
+// the configurations it has stepped.
 func (c *Config) CopyFrom(src *Config) {
-	states, buffers, seq, stateD := c.States, c.Buffers, c.seq, c.stateD
+	states, buffers, seq, stateM := c.States, c.Buffers, c.seq, c.stateM
 	*c = *src
 	c.States = append(states[:0], src.States...)
 	c.Buffers = append(buffers[:0], src.Buffers...) // buffers are persistent; Add/Remove copy
 	c.seq = append(seq[:0], src.seq...)
-	c.stateD = nil
+	c.stateM = stateM[:0]
 	if src.fpOK {
-		c.stateD = append(stateD[:0], src.stateD...)
+		c.stateM = append(c.stateM, src.stateM...)
 	}
 }
 
@@ -259,8 +278,8 @@ func (c *Config) CopyFrom(src *Config) {
 // only for Key/Fingerprint computation, never stepped.
 func (c *Config) WithoutDeadBuffers() (*Config, bool) {
 	erase := false
-	for p, s := range c.States {
-		if len(c.Buffers[p]) > 0 && deadLetterBox(s) {
+	for p := range c.States {
+		if len(c.Buffers[p]) > 0 && c.deadLetterBox(ProcID(p)) {
 			erase = true
 			break
 		}
@@ -277,28 +296,29 @@ func (c *Config) WithoutDeadBuffers() (*Config, bool) {
 		omitFaulty:  c.omitFaulty,
 		omitTargets: c.omitTargets,
 	}
-	for p, s := range c.States {
-		if !deadLetterBox(s) {
+	for p := range c.States {
+		if !c.deadLetterBox(ProcID(p)) {
 			out.Buffers[p] = c.Buffers[p]
 		}
 	}
 	return out, true
 }
 
-// deadLetterBox reports whether a processor in state s can never receive
-// again, which makes everything in its buffer a dead letter.
-func deadLetterBox(s State) bool {
-	k := s.Kind()
-	return k == Failed || k == Halted
-}
+// deadLetterBox reports whether processor p can never receive again, which
+// makes everything in its buffer a dead letter.
+func (c *Config) deadLetterBox(p ProcID) bool { return deadKind(c.KindAt(p)) }
+
+// deadKind reports whether a processor in a state of kind k can never
+// receive again.
+func deadKind(k StateKind) bool { return k == Failed || k == Halted }
 
 // ElidedFingerprint returns what WithoutDeadBuffers reports — the erased
 // view's Fingerprint and whether anything was erased — without building
 // the view: the warm fingerprint minus the dead letters' buffer terms.
 func (c *Config) ElidedFingerprint() (fingerprint.Digest, bool) {
 	fp, changed := c.Fingerprint(), false
-	for p, s := range c.States {
-		if buf := c.Buffers[p]; len(buf) > 0 && deadLetterBox(s) {
+	for p := range c.States {
+		if buf := c.Buffers[p]; len(buf) > 0 && c.deadLetterBox(ProcID(p)) {
 			changed = true
 			for i := range buf {
 				fp = fp.Sub(buf[i].Digest().Mixed(saltBufferBase + uint64(p)))
@@ -335,14 +355,16 @@ func (c *Config) Fingerprint() fingerprint.Digest {
 
 func (c *Config) initFingerprint() {
 	n := c.N()
-	c.stateD = make([]fingerprint.Digest, n)
+	c.stateM = c.stateM[:0]
 	fp := inputsDigest(c.Inputs).Mixed(saltInputs)
 	if c.pol.Enabled() {
 		fp = fp.Add(c.omissionTerm())
 	}
 	for p := 0; p < n; p++ {
-		d := StateDigest(c.States[p])
-		c.stateD[p] = d
+		s := c.States[p]
+		d := StateDigest(s)
+		dec, decided := s.Decided()
+		c.stateM = append(c.stateM, memoOf(d, s.Kind(), dec, decided))
 		fp = fp.Add(d.Mixed(saltStateBase + uint64(p)))
 		buf := c.Buffers[p]
 		for i := range buf {
@@ -360,22 +382,39 @@ func (c *Config) StateDigestAt(p int) fingerprint.Digest {
 	if !c.fpOK {
 		c.initFingerprint()
 	}
-	return c.stateD[p]
+	return c.stateM[p].d
 }
 
-// setState replaces p's local state, updating the fingerprint cache by
-// swapping p's state contribution. d is s's digest when the caller has it
-// (from the transition cache) and zero otherwise; a cold cache needs none.
-func (c *Config) setState(p ProcID, s State, d fingerprint.Digest) {
+// KindAt is c.States[p].Kind(), read from the fingerprint cache when it is
+// warm.
+func (c *Config) KindAt(p ProcID) StateKind {
 	if c.fpOK {
-		if d.IsZero() {
-			d = StateDigest(s)
-		}
-		salt := saltStateBase + uint64(p)
-		c.fp = c.fp.Sub(c.stateD[p].Mixed(salt)).Add(d.Mixed(salt))
-		c.stateD[p] = d
+		return StateKind(c.stateM[p].kind)
 	}
-	c.States[p] = s
+	return c.States[p].Kind()
+}
+
+// DecidedAt is c.States[p].Decided(), read from the fingerprint cache when it
+// is warm.
+func (c *Config) DecidedAt(p ProcID) (Decision, bool) {
+	if c.fpOK {
+		return Decision(c.stateM[p].dec), c.stateM[p].decided
+	}
+	return c.States[p].Decided()
+}
+
+// setState replaces p's local state by st's post-state, updating the
+// fingerprint cache by swapping p's state contribution. A cold cache needs
+// nothing; a warm one takes the post-state's digest, kind and decision from
+// st, filling them once if the transition cache has not.
+func (c *Config) setState(p ProcID, st *step) {
+	if c.fpOK {
+		st.fill()
+		salt := saltStateBase + uint64(p)
+		c.fp = c.fp.Sub(c.stateM[p].d.Mixed(salt)).Add(st.postD.Mixed(salt))
+		c.stateM[p] = memoOf(st.postD, st.kind, st.dec, st.decided)
+	}
+	c.States[p] = st.post
 }
 
 // addMessage buffers m at its destination, adding its contribution to the
@@ -437,7 +476,7 @@ func (c *Config) StateKey() string {
 }
 
 // Faulty reports whether processor p occupies a failed state.
-func (c *Config) Faulty(p ProcID) bool { return c.States[p].Kind() == Failed }
+func (c *Config) Faulty(p ProcID) bool { return c.KindAt(p) == Failed }
 
 // Operational lists the processors in operational (sending or receiving)
 // states.
@@ -468,8 +507,8 @@ func (c *Config) Decisions() []Decision {
 // receiving processor has an empty buffer. Weakly terminating protocols
 // "terminate, in essence, by deadlocking" (Section 2) in exactly this sense.
 func (c *Config) Quiescent() bool {
-	for p, s := range c.States {
-		switch s.Kind() {
+	for p := range c.States {
+		switch c.KindAt(ProcID(p)) {
 		case Sending:
 			return false
 		case Receiving:

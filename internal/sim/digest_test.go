@@ -161,7 +161,8 @@ func TestPredictorExact(t *testing.T) {
 			if decided != pred.Decided || (decided && d != pred.Decision) {
 				t.Fatalf("Predict decision (%v,%v), applied (%v,%v)", pred.Decision, pred.Decided, d, decided)
 			}
-			mat, eff, err := pr.Materialize(proto, c, e)
+			var eff Effect
+			mat, err := pr.Materialize(proto, c, e, nil, &eff)
 			if err != nil {
 				t.Fatalf("materialize %s: %v", e, err)
 			}
@@ -216,7 +217,8 @@ func (multiSendProto) SendStep(p ProcID, s State) (State, []Envelope) {
 // routed through Apply, so callers observe Apply's exact errors, on the
 // first call and again once the cache has remembered the transition as
 // invalid. ApplyInPlace returns the same errors and, having run every check
-// before its first write, leaves the configuration untouched.
+// before its first write, leaves the configuration untouched; so does
+// Materialize with the destination it was handed.
 func TestPredictorMaterializeErrors(t *testing.T) {
 	revoked, _, err := Apply(revokeProto{}, NewConfig(revokeProto{}, []Bit{One, One}), Event{Proc: 0, Type: SendStepEvent})
 	if err != nil {
@@ -254,9 +256,13 @@ func TestPredictorMaterializeErrors(t *testing.T) {
 				if _, ok := pr.Predict(tc.proto, tc.c, tc.ev); ok {
 					t.Errorf("%s: Predict vouched for an event Apply rejects", pass)
 				}
-				next, _, err := pr.Materialize(tc.proto, tc.c, tc.ev)
+				next, err := pr.Materialize(tc.proto, tc.c, tc.ev, nil, nil)
 				if next != nil || err == nil || err.Error() != wantErr.Error() {
 					t.Errorf("%s: Materialize = %v, error %v; Apply's error is %v — must match", pass, next, err, wantErr)
+				}
+				dst := NewConfig(digestProto{n: 2}, []Bit{One, Zero})
+				if _, err := pr.Materialize(tc.proto, tc.c, tc.ev, dst, nil); err == nil || dst.Key() != NewConfig(digestProto{n: 2}, []Bit{One, Zero}).Key() {
+					t.Errorf("%s: a refused Materialize wrote its destination: %s", pass, dst.Key())
 				}
 			}
 		})

@@ -101,7 +101,7 @@ func (c *Config) applicable(e Event) (*Message, bool) {
 	if int(e.Proc) < 0 || int(e.Proc) >= c.N() {
 		return nil, false
 	}
-	k := c.States[e.Proc].Kind()
+	k := c.KindAt(e.Proc)
 	switch e.Type {
 	case Fail:
 		// Any non-failed processor (including a halted one) may fail.
@@ -147,11 +147,13 @@ type Effect struct {
 // model's validity conditions and returns an error if the protocol violates
 // them; scheduling errors (inapplicable events) return ErrNotApplicable.
 func Apply(proto Protocol, c *Config, e Event) (*Config, Effect, error) {
-	st, err := transition(proto, c, e)
+	st, m, err := transition(proto, c, e)
 	if err != nil {
 		return nil, Effect{}, err
 	}
-	next, eff := c.successor(e, st)
+	next := c.Clone()
+	eff := Effect{Event: e}
+	next.commit(e, &st, m, &eff)
 	return next, eff, nil
 }
 
@@ -161,11 +163,11 @@ func Apply(proto Protocol, c *Config, e Event) (*Config, Effect, error) {
 // history has no use for. The checks and the errors are Apply's; on an error
 // c is left as it was.
 func (c *Config) ApplyInPlace(proto Protocol, e Event) error {
-	st, err := transition(proto, c, e)
+	st, m, err := transition(proto, c, e)
 	if err != nil {
 		return err
 	}
-	c.commit(e, st, nil)
+	c.commit(e, &st, m, nil)
 	return nil
 }
 
@@ -174,35 +176,53 @@ func (c *Config) ApplyInPlace(proto Protocol, e Event) error {
 // errors, and nothing written. It answers "what would this step do to its
 // processor?" for schedulers that choose from the current configuration.
 func PostState(proto Protocol, c *Config, e Event) (State, error) {
-	st, err := transition(proto, c, e)
+	st, _, err := transition(proto, c, e)
 	return st.post, err
 }
 
-// step is what applying one event reads: the stepping processor's
-// post-state, the envelope a sending step emits and the message a delivery
-// or an omission consumes. With C it determines e(C): commit and
-// fingerprintAfter take channel counters and omission accounting from C.
+// step is what applying one event reads, apart from the message a delivery
+// or an omission consumes: the stepping processor's post-state and the
+// envelope a sending step emits. With C and that message it determines
+// e(C): commit and fingerprintAfter take channel counters and omission
+// accounting from C. A step depends on nothing else, so the transition
+// cache keeps one per distinct transition and hands out pointers to it.
 type step struct {
 	post State
-	// postD is post's digest, zero until known: the transition cache stores
-	// it, and commit computes it only for a configuration whose fingerprint
-	// cache is warm.
-	postD fingerprint.Digest
-	sends bool // a sending step that emits env
-	env   Envelope
+	// postD is post's digest and kind, dec and decided its Kind and Decided,
+	// all unknown while kind is zero: fill computes them once — for the
+	// transition cache when it remembers the step, or for commit on a
+	// configuration whose fingerprint cache is warm.
+	postD   fingerprint.Digest
+	kind    StateKind
+	dec     Decision
+	decided bool
+	sends   bool // a sending step that emits env
+	env     Envelope
 	// payloadKey is env.Payload.Key() once computed — by the transition
 	// cache or by commit — so no sent message computes it twice.
 	payloadKey string
-	m          *Message // in C's buffer
+}
+
+// fill computes the post-state's digest, kind and decision, unless known.
+func (st *step) fill() {
+	if st.kind != 0 {
+		return
+	}
+	if st.postD.IsZero() {
+		st.postD = StateDigest(st.post)
+	}
+	st.kind = st.post.Kind()
+	st.dec, st.decided = st.post.Decided()
 }
 
 // transition is the reading half of applying e at c: applicability, then
-// the protocol's step. Every check that can fail is here; nothing is
+// the protocol's step, and the buffered message a delivery or an omission
+// consumes (in C's buffer). Every check that can fail is here; nothing is
 // written.
-func transition(proto Protocol, c *Config, e Event) (step, error) {
+func transition(proto Protocol, c *Config, e Event) (step, *Message, error) {
 	m, ok := c.applicable(e)
 	if !ok {
-		return step{}, fmt.Errorf("%w: %s", ErrNotApplicable, e)
+		return step{}, nil, fmt.Errorf("%w: %s", ErrNotApplicable, e)
 	}
 	p := e.Proc
 	var st step
@@ -217,8 +237,7 @@ func transition(proto Protocol, c *Config, e Event) (step, error) {
 	case Omit:
 		st.post = c.States[p]
 	}
-	st.m = m
-	return st, err
+	return st, m, err
 }
 
 // sendStep runs p's sending step from s among n processors and holds it to
@@ -269,19 +288,11 @@ func CheckEnvelopes(p ProcID, n int, envs []Envelope) error {
 	return nil
 }
 
-// successor is the clone of c that e's step turns into e(C), with the effect.
-func (c *Config) successor(e Event, st step) (*Config, Effect) {
-	next := c.Clone()
-	eff := Effect{Event: e}
-	next.commit(e, st, &eff)
-	return next, eff
-}
-
 // commit is the writing half: it turns c, a configuration at which
-// transition accepted e (or a clone of one), into e(C). It cannot fail. A
-// non-nil eff, already carrying the event, collects what the step sent and
-// consumed.
-func (c *Config) commit(e Event, st step, eff *Effect) {
+// transition accepted e (or a copy of one), into e(C), where m is the
+// message e consumes. It cannot fail. A non-nil eff, already carrying the
+// event, collects what the step sent and consumed.
+func (c *Config) commit(e Event, st *step, m *Message, eff *Effect) {
 	p := e.Proc
 	send := func(m Message) {
 		c.addMessage(m.ID.To, m)
@@ -297,7 +308,7 @@ func (c *Config) commit(e Event, st step, eff *Effect) {
 		// both atomically; the intermediate z_a is never observable in
 		// our configurations, and the net effect — notices everywhere,
 		// no further sends, no restart — is identical.
-		c.setState(p, st.post, st.postD)
+		c.setState(p, st)
 		c.noteFail(p)
 		for q := 0; q < c.N(); q++ {
 			if ProcID(q) != p {
@@ -307,7 +318,7 @@ func (c *Config) commit(e Event, st step, eff *Effect) {
 		}
 
 	case SendStepEvent:
-		c.setState(p, st.post, st.postD)
+		c.setState(p, st)
 		if st.sends {
 			if st.payloadKey == "" {
 				st.payloadKey = st.env.Payload.Key()
@@ -316,36 +327,37 @@ func (c *Config) commit(e Event, st step, eff *Effect) {
 			send(Message{
 				ID:      id,
 				Payload: st.env.Payload,
-				key:     id.String() + ":" + st.payloadKey,
+				key:     msgKey(id, st.payloadKey),
 				digest:  msgDigestParts(p, id.To, id.Seq, false, st.payloadKey),
 			})
 		}
 
 	case Deliver:
-		c.setState(p, st.post, st.postD)
-		c.removeMessage(p, *st.m)
+		c.setState(p, st)
+		c.removeMessage(p, *m)
 		c.noteDeliver(p)
 		if eff != nil {
-			eff.Received = st.m
+			eff.Received = m
 		}
 
 	case Omit:
-		c.removeMessage(p, *st.m)
+		c.removeMessage(p, *m)
 		c.noteOmit(p)
 		if eff != nil {
-			eff.Omitted = st.m
+			eff.Omitted = m
 		}
 	}
 }
 
-// fingerprintAfter is the fingerprint commit would give e(C), computed from
-// C's warm fingerprint without building e(C). It needs st.postD and, for a
-// send, st.payloadKey: the transition cache supplies both.
-func (c *Config) fingerprintAfter(e Event, st step) fingerprint.Digest {
+// fingerprintAfter is the fingerprint commit would give e(C), where m is
+// the message e consumes, computed from C's warm fingerprint without
+// building e(C). It needs st.postD and, for a send, st.payloadKey: the
+// transition cache supplies both.
+func (c *Config) fingerprintAfter(e Event, st *step, m *Message) fingerprint.Digest {
 	fp, p := c.Fingerprint(), e.Proc
 	if e.Type != Omit {
 		salt := saltStateBase + uint64(p)
-		fp = fp.Sub(c.stateD[p].Mixed(salt)).Add(st.postD.Mixed(salt))
+		fp = fp.Sub(c.stateM[p].d.Mixed(salt)).Add(st.postD.Mixed(salt))
 	}
 
 	switch e.Type {
@@ -363,10 +375,10 @@ func (c *Config) fingerprintAfter(e Event, st step) fingerprint.Digest {
 		}
 		return fp
 	case Deliver:
-		fp = fp.Sub(st.m.Digest().Mixed(saltBufferBase + uint64(p)))
+		fp = fp.Sub(m.Digest().Mixed(saltBufferBase + uint64(p)))
 		return c.omissionShiftClear(fp, p)
 	default: // Omit
-		fp = fp.Sub(st.m.Digest().Mixed(saltBufferBase + uint64(p)))
+		fp = fp.Sub(m.Digest().Mixed(saltBufferBase + uint64(p)))
 		return c.omissionShiftOmit(fp, p)
 	}
 }
@@ -401,8 +413,8 @@ func Enabled(c *Config) []Event {
 // AppendEnabled appends the enabled non-failure events to dst and returns
 // it, so hot loops can reuse one scratch slice across configurations.
 func AppendEnabled(dst []Event, c *Config) []Event {
-	for p, s := range c.States {
-		switch s.Kind() {
+	for p := range c.States {
+		switch c.KindAt(ProcID(p)) {
 		case Sending:
 			dst = append(dst, Event{Proc: ProcID(p), Type: SendStepEvent})
 		case Receiving:

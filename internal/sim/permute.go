@@ -247,7 +247,7 @@ func (pm *PermuteMemo) Vector(dst []fingerprint.Digest, c *Config, elide bool) (
 			return false, false
 		}
 		addRow(v, r)
-		if elide && deadLetterBox(s) {
+		if elide && c.deadLetterBox(ProcID(p)) {
 			continue
 		}
 		buf := c.Buffers[p]

@@ -20,40 +20,45 @@ type Predicted struct {
 
 // Predictor is a transition cache. It remembers the two halves of
 // transition that call the protocol — sendStep and receiveStep — by the
-// digests of their inputs, with the post-state's digest and a sent
-// payload's key filled in, so a repeated transition costs one map probe
-// instead of a protocol callback plus state hashing. Transition functions
-// are pure (Init/Receive/SendStep depend only on their arguments — the ccvet
-// purity analyzer enforces it), and states and payloads are immutable values
-// that configurations already share, so a remembered step builds a successor
-// as well as the protocol would.
+// digests of their inputs, with the post-state's digest, kind and decision
+// and a sent payload's key filled in, so a repeated transition costs one map
+// probe instead of a protocol callback plus state hashing. Transition
+// functions are pure (Init/Receive/SendStep depend only on their arguments —
+// the ccvet purity analyzer enforces it), and states and payloads are
+// immutable values that configurations already share, so a remembered step
+// builds a successor as well as the protocol would.
 //
 // Like the explorers' fingerprint dedup itself, the cache identifies inputs
 // by 128-bit digest: a hash collision could return the wrong remembered
 // step, which the reference walks of the differential suites (every edge a
 // plain Apply) would expose. Its keys do not name the protocol, so one
-// Predictor serves one protocol. It is a plain map, not safe for concurrent
-// use: its callers are the checker's and the scheme enumerator's walks, each
-// on one goroutine.
+// Predictor serves one protocol. It is a plain map and slab, not safe for
+// concurrent use: its callers are the checker's and the scheme enumerator's
+// walks, each on one goroutine.
 type Predictor struct {
-	// memo maps a transition's cache key to its step; an invalid
-	// transition is remembered as the zero step.
-	memo map[fingerprint.Digest]step
+	// memo maps a transition's cache key to its step's index in steps, a
+	// slab that only grows; an invalid transition is remembered as the zero
+	// step.
+	memo  map[fingerprint.Digest]int32
+	steps []step
+	// other is the step of the last Fail or Omit recalled: those read no
+	// protocol callback, so they are built per call, not remembered.
+	other step
 }
 
 // NewPredictor returns an empty transition cache.
 func NewPredictor() *Predictor {
-	return &Predictor{memo: make(map[fingerprint.Digest]step)}
+	return &Predictor{memo: make(map[fingerprint.Digest]int32)}
 }
 
-// recall is transition through the cache, with the post-state's digest and
-// a sent payload's key filled in. ok=false means e is inapplicable or the
-// cache remembers the transition as invalid: the caller falls back to
-// transition for Apply's exact error.
-func (pr *Predictor) recall(proto Protocol, c *Config, e Event) (step, bool) {
-	m, ok := c.applicable(e)
-	if !ok {
-		return step{}, false
+// recall is transition through the cache, with the post-state's digest,
+// kind and decision and a sent payload's key filled in. The step is the
+// cache's own, valid until the next recall; callers only read it. ok=false
+// means e is inapplicable or the cache remembers the transition as invalid:
+// the caller falls back to transition for Apply's exact error.
+func (pr *Predictor) recall(proto Protocol, c *Config, e Event) (st *step, m *Message, ok bool) {
+	if m, ok = c.applicable(e); !ok {
+		return nil, nil, false
 	}
 	p := e.Proc
 	stateD := c.StateDigestAt(int(p))
@@ -61,32 +66,38 @@ func (pr *Predictor) recall(proto Protocol, c *Config, e Event) (step, bool) {
 	switch e.Type {
 	case Fail:
 		post := FailedStateFor(p)
-		return step{post: post, postD: StateDigest(post)}, true
+		pr.other = step{post: post, postD: StateDigest(post), kind: Failed}
+		return &pr.other, m, true
 	case Omit:
-		return step{post: c.States[p], m: m}, true
+		pr.other = step{post: c.States[p], postD: stateD, kind: c.KindAt(p)}
+		pr.other.dec, pr.other.decided = c.DecidedAt(p)
+		return &pr.other, m, true
 	case SendStepEvent:
 		key = sendCacheKey(p, stateD)
 	default: // Deliver
 		key = deliverCacheKey(p, stateD, m.Digest())
 	}
-	st, seen := pr.memo[key]
+	i, seen := pr.memo[key]
 	if !seen {
+		var fresh step
 		var err error
 		if e.Type == SendStepEvent {
-			st, err = sendStep(proto, p, c.States[p], c.N())
+			fresh, err = sendStep(proto, p, c.States[p], c.N())
 		} else {
-			st, err = receiveStep(proto, p, c.States[p], *m)
+			fresh, err = receiveStep(proto, p, c.States[p], *m)
 		}
 		if err == nil {
-			st.postD = StateDigest(st.post)
-			if st.sends {
-				st.payloadKey = st.env.Payload.Key()
+			fresh.fill()
+			if fresh.sends {
+				fresh.payloadKey = fresh.env.Payload.Key()
 			}
 		}
-		pr.memo[key] = st
+		i = int32(len(pr.steps))
+		pr.steps = append(pr.steps, fresh)
+		pr.memo[key] = i
 	}
-	st.m = m
-	return st, st.post != nil
+	st = &pr.steps[i]
+	return st, m, st.post != nil
 }
 
 // deliverCacheKey identifies a Receive transition by processor, state
@@ -120,12 +131,11 @@ func sendCacheKey(p ProcID, stateD fingerprint.Digest) fingerprint.Digest {
 // whose Fingerprint equals CfgFP (the sim tests assert this over explored
 // spaces).
 func (pr *Predictor) Predict(proto Protocol, c *Config, e Event) (Predicted, bool) {
-	st, ok := pr.recall(proto, c, e)
+	st, m, ok := pr.recall(proto, c, e)
 	if !ok {
 		return Predicted{}, false
 	}
-	out := Predicted{CfgFP: c.fingerprintAfter(e, st)}
-	out.Decision, out.Decided = st.post.Decided()
+	out := Predicted{CfgFP: c.fingerprintAfter(e, st, m), Decision: st.dec, Decided: st.decided}
 	if st.sends {
 		out.Sent = true
 		out.SentID = MsgID{From: e.Proc, To: st.env.To, Seq: c.peekSeq(e.Proc, st.env.To)}
@@ -135,16 +145,30 @@ func (pr *Predictor) Predict(proto Protocol, c *Config, e Event) (Predicted, boo
 
 // Materialize is Apply through the transition cache: a transition the cache
 // has seen costs neither a protocol callback nor a state rehash — both are
-// paid once per distinct transition instead of once per edge. Any event the
-// cache cannot vouch for is routed through Apply, so the caller sees the
-// authoritative error.
-func (pr *Predictor) Materialize(proto Protocol, c *Config, e Event) (*Config, Effect, error) {
-	st, ok := pr.recall(proto, c, e)
+// paid once per distinct transition instead of once per edge. e(C) is
+// written into dst, whose containers are reused (dst must not be c), or
+// into a fresh configuration when dst is nil; the effect is written to eff
+// when it is non-nil, and not built otherwise. Any event the cache cannot
+// vouch for is routed through transition, so the caller sees Apply's
+// authoritative error, and dst is then left as it was.
+func (pr *Predictor) Materialize(proto Protocol, c *Config, e Event, dst *Config, eff *Effect) (*Config, error) {
+	st, m, ok := pr.recall(proto, c, e)
 	if !ok {
-		return Apply(proto, c, e)
+		fresh, fm, err := transition(proto, c, e)
+		if err != nil {
+			return nil, err
+		}
+		st, m = &fresh, fm
 	}
-	next, eff := c.successor(e, st)
-	return next, eff, nil
+	if dst == nil {
+		dst = &Config{}
+	}
+	dst.CopyFrom(c)
+	if eff != nil {
+		*eff = Effect{Event: e}
+	}
+	dst.commit(e, st, m, eff)
+	return dst, nil
 }
 
 // Shifted is a Predictor.Shift result: the visible decision of the stepping
@@ -171,18 +195,19 @@ func (pr *Predictor) Shift(proto Protocol, c *Config, e Event, pm *PermuteMemo, 
 	if c.pol.Enabled() {
 		return Shifted{}, false
 	}
-	st, ok := pr.recall(proto, c, e)
+	st, consumed, ok := pr.recall(proto, c, e)
 	if !ok {
 		return Shifted{}, false
 	}
-	p, pre := e.Proc, c.States[e.Proc]
-	preDead, postDead := elide && deadLetterBox(pre), elide && deadLetterBox(st.post)
+	p := e.Proc
+	preDead, postDead := elide && c.deadLetterBox(p), elide && deadKind(st.kind)
 	if preDead && !postDead {
 		return Shifted{}, false // a dead box never revives in the model
 	}
 	v := vec[1:]
 	if e.Type != Omit {
-		from, ok := pm.stateRow(p, c.stateD[p], pre)
+		pre := c.stateM[p].d
+		from, ok := pm.stateRow(p, pre, c.States[p])
 		if !ok {
 			return Shifted{}, false
 		}
@@ -191,14 +216,14 @@ func (pr *Predictor) Shift(proto Protocol, c *Config, e Event, pm *PermuteMemo, 
 			return Shifted{}, false
 		}
 		salt := saltStateBase + uint64(p)
-		vec[0] = vec[0].Sub(c.stateD[p].Mixed(salt)).Add(st.postD.Mixed(salt))
+		vec[0] = vec[0].Sub(pre.Mixed(salt)).Add(st.postD.Mixed(salt))
 		subRow(v, from)
 		addRow(v, to)
 	}
 	if !preDead {
 		buf, salt := c.Buffers[p], saltBufferBase+uint64(p)
 		for j := range buf {
-			if m := &buf[j]; m == st.m || postDead {
+			if m := &buf[j]; m == consumed || postDead {
 				vec[0] = vec[0].Sub(m.Digest().Mixed(salt))
 				subRow(v, pm.msgRow(m))
 			}
@@ -207,20 +232,18 @@ func (pr *Predictor) Shift(proto Protocol, c *Config, e Event, pm *PermuteMemo, 
 	switch e.Type {
 	case Fail:
 		for q := ProcID(0); int(q) < c.N(); q++ {
-			if q != p && !(elide && deadLetterBox(c.States[q])) {
+			if q != p && !(elide && c.deadLetterBox(q)) {
 				id := MsgID{From: p, To: q, Seq: c.peekSeq(p, q)}
 				pm.addEmitted(vec, Message{ID: id, Notice: true, digest: msgDigestParts(p, q, id.Seq, true, "")})
 			}
 		}
 	case SendStepEvent:
-		if to := st.env.To; st.sends && !(elide && deadLetterBox(c.States[to])) {
+		if to := st.env.To; st.sends && !(elide && c.deadLetterBox(to)) {
 			id := MsgID{From: p, To: to, Seq: c.peekSeq(p, to)}
 			pm.addEmitted(vec, Message{ID: id, Payload: st.env.Payload, digest: msgDigestParts(p, to, id.Seq, false, st.payloadKey)})
 		}
 	}
-	out := Shifted{Elided: elide && c.deadLettersAfter(e, st)}
-	out.Decision, out.Decided = st.post.Decided()
-	return out, true
+	return Shifted{Decision: st.dec, Decided: st.decided, Elided: elide && c.deadLettersAfter(e, st, consumed)}, true
 }
 
 // addEmitted adds the terms of m, a message a step emits (its digest set),
@@ -230,20 +253,21 @@ func (pm *PermuteMemo) addEmitted(vec []fingerprint.Digest, m Message) {
 	addRow(vec[1:], pm.msgRow(&m))
 }
 
-// deadLettersAfter reports whether e(C), with st the step e takes, has a
-// failed or halted processor with a nonempty buffer.
-func (c *Config) deadLettersAfter(e Event, st step) bool {
-	for q, s := range c.States {
-		n := len(c.Buffers[q])
+// deadLettersAfter reports whether e(C), with st the step e takes and m the
+// message it consumes, has a failed or halted processor with a nonempty
+// buffer.
+func (c *Config) deadLettersAfter(e Event, st *step, m *Message) bool {
+	for q := range c.States {
+		n, k := len(c.Buffers[q]), c.KindAt(ProcID(q))
 		switch {
 		case ProcID(q) == e.Proc:
-			if s = st.post; st.m != nil {
+			if k = st.kind; m != nil {
 				n--
 			}
 		case e.Type == Fail || (st.sends && st.env.To == ProcID(q)):
 			n++
 		}
-		if n > 0 && deadLetterBox(s) {
+		if n > 0 && deadKind(k) {
 			return true
 		}
 	}

@@ -15,7 +15,10 @@ import (
 // effect, and the sequence number the next message on every channel of a
 // live processor would get. Materialize builds the successor from the
 // remembered post-state and payload without calling the protocol, so this is
-// what keeps the memory honest.
+// what keeps the memory honest. Every edge is materialized twice: into a
+// fresh configuration with its effect, and without one into a scratch
+// configuration that still holds the previous edge's successor, as a walk
+// that recycles stepped configurations does.
 func TestMaterializeFromWarmCache(t *testing.T) {
 	cells := []struct {
 		proto   sim.Protocol
@@ -32,6 +35,7 @@ func TestMaterializeFromWarmCache(t *testing.T) {
 				failures int
 			}
 			pr := sim.NewPredictor()
+			scratch := &sim.Config{}
 			seen := make(map[string]struct{})
 			var queue []item
 			for _, inputs := range sim.AllInputs(proto.N()) {
@@ -56,12 +60,17 @@ func TestMaterializeFromWarmCache(t *testing.T) {
 					if _, ok := pr.Predict(proto, it.c, ev); !ok {
 						t.Fatalf("Predict refused applicable event %s", ev)
 					}
-					got, eff, err := pr.Materialize(proto, it.c, ev)
+					var eff sim.Effect
+					got, err := pr.Materialize(proto, it.c, ev, nil, &eff)
 					if err != nil {
 						t.Fatalf("materialize %s: %v", ev, err)
 					}
 					edges++
 					sameConfig(t, proto, ev, got, want)
+					if reused, err := pr.Materialize(proto, it.c, ev, scratch, nil); err != nil || reused != scratch {
+						t.Fatalf("materialize %s into scratch: %v", ev, err)
+					}
+					sameConfig(t, proto, ev, scratch, want)
 					if len(eff.Sent) != len(wantEff.Sent) || (eff.Received == nil) != (wantEff.Received == nil) {
 						t.Fatalf("%s: effect shape diverges from Apply's", ev)
 					}
@@ -109,6 +118,11 @@ func sameConfig(t *testing.T, proto sim.Protocol, ev sim.Event, got, want *sim.C
 		}
 		if got.StateDigestAt(p) != want.StateDigestAt(p) {
 			t.Fatalf("%s: cached digest of p%d diverges from Apply's", ev, p)
+		}
+		pid := sim.ProcID(p)
+		d, decided := want.States[p].Decided()
+		if gd, gdecided := got.DecidedAt(pid); got.KindAt(pid) != want.States[p].Kind() || gd != d || gdecided != decided {
+			t.Fatalf("%s: cached kind and decision of p%d diverge from the state's", ev, p)
 		}
 		if got.Buffers[p].Key() != want.Buffers[p].Key() {
 			t.Fatalf("%s: buffer of p%d is %s, Apply left %s", ev, p, got.Buffers[p].Key(), want.Buffers[p].Key())

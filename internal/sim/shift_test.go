@@ -66,7 +66,8 @@ func TestShiftMatchesVector(t *testing.T) {
 					}
 				}
 				for _, ev := range events {
-					next, eff, err := pr.Materialize(proto, it.c, ev)
+					var eff sim.Effect
+					next, err := pr.Materialize(proto, it.c, ev, nil, &eff)
 					if err != nil {
 						t.Fatalf("apply %s: %v", ev, err)
 					}

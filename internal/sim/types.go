@@ -144,15 +144,27 @@ type MsgID struct {
 // fmt: message keys are computed once per sent message on the exploration
 // hot path.
 func (id MsgID) String() string {
-	buf := make([]byte, 0, 24)
+	var buf [24]byte
+	return string(id.appendTo(buf[:0]))
+}
+
+// appendTo appends the triple as String renders it.
+func (id MsgID) appendTo(buf []byte) []byte {
 	buf = append(buf, '(', 'p')
 	buf = strconv.AppendInt(buf, int64(id.From), 10)
 	buf = append(buf, ',', 'p')
 	buf = strconv.AppendInt(buf, int64(id.To), 10)
 	buf = append(buf, ',')
 	buf = strconv.AppendInt(buf, int64(id.Seq), 10)
-	buf = append(buf, ')')
-	return string(buf)
+	return append(buf, ')')
+}
+
+// msgKey is the key of the message with triple id and, after the colon,
+// rest — "failed" for a notice, else the payload key — built in one
+// allocation.
+func msgKey(id MsgID, rest string) string {
+	var buf [64]byte
+	return string(append(append(id.appendTo(buf[:0]), ':'), rest...))
 }
 
 // Less orders triples lexicographically, giving patterns a canonical
@@ -196,9 +208,9 @@ func (m Message) Key() string {
 
 func (m Message) computeKey() string {
 	if m.Notice {
-		return m.ID.String() + ":failed"
+		return msgKey(m.ID, "failed")
 	}
-	return m.ID.String() + ":" + m.Payload.Key()
+	return msgKey(m.ID, m.Payload.Key())
 }
 
 // Digest fingerprints the message structurally: the triple, the notice
