@@ -14,13 +14,15 @@ var update = flag.Bool("update", false, "rewrite testdata/*.trace.golden from th
 // traceCells are the flag sets whose -trace stdout (exit code appended) is
 // committed under testdata: a crash-only walk, a walk under both
 // reductions, an omission walk whose root key carries the omission
-// accounting and whose trace ends in an omit, an IC violation found under
-// symmetry, and fullexchange(4) under both symmetry modes: S_4 is the
-// largest group the reduced cells canonicalize over (|G| = 24).
+// accounting and whose trace ends in an omit, the same omission walk under
+// both reductions, an IC violation found under symmetry, and
+// fullexchange(4) under both symmetry modes: S_4 is the largest group the
+// reduced cells canonicalize over (|G| = 24).
 var traceCells = []struct{ name, args string }{
 	{"2pc3-WT-TC", "-proto 2pc -n 3 -problem WT-TC"},
 	{"star3-WT-TC-both", "-proto star -n 3 -problem WT-TC -reduce both"},
 	{"ackcommit3-WT-TC-omit1", "-proto ackcommit -n 3 -problem WT-TC -omission-budget 1 -maxfail 0"},
+	{"ackcommit3-WT-TC-omit1-both", "-proto ackcommit -n 3 -problem WT-TC -omission-budget 1 -maxfail 0 -reduce both"},
 	{"chain-st3-ST-IC-symmetry", "-proto chain-st -n 3 -problem ST-IC -reduce symmetry"},
 	{"fullexchange4-WT-IC-symmetry", "-proto fullexchange -n 4 -problem WT-IC -maxfail 0 -reduce symmetry"},
 	{"fullexchange4-WT-IC-both", "-proto fullexchange -n 4 -problem WT-IC -maxfail 0 -reduce both"},
