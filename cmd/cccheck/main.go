@@ -90,8 +90,8 @@ func run(args []string, out io.Writer) int {
 		return 1
 	}
 
-	if *omitBudg > 0 && reduction != consensus.ReduceNone {
-		fmt.Fprintln(os.Stderr, "cccheck: note: state-space reductions are disabled under omission budgets (see DESIGN.md §8); exploring the full graph")
+	if *omitBudg > 0 && (reduction == consensus.ReduceSymmetry || reduction == consensus.ReduceBoth) {
+		fmt.Fprintln(os.Stderr, "cccheck: note: symmetry is off under omission budgets (see DESIGN.md §8)")
 	}
 
 	opts := consensus.CheckOptions{

@@ -211,8 +211,8 @@ func TestExploreDifferentialRuleViolations(t *testing.T) {
 // TestExploreOmissionDifferential asserts the same contract for
 // omission-faulted explorations — verdict, node counts, and the full state
 // census — both for complete explorations and for budget-capped partial
-// ones. Reductions are disabled under omissions (DESIGN.md §8), so these
-// rows always explore the full graph.
+// ones. These rows walk the full graph; the ample modes under a budget
+// (DESIGN.md §8) are held to it by TestReductionOmissionDifferential.
 func TestExploreOmissionDifferential(t *testing.T) {
 	cases := []diffCase{
 		// Complete: the whole omission-augmented space.

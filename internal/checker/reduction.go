@@ -34,7 +34,8 @@ const (
 	// ReduceSymmetry canonicalizes each node's dedup handle by minimizing
 	// over the protocol topology's automorphism group (internal/symmetry),
 	// collapsing symmetric configurations to one representative. Protocols
-	// without a usable group explore unreduced.
+	// without a usable group, and walks under an omission budget, explore
+	// unreduced.
 	ReduceSymmetry
 	// ReduceBoth applies both reductions.
 	ReduceBoth
@@ -112,12 +113,15 @@ type ReductionStats struct {
 // independent of every other enabled event — SendStep(p)/Fail(p) touch p's
 // state and append messages on p's outgoing channels (per-channel sequence
 // numbers are disjoint from every other processor's), and buffer inserts
-// commute with other inserts and with removals of different messages. So
-// every run from the configuration is Mazurkiewicz-equivalent to one
-// taking an ample event first (C1), the set is nonempty whenever any event
-// is enabled at a non-quiescent configuration with a Sending processor
-// (C0), and deferred events stay enabled. The cycle condition is enforced
-// by step's proviso as each ample set is built.
+// commute with other inserts and with removals of different messages. An
+// enabled Omit(q, µ) targets a Receiving q ≠ p, and a Sending p is never
+// omission-faulty, so neither ample event touches the omission accounting
+// (see initReduction). So every run from the configuration is
+// Mazurkiewicz-equivalent to one taking an ample event first (C1), the set
+// is nonempty whenever any event is enabled at a non-quiescent
+// configuration with a Sending processor (C0), and deferred events stay
+// enabled. The cycle condition is enforced by step's proviso as each ample
+// set is built.
 func ampleProc(cfg *sim.Config) (sim.ProcID, bool) {
 	for p := range cfg.States {
 		if cfg.KindAt(sim.ProcID(p)) == sim.Sending {
@@ -261,35 +265,25 @@ func permutedLedgerFP(ledger []sim.Decision, perm sim.ProcPerm) fingerprint.Dige
 // automorphisms that move FailProcs (empty for protocols without usable
 // symmetry, which then canonicalize nothing).
 //
-// When an omission budget is enabled, every reduction is conservatively
-// disabled and the space explores in full (DESIGN.md §8):
+// Under an omission budget the ample modes stay on (DESIGN.md §8):
 //
-//   - Ample sets: Omit(q, µ) does not commute with its target's events the
-//     way the {SendStep(p), Fail(p)} argument needs — an omission charges
-//     the shared budget and (in mobile mode) flips q's faulty bit, so
-//     deferring it past p's sending burst can reach configurations whose
-//     remaining budget differs, which are distinct nodes.
-//   - Dead-letter elision: messages addressed to failed or halted
-//     processors are no longer inert — Omit is structurally applicable to
-//     a halted processor's buffer, and applying it changes the budget
-//     accounting, so two configurations differing only in dead letters
-//     are no longer bisimilar.
-//   - Symmetry: canonical handles would have to permute the omission
-//     bitmasks along with states and buffers, which PermuteConfig does
-//     not do.
+//   - Ample sets: SendStep(p) and Fail(p) are independent of every
+//     Omit(q, µ). An Omit is offered only to a Receiving q, and it leaves
+//     q's state alone, so only a Deliver (which rehabilitates q) or a
+//     crash ends q's omission-faultiness: a Sending p is never
+//     omission-faulty, and Fail(p) frees no mobile slot. Neither ample
+//     event reads or writes the budget, and the omission triple is part
+//     of every handle.
+//   - Dead-letter elision: no enabled event reads a dead box — Omit, like
+//     Deliver, is offered only to a Receiving target — so dead letters
+//     stay inert.
 //
-// Each could be re-enabled with a sharper argument (e.g. excluding Omit
-// targets from the ample processor's independence set, erasing dead
-// letters only when the budget is exhausted); until such a proof lands,
-// correctness wins over speed.
+// Symmetry stays off: the relabelled candidates would have to permute the
+// omission masks, and PermuteConfig does not.
 func (e *explorer) initReduction() {
-	if e.opts.omission().Enabled() {
-		e.ample, e.elide, e.symPerms = false, false, nil
-		return
-	}
 	e.ample = e.opts.Reduction.ample()
 	e.elide = e.ample
-	if e.opts.Reduction.usesSymmetry() {
+	if e.opts.Reduction.usesSymmetry() && !e.opts.omission().Enabled() {
 		// An automorphism relabels runs into runs only if it maps the
 		// processors FailProcs lets fail onto themselves: otherwise the
 		// relabelled run fails a processor the options forbid to fail. The

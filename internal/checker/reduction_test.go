@@ -187,6 +187,120 @@ func TestReductionDifferential(t *testing.T) {
 	}
 }
 
+// omissionReductionCases are the reduction differential's omission rows:
+// tree, star, chain, ackcommit and haltingcommit at N = 3, each under
+// budget 1, budget 2 with one mobile slot, and one failure plus budget 1
+// with one mobile slot (the big rows, 37 k–111 k nodes unreduced).
+func omissionReductionCases() []reductionCase {
+	var cases []reductionCase
+	for _, pc := range []struct {
+		name  string
+		proto sim.Protocol
+	}{
+		{"tree", protocols.Tree{Procs: 3}},
+		{"star", protocols.Star{Procs: 3}},
+		{"chain", protocols.Chain{Procs: 3}},
+		{"ackcommit", protocols.AckCommit{Procs: 3}},
+		{"haltingcommit", protocols.HaltingCommit{Procs: 3}},
+	} {
+		cases = append(cases,
+			reductionCase{pc.name + "-ob1", pc.proto, Options{OmissionBudget: 1}, false},
+			reductionCase{pc.name + "-ob2-mobile1", pc.proto, Options{OmissionBudget: 2, MobileOmissions: 1}, false},
+			reductionCase{pc.name + "-mf1-ob1-mobile1", pc.proto, Options{MaxFailures: 1, OmissionBudget: 1, MobileOmissions: 1}, true})
+	}
+	return cases
+}
+
+// omissionPremise reports the first breach in c of the two facts the ample
+// and elision arguments under an omission budget stand on (DESIGN.md §8):
+// no Sending processor is omission-faulty, and no enabled Omit targets a
+// failed or halted box. "" means none.
+func omissionPremise(c *sim.Config) string {
+	for p := range c.States {
+		if c.KindAt(sim.ProcID(p)) == sim.Sending && c.OmissionFaultyProc(sim.ProcID(p)) {
+			return fmt.Sprintf("p%d is Sending and omission-faulty", p)
+		}
+	}
+	for _, ev := range sim.Enabled(c) {
+		if k := c.KindAt(ev.Proc); ev.Type == sim.Omit && (k == sim.Failed || k == sim.Halted) {
+			return fmt.Sprintf("%s is offered to a %v box", ev, k)
+		}
+	}
+	return ""
+}
+
+// TestReductionOmissionDifferential holds the ample modes to the unreduced
+// walk under omission budgets; symmetry is off under a budget, so both is
+// ample sets plus dead-letter elision. All six problems share one CheckAll
+// walk per mode, and each reduced walk must match the unreduced one in
+// verdicts, in violation kinds where neither list reached the cap of 100,
+// in its exact decision census and in its local-state census, and must
+// take some ample expansion. Each reduced walk's first violations replay
+// through chaos.Evaluate (firstOnRun): a reduced omission walk's
+// counterexample is a run. Every node any walk admits pins the premises
+// (omissionPremise); every edge a walk takes is an enabled event of an
+// admitted node, or a Fail. -short skips the big rows.
+func TestReductionOmissionDifferential(t *testing.T) {
+	problems := taxonomy.SixProblems()
+	for _, tc := range omissionReductionCases() {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.big && testing.Short() {
+				t.Skip("crash plus omission space of up to 111 k nodes; skipped in -short")
+			}
+			t.Parallel()
+			walk := func(mode Reduction) ([]*Exploration, []admission) {
+				var log []admission
+				var breach string
+				opts := observing(tc.opts, &log)
+				opts.Reduction, opts.TrackTraces = mode, mode != ReduceNone
+				record := opts.observe
+				opts.observe = func(ids []int32, nd *node) {
+					record(ids, nd)
+					if b := omissionPremise(nd.cfg); b != "" && breach == "" {
+						breach = nd.cfg.Key() + ": " + b
+					}
+				}
+				xs, err := CheckAll(context.Background(), tc.proto, problems, opts)
+				if err != nil {
+					t.Fatalf("%v: %v", mode, err)
+				}
+				if breach != "" {
+					t.Errorf("%v: first admitted breach of a premise: %s", mode, breach)
+				}
+				return xs, log
+			}
+			ref, refLog := walk(ReduceNone)
+			refCensus, refStates := decisionCensus(refLog), stateCensusKeys(ref[0])
+			for _, mode := range []Reduction{ReduceAmple, ReduceBoth} {
+				xs, log := walk(mode)
+				if rs := xs[0].Reduction; rs.AmpleNodes == 0 || rs.SymmetryPrunes != 0 {
+					t.Errorf("%v: %d ample expansions and %d symmetry prunes; want some and none", mode, rs.AmpleNodes, rs.SymmetryPrunes)
+				}
+				if xs[0].NodeCount > ref[0].NodeCount {
+					t.Errorf("%v: reduced run grew the space: %d > %d nodes", mode, xs[0].NodeCount, ref[0].NodeCount)
+				}
+				if got := decisionCensus(log); !slices.Equal(got, refCensus) {
+					t.Errorf("%v: decision census diverged (%d vs %d entries)", mode, len(got), len(refCensus))
+				}
+				if got := stateCensusKeys(xs[0]); !slices.Equal(got, refStates) {
+					t.Errorf("%v: local-state census diverged (%d vs %d states)", mode, len(got), len(refStates))
+				}
+				for i, x := range xs {
+					got, want := violationKinds(x), violationKinds(ref[i])
+					capped := len(x.Violations) == 100 || len(ref[i].Violations) == 100
+					if x.Conforms() != ref[i].Conforms() || !capped && !slices.Equal(got, want) {
+						t.Errorf("%v, %s: %d violations of kinds %v, unreduced %d of %v",
+							mode, problems[i].Name(), len(x.Violations), got, len(ref[i].Violations), want)
+					}
+					if !x.Conforms() {
+						firstOnRun(t, problems[i], x)
+					}
+				}
+			}
+		})
+	}
+}
+
 // TestReductionFailProcs holds the symmetry modes to the unreduced walk
 // when FailProcs is not invariant under the automorphism group: each of the
 // six problems must get the same verdict and, where neither walk reached
@@ -335,28 +449,31 @@ func materializedHandle(e *explorer, nxt *node) (fp fingerprint.Digest, elided, 
 	return fp, elided, permuted
 }
 
-// TestCanonicalizeDigestMatchesMaterialized hooks every handle three
+// TestCanonicalizeDigestMatchesMaterialized hooks every handle four
 // ReduceBoth explorations compute — predicted from the parent's vector and
 // never built, predicted and then built, and built then canonicalized (the
 // fallback, and the roots) — and asserts that it is the one full
 // materialization produces: same fingerprint, same flags. Every edge's
 // successor is rebuilt by sim.Apply from the parent, not taken from the
 // walk. The grudging rule forbids decisions on many edges, which drives
-// the fallback. It then pins the steady-state cost: a warm canonicalizeSucc
-// and a warm predicted edge whose handle is already visited allocate
-// nothing.
+// the fallback. The ackcommit(3) omission cell (one failure, budget 1, one
+// mobile slot) holds the omission terms of predicted handles; symmetry is
+// off under its budget, so nothing there is permuted. It then pins the
+// steady-state cost: a warm canonicalizeSucc and a warm predicted edge
+// whose handle is already visited allocate nothing.
 func TestCanonicalizeDigestMatchesMaterialized(t *testing.T) {
 	defer func() { canonicalizeHook = nil }()
 	wttc := problem(taxonomy.WT, taxonomy.TC)
 	grudging := taxonomy.Problem{Rule: grudgingRule{}, Termination: taxonomy.WT, Consistency: taxonomy.TC}
 	for _, tc := range []struct {
 		proto sim.Protocol
-		mf    int
+		opts  Options
 		prob  taxonomy.Problem
 	}{
-		{protocols.Star{Procs: 3}, 2, wttc},
-		{protocols.FullExchange{Procs: 3}, 0, wttc},
-		{protocols.Star{Procs: 3}, 1, grudging},
+		{protocols.Star{Procs: 3}, Options{MaxFailures: 2}, wttc},
+		{protocols.FullExchange{Procs: 3}, Options{MaxFailures: 0}, wttc},
+		{protocols.Star{Procs: 3}, Options{MaxFailures: 1}, grudging},
+		{protocols.AckCommit{Procs: 3}, Options{MaxFailures: 1, OmissionBudget: 1, MobileOmissions: 1}, wttc},
 	} {
 		var calls, elided, permuted, predicted, predictedBuilt, fallback int
 		var warmE *explorer
@@ -406,14 +523,16 @@ func TestCanonicalizeDigestMatchesMaterialized(t *testing.T) {
 					tc.proto.Name(), s.event, s.fp, s.elided, s.permuted, s.predicted, fp, el, pm)
 			}
 		}
-		_, err := CheckContext(context.Background(), tc.proto, tc.prob, Options{MaxFailures: tc.mf, Reduction: ReduceBoth})
-		if err != nil {
+		opts := tc.opts
+		opts.Reduction = ReduceBoth
+		if _, err := CheckContext(context.Background(), tc.proto, tc.prob, opts); err != nil {
 			t.Fatal(err)
 		}
 		canonicalizeHook = nil
-		t.Logf("%s mf%d %s: %d handles: %d predicted (%d of them built), %d built then canonicalized, %d elided, %d permuted",
-			tc.proto.Name(), tc.mf, tc.prob.Rule.Name(), calls, predicted, predictedBuilt, fallback, elided, permuted)
-		if calls == 0 || permuted == 0 || (tc.mf > 0 && elided == 0) {
+		t.Logf("%s mf%d omissions %v %s: %d handles: %d predicted (%d of them built), %d built then canonicalized, %d elided, %d permuted",
+			tc.proto.Name(), opts.MaxFailures, opts.omission(), tc.prob.Rule.Name(), calls, predicted, predictedBuilt, fallback, elided, permuted)
+		symmetric := !opts.omission().Enabled()
+		if calls == 0 || symmetric && permuted == 0 || (opts.MaxFailures > 0 && elided == 0) {
 			t.Fatalf("%s: hook saw %d successors, %d elided, %d permuted — matrix does not exercise the shortcut",
 				tc.proto.Name(), calls, elided, permuted)
 		}

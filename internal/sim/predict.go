@@ -188,11 +188,14 @@ type Shifted struct {
 // changes: the state at e.Proc, the message a delivery consumes, the message
 // a sending step emits or the notices a failure broadcasts, and — under
 // elide — the buffer of a processor whose box goes dead. Terms in a dead box
-// are never added. ok=false means the event is inapplicable, irregular or
-// outside what the shift covers (an omission policy, a box revived, a state
-// without Permuter): the caller builds e(C) instead, and vec is scratch.
+// are never added. Under an omission policy slot 0 also swaps the omission
+// term as fingerprintAfter does; the relabelled slots carry none (see
+// Vector), so a policy and permutations together are refused. ok=false
+// means the event is inapplicable, irregular or outside what the shift
+// covers (a policy with permutations, a box revived, a state without
+// Permuter): the caller builds e(C) instead, and vec is scratch.
 func (pr *Predictor) Shift(proto Protocol, c *Config, e Event, pm *PermuteMemo, elide bool, vec []fingerprint.Digest) (Shifted, bool) {
-	if c.pol.Enabled() {
+	if c.pol.Enabled() && len(pm.perms) > 0 {
 		return Shifted{}, false
 	}
 	st, consumed, ok := pr.recall(proto, c, e)
@@ -237,11 +240,16 @@ func (pr *Predictor) Shift(proto Protocol, c *Config, e Event, pm *PermuteMemo, 
 				pm.addEmitted(vec, Message{ID: id, Notice: true, digest: msgDigestParts(p, q, id.Seq, true, "")})
 			}
 		}
+		vec[0] = c.omissionShiftClear(vec[0], p)
 	case SendStepEvent:
 		if to := st.env.To; st.sends && !(elide && c.deadLetterBox(to)) {
 			id := MsgID{From: p, To: to, Seq: c.peekSeq(p, to)}
 			pm.addEmitted(vec, Message{ID: id, Payload: st.env.Payload, digest: msgDigestParts(p, to, id.Seq, false, st.payloadKey)})
 		}
+	case Deliver:
+		vec[0] = c.omissionShiftClear(vec[0], p)
+	default: // Omit
+		vec[0] = c.omissionShiftOmit(vec[0], p)
 	}
 	return Shifted{Decision: st.dec, Decided: st.decided, Elided: elide && c.deadLettersAfter(e, st, consumed)}, true
 }

@@ -18,15 +18,20 @@ import (
 // shift treats specially are counted by name and must occur: a failure of a
 // halted processor (its box is already dead), a delivery that halts its
 // receiver (the rest of its box goes dead), and a send or a failure notice
-// into a dead box (nothing is added). -short skips fullexchange(3): 1.7 M
-// edges.
+// into a dead box (nothing is added). ackcommit(3) with one failure and an
+// omission budget of 1 with one mobile slot holds slot 0, the only one
+// without permutations, to the omission accounting on every edge, Omits
+// counted; with permutations a budget is refused. -short skips
+// fullexchange(3): 1.7 M edges.
 func TestShiftMatchesVector(t *testing.T) {
 	for _, cell := range []struct {
 		proto   sim.Protocol
 		maxFail int
+		pol     sim.OmissionPolicy
 	}{
-		{protocols.Star{Procs: 3}, 2},
-		{protocols.FullExchange{Procs: 3}, 1},
+		{protocols.Star{Procs: 3}, 2, sim.OmissionPolicy{}},
+		{protocols.FullExchange{Procs: 3}, 1, sim.OmissionPolicy{}},
+		{protocols.AckCommit{Procs: 3}, 1, sim.OmissionPolicy{Budget: 1, Mobile: 1}},
 	} {
 		proto := cell.proto
 		t.Run(proto.Name(), func(t *testing.T) {
@@ -34,6 +39,9 @@ func TestShiftMatchesVector(t *testing.T) {
 				t.Skip("1.7 M edges; run without -short")
 			}
 			perms := symmetry.ForProtocol(proto)
+			if cell.pol.Enabled() {
+				perms = nil
+			}
 			memo, pr := sim.NewPermuteMemo(perms), sim.NewPredictor()
 			w := memo.Width()
 			got, want := make([]fingerprint.Digest, w), make([]fingerprint.Digest, w)
@@ -45,9 +53,10 @@ func TestShiftMatchesVector(t *testing.T) {
 			var queue []item
 			seen := make(map[fingerprint.Digest]bool)
 			for _, inputs := range sim.AllInputs(proto.N()) {
-				queue = append(queue, item{c: sim.NewConfig(proto, inputs)})
+				queue = append(queue, item{c: sim.NewConfigOmission(proto, inputs, cell.pol)})
 			}
-			var edges, failHalted, deliverHalts, intoDeadBox int
+			var edges, failHalted, deliverHalts, intoDeadBox, omits int
+			swap := sim.NewPermuteMemo([]sim.ProcPerm{{1, 0, 2}})
 			dead := func(s sim.State) bool { return s.Kind() == sim.Failed || s.Kind() == sim.Halted }
 			for head := 0; head < len(queue); head++ {
 				it := queue[head]
@@ -78,6 +87,13 @@ func TestShiftMatchesVector(t *testing.T) {
 						failHalted++
 					case ev.Type == sim.Deliver && post.Kind() == sim.Halted:
 						deliverHalts++
+					case ev.Type == sim.Omit:
+						omits++
+					}
+					if cell.pol.Enabled() {
+						if _, ok := pr.Shift(proto, it.c, ev, swap, false, make([]fingerprint.Digest, 2)); ok {
+							t.Fatalf("Shift accepted %s with a permutation under %v", ev, cell.pol)
+						}
 					}
 					for _, m := range eff.Sent {
 						if dead(it.c.States[m.ID.To]) {
@@ -114,10 +130,13 @@ func TestShiftMatchesVector(t *testing.T) {
 					}
 				}
 			}
-			t.Logf("%d edges: %d failures of a halted processor, %d deliveries that halt, %d sends or notices into a dead box",
-				edges, failHalted, deliverHalts, intoDeadBox)
+			t.Logf("%d edges: %d failures of a halted processor, %d deliveries that halt, %d sends or notices into a dead box, %d omits",
+				edges, failHalted, deliverHalts, intoDeadBox, omits)
 			if intoDeadBox == 0 {
 				t.Error("no send or failure notice into a dead box")
+			}
+			if cell.pol.Enabled() && omits == 0 {
+				t.Errorf("%v: no Omit edge", cell.pol)
 			}
 			if _, star := proto.(protocols.Star); star && (failHalted == 0 || deliverHalts == 0) {
 				t.Errorf("star: %d failures of a halted processor, %d deliveries that halt its receiver; want both", failHalted, deliverHalts)
