@@ -56,7 +56,7 @@ func TestShiftMatchesVector(t *testing.T) {
 				queue = append(queue, item{c: sim.NewConfigOmission(proto, inputs, cell.pol)})
 			}
 			var edges, failHalted, deliverHalts, intoDeadBox, omits int
-			swap := sim.NewPermuteMemo([]sim.ProcPerm{{1, 0, 2}})
+			swap, swapVec := sim.NewPermuteMemo([]sim.ProcPerm{{1, 0, 2}}), make([]fingerprint.Digest, 2)
 			dead := func(s sim.State) bool { return s.Kind() == sim.Failed || s.Kind() == sim.Halted }
 			for head := 0; head < len(queue); head++ {
 				it := queue[head]
@@ -91,7 +91,7 @@ func TestShiftMatchesVector(t *testing.T) {
 						omits++
 					}
 					if cell.pol.Enabled() {
-						if _, ok := pr.Shift(proto, it.c, ev, swap, false, make([]fingerprint.Digest, 2)); ok {
+						if _, ok := pr.Shift(proto, it.c, ev, swap, false, swapVec); ok {
 							t.Fatalf("Shift accepted %s with a permutation under %v", ev, cell.pol)
 						}
 					}
