@@ -14,6 +14,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -22,24 +23,28 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "ccpat:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+// run is the whole command: flags from args, the report to out.
+func run(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("ccpat", flag.ExitOnError)
 	var (
-		protoName = flag.String("proto", "tree", "protocol: "+strings.Join(consensus.ProtocolNames(), ", "))
-		n         = flag.Int("n", 7, "number of processors")
-		inputsStr = flag.String("inputs", "", "input vector, e.g. 1011 (default: all ones)")
-		seed      = flag.Int64("seed", 1, "scheduler seed")
-		dot       = flag.Bool("dot", false, "emit Graphviz DOT instead of ASCII")
-		schemeAll = flag.Bool("scheme", false, "enumerate all failure-free patterns for the inputs")
-		failSpec  = flag.String("fail", "", "failure injections proc:afterStep, comma separated, e.g. 0:4,2:9")
-		trace     = flag.Bool("trace", false, "print the full event trace of the run")
+		protoName = fs.String("proto", "tree", "protocol: "+strings.Join(consensus.ProtocolNames(), ", "))
+		n         = fs.Int("n", 7, "number of processors")
+		inputsStr = fs.String("inputs", "", "input vector, e.g. 1011 (default: all ones)")
+		seed      = fs.Int64("seed", 1, "scheduler seed")
+		dot       = fs.Bool("dot", false, "emit Graphviz DOT instead of ASCII")
+		schemeAll = fs.Bool("scheme", false, "enumerate all failure-free patterns for the inputs")
+		failSpec  = fs.String("fail", "", "failure injections proc:afterStep, comma separated, e.g. 0:4,2:9")
+		trace     = fs.Bool("trace", false, "print the full event trace of the run")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	proto, err := consensus.ProtocolByName(*protoName, *n)
 	if err != nil {
@@ -64,9 +69,9 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%s on inputs %s: %d failure-free pattern(s)\n\n", proto.Name(), consensus.FormatInputs(inputs), set.Len())
+		fmt.Fprintf(out, "%s on inputs %s: %d failure-free pattern(s)\n\n", proto.Name(), consensus.FormatInputs(inputs), set.Len())
 		for i, p := range set.Patterns() {
-			fmt.Printf("pattern %d (%d messages, depth %d):\n%s\n", i+1, p.Size(), p.Depth(), p.RenderASCII())
+			fmt.Fprintf(out, "pattern %d (%d messages, depth %d):\n%s\n", i+1, p.Size(), p.Depth(), p.RenderASCII())
 		}
 		return nil
 	}
@@ -79,7 +84,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%s on inputs %s (seed %d): %d events, %d messages\n",
+	fmt.Fprintf(out, "%s on inputs %s (seed %d): %d events, %d messages\n",
 		proto.Name(), consensus.FormatInputs(inputs), *seed, runResult.Steps(), runResult.MessagesSent())
 	for p := 0; p < proto.N(); p++ {
 		pid := consensus.ProcID(p)
@@ -90,20 +95,20 @@ func run() error {
 		if !runResult.Nonfaulty(pid) {
 			status += " (failed)"
 		}
-		fmt.Printf("  %s: %s\n", pid, status)
+		fmt.Fprintf(out, "  %s: %s\n", pid, status)
 	}
 	if *trace {
-		fmt.Println()
+		fmt.Fprintln(out)
 		for _, line := range runResult.Trace() {
-			fmt.Println(line)
+			fmt.Fprintln(out, line)
 		}
 	}
 	pat := consensus.PatternOf(runResult)
-	fmt.Println()
+	fmt.Fprintln(out)
 	if *dot {
-		fmt.Print(pat.RenderDOT(proto.Name()))
+		fmt.Fprint(out, pat.RenderDOT(proto.Name()))
 	} else {
-		fmt.Print(pat.RenderASCII())
+		fmt.Fprint(out, pat.RenderASCII())
 	}
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/protocols"
@@ -272,5 +273,15 @@ func TestPanicBecomesReportedFailure(t *testing.T) {
 	}
 	if !res.Reproduced || res.PanicValue != "grenade: boom" {
 		t.Fatalf("panic did not reproduce: %+v", res)
+	}
+
+	// An injection naming a processor the protocol does not have is
+	// refused by the scheduler before the first step: an error, not a
+	// reproduced (or any other) panic.
+	bad := *decoded
+	bad.Injections = []TraceInjection{{Proc: 9, AfterStep: 0}}
+	res, err = Replay(&bad, grenadeProto{}, prob)
+	if err == nil || !strings.Contains(err.Error(), "names processor 9") || res != nil {
+		t.Fatalf("panic replay with an injection at p9 = (%+v, %v), want no result and the scheduler's error", res, err)
 	}
 }

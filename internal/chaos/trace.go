@@ -330,7 +330,12 @@ func replayPanic(t *Trace, proto sim.Protocol, inputs []sim.Bit) (res *ReplayRes
 		Failures: failures,
 		Choose:   func(c *sim.Config, enabled []sim.Event) int { return adv.Choose(rng, proto, c, enabled) },
 	}, func(sim.Event, *sim.Config) {})
-	res.Complete = runErr == nil && c.Quiescent()
+	if runErr != nil {
+		// A schedule the scheduler refuses (an injection outside the
+		// protocol) or a protocol error is not the recorded panic.
+		return nil, fmt.Errorf("chaos: replaying panic trace: %w", runErr)
+	}
+	res.Complete = c.Quiescent()
 	return res, fmt.Errorf("chaos: panic trace did not panic on replay — protocol changed since recording")
 }
 

@@ -68,6 +68,12 @@ func (v *SeqVisited) Seen(fp fingerprint.Digest) bool {
 	return found
 }
 
+// Reset empties the set, keeping its table for the next walk.
+func (v *SeqVisited) Reset() {
+	clear(v.slots)
+	v.n, v.zero = 0, false
+}
+
 // find returns fp's slot when it is in the table, else the empty slot where
 // it would go. fp is not zero.
 func (v *SeqVisited) find(fp fingerprint.Digest) (int, bool) {

@@ -59,3 +59,26 @@ func TestSeqVisitedAgainstMap(t *testing.T) {
 		t.Fatalf("%d digests in %d slots, want %d at a load of at most three quarters", v.n, len(v.slots), len(want)-1)
 	}
 }
+
+// TestSeqVisitedReset: a reset set has seen nothing, the zero digest
+// included, and admits everything anew in the table it grew before.
+func TestSeqVisitedReset(t *testing.T) {
+	v := NewSeqVisited(DedupFingerprint)
+	ds := []fingerprint.Digest{{}}
+	for i := 0; i < 2*seqMinSlots; i++ {
+		ds = append(ds, fingerprint.OfString(strconv.Itoa(i)))
+	}
+	for _, d := range ds {
+		v.Admit(d, "")
+	}
+	slots := len(v.slots)
+	v.Reset()
+	if len(v.slots) != slots {
+		t.Fatalf("Reset resized the table from %d to %d slots", slots, len(v.slots))
+	}
+	for _, d := range ds {
+		if v.Seen(d) || !v.Admit(d, "") {
+			t.Fatalf("%v survived Reset", d)
+		}
+	}
+}

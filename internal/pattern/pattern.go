@@ -98,9 +98,8 @@ func FromRun(r *sim.Run) *Pattern {
 // Clone returns a copy sharing the stored past sets. Past sets are
 // immutable once inserted — Add always builds a fresh set and unions other
 // sets into it without mutating them — so clones may extend the pattern
-// independently while sharing all existing entries. Scheme enumeration
-// leans on this: cloning a node's pattern is one map-header copy instead
-// of a rebuild of every entry.
+// independently while sharing all existing entries: a copy costs one
+// map entry per message, not a rebuild of every past.
 func (p *Pattern) Clone() *Pattern {
 	out := &Pattern{past: make(map[sim.MsgID]idSet, len(p.past))}
 	for id, past := range p.past { //ccvet:ignore detrange map copy; insertion order is unobservable

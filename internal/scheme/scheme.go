@@ -2,7 +2,10 @@
 // is the set of communication patterns of all failure-free executions of Q
 // (Section 3). Schemes are computed by exhaustive exploration of every
 // failure-free delivery order, deduplicating interleavings that lead to the
-// same configuration with the same causal history.
+// same configuration with the same causal history. That history — what
+// each processor may know, and each sent message's causal past — is kept
+// as bitsets over the enumeration's dense message indices, and a
+// pattern.Pattern is built only for a maximal execution.
 //
 // Protocol-level reduction is scheme containment: if the scheme of a
 // protocol for P2 equals the scheme of some protocol for P1, then that
@@ -30,6 +33,8 @@ package scheme
 import (
 	"context"
 	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
 
 	"repro/internal/fingerprint"
@@ -56,8 +61,10 @@ type Set struct {
 func NewSet() *Set { return &Set{patterns: make(map[string]*pattern.Pattern)} }
 
 // Add inserts a pattern, returning whether it was new.
-func (s *Set) Add(p *pattern.Pattern) bool {
-	k := p.Key()
+func (s *Set) Add(p *pattern.Pattern) bool { return s.addKeyed(p.Key(), p) }
+
+// addKeyed is Add for a pattern whose key k is already known.
+func (s *Set) addKeyed(k string, p *pattern.Pattern) bool {
 	if _, ok := s.patterns[k]; ok {
 		return false
 	}
@@ -190,29 +197,60 @@ type Enumeration struct {
 }
 
 // node is one exploration state: a configuration plus the causal bookkeeping
-// needed to extend the pattern (which messages each processor may know, and
-// the pattern of sends so far).
+// needed to extend the pattern — which messages each processor may know, and
+// the pattern of sends so far — over the enumeration's dense message indices
+// (enumerator.intern). A bitset over indices is exactly a set of messages:
+// a processor's knowledge set, or a message's causal past.
 //
-// Nodes are cloned copy-on-write per successor edge: the pattern and
-// sendPast map are shared on deliveries (only sends extend them), the
-// knowledge sets are shared except the stepping processor's, and the
-// fingerprint components are maintained incrementally alongside.
+// Nodes are recycled (enumerator.free): a built successor is written into a
+// node the walk is done with, configuration and buffers included, so a
+// node's slices are its own. Only the past bitsets its pattern entries
+// point to are shared, and those are immutable once frozen.
 type node struct {
-	cfg   *sim.Config
-	pat   *pattern.Pattern
-	known []map[sim.MsgID]struct{}
-	// sendPast holds the frozen causal past of every sent message, so
-	// deliveries can propagate knowledge. The pattern stores the same
-	// data; this map just avoids re-deriving it per delivery.
-	sendPast map[sim.MsgID][]sim.MsgID
+	cfg *sim.Config
+	// known holds the N knowledge sets, one row of w words per processor:
+	// known[p*w:(p+1)*w] is every message whose contents p may know. Rows
+	// read missing high words as zero, so a node built before the index
+	// space grew stays valid under the wider width.
+	w     int
+	known []uint64
+	// pat is the pattern so far: one entry per sent message, in send
+	// order. A run sends each message once, so an index has at most one
+	// entry, and a delivery finds the past it propagates here.
+	pat []entry
 
 	// patFP is the multiset sum of entryDigest over the pattern's
 	// messages; knownSum[p] is the multiset sum of sim.MsgIDDigest over
-	// known[p]; knownFP is the salted sum of the knownSum terms. Together
-	// with cfg.Fingerprint they form the node fingerprint (see fp).
+	// p's knowledge set; knownFP is the salted sum of the knownSum terms.
+	// Together with cfg.Fingerprint they form the node fingerprint (see
+	// fp).
 	patFP    fingerprint.Digest
 	knownSum []fingerprint.Digest
 	knownFP  fingerprint.Digest
+}
+
+// entry is one pattern message: its index and its causal past, the
+// sender's knowledge set when it was sent. past is frozen (enumerator.freeze)
+// and shared by every descendant of the node that sent it.
+type entry struct {
+	idx  int32
+	past []uint64
+}
+
+// row is processor p's knowledge set.
+func (nd *node) row(p sim.ProcID) []uint64 {
+	return nd.known[int(p)*nd.w : (int(p)+1)*nd.w]
+}
+
+// pastOf returns the causal past of the message with index i, or nil when
+// the pattern does not hold it.
+func (nd *node) pastOf(i int32) []uint64 {
+	for k := range nd.pat {
+		if nd.pat[k].idx == i {
+			return nd.pat[k].past
+		}
+	}
+	return nil
 }
 
 // fp is the node's 128-bit fingerprint: configuration, pattern, and
@@ -233,51 +271,16 @@ func entryDigest(id sim.MsgID, pastSum fingerprint.Digest) fingerprint.Digest {
 	return h.Sum()
 }
 
-// addKnown inserts id into p's knowledge set, keeping the knowledge
-// digests in step. The membership guard is what keeps the multiset sums
-// faithful to set semantics.
-func (nd *node) addKnown(p sim.ProcID, id sim.MsgID) {
-	if _, ok := nd.known[p][id]; ok {
-		return
-	}
-	nd.known[p][id] = struct{}{}
-	old := nd.knownSum[p]
-	nd.knownSum[p] = old.Add(sim.MsgIDDigest(id))
+// knownFPWith is knownFP with p's knowledge sum replaced by sum.
+func (nd *node) knownFPWith(p sim.ProcID, sum fingerprint.Digest) fingerprint.Digest {
 	salt := saltKnownBase + uint64(p)
-	nd.knownFP = nd.knownFP.Sub(old.Mixed(salt)).Add(nd.knownSum[p].Mixed(salt))
+	return nd.knownFP.Sub(nd.knownSum[p].Mixed(salt)).Add(sum.Mixed(salt))
 }
 
-// cloneFor clones the node for applying event e, copying only what e can
-// mutate. applyEffect touches exactly: the stepping processor's knowledge
-// set (any event), and the pattern plus sendPast (sending steps only — a
-// delivery reads them but never writes). Everything else — the other
-// knowledge sets, every stored past slice, every pattern entry — is
-// immutable once created and shared outright.
-func (nd *node) cloneFor(e sim.Event) *node {
-	out := &node{
-		cfg:      nd.cfg, // replaced by the applied config
-		pat:      nd.pat,
-		known:    append([]map[sim.MsgID]struct{}(nil), nd.known...),
-		sendPast: nd.sendPast,
-		patFP:    nd.patFP,
-		knownSum: append([]fingerprint.Digest(nil), nd.knownSum...),
-		knownFP:  nd.knownFP,
-	}
-	p := e.Proc
-	cp := make(map[sim.MsgID]struct{}, len(nd.known[p])+2)
-	for id := range nd.known[p] { //ccvet:ignore detrange map copy; insertion order is unobservable
-		cp[id] = struct{}{}
-	}
-	out.known[p] = cp
-	if e.Type == sim.SendStepEvent {
-		out.pat = nd.pat.Clone()
-		sp := make(map[sim.MsgID][]sim.MsgID, len(nd.sendPast)+1)
-		for id, past := range nd.sendPast { //ccvet:ignore detrange map copy; insertion order is unobservable
-			sp[id] = past
-		}
-		out.sendPast = sp
-	}
-	return out
+// setKnownSum replaces p's knowledge sum, keeping knownFP in step.
+func (nd *node) setKnownSum(p sim.ProcID, sum fingerprint.Digest) {
+	nd.knownFP = nd.knownFPWith(p, sum)
+	nd.knownSum[p] = sum
 }
 
 // Enumerate computes the set of communication patterns of all failure-free
@@ -291,46 +294,146 @@ func Enumerate(proto sim.Protocol, inputs []sim.Bit, opts Options) (*Set, error)
 	return en.Set, err
 }
 
-// enumerator carries one enumeration's dedup machinery: the visited set of
-// node fingerprints and the transition cache.
+// slabWords is how many words of frozen pasts one slab allocation holds.
+const slabWords = 4096
+
+// enumerator carries the walks of one protocol: the dedup machinery (the
+// visited set of node fingerprints, reset per walk, and the transition
+// cache), the dense message indices every node's bitsets are over, and the
+// recycled nodes.
 type enumerator struct {
 	proto   sim.Protocol
+	n       int
 	visited *frontier.SeqVisited
 	pr      *sim.Predictor
+	// chans[from*n+to][seq-1] is the index of message (from, to, seq), or
+	// -1 before it is interned; ids and digs are indexed by it. words is
+	// the bitset width the indices interned so far need.
+	chans [][]int32
+	ids   []sim.MsgID
+	digs  []fingerprint.Digest
+	words int
+	// slab is where freeze copies pasts to: pasts are never written after
+	// that, so they share backing arrays and are allocated slabWords at a
+	// time.
+	slab []uint64
+	// free holds nodes the walk is done with — stepped, or built and
+	// rejected — whose node and configuration the next built successor is
+	// written into. Nothing reads a node after that: queue slots are
+	// nilled, and a maximal node's pattern is built before it is released.
+	free []*node
+	// maximal holds every pattern a maximal node has had, by patFP, built
+	// and keyed once for all walks; walk numbers the current walk.
+	maximal map[fingerprint.Digest]*maximalPattern
+	walk    int
+	// events and eff are the walk's scratch, reused across nodes.
+	events []sim.Event
+	eff    sim.Effect
+}
+
+// maximalPattern is a pattern of some maximal node, with its key and the
+// last walk that added it to its Set.
+type maximalPattern struct {
+	key  string
+	pat  *pattern.Pattern
+	walk int
+}
+
+func newEnumerator(proto sim.Protocol) *enumerator {
+	n := proto.N()
+	return &enumerator{
+		proto:   proto,
+		n:       n,
+		visited: frontier.NewSeqVisited(frontier.DedupFingerprint),
+		pr:      sim.NewPredictor(),
+		chans:   make([][]int32, n*n),
+		words:   1,
+		maximal: make(map[fingerprint.Digest]*maximalPattern),
+	}
+}
+
+// intern returns id's index, assigning the next one the first time id is
+// seen.
+func (e *enumerator) intern(id sim.MsgID) int32 {
+	ch := &e.chans[int(id.From)*e.n+int(id.To)]
+	k := id.Seq - 1
+	for len(*ch) <= k {
+		*ch = append(*ch, -1)
+	}
+	if i := (*ch)[k]; i >= 0 {
+		return i
+	}
+	i := int32(len(e.ids))
+	(*ch)[k] = i
+	e.ids = append(e.ids, id)
+	e.digs = append(e.digs, sim.MsgIDDigest(id))
+	e.words = (len(e.ids) + 63) / 64
+	return i
+}
+
+// freeze copies a knowledge row into the slab and returns the copy, which
+// stays as it is from then on.
+func (e *enumerator) freeze(row []uint64) []uint64 {
+	if cap(e.slab)-len(e.slab) < len(row) {
+		e.slab = make([]uint64, 0, max(slabWords, len(row)))
+	}
+	start := len(e.slab)
+	e.slab = append(e.slab, row...)
+	return e.slab[start:len(e.slab):len(e.slab)]
+}
+
+// gain is the multiset sum of digests over (past ∪ {i}) \ known: what a
+// delivery of message i, whose causal past is past, adds to a knowledge
+// set. With apply set it also adds those messages to known, which must
+// then be wide enough to hold them.
+func (e *enumerator) gain(known, past []uint64, i int32, apply bool) fingerprint.Digest {
+	var sum fingerprint.Digest
+	wi := int(i >> 6)
+	for k := 0; k < max(len(past), wi+1); k++ {
+		var w uint64
+		if k < len(past) {
+			w = past[k]
+		}
+		if k == wi {
+			w |= 1 << (i & 63)
+		}
+		if k < len(known) {
+			w &^= known[k]
+		}
+		if w == 0 {
+			continue
+		}
+		if apply {
+			known[k] |= w
+		}
+		for ; w != 0; w &= w - 1 {
+			sum = sum.Add(e.digs[k<<6|bits.TrailingZeros64(w)])
+		}
+	}
+	return sum
 }
 
 // predictSeen derives the fingerprint that ev's successor node would have
 // — configuration delta from the transition cache, pattern and knowledge
-// deltas from the node's incremental digests — and reports whether that
-// successor is already visited, all without cloning or applying. false
-// means the caller must materialize.
+// deltas from the node's incremental digests and bitsets — and reports
+// whether that successor is already visited, all without building it.
+// false means the caller must materialize.
 func (e *enumerator) predictSeen(nd *node, ev sim.Event) bool {
 	pred, ok := e.pr.Predict(e.proto, nd.cfg, ev)
 	if !ok {
 		return false
 	}
 	p := ev.Proc
-	salt := saltKnownBase + uint64(p)
 	patFP, knownFP := nd.patFP, nd.knownFP
 	switch ev.Type {
 	case sim.SendStepEvent:
 		if pred.Sent {
 			patFP = patFP.Add(entryDigest(pred.SentID, nd.knownSum[p]))
-			newSum := nd.knownSum[p].Add(sim.MsgIDDigest(pred.SentID))
-			knownFP = knownFP.Sub(nd.knownSum[p].Mixed(salt)).Add(newSum.Mixed(salt))
+			knownFP = nd.knownFPWith(p, nd.knownSum[p].Add(e.digs[e.intern(pred.SentID)]))
 		}
 	case sim.Deliver:
-		newSum := nd.knownSum[p]
-		known := nd.known[p]
-		for _, q := range nd.sendPast[ev.Msg] {
-			if _, has := known[q]; !has {
-				newSum = newSum.Add(sim.MsgIDDigest(q))
-			}
-		}
-		if _, has := known[ev.Msg]; !has {
-			newSum = newSum.Add(sim.MsgIDDigest(ev.Msg))
-		}
-		knownFP = knownFP.Sub(nd.knownSum[p].Mixed(salt)).Add(newSum.Mixed(salt))
+		i := e.intern(ev.Msg)
+		knownFP = nd.knownFPWith(p, nd.knownSum[p].Add(e.gain(nd.row(p), nd.pastOf(i), i, false)))
 	default:
 		// Failure events never occur in failure-free enumeration.
 		return false
@@ -339,19 +442,99 @@ func (e *enumerator) predictSeen(nd *node, ev sim.Event) bool {
 }
 
 // rootNode is the initial node: nothing sent, nothing known.
-func rootNode(proto sim.Protocol, inputs []sim.Bit) *node {
+func (e *enumerator) rootNode(inputs []sim.Bit) *node {
 	start := &node{
-		cfg:      sim.NewConfig(proto, inputs),
-		pat:      pattern.New(),
-		known:    make([]map[sim.MsgID]struct{}, proto.N()),
-		sendPast: make(map[sim.MsgID][]sim.MsgID),
-		knownSum: make([]fingerprint.Digest, proto.N()),
+		cfg:      sim.NewConfig(e.proto, inputs),
+		w:        e.words,
+		known:    make([]uint64, e.n*e.words),
+		knownSum: make([]fingerprint.Digest, e.n),
 	}
-	for i := range start.known {
-		start.known[i] = make(map[sim.MsgID]struct{})
+	for i := range start.knownSum {
 		start.knownFP = start.knownFP.Add(start.knownSum[i].Mixed(saltKnownBase + uint64(i)))
 	}
 	return start
+}
+
+// successor builds ev's successor of nd — configuration through the
+// transition cache, then the causal bookkeeping the step's effect implies —
+// into a node from the free list when it has one.
+func (e *enumerator) successor(nd *node, ev sim.Event) (*node, error) {
+	var nxt *node
+	if k := len(e.free) - 1; k >= 0 {
+		nxt, e.free = e.free[k], e.free[:k]
+	} else {
+		nxt = &node{}
+	}
+	cfg, err := e.pr.Materialize(e.proto, nd.cfg, ev, nxt.cfg, &e.eff)
+	if err != nil {
+		e.release(nxt)
+		return nil, fmt.Errorf("scheme: exploring %s: %w", e.proto.Name(), err)
+	}
+	nxt.cfg = cfg
+	for _, m := range e.eff.Sent {
+		e.intern(m.ID)
+	}
+	w := e.words
+	nxt.w = w
+	nxt.known = slices.Grow(nxt.known[:0], e.n*w)[:e.n*w]
+	if nd.w == w {
+		copy(nxt.known, nd.known)
+	} else {
+		clear(nxt.known)
+		for p := range e.n {
+			copy(nxt.known[p*w:], nd.row(sim.ProcID(p)))
+		}
+	}
+	nxt.pat = append(nxt.pat[:0], nd.pat...)
+	nxt.patFP, nxt.knownFP = nd.patFP, nd.knownFP
+	nxt.knownSum = append(nxt.knownSum[:0], nd.knownSum...)
+
+	p := ev.Proc
+	row := nxt.row(p)
+	for _, m := range e.eff.Sent {
+		i := e.intern(m.ID)
+		nxt.pat = append(nxt.pat, entry{idx: i, past: e.freeze(row)})
+		// The entry's digest freezes the sender's knowledge sum before
+		// the new message joins it — the same set the frozen row holds.
+		nxt.patFP = nxt.patFP.Add(entryDigest(m.ID, nxt.knownSum[p]))
+		row[i>>6] |= 1 << (i & 63)
+		nxt.setKnownSum(p, nxt.knownSum[p].Add(e.digs[i]))
+	}
+	if r := e.eff.Received; r != nil {
+		i := e.intern(r.ID)
+		nxt.setKnownSum(p, nxt.knownSum[p].Add(e.gain(row, nd.pastOf(i), i, true)))
+	}
+	return nxt, nil
+}
+
+// release puts a node the walk is done with on the free list, dropping the
+// states and buffers its configuration points to so that a parked node
+// keeps nothing alive but its own slices.
+func (e *enumerator) release(nd *node) {
+	if nd.cfg != nil {
+		clear(nd.cfg.States)
+		clear(nd.cfg.Buffers)
+	}
+	e.free = append(e.free, nd)
+}
+
+// pattern builds nd's pattern from its entries. Every past is already
+// causally closed, so the entries go in latest first: Add then finds none
+// of a message's predecessors in the pattern yet and has nothing to close.
+func (e *enumerator) pattern(nd *node) *pattern.Pattern {
+	pat := pattern.New()
+	var preds []sim.MsgID
+	for k := len(nd.pat) - 1; k >= 0; k-- {
+		en := nd.pat[k]
+		preds = preds[:0]
+		for j, w := range en.past {
+			for ; w != 0; w &= w - 1 {
+				preds = append(preds, e.ids[j<<6|bits.TrailingZeros64(w)])
+			}
+		}
+		pat.Add(e.ids[en.idx], preds...)
+	}
+	return pat
 }
 
 // EnumerateContext enumerates with graceful degradation: on context
@@ -364,19 +547,30 @@ func rootNode(proto sim.Protocol, inputs []sim.Bit) *node {
 // a dequeue and at an admission respectively, so the Enumeration (patterns,
 // Visited, Frontier, Status) is a pure function of the inputs and options.
 func EnumerateContext(ctx context.Context, proto sim.Protocol, inputs []sim.Bit, opts Options) (*Enumeration, error) {
+	return newEnumerator(proto).enumerate(ctx, inputs, opts)
+}
+
+// enumerate is one EnumerateContext walk. An enumerator walks one input
+// vector at a time; what it keeps from one walk to the next — indices,
+// transition cache, free nodes, slab — names or builds nodes but never
+// decides which are visited, so every walk is the walk a fresh enumerator
+// would make.
+func (e *enumerator) enumerate(ctx context.Context, inputs []sim.Bit, opts Options) (*Enumeration, error) {
+	proto := e.proto
 	if len(inputs) != proto.N() {
 		return nil, fmt.Errorf("scheme: protocol %s wants %d inputs, got %d", proto.Name(), proto.N(), len(inputs))
 	}
 	if opts.MaxNodes < 0 {
 		return nil, fmt.Errorf("scheme: MaxNodes is negative (%d)", opts.MaxNodes)
 	}
-	start := rootNode(proto, inputs)
+	e.visited.Reset()
+	e.walk++
+	start := e.rootNode(inputs)
 	en := &Enumeration{Set: NewSet()}
-	e := &enumerator{proto: proto, visited: frontier.NewSeqVisited(frontier.DedupFingerprint), pr: sim.NewPredictor()}
 	e.visited.Admit(start.fp(), "")
 
 	// queue holds every accepted node in admission order; slots are nilled
-	// once consumed so walked nodes can be reclaimed.
+	// once consumed so walked nodes can be recycled.
 	queue := []*node{start}
 	head := 0
 	for head < len(queue) {
@@ -389,26 +583,35 @@ func EnumerateContext(ctx context.Context, proto sim.Protocol, inputs []sim.Bit,
 			en.Frontier = len(queue) - head + 1
 			return en, fmt.Errorf("scheme: enumeration of %s interrupted: %w", proto.Name(), err)
 		}
-		events := sim.Enabled(nd.cfg)
-		if len(events) == 0 {
-			// Maximal: nd's pattern belongs to the scheme.
-			en.Set.Add(nd.pat)
+		e.events = sim.AppendEnabled(e.events[:0], nd.cfg)
+		if len(e.events) == 0 {
+			// Maximal: nd's pattern belongs to the scheme. Many maximal
+			// nodes share a pattern, across input vectors too; patFP
+			// identifies it as fp identifies a node, so each is built and
+			// keyed once.
+			mp := e.maximal[nd.patFP]
+			if mp == nil {
+				pat := e.pattern(nd)
+				mp = &maximalPattern{key: pat.Key(), pat: pat}
+				e.maximal[nd.patFP] = mp
+			}
+			if mp.walk != e.walk {
+				mp.walk = e.walk
+				en.Set.addKeyed(mp.key, mp.pat)
+			}
 		}
-		for _, ev := range events {
+		for _, ev := range e.events {
 			// A successor whose predicted fingerprint is already visited is
-			// skipped without cloning the node or applying the event.
+			// skipped without building it.
 			if e.predictSeen(nd, ev) {
 				continue
 			}
-			var eff sim.Effect
-			cfg, err := e.pr.Materialize(proto, nd.cfg, ev, nil, &eff)
+			nxt, err := e.successor(nd, ev)
 			if err != nil {
-				return nil, fmt.Errorf("scheme: exploring %s: %w", proto.Name(), err)
+				return nil, err
 			}
-			nxt := nd.cloneFor(ev)
-			nxt.cfg = cfg
-			applyEffect(nxt, eff)
 			if !e.visited.Admit(nxt.fp(), "") {
+				e.release(nxt)
 				continue
 			}
 			if len(queue) >= opts.maxNodes() {
@@ -419,35 +622,10 @@ func EnumerateContext(ctx context.Context, proto sim.Protocol, inputs []sim.Bit,
 			}
 			queue = append(queue, nxt)
 		}
+		e.release(nd)
 	}
 	en.Visited = len(queue)
 	return en, nil
-}
-
-// applyEffect updates a node's causal bookkeeping — sets and incremental
-// digests together — for one applied event.
-func applyEffect(nd *node, eff sim.Effect) {
-	p := eff.Event.Proc
-	for _, m := range eff.Sent {
-		past := make([]sim.MsgID, 0, len(nd.known[p]))
-		for id := range nd.known[p] {
-			past = append(past, id)
-		}
-		sort.Slice(past, func(i, j int) bool { return past[i].Less(past[j]) })
-		nd.sendPast[m.ID] = past
-		nd.pat.Add(m.ID, past...)
-		// The pattern entry's digest freezes the sender's knowledge sum
-		// before the new message joins it — the same set `past` captures.
-		nd.patFP = nd.patFP.Add(entryDigest(m.ID, nd.knownSum[p]))
-		nd.addKnown(p, m.ID)
-	}
-	if eff.Received != nil {
-		id := eff.Received.ID
-		for _, q := range nd.sendPast[id] {
-			nd.addKnown(p, q)
-		}
-		nd.addKnown(p, id)
-	}
 }
 
 // Of computes the full scheme of a protocol: the union of the pattern sets
@@ -466,8 +644,9 @@ func Of(proto sim.Protocol, opts Options) (*Set, error) {
 // accompanies the error, with Status naming the cutoff.
 func OfContext(ctx context.Context, proto sim.Protocol, opts Options) (*Enumeration, error) {
 	out := &Enumeration{Set: NewSet()}
+	e := newEnumerator(proto)
 	for _, inputs := range sim.AllInputs(proto.N()) {
-		en, err := EnumerateContext(ctx, proto, inputs, opts)
+		en, err := e.enumerate(ctx, inputs, opts)
 		if en != nil {
 			out.Set.Union(en.Set)
 			out.Visited += en.Visited

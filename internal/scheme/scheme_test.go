@@ -1,7 +1,9 @@
 package scheme
 
 import (
+	"context"
 	"errors"
+	"runtime"
 	"testing"
 
 	"repro/internal/pattern"
@@ -275,4 +277,34 @@ func TestEnumerationBudget(t *testing.T) {
 // errorsAs is a tiny local wrapper to keep the test imports minimal.
 func errorsAs(err error, target any) bool {
 	return err != nil && errors.As(err, target)
+}
+
+// TestAllocsSchemePerNode pins what the enumerator still allocates per
+// visited node on a warm Of(haltingcommit(4)), 54 322 nodes over 16 input
+// vectors: a successor's changed buffers and sent message key inside sim,
+// amortized growth of the visited table, the queue and the past slab, and
+// each distinct pattern built and keyed once. Nodes, configurations and
+// bitsets come off the free list. Measured: 2.4 allocations per node (27.2
+// when every node carried map-based knowledge sets and patterns).
+func TestAllocsSchemePerNode(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two haltingcommit(4) schemes take ~1 second")
+	}
+	proto := protocols.HaltingCommit{Procs: 4}
+	if _, err := Of(proto, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	en, err := OfContext(context.Background(), proto, Options{})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := float64(after.Mallocs-before.Mallocs) / float64(en.Visited)
+	t.Logf("%.2f allocations per node over %d nodes", got, en.Visited)
+	if got > 3.5 {
+		t.Errorf("Of allocates %.2f times per visited node, want at most 3.5", got)
+	}
 }

@@ -148,9 +148,10 @@ func (pr *Predictor) Predict(proto Protocol, c *Config, e Event) (Predicted, boo
 // paid once per distinct transition instead of once per edge. e(C) is
 // written into dst, whose containers are reused (dst must not be c), or
 // into a fresh configuration when dst is nil; the effect is written to eff
-// when it is non-nil, and not built otherwise. Any event the cache cannot
-// vouch for is routed through transition, so the caller sees Apply's
-// authoritative error, and dst is then left as it was.
+// when it is non-nil, reusing the backing array of its Sent, and not built
+// otherwise. Any event the cache cannot vouch for is routed through
+// transition, so the caller sees Apply's authoritative error, and dst is
+// then left as it was.
 func (pr *Predictor) Materialize(proto Protocol, c *Config, e Event, dst *Config, eff *Effect) (*Config, error) {
 	st, m, ok := pr.recall(proto, c, e)
 	if !ok {
@@ -165,7 +166,7 @@ func (pr *Predictor) Materialize(proto Protocol, c *Config, e Event, dst *Config
 	}
 	dst.CopyFrom(c)
 	if eff != nil {
-		*eff = Effect{Event: e}
+		*eff = Effect{Event: e, Sent: eff.Sent[:0]}
 	}
 	dst.commit(e, st, m, eff)
 	return dst, nil

@@ -236,6 +236,15 @@ func schedule(proto Protocol, opts RunnerOptions, current func() *Config, step f
 	if maxSteps < 0 {
 		return nil, fmt.Errorf("sim: RunnerOptions.MaxSteps is negative (%d)", maxSteps)
 	}
+	for _, f := range opts.Failures {
+		if f.Proc < 0 || int(f.Proc) >= proto.N() {
+			return nil, fmt.Errorf("sim: failure injection %d:%d names processor %d, but %s has processors 0..%d",
+				f.Proc, f.AfterStep, f.Proc, proto.Name(), proto.N()-1)
+		}
+		if f.AfterStep < 0 {
+			return nil, fmt.Errorf("sim: failure injection %d:%d has a negative step", f.Proc, f.AfterStep)
+		}
+	}
 	if maxSteps == 0 {
 		maxSteps = 100_000
 	}

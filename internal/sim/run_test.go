@@ -73,6 +73,33 @@ func TestChooseOutOfRangeAbortsRun(t *testing.T) {
 	}
 }
 
+// TestBadInjectionIsRefused: an injection naming a processor outside
+// [0, N) used to index the configuration's states unchecked and panic at
+// its step, and a negative step fired before the first event. Both are
+// errors before any step, from RandomRun and RandomWalk alike.
+func TestBadInjectionIsRefused(t *testing.T) {
+	for _, tc := range []struct {
+		f    FailureAt
+		want string
+	}{
+		{FailureAt{Proc: 9, AfterStep: 1}, "names processor 9"},
+		{FailureAt{Proc: 2, AfterStep: 0}, "names processor 2"},
+		{FailureAt{Proc: -1, AfterStep: 0}, "names processor -1"},
+		{FailureAt{Proc: 1, AfterStep: -3}, "negative step"},
+	} {
+		opts := RunnerOptions{Seed: 1, Failures: []FailureAt{{Proc: 0, AfterStep: 1}, tc.f}}
+		run, err := RandomRun(pingProto{}, []Bit{One, One}, opts)
+		if err == nil || !strings.Contains(err.Error(), tc.want) || run.Steps() != 0 {
+			t.Errorf("RandomRun with %v: %d steps, %v, want none and an error containing %q", tc.f, run.Steps(), err, tc.want)
+		}
+		c := NewConfig(pingProto{}, []Bit{One, One})
+		sched, _, err := RandomWalk(pingProto{}, c, opts, func(Event, *Config) {})
+		if err == nil || !strings.Contains(err.Error(), tc.want) || len(sched) != 0 {
+			t.Errorf("RandomWalk with %v: %d events, %v, want none and an error containing %q", tc.f, len(sched), err, tc.want)
+		}
+	}
+}
+
 // TestNegativeMaxStepsIsRefused: zero means the default budget; a negative
 // budget used to mean "take no step and call the run unresolved".
 func TestNegativeMaxStepsIsRefused(t *testing.T) {
