@@ -72,6 +72,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "ccchaos:", err)
 		return 1
 	}
+	if *mobileOm > 0 && *omitBudg == 0 {
+		fmt.Fprintln(stderr, "ccchaos: -mobile-omissions needs -omission-budget")
+		return 1
+	}
 	opts := consensus.ChaosOptions{
 		Runs:            *runs,
 		Seed:            *seed,

@@ -109,7 +109,9 @@ func replayReproduces(t *testing.T, name string, data []byte) {
 // TestNegativeCountsAreRefused: -runs -1 used to panic in the planner, and
 // -max-steps -5 ran nothing, called every run unresolved, printed "OK: no
 // violations found" and exited 0 — a sweep that tested nothing and said it
-// passed. Both are refused with the option named, and exit 2.
+// passed. Both are refused with the option named, and exit 2. A mobile cap
+// without an omission budget used to sweep the crash-only model; it is a
+// usage error, exit 1.
 func TestNegativeCountsAreRefused(t *testing.T) {
 	for flagName, option := range map[string]string{
 		"-runs":             "Runs",
@@ -123,5 +125,11 @@ func TestNegativeCountsAreRefused(t *testing.T) {
 			t.Errorf("%s -5: exit %d, stdout %q, stderr %q; want exit 2 and an error naming %s",
 				flagName, code, stdout.String(), stderr.String(), option)
 		}
+	}
+	var stdout, stderr bytes.Buffer
+	code := run([]string{"-proto", "tree", "-n", "3", "-mobile-omissions", "2"}, &stdout, &stderr)
+	if code != 1 || stdout.Len() != 0 || !strings.Contains(stderr.String(), "-mobile-omissions needs -omission-budget") {
+		t.Errorf("-mobile-omissions 2 without a budget: exit %d, stdout %q, stderr %q; want exit 1 and a usage error",
+			code, stdout.String(), stderr.String())
 	}
 }

@@ -72,6 +72,10 @@ func run(args []string, out io.Writer) int {
 		fmt.Fprintln(os.Stderr, "cccheck:", err)
 		return 1
 	}
+	if *mobileOm > 0 && *omitBudg == 0 {
+		fmt.Fprintln(os.Stderr, "cccheck: -mobile-omissions needs -omission-budget")
+		return 1
+	}
 
 	ctx := context.Background()
 	if *timeout > 0 {

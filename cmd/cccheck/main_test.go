@@ -92,13 +92,15 @@ func TestSafetyLineCarriesThePartialCaveat(t *testing.T) {
 }
 
 // TestNegativeBudgetsAreRefused: a negative -maxnodes is not a budget that
-// ran out (exit 3 over "0 configurations"), and a negative omission flag is
-// not the unbounded model; each is refused before anything is explored.
+// ran out (exit 3 over "0 configurations"), a negative omission flag is not
+// the unbounded model, and a mobile cap without an omission budget is not
+// the crash-only space; each is refused before anything is explored.
 func TestNegativeBudgetsAreRefused(t *testing.T) {
 	for _, args := range [][]string{
 		{"-maxnodes", "-5"},
 		{"-omission-budget", "-1"},
 		{"-mobile-omissions", "-2", "-omission-budget", "1"},
+		{"-mobile-omissions", "2"},
 	} {
 		var out strings.Builder
 		if code := run(append([]string{"-proto", "tree", "-n", "3"}, args...), &out); code != 1 || out.Len() != 0 {

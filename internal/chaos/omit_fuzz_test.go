@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"repro/internal/fingerprint"
 	"repro/internal/protocols"
 	"repro/internal/sim"
 )
@@ -33,9 +34,9 @@ func fuzzProtos() []sim.Protocol {
 //     string keys must have equal fingerprints — the invariant that lets
 //     fingerprint dedup stand in for full canonical keys.
 //  3. Predictor agreement: for every applied event, the incremental
-//     successor fingerprint (Predictor.Predict) matches the fingerprint of
-//     the materialized successor, so omission bookkeeping hashes the same
-//     on the fast path as on the slow one.
+//     successor fingerprint (Predictor.Shift at width 1) matches the
+//     fingerprint of the materialized successor, so omission bookkeeping
+//     hashes the same on the fast path as on the slow one.
 func FuzzOmitReplay(f *testing.F) {
 	f.Add(int64(0), int64(7), int64(2), int64(1))
 	f.Add(int64(3), int64(1984), int64(3), int64(2))
@@ -72,13 +73,13 @@ func FuzzOmitReplay(f *testing.F) {
 				fpByKey[key] = fp
 			}
 		}
-		pr := sim.NewPredictor()
+		pr, one := sim.NewPredictor(), sim.NewPermuteMemo(nil)
 		for i, e := range run.Schedule {
-			pred, ok := pr.Predict(proto, run.Configs[i], e)
-			if !ok {
-				t.Fatalf("step %d: Predict refused an applied event %s", i, e)
+			vec := []fingerprint.Digest{run.Configs[i].Fingerprint()}
+			if _, ok := pr.Shift(proto, run.Configs[i], e, one, false, vec); !ok {
+				t.Fatalf("step %d: Shift refused an applied event %s", i, e)
 			}
-			if pred.CfgFP != run.Configs[i+1].Fingerprint() {
+			if vec[0] != run.Configs[i+1].Fingerprint() {
 				t.Fatalf("step %d (%s): predicted fingerprint diverges from materialized successor", i, e)
 			}
 		}

@@ -368,15 +368,15 @@ func Explore(proto sim.Protocol, opts Options) (*Exploration, error) {
 }
 
 // succ is one successor on its way to admission: the event that reached it,
-// its dedup handle, and the node — nil for a canonicalizing walk's successor
-// whose handle was predicted and that is not built yet.
+// its dedup handle, and the node — nil for a successor whose handle was
+// predicted and that is not built yet.
 type succ struct {
 	nd    *node
 	event sim.Event
 	fp    fingerprint.Digest // the dedup handle; nd.fp once built
-	// vec is a canonicalizing walk's candidate handles of the successor (see
-	// canonicalizeSucc), in scratch the explorer owns; predicted marks a
-	// handle and vector predictHandle derived from the parent's.
+	// vec is the successor's candidate handles (see canonicalizeSucc), in
+	// scratch the explorer owns; predicted marks a handle and vector
+	// predictHandle derived from the parent's.
 	vec       []fingerprint.Digest
 	predicted bool
 	// permuted marks a successor whose dedup handle was canonicalized
@@ -450,14 +450,15 @@ type explorer struct {
 	elide    bool
 	symPerms []sim.ProcPerm
 	// permMemo memoizes each component's relabelled terms under symPerms,
-	// so handles are computed from fingerprints, not configurations. Nil
-	// unless canonicalizing.
+	// so handles are computed from fingerprints, not configurations; its
+	// width is 1 when symPerms is empty.
 	permMemo *sim.PermuteMemo
-	// A canonicalizing walk keeps every queued node's vector (its candidate
+	// A walk with symmetry keeps every queued node's vector (its candidate
 	// handles, permMemo.Width() digests) in qvecs, in queue order from
-	// qvecHead; pvec holds the vector of the node being stepped and svecs
-	// the vectors of the at most two successors held at once. All nil on
-	// other walks, so node carries none of it.
+	// qvecHead, so node carries none of it; at width 1 the vector is the
+	// node's handle and qvecs stays empty. pvec holds the vector of the node
+	// being stepped and svecs the vectors of the at most two successors held
+	// at once.
 	qvecs    []fingerprint.Digest
 	qvecHead int
 	pvec     []fingerprint.Digest
@@ -465,10 +466,9 @@ type explorer struct {
 }
 
 // step folds one dequeued node into the exploration: each enabled event, in
-// event order, either is vouched for as already visited by a prediction
-// (predictSeen, or predictHandle on a canonicalizing walk) or has its
-// successor built once and handed straight to admit. stop is admit's, or
-// set beside a protocol error.
+// event order, gets its successor's handle (handle), and the successor is
+// either rejected as already visited without being built or built once and
+// handed to admit (offer). stop is admit's, or set beside a protocol error.
 func (e *explorer) step(nd *node) (stop bool, err error) {
 	x := e.x
 	failedCount := 0
@@ -551,42 +551,25 @@ func (e *explorer) step(nd *node) (stop bool, err error) {
 	x.Reduction.FullNodes++
 	x.Reduction.FullEvents += int64(len(events))
 	// Each successor's handle is predicted incrementally from the parent's
-	// and an already-visited successor is never built — the bulk of all
-	// edges in a dense state space. An unreduced walk predicts the
-	// successor's own fingerprint (predictSeen); a canonicalizing one
-	// shifts the parent's vector of candidate handles (predictHandle). The
-	// one thing judged on a seen edge, the decision rule, is a predicate
-	// over the prediction.
-	if e.canonicalizing() {
-		for _, ev := range events {
-			s := succ{event: ev, vec: e.svecs[0]}
-			if err = e.handle(nd, &s, failureSeen); err != nil {
-				return true, err
-			}
-			if stop, err = e.offer(nd, &s, failureSeen); stop {
-				return true, err
-			}
-		}
-		return false, nil
-	}
+	// vector (predictHandle) and an already-visited successor is never
+	// built — the bulk of all edges in a dense state space. The one thing
+	// judged on a seen edge, the decision rule, is a predicate over the
+	// prediction.
 	for _, ev := range events {
-		if e.predictSeen(nd, ev, failureSeen) {
-			continue
-		}
-		s := succ{event: ev}
-		if err = e.build(nd, &s); err != nil {
+		s := succ{event: ev, vec: e.svecs[0]}
+		if err = e.handle(nd, &s, failureSeen); err != nil {
 			return true, err
 		}
-		if stop, err = e.admit(nd, &s, failureSeen); stop {
+		if stop, err = e.offer(nd, &s, failureSeen); stop {
 			return true, err
 		}
 	}
 	return false, nil
 }
 
-// handle gives a canonicalizing walk's successor s of nd its handle and
-// vector: predicted from the parent's vector where predictHandle can vouch
-// for the edge, built and canonicalized otherwise.
+// handle gives successor s of nd its handle and vector: predicted from the
+// parent's vector where predictHandle can vouch for the edge, built
+// otherwise.
 func (e *explorer) handle(nd *node, s *succ, failureSeen bool) error {
 	if e.predictHandle(nd, e.pvec, s, failureSeen) {
 		return nil
@@ -594,10 +577,10 @@ func (e *explorer) handle(nd *node, s *succ, failureSeen bool) error {
 	return e.build(nd, s)
 }
 
-// offer hands a canonicalizing walk's successor to admit, building it
-// first if only its handle was predicted — unless that handle is already
-// visited: then it is rejected as admit would reject it (a seen predicted
-// edge has nothing to link or report), and never built.
+// offer hands a successor to admit, building it first if only its handle
+// was predicted — unless that handle is already visited: then it is
+// rejected as admit would reject it (a seen predicted edge has nothing to
+// link or report), and never built.
 func (e *explorer) offer(parent *node, s *succ, failureSeen bool) (stop bool, err error) {
 	if s.nd == nil {
 		if e.visited.Seen(s.fp) {
@@ -620,7 +603,7 @@ func (e *explorer) build(nd *node, s *succ) (err error) {
 	if s.nd, err = e.materialize(nd, s.event); err != nil {
 		return err
 	}
-	e.setHandle(nd, s)
+	e.canonicalizeSucc(nd, s)
 	return nil
 }
 
@@ -653,43 +636,6 @@ func (e *explorer) release(nd *node) {
 	}
 	nd.ledger = nil
 	e.free = append(e.free, nd)
-}
-
-// setHandle computes the dedup handle of a freshly built node stepped from
-// parent (nil for a root): its fingerprint, canonical when a reduction
-// rewrites handles.
-func (e *explorer) setHandle(parent *node, s *succ) {
-	if e.canonicalizing() {
-		e.canonicalizeSucc(parent, s)
-		return
-	}
-	s.nd.fp = nodeFP(s.nd)
-	s.fp = s.nd.fp
-}
-
-// predictSeen reports whether ev's successor is already in the visited set,
-// judged by the fingerprint it would have — configuration fingerprint via
-// the memoizing sim.Predictor, ledger delta from the predicted post-state's
-// decision. false means the caller must build it: the successor is new, the
-// event is irregular (Apply must produce the exact error), the ledger
-// transition is one the delta rule cannot predict, or the predicted step is
-// a decision some judge's rule forbids — so every violation is built, worded
-// and ordered by the building path alone, and a prediction only ever
-// vouches for an edge on which there is nothing to report or to link.
-func (e *explorer) predictSeen(nd *node, ev sim.Event, failureSeen bool) bool {
-	pred, ok := e.predictor.Predict(e.proto, nd.cfg, ev)
-	if !ok {
-		return false
-	}
-	fp := nd.fp.Sub(nd.cfg.Fingerprint()).Add(pred.CfgFP)
-	d, ok := e.newDecision(nd, ev.Proc, pred.Decision, pred.Decided, failureSeen)
-	if !ok {
-		return false
-	}
-	if d != sim.NoDecision {
-		fp = fp.Add(ledgerTerm(ev.Proc, d))
-	}
-	return e.visited.Seen(fp)
 }
 
 // newDecision is the decision a predicted step of p — whose post-state
@@ -729,16 +675,14 @@ func (e *explorer) run(ctx context.Context) error {
 	}
 	for i, inputs := range e.inputs {
 		root := succ{nd: &node{cfg: sim.NewConfigOmission(e.proto, inputs, e.opts.omission()), ledger: make([]sim.Decision, e.n), inputs: inputs, vecIdx: int32(i)}, vec: e.svecs[0]}
-		e.setHandle(nil, &root)
+		e.canonicalizeSucc(nil, &root)
 		if stop, err := e.admit(nil, &root, false); stop {
 			return err
 		}
 	}
 	for e.head < len(e.queue) {
 		nd := e.popNode()
-		if e.pvec != nil {
-			e.popVec()
-		}
+		e.popVec(nd)
 		if cerr := ctx.Err(); cerr != nil {
 			x.Status = StatusInterrupted
 			x.FrontierSize = e.frontierLeft()
@@ -816,7 +760,7 @@ func (e *explorer) admit(parent *node, s *succ, failureSeen bool) (stop bool, er
 		return true, nil
 	}
 	e.queue = append(e.queue, nd)
-	if e.pvec != nil {
+	if len(s.vec) > 1 {
 		e.qvecs = append(e.qvecs, s.vec...)
 	}
 	return false, nil
@@ -833,10 +777,15 @@ func (e *explorer) countPrune(s *succ) {
 	}
 }
 
-// popVec moves the vector of the node just dequeued into pvec, compacting
-// qvecs once its consumed prefix is the larger half.
-func (e *explorer) popVec() {
+// popVec moves the vector of nd, the node just dequeued, into pvec: its
+// handle at width 1, else from qvecs, compacting qvecs once its consumed
+// prefix is the larger half.
+func (e *explorer) popVec(nd *node) {
 	w := len(e.pvec)
+	if w == 1 {
+		e.pvec[0] = nd.fp
+		return
+	}
 	copy(e.pvec, e.qvecs[e.qvecHead:e.qvecHead+w])
 	e.qvecHead += w
 	if e.qvecHead >= 1<<16 && 2*e.qvecHead >= len(e.qvecs) {

@@ -141,15 +141,9 @@ func (e *explorer) appendAmpleEvents(events []sim.Event, p sim.ProcID, failedCou
 	return events
 }
 
-// canonicalizing reports whether dedup handles are canonical forms rather
-// than the successor's own fingerprint/key: dead-letter elision or
-// symmetry canonicalization (or both) rewrite the handle.
-func (e *explorer) canonicalizing() bool {
-	return e.elide || len(e.symPerms) > 0
-}
-
-// canonicalizeSucc gives a built successor its canonical dedup handle and
-// fills its vector. Two canonicalizations compose:
+// canonicalizeSucc gives a built successor its dedup handle and fills its
+// vector. Without a reduction the vector is one slot and the handle is
+// nodeFP; two canonicalizations rewrite it, and compose:
 //
 // Dead-letter elision (ample modes) erases the buffers of failed and
 // halted processors before hashing, so configurations that differ only in
@@ -193,13 +187,15 @@ func (e *explorer) canonicalizeSucc(parent *node, s *succ) {
 	}
 }
 
-// predictHandle is predictSeen for a canonicalizing walk: it derives the
-// handle of s.event's successor of nd — with its vector, from pvec, nd's —
-// without building it, and leaves s unbuilt (s.nd nil). false means the
-// caller must build it: the event is irregular, the ledger transition is one
-// the delta rule cannot predict, or the decision is one some judge's rule
-// forbids — so every violation is built, worded and ordered by the building
-// path alone.
+// predictHandle derives the handle of s.event's successor of nd — with its
+// vector, from pvec, nd's — without building it, and leaves s unbuilt (s.nd
+// nil): the configuration's slots move by sim.Predictor.Shift, the ledger's
+// by the one term a new decision adds. false means the caller must build it:
+// the event is irregular, the ledger transition is one the delta rule cannot
+// predict, or the decision is one some judge's rule forbids — so every
+// violation is built, worded and ordered by the building path alone, and a
+// prediction only ever vouches for an edge on which there is nothing to
+// report or to link.
 func (e *explorer) predictHandle(nd *node, pvec []fingerprint.Digest, s *succ, failureSeen bool) bool {
 	copy(s.vec, pvec)
 	sh, ok := e.predictor.Shift(e.proto, nd.cfg, s.event, e.permMemo, e.elide, s.vec)
@@ -237,10 +233,10 @@ func leastHandle(vec []fingerprint.Digest) (fp fingerprint.Digest, permuted bool
 	return fp, permuted
 }
 
-// canonicalizeHook, when set, observes every canonical handle the walk
-// computes, with the parent it was stepped from (nil for a root): predicted
-// ones (s.predicted, s.nd nil), predicted ones again once built (s.nd set),
-// and built-and-canonicalized ones. Only tests set it, to hold every handle
+// canonicalizeHook, when set, observes every dedup handle the walk
+// computes, reduced or not, with the parent it was stepped from (nil for a
+// root): predicted ones (s.predicted, s.nd nil), predicted ones again once
+// built (s.nd set), and built ones. Only tests set it, to hold every handle
 // to the materialized path. A hook that keeps a node or its parent must keep
 // a copy: the walk recycles nodes it is done with.
 var canonicalizeHook func(e *explorer, parent *node, s succ)
@@ -263,7 +259,9 @@ func permutedLedgerFP(ledger []sim.Decision, perm sim.ProcPerm) fingerprint.Dige
 // ample modes switch on ample-set expansion and dead-letter elision, the
 // symmetry modes resolve the protocol's automorphism group, less the
 // automorphisms that move FailProcs (empty for protocols without usable
-// symmetry, which then canonicalize nothing).
+// symmetry, which then canonicalize nothing). Every walk gets a
+// sim.PermuteMemo over those automorphisms, of width 1 when there are none:
+// the handle is then the vector, so no queued node keeps one (see popVec).
 //
 // Under an omission budget the ample modes stay on (DESIGN.md §8):
 //
@@ -298,10 +296,8 @@ func (e *explorer) initReduction() {
 			return false
 		})
 	}
-	if e.canonicalizing() {
-		e.permMemo = sim.NewPermuteMemo(e.symPerms)
-		w := e.permMemo.Width()
-		e.pvec = make([]fingerprint.Digest, w)
-		e.svecs = [2][]fingerprint.Digest{make([]fingerprint.Digest, w), make([]fingerprint.Digest, w)}
-	}
+	e.permMemo = sim.NewPermuteMemo(e.symPerms)
+	w := e.permMemo.Width()
+	e.pvec = make([]fingerprint.Digest, w)
+	e.svecs = [2][]fingerprint.Digest{make([]fingerprint.Digest, w), make([]fingerprint.Digest, w)}
 }

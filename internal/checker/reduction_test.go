@@ -449,16 +449,18 @@ func materializedHandle(e *explorer, nxt *node) (fp fingerprint.Digest, elided, 
 	return fp, elided, permuted
 }
 
-// TestCanonicalizeDigestMatchesMaterialized hooks every handle four
-// ReduceBoth explorations compute — predicted from the parent's vector and
-// never built, predicted and then built, and built then canonicalized (the
+// TestCanonicalizeDigestMatchesMaterialized hooks every handle seven
+// explorations compute — predicted from the parent's vector and never
+// built, predicted and then built, and built then canonicalized (the
 // fallback, and the roots) — and asserts that it is the one full
 // materialization produces: same fingerprint, same flags. Every edge's
 // successor is rebuilt by sim.Apply from the parent, not taken from the
 // walk. The grudging rule forbids decisions on many edges, which drives
 // the fallback. The ackcommit(3) omission cell (one failure, budget 1, one
 // mobile slot) holds the omission terms of predicted handles; symmetry is
-// off under its budget, so nothing there is permuted. It then pins the
+// off under its budget, so nothing there is permuted. The unreduced rows
+// walk the same path at width 1: nothing is elided or permuted, and every
+// handle is nodeFP of the node sim.Apply builds. It then pins the
 // steady-state cost: a warm canonicalizeSucc and a warm predicted edge
 // whose handle is already visited allocate nothing.
 func TestCanonicalizeDigestMatchesMaterialized(t *testing.T) {
@@ -470,10 +472,13 @@ func TestCanonicalizeDigestMatchesMaterialized(t *testing.T) {
 		opts  Options
 		prob  taxonomy.Problem
 	}{
-		{protocols.Star{Procs: 3}, Options{MaxFailures: 2}, wttc},
-		{protocols.FullExchange{Procs: 3}, Options{MaxFailures: 0}, wttc},
-		{protocols.Star{Procs: 3}, Options{MaxFailures: 1}, grudging},
-		{protocols.AckCommit{Procs: 3}, Options{MaxFailures: 1, OmissionBudget: 1, MobileOmissions: 1}, wttc},
+		{protocols.Star{Procs: 3}, Options{MaxFailures: 2, Reduction: ReduceBoth}, wttc},
+		{protocols.FullExchange{Procs: 3}, Options{MaxFailures: 0, Reduction: ReduceBoth}, wttc},
+		{protocols.Star{Procs: 3}, Options{MaxFailures: 1, Reduction: ReduceBoth}, grudging},
+		{protocols.AckCommit{Procs: 3}, Options{MaxFailures: 1, OmissionBudget: 1, MobileOmissions: 1, Reduction: ReduceBoth}, wttc},
+		{protocols.Star{Procs: 3}, Options{MaxFailures: 2, Reduction: ReduceNone}, wttc},
+		{protocols.Star{Procs: 3}, Options{MaxFailures: 1, Reduction: ReduceNone}, grudging},
+		{protocols.AckCommit{Procs: 3}, Options{MaxFailures: 1, OmissionBudget: 1, MobileOmissions: 1, Reduction: ReduceNone}, wttc},
 	} {
 		var calls, elided, permuted, predicted, predictedBuilt, fallback int
 		var warmE *explorer
@@ -524,15 +529,18 @@ func TestCanonicalizeDigestMatchesMaterialized(t *testing.T) {
 			}
 		}
 		opts := tc.opts
-		opts.Reduction = ReduceBoth
 		if _, err := CheckContext(context.Background(), tc.proto, tc.prob, opts); err != nil {
 			t.Fatal(err)
 		}
 		canonicalizeHook = nil
-		t.Logf("%s mf%d omissions %v %s: %d handles: %d predicted (%d of them built), %d built then canonicalized, %d elided, %d permuted",
-			tc.proto.Name(), opts.MaxFailures, opts.omission(), tc.prob.Rule.Name(), calls, predicted, predictedBuilt, fallback, elided, permuted)
-		symmetric := !opts.omission().Enabled()
-		if calls == 0 || symmetric && permuted == 0 || (opts.MaxFailures > 0 && elided == 0) {
+		t.Logf("%s mf%d omissions %v %s reduce %v: %d handles: %d predicted (%d of them built), %d built then canonicalized, %d elided, %d permuted",
+			tc.proto.Name(), opts.MaxFailures, opts.omission(), tc.prob.Rule.Name(), opts.Reduction, calls, predicted, predictedBuilt, fallback, elided, permuted)
+		if opts.Reduction == ReduceNone {
+			if calls == 0 || elided != 0 || permuted != 0 {
+				t.Fatalf("%s unreduced: hook saw %d successors, %d elided, %d permuted — want some, none, none",
+					tc.proto.Name(), calls, elided, permuted)
+			}
+		} else if symmetric := !opts.omission().Enabled(); calls == 0 || symmetric && permuted == 0 || (opts.MaxFailures > 0 && elided == 0) {
 			t.Fatalf("%s: hook saw %d successors, %d elided, %d permuted — matrix does not exercise the shortcut",
 				tc.proto.Name(), calls, elided, permuted)
 		}
@@ -546,7 +554,7 @@ func TestCanonicalizeDigestMatchesMaterialized(t *testing.T) {
 		vec := make([]fingerprint.Digest, warmE.permMemo.Width())
 		allocs := testing.AllocsPerRun(20, func() {
 			for _, nxt := range warm {
-				warmE.setHandle(nil, &succ{nd: nxt, vec: vec})
+				warmE.canonicalizeSucc(nil, &succ{nd: nxt, vec: vec})
 			}
 		})
 		if allocs != 0 {

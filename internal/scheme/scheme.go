@@ -306,6 +306,8 @@ type enumerator struct {
 	n       int
 	visited *frontier.SeqVisited
 	pr      *sim.Predictor
+	// one is the width-1 memo (no permutations) predictSeen shifts by.
+	one *sim.PermuteMemo
 	// chans[from*n+to][seq-1] is the index of message (from, to, seq), or
 	// -1 before it is interned; ids and digs are indexed by it. words is
 	// the bitset width the indices interned so far need.
@@ -346,6 +348,7 @@ func newEnumerator(proto sim.Protocol) *enumerator {
 		n:       n,
 		visited: frontier.NewSeqVisited(frontier.DedupFingerprint),
 		pr:      sim.NewPredictor(),
+		one:     sim.NewPermuteMemo(nil),
 		chans:   make([][]int32, n*n),
 		words:   1,
 		maximal: make(map[fingerprint.Digest]*maximalPattern),
@@ -414,12 +417,13 @@ func (e *enumerator) gain(known, past []uint64, i int32, apply bool) fingerprint
 }
 
 // predictSeen derives the fingerprint that ev's successor node would have
-// — configuration delta from the transition cache, pattern and knowledge
-// deltas from the node's incremental digests and bitsets — and reports
-// whether that successor is already visited, all without building it.
-// false means the caller must materialize.
+// — configuration delta by Predictor.Shift at width 1, pattern and
+// knowledge deltas from the node's incremental digests and bitsets — and
+// reports whether that successor is already visited, all without building
+// it. false means the caller must materialize.
 func (e *enumerator) predictSeen(nd *node, ev sim.Event) bool {
-	pred, ok := e.pr.Predict(e.proto, nd.cfg, ev)
+	vec := []fingerprint.Digest{nd.cfg.Fingerprint()}
+	sh, ok := e.pr.Shift(e.proto, nd.cfg, ev, e.one, false, vec)
 	if !ok {
 		return false
 	}
@@ -427,9 +431,9 @@ func (e *enumerator) predictSeen(nd *node, ev sim.Event) bool {
 	patFP, knownFP := nd.patFP, nd.knownFP
 	switch ev.Type {
 	case sim.SendStepEvent:
-		if pred.Sent {
-			patFP = patFP.Add(entryDigest(pred.SentID, nd.knownSum[p]))
-			knownFP = nd.knownFPWith(p, nd.knownSum[p].Add(e.digs[e.intern(pred.SentID)]))
+		if sh.Sent {
+			patFP = patFP.Add(entryDigest(sh.SentID, nd.knownSum[p]))
+			knownFP = nd.knownFPWith(p, nd.knownSum[p].Add(e.digs[e.intern(sh.SentID)]))
 		}
 	case sim.Deliver:
 		i := e.intern(ev.Msg)
@@ -438,7 +442,7 @@ func (e *enumerator) predictSeen(nd *node, ev sim.Event) bool {
 		// Failure events never occur in failure-free enumeration.
 		return false
 	}
-	return e.visited.Seen(pred.CfgFP.Add(patFP.Mixed(saltPat)).Add(knownFP))
+	return e.visited.Seen(vec[0].Add(patFP.Mixed(saltPat)).Add(knownFP))
 }
 
 // rootNode is the initial node: nothing sent, nothing known.

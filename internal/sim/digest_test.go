@@ -121,14 +121,16 @@ func TestFingerprintMatchesKey(t *testing.T) {
 }
 
 // TestPredictorExact: the memoizing Predictor must agree with Apply on
-// every applicable event of every explored configuration — Predict's
-// fingerprint and decision match the applied successor, and Materialize
+// every applicable event of every explored configuration — Shift at width 1
+// moves the fingerprint to the applied successor's and reports its decision
+// and the id of the message it sent, Predict is that shift, and Materialize
 // yields a configuration byte-identical (Key) and digest-identical
-// (Fingerprint) to Apply's. This is the contract that lets the explorer
-// route its entire fast-mode hot path through the transition cache.
+// (Fingerprint) to Apply's. This is the contract that lets the explorers
+// route their entire hot path through the transition cache.
 func TestPredictorExact(t *testing.T) {
 	proto := digestProto{n: 3}
 	pr := NewPredictor()
+	one := NewPermuteMemo(nil)
 	checked := 0
 	seen := make(map[string]struct{})
 	var walk func(c *Config, failures int, depth int)
@@ -146,20 +148,24 @@ func TestPredictorExact(t *testing.T) {
 			}
 		}
 		for _, e := range events {
-			pred, ok := pr.Predict(proto, c, e)
+			vec := []fingerprint.Digest{c.Fingerprint()}
+			sh, ok := pr.Shift(proto, c, e, one, false, vec)
 			next, wantEff, err := Apply(proto, c, e)
 			if err != nil {
 				t.Fatalf("apply %s: %v", e, err)
 			}
 			if !ok {
-				t.Fatalf("Predict refused applicable event %s", e)
+				t.Fatalf("Shift refused applicable event %s", e)
 			}
-			if got := next.Fingerprint(); got != pred.CfgFP {
-				t.Fatalf("Predict fingerprint %v, applied %v (event %s at %s)", pred.CfgFP, got, e, c.Key())
+			if got := next.Fingerprint(); got != vec[0] {
+				t.Fatalf("Shift fingerprint %v, applied %v (event %s at %s)", vec[0], got, e, c.Key())
+			}
+			if pred, ok := pr.Predict(proto, c, e); !ok || pred.CfgFP != vec[0] {
+				t.Fatalf("Predict (%v, %v) is not Shift's slot 0 %v (event %s)", pred.CfgFP, ok, vec[0], e)
 			}
 			d, decided := next.States[e.Proc].Decided()
-			if decided != pred.Decided || (decided && d != pred.Decision) {
-				t.Fatalf("Predict decision (%v,%v), applied (%v,%v)", pred.Decision, pred.Decided, d, decided)
+			if decided != sh.Decided || (decided && d != sh.Decision) {
+				t.Fatalf("Shift decision (%v,%v), applied (%v,%v)", sh.Decision, sh.Decided, d, decided)
 			}
 			var eff Effect
 			mat, err := pr.Materialize(proto, c, e, nil, &eff)
@@ -184,8 +190,8 @@ func TestPredictorExact(t *testing.T) {
 			if eff.Received != nil && eff.Received.Key() != wantEff.Received.Key() {
 				t.Fatalf("Materialize received %s, Apply received %s", eff.Received.Key(), wantEff.Received.Key())
 			}
-			if pred.Sent != (len(wantEff.Sent) == 1) || (pred.Sent && pred.SentID != wantEff.Sent[0].ID) {
-				t.Fatalf("Predict sent-info (%v,%v) diverges from Apply effect %v", pred.Sent, pred.SentID, wantEff.Sent)
+			if want := e.Type == SendStepEvent && len(wantEff.Sent) == 1; sh.Sent != want || (want && sh.SentID != wantEff.Sent[0].ID) {
+				t.Fatalf("Shift sent-info (%v,%v) diverges from Apply effect %v", sh.Sent, sh.SentID, wantEff.Sent)
 			}
 			checked++
 			nf := failures

@@ -183,7 +183,7 @@ func PostState(proto Protocol, c *Config, e Event) (State, error) {
 // step is what applying one event reads, apart from the message a delivery
 // or an omission consumes: the stepping processor's post-state and the
 // envelope a sending step emits. With C and that message it determines
-// e(C): commit and fingerprintAfter take channel counters and omission
+// e(C): commit and Predictor.Shift take channel counters and omission
 // accounting from C. A step depends on nothing else, so the transition
 // cache keeps one per distinct transition and hands out pointers to it.
 type step struct {
@@ -346,40 +346,6 @@ func (c *Config) commit(e Event, st *step, m *Message, eff *Effect) {
 		if eff != nil {
 			eff.Omitted = m
 		}
-	}
-}
-
-// fingerprintAfter is the fingerprint commit would give e(C), where m is
-// the message e consumes, computed from C's warm fingerprint without
-// building e(C). It needs st.postD and, for a send, st.payloadKey: the
-// transition cache supplies both.
-func (c *Config) fingerprintAfter(e Event, st *step, m *Message) fingerprint.Digest {
-	fp, p := c.Fingerprint(), e.Proc
-	if e.Type != Omit {
-		salt := saltStateBase + uint64(p)
-		fp = fp.Sub(c.stateM[p].d.Mixed(salt)).Add(st.postD.Mixed(salt))
-	}
-
-	switch e.Type {
-	case Fail:
-		for q := ProcID(0); int(q) < c.N(); q++ {
-			if q != p {
-				fp = fp.Add(msgDigestParts(p, q, c.peekSeq(p, q), true, "").Mixed(saltBufferBase + uint64(q)))
-			}
-		}
-		return c.omissionShiftClear(fp, p)
-	case SendStepEvent:
-		if st.sends {
-			to := st.env.To
-			fp = fp.Add(msgDigestParts(p, to, c.peekSeq(p, to), false, st.payloadKey).Mixed(saltBufferBase + uint64(to)))
-		}
-		return fp
-	case Deliver:
-		fp = fp.Sub(m.Digest().Mixed(saltBufferBase + uint64(p)))
-		return c.omissionShiftClear(fp, p)
-	default: // Omit
-		fp = fp.Sub(m.Digest().Mixed(saltBufferBase + uint64(p)))
-		return c.omissionShiftOmit(fp, p)
 	}
 }
 

@@ -2,20 +2,9 @@ package sim
 
 import "repro/internal/fingerprint"
 
-// Predicted is a Predictor result: the successor configuration's
-// fingerprint, the visible decision of the stepping processor's
-// post-state, and — for sending steps that emit a message — the identity
-// the sent message would get. These are the post-state facts explorers and
-// scheme enumeration need per skipped edge.
+// Predicted is a Predict result: the fingerprint e(C) would have.
 type Predicted struct {
-	CfgFP    fingerprint.Digest
-	Decision Decision
-	Decided  bool
-	// Sent/SentID describe the message a predicted sending step emits
-	// (sequence number included). Failure notices are not reported here;
-	// only SendStepEvent predictions set these fields.
-	Sent   bool
-	SentID MsgID
+	CfgFP fingerprint.Digest
 }
 
 // Predictor is a transition cache. It remembers the two halves of
@@ -122,26 +111,19 @@ func sendCacheKey(p ProcID, stateD fingerprint.Digest) fingerprint.Digest {
 	return h.Sum()
 }
 
-// Predict computes the fingerprint e(C) would have, plus the post-state's
-// visible decision and the message a sending step emits, without building
-// e(C). The explorers use it to recognize already-visited successors and
-// skip building them. ok=false means the event is inapplicable or irregular
-// and the caller must fall back to Apply for the authoritative error. A
-// successful prediction is exact: Apply(proto, c, e) yields a configuration
-// whose Fingerprint equals CfgFP (the sim tests assert this over explored
-// spaces).
+// Predict is Shift at width 1: the fingerprint e(C) would have, without
+// building e(C). ok=false means the event is inapplicable or irregular.
 func (pr *Predictor) Predict(proto Protocol, c *Config, e Event) (Predicted, bool) {
-	st, m, ok := pr.recall(proto, c, e)
-	if !ok {
+	vec := []fingerprint.Digest{c.Fingerprint()}
+	if _, ok := pr.Shift(proto, c, e, &widthOne, false, vec); !ok {
 		return Predicted{}, false
 	}
-	out := Predicted{CfgFP: c.fingerprintAfter(e, st, m), Decision: st.dec, Decided: st.decided}
-	if st.sends {
-		out.Sent = true
-		out.SentID = MsgID{From: e.Proc, To: st.env.To, Seq: c.peekSeq(e.Proc, st.env.To)}
-	}
-	return out, true
+	return Predicted{CfgFP: vec[0]}, true
 }
+
+// widthOne is the memo of no permutations that Predict shifts by; Shift
+// never writes it.
+var widthOne PermuteMemo
 
 // Materialize is Apply through the transition cache: a transition the cache
 // has seen costs neither a protocol callback nor a state rehash — both are
@@ -173,30 +155,36 @@ func (pr *Predictor) Materialize(proto Protocol, c *Config, e Event, dst *Config
 }
 
 // Shifted is a Predictor.Shift result: the visible decision of the stepping
-// processor's post-state, and whether e(C) has dead letters to erase — what
-// e(C).ElidedFingerprint reports as changed.
+// processor's post-state; whether e(C) has dead letters to erase — what
+// e(C).ElidedFingerprint reports as changed; and, for a sending step that
+// emits a message, the identity Apply gives it (sequence number included).
 type Shifted struct {
 	Decision Decision
 	Decided  bool
 	Elided   bool
+	Sent     bool
+	SentID   MsgID
 }
 
-// Shift is Predict for a walk that dedups on canonical handles: vec holds
+// Shift is the one incremental rule for successor fingerprints: vec holds
 // C's vector as pm.Vector fills it (with elide as given), plus any per-slot
 // terms the caller keeps beside it, which pass through; Shift turns it into
 // e(C)'s vector without building e(C). Fingerprints are sums of component
-// terms, so it subtracts and adds the rows of exactly the components e
-// changes: the state at e.Proc, the message a delivery consumes, the message
-// a sending step emits or the notices a failure broadcasts, and — under
-// elide — the buffer of a processor whose box goes dead. Terms in a dead box
-// are never added. Under an omission policy slot 0 also swaps the omission
-// term as fingerprintAfter does; the relabelled slots carry none (see
-// Vector), so a policy and permutations together are refused. ok=false
-// means the event is inapplicable, irregular or outside what the shift
-// covers (a policy with permutations, a box revived, a state without
-// Permuter): the caller builds e(C) instead, and vec is scratch.
+// terms, so it subtracts and adds the terms of exactly the components e
+// changes: the state at e.Proc, the message a delivery or an omission
+// consumes, the message a sending step emits or the notices a failure
+// broadcasts, and — under elide — the buffer of a processor whose box goes
+// dead. Terms in a dead box are never added. Under an omission policy slot
+// 0 also moves the omission term; the relabelled slots carry none (see
+// Vector), so a policy and permutations together are refused. At width 1
+// (pm without permutations) only slot 0 moves, and slot 0 of
+// c.Fingerprint() becomes e(C).Fingerprint() exactly. ok=false means the
+// event is inapplicable, irregular or outside what the shift covers (a
+// policy with permutations, a box revived, a state without Permuter): the
+// caller builds e(C) instead, and vec is scratch.
 func (pr *Predictor) Shift(proto Protocol, c *Config, e Event, pm *PermuteMemo, elide bool, vec []fingerprint.Digest) (Shifted, bool) {
-	if c.pol.Enabled() && len(pm.perms) > 0 {
+	relabel := len(pm.perms) > 0
+	if relabel && c.pol.Enabled() {
 		return Shifted{}, false
 	}
 	st, consumed, ok := pr.recall(proto, c, e)
@@ -210,56 +198,65 @@ func (pr *Predictor) Shift(proto Protocol, c *Config, e Event, pm *PermuteMemo, 
 	}
 	v := vec[1:]
 	if e.Type != Omit {
-		pre := c.stateM[p].d
-		from, ok := pm.stateRow(p, pre, c.States[p])
-		if !ok {
-			return Shifted{}, false
-		}
-		to, ok := pm.stateRow(p, st.postD, st.post)
-		if !ok {
-			return Shifted{}, false
-		}
-		salt := saltStateBase + uint64(p)
+		pre, salt := c.stateM[p].d, saltStateBase+uint64(p)
 		vec[0] = vec[0].Sub(pre.Mixed(salt)).Add(st.postD.Mixed(salt))
-		subRow(v, from)
-		addRow(v, to)
+		if relabel {
+			from, ok := pm.stateRow(p, pre, c.States[p])
+			if !ok {
+				return Shifted{}, false
+			}
+			to, ok := pm.stateRow(p, st.postD, st.post)
+			if !ok {
+				return Shifted{}, false
+			}
+			subRow(v, from)
+			addRow(v, to)
+		}
 	}
 	if !preDead {
 		buf, salt := c.Buffers[p], saltBufferBase+uint64(p)
 		for j := range buf {
 			if m := &buf[j]; m == consumed || postDead {
 				vec[0] = vec[0].Sub(m.Digest().Mixed(salt))
-				subRow(v, pm.msgRow(m))
+				if relabel {
+					subRow(v, pm.msgRow(m))
+				}
 			}
 		}
 	}
+	out := Shifted{Decision: st.dec, Decided: st.decided, Elided: elide && c.deadLettersAfter(e, st, consumed)}
 	switch e.Type {
 	case Fail:
 		for q := ProcID(0); int(q) < c.N(); q++ {
 			if q != p && !(elide && c.deadLetterBox(q)) {
 				id := MsgID{From: p, To: q, Seq: c.peekSeq(p, q)}
-				pm.addEmitted(vec, Message{ID: id, Notice: true, digest: msgDigestParts(p, q, id.Seq, true, "")})
+				d := msgDigestParts(p, q, id.Seq, true, "")
+				vec[0] = vec[0].Add(d.Mixed(saltBufferBase + uint64(q)))
+				if relabel {
+					addRow(v, pm.msgRow(&Message{ID: id, Notice: true, digest: d}))
+				}
 			}
 		}
 		vec[0] = c.omissionShiftClear(vec[0], p)
 	case SendStepEvent:
-		if to := st.env.To; st.sends && !(elide && c.deadLetterBox(to)) {
-			id := MsgID{From: p, To: to, Seq: c.peekSeq(p, to)}
-			pm.addEmitted(vec, Message{ID: id, Payload: st.env.Payload, digest: msgDigestParts(p, to, id.Seq, false, st.payloadKey)})
+		if !st.sends {
+			break
+		}
+		to := st.env.To
+		out.Sent, out.SentID = true, MsgID{From: p, To: to, Seq: c.peekSeq(p, to)}
+		if !(elide && c.deadLetterBox(to)) {
+			d := msgDigestParts(p, to, out.SentID.Seq, false, st.payloadKey)
+			vec[0] = vec[0].Add(d.Mixed(saltBufferBase + uint64(to)))
+			if relabel {
+				addRow(v, pm.msgRow(&Message{ID: out.SentID, Payload: st.env.Payload, digest: d}))
+			}
 		}
 	case Deliver:
 		vec[0] = c.omissionShiftClear(vec[0], p)
 	default: // Omit
 		vec[0] = c.omissionShiftOmit(vec[0], p)
 	}
-	return Shifted{Decision: st.dec, Decided: st.decided, Elided: elide && c.deadLettersAfter(e, st, consumed)}, true
-}
-
-// addEmitted adds the terms of m, a message a step emits (its digest set),
-// to vec.
-func (pm *PermuteMemo) addEmitted(vec []fingerprint.Digest, m Message) {
-	vec[0] = vec[0].Add(m.digest.Mixed(saltBufferBase + uint64(m.ID.To)))
-	addRow(vec[1:], pm.msgRow(&m))
+	return out, true
 }
 
 // deadLettersAfter reports whether e(C), with st the step e takes and m the
