@@ -108,3 +108,46 @@ func TestNegativeBudgetsAreRefused(t *testing.T) {
 		}
 	}
 }
+
+// TestSafetyUnderElide: -reduce elide walks a quotient whose census is the
+// unreduced one, so the safe-state summary line and the unsafe-state lines
+// must read the same as under -reduce none, and so must the exit code
+// (the Corollary 6 lines come in
+// admission order and may differ). The modes whose census is not exact
+// are refused, and the refusal names elide.
+func TestSafetyUnderElide(t *testing.T) {
+	safetyLines := func(args ...string) string {
+		var out strings.Builder
+		keep := []string{fmt.Sprintf("exit %d", run(args, &out))}
+		for _, line := range strings.Split(out.String(), "\n") {
+			if strings.HasPrefix(line, "safe-state analysis:") || strings.HasPrefix(line, "  unsafe:") || strings.HasPrefix(line, "    reason:") {
+				keep = append(keep, line)
+			}
+		}
+		if len(keep) < 3 {
+			t.Fatalf("cccheck %v printed no unsafe states:\n%s", args, out.String())
+		}
+		return strings.Join(keep, "\n")
+	}
+	for _, cell := range []string{
+		"-proto fullexchange -n 3 -problem WT-TC -maxfail 1",
+		"-proto star -n 3 -problem HT-IC -maxfail 2",
+	} {
+		if strings.Contains(cell, "fullexchange") && testing.Short() {
+			continue // a 705 904-node unreduced walk
+		}
+		args := append(strings.Fields(cell), "-safety")
+		none, elide := safetyLines(append(args, "-reduce", "none")...), safetyLines(append(args, "-reduce", "elide")...)
+		if none != elide {
+			t.Errorf("cccheck %s -safety: -reduce none prints\n%s\n-reduce elide prints\n%s", cell, none, elide)
+		}
+	}
+	// The refusal goes to standard error; the exit code and an empty
+	// stdout are what a test of run can see.
+	for _, mode := range []string{"ample", "symmetry", "both"} {
+		var out strings.Builder
+		if code := run([]string{"-proto", "star", "-n", "3", "-safety", "-reduce", mode}, &out); code != 1 || out.Len() != 0 {
+			t.Errorf("cccheck -safety -reduce %s exits %d, want 1 with nothing on stdout; printed:\n%s", mode, code, out.String())
+		}
+	}
+}

@@ -38,7 +38,7 @@ func run() int {
 		quick   = flag.Bool("quick", false, "skip the exhaustive model-checking passes")
 		deep    = flag.Bool("deep", false, "add the N=4 failure-free solver checks to E1–E3 (ignored with -quick)")
 		timeout = flag.Duration("timeout", 0, "wall-clock budget for the whole run (0 = none); on expiry partial reports are printed and the exit code is 3")
-		reduce  = flag.String("reduce", "none", "state-space reduction for the conformance passes: none, ample, symmetry, both; verdicts are unchanged, and -deep additionally runs the star(4) one-failure cell")
+		reduce  = flag.String("reduce", "none", "state-space reduction for the conformance passes: none, ample, symmetry, both, elide; verdicts are unchanged, and -deep additionally runs the star(4) one-failure cell")
 	)
 	flag.Parse()
 

@@ -137,9 +137,10 @@ type (
 
 // Reduction selects state-space reductions for exhaustive exploration
 // (CheckOptions.Reduction): ample-set partial-order reduction, processor-
-// symmetry canonicalization, or both. Reduced runs preserve the
-// conformance verdict and terminal decision structure while exploring far
-// fewer interleavings; see DESIGN.md §8.
+// symmetry canonicalization, both, or dead-letter elision alone. Reduced
+// runs preserve the conformance verdict and terminal decision structure
+// while exploring fewer interleavings; elision alone also keeps the state
+// census, so the safe-state analysis on it is exact. See DESIGN.md §8.
 type Reduction = checker.Reduction
 
 // Reductions.
@@ -148,9 +149,11 @@ const (
 	ReduceAmple    = checker.ReduceAmple
 	ReduceSymmetry = checker.ReduceSymmetry
 	ReduceBoth     = checker.ReduceBoth
+	ReduceElide    = checker.ReduceElide
 )
 
-// ParseReduction parses a -reduce flag value (none, ample, symmetry, both).
+// ParseReduction parses a -reduce flag value (none, ample, symmetry, both,
+// elide).
 func ParseReduction(s string) (Reduction, error) { return checker.ParseReduction(s) }
 
 // Checker types.

@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -344,11 +345,110 @@ func TestCensusCorollary6AgainstConfigScan(t *testing.T) {
 	}
 }
 
-// TestCensusReducedSafetyIsPartial: a reduced walk admits a subset of the
-// accessible configurations, so concurrency sets shrink and Safety misses
-// unsafe states — star(3) mf2 under symmetry reports 16 of its 24, and
-// fullexchange(3) mf1 under ample 90 of its 96 although it keeps all 1 272
-// states. A complete reduced walk must therefore still report Partial.
+// exactCensus renders, sorted, everything the safe-state analysis reads
+// from an exploration: each state's Procs, Inputs, Conc and decision, and
+// SeenEmptyBuffer where EBarStates reads it (Receiving states); the set of
+// (state, position, decision) occupancies; and the Safety report —
+// TotalStates, Unsafe, Committable, and every Corollary 6 triple, uncapped,
+// as a set.
+func exactCensus(x *Exploration) string {
+	var lines []string
+	for key, si := range x.States {
+		var procs []sim.ProcID
+		for p := range si.Procs {
+			procs = append(procs, p)
+		}
+		slices.Sort(procs)
+		line := fmt.Sprintf("state %s procs=%v inputs=%v conc=%v decision=%v", key,
+			procs, sortedSet(si.Inputs), sortedSet(si.Conc), si.Decision())
+		if si.Sample.Kind() == sim.Receiving {
+			line += fmt.Sprintf(" seenEmpty=%v", si.SeenEmptyBuffer)
+		}
+		lines = append(lines, line)
+	}
+	for _, o := range x.occupancies {
+		lines = append(lines, fmt.Sprintf("occupancy %s %v %v", x.stateKeys[o.state], o.pos, o.decided))
+	}
+	rep := x.Safety()
+	for key, c := range rep.Committable {
+		lines = append(lines, fmt.Sprintf("committable %s %v", key, c))
+	}
+	for _, u := range rep.Unsafe {
+		lines = append(lines, fmt.Sprintf("unsafe %s: %s", u.Key, u.Reason))
+	}
+	for _, v := range x.checkCorollary6(rep.Committable, 0) {
+		lines = append(lines, "corollary6 "+v.Detail)
+	}
+	slices.Sort(lines)
+	return fmt.Sprintf("%d operational states, %d unsafe\n%s", rep.TotalStates, len(rep.Unsafe), strings.Join(lines, "\n"))
+}
+
+// TestCensusElidedIsExact: dead-letter elision merges configurations that
+// differ only in messages to failed or halted processors, a bisimulation
+// quotient that touches no local state, with the inputs and the decision
+// ledger in every handle. So a complete ReduceElide walk must publish the
+// unreduced walk's census exactly (exactCensus) and a Safety report that is
+// not Partial, on the five E7 cells, the complete reduction-differential
+// cases, tree-st(3) mf2, star(4) mf0 and three omission cells — with fewer
+// nodes wherever a processor fails or halts with mail pending. The teeth:
+// ample sets drop interleavings, and the same comparison must fail on
+// fullexchange(3) mf1, where ample reports 90 unsafe states of 96.
+func TestCensusElidedIsExact(t *testing.T) {
+	cells := e7Cells()
+	for _, tc := range reductionCases() {
+		if !slices.ContainsFunc(cells, func(c diffCase) bool { return c.name == tc.name }) {
+			cells = append(cells, diffCase{tc.name, tc.proto, tc.opts})
+		}
+	}
+	cells = append(cells,
+		diffCase{"tree-st-mf2", protocols.Tree{Procs: 3, ST: true}, Options{MaxFailures: 2}},
+		diffCase{"star4-mf0", protocols.Star{Procs: 4}, Options{MaxFailures: 0}},
+		diffCase{"haltingcommit-ob2-mobile1", protocols.HaltingCommit{Procs: 3}, Options{OmissionBudget: 2, MobileOmissions: 1}},
+		diffCase{"star-ob1", protocols.Star{Procs: 3}, Options{OmissionBudget: 1}},
+		diffCase{"ackcommit-mf1-ob1-mobile1", protocols.AckCommit{Procs: 3}, Options{MaxFailures: 1, OmissionBudget: 1, MobileOmissions: 1}},
+	)
+	walk := func(t *testing.T, tc diffCase, mode Reduction) *Exploration {
+		opts := tc.opts
+		opts.Reduction = mode
+		x, err := Explore(tc.proto, opts)
+		if err != nil {
+			t.Fatalf("%v: %v", mode, err)
+		}
+		return x
+	}
+	for _, tc := range cells {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.name == "fullexchange-mf1" && testing.Short() {
+				t.Skip("a 705 904-node walk takes seconds")
+			}
+			t.Parallel()
+			full, elided := walk(t, tc, ReduceNone), walk(t, tc, ReduceElide)
+			if got, want := exactCensus(elided), exactCensus(full); got != want {
+				t.Errorf("elided census (%d nodes) differs from the unreduced one (%d nodes):\n%s",
+					elided.NodeCount, full.NodeCount, firstDiff(want, got))
+			}
+			if elided.Safety().Partial {
+				t.Error("a complete elided walk reports a partial safety analysis")
+			}
+			if elided.NodeCount > full.NodeCount {
+				t.Errorf("elision grew the space: %d > %d nodes", elided.NodeCount, full.NodeCount)
+			}
+			t.Logf("%d nodes elided to %d", full.NodeCount, elided.NodeCount)
+			if tc.name == "fullexchange-mf1" {
+				if ample := walk(t, tc, ReduceAmple); exactCensus(ample) == exactCensus(full) {
+					t.Error("the ample walk's census equals the unreduced one; the comparison has no teeth")
+				}
+			}
+		})
+	}
+}
+
+// TestCensusReducedSafetyIsPartial: a reduced walk other than ReduceElide
+// admits a subset of the accessible configurations, so concurrency sets
+// shrink and Safety misses unsafe states — star(3) mf2 under symmetry
+// reports 16 of its 24, and fullexchange(3) mf1 under ample 90 of its 96
+// although it keeps all 1 272 states. A complete reduced walk must
+// therefore still report Partial.
 func TestCensusReducedSafetyIsPartial(t *testing.T) {
 	full, err := Explore(protocols.Star{Procs: 3}, Options{MaxFailures: 2})
 	if err != nil {
@@ -358,7 +458,7 @@ func TestCensusReducedSafetyIsPartial(t *testing.T) {
 	if want.Partial {
 		t.Fatal("the complete unreduced walk reports a partial safety analysis")
 	}
-	for _, mode := range reductionModes {
+	for _, mode := range []Reduction{ReduceAmple, ReduceSymmetry, ReduceBoth} {
 		x, err := Explore(protocols.Star{Procs: 3}, Options{MaxFailures: 2, Reduction: mode})
 		if err != nil {
 			t.Fatal(err)

@@ -70,10 +70,10 @@ type Options struct {
 	// matters.
 	StopAtFirstViolation bool
 	// Reduction selects state-space reductions (ample-set partial-order
-	// reduction and/or symmetry canonicalization; see Reduction). The
-	// default explores every interleaving. Reduced runs keep the
-	// conformance verdict and terminal decision structure of the full
-	// space while visiting far fewer nodes; see DESIGN.md §8 for what is
+	// reduction, symmetry canonicalization, dead-letter elision; see
+	// Reduction). The default explores every interleaving. Reduced runs
+	// keep the conformance verdict and terminal decision structure of the
+	// full space while visiting fewer nodes; see DESIGN.md §8 for what is
 	// and is not preserved.
 	Reduction Reduction
 	// Clock, when non-nil, samples monotonic elapsed time around the walk
@@ -441,8 +441,8 @@ type explorer struct {
 	// callbacks plus state hashing.
 	predictor *sim.Predictor
 	// ample enables ample-set partial-order reduction in step; elide
-	// enables dead-letter elision in the canonical dedup handle (both are
-	// switched by the ample reduction modes); symPerms holds the
+	// enables dead-letter elision in the canonical dedup handle (the ample
+	// modes switch both, ReduceElide elision alone); symPerms holds the
 	// protocol's non-identity topology automorphisms when symmetry
 	// canonicalization is on (empty = no usable symmetry). All resolved
 	// once by initReduction.

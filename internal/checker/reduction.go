@@ -10,14 +10,17 @@ import (
 )
 
 // Reduction selects the state-space reductions an exploration applies.
-// Both reductions preserve the conformance verdict (the set of violation
-// kinds) and the terminal decision structure — ample sets preserve the
-// exact terminal configurations and decision census; symmetry preserves
-// them up to processor relabeling — but a reduced run visits fewer
-// intermediate configurations, so NodeCount and the state census describe
-// the reduced graph, not the full one (Safety on it is Partial). DESIGN.md
-// §8 states the soundness arguments; the reduction differential suite
-// cross-checks every reduced mode against the unreduced reference walk.
+// Every reduction preserves the conformance verdict (the set of violation
+// kinds) and the terminal decision structure — ample sets and elision
+// preserve the exact terminal configurations and decision census; symmetry
+// preserves them up to processor relabeling. A reduced run visits fewer
+// configurations, so NodeCount describes the reduced graph. Dead-letter
+// elision alone keeps the state census exact (CensusExact): every local
+// state, concurrency set, input set and occupancy of the full space, so
+// Safety on it is a proof. The other modes admit only some accessible
+// configurations, and Safety on them is Partial. DESIGN.md §8 states the
+// soundness arguments; the reduction differential suite cross-checks every
+// reduced mode against the unreduced reference walk.
 type Reduction int
 
 const (
@@ -26,10 +29,7 @@ const (
 	// ReduceAmple applies ample-set partial-order reduction — at a
 	// configuration where some processor is mid-send, only that
 	// processor's events are expanded (see ampleProc) — plus dead-letter
-	// elision: the dedup handle erases messages addressed to failed or
-	// halted processors, which can never be delivered, so configurations
-	// differing only in that inert garbage collapse to one node (see
-	// sim.Config.WithoutDeadBuffers).
+	// elision (see ReduceElide).
 	ReduceAmple
 	// ReduceSymmetry canonicalizes each node's dedup handle by minimizing
 	// over the protocol topology's automorphism group (internal/symmetry),
@@ -39,6 +39,13 @@ const (
 	ReduceSymmetry
 	// ReduceBoth applies both reductions.
 	ReduceBoth
+	// ReduceElide applies dead-letter elision alone: the dedup handle
+	// erases messages addressed to failed or halted processors, which can
+	// never be delivered, so configurations differing only in that inert
+	// garbage collapse to one node (see sim.Config.WithoutDeadBuffers).
+	// The erased view is a bisimulation quotient that touches no local
+	// state, so the census — and Safety — is the unreduced walk's.
+	ReduceElide
 )
 
 // String names the reduction for flags and reports.
@@ -52,6 +59,8 @@ func (r Reduction) String() string {
 		return "symmetry"
 	case ReduceBoth:
 		return "both"
+	case ReduceElide:
+		return "elide"
 	default:
 		return "invalid"
 	}
@@ -68,12 +77,22 @@ func ParseReduction(s string) (Reduction, error) {
 		return ReduceSymmetry, nil
 	case "both":
 		return ReduceBoth, nil
+	case "elide":
+		return ReduceElide, nil
 	}
-	return 0, fmt.Errorf("bad reduction %q (want none, ample, symmetry, or both)", s)
+	return 0, fmt.Errorf("bad reduction %q (want none, ample, symmetry, both, or elide)", s)
 }
+
+// CensusExact reports whether a complete walk under r admits every
+// accessible local state with its full concurrency set, input set and
+// occupancies: true for ReduceNone and ReduceElide.
+func (r Reduction) CensusExact() bool { return r == ReduceNone || r == ReduceElide }
 
 // ample reports whether ample-set reduction is on.
 func (r Reduction) ample() bool { return r == ReduceAmple || r == ReduceBoth }
+
+// elides reports whether dead-letter elision is on.
+func (r Reduction) elides() bool { return r.ample() || r == ReduceElide }
 
 // usesSymmetry reports whether symmetry canonicalization is on.
 func (r Reduction) usesSymmetry() bool { return r == ReduceSymmetry || r == ReduceBoth }
@@ -145,10 +164,11 @@ func (e *explorer) appendAmpleEvents(events []sim.Event, p sim.ProcID, failedCou
 // vector. Without a reduction the vector is one slot and the handle is
 // nodeFP; two canonicalizations rewrite it, and compose:
 //
-// Dead-letter elision (ample modes) erases the buffers of failed and
-// halted processors before hashing, so configurations that differ only in
-// permanently undeliverable messages share one handle. The erased view is
-// a bisimulation quotient — see sim.Config.WithoutDeadBuffers.
+// Dead-letter elision (ample modes and ReduceElide) erases the buffers of
+// failed and halted processors before hashing, so configurations that
+// differ only in permanently undeliverable messages share one handle. The
+// erased view is a bisimulation quotient — see
+// sim.Config.WithoutDeadBuffers.
 //
 // Symmetry (symmetry modes) minimizes the handle over the topology
 // automorphism group's orbit: for each automorphism, the candidate handle
@@ -256,14 +276,15 @@ func permutedLedgerFP(ledger []sim.Decision, perm sim.ProcPerm) fingerprint.Dige
 }
 
 // initReduction resolves the exploration's reduction configuration: the
-// ample modes switch on ample-set expansion and dead-letter elision, the
-// symmetry modes resolve the protocol's automorphism group, less the
-// automorphisms that move FailProcs (empty for protocols without usable
-// symmetry, which then canonicalize nothing). Every walk gets a
-// sim.PermuteMemo over those automorphisms, of width 1 when there are none:
-// the handle is then the vector, so no queued node keeps one (see popVec).
+// ample modes switch on ample-set expansion and dead-letter elision,
+// ReduceElide elision alone, and the symmetry modes resolve the protocol's
+// automorphism group, less the automorphisms that move FailProcs (empty
+// for protocols without usable symmetry, which then canonicalize nothing).
+// Every walk gets a sim.PermuteMemo over those automorphisms, of width 1
+// when there are none: the handle is then the vector, so no queued node
+// keeps one (see popVec).
 //
-// Under an omission budget the ample modes stay on (DESIGN.md §8):
+// Under an omission budget ample sets and elision stay on (DESIGN.md §8):
 //
 //   - Ample sets: SendStep(p) and Fail(p) are independent of every
 //     Omit(q, µ). An Omit is offered only to a Receiving q, and it leaves
@@ -280,7 +301,7 @@ func permutedLedgerFP(ledger []sim.Decision, perm sim.ProcPerm) fingerprint.Dige
 // omission masks, and PermuteConfig does not.
 func (e *explorer) initReduction() {
 	e.ample = e.opts.Reduction.ample()
-	e.elide = e.ample
+	e.elide = e.opts.Reduction.elides()
 	if e.opts.Reduction.usesSymmetry() && !e.opts.omission().Enabled() {
 		// An automorphism relabels runs into runs only if it maps the
 		// processors FailProcs lets fail onto themselves: otherwise the

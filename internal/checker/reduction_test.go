@@ -23,18 +23,19 @@ import (
 //     preserve every violation's decide-edge context, but instance counts
 //     shrink with the edge set);
 //   - the decision census: the set of (inputs vector, decision ledger)
-//     pairs over terminal configurations — exactly under ample modes,
+//     pairs over terminal configurations — exactly under ample and elide,
 //     up to processor relabeling under symmetry modes;
-//   - the local-state census under ample modes (run commutation preserves
-//     each processor's local history; dead-letter elision never touches a
-//     local state);
+//   - the local-state census under ample and elide (run commutation
+//     preserves each processor's local history; dead-letter elision never
+//     touches a local state — TestCensusElidedIsExact holds elide's whole
+//     census to the unreduced one);
 //   - trace validity: a violating reduced run carries a non-empty
 //     FirstTrace, a conforming one carries none.
 //
 // Budget-partial and cancelled reduced runs must additionally stop where
 // the contract says: exhausted or complete within the budget, interrupted
 // at the first dequeue.
-var reductionModes = []Reduction{ReduceAmple, ReduceSymmetry, ReduceBoth}
+var reductionModes = []Reduction{ReduceAmple, ReduceSymmetry, ReduceBoth, ReduceElide}
 
 // reductionCase is one complete exploration compared semantically against
 // the unreduced reference. Perverse is absent: its mf≥1 state space does
@@ -126,7 +127,7 @@ func stateCensusKeys(x *Exploration) []string {
 // TestReductionDifferential walks every feasible library protocol to
 // completion unreduced on the reference walk, then asserts that each
 // reduced mode reproduces the verdict and the decision census — exactly
-// under ample, up to relabeling under symmetry.
+// under ample and elide, up to relabeling under symmetry.
 func TestReductionDifferential(t *testing.T) {
 	prob := problem(taxonomy.WT, taxonomy.TC)
 	for _, tc := range reductionCases() {
@@ -161,7 +162,7 @@ func TestReductionDifferential(t *testing.T) {
 				if got := violationKinds(x); !slices.Equal(got, refKinds) {
 					t.Errorf("%v: verdict diverged: kinds %v, want %v", mode, got, refKinds)
 				}
-				if mode == ReduceAmple {
+				if !mode.usesSymmetry() {
 					if got := decisionCensus(log); !slices.Equal(got, refCensus) {
 						t.Errorf("%v: decision census diverged (%d vs %d entries)", mode, len(got), len(refCensus))
 					}
@@ -229,13 +230,13 @@ func omissionPremise(c *sim.Config) string {
 	return ""
 }
 
-// TestReductionOmissionDifferential holds the ample modes to the unreduced
-// walk under omission budgets; symmetry is off under a budget, so both is
-// ample sets plus dead-letter elision. All six problems share one CheckAll
-// walk per mode, and each reduced walk must match the unreduced one in
-// verdicts, in violation kinds where neither list reached the cap of 100,
-// in its exact decision census and in its local-state census, and must
-// take some ample expansion. Each reduced walk's first violations replay
+// TestReductionOmissionDifferential holds the ample modes and elide to the
+// unreduced walk under omission budgets; symmetry is off under a budget, so
+// both is ample sets plus dead-letter elision. All six problems share one
+// CheckAll walk per mode, and each reduced walk must match the unreduced
+// one in verdicts, in violation kinds where neither list reached the cap of
+// 100, in its exact decision census and in its local-state census, and
+// must take some ample expansion exactly when its mode has ample sets. Each reduced walk's first violations replay
 // through chaos.Evaluate (firstOnRun): a reduced omission walk's
 // counterexample is a run. Every node any walk admits pins the premises
 // (omissionPremise); every edge a walk takes is an enabled event of an
@@ -271,10 +272,10 @@ func TestReductionOmissionDifferential(t *testing.T) {
 			}
 			ref, refLog := walk(ReduceNone)
 			refCensus, refStates := decisionCensus(refLog), stateCensusKeys(ref[0])
-			for _, mode := range []Reduction{ReduceAmple, ReduceBoth} {
+			for _, mode := range []Reduction{ReduceAmple, ReduceBoth, ReduceElide} {
 				xs, log := walk(mode)
-				if rs := xs[0].Reduction; rs.AmpleNodes == 0 || rs.SymmetryPrunes != 0 {
-					t.Errorf("%v: %d ample expansions and %d symmetry prunes; want some and none", mode, rs.AmpleNodes, rs.SymmetryPrunes)
+				if rs := xs[0].Reduction; (rs.AmpleNodes > 0) != mode.ample() || rs.SymmetryPrunes != 0 {
+					t.Errorf("%v: %d ample expansions and %d symmetry prunes; want some (none under elide) and none", mode, rs.AmpleNodes, rs.SymmetryPrunes)
 				}
 				if xs[0].NodeCount > ref[0].NodeCount {
 					t.Errorf("%v: reduced run grew the space: %d > %d nodes", mode, xs[0].NodeCount, ref[0].NodeCount)
@@ -449,7 +450,7 @@ func materializedHandle(e *explorer, nxt *node) (fp fingerprint.Digest, elided, 
 	return fp, elided, permuted
 }
 
-// TestCanonicalizeDigestMatchesMaterialized hooks every handle seven
+// TestCanonicalizeDigestMatchesMaterialized hooks every handle eight
 // explorations compute — predicted from the parent's vector and never
 // built, predicted and then built, and built then canonicalized (the
 // fallback, and the roots) — and asserts that it is the one full
@@ -458,7 +459,8 @@ func materializedHandle(e *explorer, nxt *node) (fp fingerprint.Digest, elided, 
 // walk. The grudging rule forbids decisions on many edges, which drives
 // the fallback. The ackcommit(3) omission cell (one failure, budget 1, one
 // mobile slot) holds the omission terms of predicted handles; symmetry is
-// off under its budget, so nothing there is permuted. The unreduced rows
+// off under its budget, so nothing there is permuted, and neither is
+// anything under ReduceElide, which elides at width 1. The unreduced rows
 // walk the same path at width 1: nothing is elided or permuted, and every
 // handle is nodeFP of the node sim.Apply builds. It then pins the
 // steady-state cost: a warm canonicalizeSucc and a warm predicted edge
@@ -476,6 +478,7 @@ func TestCanonicalizeDigestMatchesMaterialized(t *testing.T) {
 		{protocols.FullExchange{Procs: 3}, Options{MaxFailures: 0, Reduction: ReduceBoth}, wttc},
 		{protocols.Star{Procs: 3}, Options{MaxFailures: 1, Reduction: ReduceBoth}, grudging},
 		{protocols.AckCommit{Procs: 3}, Options{MaxFailures: 1, OmissionBudget: 1, MobileOmissions: 1, Reduction: ReduceBoth}, wttc},
+		{protocols.Star{Procs: 3}, Options{MaxFailures: 2, Reduction: ReduceElide}, wttc},
 		{protocols.Star{Procs: 3}, Options{MaxFailures: 2, Reduction: ReduceNone}, wttc},
 		{protocols.Star{Procs: 3}, Options{MaxFailures: 1, Reduction: ReduceNone}, grudging},
 		{protocols.AckCommit{Procs: 3}, Options{MaxFailures: 1, OmissionBudget: 1, MobileOmissions: 1, Reduction: ReduceNone}, wttc},
@@ -540,7 +543,7 @@ func TestCanonicalizeDigestMatchesMaterialized(t *testing.T) {
 				t.Fatalf("%s unreduced: hook saw %d successors, %d elided, %d permuted — want some, none, none",
 					tc.proto.Name(), calls, elided, permuted)
 			}
-		} else if symmetric := !opts.omission().Enabled(); calls == 0 || symmetric && permuted == 0 || (opts.MaxFailures > 0 && elided == 0) {
+		} else if symmetric := opts.Reduction.usesSymmetry() && !opts.omission().Enabled(); calls == 0 || symmetric && permuted == 0 || (opts.MaxFailures > 0 && elided == 0) {
 			t.Fatalf("%s: hook saw %d successors, %d elided, %d permuted — matrix does not exercise the shortcut",
 				tc.proto.Name(), calls, elided, permuted)
 		}
@@ -592,4 +595,18 @@ func failedIn(c *sim.Config) bool {
 		}
 	}
 	return false
+}
+
+// TestParseReductionRoundTrips: every mode parses back from its name, so
+// each -reduce value the flags list is accepted, and an unknown name is
+// refused.
+func TestParseReductionRoundTrips(t *testing.T) {
+	for _, mode := range append([]Reduction{ReduceNone}, reductionModes...) {
+		if got, err := ParseReduction(mode.String()); err != nil || got != mode {
+			t.Errorf("ParseReduction(%q) = %v, %v; want %v", mode.String(), got, err, mode)
+		}
+	}
+	if _, err := ParseReduction("orbit"); err == nil {
+		t.Error(`ParseReduction("orbit") accepted an unknown mode`)
+	}
 }

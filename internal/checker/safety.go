@@ -33,9 +33,11 @@ type SafetyReport struct {
 	// admission, at most 20.
 	Corollary6 []taxonomy.Violation
 	// Partial is set when the walk admitted only some accessible
-	// configurations: it was cut (Status.Partial) or reduced (Opts.Reduction
-	// is not ReduceNone), so concurrency and input sets are subsets of the
-	// full ones. A partial report proves no absence. Every unsafe state it
+	// configurations: it was cut (Status.Partial) or reduced by a mode
+	// whose census is not exact (Opts.Reduction.CensusExact is false), so
+	// concurrency and input sets are subsets of the full ones. A complete
+	// walk under ReduceElide is not partial: its census is the unreduced
+	// one. A partial report proves no absence. Every unsafe state it
 	// lists is real, and so is every Corollary 6 violation after a commit;
 	// one after an abort may not be, since bias is lost as the sets grow.
 	Partial bool
@@ -44,9 +46,11 @@ type SafetyReport struct {
 // AllSafe reports whether every analyzed state is safe.
 func (r *SafetyReport) AllSafe() bool { return len(r.Unsafe) == 0 }
 
-// Safety runs the Theorem 2 analysis on an exploration. On a partial or
-// reduced one it analyzes what was visited and says so in the report's
-// Partial field.
+// Safety runs the Theorem 2 analysis on an exploration. On a cut one, or
+// one reduced by a mode other than ReduceElide, it analyzes what was
+// visited and says so in the report's Partial field. Corollary 6 lists
+// violations in admission order, so under ReduceElide the same set may
+// come in another order (and, past the cap, be a different 20).
 //
 // A state s is safe iff (1) its concurrency set C(s) does not contain
 // conflicting decision states, and (2) if C(s) contains a commit state then
@@ -55,7 +59,7 @@ func (r *SafetyReport) AllSafe() bool { return len(r.Unsafe) == 0 }
 // configuration containing s, i.e. under every input vector from which s is
 // reachable.
 func (x *Exploration) Safety() *SafetyReport {
-	partial := x.Status.Partial() || x.Opts.Reduction != ReduceNone
+	partial := x.Status.Partial() || !x.Opts.Reduction.CensusExact()
 	r := &SafetyReport{Committable: make(map[string]bool, len(x.States)), Partial: partial}
 
 	keys := make([]string, 0, len(x.States))
@@ -106,7 +110,7 @@ func (x *Exploration) Safety() *SafetyReport {
 		r.Committable[k] = si.ImpliesAllOnes() && !abortConc && selfDecision != sim.Abort
 	}
 
-	r.Corollary6 = x.checkCorollary6(r.Committable)
+	r.Corollary6 = x.checkCorollary6(r.Committable, 20)
 	return r
 }
 
@@ -127,8 +131,9 @@ func countMixed(si *StateInfo) int {
 // processor has decided (per the ledger — decisions by since-failed
 // processors count under total consistency), then every nonfaulty processor
 // occupies a state of the same bias. Each violating (state, position,
-// decision) triple is reported once, in order of first admission.
-func (x *Exploration) checkCorollary6(committable map[string]bool) []taxonomy.Violation {
+// decision) triple is reported once, in order of first admission, up to
+// limit of them (no cap when limit is 0).
+func (x *Exploration) checkCorollary6(committable map[string]bool, limit int) []taxonomy.Violation {
 	var out []taxonomy.Violation
 	for _, o := range x.occupancies {
 		key := x.stateKeys[o.state]
@@ -141,7 +146,7 @@ func (x *Exploration) checkCorollary6(committable map[string]bool) []taxonomy.Vi
 				Detail: fmt.Sprintf("after a %s decision, nonfaulty %s occupies %s with bias committable=%v",
 					o.decided, o.pos, key, committable[key]),
 			})
-			if len(out) >= 20 {
+			if len(out) == limit {
 				break
 			}
 		}

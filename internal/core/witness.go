@@ -3,7 +3,9 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 
+	"repro/internal/cells"
 	"repro/internal/chaos"
 	"repro/internal/checker"
 	"repro/internal/protocols"
@@ -45,26 +47,45 @@ func (o WitnessOptions) maxFailures() int {
 }
 
 // Witnesses runs the machine-checked evidence behind the lattice's base
-// facts and returns it in citation order.
+// facts and returns it in citation order. The witnesses share nothing, so
+// they run as concurrent cells (internal/cells), each one sequential and
+// deterministic; the evidence is assembled by citation index, so it does
+// not depend on the schedule.
 func Witnesses(opts WitnessOptions) []Evidence {
-	var out []Evidence
+	var cs []witnessCell
 	if opts.Exhaustive {
-		out = append(out, solverWitnesses(opts)...)
+		cs = append(cs, solverWitnesses(opts)...)
 	}
-	out = append(out,
-		Theorem8Pattern(),
-		Theorem8Replay(),
-		Theorem13ChainReplay(),
-		Theorem13Perverse(),
-		Corollary11SchemeFact(),
-	)
+	for _, f := range []func() Evidence{
+		Theorem8Pattern,
+		Theorem8Replay,
+		Theorem13ChainReplay,
+		Theorem13Perverse,
+		Corollary11SchemeFact,
+	} {
+		cs = append(cs, witnessCell{run: func() []Evidence { return []Evidence{f()} }})
+	}
 	if opts.Exhaustive {
-		out = append(out,
-			Theorem8StarChecker(opts),
-			Theorem13ChainChecker(opts),
+		cs = append(cs,
+			witnessCell{cost: 3_000, run: func() []Evidence { return []Evidence{Theorem8StarChecker(opts)} }},
+			witnessCell{cost: 30_000, run: func() []Evidence { return []Evidence{Theorem13ChainChecker(opts)} }},
 		)
 	}
-	return out
+	out := make([][]Evidence, len(cs))
+	costs := make([]int, len(cs))
+	for i, c := range cs {
+		costs[i] = c.cost
+	}
+	cells.Run(costs, func(i int) { out[i] = cs[i].run() })
+	return slices.Concat(out...)
+}
+
+// witnessCell is one independent piece of Witnesses: the evidence it
+// yields, in citation order, and its cost — about the nodes it walks — by
+// which the largest cells start first.
+type witnessCell struct {
+	cost int
+	run  func() []Evidence
 }
 
 // AllOK reports whether every piece of evidence verified.
@@ -82,11 +103,14 @@ func AllOK(evidence []Evidence) bool {
 // also grounds Theorem 1's reductions (a protocol for the stronger problem
 // is checked against the weaker one too — the same runs judged by a weaker
 // predicate, so each protocol's space is walked once for all its problems).
-func solverWitnesses(opts WitnessOptions) []Evidence {
+// Each protocol's walk is one cell; the chaos sweep of the perverse
+// protocol is another.
+func solverWitnesses(opts WitnessOptions) []witnessCell {
 	cases := []struct {
 		proto    sim.Protocol
 		problems []taxonomy.Problem
 		source   string
+		nodes    int
 	}{
 		{
 			proto: protocols.Tree{Procs: 3},
@@ -95,6 +119,7 @@ func solverWitnesses(opts WitnessOptions) []Evidence {
 				problemOf(taxonomy.WT, taxonomy.IC),
 			},
 			source: "Figure 1 tree protocol",
+			nodes:  103_366,
 		},
 		{
 			proto: protocols.Tree{Procs: 3, ST: true},
@@ -104,6 +129,7 @@ func solverWitnesses(opts WitnessOptions) []Evidence {
 				problemOf(taxonomy.WT, taxonomy.TC),
 			},
 			source: "Corollary 11 amnesic tree variant",
+			nodes:  72_707,
 		},
 		{
 			proto: protocols.Star{Procs: 3},
@@ -113,6 +139,7 @@ func solverWitnesses(opts WitnessOptions) []Evidence {
 				problemOf(taxonomy.WT, taxonomy.IC),
 			},
 			source: "Figure 2 star protocol",
+			nodes:  39_503,
 		},
 		{
 			proto: protocols.Chain{Procs: 3},
@@ -120,6 +147,7 @@ func solverWitnesses(opts WitnessOptions) []Evidence {
 				problemOf(taxonomy.WT, taxonomy.IC),
 			},
 			source: "Figure 3 chain protocol",
+			nodes:  95_772,
 		},
 		{
 			proto: protocols.Perverse{},
@@ -127,6 +155,7 @@ func solverWitnesses(opts WitnessOptions) []Evidence {
 				problemOf(taxonomy.WT, taxonomy.TC),
 			},
 			source: "Figure 4 perverse protocol",
+			nodes:  23_354,
 		},
 		{
 			proto: protocols.HaltingCommit{Procs: 3},
@@ -134,45 +163,54 @@ func solverWitnesses(opts WitnessOptions) []Evidence {
 				problemOf(taxonomy.HT, taxonomy.TC),
 			},
 			source: "halting commit (HT-TC construction)",
+			nodes:  86_911,
 		},
 	}
 
-	var out []Evidence
-	out = append(out, perverseFailureAgreement(opts))
+	out := []witnessCell{{cost: 2_000, run: func() []Evidence { return []Evidence{perverseFailureAgreement(opts)} }}}
 	for _, c := range cases {
-		copts := checker.Options{MaxFailures: opts.maxFailures()}
-		if c.proto.Name() == (protocols.Perverse{}).Name() {
-			// The perverse protocol's race bookkeeping makes its
-			// failure-injected space intractable to enumerate; it
-			// is checked exhaustively failure-free here, and its
-			// failure behaviour is covered by randomized
-			// injection below.
-			copts.MaxFailures = 0
+		out = append(out, witnessCell{cost: c.nodes, run: func() []Evidence {
+			return solverCheck(opts, c.proto, c.problems, c.source)
+		}})
+	}
+	return out
+}
+
+// solverCheck walks proto's space once and judges it against each of
+// problems, one piece of evidence per problem.
+func solverCheck(opts WitnessOptions, proto sim.Protocol, problems []taxonomy.Problem, source string) []Evidence {
+	copts := checker.Options{MaxFailures: opts.maxFailures()}
+	if proto.Name() == (protocols.Perverse{}).Name() {
+		// The perverse protocol's race bookkeeping makes its
+		// failure-injected space intractable to enumerate; it is checked
+		// exhaustively failure-free here, and its failure behaviour is
+		// covered by randomized injection (perverseFailureAgreement).
+		copts.MaxFailures = 0
+	}
+	failNote := fmt.Sprintf("≤%d failures", copts.MaxFailures)
+	if copts.MaxFailures == 0 {
+		failNote = "failure-free (failure runs covered by the chaos sweep)"
+	}
+	xs, err := checker.CheckAll(opts.ctx(), proto, problems, copts)
+	var out []Evidence
+	for i, p := range problems {
+		ev := Evidence{
+			Name:  "Solver check (" + source + ")",
+			Claim: fmt.Sprintf("%s solves %s over all inputs, %s", proto.Name(), p.Name(), failNote),
 		}
-		failNote := fmt.Sprintf("≤%d failures", copts.MaxFailures)
-		if copts.MaxFailures == 0 {
-			failNote = "failure-free (failure runs covered by the chaos sweep)"
-		}
-		xs, err := checker.CheckAll(opts.ctx(), c.proto, c.problems, copts)
-		for i, p := range c.problems {
-			ev := Evidence{
-				Name:  "Solver check (" + c.source + ")",
-				Claim: fmt.Sprintf("%s solves %s over all inputs, %s", c.proto.Name(), p.Name(), failNote),
-			}
-			if err != nil {
-				ev.Details = append(ev.Details, err.Error())
-				out = append(out, ev)
-				continue
-			}
-			x := xs[i]
-			ev.OK = x.Conforms()
-			ev.Details = append(ev.Details, fmt.Sprintf("%d nodes, %d states, %d terminal configurations",
-				x.NodeCount, len(x.States), x.Terminals))
-			if !ev.OK {
-				ev.Details = append(ev.Details, "violation: "+x.Violations[0].String())
-			}
+		if err != nil {
+			ev.Details = append(ev.Details, err.Error())
 			out = append(out, ev)
+			continue
 		}
+		x := xs[i]
+		ev.OK = x.Conforms()
+		ev.Details = append(ev.Details, fmt.Sprintf("%d nodes, %d states, %d terminal configurations",
+			x.NodeCount, len(x.States), x.Terminals))
+		if !ev.OK {
+			ev.Details = append(ev.Details, "violation: "+x.Violations[0].String())
+		}
+		out = append(out, ev)
 	}
 	return out
 }

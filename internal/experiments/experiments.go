@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/cells"
 	"repro/internal/checker"
 	"repro/internal/core"
 	"repro/internal/pattern"
@@ -69,15 +70,17 @@ type Options struct {
 	Parallelism int
 	// Reduction selects a state-space reduction for the conformance
 	// passes of E1–E3 (ample-set partial-order reduction, symmetry
-	// canonicalization, or both). Reductions preserve verdicts, so the
-	// pass/fail outcomes are unchanged; the configuration counts in the
-	// measured lines shrink to the reduced space. With Deep set, a
-	// non-none reduction additionally unlocks the star(4) MaxFailures=1
-	// lattice cell in E2, which is infeasible unreduced (it exceeds the
-	// 4M-node budget) but completes under ReduceBoth. The safety-report
-	// passes (E2's Corollary 6 scan, E7) always run unreduced: Safety()
-	// inspects every accessible state, and a reduced run only retains
-	// orbit representatives.
+	// canonicalization, both, or dead-letter elision alone). Reductions
+	// preserve verdicts, so the pass/fail outcomes are unchanged; the
+	// configuration counts in the measured lines shrink to the reduced
+	// space. With Deep set, a non-none reduction additionally runs the
+	// star(4) MaxFailures=1 lattice cell in E2, which exceeds the
+	// 4M-node budget unreduced (about 475k configurations under
+	// ReduceBoth, 2.3M under ReduceElide). Safety() needs an exact
+	// census: E2's Corollary 6 scan reads its HT-IC walk under none or
+	// elide and walks star(3) unreduced under the other modes. E7 ignores
+	// this field: it always walks the dead-letter quotient, whose census
+	// is the unreduced one.
 	Reduction checker.Reduction
 	// Context, when non-nil, bounds the exhaustive passes: on
 	// cancellation or deadline the running experiment returns a Partial
@@ -279,11 +282,11 @@ func E2Figure2Star(opts Options) Report {
 		r.Measured = append(r.Measured, "WT-TC violation found: "+xTC.Violations[0].Detail)
 	}
 
-	// Safety() inspects every accessible state, so it needs the unreduced
-	// space: the HT-IC walk above when that ran unreduced, its own walk
-	// otherwise.
+	// Safety() inspects every accessible state, so it needs an exact
+	// census: the HT-IC walk above when that ran unreduced or elided, its
+	// own unreduced walk otherwise.
 	xS := x
-	if opts.Reduction != checker.ReduceNone {
+	if !opts.Reduction.CensusExact() {
 		xS, err = checker.ExploreContext(opts.ctx(), protocols.Star{Procs: 3}, checker.Options{MaxFailures: 2})
 		if err != nil {
 			return fail(r, err)
@@ -484,26 +487,49 @@ func E7Theorem2(opts Options) Report {
 		r.Measured = append(r.Measured, "(skipped in quick mode: requires exhaustive exploration)")
 		return r
 	}
+	// Each row walks the dead-letter quotient (ReduceElide): it publishes
+	// the unreduced census, so Safety is exact on it, over a fraction of
+	// the nodes (fullexchange(3) mf1: 705 904 → 171 496). The rows share
+	// nothing and run as concurrent cells, largest first; nodes is about
+	// each elided walk's size.
 	type row struct {
 		proto    sim.Protocol
 		wantSafe bool
 		maxFail  int
+		nodes    int
 	}
 	rows := []row{
-		{protocols.Tree{Procs: 3}, true, 2},
-		{protocols.AckCommit{Procs: 3}, true, 2},
-		{protocols.Perverse{}, true, 0},
-		{protocols.Star{Procs: 3}, false, 2},
-		{protocols.FullExchange{Procs: 3}, false, 1},
+		{protocols.Tree{Procs: 3}, true, 2, 23_962},
+		{protocols.AckCommit{Procs: 3}, true, 2, 27_761},
+		{protocols.Perverse{}, true, 0, 23_354},
+		{protocols.Star{Procs: 3}, false, 2, 8_577},
+		{protocols.FullExchange{Procs: 3}, false, 1, 171_496},
 	}
-	r.Measured = append(r.Measured, fmt.Sprintf("%-18s %8s %8s %8s %10s", "protocol", "states", "unsafe", "cor6", "as claimed"))
-	for _, row := range rows {
-		x, err := checker.ExploreContext(opts.ctx(), row.proto, checker.Options{MaxFailures: row.maxFail})
+	reps := make([]*checker.SafetyReport, len(rows))
+	errs := make([]error, len(rows))
+	costs := make([]int, len(rows))
+	for i, row := range rows {
+		costs[i] = row.nodes
+	}
+	cells.Run(costs, func(i int) {
+		x, err := checker.ExploreContext(opts.ctx(), rows[i].proto,
+			checker.Options{MaxFailures: rows[i].maxFail, Reduction: checker.ReduceElide})
+		if err != nil {
+			errs[i] = err
+			return
+		}
+		reps[i] = x.Safety()
+	})
+	for _, err := range errs {
 		if err != nil {
 			return fail(r, err)
 		}
-		rep := x.Safety()
-		asClaimed := rep.AllSafe() == row.wantSafe
+	}
+	r.Measured = append(r.Measured, fmt.Sprintf("%-18s %8s %8s %8s %10s", "protocol", "states", "unsafe", "cor6", "as claimed"))
+	for i, row := range rows {
+		rep := reps[i]
+		// A partial report proves no absence, so it never stands as claimed.
+		asClaimed := !rep.Partial && rep.AllSafe() == row.wantSafe
 		if row.wantSafe {
 			asClaimed = asClaimed && len(rep.Corollary6) == 0
 		}

@@ -74,3 +74,23 @@ func TestE5CancelledIsPartial(t *testing.T) {
 		t.Errorf("cancelled E5 renders as:\n%s", out)
 	}
 }
+
+// TestE7CancelledIsPartial: E7's five walks run as concurrent cells, and
+// each honours Options.Context. With the context already cancelled the
+// report comes back at once, marked Partial, with no table: no row is
+// claimed as measured, let alone as claimed.
+func TestE7CancelledIsPartial(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	start := time.Now()
+	r := E7Theorem2(Options{Context: ctx})
+	if d := time.Since(start); d > 2*time.Second {
+		t.Errorf("cancelled E7 took %v; its walks ignored the context", d)
+	}
+	if !r.Partial || r.OK {
+		t.Errorf("cancelled E7: Partial=%v OK=%v, want a partial report with no ok claim", r.Partial, r.OK)
+	}
+	if out := r.String(); strings.Contains(out, "as claimed") || !strings.Contains(out, "[PARTIAL]") {
+		t.Errorf("cancelled E7 renders as:\n%s", out)
+	}
+}
