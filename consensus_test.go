@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	consensus "repro"
 )
@@ -194,41 +195,68 @@ func TestThresholdFacade(t *testing.T) {
 	}
 }
 
-// goroutineProbe wraps a protocol and records the largest goroutine count
-// any Receive callback observes.
-type goroutineProbe struct {
-	consensus.Protocol
-	max *int
-}
+// noticePanic wraps a protocol and panics in Receive the moment a failure
+// notice is delivered, which every walk with a failure reaches.
+type noticePanic struct{ consensus.Protocol }
 
-func (p goroutineProbe) Receive(id consensus.ProcID, s consensus.State, m consensus.Message) consensus.State {
-	if n := runtime.NumGoroutine(); n > *p.max {
-		*p.max = n
+func (p noticePanic) Receive(id consensus.ProcID, s consensus.State, m consensus.Message) consensus.State {
+	if m.Notice {
+		panic("notice delivered")
 	}
 	return p.Protocol.Receive(id, s, m)
 }
 
-// TestExplorersRunOnTheCallingGoroutine asserts that exploration and scheme
-// enumeration start no goroutines, whatever the deprecated Parallelism field
-// says: the count a protocol callback observes mid-run, and the count after,
-// do not exceed the count before the call (a goroutine of an earlier test may
-// still be exiting, so the count can fall).
-func TestExplorersRunOnTheCallingGoroutine(t *testing.T) {
+// initPanic wraps a protocol whose processor 2 panics at Init on input 1.
+type initPanic struct{ consensus.Protocol }
+
+func (p initPanic) Init(id consensus.ProcID, input consensus.Bit, n int) consensus.State {
+	if id == 2 && input == 1 {
+		panic("init")
+	}
+	return p.Protocol.Init(id, input, n)
+}
+
+// TestExplorersLeaveNoGoroutines asserts that exploration and scheme
+// enumeration, which run their shards and input vectors on GOMAXPROCS
+// workers, leave none of them behind however they end: a complete walk, a
+// walk cancelled mid-run, and a walk whose protocol panics — re-raised on
+// the caller with the protocol's own value — for the checker and for Of.
+// A worker that has just joined may still be on its way out, so the count
+// is given a moment to settle; it may also fall, as a goroutine of an
+// earlier test exits.
+func TestExplorersLeaveNoGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
-	during := 0
-	probe := goroutineProbe{Protocol: consensus.Star(3), max: &during}
-	if _, err := consensus.ExploreContext(context.Background(), probe,
-		consensus.CheckOptions{MaxFailures: 1, Parallelism: 8}); err != nil {
+	recovered := func(walk func()) (v any) {
+		defer func() { v = recover() }()
+		walk()
+		return nil
+	}
+	if _, err := consensus.ExploreContext(context.Background(), consensus.Star(3), consensus.CheckOptions{MaxFailures: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := consensus.EnumeratePatterns(probe, consensus.MustInputs("111"),
-		consensus.SchemeOptions{Parallelism: 8}); err != nil {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer time.AfterFunc(20*time.Millisecond, cancel).Stop()
+	if _, err := consensus.ExploreContext(ctx, consensus.Tree(4), consensus.CheckOptions{MaxFailures: 3}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled walk returned %v, want context.Canceled", err)
+	}
+	if v := recovered(func() {
+		consensus.ExploreContext(context.Background(), noticePanic{consensus.Star(3)}, consensus.CheckOptions{MaxFailures: 1})
+	}); v != "notice delivered" {
+		t.Fatalf("a panicking walk raised %#v, want the protocol's own value", v)
+	}
+	if _, err := consensus.SchemeOfContext(context.Background(), consensus.HaltingCommit(3), consensus.SchemeOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if during == 0 {
-		t.Fatal("the probe's Receive never ran")
+	if v := recovered(func() {
+		consensus.SchemeOfContext(context.Background(), initPanic{consensus.HaltingCommit(3)}, consensus.SchemeOptions{})
+	}); v != "init" {
+		t.Fatalf("a panicking Of raised %#v, want the protocol's own value", v)
 	}
-	if after := runtime.NumGoroutine(); during > before || after > before {
-		t.Fatalf("goroutines: %d before, %d observed mid-run, %d after; want no increase", before, during, after)
+	after := runtime.NumGoroutine()
+	for deadline := time.Now().Add(time.Second); after > before && time.Now().Before(deadline); after = runtime.NumGoroutine() {
+		time.Sleep(time.Millisecond)
+	}
+	if after > before {
+		t.Fatalf("goroutines: %d before, %d after; want no increase", before, after)
 	}
 }

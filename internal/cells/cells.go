@@ -16,10 +16,11 @@ import (
 )
 
 // Run calls do(i) for every i in [0, len(costs)) on up to GOMAXPROCS
-// goroutines and returns once every call has returned. Cells are started in
-// decreasing cost, ties in index order, so the largest start first and the
-// small ones fill in behind them; do(i) must write only what belongs to
-// cell i. If a cell panics, no further cell starts, and once every worker
+// goroutines — on the calling goroutine when one worker is all it gets, at
+// GOMAXPROCS=1 or for a single cell — and returns once every call has
+// returned. Cells are started in decreasing cost, ties in index order, so
+// the largest start first and the small ones fill in behind them; do(i)
+// must write only what belongs to cell i. If a cell panics, no further cell starts, and once every worker
 // has joined Run panics on the calling goroutine with a *Panic for the
 // lowest-indexed cell that panicked.
 func Run(costs []int, do func(i int)) {
@@ -45,20 +46,27 @@ func Run(costs []int, do func(i int)) {
 		}()
 		do(i)
 	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for !failed.Load() {
-				k := int(next.Add(1)) - 1
-				if k >= len(order) {
-					return
-				}
-				work(order[k])
+	loop := func() {
+		for !failed.Load() {
+			k := int(next.Add(1)) - 1
+			if k >= len(order) {
+				return
 			}
-		}()
+			work(order[k])
+		}
 	}
-	wg.Wait()
+	if workers == 1 {
+		loop()
+	} else {
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				loop()
+			}()
+		}
+		wg.Wait()
+	}
 	for _, p := range panics {
 		if p != nil {
 			panic(p)

@@ -10,7 +10,7 @@ import (
 
 // TestRunPlacesResultsByIndex: every cell runs once and its result lands at
 // its index; on one worker the cells start largest first, ties in index
-// order.
+// order, on the calling goroutine.
 func TestRunPlacesResultsByIndex(t *testing.T) {
 	costs := []int{3, 9, 1, 9, 0, 5}
 	out := make([]int, len(costs))
@@ -23,9 +23,16 @@ func TestRunPlacesResultsByIndex(t *testing.T) {
 
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var started []int
-	Run(costs, func(i int) { started = append(started, i) })
+	before, during := runtime.NumGoroutine(), 0
+	Run(costs, func(i int) {
+		started = append(started, i)
+		during = max(during, runtime.NumGoroutine())
+	})
 	if want := []int{1, 3, 5, 0, 2, 4}; !slices.Equal(started, want) {
 		t.Errorf("one worker started cells %v, want %v", started, want)
+	}
+	if during > before {
+		t.Errorf("one worker: %d goroutines while cells ran, %d before; want them run on the caller", during, before)
 	}
 	Run(nil, func(int) { t.Error("a cell ran with no cells") })
 }

@@ -3,6 +3,7 @@ package checker
 import (
 	"math/bits"
 
+	"repro/internal/fingerprint"
 	"repro/internal/sim"
 )
 
@@ -64,48 +65,97 @@ type occupancy struct {
 	decided sim.Decision
 }
 
-// stateIDsOf returns the ids of one admitted configuration's local states,
-// giving a state admitted for the first time the next id, with its key and
-// its census entry. A state is identified by the digest the configuration
-// already caches; a key string is built once per distinct state. The ids
-// are the explorer's one reused slice, valid until the next call.
-func (e *explorer) stateIDsOf(nd *node) []int32 {
-	ids := e.ids
-	for p := range ids {
+// localState is a shard's entry for a local state it has admitted: the
+// state digest, the State value of the shard's first admitted configuration
+// holding it, and the state's id in the exploration once the fold has met
+// it (−1 before).
+type localState struct {
+	d      fingerprint.Digest
+	sample sim.State
+	id     int32
+}
+
+// slot is one position of an admitted configuration as the fold reads it:
+// the index of its state in the shard's states, and whether its buffer is
+// empty.
+type slot struct {
+	state int32
+	empty bool
+}
+
+// describe writes down in r what the fold needs of r.child, a configuration
+// the shard admits, so that the fold never reads the configuration itself:
+// one slot per position, its state interned in the shard by the digest the
+// configuration already caches; the ledger's first decision (by
+// processor); whether it is quiescent; and whether some judge finds it
+// violating (the fold words the violations, with its number).
+func (sh *shard) describe(r *edgeRecord) {
+	nd := r.child
+	r.slots, r.vec = int32(len(sh.slots)), nd.vecIdx
+	for p := range nd.cfg.States {
 		d := nd.cfg.StateDigestAt(p)
-		id, ok := e.stateID[d]
+		i, ok := sh.stateIdx[d]
 		if !ok {
-			id = int32(len(e.census))
-			e.stateID[d] = id
-			state := nd.cfg.States[p]
-			e.x.stateKeys = append(e.x.stateKeys, state.Key())
-			e.census = append(e.census, stateCensus{sample: state})
+			i = int32(len(sh.states))
+			sh.stateIdx[d] = i
+			sh.states = append(sh.states, localState{d: d, sample: nd.cfg.States[p], id: -1})
 		}
-		ids[p] = id
+		sh.slots = append(sh.slots, slot{i, len(nd.cfg.Buffers[p]) == 0})
+	}
+	r.decided = sim.NoDecision
+	for _, d := range nd.ledger {
+		if d != sim.NoDecision {
+			r.decided = d
+			break
+		}
+	}
+	r.quiescent = nd.cfg.Quiescent()
+	for i := range sh.e.judges {
+		sh.found = nodeViolations(sh.found[:0], sh.e.judges[i].problem, 0, nd)
+		r.violates = r.violates || len(sh.found) > 0
+	}
+}
+
+// stateIDs returns the ids of the local states of the configuration r
+// describes, a node of sh, in the explorer's one reused slice, valid until
+// the next call. A state admitted for the first time gets the next id, with
+// its key, built once per distinct state, and its census entry, sampled
+// from the first admitted configuration holding it; a shard remembers the
+// id of each of its states once it has looked it up.
+func (e *explorer) stateIDs(sh *shard, r *edgeRecord) []int32 {
+	ids := e.ids
+	for p, s := range sh.slots[r.slots : int(r.slots)+len(ids)] {
+		ls := &sh.states[s.state]
+		if ls.id < 0 {
+			id, ok := e.stateID[ls.d]
+			if !ok {
+				id = int32(len(e.census))
+				e.stateID[ls.d] = id
+				e.x.stateKeys = append(e.x.stateKeys, ls.sample.Key())
+				e.census = append(e.census, stateCensus{sample: ls.sample})
+			}
+			ls.id = id
+		}
+		ids[p] = ls.id
 	}
 	return ids
 }
 
-// censusAdd folds one accepted configuration, given by the ids of its local
-// states, into the state census. An occupancy seen for the first time —
-// its bit in explorer.beside newly set — is appended to the Exploration's.
-func (e *explorer) censusAdd(nd *node, ids []int32) {
-	decided := sim.NoDecision
-	for _, d := range nd.ledger {
-		if d != sim.NoDecision {
-			decided = d
-			break
-		}
-	}
+// censusAdd folds one accepted configuration, described by r in shard sh and
+// given by the ids of its local states, into the state census. An occupancy
+// seen for the first time — its bit in explorer.beside newly set — is
+// appended to the Exploration's.
+func (e *explorer) censusAdd(sh *shard, r *edgeRecord, ids []int32) {
+	slots := sh.slots[r.slots:]
 	for p, id := range ids {
 		c := &e.census[id]
 		c.procs.set(int32(p))
-		c.inputs.set(nd.vecIdx)
-		if len(nd.cfg.Buffers[p]) == 0 {
+		c.inputs.set(r.vec)
+		if slots[p].empty {
 			c.seenEmptyBuffer = true
 		}
-		if decided != sim.NoDecision && e.beside.set((id*int32(e.n)+int32(p))*2+int32(decided-sim.Abort)) {
-			e.x.occupancies = append(e.x.occupancies, occupancy{id, sim.ProcID(p), decided})
+		if d := r.decided; d != sim.NoDecision && e.beside.set((id*int32(e.n)+int32(p))*2+int32(d-sim.Abort)) {
+			e.x.occupancies = append(e.x.occupancies, occupancy{id, sim.ProcID(p), d})
 		}
 		// Concurrency sets: every pair of states in this configuration is
 		// mutually concurrent.

@@ -222,7 +222,8 @@ func TestCensusEBarGolden(t *testing.T) {
 // TestAllocsRecordCensus pins the per-node cost of accepting a
 // configuration once the walk is warm — every state numbered, every census
 // bit set, every (state, position, decision) triple listed: record (the
-// state ids in the explorer's one slice, censusAdd) allocates nothing.
+// state ids in the explorer's one slice, censusAdd), reading what a shard
+// described, allocates nothing.
 func TestAllocsRecordCensus(t *testing.T) {
 	const accepted = 10_000
 	proto := protocols.Tree{Procs: 3}
@@ -256,9 +257,17 @@ func TestAllocsRecordCensus(t *testing.T) {
 		}
 	}
 	nodes = nodes[:accepted]
+	// One shard describes every configuration, as its admit does, before
+	// the fold records them.
+	sh := e.newShard()
+	recs := make([]edgeRecord, len(nodes))
+	for i, nd := range nodes {
+		recs[i] = edgeRecord{child: nd}
+		sh.describe(&recs[i])
+	}
 	accept := func() {
-		for _, nd := range nodes {
-			e.record(nd)
+		for i := range recs {
+			e.record(sh, &recs[i])
 		}
 	}
 	// AllocsPerRun's own warm-up call is the pass that numbers states and sets bits.

@@ -291,16 +291,13 @@ func TestAllocsWarmWalkPerNode(t *testing.T) {
 		t.Skip("two tree(3) mf2 walks take ~1 second")
 	}
 	proto, opts := protocols.Tree{Procs: 3}, Options{MaxFailures: 2}
-	var warm *sim.Predictor
+	var warm []*sim.Predictor
 	for pass := 0; pass < 2; pass++ {
 		e, err := newExplorer(proto, nil, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if warm != nil {
-			e.predictor = warm
-		}
-		warm = e.predictor
+		e.predictors = warm
 		e.inputs = sim.AllInputs(e.n)
 		for _, inputs := range e.inputs {
 			e.vecs = append(e.vecs, sim.InputsString(inputs))
@@ -312,6 +309,7 @@ func TestAllocsWarmWalkPerNode(t *testing.T) {
 			t.Fatal(err)
 		}
 		runtime.ReadMemStats(&after)
+		warm = e.predictors
 		if pass == 1 {
 			got := float64(after.Mallocs-before.Mallocs) / float64(e.x.NodeCount)
 			bytes := float64(after.TotalAlloc-before.TotalAlloc) / float64(e.x.NodeCount)

@@ -5,15 +5,19 @@
 // scenario-replay engine for the indistinguishability arguments of Theorems
 // 8 and 13.
 //
-// The explorer is one breadth-first FIFO walk on the calling goroutine:
-// nodes are stepped in the order they were admitted to the visited set, and
-// each of a node's successors is offered to the visited set, in event order,
-// as soon as it is built — so admission order is result order, and state
-// ids, keys and census entries exist only for admitted nodes. Node counts,
-// the state census, violation order, and counterexample are therefore a pure
-// function of the root set and the options — including the partial results
-// returned on cancellation (cut at a dequeue) or budget exhaustion (cut at
-// the admission that would exceed it; DESIGN.md §6a).
+// The explorer's result is that of one breadth-first FIFO walk: nodes are
+// stepped in the order they were admitted to the visited set, and each of a
+// node's successors is offered to the visited set, in event order, as soon
+// as it is built — so admission order is result order, and state ids, keys
+// and census entries exist only for admitted nodes. The walk runs as one
+// shard per admitted root, since no two roots reach a common node: the
+// shards step a level at a time on every core, and a sequential fold
+// replays their records in the joint walk's order (see explorer.run). Node
+// counts, the state census, violation order, and counterexample are
+// therefore a pure function of the root set and the options, whatever the
+// number of cores — including the partial results returned on cancellation
+// (cut at a dequeue) or budget exhaustion (cut at the admission that would
+// exceed it; DESIGN.md §6a).
 package checker
 
 import (
@@ -23,8 +27,8 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/cells"
 	"repro/internal/fingerprint"
-	"repro/internal/frontier"
 	"repro/internal/sim"
 	"repro/internal/taxonomy"
 )
@@ -58,7 +62,9 @@ type Options struct {
 	MaxNodes int
 	// Parallelism is pinned by bench/explore.go.
 	//
-	// Deprecated: ignored; the explorer is sequential.
+	// Deprecated: ignored. The walk runs one shard per orbit of input
+	// vectors on GOMAXPROCS goroutines, and its result does not depend on
+	// how many.
 	Parallelism int
 	// TrackTraces records parent links so the first violation comes with
 	// its counterexample (FirstInputs, FirstTrace). Costs memory
@@ -251,21 +257,6 @@ type parentLink struct {
 	vec    int32
 }
 
-// traceTo is the counterexample ending at the node with handle fp: the
-// links back to the root they end at, that root's input vector, and the
-// events from it.
-func (e *explorer) traceTo(fp fingerprint.Digest) ([]sim.Bit, sim.Schedule) {
-	var sched sim.Schedule
-	link := e.parents[fp]
-	for link.parent != fp {
-		sched = append(sched, link.event)
-		fp = link.parent
-		link = e.parents[fp]
-	}
-	slices.Reverse(sched)
-	return e.inputs[link.vec], sched
-}
-
 // judge is one problem riding the walk: what it is judged against, the
 // violations that a solo Check of that problem would report, and the
 // counterexample of the first, traced when it is found (links are
@@ -280,15 +271,16 @@ type judge struct {
 	trace      sim.Schedule
 }
 
-// report adds what judge i found at the node with handle at to its
-// violations, up to the cap of 100, and traces its first violating node.
-func (e *explorer) report(i int, found []taxonomy.Violation, at fingerprint.Digest) {
+// report adds what judge i found at the node with handle at, in shard sh,
+// to its violations, up to the cap of 100, and traces its first violating
+// node.
+func (e *explorer) report(sh *shard, i int, found []taxonomy.Violation, at fingerprint.Digest) {
 	if len(found) == 0 {
 		return
 	}
 	j := &e.judges[i]
-	if len(j.violations) == 0 && e.parents != nil {
-		j.inputs, j.trace = e.traceTo(at)
+	if len(j.violations) == 0 && sh.parents != nil {
+		j.inputs, j.trace = sh.traceTo(at)
 	}
 	j.violations = append(j.violations, found[:min(len(found), 100-len(j.violations))]...)
 	e.violated = true
@@ -389,9 +381,10 @@ type succ struct {
 	elided bool
 }
 
-// explorer is the state of one exploration: the visited set, whose
-// admissions define the result; the state census aggregates; the walk's
-// FIFO queue; and the result under construction.
+// explorer is the state of one exploration: the shards, one per admitted
+// root, that walk the space; the fold's state — the state census aggregates,
+// the judges' findings — fed in the joint walk's order; and the result
+// under construction.
 type explorer struct {
 	proto       sim.Protocol
 	n           int
@@ -399,12 +392,11 @@ type explorer struct {
 	maxFail     int
 	failAllowed []bool
 	x           *Exploration
-	visited     *frontier.SeqVisited
 	// Every distinct local state gets a dense id — its index in
 	// Exploration.stateKeys and in census — the first time a configuration
 	// holding it is admitted; stateID finds it by state digest. inputs
 	// holds the root input vectors and vecs their keys, indexed by
-	// node.vecIdx; ids is stateIDsOf's reused result. beside has bit (id·N + p)·2 + (d − Abort)
+	// node.vecIdx; ids is stateIDs' reused result. beside has bit (id·N + p)·2 + (d − Abort)
 	// set once state id occurred at position p by a ledger first deciding d.
 	stateID map[fingerprint.Digest]int32
 	census  []stateCensus
@@ -412,34 +404,21 @@ type explorer struct {
 	vecs    []string
 	ids     []int32
 	beside  bitset
-	// parents holds each linked node's first link, keyed by handle, when
-	// Options.TrackTraces is set.
-	parents map[fingerprint.Digest]parentLink
-	// queue holds accepted nodes not yet consumed by the walk; head is
-	// the next to walk. Consumed slots are nilled, and the consumed prefix
-	// is dropped once it is the larger half (popNode), so the queue holds
-	// O(frontier) slots, not one per admitted node.
-	queue []*node
-	head  int
-	// free holds nodes the walk is done with — stepped, or built and
-	// rejected — whose node and configuration the next built successor is
-	// written into. Nothing reads a node after that: queue slots are
-	// nilled, parent links and canonical vectors are digests, violations
-	// are strings. Ledgers are shared between nodes, so they are dropped,
-	// never reused.
-	free []*node
+	// shards walk the admitted roots' spaces, one per orbit of input
+	// vectors, in order of their first root; predictors are their
+	// transition caches, in the same order (an explorer handed another's
+	// predictors walks warm). runs is the joint walk's order of the level
+	// being folded, and next that of the level being admitted, with queued
+	// nodes in it.
+	shards     []*shard
+	predictors []*sim.Predictor
+	runs, next []run
+	queued     int
 	// judges are the problems the walk is checked against (none for a plain
 	// Explore); violated records that some judge has a violation, which is
 	// what StopAtFirstViolation waits for.
 	judges   []judge
 	violated bool
-	// events is step's scratch, reused across nodes so enumerating the
-	// enabled events allocates nothing in steady state.
-	events []sim.Event
-	// predictor memoizes transition outcomes by input digests, so the fast
-	// path's successor fingerprints cost map probes instead of protocol
-	// callbacks plus state hashing.
-	predictor *sim.Predictor
 	// ample enables ample-set partial-order reduction in step; elide
 	// enables dead-letter elision in the canonical dedup handle (the ample
 	// modes switch both, ReduceElide elision alone); symPerms holds the
@@ -449,363 +428,202 @@ type explorer struct {
 	ample    bool
 	elide    bool
 	symPerms []sim.ProcPerm
-	// permMemo memoizes each component's relabelled terms under symPerms,
-	// so handles are computed from fingerprints, not configurations; its
-	// width is 1 when symPerms is empty.
-	permMemo *sim.PermuteMemo
-	// A walk with symmetry keeps every queued node's vector (its candidate
-	// handles, permMemo.Width() digests) in qvecs, in queue order from
-	// qvecHead, so node carries none of it; at width 1 the vector is the
-	// node's handle and qvecs stays empty. pvec holds the vector of the node
-	// being stepped and svecs the vectors of the at most two successors held
-	// at once.
-	qvecs    []fingerprint.Digest
-	qvecHead int
-	pvec     []fingerprint.Digest
-	svecs    [2][]fingerprint.Digest
 }
-
-// step folds one dequeued node into the exploration: each enabled event, in
-// event order, gets its successor's handle (handle), and the successor is
-// either rejected as already visited without being built or built once and
-// handed to admit (offer). stop is admit's, or set beside a protocol error.
-func (e *explorer) step(nd *node) (stop bool, err error) {
-	x := e.x
-	failedCount := 0
-	for p := 0; p < e.n; p++ {
-		if nd.cfg.Faulty(sim.ProcID(p)) {
-			failedCount++
-		}
-	}
-	// The decision rule's "a failure has occurred" is a fact of the
-	// pre-configuration — a crash, or a delivery omission-suppressed — (the
-	// event itself cannot simultaneously fail a processor and decide
-	// another), so one reading serves every edge of the node.
-	failureSeen := failedCount > 0 || nd.cfg.OmissionsUsed() > 0
-
-	p, reduced := sim.ProcID(0), false
-	if e.ample {
-		p, reduced = ampleProc(nd.cfg)
-	}
-	if reduced {
-		// The ample set's successors are the only ones ever held before they
-		// are admitted: the proviso must see both handles first.
-		var (
-			scratch [2]sim.Event
-			held    [2]succ
-			fresh   bool
-		)
-		events := e.appendAmpleEvents(scratch[:0], p, failedCount)
-		for i, ev := range events {
-			held[i] = succ{event: ev, vec: e.svecs[i]}
-			if err = e.handle(nd, &held[i], failureSeen); err != nil {
-				return true, err
-			}
-			fresh = fresh || !e.visited.Seen(held[i].fp)
-		}
-		// The breadth-first form of the ample progress proviso
-		// (Bošnački/Holzmann): the ample set stands only if some successor
-		// is not yet visited; otherwise what was held is dropped — no link,
-		// violation, prune or counter — and the node takes its full event
-		// set. Every node stepped reduced thus discovers a new state, so the
-		// exploration can never spin over a closed reduced component while
-		// indefinitely deferring the independent events.
-		//
-		// The reachability properties the checker reports do not lean on
-		// this condition at all — every full-graph terminal configuration
-		// and violating edge/node is reachable inside the reduced graph by
-		// the run-commutation argument of DESIGN.md §8, which only needs
-		// the ample set to contain all of the ample processor's enabled
-		// events. The proviso exists so a reduced exploration also keeps
-		// the structural guarantee the standard theory wants from BFS ample
-		// sets; full LTL-style liveness over cycles (which the six-problem
-		// lattice never asks for) would need the stricter any-revisit
-		// fallback, documented and rejected in DESIGN.md §8.
-		if fresh {
-			x.Reduction.AmpleNodes++
-			x.Reduction.AmpleEvents += int64(len(events))
-			for i := range events {
-				if stop, err = e.offer(nd, &held[i], failureSeen); stop {
-					return true, err
-				}
-			}
-			return false, nil
-		}
-		x.Reduction.ProvisoFallbacks++
-		for i := range events {
-			if held[i].nd != nil {
-				e.release(held[i].nd)
-			}
-		}
-	}
-
-	events := sim.AppendEnabled(e.events[:0], nd.cfg)
-	if failedCount < e.maxFail {
-		for p := 0; p < e.n; p++ {
-			if e.failAllowed[p] && !nd.cfg.Faulty(sim.ProcID(p)) {
-				events = append(events, sim.Event{Proc: sim.ProcID(p), Type: sim.Fail})
-			}
-		}
-	}
-	e.events = events
-	x.Reduction.FullNodes++
-	x.Reduction.FullEvents += int64(len(events))
-	// Each successor's handle is predicted incrementally from the parent's
-	// vector (predictHandle) and an already-visited successor is never
-	// built — the bulk of all edges in a dense state space. The one thing
-	// judged on a seen edge, the decision rule, is a predicate over the
-	// prediction.
-	for _, ev := range events {
-		s := succ{event: ev, vec: e.svecs[0]}
-		if err = e.handle(nd, &s, failureSeen); err != nil {
-			return true, err
-		}
-		if stop, err = e.offer(nd, &s, failureSeen); stop {
-			return true, err
-		}
-	}
-	return false, nil
-}
-
-// handle gives successor s of nd its handle and vector: predicted from the
-// parent's vector where predictHandle can vouch for the edge, built
-// otherwise.
-func (e *explorer) handle(nd *node, s *succ, failureSeen bool) error {
-	if e.predictHandle(nd, e.pvec, s, failureSeen) {
-		return nil
-	}
-	return e.build(nd, s)
-}
-
-// offer hands a successor to admit, building it first if only its handle
-// was predicted — unless that handle is already visited: then it is
-// rejected as admit would reject it (a seen predicted edge has nothing to
-// link or report), and never built.
-func (e *explorer) offer(parent *node, s *succ, failureSeen bool) (stop bool, err error) {
-	if s.nd == nil {
-		if e.visited.Seen(s.fp) {
-			e.countPrune(s)
-			return false, nil
-		}
-		if s.nd, err = e.materialize(parent, s.event); err != nil {
-			return true, err
-		}
-		s.nd.fp = s.fp
-		if canonicalizeHook != nil {
-			canonicalizeHook(e, parent, *s)
-		}
-	}
-	return e.admit(parent, s, failureSeen)
-}
-
-// build materializes s.event's successor of nd with its dedup handle.
-func (e *explorer) build(nd *node, s *succ) (err error) {
-	if s.nd, err = e.materialize(nd, s.event); err != nil {
-		return err
-	}
-	e.canonicalizeSucc(nd, s)
-	return nil
-}
-
-// materialize builds ev's successor of nd with its ledger — the transition
-// cache already holds the stepped state's digest, so no built edge rehashes
-// a state — and no handle, into a node from the free list when it has one.
-func (e *explorer) materialize(nd *node, ev sim.Event) (*node, error) {
-	var nxt *node
-	if k := len(e.free) - 1; k >= 0 {
-		nxt, e.free = e.free[k], e.free[:k]
-	} else {
-		nxt = &node{}
-	}
-	cfg, err := e.predictor.Materialize(e.proto, nd.cfg, ev, nxt.cfg, nil)
-	if err != nil {
-		e.release(nxt)
-		return nil, fmt.Errorf("checker: exploring %s: %w", e.proto.Name(), err)
-	}
-	*nxt = node{cfg: cfg, ledger: updateLedger(nd.ledger, cfg, ev.Proc), inputs: nd.inputs, vecIdx: nd.vecIdx}
-	return nxt, nil
-}
-
-// release puts a node the walk is done with on the free list, dropping what
-// it shares with other nodes — its ledger, and the states and buffers its
-// configuration points to — so that a parked node keeps nothing alive.
-func (e *explorer) release(nd *node) {
-	if nd.cfg != nil {
-		clear(nd.cfg.States)
-		clear(nd.cfg.Buffers)
-	}
-	nd.ledger = nil
-	e.free = append(e.free, nd)
-}
-
-// newDecision is the decision a predicted step of p — whose post-state
-// shows decision d when decided — adds to nd's ledger, NoDecision when it
-// adds none. ok=false sends the edge to the building path: a decision
-// change by way of an amnesic detour (the ledger delta is not a single
-// added term), or a decision some judge's rule forbids.
-func (e *explorer) newDecision(nd *node, p sim.ProcID, d sim.Decision, decided, failureSeen bool) (sim.Decision, bool) {
-	if old := nd.ledger[p]; !decided || old == d {
-		return sim.NoDecision, true
-	} else if old != sim.NoDecision {
-		return sim.NoDecision, false
-	}
-	for i := range e.judges {
-		if !e.judges[i].problem.Rule.Permits(d, nd.inputs, failureSeen) {
-			return sim.NoDecision, false
-		}
-	}
-	return d, true
-}
-
-// frontierLeft is the partial-stop frontier measure: accepted nodes the
-// walk has not consumed, counting the node being stepped (or the one whose
-// acceptance was rejected).
-func (e *explorer) frontierLeft() int { return len(e.queue) - e.head + 1 }
 
 // run admits the roots — one per input vector, no parent, no decision edge;
-// under symmetry, symmetric vectors collapse to the first — and then walks
-// breadth-first to completion, budget exhaustion, first violation, or
-// interruption. The context is checked at every dequeue, so a cancellation
-// cuts the result at a node boundary.
+// under symmetry, symmetric vectors collapse to the first — each into the
+// shard of its vector's orbit, and then walks breadth-first, one level per
+// round, to completion, budget exhaustion, first violation, or
+// interruption.
+//
+// Every node carries its root's input vector, which the handle salts in
+// (relabelled with the processors under symmetry), so nodes reached from
+// roots of two orbits never share a handle: each orbit's shard deduplicates
+// alone (see shard). The joint FIFO walk admits the roots first and queues
+// each node's successors after the nodes before it, so its depth-d queue
+// segment lists the level's nodes by root, in root order, and within one
+// shard in the shard's own order. A round steps every shard's level as one
+// cell (internal/cells) — concurrently, or in turn on the calling goroutine
+// at GOMAXPROCS=1 — and fold then replays the records in the joint order,
+// which the previous fold wrote down as runs, so the result is the joint
+// walk's at every width, including where it is cut. The context is polled
+// once per parent, by the fold, so a cancellation cuts the result at a node
+// boundary.
 func (e *explorer) run(ctx context.Context) error {
 	x := e.x
 	if clock := e.opts.Clock; clock != nil {
 		start := clock()
 		defer func() { x.ReplayWall = clock() - start }()
 	}
+	orbits := make(map[string]*shard)
 	for i, inputs := range e.inputs {
-		root := succ{nd: &node{cfg: sim.NewConfigOmission(e.proto, inputs, e.opts.omission()), ledger: make([]sim.Decision, e.n), inputs: inputs, vecIdx: int32(i)}, vec: e.svecs[0]}
-		e.canonicalizeSucc(nil, &root)
-		if stop, err := e.admit(nil, &root, false); stop {
+		key := e.orbitOf(inputs)
+		sh := orbits[key]
+		if sh == nil {
+			sh = e.newShard()
+			orbits[key] = sh
+			e.shards = append(e.shards, sh)
+		}
+		root := succ{nd: &node{cfg: sim.NewConfigOmission(e.proto, inputs, e.opts.omission()), ledger: make([]sim.Decision, e.n), inputs: inputs, vecIdx: int32(i)}, vec: sh.svecs[0]}
+		sh.canonicalizeSucc(nil, &root)
+		sh.link(nil, root.nd, sim.Event{})
+		if !sh.visited.Admit(root.fp, "") {
+			var p prunes
+			p.count(&root)
+			p.addTo(&x.Reduction)
+			continue
+		}
+		r := edgeRecord{child: root.nd, at: root.fp}
+		sh.describe(&r)
+		if stop, err := e.accept(sh, &r, e.queued+1); stop {
 			return err
 		}
+		sh.enqueue(root.nd, root.vec)
+		e.queue(sh)
 	}
-	for e.head < len(e.queue) {
-		nd := e.popNode()
-		e.popVec(nd)
-		if cerr := ctx.Err(); cerr != nil {
-			x.Status = StatusInterrupted
-			x.FrontierSize = e.frontierLeft()
-			return fmt.Errorf("checker: exploration of %s interrupted: %w", e.proto.Name(), cerr)
+	costs := make([]int, len(e.shards))
+	for e.queued > 0 {
+		for i, sh := range e.shards {
+			sh.advance()
+			costs[i] = len(sh.level)
 		}
-		if stop, err := e.step(nd); stop {
+		done := ctx.Done()
+		cells.Run(costs, func(i int) { e.shards[i].stepLevel(done) })
+		if stop, err := e.fold(ctx); stop {
 			return err
 		}
-		e.release(nd)
 	}
 	return nil
 }
 
-// popNode dequeues the next node to walk, compacting the queue once its
-// consumed prefix is the larger half, as popVec compacts qvecs.
-func (e *explorer) popNode() *node {
-	nd := e.queue[e.head]
-	e.queue[e.head] = nil
-	e.head++
-	if e.head >= 1<<16 && 2*e.head >= len(e.queue) {
-		e.queue = e.queue[:copy(e.queue, e.queue[e.head:])]
-		e.head = 0
+// orbitOf keys the orbit of an input vector under the walk's automorphisms:
+// the least of its relabellings, the vector itself without symmetry.
+func (e *explorer) orbitOf(inputs []sim.Bit) string {
+	key := sim.InputsString(inputs)
+	bits := make([]sim.Bit, len(inputs))
+	for _, perm := range e.symPerms {
+		for p, b := range inputs {
+			bits[perm[p]] = b
+		}
+		key = min(key, sim.InputsString(bits))
 	}
-	return nd
+	return key
 }
 
-// admit offers one built node — a root when parent is nil — to the
-// exploration: the trace link (first-wins, so under symmetry the first of
-// roots sharing a handle keeps it, and a back-edge into a root finds the
-// root linked to itself) and the judges' decision rules on the edge
-// come first, since an edge into a visited node is still an edge
-// (failureSeen is the parent's reading); then the visited set decides, and
-// only a node it admits gets a number, state ids, census entries, its
-// judgement as a configuration and a place in the queue. A rejected node
-// whose handle a canonicalization rewrote counts as that canonicalization's
-// prune: symmetry when a non-identity automorphism won (it strictly improved
-// on the already-erased identity handle), dead-letter elision otherwise.
-// stop is set when the exploration should end with the current partial
-// result (first violation reached, or budget exhausted — the latter also
-// carries a *BudgetError).
-func (e *explorer) admit(parent *node, s *succ, failureSeen bool) (stop bool, err error) {
-	x, nd := e.x, s.nd
-	if e.parents != nil {
-		if _, linked := e.parents[nd.fp]; !linked {
-			link := parentLink{parent: nd.fp, vec: nd.vecIdx}
-			if parent != nil {
-				link.parent, link.event = parent.fp, s.event
+// run is a stretch of the joint walk's queue that one shard holds: its
+// next n nodes.
+type run struct {
+	sh *shard
+	n  int
+}
+
+// queue puts the node shard sh has just added to its next level at the end
+// of the joint walk's order.
+func (e *explorer) queue(sh *shard) {
+	if k := len(e.next) - 1; k >= 0 && e.next[k].sh == sh {
+		e.next[k].n++
+	} else {
+		e.next = append(e.next, run{sh, 1})
+	}
+	e.queued++
+}
+
+// fold replays the level the shards have just stepped in the joint walk's
+// order, run by run, and does at each record what the joint walk did at
+// that point: the context poll at each parent's dequeue, the parent's
+// counters, then at each edge the prunes before it, the judges' reports of
+// its violations, and for an admitted successor the budget, its number and
+// census share, and its judgement as a configuration, cutting where the
+// joint walk would stop. A shard's fault is raised where the joint walk
+// would have met it: its error returned, its panic re-raised with the
+// protocol's own value. FrontierSize counts what the joint walk's queue
+// held at the cut: the level's nodes not yet dequeued, the successors
+// admitted so far, and the node being stepped.
+func (e *explorer) fold(ctx context.Context) (stop bool, err error) {
+	x := e.x
+	runs, left := e.next, e.queued
+	e.next, e.queued = e.runs[:0], 0
+	e.runs = runs
+	for _, r := range runs {
+		sh := r.sh
+		for ; r.n > 0; r.n-- {
+			k := sh.folded
+			sh.folded++
+			left--
+			if cerr := ctx.Err(); cerr != nil {
+				x.Status = StatusInterrupted
+				x.FrontierSize = left + e.queued + 1
+				return true, fmt.Errorf("checker: exploration of %s interrupted: %w", e.proto.Name(), cerr)
 			}
-			e.parents[nd.fp] = link
+			st := sh.steps[k]
+			st.count(&x.Reduction)
+			end := len(sh.edges)
+			if k+1 < len(sh.steps) {
+				end = int(sh.steps[k+1].edges)
+			}
+			for j := int(st.edges); j < end; j++ {
+				rec := &sh.edges[j]
+				rec.before.addTo(&x.Reduction)
+				for i, found := range rec.violations {
+					e.report(sh, i, found, rec.at)
+				}
+				if e.opts.StopAtFirstViolation && e.violated {
+					return true, nil
+				}
+				if rec.child == nil {
+					continue
+				}
+				if stop, err := e.accept(sh, rec, left+e.queued+1); stop {
+					return true, err
+				}
+				e.queue(sh)
+			}
+			if k+1 == len(sh.steps) && sh.fault != nil {
+				if sh.panicked {
+					panic(sh.fault)
+				}
+				return true, sh.fault.(error)
+			}
 		}
-	}
-	if parent != nil {
-		for i := range e.judges {
-			e.report(i, edgeViolations(nil, e.judges[i].problem, parent, nd, failureSeen), nd.fp)
-		}
-	}
-	if e.opts.StopAtFirstViolation && e.violated {
-		return true, nil
-	}
-	if !e.visited.Admit(nd.fp, "") {
-		e.countPrune(s)
-		e.release(nd)
-		return false, nil
-	}
-	if x.NodeCount >= e.opts.maxNodes() {
-		x.Status = StatusExhausted
-		x.FrontierSize = e.frontierLeft()
-		return true, &BudgetError{Protocol: e.proto.Name(), Nodes: e.opts.maxNodes()}
-	}
-	e.record(nd)
-	for i := range e.judges {
-		e.report(i, nodeViolations(nil, e.judges[i].problem, x.NodeCount-1, nd), nd.fp)
-	}
-	if e.opts.StopAtFirstViolation && e.violated {
-		return true, nil
-	}
-	e.queue = append(e.queue, nd)
-	if len(s.vec) > 1 {
-		e.qvecs = append(e.qvecs, s.vec...)
 	}
 	return false, nil
 }
 
-// countPrune counts a rejected successor whose handle a canonicalization
-// rewrote as that canonicalization's prune.
-func (e *explorer) countPrune(s *succ) {
-	switch {
-	case s.permuted:
-		e.x.Reduction.SymmetryPrunes++
-	case s.elided:
-		e.x.Reduction.ElisionPrunes++
+// accept is the joint walk's share of admitting r.child, a node of shard
+// sh: the budget, cut when it would be exceeded with frontier nodes left;
+// then the node's number and census share, and its judgement as a
+// configuration. stop is set when the exploration should end with the
+// current partial result (first violation reached, or budget exhausted —
+// the latter also carries a *BudgetError).
+func (e *explorer) accept(sh *shard, r *edgeRecord, frontier int) (stop bool, err error) {
+	x := e.x
+	if x.NodeCount >= e.opts.maxNodes() {
+		x.Status = StatusExhausted
+		x.FrontierSize = frontier
+		return true, &BudgetError{Protocol: e.proto.Name(), Nodes: e.opts.maxNodes()}
 	}
+	e.record(sh, r)
+	if r.violates {
+		for i := range e.judges {
+			e.report(sh, i, nodeViolations(nil, e.judges[i].problem, x.NodeCount-1, r.child), r.at)
+		}
+	}
+	return e.opts.StopAtFirstViolation && e.violated, nil
 }
 
-// popVec moves the vector of nd, the node just dequeued, into pvec: its
-// handle at width 1, else from qvecs, compacting qvecs once its consumed
-// prefix is the larger half.
-func (e *explorer) popVec(nd *node) {
-	w := len(e.pvec)
-	if w == 1 {
-		e.pvec[0] = nd.fp
-		return
-	}
-	copy(e.pvec, e.qvecs[e.qvecHead:e.qvecHead+w])
-	e.qvecHead += w
-	if e.qvecHead >= 1<<16 && 2*e.qvecHead >= len(e.qvecs) {
-		e.qvecs = e.qvecs[:copy(e.qvecs, e.qvecs[e.qvecHead:])]
-		e.qvecHead = 0
-	}
-}
-
-// record accepts one newly admitted configuration: its number and its share
-// of the state census. Nothing of it is kept per node.
-func (e *explorer) record(nd *node) {
+// record accepts one newly admitted configuration, described by r in shard
+// sh: its number and its share of the state census. Nothing of it is kept
+// per node.
+func (e *explorer) record(sh *shard, r *edgeRecord) {
 	x := e.x
 	x.NodeCount++
-	if nd.cfg.Quiescent() {
+	if r.quiescent {
 		x.Terminals++
 	}
-	ids := e.stateIDsOf(nd)
-	e.censusAdd(nd, ids)
+	ids := e.stateIDs(sh, r)
+	e.censusAdd(sh, r, ids)
 	if e.opts.observe != nil {
-		e.opts.observe(ids, nd)
+		e.opts.observe(ids, r.child)
 	}
 }
 
@@ -864,14 +682,9 @@ func newExplorer(proto sim.Protocol, problems []taxonomy.Problem, opts Options) 
 		maxFail:     maxFail,
 		failAllowed: failAllowed,
 		x:           x,
-		visited:     frontier.NewSeqVisited(frontier.DedupFingerprint),
 		stateID:     make(map[fingerprint.Digest]int32),
 		ids:         make([]int32, n),
-		predictor:   sim.NewPredictor(),
 		judges:      make([]judge, len(problems)),
-	}
-	if opts.TrackTraces {
-		e.parents = make(map[fingerprint.Digest]parentLink)
 	}
 	for i, p := range problems {
 		e.judges[i].problem = p

@@ -152,9 +152,9 @@ func ampleProc(cfg *sim.Config) (sim.ProcID, bool) {
 
 // appendAmpleEvents appends the ample events for processor p: its sending
 // step, plus its failure when the failure budget and FailProcs allow it.
-func (e *explorer) appendAmpleEvents(events []sim.Event, p sim.ProcID, failedCount int) []sim.Event {
+func (sh *shard) appendAmpleEvents(events []sim.Event, p sim.ProcID, failedCount int) []sim.Event {
 	events = append(events, sim.Event{Proc: p, Type: sim.SendStepEvent})
-	if failedCount < e.maxFail && e.failAllowed[p] {
+	if failedCount < sh.e.maxFail && sh.e.failAllowed[p] {
 		events = append(events, sim.Event{Proc: p, Type: sim.Fail})
 	}
 	return events
@@ -189,21 +189,21 @@ func (e *explorer) appendAmpleEvents(events []sim.Event, p sim.ProcID, failedCou
 // wins (the tests hold every handle to that materialization). A queued node
 // keeps its vector, so its successors' vectors are predicted by shifting it
 // (predictHandle) and only edges the prediction cannot vouch for come here.
-func (e *explorer) canonicalizeSucc(parent *node, s *succ) {
+func (sh *shard) canonicalizeSucc(parent *node, s *succ) {
 	nd := s.nd
-	elided, ok := e.permMemo.Vector(s.vec, nd.cfg, e.elide)
+	elided, ok := sh.permMemo.Vector(s.vec, nd.cfg, sh.e.elide)
 	if !ok {
 		panic("checker: symmetry group present but state does not implement sim.Permuter")
 	}
 	s.vec[0] = s.vec[0].Add(ledgerFP(nd.ledger))
-	for i, perm := range e.symPerms {
+	for i, perm := range sh.e.symPerms {
 		s.vec[1+i] = s.vec[1+i].Add(permutedLedgerFP(nd.ledger, perm))
 	}
 	s.elided = elided
 	s.fp, s.permuted = leastHandle(s.vec)
 	nd.fp = s.fp
 	if canonicalizeHook != nil {
-		canonicalizeHook(e, parent, *s)
+		canonicalizeHook(sh, parent, *s)
 	}
 }
 
@@ -216,26 +216,26 @@ func (e *explorer) canonicalizeSucc(parent *node, s *succ) {
 // violation is built, worded and ordered by the building path alone, and a
 // prediction only ever vouches for an edge on which there is nothing to
 // report or to link.
-func (e *explorer) predictHandle(nd *node, pvec []fingerprint.Digest, s *succ, failureSeen bool) bool {
+func (sh *shard) predictHandle(nd *node, pvec []fingerprint.Digest, s *succ, failureSeen bool) bool {
 	copy(s.vec, pvec)
-	sh, ok := e.predictor.Shift(e.proto, nd.cfg, s.event, e.permMemo, e.elide, s.vec)
+	shifted, ok := sh.predictor.Shift(sh.e.proto, nd.cfg, s.event, sh.permMemo, sh.e.elide, s.vec)
 	if !ok {
 		return false
 	}
-	d, ok := e.newDecision(nd, s.event.Proc, sh.Decision, sh.Decided, failureSeen)
+	d, ok := sh.newDecision(nd, s.event.Proc, shifted.Decision, shifted.Decided, failureSeen)
 	if !ok {
 		return false
 	}
 	if p := s.event.Proc; d != sim.NoDecision {
 		s.vec[0] = s.vec[0].Add(ledgerTerm(p, d))
-		for i, perm := range e.symPerms {
+		for i, perm := range sh.e.symPerms {
 			s.vec[1+i] = s.vec[1+i].Add(ledgerTerm(perm[p], d))
 		}
 	}
-	s.nd, s.elided, s.predicted = nil, sh.Elided, true
+	s.nd, s.elided, s.predicted = nil, shifted.Elided, true
 	s.fp, s.permuted = leastHandle(s.vec)
 	if canonicalizeHook != nil {
-		canonicalizeHook(e, nd, *s)
+		canonicalizeHook(sh, nd, *s)
 	}
 	return true
 }
@@ -257,9 +257,10 @@ func leastHandle(vec []fingerprint.Digest) (fp fingerprint.Digest, permuted bool
 // computes, reduced or not, with the parent it was stepped from (nil for a
 // root): predicted ones (s.predicted, s.nd nil), predicted ones again once
 // built (s.nd set), and built ones. Only tests set it, to hold every handle
-// to the materialized path. A hook that keeps a node or its parent must keep
-// a copy: the walk recycles nodes it is done with.
-var canonicalizeHook func(e *explorer, parent *node, s succ)
+// to the materialized path. Shards call it concurrently, so it must lock
+// what it writes, and a hook that keeps a node or its parent must keep a
+// copy: the walk recycles nodes it is done with.
+var canonicalizeHook func(sh *shard, parent *node, s succ)
 
 // permutedLedgerFP fingerprints the ledger relabelled by perm without
 // building it: p's term is salted at perm[p].
@@ -280,9 +281,9 @@ func permutedLedgerFP(ledger []sim.Decision, perm sim.ProcPerm) fingerprint.Dige
 // ReduceElide elision alone, and the symmetry modes resolve the protocol's
 // automorphism group, less the automorphisms that move FailProcs (empty
 // for protocols without usable symmetry, which then canonicalize nothing).
-// Every walk gets a sim.PermuteMemo over those automorphisms, of width 1
+// Every shard gets a sim.PermuteMemo over those automorphisms, of width 1
 // when there are none: the handle is then the vector, so no queued node
-// keeps one (see popVec).
+// keeps one (see shard.level).
 //
 // Under an omission budget ample sets and elision stay on (DESIGN.md §8):
 //
@@ -317,8 +318,4 @@ func (e *explorer) initReduction() {
 			return false
 		})
 	}
-	e.permMemo = sim.NewPermuteMemo(e.symPerms)
-	w := e.permMemo.Width()
-	e.pvec = make([]fingerprint.Digest, w)
-	e.svecs = [2][]fingerprint.Digest{make([]fingerprint.Digest, w), make([]fingerprint.Digest, w)}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/fingerprint"
@@ -464,7 +465,8 @@ func materializedHandle(e *explorer, nxt *node) (fp fingerprint.Digest, elided, 
 // walk the same path at width 1: nothing is elided or permuted, and every
 // handle is nodeFP of the node sim.Apply builds. It then pins the
 // steady-state cost: a warm canonicalizeSucc and a warm predicted edge
-// whose handle is already visited allocate nothing.
+// whose handle is already visited allocate nothing, each on the shard that
+// computed it.
 func TestCanonicalizeDigestMatchesMaterialized(t *testing.T) {
 	defer func() { canonicalizeHook = nil }()
 	wttc := problem(taxonomy.WT, taxonomy.TC)
@@ -484,25 +486,34 @@ func TestCanonicalizeDigestMatchesMaterialized(t *testing.T) {
 		{protocols.AckCommit{Procs: 3}, Options{MaxFailures: 1, OmissionBudget: 1, MobileOmissions: 1, Reduction: ReduceNone}, wttc},
 	} {
 		var calls, elided, permuted, predicted, predictedBuilt, fallback int
-		var warmE *explorer
-		var warm []*node
+		type built struct {
+			sh *shard
+			nd *node
+		}
+		var warm []built
 		type edge struct {
+			sh          *shard
 			parent      *node
 			pvec        []fingerprint.Digest
 			event       sim.Event
 			failureSeen bool
 		}
 		var seen []edge
-		canonicalizeHook = func(e *explorer, parent *node, s succ) {
+		// Shards call the hook concurrently: each call holds mu throughout.
+		var mu sync.Mutex
+		canonicalizeHook = func(sh *shard, parent *node, s succ) {
+			mu.Lock()
+			defer mu.Unlock()
 			nxt := s.nd
 			if parent != nil {
-				cfg, _, err := sim.Apply(e.proto, parent.cfg, s.event)
+				cfg, _, err := sim.Apply(sh.e.proto, parent.cfg, s.event)
 				if err != nil {
-					t.Fatalf("%s: %v", s.event, err)
+					t.Errorf("%s: %v", s.event, err)
+					return
 				}
 				nxt = &node{cfg: cfg, ledger: ledgerAfter(parent.ledger, cfg)}
 			}
-			fp, el, pm := materializedHandle(e, nxt)
+			fp, el, pm := materializedHandle(sh.e, nxt)
 			calls++
 			if el {
 				elided++
@@ -513,10 +524,9 @@ func TestCanonicalizeDigestMatchesMaterialized(t *testing.T) {
 			switch {
 			case s.predicted && s.nd == nil:
 				predicted++
-				if e.visited.Seen(s.fp) && len(seen) < 64 {
-					pvec := make([]fingerprint.Digest, len(e.pvec))
-					copy(pvec, e.pvec)
-					seen = append(seen, edge{keep(parent), pvec, s.event, parent.cfg.OmissionsUsed() > 0 || failedIn(parent.cfg)})
+				if sh.visited.Seen(s.fp) && len(seen) < 64 {
+					pvec := slices.Clone(sh.pvec)
+					seen = append(seen, edge{sh, keep(parent), pvec, s.event, parent.cfg.OmissionsUsed() > 0 || failedIn(parent.cfg)})
 				}
 			case s.predicted:
 				predictedBuilt++
@@ -524,7 +534,7 @@ func TestCanonicalizeDigestMatchesMaterialized(t *testing.T) {
 				fallback++
 			}
 			if s.nd != nil && len(warm) < 64 {
-				warmE, warm = e, append(warm, keep(s.nd))
+				warm = append(warm, built{sh, keep(s.nd)})
 			}
 			if s.fp != fp || (s.nd != nil && s.nd.fp != fp) || s.elided != el || s.permuted != pm {
 				t.Errorf("%s after %v: digest handle %v (elided=%v permuted=%v predicted=%v), materialized %v (%v %v)",
@@ -554,10 +564,10 @@ func TestCanonicalizeDigestMatchesMaterialized(t *testing.T) {
 		if tc.prob.Rule == (grudgingRule{}) && fallback == 0 {
 			t.Fatalf("%s: no edge fell back to building — matrix does not exercise the fallback", tc.proto.Name())
 		}
-		vec := make([]fingerprint.Digest, warmE.permMemo.Width())
+		vec := make([]fingerprint.Digest, warm[0].sh.permMemo.Width())
 		allocs := testing.AllocsPerRun(20, func() {
-			for _, nxt := range warm {
-				warmE.canonicalizeSucc(nil, &succ{nd: nxt, vec: vec})
+			for _, b := range warm {
+				b.sh.canonicalizeSucc(nil, &succ{nd: b.nd, vec: vec})
 			}
 		})
 		if allocs != 0 {
@@ -567,7 +577,7 @@ func TestCanonicalizeDigestMatchesMaterialized(t *testing.T) {
 		allocs = testing.AllocsPerRun(20, func() {
 			for _, ed := range seen {
 				s := succ{event: ed.event, vec: vec}
-				if !warmE.predictHandle(ed.parent, ed.pvec, &s, ed.failureSeen) || !warmE.visited.Seen(s.fp) {
+				if !ed.sh.predictHandle(ed.parent, ed.pvec, &s, ed.failureSeen) || !ed.sh.visited.Seen(s.fp) {
 					t.Fatalf("%s: warm predicted edge %v no longer predicted seen", tc.proto.Name(), ed.event)
 				}
 			}

@@ -66,7 +66,9 @@ type Options struct {
 	Deep bool
 	// Parallelism is pinned by bench/paper.go.
 	//
-	// Deprecated: ignored; the explorer is sequential.
+	// Deprecated: ignored. Every walk runs on GOMAXPROCS goroutines (its
+	// shards, E5's witnesses, E7's rows), and no result depends on how
+	// many.
 	Parallelism int
 	// Reduction selects a state-space reduction for the conformance
 	// passes of E1–E3 (ample-set partial-order reduction, symmetry

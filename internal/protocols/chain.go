@@ -2,7 +2,7 @@ package protocols
 
 import (
 	"fmt"
-	"strings"
+	"strconv"
 
 	"repro/internal/sim"
 )
@@ -131,32 +131,31 @@ func (s chainState) Amnesic() bool { return s.amnesic }
 
 // Key implements sim.State.
 func (s chainState) Key() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "chain{%s n%d in%d %s heard%s conj%d", s.self, s.n, s.input, s.phase, s.heard.key(), s.conj)
+	var scratch [128]byte
+	buf := appendHeader(scratch[:0], "chain", s.self, s.n, s.input, s.phase.String())
+	buf = s.heard.appendKey(append(buf, " heard"...))
+	buf = strconv.AppendInt(append(buf, " conj"...), int64(s.conj), 10)
 	if s.anyFail {
-		sb.WriteString(" fail")
+		buf = append(buf, " fail"...)
 	}
-	for _, o := range s.out {
-		fmt.Fprintf(&sb, " →%s:%s", o.to, o.payload.Key())
-	}
+	buf = appendOuts(buf, s.out)
 	if s.decided != sim.NoDecision {
-		fmt.Fprintf(&sb, " dec:%s", s.decided)
+		buf = append(append(buf, " dec:"...), s.decided.String()...)
 	}
 	if s.amnesic {
-		sb.WriteString(" amnesic")
+		buf = append(buf, " amnesic"...)
 	}
-	fmt.Fprintf(&sb, " rm%s", s.removed.key())
+	buf = s.removed.appendKey(append(buf, " rm"...))
 	if s.phase == chainTerm {
-		fmt.Fprintf(&sb, " [%s]", s.term.key())
+		buf = append(s.term.appendKey(append(buf, " ["...)), ']')
 	}
 	if s.amnesicSent {
-		sb.WriteString(" asent")
+		buf = append(buf, " asent"...)
 	}
 	if !s.amnOut.empty() {
-		fmt.Fprintf(&sb, " aout%s", s.amnOut.key())
+		buf = s.amnOut.appendKey(append(buf, " aout"...))
 	}
-	sb.WriteString("}")
-	return sb.String()
+	return string(append(buf, '}'))
 }
 
 // Init implements sim.Protocol.

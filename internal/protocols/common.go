@@ -11,11 +11,9 @@
 package protocols
 
 import (
-	"fmt"
 	"math/bits"
 	"sort"
 	"strconv"
-	"strings"
 
 	"repro/internal/sim"
 )
@@ -107,11 +105,20 @@ func (s procSet) members() []sim.ProcID {
 // key canonically encodes the set. Sets with no member ≥ 64 render exactly
 // as the old 32-bit mask did (bare hex of the low word), so state keys for
 // every N ≤ 31 configuration are byte-identical to the pre-widening ones.
-func (s procSet) key() string {
+func (s procSet) key() string { return string(s.appendKey(nil)) }
+
+// appendKey appends the set's key to buf: the low word in bare hex, or the
+// high word, a dot and the low word as sixteen hex digits.
+func (s procSet) appendKey(buf []byte) []byte {
 	if s.hi == 0 {
-		return strconv.FormatUint(s.lo, 16)
+		return strconv.AppendUint(buf, s.lo, 16)
 	}
-	return strconv.FormatUint(s.hi, 16) + "." + fmt.Sprintf("%016x", s.lo)
+	buf = strconv.AppendUint(buf, s.hi, 16)
+	buf = append(buf, '.')
+	for shift := 60; shift >= 0; shift -= 4 {
+		buf = append(buf, "0123456789abcdef"[s.lo>>uint(shift)&0xf])
+	}
+	return buf
 }
 
 // ---- Message payloads shared across the protocol library ----
@@ -205,16 +212,57 @@ func newTermCore(self sim.ProcID, n int, bias bool, up procSet) termCore {
 	return c.advance()
 }
 
-func (c termCore) key() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "r%d b%v up%s got%s out%s", c.round, c.bias, c.up.key(), c.got.key(), c.out.key())
+func (c termCore) key() string { return string(c.appendKey(nil)) }
+
+// appendKey appends the core's key to buf: "r<round> b<bias> up<set>
+// got<set> out<set>", " done" once done, and " e(<round>,<from>,<bias>)"
+// per early message.
+func (c termCore) appendKey(buf []byte) []byte {
+	buf = append(buf, 'r')
+	buf = strconv.AppendInt(buf, int64(c.round), 10)
+	buf = append(buf, " b"...)
+	buf = strconv.AppendBool(buf, c.bias)
+	buf = c.up.appendKey(append(buf, " up"...))
+	buf = c.got.appendKey(append(buf, " got"...))
+	buf = c.out.appendKey(append(buf, " out"...))
 	if c.done {
-		sb.WriteString(" done")
+		buf = append(buf, " done"...)
 	}
 	for _, e := range c.early {
-		fmt.Fprintf(&sb, " e(%d,%d,%v)", e.Round, e.From, e.Committable)
+		buf = append(buf, " e("...)
+		buf = strconv.AppendInt(buf, int64(e.Round), 10)
+		buf = append(buf, ',')
+		buf = strconv.AppendInt(buf, int64(e.From), 10)
+		buf = append(buf, ',')
+		buf = strconv.AppendBool(buf, e.Committable)
+		buf = append(buf, ')')
 	}
-	return sb.String()
+	return buf
+}
+
+// appendHeader appends the key prefix every library state opens with:
+// "<name>{p<self> n<n> in<input> <phase>".
+func appendHeader(buf []byte, name string, self sim.ProcID, n int, input sim.Bit, phase string) []byte {
+	buf = append(buf, name...)
+	buf = append(buf, "{p"...)
+	buf = strconv.AppendInt(buf, int64(self), 10)
+	buf = append(buf, " n"...)
+	buf = strconv.AppendInt(buf, int64(n), 10)
+	buf = append(buf, " in"...)
+	buf = strconv.AppendInt(buf, int64(input), 10)
+	buf = append(buf, ' ')
+	return append(buf, phase...)
+}
+
+// appendOuts appends one " →p<to>:<payload key>" per pending send.
+func appendOuts(buf []byte, out []outItem) []byte {
+	for _, o := range out {
+		buf = append(buf, " →p"...)
+		buf = strconv.AppendInt(buf, int64(o.to), 10)
+		buf = append(buf, ':')
+		buf = append(buf, o.payload.Key()...)
+	}
+	return buf
 }
 
 // sending reports whether the core still has broadcast targets this round.

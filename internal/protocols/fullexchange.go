@@ -2,7 +2,7 @@ package protocols
 
 import (
 	"fmt"
-	"strings"
+	"strconv"
 
 	"repro/internal/sim"
 )
@@ -97,20 +97,19 @@ func (s fxState) Amnesic() bool { return false }
 
 // Key implements sim.State.
 func (s fxState) Key() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "fx{%s n%d in%d %s heard%s conj%d", s.self, s.n, s.input, s.phase, s.heard.key(), s.conj)
-	for _, o := range s.out {
-		fmt.Fprintf(&sb, " →%s:%s", o.to, o.payload.Key())
-	}
+	var scratch [128]byte
+	buf := appendHeader(scratch[:0], "fx", s.self, s.n, s.input, s.phase.String())
+	buf = s.heard.appendKey(append(buf, " heard"...))
+	buf = strconv.AppendInt(append(buf, " conj"...), int64(s.conj), 10)
+	buf = appendOuts(buf, s.out)
 	if s.decided != sim.NoDecision {
-		fmt.Fprintf(&sb, " dec:%s", s.decided)
+		buf = append(append(buf, " dec:"...), s.decided.String()...)
 	}
-	fmt.Fprintf(&sb, " rm%s", s.removed.key())
+	buf = s.removed.appendKey(append(buf, " rm"...))
 	if s.phase == fxTerm {
-		fmt.Fprintf(&sb, " [%s]", s.term.key())
+		buf = append(s.term.appendKey(append(buf, " ["...)), ']')
 	}
-	sb.WriteString("}")
-	return sb.String()
+	return string(append(buf, '}'))
 }
 
 // Init implements sim.Protocol.

@@ -2,7 +2,7 @@ package protocols
 
 import (
 	"fmt"
-	"strings"
+	"strconv"
 
 	"repro/internal/sim"
 )
@@ -108,29 +108,28 @@ func (s starState) Amnesic() bool { return false }
 
 // Key implements sim.State.
 func (s starState) Key() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "star{%s n%d in%d %s heard%s conj%d", s.self, s.n, s.input, s.phase, s.heard.key(), s.conj)
+	var scratch [128]byte
+	buf := appendHeader(scratch[:0], "star", s.self, s.n, s.input, s.phase.String())
+	buf = s.heard.appendKey(append(buf, " heard"...))
+	buf = strconv.AppendInt(append(buf, " conj"...), int64(s.conj), 10)
 	if s.anyFail {
-		sb.WriteString(" fail")
+		buf = append(buf, " fail"...)
 	}
-	for _, o := range s.out {
-		fmt.Fprintf(&sb, " →%s:%s", o.to, o.payload.Key())
-	}
+	buf = appendOuts(buf, s.out)
 	if s.afterSend != sim.NoDecision {
-		fmt.Fprintf(&sb, " after:%s", s.afterSend)
+		buf = append(append(buf, " after:"...), s.afterSend.String()...)
 	}
 	if s.decided != sim.NoDecision {
-		fmt.Fprintf(&sb, " dec:%s", s.decided)
+		buf = append(append(buf, " dec:"...), s.decided.String()...)
 	}
 	if s.halted {
-		sb.WriteString(" halted")
+		buf = append(buf, " halted"...)
 	}
-	fmt.Fprintf(&sb, " rm%s", s.removed.key())
+	buf = s.removed.appendKey(append(buf, " rm"...))
 	if s.phase == starTerm {
-		fmt.Fprintf(&sb, " [%s]", s.term.key())
+		buf = append(s.term.appendKey(append(buf, " ["...)), ']')
 	}
-	sb.WriteString("}")
-	return sb.String()
+	return string(append(buf, '}'))
 }
 
 // Init implements sim.Protocol.

@@ -2,7 +2,7 @@ package protocols
 
 import (
 	"fmt"
-	"strings"
+	"strconv"
 
 	"repro/internal/sim"
 )
@@ -88,15 +88,20 @@ const (
 )
 
 func (ph treePhase) String() string {
-	names := map[treePhase]string{
-		phaseLeafSendVal: "leaf-send-val", phaseLeafWaitBias: "leaf-wait-bias",
-		phaseLeafWaitCommit: "leaf-wait-commit", phaseInnerWaitVals: "inner-wait-vals",
-		phaseInnerWaitBias: "inner-wait-bias", phaseInnerWaitAcks: "inner-wait-acks",
-		phaseInnerWaitCommit: "inner-wait-commit", phaseRootWaitVals: "root-wait-vals",
-		phaseRootWaitAcks: "root-wait-acks", phaseMainDone: "main-done",
-		phaseTerm: "term", phaseAmnesic: "amnesic",
+	if ph < 0 || int(ph) >= len(treePhaseNames) {
+		return ""
 	}
-	return names[ph]
+	return treePhaseNames[ph]
+}
+
+// treePhaseNames names each tree phase, by value.
+var treePhaseNames = [...]string{
+	phaseLeafSendVal: "leaf-send-val", phaseLeafWaitBias: "leaf-wait-bias",
+	phaseLeafWaitCommit: "leaf-wait-commit", phaseInnerWaitVals: "inner-wait-vals",
+	phaseInnerWaitBias: "inner-wait-bias", phaseInnerWaitAcks: "inner-wait-acks",
+	phaseInnerWaitCommit: "inner-wait-commit", phaseRootWaitVals: "root-wait-vals",
+	phaseRootWaitAcks: "root-wait-acks", phaseMainDone: "main-done",
+	phaseTerm: "term", phaseAmnesic: "amnesic",
 }
 
 // outItem is one pending main-protocol send.
@@ -170,36 +175,37 @@ func (s treeState) Amnesic() bool { return s.amnesic }
 
 // Key implements sim.State.
 func (s treeState) Key() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "tree{%s n%d in%d %s", s.self, s.n, s.input, s.phase)
-	fmt.Fprintf(&sb, " agg%d vals%s zk%s acks%s", s.agg, s.vals.key(), s.zeroKids.key(), s.acks.key())
+	var scratch [160]byte
+	buf := appendHeader(scratch[:0], "tree", s.self, s.n, s.input, s.phase.String())
+	buf = append(buf, " agg"...)
+	buf = strconv.AppendInt(buf, int64(s.agg), 10)
+	buf = s.vals.appendKey(append(buf, " vals"...))
+	buf = s.zeroKids.appendKey(append(buf, " zk"...))
+	buf = s.acks.appendKey(append(buf, " acks"...))
 	if s.biasKnown {
-		fmt.Fprintf(&sb, " bias%v", s.bias)
+		buf = strconv.AppendBool(append(buf, " bias"...), s.bias)
 	}
-	for _, o := range s.out {
-		fmt.Fprintf(&sb, " →%s:%s", o.to, o.payload.Key())
-	}
+	buf = appendOuts(buf, s.out)
 	if s.afterSend != sim.NoDecision {
-		fmt.Fprintf(&sb, " after:%s", s.afterSend)
+		buf = append(append(buf, " after:"...), s.afterSend.String()...)
 	}
 	if s.decided != sim.NoDecision {
-		fmt.Fprintf(&sb, " dec:%s", s.decided)
+		buf = append(append(buf, " dec:"...), s.decided.String()...)
 	}
 	if s.amnesic {
-		sb.WriteString(" amnesic")
+		buf = append(buf, " amnesic"...)
 	}
-	fmt.Fprintf(&sb, " rm%s", s.removed.key())
+	buf = s.removed.appendKey(append(buf, " rm"...))
 	if s.phase == phaseTerm {
-		fmt.Fprintf(&sb, " [%s]", s.term.key())
+		buf = append(s.term.appendKey(append(buf, " ["...)), ']')
 	}
 	if s.amnesicSent {
-		sb.WriteString(" asent")
+		buf = append(buf, " asent"...)
 	}
 	if !s.amnOut.empty() {
-		fmt.Fprintf(&sb, " aout%s", s.amnOut.key())
+		buf = s.amnOut.appendKey(append(buf, " aout"...))
 	}
-	sb.WriteString("}")
-	return sb.String()
+	return string(append(buf, '}'))
 }
 
 // committableNow reports the processor's current bias for termination-

@@ -36,7 +36,9 @@ import (
 	"math/bits"
 	"slices"
 	"sort"
+	"sync/atomic"
 
+	"repro/internal/cells"
 	"repro/internal/fingerprint"
 	"repro/internal/frontier"
 	"repro/internal/pattern"
@@ -134,7 +136,8 @@ type Options struct {
 	MaxNodes int
 	// Parallelism is pinned by bench/explore.go.
 	//
-	// Deprecated: ignored; the enumerator is sequential.
+	// Deprecated: ignored. Of runs its input vectors on GOMAXPROCS
+	// goroutines, and its result does not depend on how many.
 	Parallelism int
 }
 
@@ -550,6 +553,7 @@ func (e *enumerator) pattern(nd *node) *pattern.Pattern {
 // are expanded in admission order and cancellation and the budget cut it at
 // a dequeue and at an admission respectively, so the Enumeration (patterns,
 // Visited, Frontier, Status) is a pure function of the inputs and options.
+// OfContext runs one such walk per input vector, concurrently.
 func EnumerateContext(ctx context.Context, proto sim.Protocol, inputs []sim.Bit, opts Options) (*Enumeration, error) {
 	return newEnumerator(proto).enumerate(ctx, inputs, opts)
 }
@@ -646,19 +650,64 @@ func Of(proto sim.Protocol, opts Options) (*Set, error) {
 // OfContext computes the full scheme with graceful degradation: on
 // cancellation or budget exhaustion the union of every pattern found so far
 // accompanies the error, with Status naming the cutoff.
+//
+// Each input vector is one EnumerateContext walk, and the walks share
+// nothing that decides what they visit, so they run as concurrent cells
+// (internal/cells). The results are then taken in vector order, as one
+// walk after another would have produced them: unioned up to and including
+// the first vector whose walk erred, whose error is returned — or, if it
+// panicked, whose panic is re-raised with the protocol's own value. Once a
+// walk has erred, no later vector's walk starts.
 func OfContext(ctx context.Context, proto sim.Protocol, opts Options) (*Enumeration, error) {
-	out := &Enumeration{Set: NewSet()}
-	e := newEnumerator(proto)
-	for _, inputs := range sim.AllInputs(proto.N()) {
-		en, err := e.enumerate(ctx, inputs, opts)
-		if en != nil {
-			out.Set.Union(en.Set)
-			out.Visited += en.Visited
-			out.Frontier += en.Frontier
-			out.Status = en.Status
+	vectors := sim.AllInputs(proto.N())
+	type result struct {
+		en       *Enumeration
+		err      error
+		panicked bool
+		value    any
+	}
+	results := make([]result, len(vectors))
+	// Cells of equal cost start in index order, so a walk that starts after
+	// one has erred belongs to a later vector: it is skipped. A walk takes an
+	// idle enumerator when there is one (see enumerate), so no more are
+	// built than walks run at once.
+	var erred atomic.Bool
+	idle := make(chan *enumerator, len(vectors))
+	cells.Run(make([]int, len(vectors)), func(i int) {
+		if erred.Load() {
+			return
 		}
-		if err != nil {
-			return out, err
+		r := &results[i]
+		defer func() {
+			if v := recover(); v != nil {
+				r.panicked, r.value = true, v
+			}
+			if r.panicked || r.err != nil {
+				erred.Store(true)
+			}
+		}()
+		var e *enumerator
+		select {
+		case e = <-idle:
+		default:
+			e = newEnumerator(proto)
+		}
+		r.en, r.err = e.enumerate(ctx, vectors[i], opts)
+		idle <- e
+	})
+	out := &Enumeration{Set: NewSet()}
+	for _, r := range results {
+		if r.panicked {
+			panic(r.value)
+		}
+		if r.en != nil {
+			out.Set.Union(r.en.Set)
+			out.Visited += r.en.Visited
+			out.Frontier += r.en.Frontier
+			out.Status = r.en.Status
+		}
+		if r.err != nil {
+			return out, r.err
 		}
 	}
 	return out, nil

@@ -22,8 +22,8 @@ type Predicted struct {
 // step, which the reference walks of the differential suites (every edge a
 // plain Apply) would expose. Its keys do not name the protocol, so one
 // Predictor serves one protocol. It is a plain map and slab, not safe for
-// concurrent use: its callers are the checker's and the scheme enumerator's
-// walks, each on one goroutine.
+// concurrent use: each of its callers — a shard of the checker's walk, one
+// scheme enumerator — owns one and uses it on one goroutine at a time.
 type Predictor struct {
 	// memo maps a transition's cache key to its step's index in steps, a
 	// slab that only grows; an invalid transition is remembered as the zero
