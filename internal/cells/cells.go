@@ -1,9 +1,10 @@
-// Package cells runs independent cells — whole explorations whose results
-// do not depend on one another, such as the rows of an experiment —
+// Package cells runs independent cells — computations whose results do not
+// depend on one another, such as the rows of an experiment, the input
+// vectors of a scheme, or the shards of one level of a checker walk —
 // concurrently, and leaves their results where the caller put them, by
-// index. Each cell is still one sequential, deterministic computation, so
-// a result is the same whichever worker computed it and whenever: the
-// order results are read in is the caller's, never the schedule's.
+// index. Each cell is a deterministic computation, so a result is the same
+// whichever worker computed it and whenever: the order results are read in
+// is the caller's, never the schedule's.
 package cells
 
 import (

@@ -48,9 +48,9 @@ func (o WitnessOptions) maxFailures() int {
 
 // Witnesses runs the machine-checked evidence behind the lattice's base
 // facts and returns it in citation order. The witnesses share nothing, so
-// they run as concurrent cells (internal/cells), each one sequential and
-// deterministic; the evidence is assembled by citation index, so it does
-// not depend on the schedule.
+// they run as concurrent cells (internal/cells), each deterministic; the
+// evidence is assembled by citation index, so it does not depend on the
+// schedule.
 func Witnesses(opts WitnessOptions) []Evidence {
 	var cs []witnessCell
 	if opts.Exhaustive {

@@ -105,7 +105,13 @@ func (s procSet) members() []sim.ProcID {
 // key canonically encodes the set. Sets with no member ≥ 64 render exactly
 // as the old 32-bit mask did (bare hex of the low word), so state keys for
 // every N ≤ 31 configuration are byte-identical to the pre-widening ones.
-func (s procSet) key() string { return string(s.appendKey(nil)) }
+func (s procSet) key() string {
+	if s.hi == 0 {
+		return strconv.FormatUint(s.lo, 16)
+	}
+	var scratch [40]byte
+	return string(s.appendKey(scratch[:0]))
+}
 
 // appendKey appends the set's key to buf: the low word in bare hex, or the
 // high word, a dot and the low word as sixteen hex digits.
@@ -212,7 +218,10 @@ func newTermCore(self sim.ProcID, n int, bias bool, up procSet) termCore {
 	return c.advance()
 }
 
-func (c termCore) key() string { return string(c.appendKey(nil)) }
+func (c termCore) key() string {
+	var scratch [96]byte
+	return string(c.appendKey(scratch[:0]))
+}
 
 // appendKey appends the core's key to buf: "r<round> b<bias> up<set>
 // got<set> out<set>", " done" once done, and " e(<round>,<from>,<bias>)"
