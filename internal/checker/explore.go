@@ -10,9 +10,10 @@
 // node's successors is offered to the visited set, in event order, as soon
 // as it is built — so admission order is result order, and state ids, keys
 // and census entries exist only for admitted nodes. The walk runs as one
-// shard per admitted root, since no two roots reach a common node: the
-// shards step a level at a time on every core, and a sequential fold
-// replays their records in the joint walk's order (see explorer.run). Node
+// shard per orbit of input vectors (per vector without symmetry), since no
+// two orbits' roots reach a common node: the shards step a level at a time
+// on every core, and a sequential fold replays their records in the joint
+// walk's order (see explorer.run). Node
 // counts, the state census, violation order, and counterexample are
 // therefore a pure function of the root set and the options, whatever the
 // number of cores — including the partial results returned on cancellation
