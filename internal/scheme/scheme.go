@@ -636,6 +636,10 @@ func (e *enumerator) enumerate(ctx context.Context, inputs []sim.Bit, opts Optio
 	return en, nil
 }
 
+// vectorHook, when set, is called as OfContext's cell for vector i starts,
+// on the worker that runs it. Only tests set it, to hold a cell back.
+var vectorHook func(i int)
+
 // Of computes the full scheme of a protocol: the union of the pattern sets
 // over every input vector (all failure-free executions from every initial
 // configuration).
@@ -657,7 +661,8 @@ func Of(proto sim.Protocol, opts Options) (*Set, error) {
 // walk after another would have produced them: unioned up to and including
 // the first vector whose walk erred, whose error is returned — or, if it
 // panicked, whose panic is re-raised with the protocol's own value. Once a
-// walk has erred, no later vector's walk starts.
+// walk has erred, no later vector's walk starts; every earlier vector's
+// still runs, since the union takes it.
 func OfContext(ctx context.Context, proto sim.Protocol, opts Options) (*Enumeration, error) {
 	vectors := sim.AllInputs(proto.N())
 	type result struct {
@@ -667,14 +672,19 @@ func OfContext(ctx context.Context, proto sim.Protocol, opts Options) (*Enumerat
 		value    any
 	}
 	results := make([]result, len(vectors))
-	// Cells of equal cost start in index order, so a walk that starts after
-	// one has erred belongs to a later vector: it is skipped. A walk takes an
-	// idle enumerator when there is one (see enumerate), so no more are
-	// built than walks run at once.
-	var erred atomic.Bool
+	// firstErred is the lowest vector whose walk has erred so far: a walk of
+	// a later vector is skipped, as the union stops before it, and a walk of
+	// an earlier one runs whenever it starts. A walk takes an idle
+	// enumerator when there is one (see enumerate), so no more are built
+	// than walks run at once.
+	var firstErred atomic.Int64
+	firstErred.Store(int64(len(vectors)))
 	idle := make(chan *enumerator, len(vectors))
 	cells.Run(make([]int, len(vectors)), func(i int) {
-		if erred.Load() {
+		if vectorHook != nil {
+			vectorHook(i)
+		}
+		if int64(i) > firstErred.Load() {
 			return
 		}
 		r := &results[i]
@@ -683,7 +693,8 @@ func OfContext(ctx context.Context, proto sim.Protocol, opts Options) (*Enumerat
 				r.panicked, r.value = true, v
 			}
 			if r.panicked || r.err != nil {
-				erred.Store(true)
+				for k := firstErred.Load(); int64(i) < k && !firstErred.CompareAndSwap(k, int64(i)); k = firstErred.Load() {
+				}
 			}
 		}()
 		var e *enumerator

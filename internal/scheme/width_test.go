@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/protocols"
 	"repro/internal/sim"
@@ -82,5 +83,37 @@ func TestOfIsWidthIndependent(t *testing.T) {
 		if v != "boom" {
 			t.Errorf("GOMAXPROCS=%d: Of panicked with %#v, want the protocol's \"boom\"", w, v)
 		}
+	}
+}
+
+// TestOfRunsEveryVectorBeforeAnErredOne: a walk that errs skips only the
+// vectors after it, never an earlier one whose cell has not got as far as
+// its walk yet. Vector 0's cell is held back until vector 2's walk has
+// exceeded the budget and vector 3's cell has started; Of must still union
+// vector 0's walk, as it does at GOMAXPROCS=1.
+func TestOfRunsEveryVectorBeforeAnErredOne(t *testing.T) {
+	proto, opts := protocols.HaltingCommit{Procs: 3}, Options{MaxNodes: 140}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	want, err := OfContext(context.Background(), proto, opts)
+	wantText := fmt.Sprintf("%s\nerr=%v", enumDigest(want), err)
+
+	runtime.GOMAXPROCS(2)
+	release := make(chan struct{})
+	vectorHook = func(i int) {
+		switch i {
+		case 0:
+			select {
+			case <-release:
+			case <-time.After(10 * time.Second):
+				t.Error("vector 3's cell never started while vector 0's was held")
+			}
+		case 3:
+			close(release)
+		}
+	}
+	defer func() { vectorHook = nil }()
+	got, err := OfContext(context.Background(), proto, opts)
+	if gotText := fmt.Sprintf("%s\nerr=%v", enumDigest(got), err); gotText != wantText {
+		t.Errorf("with vector 0 held back:\n%s\nwant:\n%s", gotText, wantText)
 	}
 }
