@@ -17,11 +17,11 @@ import (
 )
 
 // Run calls do(i) for every i in [0, len(costs)) on up to GOMAXPROCS
-// goroutines — on the calling goroutine when one worker is all it gets, at
-// GOMAXPROCS=1 or for a single cell — and returns once every call has
-// returned. Cells are started in decreasing cost, ties in index order, so
-// the largest start first and the small ones fill in behind them; do(i)
-// must write only what belongs to cell i. If a cell panics, no further cell starts, and once every worker
+// goroutines — on the calling goroutine, in index order, when one worker is
+// all it gets, at GOMAXPROCS=1 or for a single cell — and returns once
+// every call has returned. Several workers start cells in decreasing cost,
+// ties in index order, so the largest start first and the small ones fill
+// in behind them; do(i) must write only what belongs to cell i. If a cell panics, no further cell starts, and once every worker
 // has joined Run panics on the calling goroutine with a *Panic for the
 // lowest-indexed cell that panicked.
 func Run(costs []int, do func(i int)) {
@@ -29,8 +29,6 @@ func Run(costs []int, do func(i int)) {
 	for i := range order {
 		order[i] = i
 	}
-	slices.SortStableFunc(order, func(a, b int) int { return costs[b] - costs[a] })
-
 	var (
 		next    atomic.Int64
 		failed  atomic.Bool
@@ -38,6 +36,9 @@ func Run(costs []int, do func(i int)) {
 		wg      sync.WaitGroup
 		workers = min(runtime.GOMAXPROCS(0), len(order))
 	)
+	if workers > 1 {
+		slices.SortStableFunc(order, func(a, b int) int { return costs[b] - costs[a] })
+	}
 	work := func(i int) {
 		defer func() {
 			if v := recover(); v != nil {

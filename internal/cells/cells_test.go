@@ -9,8 +9,8 @@ import (
 )
 
 // TestRunPlacesResultsByIndex: every cell runs once and its result lands at
-// its index; on one worker the cells start largest first, ties in index
-// order, on the calling goroutine.
+// its index; one worker runs the cells in index order on the calling
+// goroutine.
 func TestRunPlacesResultsByIndex(t *testing.T) {
 	costs := []int{3, 9, 1, 9, 0, 5}
 	out := make([]int, len(costs))
@@ -28,7 +28,7 @@ func TestRunPlacesResultsByIndex(t *testing.T) {
 		started = append(started, i)
 		during = max(during, runtime.NumGoroutine())
 	})
-	if want := []int{1, 3, 5, 0, 2, 4}; !slices.Equal(started, want) {
+	if want := []int{0, 1, 2, 3, 4, 5}; !slices.Equal(started, want) {
 		t.Errorf("one worker started cells %v, want %v", started, want)
 	}
 	if during > before {

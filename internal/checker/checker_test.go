@@ -246,12 +246,13 @@ func TestAllocsCheckNearExplore(t *testing.T) {
 // the buffers a step changes, its ledger when the step decided, its share of
 // the transition cache — and nothing for the node, its configuration's
 // containers, the census, the state ids or the dedup handle beyond amortized
-// growth, since stepped nodes are recycled. Measured: 3.82 allocations (4.11
-// under the race detector) and 435 bytes per node on tree(3) mf2, 1.88 and
-// 295 on fullexchange(3) mf1 (11.83 and 1 080, 8.55 and 858 while every built
-// successor was a fresh node and a fresh clone; 15.8 and 13.9 allocations
-// when the census was maps of strings and every node kept a record with its
-// own index slice).
+// growth, since stepped nodes are recycled. Measured: 3.27 allocations and
+// 410 bytes per node on tree(3) mf2, 1.83 and 300 on fullexchange(3) mf1
+// with the walk sharded (3.82, 4.11 under the race detector, and 435; 1.88
+// and 295 for the one-goroutine walk; 11.83 and 1 080, 8.55 and 858 while
+// every built successor was a fresh node and a fresh clone; 15.8 and 13.9
+// allocations when the census was maps of strings and every node kept a
+// record with its own index slice).
 func TestAllocsExplorePerNode(t *testing.T) {
 	cells := []struct {
 		proto     sim.Protocol

@@ -24,8 +24,10 @@ package checker
 import (
 	"context"
 	"fmt"
+	"math"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/cells"
@@ -415,6 +417,21 @@ type explorer struct {
 	predictors []*sim.Predictor
 	runs, next []run
 	queued     int
+	// While the shards step a level, room is how many nodes it may admit
+	// before the budget cuts the walk — MaxNodes less the nodes accepted
+	// before it; admitted counts, for each run of the level, the nodes its
+	// shard has admitted from the run's parents so far; and cut is the
+	// least position, in the joint walk's order of the level, of a parent
+	// at or before whose edges some shard has seen the fold must stop
+	// (math.MaxInt64 while none has): no shard steps a parent after it, as
+	// the fold never reads one.
+	room     int
+	admitted []runCount
+	cut      atomic.Int64
+	// fanout is the most events any parent folded so far took: room for
+	// fewer than fanout nodes per parent of a level may mean the level is
+	// cut.
+	fanout int
 	// judges are the problems the walk is checked against (none for a plain
 	// Explore); violated records that some judge has a violation, which is
 	// what StopAtFirstViolation waits for.
@@ -447,7 +464,9 @@ type explorer struct {
 // cell (internal/cells) — concurrently, or in turn on the calling goroutine
 // at GOMAXPROCS=1 — and fold then replays the records in the joint order,
 // which the previous fold wrote down as runs, so the result is the joint
-// walk's at every width, including where it is cut. The context is polled
+// walk's at every width, including where it is cut; a shard that sees the
+// fold will stop within its level ends the level there (shard.stepLevel),
+// so a cut walk steps little past the cut. The context is polled
 // once per parent, by the fold, so a cancellation cuts the result at a node
 // boundary.
 func (e *explorer) run(ctx context.Context) error {
@@ -484,10 +503,25 @@ func (e *explorer) run(ctx context.Context) error {
 	}
 	costs := make([]int, len(e.shards))
 	for e.queued > 0 {
+		// A level that may be cut is stepped in shard order, as the shards
+		// ahead in the joint order tell the others where it is cut; every
+		// other level largest shard first.
+		uncut := e.opts.maxNodes()-x.NodeCount >= e.queued*e.fanout
 		for i, sh := range e.shards {
 			sh.advance()
-			costs[i] = len(sh.level)
+			costs[i] = 0
+			if uncut {
+				costs[i] = len(sh.level)
+			}
 		}
+		at := 0
+		for k, r := range e.next {
+			r.sh.spans = append(r.sh.spans, span{n: r.n, at: at, run: k})
+			at += r.n
+		}
+		e.room = e.opts.maxNodes() - x.NodeCount
+		e.admitted = make([]runCount, len(e.next))
+		e.cut.Store(math.MaxInt64)
 		done := ctx.Done()
 		cells.Run(costs, func(i int) { e.shards[i].stepLevel(done) })
 		if stop, err := e.fold(ctx); stop {
@@ -516,6 +550,36 @@ func (e *explorer) orbitOf(inputs []sim.Bit) string {
 type run struct {
 	sh *shard
 	n  int
+}
+
+// span is a run as the shard that holds it sees it: n nodes of its level,
+// the first of them at position at in the joint walk's order of the level,
+// and the run's index in that order.
+type span struct{ n, at, run int }
+
+// runCount is one run's count in explorer.admitted, on a cache line of its
+// own, since each is written by its own shard while the others read it.
+type runCount struct {
+	n atomic.Int64
+	_ [56]byte
+}
+
+// admittedBefore is how many nodes the shards have so far admitted from
+// the parents of the level's runs before run k: a lower bound on the
+// nodes the fold accepts before it reaches the run.
+func (e *explorer) admittedBefore(k int) int {
+	n := int64(0)
+	for i := range e.admitted[:k] {
+		n += e.admitted[i].n.Load()
+	}
+	return int(n)
+}
+
+// cutAt records that the fold is sure to stop at or before the edges of
+// the level's parent at position at (see explorer.cut).
+func (e *explorer) cutAt(at int) {
+	for c := e.cut.Load(); int64(at) < c && !e.cut.CompareAndSwap(c, int64(at)); c = e.cut.Load() {
+	}
 }
 
 // queue puts the node shard sh has just added to its next level at the end
@@ -558,6 +622,7 @@ func (e *explorer) fold(ctx context.Context) (stop bool, err error) {
 			}
 			st := sh.steps[k]
 			st.count(&x.Reduction)
+			e.fanout = max(e.fanout, int(st.events))
 			end := len(sh.edges)
 			if k+1 < len(sh.steps) {
 				end = int(sh.steps[k+1].edges)

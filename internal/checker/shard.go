@@ -1,6 +1,7 @@
 package checker
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 
@@ -20,7 +21,9 @@ import (
 // others, and writes down what the joint walk must do with each parent and
 // edge (steps, edges); it numbers, judges, counts and cuts nothing —
 // explorer.fold replays the records in the joint walk's order and does all
-// of that there.
+// of that there. A shard only ends its level early where it can see that
+// the fold will stop (see stepLevel), so that a cut walk does not step,
+// build and keep the rest of a level the fold never reads.
 type shard struct {
 	e       *explorer // read only while the shard steps
 	visited *frontier.SeqVisited
@@ -43,6 +46,12 @@ type shard struct {
 	levelVecs, nextVecs []fingerprint.Digest
 	pvec                []fingerprint.Digest
 	svecs               [2][]fingerprint.Digest
+	// spans places the level's nodes in the joint walk's order of the
+	// level, run by run. While the shard steps one, start is where the
+	// run's admissions begin in next, and base how many nodes the shards
+	// had admitted from the runs before it when last counted.
+	spans       []span
+	start, base int
 	// free holds nodes the shard is done with — stepped, or built and
 	// rejected — whose node and configuration the next built successor is
 	// written into. Nothing reads a node after that: level slots are nilled,
@@ -204,24 +213,57 @@ func (sh *shard) traceTo(fp fingerprint.Digest) ([]sim.Bit, sim.Schedule) {
 	return sh.e.inputs[link.vec], sched
 }
 
+// errCut ends a level at an edge where the fold is sure to stop (see
+// stepLevel).
+var errCut = errors.New("checker: the fold stops at this edge")
+
+// cutCheck is how many parents a shard steps between two readings of the
+// other runs' counts: each reading loads lines the other shards write.
+const cutCheck = 16
+
 // stepLevel steps every node of the level in order, recording what the
-// fold needs, and stops early at a protocol error or panic (fault) or once
-// done is closed. It never polls the context's Err: the fold does, once per
-// parent, as the joint walk does at each dequeue.
+// fold needs, and stops early at a protocol error or panic (fault), once
+// done is closed, or where the fold is sure to stop before it reads
+// further. That is so after an edge with violations when the walk stops at
+// the first, and where the nodes admitted before an edge or a parent in the
+// joint order exceed the level's room, so the budget is spent there if not
+// sooner. The shard counts those as its own admissions in the run it steps
+// plus what the shards had admitted from the runs before it (explorer.
+// admitted, read at each run and every cutCheck parents): a lower bound, as
+// the counts only grow. The shard then marks the position as the level's
+// cut, and no shard steps a parent after it. It never polls the context's
+// Err: the fold does, once per parent, as the joint walk does at each
+// dequeue.
 func (sh *shard) stepLevel(done <-chan struct{}) {
 	clear(sh.edges)
 	sh.steps, sh.edges, sh.slots, sh.pending, sh.fault, sh.panicked, sh.folded = sh.steps[:0], sh.edges[:0], sh.slots[:0], prunes{}, nil, false, 0
+	spans := sh.spans
+	sh.spans = sh.spans[:0]
 	defer func() {
 		if v := recover(); v != nil {
 			sh.fault, sh.panicked = v, true
 		}
 	}()
-	w := len(sh.pvec)
+	e, w := sh.e, len(sh.pvec)
+	at, left, run := 0, 0, 0
 	for i, nd := range sh.level {
 		select {
 		case <-done:
 			return
 		default:
+		}
+		if left == 0 {
+			at, left, run, spans = spans[0].at, spans[0].n, spans[0].run, spans[1:]
+			sh.start, sh.base = len(sh.next), e.admittedBefore(run)
+		} else if i%cutCheck == 0 {
+			sh.base = e.admittedBefore(run)
+		}
+		if int64(at) > e.cut.Load() {
+			return
+		}
+		if sh.base+len(sh.next)-sh.start > e.room {
+			e.cutAt(at - 1)
+			return
 		}
 		if w == 1 {
 			sh.pvec[0] = nd.fp
@@ -229,13 +271,18 @@ func (sh *shard) stepLevel(done <-chan struct{}) {
 			copy(sh.pvec, sh.levelVecs[i*w:])
 		}
 		sh.steps = append(sh.steps, stepRecord{edges: int32(len(sh.edges))})
-		if err := sh.step(nd, &sh.steps[len(sh.steps)-1]); err != nil {
+		if err := sh.step(nd, &sh.steps[len(sh.steps)-1]); err == errCut {
+			e.cutAt(at)
+			return
+		} else if err != nil {
 			sh.fault = err
 			return
 		}
+		e.admitted[run].n.Store(int64(len(sh.next) - sh.start))
 		sh.flush()
 		sh.level[i] = nil
 		sh.release(nd)
+		at, left = at+1, left-1
 	}
 }
 
@@ -387,8 +434,7 @@ func (sh *shard) offer(parent *node, s *succ, failureSeen bool) (err error) {
 			canonicalizeHook(sh, parent, *s)
 		}
 	}
-	sh.admit(parent, s, failureSeen)
-	return nil
+	return sh.admit(parent, s, failureSeen)
 }
 
 // admit offers one built successor of parent to the shard: the trace link
@@ -397,8 +443,9 @@ func (sh *shard) offer(parent *node, s *succ, failureSeen bool) (err error) {
 // then the visited set decides, and a node it admits joins the next level.
 // What the joint walk does with the edge — report its violations, count the
 // prune or number, census and judge the node, and stop there — the fold
-// does from the record.
-func (sh *shard) admit(parent *node, s *succ, failureSeen bool) {
+// does from the record. admit returns errCut when the fold is sure to stop
+// at the edge (see stepLevel).
+func (sh *shard) admit(parent *node, s *succ, failureSeen bool) error {
 	nd := s.nd
 	sh.link(parent, nd, s.event)
 	var found [][]taxonomy.Violation
@@ -410,18 +457,26 @@ func (sh *shard) admit(parent *node, s *succ, failureSeen bool) {
 			found[i] = v
 		}
 	}
+	stop := sh.e.opts.StopAtFirstViolation
 	if !sh.visited.Admit(nd.fp, "") {
 		if found != nil {
 			sh.record(edgeRecord{violations: found, at: nd.fp})
 		}
 		sh.pending.count(s)
 		sh.release(nd)
-		return
+		if stop && found != nil {
+			return errCut
+		}
+		return nil
 	}
 	r := edgeRecord{violations: found, child: nd, at: nd.fp}
 	sh.describe(&r)
 	sh.record(r)
 	sh.enqueue(nd, s.vec)
+	if stop && (found != nil || r.violates) || sh.base+len(sh.next)-sh.start > sh.e.room {
+		return errCut
+	}
+	return nil
 }
 
 // build materializes s.event's successor of nd with its dedup handle.

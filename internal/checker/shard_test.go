@@ -141,3 +141,75 @@ func TestShardedWalkIsWidthIndependent(t *testing.T) {
 		t.Errorf("GOMAXPROCS=%d: walks diverged from %s:\n%s", width, path, firstDiff(string(want), got.String()))
 	}
 }
+
+// TestCutWalkStepsLittlePastTheCut holds a cut walk's work to the cut: a
+// shard ends its level where it sees that the fold will stop, so it admits
+// at most one node past the room the level had under the budget. At
+// GOMAXPROCS=1, where the shards step a level that may be cut in turn, and
+// for a walk of one shard at any width, the walk admits exactly what the
+// joint walk admitted — one node past the budget, or nothing past the first
+// violation — where stepping every level whole admitted the rest of the cut
+// level too (2 485 nodes for tree-mf2/max5000's 202).
+func TestCutWalkStepsLittlePastTheCut(t *testing.T) {
+	wttc, htic := problem(taxonomy.WT, taxonomy.TC), problem(taxonomy.HT, taxonomy.IC)
+	star, tree := protocols.Star{Procs: 3}, protocols.Tree{Procs: 3}
+	one, ones := [][]sim.Bit{{0, 1, 1}}, [][]sim.Bit{{1, 1, 1}}
+	cases := []struct {
+		name     string
+		proto    sim.Protocol
+		problems []taxonomy.Problem
+		opts     Options
+	}{
+		{"tree-mf2/max5000", tree, []taxonomy.Problem{wttc}, Options{MaxFailures: 2, MaxNodes: 5_000}},
+		{"star-mf2/max6000", star, []taxonomy.Problem{htic}, Options{MaxFailures: 2, MaxNodes: 6_000}},
+		{"star-mf2/max36000", star, nil, Options{MaxFailures: 2, MaxNodes: 36_000}},
+		{"tree-mf2/011/max2000", tree, nil, Options{MaxFailures: 2, MaxNodes: 2_000, Inputs: one}},
+		{"star-mf2/111/stop", star, []taxonomy.Problem{wttc}, Options{MaxFailures: 2, StopAtFirstViolation: true, Inputs: ones}},
+	}
+	width := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(width)
+	for _, c := range cases {
+		for _, w := range []int{1, width} {
+			runtime.GOMAXPROCS(w)
+			e, err := newExplorer(c.proto, c.problems, c.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e.inputs = c.opts.Inputs
+			if e.inputs == nil {
+				e.inputs = sim.AllInputs(e.n)
+			}
+			for _, inputs := range e.inputs {
+				e.vecs = append(e.vecs, sim.InputsString(inputs))
+			}
+			err = e.run(context.Background())
+			if e.x.Status == StatusComplete && !e.violated {
+				t.Fatalf("%s: the walk was not cut (err=%v)", c.name, err)
+			}
+			// The cut level's admissions are in each shard's next level,
+			// and the level started with MaxNodes less its room accepted.
+			accepted := e.x.NodeCount - (e.opts.maxNodes() - e.room)
+			admitted := 0
+			for i, sh := range e.shards {
+				admitted += len(sh.next)
+				if len(sh.next) > e.room+1 {
+					t.Errorf("%s at GOMAXPROCS=%d: shard %d admitted %d nodes in the cut level, whose room was %d", c.name, w, i, len(sh.next), e.room)
+				}
+			}
+			t.Logf("%s at GOMAXPROCS=%d: %d shards, room %d, %d admitted and %d accepted in the cut level", c.name, w, len(e.shards), e.room, admitted, accepted)
+			if w > 1 && len(e.shards) > 1 {
+				continue
+			}
+			want := accepted
+			if e.x.Status == StatusExhausted {
+				want++ // the joint walk admits the node it cuts at, too
+			}
+			if admitted != want {
+				t.Errorf("%s at GOMAXPROCS=%d: the shards admitted %d nodes in the cut level, the joint walk %d", c.name, w, admitted, want)
+			}
+			if sh := e.shards[len(e.shards)-1]; len(e.shards) == 1 && sh.folded != len(sh.steps) {
+				t.Errorf("%s at GOMAXPROCS=%d: the shard stepped %d parents in the cut level, the fold read %d", c.name, w, len(sh.steps), sh.folded)
+			}
+		}
+	}
+}
