@@ -77,8 +77,8 @@ func (t *decidedTracker) update(c *sim.Config) {
 	if t.decided == nil {
 		t.decided = make([]bool, c.N())
 	}
-	for p, s := range c.States {
-		if _, ok := s.Decided(); ok {
+	for p := range t.decided {
+		if _, ok := c.DecidedAt(sim.ProcID(p)); ok {
 			t.decided[p] = true
 		}
 	}
@@ -95,7 +95,7 @@ func (a *delayAdversary) Choose(rng *rand.Rand, _ sim.Protocol, c *sim.Config, e
 	a.update(c)
 	victim := sim.ProcID(-1)
 	for p := 0; p < c.N(); p++ {
-		if !a.decided[p] && c.States[p].Kind() != sim.Failed {
+		if !a.decided[p] && c.KindAt(sim.ProcID(p)) != sim.Failed {
 			victim = sim.ProcID(p)
 			break
 		}

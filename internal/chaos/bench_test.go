@@ -38,19 +38,22 @@ func BenchmarkSweepUniform(b *testing.B)        { benchmarkSweep(b, uniformCell)
 func BenchmarkSweepAdaptiveShrink(b *testing.B) { benchmarkSweep(b, adaptiveShrinkCell) }
 
 // TestSweepAllocationPins bounds what a run costs the heap. A sweep is a
-// pure function of its options on one worker, so the counts repeat; the
-// ceilings are 55 % of the allocations and 40 % of the bytes the same
-// sweeps cost at 1b5fe81, where every event cloned the configuration into
-// a history (per run: uniform 1 163 allocations / 201.4 KiB, adaptive with
-// shrinks 3 580 / 513.3 KiB).
+// pure function of its options on one worker, so the counts repeat. The
+// ceilings keep the margins the previous pins left over the sweeps' costs
+// before the shrinker replayed from a checkpoint, the kind and decision
+// memo was always on and each worker kept its PRNG and schedule buffer:
+// per run, uniform 374 allocations / 59.2 KiB then, under ceilings of 640
+// and 80.6 (1.71× and 1.36×); adaptive with shrinks 1 079 / 123.7 KiB
+// under 1 969 and 205.3 (1.82× and 1.66×). Now uniform costs 366 / 45.0
+// KiB and adaptive with shrinks 530 / 56.5 KiB.
 func TestSweepAllocationPins(t *testing.T) {
 	cases := []struct {
 		name              string
 		opts              Options
 		maxAllocs, maxKiB float64 // per run
 	}{
-		{"uniform", uniformCell, 0.55 * 1163, 0.40 * 201.4},
-		{"adaptive+shrink", adaptiveShrinkCell, 0.55 * 3580, 0.40 * 513.3},
+		{"uniform", uniformCell, 1.71 * 366, 1.36 * 45.0},
+		{"adaptive+shrink", adaptiveShrinkCell, 1.82 * 530, 1.66 * 56.5},
 	}
 	for _, tc := range cases {
 		sweepTree7(t, tc.opts) // warm: lazily built tables are not a run's cost

@@ -335,8 +335,9 @@ func Run(ctx context.Context, proto sim.Protocol, problem taxonomy.Problem, opts
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var w worker
 			for i := range idxCh {
-				results[i] = execute(ctx, proto, problem, plans[i], i, maxSteps, opts)
+				results[i] = w.execute(ctx, proto, problem, plans[i], i, maxSteps, opts)
 			}
 		}()
 	}
@@ -440,14 +441,37 @@ func PlanRuns(seed int64, runs, n, maxFail int, fixed [][]sim.Bit) []RunPlan {
 	return plans
 }
 
+// worker is what one sweep goroutine keeps across the runs it executes: the
+// scheduler's PRNG, reseeded per run, and the buffer each run's schedule is
+// walked into. Neither outlives a run in what it reports — a Failure copies
+// its schedule out.
+type worker struct {
+	rng   *rand.Rand
+	sched sim.Schedule
+}
+
 // execute runs one plan to a verdict. A panic anywhere in protocol code is
 // recovered and reported as a failure instead of crashing the sweep.
-func execute(ctx context.Context, proto sim.Protocol, problem taxonomy.Problem, pl RunPlan, idx, maxSteps int, opts Options) (res runResult) {
+func (w *worker) execute(ctx context.Context, proto sim.Protocol, problem taxonomy.Problem, pl RunPlan, idx, maxSteps int, opts Options) (res runResult) {
 	res.done = true
 	res.planned = len(pl.Failures)
+	// choices counts the scheduler's calls to Choose. Its n-th call comes
+	// once the walk has injected every failure planned at or before n−1
+	// normal steps, so a walk that panics has fired those and no others.
+	choices, walked := 0, false
 	defer func() {
 		if r := recover(); r != nil {
 			msg := fmt.Sprintf("%v", r)
+			if !walked {
+				res.fired, res.unfired = 0, 0
+				for _, f := range pl.Failures {
+					if f.AfterStep < choices {
+						res.fired++
+					} else {
+						res.unfired++
+					}
+				}
+			}
 			res.outcome = OutcomePanicked
 			res.failure = &Failure{
 				RunIndex:   idx,
@@ -461,7 +485,13 @@ func execute(ctx context.Context, proto sim.Protocol, problem taxonomy.Problem, 
 		}
 	}()
 
-	rng := rand.New(rand.NewSource(pl.Seed))
+	// Reseeding gives the stream rand.New(rand.NewSource(pl.Seed)) would.
+	if w.rng == nil {
+		w.rng = rand.New(rand.NewSource(pl.Seed))
+	} else {
+		w.rng.Seed(pl.Seed)
+	}
+	rng := w.rng
 	// Options were validated by Run, so the adversary name resolves.
 	adv, _ := NewAdversary(opts.Adversary)
 	// One configuration, stepped in place and judged as it goes: neither
@@ -473,6 +503,7 @@ func execute(ctx context.Context, proto sim.Protocol, problem taxonomy.Problem, 
 		MaxSteps: maxSteps,
 		Failures: pl.Failures,
 		Choose: func(c *sim.Config, enabled []sim.Event) int {
+			choices++
 			select {
 			case <-ctx.Done():
 				return -1
@@ -480,12 +511,13 @@ func execute(ctx context.Context, proto sim.Protocol, problem taxonomy.Problem, 
 			}
 			return adv.Choose(rng, proto, c, enabled)
 		},
-	}, func(e sim.Event, c *sim.Config) {
+	}, w.sched[:0], func(e sim.Event, c *sim.Config) {
 		if e.Type == sim.Omit {
 			omissions++
 		}
 		checker.Observe(e, c)
 	})
+	w.sched, walked = sched, true
 	res.unfired = len(unfired)
 	res.fired = len(pl.Failures) - len(unfired)
 	res.omissions = omissions
@@ -520,7 +552,7 @@ func execute(ctx context.Context, proto sim.Protocol, problem taxonomy.Problem, 
 		Injections:    pl.Failures,
 		Outcome:       OutcomeViolated,
 		Violations:    violations,
-		Schedule:      sched,
+		Schedule:      append(sim.Schedule(nil), sched...),
 		OriginalSteps: len(sched),
 	}
 	if opts.Minimize {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -275,6 +276,37 @@ func TestPanicBecomesReportedFailure(t *testing.T) {
 		t.Fatalf("panic did not reproduce: %+v", res)
 	}
 
+	// A run that panics accounts for its planned injections like any
+	// other: those the walk injected before the panic fired, the rest did
+	// not, run by run and in the sweep's totals.
+	rep, err = Run(context.Background(), grenadeProto{}, prob,
+		Options{Runs: 40, Seed: 3, MaxFailures: 1})
+	if err != nil {
+		t.Fatalf("chaos.Run: %v", err)
+	}
+	planned, fired, unfired, panickedFired := 0, 0, 0, 0
+	for _, st := range rep.RunStats {
+		if st.InjectionsPlanned != st.InjectionsFired+st.InjectionsUnfired {
+			t.Errorf("run %d (%s): %d injections planned, %d fired, %d unfired", st.Run, st.Outcome,
+				st.InjectionsPlanned, st.InjectionsFired, st.InjectionsUnfired)
+		}
+		planned += st.InjectionsPlanned
+		fired += st.InjectionsFired
+		unfired += st.InjectionsUnfired
+		if st.Outcome == OutcomePanicked.String() {
+			panickedFired += st.InjectionsFired
+		}
+	}
+	if rep.InjectionsPlanned != rep.InjectionsFired+rep.InjectionsUnfired ||
+		planned != rep.InjectionsPlanned || fired != rep.InjectionsFired || unfired != rep.InjectionsUnfired {
+		t.Errorf("sweep accounts %d planned, %d fired, %d unfired; its runs %d, %d, %d",
+			rep.InjectionsPlanned, rep.InjectionsFired, rep.InjectionsUnfired, planned, fired, unfired)
+	}
+	if rep.Panicked == 0 || unfired == 0 || panickedFired == 0 {
+		t.Errorf("thin coverage: %d panicked runs, %d unfired injections, %d fired by panicking runs",
+			rep.Panicked, unfired, panickedFired)
+	}
+
 	// An injection naming a processor the protocol does not have is
 	// refused by the scheduler before the first step: an error, not a
 	// reproduced (or any other) panic.
@@ -283,5 +315,41 @@ func TestPanicBecomesReportedFailure(t *testing.T) {
 	res, err = Replay(&bad, grenadeProto{}, prob)
 	if err == nil || !strings.Contains(err.Error(), "names processor 9") || res != nil {
 		t.Fatalf("panic replay with an injection at p9 = (%+v, %v), want no result and the scheduler's error", res, err)
+	}
+}
+
+// TestFailureSchedulesAreTheirOwn: a worker walks every run into one reused
+// buffer, so a Failure that kept that buffer would be overwritten by the
+// worker's next run. With Minimize off, every reported schedule must equal a
+// fresh walk of its run's plan, at one worker and at eight.
+func TestFailureSchedulesAreTheirOwn(t *testing.T) {
+	proto, prob := protocols.Tree{Procs: 7}, problem(taxonomy.WT, taxonomy.TC)
+	for _, par := range []int{1, 8} {
+		opts := Options{Runs: 120, Seed: 611, Parallel: par, MaxFailures: 0,
+			Adversary: AdversaryAdaptive, OmissionBudget: 2, MobileOmissions: 1}
+		rep, err := Run(context.Background(), proto, prob, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Violated < 100 {
+			t.Fatalf("parallel %d: %d violating runs, want at least 100", par, rep.Violated)
+		}
+		plans := PlanRuns(opts.Seed, opts.Runs, proto.N(), 0, nil)
+		for _, f := range rep.Failures {
+			pl := plans[f.RunIndex]
+			adv, err := NewAdversary(opts.Adversary)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(pl.Seed))
+			c := sim.NewConfigOmission(proto, pl.Inputs, opts.omission())
+			want, _, _ := sim.RandomWalk(proto, c, sim.RunnerOptions{
+				MaxSteps: opts.maxSteps(), Failures: pl.Failures,
+				Choose: func(c *sim.Config, enabled []sim.Event) int { return adv.Choose(rng, proto, c, enabled) },
+			}, nil, func(sim.Event, *sim.Config) {})
+			if got, want := compactSchedule(f.Schedule), compactSchedule(want); got != want {
+				t.Fatalf("parallel %d, run %d: reported schedule\n\t%s\na fresh walk of its plan\n\t%s", par, f.RunIndex, got, want)
+			}
+		}
 	}
 }

@@ -59,7 +59,7 @@ func TestWalkMatchesRun(t *testing.T) {
 					c := sim.NewConfigOmission(proto, pl.Inputs, pol)
 					checker := taxonomy.NewStreamChecker(problem, c)
 					omissions := 0
-					sched, unfired, walkErr := sim.RandomWalk(proto, c, options(), func(e sim.Event, c *sim.Config) {
+					sched, unfired, walkErr := sim.RandomWalk(proto, c, options(), nil, func(e sim.Event, c *sim.Config) {
 						if e.Type == sim.Omit {
 							omissions++
 						}
@@ -117,7 +117,7 @@ func TestWalkHandsOutOneConfig(t *testing.T) {
 	initial := c.Key()
 	var kept []*sim.Config
 	var keys []string
-	sched, _, err := sim.RandomWalk(proto, c, sim.RunnerOptions{Seed: 3}, func(_ sim.Event, c *sim.Config) {
+	sched, _, err := sim.RandomWalk(proto, c, sim.RunnerOptions{Seed: 3}, nil, func(_ sim.Event, c *sim.Config) {
 		kept = append(kept, c)
 		keys = append(keys, c.Key())
 	})

@@ -30,42 +30,118 @@ func Evaluate(proto sim.Protocol, inputs []sim.Bit, sched sim.Schedule, problem 
 	return r.judge(sched)
 }
 
-// replayer judges schedules: each is replayed on a scratch copy of one
-// initial configuration, stepped in place by taxonomy.StreamChecker.Replay.
+// replayer judges schedules, each replayed by taxonomy.StreamChecker.Replay
+// on a scratch configuration stepped in place. It keeps a checkpoint: the
+// configuration and checker that the first at events of a base schedule
+// reach. A candidate that shares that prefix replays only the rest, from a
+// scratch copy of the checkpoint, and the checkpoint moves forward along
+// the base schedule as the candidates' shared prefix grows (DESIGN.md §6).
 type replayer struct {
 	proto   sim.Protocol
 	inputs  []sim.Bit
 	problem taxonomy.Problem
-	initial *sim.Config // built by the first judge, under its recover
+	// initial and start are the initial configuration and its checker,
+	// built by the first replay, under its recover.
+	initial *sim.Config
+	start   *taxonomy.StreamChecker
+	// ck and ckSC are the checkpoint once ready: copies of initial and
+	// start stepped through the first at events of the base schedule.
+	// While not ready the checkpoint is initial and start themselves, at
+	// 0. lost means that a step of the base schedule did not apply, or
+	// panicked, as the checkpoint moved over it: the checkpoint then stays
+	// at the initial configuration until rewind, and candidates replay
+	// their whole prefix.
+	ck    sim.Config
+	ckSC  taxonomy.StreamChecker
+	at    int
+	ready bool
+	lost  bool
+	// scratch and sc are a candidate's copy of the checkpoint.
 	scratch sim.Config
+	sc      taxonomy.StreamChecker
 }
 
-// judge replays the schedule and judges it. A schedule with an event that
-// does not apply is inapplicable, and one on which the protocol broke a
-// model contract is applicable with a "model" violation. Liveness
-// (termination) is judged only when the replay ends quiescent. Panics in
-// protocol code are recovered and render the schedule inapplicable.
-func (r *replayer) judge(sched sim.Schedule) (v verdict) {
+// rewind moves the checkpoint back to the initial configuration, for a
+// base schedule that need not extend the last one.
+func (r *replayer) rewind() { r.at, r.ready, r.lost = 0, false, false }
+
+// lose moves the checkpoint back to the initial configuration until
+// rewind. The step that failed may have left ck half written, so nothing
+// of it is kept.
+func (r *replayer) lose() { r.at, r.ready, r.lost = 0, false, true }
+
+// seek moves the checkpoint forward to base[:k], which must extend the
+// prefix it holds.
+func (r *replayer) seek(base sim.Schedule, k int) {
+	if r.initial == nil {
+		r.initial = sim.NewConfig(r.proto, r.inputs)
+		r.start = taxonomy.NewStreamChecker(r.problem, r.initial)
+	}
+	if r.lost || r.at == k {
+		return
+	}
+	if !r.ready {
+		r.ck.CopyFrom(r.initial)
+		r.ckSC.CopyFrom(r.start, &r.ck)
+		r.ready = true
+	}
+	defer func() {
+		if recover() != nil {
+			r.lose()
+		}
+	}()
+	applied, err := r.ckSC.Replay(r.proto, &r.ck, base[r.at:k])
+	r.at += applied
+	if err != nil || r.at < k {
+		r.lose()
+	}
+}
+
+// judgeAfter judges the schedule base[:k] followed by the segments of rest.
+// It moves the checkpoint to base[:k] and replays the rest from a scratch
+// copy of it; while the checkpoint is lost, the copy is of the initial
+// configuration and base[:k] is replayed first. A schedule with an event that does not apply is inapplicable, and
+// one on which the protocol broke a model contract is applicable with a
+// "model" violation. Liveness (termination) is judged only when the replay
+// ends quiescent. Panics in protocol code are recovered and render the
+// schedule inapplicable.
+func (r *replayer) judgeAfter(base sim.Schedule, k int, rest ...sim.Schedule) (v verdict) {
 	defer func() {
 		if recover() != nil {
 			v = verdict{}
 		}
 	}()
-	if r.initial == nil {
-		r.initial = sim.NewConfig(r.proto, r.inputs)
+	r.seek(base, k)
+	from, fromSC := r.initial, r.start
+	if r.ready {
+		from, fromSC = &r.ck, &r.ckSC
 	}
-	c := &r.scratch
-	c.CopyFrom(r.initial)
-	checker := taxonomy.NewStreamChecker(r.problem, c)
-	applied, err := checker.Replay(r.proto, c, sched)
-	switch {
-	case err != nil:
-		return verdict{Applicable: true, Violations: []taxonomy.Violation{{Kind: "model", Detail: err.Error()}}}
-	case applied < len(sched):
-		return verdict{}
+	c, checker := &r.scratch, &r.sc
+	c.CopyFrom(from)
+	checker.CopyFrom(fromSC, c)
+	seg := base[r.at:k]
+	for i := 0; ; i++ {
+		applied, err := checker.Replay(r.proto, c, seg)
+		switch {
+		case err != nil:
+			return verdict{Applicable: true, Violations: []taxonomy.Violation{{Kind: "model", Detail: err.Error()}}}
+		case applied < len(seg):
+			return verdict{}
+		}
+		if i == len(rest) {
+			break
+		}
+		seg = rest[i]
 	}
 	complete := c.Quiescent()
 	return verdict{Applicable: true, Complete: complete, Violations: checker.Finish(complete)}
+}
+
+// judge replays one schedule from the initial configuration and judges it
+// as judgeAfter does.
+func (r *replayer) judge(sched sim.Schedule) verdict {
+	r.rewind()
+	return r.judgeAfter(nil, 0, sched)
 }
 
 // violates is the predicate the shrinker preserves: the schedule is
@@ -112,13 +188,18 @@ func Violates(proto sim.Protocol, inputs []sim.Bit, sched sim.Schedule, problem 
 func Shrink(proto sim.Protocol, inputs []sim.Bit, sched sim.Schedule, problem taxonomy.Problem, kind string) (sim.Schedule, []taxonomy.Violation, int) {
 	tried := 0
 	r := replayer{proto: proto, inputs: inputs, problem: problem}
-	violates := func(cand sim.Schedule) bool {
+	cur := append(sim.Schedule(nil), sched...)
+	// violates tests the candidate cur[:k] followed by rest. Each pass
+	// below rewinds the checkpoint at the start of a sweep and lets k only
+	// grow through it, never changing cur[:k], so the checkpoint follows
+	// k; a candidate becomes cur only once it is accepted.
+	violates := func(k int, rest ...sim.Schedule) bool {
 		tried++
-		return r.violates(cand, kind)
+		v := r.judgeAfter(cur, k, rest...)
+		return v.Applicable && hasKind(v.Violations, kind)
 	}
 
-	cur := append(sim.Schedule(nil), sched...)
-	if !violates(cur) {
+	if !violates(0, cur) {
 		return cur, r.judge(cur).Violations, tried
 	}
 
@@ -127,12 +208,10 @@ func Shrink(proto sim.Protocol, inputs []sim.Bit, sched sim.Schedule, problem ta
 		for window := (len(cur) + 1) / 2; window >= 1; window /= 2 {
 			for {
 				removed := false
+				r.rewind()
 				for start := 0; start+window <= len(cur); {
-					cand := make(sim.Schedule, 0, len(cur)-window)
-					cand = append(cand, cur[:start]...)
-					cand = append(cand, cur[start+window:]...)
-					if violates(cand) {
-						cur = cand
+					if violates(start, cur[start+window:]) {
+						cur = append(cur[:start], cur[start+window:]...)
 						removed = true
 						shrunkAny = true
 					} else {
@@ -147,36 +226,31 @@ func Shrink(proto sim.Protocol, inputs []sim.Bit, sched sim.Schedule, problem ta
 		return shrunkAny
 	}
 
-	// faultPosSum is retiming's termination metric: the sum of the
-	// positions of all Fail and Omit events.
-	faultPosSum := func(s sim.Schedule) int {
-		sum := 0
-		for i, e := range s {
-			if e.Type == sim.Fail || e.Type == sim.Omit {
-				sum += i
-			}
-		}
-		return sum
-	}
+	isFault := func(e sim.Event) bool { return e.Type == sim.Fail || e.Type == sim.Omit }
 
+	// Retiming's termination metric is the sum of the positions of all
+	// Fail and Omit events. Moving the fault at i to j < i lowers it by
+	// i − j, but shifts every other fault in [j, i) one position later, so
+	// with several faults a move can leave the metric unchanged (two
+	// adjacent faults swapping forever). Only strict decreases are tried,
+	// which is what makes the pass terminate: the moves for which some
+	// event in [j, i) is not a fault, j up to the last such event.
 	retimePass := func() bool {
 		moved := false
 		for i := 0; i < len(cur); i++ {
-			if cur[i].Type != sim.Fail && cur[i].Type != sim.Omit {
+			if !isFault(cur[i]) {
 				continue
 			}
-			for j := 0; j < i; j++ {
-				cand := append(sim.Schedule(nil), cur...)
-				e := cand[i]
-				copy(cand[j+1:i+1], cand[j:i])
-				cand[j] = e
-				// Moving one fault earlier shifts any other fault in
-				// [j, i) one position later, so with several faults a
-				// move can leave the metric unchanged (two adjacent
-				// faults swapping forever). Accept only strict
-				// decreases; that is what makes the pass terminate.
-				if faultPosSum(cand) < faultPosSum(cur) && violates(cand) {
-					cur = cand
+			last := i - 1
+			for last >= 0 && isFault(cur[last]) {
+				last--
+			}
+			r.rewind()
+			for j := 0; j <= last; j++ {
+				if violates(j, cur[i:i+1], cur[j:i], cur[i+1:]) {
+					e := cur[i]
+					copy(cur[j+1:i+1], cur[j:i])
+					cur[j] = e
 					moved = true
 					break
 				}

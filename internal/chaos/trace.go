@@ -329,7 +329,7 @@ func replayPanic(t *Trace, proto sim.Protocol, inputs []sim.Bit) (res *ReplayRes
 		MaxSteps: t.MaxSteps,
 		Failures: failures,
 		Choose:   func(c *sim.Config, enabled []sim.Event) int { return adv.Choose(rng, proto, c, enabled) },
-	}, func(sim.Event, *sim.Config) {})
+	}, nil, func(sim.Event, *sim.Config) {})
 	if runErr != nil {
 		// A schedule the scheduler refuses (an injection outside the
 		// protocol) or a protocol error is not the recorded panic.

@@ -172,23 +172,31 @@ type Config struct {
 	omitFaulty  uint64
 	omitTargets uint64
 
-	// Incremental fingerprint cache. Once Fingerprint is first called on a
-	// configuration, fp and each processor's stateMemo are maintained across
-	// Apply, so successors derive their fingerprint from the parent's by
-	// updating only the changed contributions, and KindAt and DecidedAt read
-	// the memo instead of calling the state. fpOK false means the cache is
-	// cold and fingerprints are recomputed on demand; execution paths that
-	// never ask for fingerprints (random runs, chaos replay) pay nothing.
+	// stateM memoizes each processor's kind and visible decision, which
+	// KindAt and DecidedAt read instead of calling the state. NewConfig
+	// fills it and CopyFrom and every step keep it, so it is always current
+	// on a configuration built and stepped by this package; one built as a
+	// literal (a permuted or elided view) has none, and its states are
+	// asked directly.
+	//
+	// The incremental fingerprint shares it. Once Fingerprint is first
+	// called on a configuration, fp and each memo's digest are maintained
+	// across Apply, so successors derive their fingerprint from the
+	// parent's by updating only the changed contributions. fpOK false means
+	// the digests are cold (stale or zero) and fingerprints are recomputed
+	// on demand; execution paths that never ask for fingerprints (random
+	// runs, chaos replay) pay for no digest.
 	fp     fingerprint.Digest
 	stateM []stateMemo
 	fpOK   bool
 }
 
-// stateMemo is what the fingerprint cache keeps of one processor's local
-// state: its unmixed digest, its kind and its visible decision. Library
-// states are value receivers of a few hundred bytes, so every call through
-// State copies one; the hot loops read these instead. Kind and decision are
-// a byte each, so a memo is 24 bytes: every queued configuration holds N.
+// stateMemo is what a configuration keeps of one processor's local state:
+// its unmixed digest (current only under fpOK), its kind and its visible
+// decision. Library states are value receivers of a few hundred bytes, so
+// every call through State copies one; the hot loops read these instead.
+// Kind and decision are a byte each, so a memo is 24 bytes: every queued
+// configuration holds N.
 type stateMemo struct {
 	d       fingerprint.Digest
 	kind    uint8
@@ -213,8 +221,12 @@ func NewConfig(proto Protocol, inputs []Bit) *Config {
 		Inputs:  append([]Bit(nil), inputs...),
 		seq:     make([]int, n*n),
 	}
+	c.stateM = make([]stateMemo, n)
 	for p := range c.States {
-		c.States[p] = proto.Init(ProcID(p), inputs[p], n)
+		s := proto.Init(ProcID(p), inputs[p], n)
+		c.States[p] = s
+		dec, decided := s.Decided()
+		c.stateM[p] = memoOf(fingerprint.Digest{}, s.Kind(), dec, decided)
 	}
 	return c
 }
@@ -255,10 +267,7 @@ func (c *Config) CopyFrom(src *Config) {
 	c.States = append(states[:0], src.States...)
 	c.Buffers = append(buffers[:0], src.Buffers...) // buffers are persistent; Add/Remove copy
 	c.seq = append(seq[:0], src.seq...)
-	c.stateM = stateM[:0]
-	if src.fpOK {
-		c.stateM = append(c.stateM, src.stateM...)
-	}
+	c.stateM = append(stateM[:0], src.stateM...)
 }
 
 // WithoutDeadBuffers returns a derived configuration whose dead letters are
@@ -385,34 +394,39 @@ func (c *Config) StateDigestAt(p int) fingerprint.Digest {
 	return c.stateM[p].d
 }
 
-// KindAt is c.States[p].Kind(), read from the fingerprint cache when it is
-// warm.
+// KindAt is c.States[p].Kind(), read from the memo. KindAt, DecidedAt and
+// setState treat every entry below len(stateM) as p's memo — stateM is
+// empty or holds one per processor — so a configuration without one asks
+// its state, and the test is one compare that leaves KindAt inlined.
 func (c *Config) KindAt(p ProcID) StateKind {
-	if c.fpOK {
+	if uint(p) < uint(len(c.stateM)) {
 		return StateKind(c.stateM[p].kind)
 	}
 	return c.States[p].Kind()
 }
 
-// DecidedAt is c.States[p].Decided(), read from the fingerprint cache when it
-// is warm.
+// DecidedAt is c.States[p].Decided(), read from the memo.
 func (c *Config) DecidedAt(p ProcID) (Decision, bool) {
-	if c.fpOK {
+	if uint(p) < uint(len(c.stateM)) {
 		return Decision(c.stateM[p].dec), c.stateM[p].decided
 	}
 	return c.States[p].Decided()
 }
 
-// setState replaces p's local state by st's post-state, updating the
-// fingerprint cache by swapping p's state contribution. A cold cache needs
-// nothing; a warm one takes the post-state's digest, kind and decision from
-// st, filling them once if the transition cache has not.
+// setState replaces p's local state by st's post-state, keeping p's memo:
+// kind and decision always, and under a warm fingerprint cache the digest
+// too, swapping p's state contribution to the fingerprint. Each is taken
+// from st, filled once if the transition cache has not.
 func (c *Config) setState(p ProcID, st *step) {
-	if c.fpOK {
+	switch {
+	case c.fpOK:
 		st.fill()
 		salt := saltStateBase + uint64(p)
 		c.fp = c.fp.Sub(c.stateM[p].d.Mixed(salt)).Add(st.postD.Mixed(salt))
 		c.stateM[p] = memoOf(st.postD, st.kind, st.dec, st.decided)
+	case int(p) < len(c.stateM):
+		st.fillKind()
+		c.stateM[p] = memoOf(fingerprint.Digest{}, st.kind, st.dec, st.decided)
 	}
 	c.States[p] = st.post
 }

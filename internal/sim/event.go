@@ -188,10 +188,11 @@ func PostState(proto Protocol, c *Config, e Event) (State, error) {
 // cache keeps one per distinct transition and hands out pointers to it.
 type step struct {
 	post State
-	// postD is post's digest and kind, dec and decided its Kind and Decided,
-	// all unknown while kind is zero: fill computes them once — for the
-	// transition cache when it remembers the step, or for commit on a
-	// configuration whose fingerprint cache is warm.
+	// postD is post's digest, unknown while zero, and kind, dec and decided
+	// its Kind and Decided, unknown while kind is zero: fill computes them
+	// once — for the transition cache when it remembers the step, or for
+	// commit on a configuration whose fingerprint cache is warm — and
+	// fillKind only the last three, for commit on one whose cache is cold.
 	postD   fingerprint.Digest
 	kind    StateKind
 	dec     Decision
@@ -205,11 +206,16 @@ type step struct {
 
 // fill computes the post-state's digest, kind and decision, unless known.
 func (st *step) fill() {
-	if st.kind != 0 {
-		return
-	}
 	if st.postD.IsZero() {
 		st.postD = StateDigest(st.post)
+	}
+	st.fillKind()
+}
+
+// fillKind computes the post-state's kind and decision, unless known.
+func (st *step) fillKind() {
+	if st.kind != 0 {
+		return
 	}
 	st.kind = st.post.Kind()
 	st.dec, st.decided = st.post.Decided()

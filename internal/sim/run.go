@@ -213,9 +213,10 @@ func RandomRun(proto Protocol, inputs []Bit, opts RunnerOptions) (*Run, error) {
 // opts.Omission) and owns, in place, and after every event hands the event
 // and c to observe. observe sees the same *Config every time — what it
 // wants of a configuration it must read before returning. The schedule
-// walked and the unfired injections are returned, with RandomRun's errors.
-func RandomWalk(proto Protocol, c *Config, opts RunnerOptions, observe func(Event, *Config)) (Schedule, []FailureAt, error) {
-	var sched Schedule
+// walked is appended to sched, so a caller that walks many runs can hand
+// in one buffer, emptied, each time; it is returned with the unfired
+// injections and RandomRun's errors.
+func RandomWalk(proto Protocol, c *Config, opts RunnerOptions, sched Schedule, observe func(Event, *Config)) (Schedule, []FailureAt, error) {
 	unfired, err := schedule(proto, opts, func() *Config { return c }, func(e Event) error {
 		if err := c.ApplyInPlace(proto, e); err != nil {
 			return err
@@ -272,7 +273,7 @@ func schedule(proto Protocol, opts RunnerOptions, current func() *Config, step f
 				continue
 			}
 			injected[i] = true
-			if current().States[f.Proc].Kind() == Failed {
+			if current().KindAt(f.Proc) == Failed {
 				continue
 			}
 			if err := step(Event{Proc: f.Proc, Type: Fail}); err != nil {

@@ -93,7 +93,7 @@ func TestBadInjectionIsRefused(t *testing.T) {
 			t.Errorf("RandomRun with %v: %d steps, %v, want none and an error containing %q", tc.f, run.Steps(), err, tc.want)
 		}
 		c := NewConfig(pingProto{}, []Bit{One, One})
-		sched, _, err := RandomWalk(pingProto{}, c, opts, func(Event, *Config) {})
+		sched, _, err := RandomWalk(pingProto{}, c, opts, nil, func(Event, *Config) {})
 		if err == nil || !strings.Contains(err.Error(), tc.want) || len(sched) != 0 {
 			t.Errorf("RandomWalk with %v: %d events, %v, want none and an error containing %q", tc.f, len(sched), err, tc.want)
 		}
@@ -108,7 +108,7 @@ func TestNegativeMaxStepsIsRefused(t *testing.T) {
 		t.Errorf("RandomRun: %v, want an error naming RunnerOptions.MaxSteps", err)
 	}
 	c := NewConfig(pingProto{}, []Bit{One, One})
-	sched, _, err := RandomWalk(pingProto{}, c, opts, func(Event, *Config) {})
+	sched, _, err := RandomWalk(pingProto{}, c, opts, nil, func(Event, *Config) {})
 	if err == nil || !strings.Contains(err.Error(), "RunnerOptions.MaxSteps") || len(sched) != 0 {
 		t.Errorf("RandomWalk: %d events, %v, want none and an error naming RunnerOptions.MaxSteps", len(sched), err)
 	}

@@ -50,6 +50,21 @@ func NewStreamChecker(p Problem, c *sim.Config) *StreamChecker {
 	return sc
 }
 
+// CopyFrom makes sc a copy of src that goes on from c, reusing sc's slices:
+// c is the caller's copy of the configuration src last observed. Observing
+// the rest of a run on the copy then judges what src would have judged, so
+// a caller that replays many schedules sharing a prefix folds the prefix
+// once.
+func (sc *StreamChecker) CopyFrom(src *StreamChecker, c *sim.Config) {
+	omitted, ledger, rule, ic := sc.omitted, sc.ledger, sc.rule, sc.ic
+	*sc = *src
+	sc.omitted = append(omitted[:0], src.omitted...)
+	sc.ledger = append(ledger[:0], src.ledger...)
+	sc.rule = append(rule[:0], src.rule...)
+	sc.ic = append(ic[:0], src.ic...)
+	sc.final = c
+}
+
 // Observe records the next configuration of the run, produced by applying
 // event e to the previously observed configuration. Configurations must
 // arrive in schedule order.
@@ -95,7 +110,7 @@ func (sc *StreamChecker) observe(c *sim.Config) {
 		if sc.ledger[proc] != sim.NoDecision {
 			continue
 		}
-		d, ok := c.States[proc].Decided()
+		d, ok := c.DecidedAt(sim.ProcID(proc))
 		if !ok {
 			continue
 		}
