@@ -216,9 +216,9 @@ func sweptCases(t *testing.T, proto sim.Protocol, problem taxonomy.Problem, opts
 }
 
 // revokedCases walks seeded crash plans of the revoker and keeps the walks
-// a revoked decision ends. The walk does not record the event it refused,
-// so each case is the walk, that event, and then the walk again as a tail
-// the replay never reaches: the contract breaks partway through.
+// a revoked decision ends. The walk records the event it refused last, so
+// each case is the walk and then the walk again, up to that event, as a
+// tail the replay never reaches: the contract breaks partway through.
 func revokedCases(t *testing.T, proto sim.Protocol, runs int) []shrinkCase {
 	t.Helper()
 	var out []shrinkCase
@@ -237,7 +237,10 @@ func revokedCases(t *testing.T, proto sim.Protocol, runs int) []shrinkCase {
 		if !errors.Is(err, sim.ErrRevokedDecision) {
 			continue
 		}
-		full := append(append(append(sim.Schedule(nil), sched...), last), sched...)
+		if sched[len(sched)-1] != last {
+			t.Fatalf("plan %v: the walk ends with %v, not with the event it refused, %v", pl, sched[len(sched)-1], last)
+		}
+		full := append(append(sim.Schedule(nil), sched...), sched[:len(sched)-1]...)
 		out = append(out, shrinkCase{pl.Inputs, full, "model"})
 	}
 	return out
@@ -311,6 +314,54 @@ func TestShrinkMatchesFromScratch(t *testing.T) {
 			if tripped.Load() == 0 {
 				t.Errorf("%s: no candidate panicked", c.name)
 			}
+		}
+	}
+}
+
+// TestModelFailureTraceReplays sweeps the revoker, whose contract breaks
+// when a decided processor hears of a crash, and replays each model failure
+// from its trace: the recorded schedule must end with the event that broke
+// the contract, so the replay reaches the same "model" violation, shrunk or
+// not. A schedule that stopped short of that event replayed to a clean run,
+// and Shrink, finding no violation to keep, reported none.
+func TestModelFailureTraceReplays(t *testing.T) {
+	proto := revoker{protocols.AckCommit{Procs: 4}}
+	prob := problem(taxonomy.WT, taxonomy.TC)
+	const wantFailures = 17
+	for _, minimize := range []bool{false, true} {
+		opts := Options{Runs: 100, Seed: 611, MaxFailures: 3, Minimize: minimize}
+		rep, err := Run(context.Background(), proto, prob, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		model := 0
+		for _, f := range rep.Failures {
+			if len(f.Violations) > 0 && f.Violations[0].Kind != "model" {
+				continue
+			}
+			model++
+			if len(f.Violations) == 0 {
+				t.Errorf("minimize=%v run %d: a model failure reported no violation", minimize, f.RunIndex)
+				continue
+			}
+			data, err := BuildTrace(rep, f, opts.maxSteps()).Encode()
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr, err := DecodeTrace(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := Replay(tr, proto, prob)
+			if err != nil {
+				t.Fatalf("minimize=%v run %d: replay: %v", minimize, f.RunIndex, err)
+			}
+			if !got.Reproduced || !hasKind(got.Violations, "model") {
+				t.Errorf("minimize=%v run %d: the trace of %v replays to %v", minimize, f.RunIndex, f.Violations, got.Violations)
+			}
+		}
+		if model != wantFailures {
+			t.Errorf("minimize=%v: %d model failures, want %d", minimize, model, wantFailures)
 		}
 	}
 }

@@ -170,7 +170,7 @@ func (a AckCommit) SendStep(p sim.ProcID, state sim.State) (sim.State, []sim.Env
 	switch {
 	case len(s.out) > 0:
 		item := s.out[0]
-		s.out = append([]outItem(nil), s.out[1:]...)
+		s.out = dropHead(s.out)
 		if len(s.out) == 0 && s.afterSend != sim.NoDecision {
 			s.decided = s.afterSend
 			s.afterSend = sim.NoDecision
@@ -235,12 +235,11 @@ func (a AckCommit) Receive(p sim.ProcID, state sim.State, m sim.Message) sim.Sta
 			}
 			if s.heard.contains(allProcs(s.n).del(0)) {
 				s.biasKnown, s.bias = true, s.conj == sim.One
-				for _, q := range allProcs(s.n).del(0).members() {
-					if !s.bias && s.zeros.has(q) {
-						continue
-					}
-					s.out = appendOut(s.out, outItem{to: q, payload: biasMsg{Committable: s.bias}})
+				to := allProcs(s.n).del(0)
+				if !s.bias {
+					to = to.minus(s.zeros)
 				}
+				s.out = broadcastOut(s.out, to, biasMsg{Committable: s.bias})
 				if s.bias {
 					s.phase = ackWaitAcks
 				} else if len(s.out) == 0 {
@@ -270,9 +269,7 @@ func (a AckCommit) Receive(p sim.ProcID, state sim.State, m sim.Message) sim.Sta
 				// coordinator decides commit and broadcasts it.
 				s.decided = sim.Commit
 				s.phase = ackDone
-				for _, q := range allProcs(s.n).del(0).members() {
-					s.out = appendOut(s.out, outItem{to: q, payload: decisionMsg{D: sim.Commit}})
-				}
+				s.out = broadcastOut(s.out, allProcs(s.n).del(0), decisionMsg{D: sim.Commit})
 			}
 		}
 	case decisionMsg:

@@ -128,9 +128,7 @@ func (b Broadcast) Init(p sim.ProcID, input sim.Bit, n int) sim.State {
 		s.haveValue, s.value = true, input
 		s.decided = sim.DecisionFor(input)
 		s.phase = bcastDone
-		for _, q := range allProcs(n).del(0).members() {
-			s.out = appendOut(s.out, outItem{to: q, payload: valMsg{V: input}})
-		}
+		s.out = broadcastOut(s.out, allProcs(n).del(0), valMsg{V: input})
 	} else {
 		s.phase = bcastWait
 	}
@@ -146,7 +144,7 @@ func (b Broadcast) SendStep(p sim.ProcID, state sim.State) (sim.State, []sim.Env
 	switch {
 	case len(s.out) > 0:
 		item := s.out[0]
-		s.out = append([]outItem(nil), s.out[1:]...)
+		s.out = dropHead(s.out)
 		return s, []sim.Envelope{{To: item.to, Payload: item.payload}}
 	case s.phase == bcastTerm && s.term.sending():
 		core, env := s.term.sendStep()
@@ -198,12 +196,7 @@ func (b Broadcast) Receive(p sim.ProcID, state sim.State, m sim.Message) sim.Sta
 			s.haveValue, s.value = true, v.V
 			s.decided = sim.DecisionFor(v.V)
 			s.phase = bcastDone
-			for _, q := range allProcs(s.n).del(0).del(s.self).members() {
-				if q == from {
-					continue
-				}
-				s.out = appendOut(s.out, outItem{to: q, payload: valMsg{V: v.V}})
-			}
+			s.out = broadcastOut(s.out, allProcs(s.n).del(0).del(s.self).del(from), valMsg{V: v.V})
 		}
 	case bcastDone:
 		// Duplicate relayed values are ignored.

@@ -190,7 +190,7 @@ func (c Chain) SendStep(p sim.ProcID, state sim.State) (sim.State, []sim.Envelop
 		return s, []sim.Envelope{{To: to, Payload: amnesicMsg{}}}
 	case len(s.out) > 0:
 		item := s.out[0]
-		s.out = append([]outItem(nil), s.out[1:]...)
+		s.out = dropHead(s.out)
 		return s, []sim.Envelope{{To: item.to, Payload: item.payload}}
 	case s.phase == chainTerm && s.term.sending():
 		core, env := s.term.sendStep()

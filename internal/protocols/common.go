@@ -395,6 +395,35 @@ func appendOut(out []outItem, items ...outItem) []outItem {
 	return append(fresh, items...)
 }
 
+// broadcastOut appends one send of payload to each member of to, in
+// ascending order, copy-on-write like appendOut and in one allocation: a
+// broadcast to k processors copies the queue once, not k times.
+func broadcastOut(out []outItem, to procSet, payload sim.Payload) []outItem {
+	if to.empty() {
+		return out
+	}
+	fresh := make([]outItem, 0, len(out)+to.count())
+	fresh = append(fresh, out...)
+	for rest := to.lo; rest != 0; rest &= rest - 1 {
+		fresh = append(fresh, outItem{to: sim.ProcID(bits.TrailingZeros64(rest)), payload: payload})
+	}
+	for rest := to.hi; rest != 0; rest &= rest - 1 {
+		fresh = append(fresh, outItem{to: sim.ProcID(64 + bits.TrailingZeros64(rest)), payload: payload})
+	}
+	return fresh
+}
+
+// dropHead returns a non-empty queue without its head. It reslices rather
+// than copies, with the capacity cut to the length, so the next append to
+// the result copies (appendOut, broadcastOut) and never writes into the
+// array the queue shares with the state it came from. A drained queue is nil.
+func dropHead(out []outItem) []outItem {
+	if len(out) == 1 {
+		return nil
+	}
+	return out[1:len(out):len(out)]
+}
+
 // appendEarly inserts an early message keeping the slice canonical (sorted)
 // and duplicate-free, copying on write.
 func appendEarly(early []earlyMsg, e earlyMsg) []earlyMsg {

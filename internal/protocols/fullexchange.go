@@ -115,9 +115,7 @@ func (s fxState) Key() string {
 // Init implements sim.Protocol.
 func (f FullExchange) Init(p sim.ProcID, input sim.Bit, n int) sim.State {
 	s := fxState{self: p, n: n, input: input, conj: input, phase: fxGather}
-	for _, q := range allProcs(n).del(p).members() {
-		s.out = appendOut(s.out, outItem{to: q, payload: valMsg{V: input}})
-	}
+	s.out = broadcastOut(s.out, allProcs(n).del(p), valMsg{V: input})
 	if n == 1 {
 		s.decided = sim.DecisionFor(input)
 		s.phase = fxDone
@@ -134,7 +132,7 @@ func (f FullExchange) SendStep(p sim.ProcID, state sim.State) (sim.State, []sim.
 	switch {
 	case len(s.out) > 0:
 		item := s.out[0]
-		s.out = append([]outItem(nil), s.out[1:]...)
+		s.out = dropHead(s.out)
 		return s, []sim.Envelope{{To: item.to, Payload: item.payload}}
 	case s.phase == fxTerm && s.term.sending():
 		core, env := s.term.sendStep()

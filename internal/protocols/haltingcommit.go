@@ -157,9 +157,7 @@ func (s hcState) Key() string {
 // decideBroadcastHalt queues the decision broadcast to every other
 // processor; the processor decides as the broadcast completes and halts.
 func (s hcState) decideBroadcastHalt(d sim.Decision) hcState {
-	for _, q := range allProcs(s.n).del(s.self).members() {
-		s.out = appendOut(s.out, outItem{to: q, payload: decisionMsg{D: d}})
-	}
+	s.out = broadcastOut(s.out, allProcs(s.n).del(s.self), decisionMsg{D: d})
 	s.afterSend = d
 	s.phase = hcDone
 	if len(s.out) == 0 {
@@ -188,9 +186,7 @@ func (h HaltingCommit) Init(p sim.ProcID, input sim.Bit, n int) sim.State {
 		// remove this halted processor from its UP set), and halt.
 		s.phase = hcDone
 		s.afterSend = sim.Abort
-		for _, q := range allProcs(n).del(p).del(0).members() {
-			s.out = appendOut(s.out, outItem{to: q, payload: decisionMsg{D: sim.Abort}})
-		}
+		s.out = broadcastOut(s.out, allProcs(n).del(p).del(0), decisionMsg{D: sim.Abort})
 		s.out = appendOut(s.out, outItem{to: 0, payload: decisionMsg{D: sim.Abort}})
 	} else {
 		s.phase = hcWaitBias
@@ -207,7 +203,7 @@ func (h HaltingCommit) SendStep(p sim.ProcID, state sim.State) (sim.State, []sim
 	switch {
 	case len(s.out) > 0:
 		item := s.out[0]
-		s.out = append([]outItem(nil), s.out[1:]...)
+		s.out = dropHead(s.out)
 		if len(s.out) == 0 && s.afterSend != sim.NoDecision {
 			s.decided = s.afterSend
 			s.afterSend = sim.NoDecision
@@ -307,9 +303,7 @@ func (s hcState) hcMaybeDecideBias() hcState {
 		return s.decideBroadcastHalt(sim.Abort)
 	}
 	s.biasKnown, s.bias = true, true
-	for _, q := range allProcs(s.n).del(0).members() {
-		s.out = appendOut(s.out, outItem{to: q, payload: biasMsg{Committable: true}})
-	}
+	s.out = broadcastOut(s.out, allProcs(s.n).del(0), biasMsg{Committable: true})
 	s.phase = hcWaitAcks
 	return s
 }

@@ -252,7 +252,7 @@ func (pv Perverse) SendStep(p sim.ProcID, state sim.State) (sim.State, []sim.Env
 	switch {
 	case len(s.out) > 0:
 		item := s.out[0]
-		s.out = append([]outItem(nil), s.out[1:]...)
+		s.out = dropHead(s.out)
 		return s, []sim.Envelope{{To: item.to, Payload: item.payload}}
 	case s.phase == pvTerm && s.term.sending():
 		core, env := s.term.sendStep()
@@ -322,9 +322,7 @@ func (pv Perverse) Receive(p sim.ProcID, state sim.State, m sim.Message) sim.Sta
 			}
 			if s.heard.contains(allProcs(s.n).del(perverseCoord)) {
 				s.biasKnown, s.bias = true, s.conj == sim.One
-				for _, q := range allProcs(s.n).del(perverseCoord).members() {
-					s.out = appendOut(s.out, outItem{to: q, payload: biasMsg{Committable: s.bias}})
-				}
+				s.out = broadcastOut(s.out, allProcs(s.n).del(perverseCoord), biasMsg{Committable: s.bias})
 				if s.bias {
 					s.phase = pvWaitAcks
 				} else {
@@ -354,9 +352,7 @@ func (pv Perverse) Receive(p sim.ProcID, state sim.State, m sim.Message) sim.Sta
 			if s.acks.contains(allProcs(s.n).del(perverseCoord)) {
 				s.decided = sim.Commit
 				s.phase = pvDone
-				for _, q := range allProcs(s.n).del(perverseCoord).members() {
-					s.out = appendOut(s.out, outItem{to: q, payload: decisionMsg{D: sim.Commit}})
-				}
+				s.out = broadcastOut(s.out, allProcs(s.n).del(perverseCoord), decisionMsg{D: sim.Commit})
 			}
 		}
 	case decisionMsg:

@@ -153,7 +153,7 @@ func (st Star) SendStep(p sim.ProcID, state sim.State) (sim.State, []sim.Envelop
 	switch {
 	case len(s.out) > 0:
 		item := s.out[0]
-		s.out = append([]outItem(nil), s.out[1:]...)
+		s.out = dropHead(s.out)
 		if len(s.out) == 0 && s.afterSend != sim.NoDecision {
 			// "broadcast(decision); decide; halt"
 			s.decided = s.afterSend
@@ -202,9 +202,7 @@ func (st Star) Receive(p sim.ProcID, state sim.State, m sim.Message) sim.State {
 			if !s.anyFail && s.conj == sim.One {
 				d = sim.Commit
 			}
-			for _, q := range allProcs(s.n).del(0).members() {
-				s.out = appendOut(s.out, outItem{to: q, payload: decisionMsg{D: d}})
-			}
+			s.out = broadcastOut(s.out, allProcs(s.n).del(0), decisionMsg{D: d})
 			s.afterSend = d
 		}
 		return s
@@ -223,9 +221,7 @@ func (st Star) Receive(p sim.ProcID, state sim.State, m sim.Message) sim.State {
 			if d, ok := m.Payload.(decisionMsg); ok {
 				// Relay the decision to the other participants,
 				// then decide and halt.
-				for _, q := range allProcs(s.n).del(0).del(s.self).members() {
-					s.out = appendOut(s.out, outItem{to: q, payload: decisionMsg{D: d.D}})
-				}
+				s.out = broadcastOut(s.out, allProcs(s.n).del(0).del(s.self), decisionMsg{D: d.D})
 				s.afterSend = d.D
 				if len(s.out) == 0 {
 					s.decided = d.D

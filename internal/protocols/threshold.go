@@ -140,7 +140,7 @@ func (t ThresholdCommit) SendStep(p sim.ProcID, state sim.State) (sim.State, []s
 	switch {
 	case len(s.out) > 0:
 		item := s.out[0]
-		s.out = append([]outItem(nil), s.out[1:]...)
+		s.out = dropHead(s.out)
 		return s, []sim.Envelope{{To: item.to, Payload: item.payload}}
 	case s.phase == ackTerm && s.term.sending():
 		core, env := s.term.sendStep()
@@ -193,9 +193,7 @@ func (t ThresholdCommit) Receive(p sim.ProcID, state sim.State, m sim.Message) s
 			}
 			if s.heard.contains(allProcs(s.n).del(0)) {
 				s.biasKnown, s.bias = true, s.ones >= s.k
-				for _, q := range allProcs(s.n).del(0).members() {
-					s.out = appendOut(s.out, outItem{to: q, payload: biasMsg{Committable: s.bias}})
-				}
+				s.out = broadcastOut(s.out, allProcs(s.n).del(0), biasMsg{Committable: s.bias})
 				if s.bias {
 					s.phase = ackWaitAcks
 				} else {
@@ -221,9 +219,7 @@ func (t ThresholdCommit) Receive(p sim.ProcID, state sim.State, m sim.Message) s
 			if s.acks.contains(allProcs(s.n).del(0)) {
 				s.decided = sim.Commit
 				s.phase = ackDone
-				for _, q := range allProcs(s.n).del(0).members() {
-					s.out = appendOut(s.out, outItem{to: q, payload: decisionMsg{D: sim.Commit}})
-				}
+				s.out = broadcastOut(s.out, allProcs(s.n).del(0), decisionMsg{D: sim.Commit})
 			}
 		}
 	case decisionMsg:

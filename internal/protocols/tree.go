@@ -56,15 +56,13 @@ func ValidTreeSize(n int) bool {
 
 func parent(p sim.ProcID) sim.ProcID { return (p - 1) / 2 }
 
-func children(p sim.ProcID, n int) []sim.ProcID {
-	var out []sim.ProcID
-	if l := 2*p + 1; int(l) < n {
-		out = append(out, l)
+// childSet is the set of p's children in a tree of n processors.
+func childSet(p sim.ProcID, n int) procSet {
+	var s procSet
+	for c := 2*p + 1; c <= 2*p+2 && int(c) < n; c++ {
+		s = s.add(c)
 	}
-	if r := 2*p + 2; int(r) < n {
-		out = append(out, r)
-	}
-	return out
+	return s
 }
 
 func isLeaf(p sim.ProcID, n int) bool { return int(2*p+1) >= n }
@@ -257,7 +255,7 @@ func (t Tree) SendStep(p sim.ProcID, st sim.State) (sim.State, []sim.Envelope) {
 
 	case len(s.out) > 0:
 		item := s.out[0]
-		s.out = append([]outItem(nil), s.out[1:]...)
+		s.out = dropHead(s.out)
 		if len(s.out) == 0 && s.afterSend != sim.NoDecision {
 			s.decided = s.afterSend
 			s.afterSend = sim.NoDecision
@@ -389,8 +387,7 @@ func (t Tree) receiveMain(s treeState, from sim.ProcID, payload sim.Payload) sim
 				s.zeroKids = s.zeroKids.add(from)
 			}
 		}
-		kids := children(s.self, s.n)
-		if s.vals.count() == len(kids) {
+		if s.vals.count() == childSet(s.self, s.n).count() {
 			if s.phase == phaseInnerWaitVals {
 				s.out = []outItem{{to: parent(s.self), payload: valMsg{V: s.agg}}}
 				s.phase = phaseInnerWaitBias
@@ -416,7 +413,7 @@ func (t Tree) receiveMain(s treeState, from sim.ProcID, payload sim.Payload) sim
 	case phaseInnerWaitAcks:
 		if _, ok := payload.(ackMsg); ok && !s.acks.has(from) {
 			s.acks = s.acks.add(from)
-			if s.acks.count() == len(children(s.self, s.n)) {
+			if s.acks.count() == childSet(s.self, s.n).count() {
 				s.out = []outItem{{to: parent(s.self), payload: ackMsg{}}}
 				s.phase = phaseInnerWaitCommit
 			}
@@ -425,21 +422,17 @@ func (t Tree) receiveMain(s treeState, from sim.ProcID, payload sim.Payload) sim
 		if d, ok := payload.(decisionMsg); ok && d.D == sim.Commit {
 			s.decided = sim.Commit
 			s.phase = phaseMainDone
-			for _, c := range children(s.self, s.n) {
-				s.out = appendOut(s.out, outItem{to: c, payload: decisionMsg{D: sim.Commit}})
-			}
+			s.out = broadcastOut(s.out, childSet(s.self, s.n), decisionMsg{D: sim.Commit})
 		}
 	case phaseRootWaitAcks:
 		if _, ok := payload.(ackMsg); ok && !s.acks.has(from) {
 			s.acks = s.acks.add(from)
-			if s.acks.count() == len(children(s.self, s.n)) {
+			if s.acks.count() == childSet(s.self, s.n).count() {
 				// All acknowledgements received: the root decides
 				// commit and sends commit toward the leaves.
 				s.decided = sim.Commit
 				s.phase = phaseMainDone
-				for _, c := range children(s.self, s.n) {
-					s.out = appendOut(s.out, outItem{to: c, payload: decisionMsg{D: sim.Commit}})
-				}
+				s.out = broadcastOut(s.out, childSet(s.self, s.n), decisionMsg{D: sim.Commit})
 			}
 		}
 	case phaseMainDone, phaseLeafSendVal:
@@ -468,14 +461,11 @@ func (s treeState) rootSetBias() treeState {
 // biasForwards queues the bias messages for the children, skipping leaf
 // children that reported 0 (Figure 1's starred rule).
 func (s treeState) biasForwards(committable bool) []outItem {
-	var out []outItem
-	for _, c := range children(s.self, s.n) {
-		if !committable && s.zeroKids.has(c) {
-			continue
-		}
-		out = append(out, outItem{to: c, payload: biasMsg{Committable: committable}})
+	to := childSet(s.self, s.n)
+	if !committable {
+		to = to.minus(s.zeroKids)
 	}
-	return out
+	return broadcastOut(nil, to, biasMsg{Committable: committable})
 }
 
 // enterTerm switches the processor into the Appendix termination protocol,

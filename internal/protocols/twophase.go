@@ -147,7 +147,7 @@ func (t TwoPhaseCommit) SendStep(p sim.ProcID, state sim.State) (sim.State, []si
 	switch {
 	case len(s.out) > 0:
 		item := s.out[0]
-		s.out = append([]outItem(nil), s.out[1:]...)
+		s.out = dropHead(s.out)
 		return s, []sim.Envelope{{To: item.to, Payload: item.payload}}
 	case s.phase == tpcTerm && s.term.sending():
 		core, env := s.term.sendStep()
@@ -201,9 +201,7 @@ func (t TwoPhaseCommit) Receive(p sim.ProcID, state sim.State, m sim.Message) si
 			if s.heard.contains(allProcs(s.n).del(0)) {
 				s.decided = sim.DecisionFor(s.conj)
 				s.phase = tpcDone
-				for _, q := range allProcs(s.n).del(0).members() {
-					s.out = appendOut(s.out, outItem{to: q, payload: decisionMsg{D: s.decided}})
-				}
+				s.out = broadcastOut(s.out, allProcs(s.n).del(0), decisionMsg{D: s.decided})
 			}
 		}
 	case tpcWaitDecision:

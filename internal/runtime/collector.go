@@ -79,7 +79,10 @@ func (co *collector) nextSeq(from, to sim.ProcID) int {
 
 // recordSend admits one sending step: it holds the envelopes to the
 // model's send contract (sim.CheckEnvelopes), appends the event, and
-// returns the stamped messages for the node to hand to the network. ok is
+// returns the stamped messages for the node to hand to the network. The
+// messages are bare: nothing on the live path reads a message's key or
+// digest (EncodeMessage asks the payload for its key), so none is computed
+// under the mutex every step of the run contends for. ok is
 // false if p has crashed or the run already failed; err is non-nil for a
 // model-contract violation, which aborts the run.
 func (co *collector) recordSend(p sim.ProcID, envs []sim.Envelope) (msgs []sim.Message, ts uint64, ok bool, err error) {
@@ -94,12 +97,12 @@ func (co *collector) recordSend(p sim.ProcID, envs []sim.Envelope) (msgs []sim.M
 	}
 	co.sch = append(co.sch, sim.Event{Proc: p, Type: sim.SendStepEvent})
 	ts = co.tick(0)
+	msgs = make([]sim.Message, 0, len(envs))
 	for _, env := range envs {
-		m := sim.Message{
+		msgs = append(msgs, sim.Message{
 			ID:      sim.MsgID{From: p, To: env.To, Seq: co.nextSeq(p, env.To)},
 			Payload: env.Payload,
-		}.Memoized()
-		msgs = append(msgs, m)
+		})
 	}
 	return msgs, ts, true, nil
 }
@@ -140,9 +143,10 @@ func (co *collector) recordOmit(p sim.ProcID, id sim.MsgID, witness uint64) bool
 // recordCrash injects a fail-stop failure: it appends the fail event and
 // stamps the failure notices failed(p) with the sequence numbers the
 // model's atomic fail broadcast would assign at this point in the total
-// order. The notices are returned for the failure detector to hold until
-// its timeout fires — the *fact* of the failure is fixed here; *when*
-// survivors learn of it is the detector's business.
+// order. The notices are bare messages, like recordSend's, and are
+// returned for the failure detector to hold until its timeout fires — the
+// *fact* of the failure is fixed here; *when* survivors learn of it is the
+// detector's business.
 func (co *collector) recordCrash(p sim.ProcID) (notices []sim.Message, ts uint64, ok bool) {
 	co.mu.Lock()
 	defer co.mu.Unlock()
@@ -153,15 +157,15 @@ func (co *collector) recordCrash(p sim.ProcID) (notices []sim.Message, ts uint64
 	co.crashAt[p] = time.Now()
 	co.sch = append(co.sch, sim.Event{Proc: p, Type: sim.Fail})
 	ts = co.tick(0)
+	notices = make([]sim.Message, 0, co.n-1)
 	for q := 0; q < co.n; q++ {
 		if sim.ProcID(q) == p {
 			continue
 		}
-		m := sim.Message{
+		notices = append(notices, sim.Message{
 			ID:     sim.MsgID{From: p, To: sim.ProcID(q), Seq: co.nextSeq(p, sim.ProcID(q))},
 			Notice: true,
-		}.Memoized()
-		notices = append(notices, m)
+		})
 	}
 	return notices, ts, true
 }

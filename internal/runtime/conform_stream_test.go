@@ -138,7 +138,10 @@ func TestConformStreamMatchesConform(t *testing.T) {
 // TestAllocsConformStream pins what replaying in place bought: the
 // streaming replay of a star(24) trace allocates for the protocol's
 // transitions, the effect and the messages, not for a copy of the
-// configuration per event (52.7 allocations/event with sim.Apply).
+// configuration per event (52.7 allocations/event with sim.Apply). The pin
+// is 5.5 per event. 4.9 are measured (2 912-2 933 per run over 598 events)
+// since the protocols drop a sent message by reslicing their queue and
+// build a broadcast's queue in one allocation; before, 6.6 (3 962-3 966).
 func TestAllocsConformStream(t *testing.T) {
 	proto := protocols.Star{Procs: 24}
 	inputs := make([]sim.Bit, proto.N())
@@ -152,10 +155,32 @@ func TestAllocsConformStream(t *testing.T) {
 			t.Fatalf("ConformStream: %v, %v", err, conf)
 		}
 	})
-	if perEvent := perRun / float64(len(res.Schedule)); perEvent > 12 {
-		t.Errorf("streaming replay allocates %.1f times per event over %d events, want ≤ 12", perEvent, len(res.Schedule))
+	if perEvent := perRun / float64(len(res.Schedule)); perEvent > 5.5 {
+		t.Errorf("streaming replay allocates %.1f times per event (%.0f per run) over %d events, want ≤ 5.5", perEvent, perRun, len(res.Schedule))
 	} else {
-		t.Logf("%.1f allocations/event over %d events", perEvent, len(res.Schedule))
+		t.Logf("%.1f allocations/event, %.0f per run, over %d events", perEvent, perRun, len(res.Schedule))
+	}
+}
+
+// BenchmarkLiveStar24 is one unit of the benchmark's live-clean workload:
+// an in-memory star(24) run with no faults, then its streaming conformance
+// under HT-IC.
+func BenchmarkLiveStar24(b *testing.B) {
+	proto := protocols.Star{Procs: 24}
+	inputs := make([]sim.Bit, proto.N())
+	for i := range inputs {
+		inputs[i] = sim.One
+	}
+	prob := problem(taxonomy.HT, taxonomy.IC)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		res, err := Run(context.Background(), proto, inputs, fastConfig(FaultPlan{Seed: int64(i)}, nil))
+		if err != nil || res.Err != nil || !res.Quiescent {
+			b.Fatalf("run %d: %v, %v, quiescent %v", i, err, res.Err, res.Quiescent)
+		}
+		if conf, err := ConformStream(res, proto, prob); err != nil || !conf.OK() {
+			b.Fatalf("run %d: ConformStream: %v, %v", i, err, conf)
+		}
 	}
 }
 

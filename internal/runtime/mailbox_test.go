@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -61,6 +62,44 @@ func TestMailboxAgingBound(t *testing.T) {
 			t.Errorf("seed %d: a message waited %d pops, want ≤ %d (agingLimit %d + %d buffered)",
 				seed, maxWait, limit, agingLimit, buffered)
 		}
+	}
+}
+
+// TestMailboxSeededOrder: a mailbox's delivery order is a function of its
+// seed and what it was fed. Two mailboxes with one seed, fed the same
+// deliveries between the same pops, pick the same sequence; a third with
+// another seed picks a different one.
+func TestMailboxSeededOrder(t *testing.T) {
+	picks := func(seed int64) []sim.MsgID {
+		mb, _ := newTestMailbox(seed, false)
+		var got []sim.MsgID
+		next := 1
+		for round := 0; round < 200; round++ {
+			for k := 0; k < 1+round%4; k++ {
+				m, frame := mkMsg(t, sim.ProcID(k), 5, next)
+				next++
+				mb.deliver(frame, m, uint64(next))
+			}
+			for k := 0; k < 1+round%3; k++ {
+				m, _, ok := mb.tryRecv()
+				if !ok {
+					break
+				}
+				mb.stepDone()
+				got = append(got, m.ID)
+			}
+		}
+		return got
+	}
+	a, b, other := picks(1984), picks(1984), picks(1985)
+	if len(a) < 300 {
+		t.Fatalf("test bug: %d picks", len(a))
+	}
+	if !reflect.DeepEqual(a, b) {
+		t.Error("two mailboxes with one seed picked different sequences from the same deliveries")
+	}
+	if reflect.DeepEqual(a, other) {
+		t.Error("mailboxes with different seeds picked the same sequence: the seed does not reach the order")
 	}
 }
 

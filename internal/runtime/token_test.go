@@ -1,7 +1,6 @@
 package runtime
 
 import (
-	"container/heap"
 	"context"
 	"math/rand"
 	"strings"
@@ -85,7 +84,7 @@ func (r *tokenRig) attempt() bool {
 		s.mu.Unlock()
 		return false
 	}
-	a := heap.Pop(&s.heap).(attempt)
+	a := s.heap.pop()
 	s.mu.Unlock()
 	s.execute(a)
 	r.check("attempt")

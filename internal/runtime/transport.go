@@ -1,10 +1,9 @@
 package runtime
 
 import (
-	"container/heap"
 	"encoding/binary"
 	"fmt"
-	"math/rand"
+	"math/bits"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -55,6 +54,7 @@ const (
 	saltDup  uint64 = 0xbf58476d1ce4e5b9
 	saltDel  uint64 = 0x94d049bb133111eb
 	saltOmit uint64 = 0xd6e8feb86659fd93
+	saltPick uint64 = 0xa0761d6478bd642f
 )
 
 // roll returns a deterministic value in [0, 1) for one fault decision.
@@ -244,7 +244,9 @@ const agingLimit = 8
 // mailbox is one processor's receive buffer: the live counterpart of the
 // model's unordered fair buffer. Delivery order is randomized (seeded) to
 // exercise reorderings, dedup keyed by the frame's message triple absorbs
-// at-least-once duplicates, and aging enforces fairness.
+// at-least-once duplicates, and aging enforces fairness. The n-th pick is
+// a Mix64 roll over (seed, n) — FaultPlan.roll's idiom — so the generator
+// state is two words, and a mailbox costs nothing to seed.
 type mailbox struct {
 	mu       sync.Mutex
 	msgs     []sim.Message      // ccvet:guardedby mu
@@ -253,7 +255,8 @@ type mailbox struct {
 	seen     map[sim.MsgID]bool // ccvet:guardedby mu
 	closed   bool               // ccvet:guardedby mu
 	dedupOff bool
-	rng      *rand.Rand // ccvet:guardedby mu — seeded delivery-order source; draws must be serialized
+	seed     uint64 // the delivery-order key, Mix64(seed ^ saltPick)
+	draws    uint64 // ccvet:guardedby mu — picks rolled so far; the next pick rolls (seed, draws)
 	notify   chan struct{}
 	// work holds one token per buffered message, from deliver until the
 	// node has recorded and applied the delivery (stepDone) or close
@@ -273,7 +276,7 @@ func newMailbox(seed int64, dedupOff bool, work *tokens, counters *transportCoun
 	return &mailbox{
 		seen:     make(map[sim.MsgID]bool),
 		dedupOff: dedupOff,
-		rng:      rand.New(rand.NewSource(seed)),
+		seed:     fingerprint.Mix64(uint64(seed) ^ saltPick),
 		notify:   make(chan struct{}, 1),
 		work:     work,
 		counters: counters,
@@ -375,7 +378,10 @@ func (mb *mailbox) pick() (sim.Message, uint64) {
 		}
 	}
 	if idx < 0 {
-		idx = mb.rng.Intn(len(mb.msgs))
+		// Lemire's multiply-shift maps the 64-bit roll onto [0, len).
+		hi, _ := bits.Mul64(fingerprint.Mix64(mb.seed^mb.draws), uint64(len(mb.msgs)))
+		idx = int(hi)
+		mb.draws++
 	}
 	m, ts := mb.msgs[idx], mb.tss[idx]
 	for i := range mb.passed {
@@ -491,28 +497,55 @@ func (t *transport) Stats() TransportStats {
 
 // ---- The seeded attempt scheduler ----
 
-// attempt is one pending delivery attempt of one message.
+// attempt is one pending delivery attempt of one message, due at due
+// nanoseconds of the monotonic clock after its scheduler started.
 type attempt struct {
-	due   time.Time
+	due   int64
 	m     sim.Message
 	frame []byte
 	ts    uint64
 	try   int
 }
 
-// attemptHeap is a min-heap of attempts by due time.
+// attemptHeap is a binary min-heap of attempts by due time.
 type attemptHeap []attempt
 
-func (h attemptHeap) Len() int           { return len(h) }
-func (h attemptHeap) Less(i, j int) bool { return h[i].due.Before(h[j].due) }
-func (h attemptHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *attemptHeap) Push(x any)        { *h = append(*h, x.(attempt)) }
-func (h *attemptHeap) Pop() any {
-	old := *h
-	n := len(old)
-	a := old[n-1]
-	*h = old[:n-1]
-	return a
+func (h *attemptHeap) push(a attempt) {
+	*h = append(*h, a)
+	q := *h
+	for i := len(q) - 1; i > 0; {
+		up := (i - 1) / 2
+		if q[up].due <= q[i].due {
+			break
+		}
+		q[i], q[up] = q[up], q[i]
+		i = up
+	}
+}
+
+// pop removes and returns the earliest attempt; the heap must not be empty.
+func (h *attemptHeap) pop() attempt {
+	q := *h
+	top, last := q[0], len(q)-1
+	q[0] = q[last]
+	q[last] = attempt{} // the spare capacity keeps no frame or payload alive
+	q = q[:last]
+	for i := 0; ; {
+		least := 2*i + 1
+		if least >= last {
+			break
+		}
+		if r := least + 1; r < last && q[r].due < q[least].due {
+			least = r
+		}
+		if q[i].due <= q[least].due {
+			break
+		}
+		q[i], q[least] = q[least], q[i]
+		i = least
+	}
+	*h = q
+	return top
 }
 
 // sendScheduler executes every message's delivery attempts from one
@@ -526,6 +559,7 @@ type sendScheduler struct {
 	deliver  func(attempt)
 	done     chan struct{}
 	notify   chan struct{}
+	start    time.Time // due times count nanoseconds from here
 
 	mu   sync.Mutex
 	heap attemptHeap // ccvet:guardedby mu
@@ -539,14 +573,18 @@ func newSendScheduler(faults FaultPlan, counters *transportCounters, work *token
 		deliver:  deliver,
 		done:     done,
 		notify:   make(chan struct{}, 1),
+		start:    time.Now(),
 	}
 }
+
+// now reads the monotonic clock as nanoseconds since the scheduler started.
+func (s *sendScheduler) now() int64 { return int64(time.Since(s.start)) }
 
 // accept enqueues a fresh message's first delivery attempt.
 func (s *sendScheduler) accept(m sim.Message, frame []byte, ts uint64) {
 	s.work.take(1)
 	s.push(attempt{
-		due:   time.Now().Add(s.faults.delay(m.ID, 0)),
+		due:   s.now() + int64(s.faults.delay(m.ID, 0)),
 		m:     m,
 		frame: frame,
 		ts:    ts,
@@ -555,7 +593,7 @@ func (s *sendScheduler) accept(m sim.Message, frame []byte, ts uint64) {
 
 func (s *sendScheduler) push(a attempt) {
 	s.mu.Lock()
-	heap.Push(&s.heap, a)
+	s.heap.push(a)
 	s.mu.Unlock()
 	select {
 	case s.notify <- struct{}{}:
@@ -572,12 +610,11 @@ func (s *sendScheduler) run() {
 		var a attempt
 		ready := false
 		if len(s.heap) > 0 {
-			now := time.Now()
-			if !s.heap[0].due.After(now) {
-				a = heap.Pop(&s.heap).(attempt)
+			if early := s.heap[0].due - s.now(); early <= 0 {
+				a = s.heap.pop()
 				ready = true
 			} else {
-				wait = s.heap[0].due.Sub(now)
+				wait = time.Duration(early)
 			}
 		}
 		s.mu.Unlock()
@@ -627,6 +664,6 @@ func (s *sendScheduler) execute(a attempt) {
 func (s *sendScheduler) requeue(a attempt) {
 	delay := s.faults.backoff(a.m.ID, a.try)
 	a.try++
-	a.due = time.Now().Add(delay + s.faults.delay(a.m.ID, a.try))
+	a.due = s.now() + int64(delay+s.faults.delay(a.m.ID, a.try))
 	s.push(a)
 }

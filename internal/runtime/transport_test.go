@@ -2,10 +2,12 @@ package runtime
 
 import (
 	"reflect"
+	"sort"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/fingerprint"
 	"repro/internal/protocols"
 	"repro/internal/sim"
 )
@@ -105,6 +107,61 @@ func TestSendSchedulerFollowsFaultRolls(t *testing.T) {
 	}
 	if st.Accepted != messages || st.Settled != st.Accepted || inflight != 0 {
 		t.Errorf("accepted %d, settled %d, in flight %d; want %d, %d, 0", st.Accepted, st.Settled, inflight, messages, messages)
+	}
+}
+
+// TestAttemptHeapPopsInOrder holds the scheduler's heap to a reference
+// that scans for the earliest due time: under interleaved pushes and pops,
+// with due times drawn from a narrow range so that ties are common, every
+// pop returns an attempt due when the scan's is, and draining what is left
+// yields the sorted due times. Each attempt is popped exactly once.
+func TestAttemptHeapPopsInOrder(t *testing.T) {
+	var h attemptHeap
+	var ref []int64
+	popped := map[uint64]bool{}
+	x := uint64(611)
+	roll := func(n uint64) int64 {
+		x = fingerprint.Mix64(x + 0x9e3779b97f4a7c15)
+		return int64(x % n)
+	}
+	popRef := func() int64 {
+		least := 0
+		for i, due := range ref {
+			if due < ref[least] {
+				least = i
+			}
+		}
+		due := ref[least]
+		ref = append(ref[:least], ref[least+1:]...)
+		return due
+	}
+	pop := func() attempt {
+		a := h.pop()
+		if popped[a.ts] {
+			t.Fatalf("attempt %d popped twice", a.ts)
+		}
+		popped[a.ts] = true
+		return a
+	}
+	for op := 0; op < 5000; op++ {
+		if len(ref) == 0 || roll(3) > 0 {
+			a := attempt{due: roll(40), ts: uint64(op)}
+			h.push(a)
+			ref = append(ref, a.due)
+			continue
+		}
+		if got, want := pop().due, popRef(); got != want {
+			t.Fatalf("op %d: popped an attempt due at %d, want %d", op, got, want)
+		}
+	}
+	sort.Slice(ref, func(i, j int) bool { return ref[i] < ref[j] })
+	for i, want := range ref {
+		if got := pop().due; got != want {
+			t.Fatalf("drain %d: popped an attempt due at %d, the sort has %d", i, got, want)
+		}
+	}
+	if len(h) != 0 {
+		t.Fatalf("%d attempts left after the drain", len(h))
 	}
 }
 

@@ -216,12 +216,17 @@ func RandomRun(proto Protocol, inputs []Bit, opts RunnerOptions) (*Run, error) {
 // walked is appended to sched, so a caller that walks many runs can hand
 // in one buffer, emptied, each time; it is returned with the unfired
 // injections and RandomRun's errors.
+//
+// Unlike RandomRun's, the walked schedule ends with the event whose step
+// failed, if one did. The scheduler offers only enabled events, so such a
+// step broke the model's contract (self-send, multi-send, revoked
+// decision), and a schedule that keeps it replays to the same error.
 func RandomWalk(proto Protocol, c *Config, opts RunnerOptions, sched Schedule, observe func(Event, *Config)) (Schedule, []FailureAt, error) {
 	unfired, err := schedule(proto, opts, func() *Config { return c }, func(e Event) error {
+		sched = append(sched, e)
 		if err := c.ApplyInPlace(proto, e); err != nil {
 			return err
 		}
-		sched = append(sched, e)
 		observe(e, c)
 		return nil
 	})

@@ -43,7 +43,7 @@ func (p Problem) AppendConsistency(out []Violation, at int, c *sim.Config, ledge
 	seen, seenBy := sim.NoDecision, sim.ProcID(0)
 	for proc, d := range ledger {
 		switch {
-		case d == sim.NoDecision || p.Consistency == IC && c.States[proc].Kind() == sim.Failed:
+		case d == sim.NoDecision || p.Consistency == IC && c.KindAt(sim.ProcID(proc)) == sim.Failed:
 		case seen == sim.NoDecision:
 			seen, seenBy = d, sim.ProcID(proc)
 		case d != seen && p.Consistency == IC:

@@ -102,10 +102,16 @@ func (sc *StreamChecker) Replay(proto sim.Protocol, c *sim.Config, sched sim.Sch
 
 // observe folds one configuration into the ledger — judging the decision
 // rule at each first decision — and, for IC problems, judges consistency
-// until its first violation.
+// until its first violation. IC is judged only where it can first fail: at
+// the initial configuration and wherever the ledger gains a decision.
+// Between two such points the ledger is fixed and the Failed processors
+// only grow (failure is permanent), so the nonfaulty decided processors IC
+// compares only shrink, and a configuration that passed leaves its
+// successors nothing new to fail on.
 func (sc *StreamChecker) observe(c *sim.Config) {
 	sc.idx++
 	sc.final = c
+	grew := sc.idx == 0
 	for proc := 0; sc.undecided > 0 && proc < len(sc.ledger); proc++ {
 		if sc.ledger[proc] != sim.NoDecision {
 			continue
@@ -116,12 +122,13 @@ func (sc *StreamChecker) observe(c *sim.Config) {
 		}
 		sc.ledger[proc] = d
 		sc.undecided--
+		grew = true
 		var found [1]Violation
 		if v := sc.p.AppendRule(found[:0], sim.ProcID(proc), d, sc.inputs, sc.anyFail); len(v) > 0 {
 			sc.rule[proc] = v[0]
 		}
 	}
-	if sc.p.Consistency == IC && len(sc.ic) == 0 {
+	if grew && sc.p.Consistency == IC && len(sc.ic) == 0 {
 		sc.ic = sc.p.AppendConsistency(sc.ic, sc.idx, c, sc.ledger)
 	}
 }
