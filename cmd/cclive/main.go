@@ -71,7 +71,7 @@ type runOutcome struct {
 	aborted   bool
 	conformed bool // conformance replay actually ran (sampling may skip it)
 	err       error
-	divs      []consensus.LiveDivergence
+	divs      []consensus.Violation
 	result    *consensus.LiveResult
 	plan      consensus.ChaosRunPlan
 	detectMax time.Duration
@@ -808,10 +808,7 @@ func writeJSON(stdout io.Writer, path string, sum jsonSummary) error {
 func writeDivergenceTrace(dir, protoCanon, protoArg string, prob consensus.Problem, sweepSeed int64, idx int, out runOutcome) (string, error) {
 	res := out.result
 	f := &consensus.ChaosFailure{RunIndex: idx, Seed: out.plan.Seed, Inputs: res.Inputs, Injections: out.plan.Failures,
-		Schedule: res.Schedule, OriginalSteps: len(res.Schedule)}
-	for _, d := range out.divs {
-		f.Violations = append(f.Violations, consensus.Violation{Kind: d.Kind, Detail: d.Detail})
-	}
+		Schedule: res.Schedule, OriginalSteps: len(res.Schedule), Violations: out.divs}
 	if out.err != nil {
 		f.Violations = append(f.Violations, consensus.Violation{Kind: "run", Detail: out.err.Error()})
 	}

@@ -187,10 +187,6 @@ type (
 	ChaosTrace = chaos.Trace
 	// ChaosTraceEvent is one serialized schedule element.
 	ChaosTraceEvent = chaos.TraceEvent
-	// ChaosTraceInjection is a serialized failure injection.
-	ChaosTraceInjection = chaos.TraceInjection
-	// ChaosTraceViolation is a serialized violation.
-	ChaosTraceViolation = chaos.TraceViolation
 	// ChaosReplayResult is the outcome of re-executing a trace: the
 	// violations the replay found and whether they match the recorded ones.
 	ChaosReplayResult = chaos.ReplayResult
@@ -228,8 +224,6 @@ type (
 	// LiveConformance is the verdict of replaying a live run through the
 	// deterministic simulator.
 	LiveConformance = runtime.Conformance
-	// LiveDivergence is one disagreement between a live run and the model.
-	LiveDivergence = runtime.Divergence
 	// ChaosRunPlan is the seed-derived recipe for one chaos or live run.
 	ChaosRunPlan = chaos.RunPlan
 	// LiveTransportStats snapshots the transport-layer loss, duplication,

@@ -311,7 +311,7 @@ func TestPanicBecomesReportedFailure(t *testing.T) {
 	// refused by the scheduler before the first step: an error, not a
 	// reproduced (or any other) panic.
 	bad := *decoded
-	bad.Injections = []TraceInjection{{Proc: 9, AfterStep: 0}}
+	bad.Injections = []sim.FailureAt{{Proc: 9, AfterStep: 0}}
 	res, err = Replay(&bad, grenadeProto{}, prob)
 	if err == nil || !strings.Contains(err.Error(), "names processor 9") || res != nil {
 		t.Fatalf("panic replay with an injection at p9 = (%+v, %v), want no result and the scheduler's error", res, err)

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"repro/internal/sim"
 	"repro/internal/taxonomy"
@@ -31,12 +32,6 @@ type TraceEvent struct {
 	Type string `json:"type"`
 	// Msg identifies the affected message for "deliver" and "omit" events.
 	Msg *TraceMsg `json:"msg,omitempty"`
-}
-
-// TraceViolation is a serialized taxonomy violation.
-type TraceViolation struct {
-	Kind   string `json:"kind"`
-	Detail string `json:"detail"`
 }
 
 // Trace is a replayable counterexample: everything needed to re-execute a
@@ -69,7 +64,7 @@ type Trace struct {
 	// re-execute panic traces faithfully).
 	MaxSteps int `json:"maxSteps"`
 	// Injections is the planned failure schedule.
-	Injections []TraceInjection `json:"injections,omitempty"`
+	Injections []sim.FailureAt `json:"injections,omitempty"`
 	// Adversary names the scheduling strategy, omitted for the uniform
 	// default; OmissionBudget/MobileOmissions echo the omission policy.
 	// Panic traces need all three to re-run the seeded scheduler
@@ -85,15 +80,9 @@ type Trace struct {
 	// Schedule is the violating schedule (empty for panic traces).
 	Schedule []TraceEvent `json:"schedule"`
 	// Violations is what replaying the schedule must reproduce.
-	Violations []TraceViolation `json:"violations"`
+	Violations []taxonomy.Violation `json:"violations"`
 	// Panic holds the recovered panic value for panic traces.
 	Panic string `json:"panic,omitempty"`
-}
-
-// TraceInjection is a serialized FailureAt.
-type TraceInjection struct {
-	Proc      int `json:"proc"`
-	AfterStep int `json:"afterStep"`
 }
 
 // BuildTrace serializes one failure of a report into a replayable trace.
@@ -111,6 +100,8 @@ func BuildTrace(rep *Report, f *Failure, maxSteps int) *Trace {
 		MaxSteps:      maxSteps,
 		Shrunk:        f.ShrinkCandidates > 0,
 		OriginalSteps: f.OriginalSteps,
+		Violations:    f.Violations,
+		Injections:    f.Injections,
 		Panic:         f.PanicValue,
 
 		OmissionBudget:  rep.OmissionBudget,
@@ -122,14 +113,8 @@ func BuildTrace(rep *Report, f *Failure, maxSteps int) *Trace {
 	if rule := ruleArg(rep.Problem.Rule); rule != unanimity {
 		t.Rule = rule
 	}
-	for _, inj := range f.Injections {
-		t.Injections = append(t.Injections, TraceInjection{Proc: int(inj.Proc), AfterStep: inj.AfterStep})
-	}
 	for _, e := range f.Schedule {
 		t.Schedule = append(t.Schedule, EncodeEvent(e))
-	}
-	for _, v := range f.Violations {
-		t.Violations = append(t.Violations, TraceViolation{Kind: v.Kind, Detail: v.Detail})
 	}
 	return t
 }
@@ -299,23 +284,19 @@ func Replay(t *Trace, proto sim.Protocol, problem taxonomy.Problem) (*ReplayResu
 		return nil, fmt.Errorf("chaos: trace schedule no longer applies to %s — protocol changed since recording", proto.Name())
 	}
 	res := &ReplayResult{Complete: v.Complete, Violations: v.Violations}
-	res.Reproduced = violationsMatch(v.Violations, t.Violations)
+	res.Reproduced = slices.Equal(v.Violations, t.Violations)
 	return res, nil
 }
 
 // replayPanic re-executes a panic trace through the seeded scheduler and
 // checks the same panic value recurs.
 func replayPanic(t *Trace, proto sim.Protocol, inputs []sim.Bit) (res *ReplayResult, err error) {
-	failures := make([]sim.FailureAt, 0, len(t.Injections))
-	for _, inj := range t.Injections {
-		failures = append(failures, sim.FailureAt{Proc: sim.ProcID(inj.Proc), AfterStep: inj.AfterStep})
-	}
 	res = &ReplayResult{}
 	defer func() {
 		if r := recover(); r != nil {
 			res.PanicValue = fmt.Sprintf("%v", r)
 			res.Violations = []taxonomy.Violation{{Kind: "panic", Detail: "protocol panicked: " + res.PanicValue}}
-			res.Reproduced = violationsMatch(res.Violations, t.Violations)
+			res.Reproduced = slices.Equal(res.Violations, t.Violations)
 			err = nil
 		}
 	}()
@@ -327,7 +308,7 @@ func replayPanic(t *Trace, proto sim.Protocol, inputs []sim.Bit) (res *ReplayRes
 	c := sim.NewConfigOmission(proto, inputs, sim.OmissionPolicy{Budget: t.OmissionBudget, Mobile: t.MobileOmissions})
 	_, _, runErr := sim.RandomWalk(proto, c, sim.RunnerOptions{
 		MaxSteps: t.MaxSteps,
-		Failures: failures,
+		Failures: t.Injections,
 		Choose:   func(c *sim.Config, enabled []sim.Event) int { return adv.Choose(rng, proto, c, enabled) },
 	}, nil, func(sim.Event, *sim.Config) {})
 	if runErr != nil {
@@ -337,17 +318,4 @@ func replayPanic(t *Trace, proto sim.Protocol, inputs []sim.Bit) (res *ReplayRes
 	}
 	res.Complete = c.Quiescent()
 	return res, fmt.Errorf("chaos: panic trace did not panic on replay — protocol changed since recording")
-}
-
-// violationsMatch compares replayed violations to the recorded ones.
-func violationsMatch(got []taxonomy.Violation, want []TraceViolation) bool {
-	if len(got) != len(want) {
-		return false
-	}
-	for i := range got {
-		if got[i].Kind != want[i].Kind || got[i].Detail != want[i].Detail {
-			return false
-		}
-	}
-	return true
 }

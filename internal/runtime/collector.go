@@ -25,7 +25,7 @@ type collector struct {
 	// sch[i]. In a single-process run the total order already is the mutex
 	// admission order and the timestamps are simply 1,2,3…; in a
 	// distributed run each group's collector stamps its local events and
-	// receives witnesses piggybacked on incoming frames, so merging all
+	// receives witnesses piggybacked on incoming messages, so merging all
 	// groups' schedules by (ts, group, local index) yields a total order
 	// consistent with happens-before.
 	clock uint64   // ccvet:guardedby mu
@@ -81,8 +81,8 @@ func (co *collector) nextSeq(from, to sim.ProcID) int {
 // model's send contract (sim.CheckEnvelopes), appends the event, and
 // returns the stamped messages for the node to hand to the network. The
 // messages are bare: nothing on the live path reads a message's key or
-// digest (EncodeMessage asks the payload for its key), so none is computed
-// under the mutex every step of the run contends for. ok is
+// digest (only a frame for another host asks the payload for its key), so
+// none is computed under the mutex every step of the run contends for. ok is
 // false if p has crashed or the run already failed; err is non-nil for a
 // model-contract violation, which aborts the run.
 func (co *collector) recordSend(p sim.ProcID, envs []sim.Envelope) (msgs []sim.Message, ts uint64, ok bool, err error) {
@@ -108,7 +108,7 @@ func (co *collector) recordSend(p sim.ProcID, envs []sim.Envelope) (msgs []sim.M
 }
 
 // recordDeliver admits one delivery event; witness is the Lamport
-// timestamp carried by the message's frame, so the delivery is stamped
+// timestamp carried with the message, so the delivery is stamped
 // after its send. ok is false if p has crashed or the run failed; the node
 // must then discard the message unapplied.
 func (co *collector) recordDeliver(p sim.ProcID, id sim.MsgID, witness uint64) bool {
@@ -125,7 +125,7 @@ func (co *collector) recordDeliver(p sim.ProcID, id sim.MsgID, witness uint64) b
 // recordOmit admits one omission event: the adversary suppressed the
 // delivery of id to p after the transport accepted it. The event enters the
 // total order exactly like a delivery — stamped after its send via the
-// frame's Lamport witness — so conformance replay removes the message from
+// message's Lamport witness — so conformance replay removes the message from
 // the model buffer without firing Receive. A crashed p refuses the record
 // (fail-stop: nothing happens at a crashed processor, and the model's Omit
 // is inapplicable to Failed states); the caller must then buffer normally.

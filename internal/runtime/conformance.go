@@ -7,29 +7,18 @@ import (
 	"repro/internal/taxonomy"
 )
 
-// Divergence is one way a live run left the model: its recorded schedule
-// does not replay, its decisions disagree with the replay, it claimed
-// quiescence the model denies, or the replayed run violates the problem's
-// predicates.
-type Divergence struct {
-	// Kind is "replay", "decision", "quiescence", or a taxonomy violation
-	// kind ("rule", "IC", "TC", "WT", "ST", "HT").
-	Kind string
-	// Detail explains the divergence, naming events and processors.
-	Detail string
-}
-
-func (d Divergence) String() string { return d.Kind + ": " + d.Detail }
-
 // Conformance is the verdict of replaying a live run through the
 // deterministic simulator.
 type Conformance struct {
 	// Replayed is how many schedule events applied cleanly.
 	Replayed int
-	// Divergences lists every disagreement between the live run and the
-	// model; empty means the live execution is a legal run with the same
-	// decisions, checked against the problem's predicates.
-	Divergences []Divergence
+	// Divergences lists every way the live run left the model: its
+	// recorded schedule does not replay ("replay"), it claimed quiescence
+	// the model denies ("quiescence"), its decisions disagree with the
+	// replay's ("decision"), or the replayed run violates the problem's
+	// predicates. Empty means the live execution is a legal run with the
+	// same decisions, checked against the problem's predicates.
+	Divergences []taxonomy.Violation
 }
 
 // OK reports whether the live run conformed.
@@ -83,7 +72,7 @@ func ConformStream(res *Result, proto sim.Protocol, problem taxonomy.Problem) (*
 		if why == nil {
 			why = cur.ApplyInPlace(proto, e) // sim's own words for why e does not apply; cur is left as it was
 		}
-		conf.Divergences = append(conf.Divergences, Divergence{
+		conf.Divergences = append(conf.Divergences, taxonomy.Violation{
 			Kind:   "replay",
 			Detail: fmt.Sprintf("event %d (%s) does not apply: %v", conf.Replayed, e, why),
 		})
@@ -91,7 +80,7 @@ func ConformStream(res *Result, proto sim.Protocol, problem taxonomy.Problem) (*
 	}
 
 	if res.Quiescent && !cur.Quiescent() {
-		conf.Divergences = append(conf.Divergences, Divergence{
+		conf.Divergences = append(conf.Divergences, taxonomy.Violation{
 			Kind:   "quiescence",
 			Detail: "live run claimed quiescence but the replayed configuration has enabled events (a message the transport lost?)",
 		})
@@ -99,16 +88,14 @@ func ConformStream(res *Result, proto sim.Protocol, problem taxonomy.Problem) (*
 	for p := 0; p < proto.N(); p++ {
 		replayed, _ := checker.Decision(sim.ProcID(p))
 		if live := res.Decisions[p]; live != replayed {
-			conf.Divergences = append(conf.Divergences, Divergence{
+			conf.Divergences = append(conf.Divergences, taxonomy.Violation{
 				Kind:   "decision",
 				Detail: fmt.Sprintf("%s decided %s live but %s in replay", sim.ProcID(p), live, replayed),
 			})
 		}
 	}
 	complete := res.Quiescent && cur.Quiescent() && !hasOmissions(res.Schedule)
-	for _, v := range checker.Finish(complete) {
-		conf.Divergences = append(conf.Divergences, Divergence{Kind: v.Kind, Detail: v.Detail})
-	}
+	conf.Divergences = append(conf.Divergences, checker.Finish(complete)...)
 	return conf, nil
 }
 

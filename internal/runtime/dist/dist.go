@@ -658,20 +658,6 @@ func acceptCtx(ctx context.Context, ln net.Listener) (net.Conn, error) {
 	}
 }
 
-// Serve is the single-run convenience: admit the spec's joiners, run once,
-// tear the session down.
-func Serve(ctx context.Context, listenAddr string, spec Spec, opts Options) (*Report, error) {
-	if err := spec.validate(); err != nil {
-		return nil, err
-	}
-	c, err := NewCoordinator(ctx, listenAddr, spec.Hosts()-1, opts)
-	if err != nil {
-		return nil, err
-	}
-	defer func() { _ = c.Close() }()
-	return c.Run(ctx, spec)
-}
-
 // ---- Joiner ----
 
 // Join runs one joiner process for a whole session: dial the coordinator

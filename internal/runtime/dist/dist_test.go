@@ -44,8 +44,9 @@ func contiguousOwner(n, hosts int) []int {
 	return owner
 }
 
-// runDistributed executes one distributed run in-process: Serve on a
-// goroutine for host 0, one Join goroutine per remaining host.
+// runDistributed executes one distributed run in-process, as cclive and the
+// benchmark drive a session: a coordinator on a goroutine for host 0 admits
+// one Join goroutine per remaining host, runs the spec once and closes.
 func runDistributed(t *testing.T, spec dist.Spec) *dist.Report {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
@@ -61,7 +62,13 @@ func runDistributed(t *testing.T, spec dist.Spec) *dist.Report {
 	}
 	servedCh := make(chan served, 1)
 	go func() {
-		rep, err := dist.Serve(ctx, "127.0.0.1:0", spec, o)
+		c, err := dist.NewCoordinator(ctx, "127.0.0.1:0", spec.Hosts()-1, o)
+		if err != nil {
+			servedCh <- served{nil, err}
+			return
+		}
+		rep, err := c.Run(ctx, spec)
+		_ = c.Close()
 		servedCh <- served{rep, err}
 	}()
 	addr := <-addrCh
@@ -73,7 +80,7 @@ func runDistributed(t *testing.T, spec dist.Spec) *dist.Report {
 
 	s := <-servedCh
 	if s.err != nil {
-		t.Fatalf("Serve: %v", s.err)
+		t.Fatalf("coordinator: %v", s.err)
 	}
 	for h := 1; h < spec.Hosts(); h++ {
 		if err := <-joinErr; err != nil {

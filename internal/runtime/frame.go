@@ -46,11 +46,14 @@ const (
 	frameIDLen = 18
 )
 
-// Frame is the decoded wire representation of one transported message: the
-// model's triple (from, to, seq), the failure-notice flag, and the
-// payload's canonical key. Payload *objects* never cross the wire in this
-// in-process runtime — the key is what buffer hashing and dedup need — so
-// Decode returns the key, not a reconstructed Payload.
+// Frame is the decoded wire representation of one message bound for another
+// host: the model's triple (from, to, seq), the failure-notice flag, and the
+// payload's canonical key. Only such messages are framed — transport.Send
+// encodes one frame per remote message, and a message to a processor on
+// the same host stays a sim.Message — and Group.DeliverWire is the one
+// decoder. Payload *objects* never cross the wire: Decode returns the key,
+// and the receiving group rebuilds the payload with its
+// GroupConfig.DecodePayload.
 type Frame struct {
 	From   sim.ProcID
 	To     sim.ProcID
@@ -158,9 +161,10 @@ func DecodeFrame(data []byte) (Frame, error) {
 }
 
 // DedupKey extracts the message triple from a frame's fixed prefix without
-// decoding the payload. Receiver-side dedup keys on this: retransmissions
-// of the same message carry the same triple, so a delivered triple is
-// delivered exactly once however many times the link duplicates it.
+// decoding the payload. The runtime does not call it — a mailbox dedups on
+// the sim.Message's ID — and FuzzFrameRoundTrip holds it to DecodeFrame.
+//
+// Deprecated: pinned by bench/probes.go (runtime.dedupkey_ns).
 //
 //ccvet:pure
 func DedupKey(data []byte) (sim.MsgID, error) {

@@ -206,7 +206,7 @@ func StartGroup(cfg GroupConfig) (*Group, error) {
 		}
 		pid := sim.ProcID(p)
 		g.hosted = append(g.hosted, pid)
-		mb := newMailbox(int64(fingerprint.Mix64(uint64(cfg.Faults.Seed)^uint64(p)+1)), cfg.Faults.DisableDedup, g.work, counters)
+		mb := newMailbox(int64(fingerprint.Mix64(uint64(cfg.Faults.Seed)^uint64(p)+1)), cfg.Faults.DisableDedup, g.work)
 		mb.omit = omitHook(cfg.Faults, pid, g.col, counters)
 		g.boxes[pid] = mb
 	}
@@ -283,18 +283,23 @@ func (g *Group) pollLoop() {
 }
 
 // DeliverWire routes one mesh payload — the send event's Lamport timestamp
-// followed by the message frame — into the destination's mailbox.
-// Anything that does not parse is counted as a garbage frame, never
-// silently dropped.
+// followed by the message frame — into the destination's mailbox. It is the
+// runtime's one decoder of bytes from outside the process: anything that
+// does not parse, names a sender outside the run, or names a destination
+// not hosted here is counted as a garbage frame, never silently dropped and
+// never handed to a node.
 func (g *Group) DeliverWire(payload []byte) {
 	if len(payload) < 8 {
 		g.tr.counters.garbageFrames.Add(1)
 		return
 	}
-	ts := binary.BigEndian.Uint64(payload[:8])
-	frame := payload[8:]
-	f, err := DecodeFrame(frame)
-	if err != nil {
+	f, err := DecodeFrame(payload[8:])
+	if err != nil || f.From < 0 || int(f.From) >= g.n {
+		g.tr.counters.garbageFrames.Add(1)
+		return
+	}
+	mb := g.boxes[f.To]
+	if mb == nil {
 		g.tr.counters.garbageFrames.Add(1)
 		return
 	}
@@ -307,12 +312,7 @@ func (g *Group) DeliverWire(payload []byte) {
 		}
 		m.Payload = p
 	}
-	mb := g.boxes[f.To]
-	if mb == nil {
-		g.tr.counters.garbageFrames.Add(1)
-		return
-	}
-	mb.deliver(frame, m, ts)
+	mb.deliver(m, binary.BigEndian.Uint64(payload[:8]))
 }
 
 // FramesAcked releases the tokens of n frames this group queued on the mesh:

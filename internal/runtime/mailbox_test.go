@@ -1,29 +1,24 @@
 package runtime
 
 import (
+	"encoding/binary"
 	"fmt"
 	"reflect"
 	"sync"
 	"testing"
 
+	"repro/internal/protocols"
 	"repro/internal/sim"
 )
 
-// mkMsg builds a message and its canonical frame for mailbox tests.
-func mkMsg(t *testing.T, from, to sim.ProcID, seq int) (sim.Message, []byte) {
-	t.Helper()
+// mkMsg builds a message for mailbox and transport tests.
+func mkMsg(from, to sim.ProcID, seq int) sim.Message {
 	key := fmt.Sprintf("m%d-%d-%d", from, to, seq)
-	m := sim.Message{ID: sim.MsgID{From: from, To: to, Seq: seq}, Payload: testPayload(key)}
-	frame, err := EncodeFrame(Frame{From: from, To: to, Seq: seq, PayloadKey: key})
-	if err != nil {
-		t.Fatalf("EncodeFrame: %v", err)
-	}
-	return m, frame
+	return sim.Message{ID: sim.MsgID{From: from, To: to, Seq: seq}, Payload: testPayload(key)}
 }
 
-func newTestMailbox(seed int64, dedupOff bool) (*mailbox, *transportCounters) {
-	counters := &transportCounters{}
-	return newMailbox(seed, dedupOff, newTokens(), counters), counters
+func newTestMailbox(seed int64, dedupOff bool) *mailbox {
+	return newMailbox(seed, dedupOff, newTokens())
 }
 
 // TestMailboxAgingBound checks the fair-buffer guarantee under a steady
@@ -32,15 +27,15 @@ func newTestMailbox(seed int64, dedupOff bool) (*mailbox, *transportCounters) {
 // message starves.
 func TestMailboxAgingBound(t *testing.T) {
 	for _, seed := range []int64{1, 2, 1984} {
-		mb, _ := newTestMailbox(seed, false)
+		mb := newTestMailbox(seed, false)
 		const buffered = 4
 		const rounds = 500
 		born := make(map[sim.MsgID]int) // pop index at which the message was buffered
 		next := 1
 		feed := func(at int) {
-			m, frame := mkMsg(t, 0, 1, next)
+			m := mkMsg(0, 1, next)
 			next++
-			mb.deliver(frame, m, uint64(next))
+			mb.deliver(m, uint64(next))
 			born[m.ID] = at
 		}
 		for i := 0; i < buffered; i++ {
@@ -71,14 +66,14 @@ func TestMailboxAgingBound(t *testing.T) {
 // another seed picks a different one.
 func TestMailboxSeededOrder(t *testing.T) {
 	picks := func(seed int64) []sim.MsgID {
-		mb, _ := newTestMailbox(seed, false)
+		mb := newTestMailbox(seed, false)
 		var got []sim.MsgID
 		next := 1
 		for round := 0; round < 200; round++ {
 			for k := 0; k < 1+round%4; k++ {
-				m, frame := mkMsg(t, sim.ProcID(k), 5, next)
+				m := mkMsg(sim.ProcID(k), 5, next)
 				next++
-				mb.deliver(frame, m, uint64(next))
+				mb.deliver(m, uint64(next))
 			}
 			for k := 0; k < 1+round%3; k++ {
 				m, _, ok := mb.tryRecv()
@@ -104,44 +99,80 @@ func TestMailboxSeededOrder(t *testing.T) {
 }
 
 // TestMailboxDeliverAfterClose checks the model's rule that the buffers of
-// failed processors are ignored: frames delivered after close are
-// discarded, buffered frames are dropped with their tokens, and tryRecv
+// failed processors are ignored: messages delivered after close are
+// discarded, buffered messages are dropped with their tokens, and tryRecv
 // never yields again.
 func TestMailboxDeliverAfterClose(t *testing.T) {
-	mb, counters := newTestMailbox(7, false)
-	m1, f1 := mkMsg(t, 0, 1, 1)
-	mb.deliver(f1, m1, 1)
+	mb := newTestMailbox(7, false)
+	mb.deliver(mkMsg(0, 1, 1), 1)
 	mb.close()
 	if got := mb.work.count(); got != 0 {
 		t.Errorf("closed mailbox still holds %d tokens", got)
 	}
-	m2, f2 := mkMsg(t, 0, 1, 2)
-	mb.deliver(f2, m2, 2)
+	mb.deliver(mkMsg(0, 1, 2), 2)
 	if _, _, ok := mb.tryRecv(); ok {
 		t.Error("tryRecv yielded a message from a closed mailbox")
 	}
 	if got := mb.work.count(); got != 0 {
 		t.Errorf("delivery to a closed mailbox left %d tokens", got)
 	}
-	if got := counters.garbageFrames.Load(); got != 0 {
-		t.Errorf("deliver-after-close counted %d garbage frames; it is a discard, not garbage", got)
-	}
 }
 
-// TestMailboxGarbageFrameCounted checks the formerly-silent loss path: a
-// frame whose bytes do not carry its message's triple is discarded and the
-// loss is counted, never dropped quietly.
-func TestMailboxGarbageFrameCounted(t *testing.T) {
-	mb, counters := newTestMailbox(7, false)
-	m, _ := mkMsg(t, 0, 1, 1)
-	_, wrongFrame := mkMsg(t, 0, 1, 2) // carries triple (0,1,2), message says (0,1,1)
-	mb.deliver(wrongFrame, m, 1)
-	if _, _, ok := mb.tryRecv(); ok {
-		t.Error("mailbox buffered a frame whose triple mismatches its message")
+// TestDeliverWireCountsGarbage feeds the runtime's one decoder of outside
+// bytes everything a peer could get wrong: each input is counted as a
+// garbage frame and none reaches a mailbox, where a node would step on it.
+// A sender outside [0, N) matters most: the protocol's Receive panics on a
+// processor id it has no slot for, and nothing recovers a panic in a node's
+// goroutine, so one such frame would kill the host. An honest frame, fed
+// last, must still get through uncounted.
+func TestDeliverWireCountsGarbage(t *testing.T) {
+	proto := protocols.Star{Procs: 3}
+	g, err := StartGroup(GroupConfig{
+		Proto:         proto,
+		Inputs:        []sim.Bit{sim.One, sim.One, sim.One},
+		Owner:         make([]int, proto.N()),
+		DecodePayload: protocols.ParsePayloadKey,
+	})
+	if err != nil {
+		t.Fatalf("StartGroup: %v", err)
 	}
-	mb.deliver([]byte{0xde, 0xad}, m, 2)
-	if got := counters.garbageFrames.Load(); got != 2 {
-		t.Errorf("garbageFrames = %d, want 2", got)
+	defer g.Finish()
+	wire := func(f Frame) []byte {
+		frame, err := EncodeFrame(f)
+		if err != nil {
+			t.Fatalf("EncodeFrame(%+v): %v", f, err)
+		}
+		return append(binary.BigEndian.AppendUint64(nil, 1), frame...)
+	}
+	honest := Frame{From: 1, To: 0, Seq: 1, PayloadKey: "val1"}
+	corrupt := wire(honest)
+	corrupt[8] ^= 0xff // the magic byte
+	for i, tc := range []struct {
+		name    string
+		payload []byte
+	}{
+		{"shorter than the stamp", []byte{0, 0, 0, 1}},
+		{"corrupt frame", corrupt},
+		{"undecodable payload key", wire(Frame{From: 1, To: 0, Seq: 1, PayloadKey: "no such payload"})},
+		{"destination not hosted here", wire(Frame{From: 1, To: 7, Seq: 1, PayloadKey: "val1"})},
+		{"sender outside the run", wire(Frame{From: 200, To: 0, Seq: 1, PayloadKey: "val1"})},
+	} {
+		g.DeliverWire(tc.payload)
+		if got := g.tr.counters.garbageFrames.Load(); got != int64(i+1) {
+			t.Errorf("%s: garbageFrames = %d, want %d", tc.name, got, i+1)
+		}
+		if work := g.work.count(); work != 0 {
+			t.Errorf("%s: a mailbox took %d tokens for it", tc.name, work)
+		}
+	}
+	g.DeliverWire(wire(honest))
+	m, ts, ok := g.boxes[0].tryRecv()
+	if !ok || m.ID != honest.ID() || ts != 1 {
+		t.Fatalf("honest frame: mailbox of p0 yields %v at %d (ok=%v), want %v at 1", m.ID, ts, ok, honest.ID())
+	}
+	g.boxes[0].stepDone()
+	if got := g.tr.counters.garbageFrames.Load(); got != 5 {
+		t.Errorf("the honest frame was counted: garbageFrames = %d, want 5", got)
 	}
 }
 
@@ -150,14 +181,13 @@ func TestMailboxGarbageFrameCounted(t *testing.T) {
 // deliveries interleave. Run under -race this also proves the lock
 // discipline of deliver/tryRecv.
 func TestMailboxConcurrentDedup(t *testing.T) {
-	mb, _ := newTestMailbox(11, false)
+	mb := newTestMailbox(11, false)
 	const writers = 8
 	const perWriter = 200
 	const distinct = 10
 	msgs := make([]sim.Message, distinct)
-	frames := make([][]byte, distinct)
 	for i := range msgs {
-		msgs[i], frames[i] = mkMsg(t, 0, 1, i+1)
+		msgs[i] = mkMsg(0, 1, i+1)
 	}
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
@@ -165,7 +195,7 @@ func TestMailboxConcurrentDedup(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
-				mb.deliver(frames[i%distinct], msgs[i%distinct], uint64(i+1))
+				mb.deliver(msgs[i%distinct], uint64(i+1))
 			}
 		}()
 	}
@@ -192,10 +222,10 @@ func TestMailboxConcurrentDedup(t *testing.T) {
 // TestMailboxNoDedupKeepsDuplicates is the teeth check for the check
 // above: with dedup disabled the duplicates must get through.
 func TestMailboxNoDedupKeepsDuplicates(t *testing.T) {
-	mb, _ := newTestMailbox(11, true)
-	m, frame := mkMsg(t, 0, 1, 1)
+	mb := newTestMailbox(11, true)
+	m := mkMsg(0, 1, 1)
 	for i := 0; i < 3; i++ {
-		mb.deliver(frame, m, uint64(i+1))
+		mb.deliver(m, uint64(i+1))
 	}
 	got := 0
 	for {

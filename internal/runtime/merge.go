@@ -15,7 +15,7 @@ import (
 // The merge key is (Lamport timestamp, host, local index). Each collector's
 // timestamps are strictly increasing, so sorting preserves every host's
 // local order; a deliver event ticks past the witness carried with the
-// frame, so it sorts after the send that produced it; ties between hosts
+// message, so it sorts after the send that produced it; ties between hosts
 // are broken by host id, which is sound because concurrent events commute
 // in the model. The result is a happens-before-consistent total order.
 //

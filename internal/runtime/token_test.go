@@ -71,8 +71,7 @@ func (r *tokenRig) check(step string) {
 func (r *tokenRig) send(from, to sim.ProcID) {
 	ch := [2]sim.ProcID{from, to}
 	r.seq[ch]++
-	m, _ := mkMsg(r.t, from, to, r.seq[ch])
-	r.g.tr.Send(m, uint64(r.seq[ch]))
+	r.g.tr.Send(mkMsg(from, to, r.seq[ch]), uint64(r.seq[ch]))
 	r.check("send")
 }
 

@@ -151,22 +151,25 @@ func (fp FaultPlan) backoff(id sim.MsgID, attempt int) time.Duration {
 }
 
 // TransportStats counts everything the transport did — including the two
-// formerly silent loss paths (unencodable messages discarded at Send,
-// garbage frames discarded at delivery), which are now first-class run
-// statistics surfaced by the cclive soak summary. Link-level fields stay
-// zero in a one-host run, which has no mesh.
+// ways a message can vanish without an event in the trace (a remote
+// message whose frame failed to encode at Send, a garbage frame discarded
+// by Group.DeliverWire), which the cclive soak summary prints as its
+// silent-loss line. Both stay zero in a one-host run: a local message is
+// never framed, and only frames from another host are decoded. Link-level
+// fields stay zero there too, with no mesh.
 type TransportStats struct {
 	// Accepted counts messages handed to Send.
 	Accepted int64 `json:"accepted"`
 	// Settled counts accepted messages that reached their mailbox (or
 	// were discarded at a closed/deduplicating one).
 	Settled int64 `json:"settled"`
-	// EncodeFailures counts messages Send discarded because their wire
-	// frame failed to encode — a silent loss the conformance replay would
-	// otherwise have to infer.
+	// EncodeFailures counts remote messages Send discarded because their
+	// wire frame failed to encode — a silent loss the conformance replay
+	// would otherwise have to infer.
 	EncodeFailures int64 `json:"encodeFailures"`
-	// GarbageFrames counts frames discarded at delivery because they were
-	// corrupt or did not carry their message's triple.
+	// GarbageFrames counts mesh payloads Group.DeliverWire discarded: too
+	// short, corrupt, carrying an undecodable payload key, or naming a
+	// sender outside the run or a destination hosted elsewhere.
 	GarbageFrames int64 `json:"garbageFrames"`
 	// Drops counts seeded in-transit losses of delivery attempts.
 	Drops int64 `json:"drops"`
@@ -219,7 +222,8 @@ func (s *TransportStats) Add(o TransportStats) {
 }
 
 // transportCounters is the mutable atomic counter block behind
-// TransportStats, shared between a transport and the mailboxes it feeds.
+// TransportStats, shared by a group's transport, its omission hooks and
+// DeliverWire.
 type transportCounters struct {
 	accepted, settled, encodeFailures, garbageFrames, drops, dups, omissions atomic.Int64
 }
@@ -243,7 +247,7 @@ const agingLimit = 8
 
 // mailbox is one processor's receive buffer: the live counterpart of the
 // model's unordered fair buffer. Delivery order is randomized (seeded) to
-// exercise reorderings, dedup keyed by the frame's message triple absorbs
+// exercise reorderings, dedup keyed by the message triple absorbs
 // at-least-once duplicates, and aging enforces fairness. The n-th pick is
 // a Mix64 roll over (seed, n) — FaultPlan.roll's idiom — so the generator
 // state is two words, and a mailbox costs nothing to seed.
@@ -262,9 +266,6 @@ type mailbox struct {
 	// node has recorded and applied the delivery (stepDone) or close
 	// discards it.
 	work *tokens
-	// counters is the owning transport's counter block: garbage frames
-	// discarded here are counted, never silently lost.
-	counters *transportCounters
 	// omit, when non-nil, is the receive-omission injector: consulted after
 	// dedup accepts a fresh message, a true return suppresses it —
 	// accepted, never buffered. The hook records the Omit event in the
@@ -272,14 +273,13 @@ type mailbox struct {
 	omit func(m sim.Message, ts uint64) bool
 }
 
-func newMailbox(seed int64, dedupOff bool, work *tokens, counters *transportCounters) *mailbox {
+func newMailbox(seed int64, dedupOff bool, work *tokens) *mailbox {
 	return &mailbox{
 		seen:     make(map[sim.MsgID]bool),
 		dedupOff: dedupOff,
 		seed:     fingerprint.Mix64(uint64(seed) ^ saltPick),
 		notify:   make(chan struct{}, 1),
 		work:     work,
-		counters: counters,
 	}
 }
 
@@ -304,32 +304,23 @@ func omitHook(faults FaultPlan, p sim.ProcID, col *collector, counters *transpor
 	}
 }
 
-// deliver buffers one transported frame stamped with the Lamport timestamp
-// of its send event. Duplicate triples are absorbed here (unless dedup is
-// disabled), and frames for a closed mailbox — a crashed or halted
-// processor — are discarded: the model ignores the buffers of failed and
-// halted processors.
-func (mb *mailbox) deliver(frame []byte, m sim.Message, ts uint64) {
-	id, err := DedupKey(frame)
-	if err != nil || id != m.ID {
-		// A frame that does not carry its message's triple is a transport
-		// bug; drop it so dedup cannot be keyed on garbage, and count the
-		// loss. The missing message then surfaces as a conformance
-		// divergence, with the counter naming the mechanism.
-		mb.counters.garbageFrames.Add(1)
-		return
-	}
+// deliver buffers one transported message stamped with the Lamport
+// timestamp of its send event. Duplicate triples are absorbed here (unless
+// dedup is disabled), and messages for a closed mailbox — a crashed or
+// halted processor — are discarded: the model ignores the buffers of failed
+// and halted processors.
+func (mb *mailbox) deliver(m sim.Message, ts uint64) {
 	mb.mu.Lock()
 	if mb.closed {
 		mb.mu.Unlock()
 		return
 	}
 	if !mb.dedupOff {
-		if mb.seen[id] {
+		if mb.seen[m.ID] {
 			mb.mu.Unlock()
 			return
 		}
-		mb.seen[id] = true
+		mb.seen[m.ID] = true
 	}
 	if mb.omit != nil && mb.omit(m, ts) {
 		// Suppressed after acceptance: dedup already marked the triple seen,
@@ -439,40 +430,42 @@ func newTransport(g *Group, counters *transportCounters) *transport {
 	return t
 }
 
-// Send accepts a message: encode once, then hand the delivery schedule to
-// the fault scheduler. It never blocks and never fails: from the sender's
-// point of view the message system is faultless. lamport is the collector
-// timestamp of the send event, carried with the frame so a merged schedule
-// preserves the happens-before order.
+// Send accepts a message and hands its delivery schedule to the fault
+// scheduler. It never blocks and never fails: from the sender's point of
+// view the message system is faultless. lamport is the collector timestamp
+// of the send event, carried with the message so a merged schedule
+// preserves the happens-before order. A message to a processor hosted here
+// stays a sim.Message; one to another host is framed once, here, into the
+// mesh payload every attempt sends.
 func (t *transport) Send(m sim.Message, lamport uint64) {
 	t.counters.accepted.Add(1)
-	frame, err := EncodeMessage(m)
-	if err != nil {
-		// Unencodable messages cannot occur for in-range processors; count
-		// the loss so a bug here shows up in run stats, not only as an
-		// unexplained conformance divergence.
-		t.counters.encodeFailures.Add(1)
-		return
+	var payload []byte
+	if t.g.cfg.Owner[m.ID.To] != t.g.cfg.Host {
+		frame, err := EncodeMessage(m)
+		if err != nil {
+			// Unencodable messages cannot occur for in-range processors;
+			// count the loss so a bug here shows up in run stats, not only
+			// as an unexplained conformance divergence.
+			t.counters.encodeFailures.Add(1)
+			return
+		}
+		payload = append(binary.BigEndian.AppendUint64(make([]byte, 0, 8+len(frame)), lamport), frame...)
 	}
-	t.sched.accept(m, frame, lamport)
+	t.sched.accept(m, payload, lamport)
 }
 
 // attemptDeliver performs one non-dropped delivery attempt.
 func (t *transport) attemptDeliver(a attempt) {
-	to := a.m.ID.To
-	if t.g.cfg.Owner[to] == t.g.cfg.Host {
-		t.g.boxes[to].deliver(a.frame, a.m, a.ts)
+	if a.payload == nil {
+		t.g.boxes[a.m.ID.To].deliver(a.m, a.ts)
 		return
 	}
-	payload := make([]byte, 8+len(a.frame))
-	binary.BigEndian.PutUint64(payload, a.ts)
-	copy(payload[8:], a.frame)
 	// The frame holds a token of its own from here to the peer's ack
 	// (Group.FramesAcked), which the peer writes only once its mailbox holds
 	// the message's. Send blocks under backpressure (full link queue); the
 	// scheduler tolerates that — at-least-once delivery has no deadline.
 	t.g.work.take(1)
-	if err := t.g.cfg.Mesh.Send(t.g.cfg.Owner[to], payload); err != nil {
+	if err := t.g.cfg.Mesh.Send(t.g.cfg.Owner[a.m.ID.To], a.payload); err != nil {
 		t.g.work.release() // the mesh is closed: the run is over
 	}
 }
@@ -498,13 +491,15 @@ func (t *transport) Stats() TransportStats {
 // ---- The seeded attempt scheduler ----
 
 // attempt is one pending delivery attempt of one message, due at due
-// nanoseconds of the monotonic clock after its scheduler started.
+// nanoseconds of the monotonic clock after its scheduler started. payload
+// is the mesh payload of a message to another host — the send's Lamport
+// stamp, 8 bytes big-endian, then the frame — and nil for a local one.
 type attempt struct {
-	due   int64
-	m     sim.Message
-	frame []byte
-	ts    uint64
-	try   int
+	due     int64
+	m       sim.Message
+	payload []byte
+	ts      uint64
+	try     int
 }
 
 // attemptHeap is a binary min-heap of attempts by due time.
@@ -528,7 +523,7 @@ func (h *attemptHeap) pop() attempt {
 	q := *h
 	top, last := q[0], len(q)-1
 	q[0] = q[last]
-	q[last] = attempt{} // the spare capacity keeps no frame or payload alive
+	q[last] = attempt{} // the spare capacity keeps no message or payload alive
 	q = q[:last]
 	for i := 0; ; {
 		least := 2*i + 1
@@ -581,13 +576,13 @@ func newSendScheduler(faults FaultPlan, counters *transportCounters, work *token
 func (s *sendScheduler) now() int64 { return int64(time.Since(s.start)) }
 
 // accept enqueues a fresh message's first delivery attempt.
-func (s *sendScheduler) accept(m sim.Message, frame []byte, ts uint64) {
+func (s *sendScheduler) accept(m sim.Message, payload []byte, ts uint64) {
 	s.work.take(1)
 	s.push(attempt{
-		due:   s.now() + int64(s.faults.delay(m.ID, 0)),
-		m:     m,
-		frame: frame,
-		ts:    ts,
+		due:     s.now() + int64(s.faults.delay(m.ID, 0)),
+		m:       m,
+		payload: payload,
+		ts:      ts,
 	})
 }
 

@@ -1,6 +1,9 @@
 package runtime
 
 import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
 	"reflect"
 	"sort"
 	"sync"
@@ -46,7 +49,9 @@ func waitSettled(t *testing.T, c *transportCounters) {
 // TestSendSchedulerFollowsFaultRolls pins the one fault injector to the pure
 // FaultPlan rolls: every message is delivered once per non-dropped attempt
 // up to and including the first whose ack is not lost, and the drop and dup
-// counters are exactly the rolls that came up on the way.
+// counters are exactly the rolls that came up on the way. Every attempt of
+// a message to processor 7, hosted elsewhere, carries the mesh payload of
+// its message and send stamp; every other attempt carries none.
 func TestSendSchedulerFollowsFaultRolls(t *testing.T) {
 	plan := FaultPlan{Seed: 1984, DropRate: 0.3, DupRate: 0.3}
 	const messages = 300
@@ -54,10 +59,16 @@ func TestSendSchedulerFollowsFaultRolls(t *testing.T) {
 		mu        sync.Mutex
 		delivered = make(map[sim.MsgID]int)
 	)
-	tr := &transport{counters: &transportCounters{}} // no group: Send needs only the counters and the scheduler
+	owner := make([]int, 8)
+	owner[7] = 1
+	// The group gives Send its owner map; the scheduler's deliver is the test's.
+	tr := &transport{g: &Group{cfg: GroupConfig{Owner: owner}}, counters: &transportCounters{}}
 	done := make(chan struct{})
 	work := newTokens()
 	tr.sched = newSendScheduler(plan, tr.counters, work, func(a attempt) {
+		if err := checkPayload(a); err != nil {
+			t.Error(err)
+		}
 		mu.Lock()
 		delivered[a.m.ID]++
 		mu.Unlock()
@@ -72,7 +83,7 @@ func TestSendSchedulerFollowsFaultRolls(t *testing.T) {
 	want := make(map[sim.MsgID]int)
 	var drops, dups int64
 	for i := 0; i < messages; i++ {
-		m, _ := mkMsg(t, sim.ProcID(i%5), sim.ProcID(5+i%3), 1+i/15)
+		m := mkMsg(sim.ProcID(i%5), sim.ProcID(5+i%3), 1+i/15)
 		for try := 0; ; try++ {
 			if plan.drop(m.ID, try) {
 				drops++
@@ -108,6 +119,26 @@ func TestSendSchedulerFollowsFaultRolls(t *testing.T) {
 	if st.Accepted != messages || st.Settled != st.Accepted || inflight != 0 {
 		t.Errorf("accepted %d, settled %d, in flight %d; want %d, %d, 0", st.Accepted, st.Settled, inflight, messages, messages)
 	}
+}
+
+// checkPayload holds an attempt's payload to its message: nil for a local
+// destination (0 to 6), and for processor 7 the attempt's send stamp
+// followed by the message's frame.
+func checkPayload(a attempt) error {
+	if a.m.ID.To != 7 {
+		if a.payload != nil {
+			return fmt.Errorf("local message %v carries a %d-byte payload", a.m.ID, len(a.payload))
+		}
+		return nil
+	}
+	frame, err := EncodeMessage(a.m)
+	if err != nil {
+		return err
+	}
+	if want := append(binary.BigEndian.AppendUint64(nil, a.ts), frame...); !bytes.Equal(a.payload, want) {
+		return fmt.Errorf("remote message %v carries payload %x, want %x", a.m.ID, a.payload, want)
+	}
+	return nil
 }
 
 // TestAttemptHeapPopsInOrder holds the scheduler's heap to a reference
@@ -178,7 +209,7 @@ func TestAcceptedMessageOutlivesItsSender(t *testing.T) {
 	if err != nil {
 		t.Fatalf("StartGroup: %v", err)
 	}
-	m, _ := mkMsg(t, 0, 1, 1)
+	m := mkMsg(0, 1, 1)
 	g.tr.Send(m, 1)
 	g.Crash(0)
 	select {

@@ -147,8 +147,8 @@ func (r *Run) step(e Event) error {
 // FailureAt schedules a failure injection: processor Proc fails immediately
 // after the AfterStep-th event of the run (0 = before anything happens).
 type FailureAt struct {
-	Proc      ProcID
-	AfterStep int
+	Proc      ProcID `json:"proc"`
+	AfterStep int    `json:"afterStep"`
 }
 
 // RunnerOptions configures the random fair scheduler.

@@ -127,13 +127,20 @@ func TriviallyReduces(p1, p2 Problem) bool {
 		p2.Termination.Implies(p1.Termination)
 }
 
-// Violation records one way a run failed a problem's specification.
+// Violation records one way a run failed a problem's specification, and is
+// every engine's verdict: the checker's, the chaos sweep's, a trace file's
+// (serialized as is) and the live runtime's conformance replay.
 type Violation struct {
 	// Kind is the axis violated: "rule", "IC", "TC", "WT", "ST", or "HT".
-	Kind string
+	// The engines add their own: "model" (a step broke the model's
+	// contract), "panic" (the protocol panicked), "run" (a live run
+	// failed), and, from the live replay, "replay" (a recorded event does
+	// not apply), "decision" (a live decision the replay disagrees with)
+	// and "quiescence" (a live claim of quiescence the model denies).
+	Kind string `json:"kind"`
 	// Detail is a human-readable explanation naming the processors and
 	// decisions involved.
-	Detail string
+	Detail string `json:"detail"`
 }
 
 func (v Violation) String() string { return v.Kind + ": " + v.Detail }
