@@ -22,9 +22,9 @@
 //	cccheck -proto fullexchange -n 3 -problem WT-TC -safety -maxfail 1 -reduce elide
 //	cccheck -replay traces/chain-st-ST-IC-run00042.json
 //
-// Exit codes: 0 conforms (or trace reproduced), 1 error (or trace
-// diverged), 2 violations found, 3 partial results only (node budget
-// exhausted or -timeout hit; the summary covers the visited prefix).
+// Exit codes: 0 conforms, 1 error (or trace diverged), 2 violations found
+// (or trace reproduced), 3 partial results only (node budget exhausted or
+// -timeout hit; the summary covers the visited prefix).
 package main
 
 import (
@@ -56,7 +56,7 @@ func run(args []string, out io.Writer) int {
 		reduce    = fs.String("reduce", "none", "state-space reduction: none, ample, symmetry, both, or elide (reduced runs keep the verdict; node counts describe the reduced graph; elide alone keeps the full state census, so -safety accepts it)")
 		trace     = fs.Bool("trace", false, "print the event trace to the first violation")
 		safety    = fs.Bool("safety", false, "run the Theorem 2 safe-state analysis")
-		replay    = fs.String("replay", "", "replay a ccchaos trace file and re-assert its violation")
+		replay    = fs.String("replay", "", "replay a ccchaos or cclive trace file and re-assert its violation")
 		omitBudg  = fs.Int("omission-budget", 0, "maximum omission faults per run (0 = none): the adversary may suppress up to this many buffered deliveries")
 		mobileOm  = fs.Int("mobile-omissions", 0, "cap on simultaneously omission-faulty processors (0 = unbounded); the faulty set moves as deliveries succeed")
 	)
@@ -179,9 +179,9 @@ func run(args []string, out io.Writer) int {
 	}
 }
 
-// replayTrace re-executes a ccchaos trace and re-asserts the recorded
-// violation. Exit 2 means the violation reproduced identically; exit 1
-// means the replay diverged from the recording.
+// replayTrace re-executes a ccchaos or cclive trace and re-asserts the
+// recorded violation. Exit 2 means the violation reproduced identically;
+// exit 1 means the replay diverged from the recording.
 func replayTrace(path string, out io.Writer) int {
 	data, err := os.ReadFile(path)
 	if err != nil {

@@ -46,6 +46,7 @@ import (
 	"os/exec"
 	"os/signal"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -65,10 +66,7 @@ func main() {
 // read from result (nil when the run never produced one); the rest is what
 // judging it added.
 type runOutcome struct {
-	done      bool
-	diverged  bool
-	panicked  bool
-	aborted   bool
+	done      bool // reached a verdict; false means aborted
 	conformed bool // conformance replay actually ran (sampling may skip it)
 	err       error
 	divs      []consensus.Violation
@@ -426,25 +424,18 @@ func runServe(ctx context.Context, f soakFlags, proto consensus.Protocol, prob c
 	outcomes := make([]runOutcome, len(plans))
 	code := 0
 	for i, plan := range plans {
-		outcomes[i].plan = plan
 		if ctx.Err() != nil {
-			outcomes[i].aborted = true
 			continue
 		}
 		rep, err := coord.Run(ctx, planSpec(f, nProcs, hosts, plan))
 		if err != nil {
 			if ctx.Err() != nil {
-				outcomes[i].aborted = true
 				continue
 			}
 			// A control-plane failure kills the session; no later run
 			// can succeed, so fail fast.
 			fmt.Fprintf(f.stderr, "cclive: run %d: %v\n", i, err)
 			code = 1
-			for j := i; j < len(plans); j++ {
-				outcomes[j].plan = plans[j]
-				outcomes[j].aborted = true
-			}
 			break
 		}
 		outcomes[i] = judgeResult(rep.Result, proto, prob, f, plan)
@@ -468,12 +459,10 @@ func executeRun(ctx context.Context, proto consensus.Protocol, prob consensus.Pr
 	defer func() {
 		if r := recover(); r != nil {
 			out.done = true
-			out.panicked = true
 			out.err = fmt.Errorf("panic: %v", r)
 		}
 	}()
 	if ctx.Err() != nil {
-		out.aborted = true
 		return out
 	}
 	res, err := consensus.Live(ctx, proto, plan.Inputs, cfg)
@@ -483,7 +472,6 @@ func executeRun(ctx context.Context, proto consensus.Protocol, prob consensus.Pr
 		return out
 	}
 	if res.Err != nil && ctx.Err() != nil {
-		out.aborted = true
 		return out
 	}
 	return judgeResult(res, proto, prob, f, plan)
@@ -509,25 +497,17 @@ func judgeResult(res *consensus.LiveResult, proto consensus.Protocol, prob conse
 	if res.Quiescent && out.decideMax > 0 {
 		out.quiesce = res.Elapsed - out.decideMax
 	}
-	if res.Err != nil {
-		out.err = res.Err
-	}
+	out.err = res.Err
 	if !shouldConform(plan.Seed, f.sample) {
 		return out
 	}
 	out.conformed = true
-	// The replay steps one configuration in place, so memory stays flat on
-	// the crash-amplified traces of millions of events that distributed
-	// soaks at N=100 record.
 	conf, cerr := consensus.LiveConformStream(res, proto, prob)
 	if cerr != nil {
 		out.err = cerr
 		return out
 	}
-	if !conf.OK() {
-		out.diverged = true
-		out.divs = conf.Divergences
-	}
+	out.divs = conf.Divergences
 	return out
 }
 
@@ -673,7 +653,7 @@ func report(outcomes []runOutcome, proto consensus.Protocol, f soakFlags, prob c
 			quiesces = append(quiesces, out.quiesce)
 		}
 		waves += out.waves
-		if out.diverged || out.err != nil {
+		if len(out.divs) > 0 || out.err != nil {
 			failing++
 			failures = append(failures, failure{i, out})
 		}
@@ -722,8 +702,9 @@ func report(outcomes []runOutcome, proto consensus.Protocol, f soakFlags, prob c
 	for i, fl := range failures {
 		if f.verbose || i < 5 {
 			what := "failed"
-			if fl.out.diverged {
-				what = fmt.Sprintf("DIVERGED: %s", fl.out.divs[0])
+			// The run's own error is a divergence too, but reads as itself.
+			if d := slices.IndexFunc(fl.out.divs, func(v consensus.Violation) bool { return v.Kind != "run" }); d >= 0 {
+				what = fmt.Sprintf("DIVERGED: %s", fl.out.divs[d])
 			} else if fl.out.err != nil {
 				what = fl.out.err.Error()
 			}
@@ -737,7 +718,7 @@ func report(outcomes []runOutcome, proto consensus.Protocol, f soakFlags, prob c
 			fmt.Fprintf(w, "  … and %d more failing runs (use -v to list all)\n", len(failures)-5)
 		}
 		if f.traceDir != "" && fl.out.result != nil {
-			path, err := writeDivergenceTrace(f.traceDir, protoCanon, f.protoName, prob, f.seed, fl.idx, fl.out)
+			path, err := writeDivergenceTrace(f.traceDir, proto, f.protoName, prob, f.seed, fl.idx, fl.out.result, fl.out.plan)
 			if err != nil {
 				fmt.Fprintln(f.stderr, "cclive:", err)
 				return 1
@@ -803,15 +784,18 @@ func writeJSON(stdout io.Writer, path string, sum jsonSummary) error {
 }
 
 // writeDivergenceTrace writes a failing run as a chaos trace: the recorded
-// live schedule, the injections, and the divergences as violations, so the
-// artifact replays through the same tooling.
-func writeDivergenceTrace(dir, protoCanon, protoArg string, prob consensus.Problem, sweepSeed int64, idx int, out runOutcome) (string, error) {
-	res := out.result
-	f := &consensus.ChaosFailure{RunIndex: idx, Seed: out.plan.Seed, Inputs: res.Inputs, Injections: out.plan.Failures,
-		Schedule: res.Schedule, OriginalSteps: len(res.Schedule), Violations: out.divs}
-	if out.err != nil {
-		f.Violations = append(f.Violations, consensus.Violation{Kind: "run", Detail: out.err.Error()})
+// live schedule, the injections, the run's claims — its decisions, its
+// quiescence and its error — and, as violations, the conformance verdict
+// on them, so cccheck -replay, holding the replay to the same claims,
+// reproduces it.
+func writeDivergenceTrace(dir string, proto consensus.Protocol, protoArg string, prob consensus.Problem, sweepSeed int64, idx int, res *consensus.LiveResult, plan consensus.ChaosRunPlan) (string, error) {
+	conf, err := consensus.LiveConformStream(res, proto, prob)
+	if err != nil {
+		return "", err
 	}
-	rep := &consensus.ChaosReport{Proto: protoCanon, Problem: prob, Seed: sweepSeed}
+	claims := res.Claims()
+	f := &consensus.ChaosFailure{RunIndex: idx, Seed: plan.Seed, Inputs: res.Inputs, Injections: plan.Failures,
+		Schedule: res.Schedule, OriginalSteps: len(res.Schedule), Violations: conf.Divergences, Claims: &claims}
+	rep := &consensus.ChaosReport{Proto: proto.Name(), Problem: prob, Seed: sweepSeed}
 	return consensus.WriteChaosTrace(dir, "live-", protoArg, rep, f, len(res.Schedule))
 }

@@ -2,10 +2,13 @@ package main
 
 import (
 	"bytes"
+	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	consensus "repro"
 )
@@ -115,12 +118,67 @@ func TestCleanSoakConforms(t *testing.T) {
 
 // TestDuplicatesWithoutDedupAreCaught is the soak's teeth: with receiver
 // dedup off and half of all acks lost, a duplicate delivery must reach a
-// processor in some of eight runs, and the conformance replay must refuse it.
+// processor in some of eight runs, and the conformance replay must refuse
+// it. Every trace the soak writes replays to its recorded verdict, as
+// cccheck -replay reads it; one whose recorded event index is edited does
+// not, and is not blamed on a changed protocol.
 func TestDuplicatesWithoutDedupAreCaught(t *testing.T) {
+	dir := t.TempDir()
 	code, out, errOut := cclive("-proto", "tree", "-n", "3", "-problem", "WT-TC", "-runs", "8", "-seed", "5",
-		"-no-dedup", "-dup", "0.5", "-max-failures", "0", "-deadline", "5s")
-	if code != 2 || !strings.Contains(out, "VIOLATES: ") {
-		t.Errorf("no-dedup soak: exit %d, stderr %q, stdout:\n%s", code, errOut, out)
+		"-no-dedup", "-dup", "0.5", "-max-failures", "0", "-deadline", "5s", "-trace-dir", dir)
+	files, _ := filepath.Glob(filepath.Join(dir, "*.json"))
+	if code != 2 || !strings.Contains(out, "VIOLATES: ") || len(files) == 0 {
+		t.Fatalf("no-dedup soak: exit %d with %d traces, stderr %q, stdout:\n%s", code, len(files), errOut, out)
+	}
+	for _, file := range files {
+		tr, proto, prob := loadTrace(t, file)
+		if res, err := consensus.ReplayChaosTrace(tr, proto, prob); err != nil || !res.Reproduced {
+			t.Errorf("%s does not reproduce: %v", file, err)
+		}
+	}
+
+	tr, proto, prob := loadTrace(t, files[0])
+	var at int
+	if _, err := fmt.Sscanf(tr.Violations[0].Detail, "event %d ", &at); err != nil || tr.Violations[0].Kind != "replay" {
+		t.Fatalf("%s: first violation %v, want a replay divergence", files[0], tr.Violations[0])
+	}
+	tr.Violations[0].Detail = strings.Replace(tr.Violations[0].Detail, fmt.Sprintf("event %d ", at), fmt.Sprintf("event %d ", at+1), 1)
+	if res, err := consensus.ReplayChaosTrace(tr, proto, prob); err != nil || res.Reproduced {
+		t.Errorf("%s with the replay divergence moved to event %d: reproduced %v, err %v; want not reproduced and no error", files[0], at+1, res != nil && res.Reproduced, err)
+	}
+}
+
+// TestDecisionClaimsAreReplayed: a live run's decision divergence replays
+// to its verdict from the decisions its trace carries, and a trace without
+// them does not reproduce it.
+func TestDecisionClaimsAreReplayed(t *testing.T) {
+	proto := consensus.Tree(3)
+	prob, err := consensus.ParseProblem("WT-TC")
+	if err != nil {
+		t.Fatal(err)
+	}
+	inputs := []consensus.Bit{consensus.One, consensus.One, consensus.One}
+	res, err := consensus.Live(context.Background(), proto, inputs, consensus.LiveConfig{Deadline: 30 * time.Second})
+	if err != nil || res.Err != nil || !res.Quiescent {
+		t.Fatalf("live run: %v, %v, quiescent %v", err, res.Err, res.Quiescent)
+	}
+	res.Decisions = append([]consensus.Decision(nil), res.Decisions...)
+	res.Decisions[0] = consensus.Abort + consensus.Commit - res.Decisions[0]
+	conf, err := consensus.LiveConformStream(res, proto, prob)
+	if err != nil || conf.OK() || conf.Divergences[0].Kind != "decision" {
+		t.Fatalf("flipped decision: %v, divergences %v; want a decision divergence", err, conf.Divergences)
+	}
+	path, err := writeDivergenceTrace(t.TempDir(), proto, "tree", prob, 1, 0, res, consensus.ChaosRunPlan{Inputs: inputs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, proto, prob := loadTrace(t, path)
+	if got, err := consensus.ReplayChaosTrace(tr, proto, prob); err != nil || !got.Reproduced {
+		t.Errorf("the decision divergence does not reproduce: %v", err)
+	}
+	tr.Decisions = ""
+	if got, err := consensus.ReplayChaosTrace(tr, proto, prob); err != nil || got.Reproduced {
+		t.Errorf("without its decisions: reproduced %v, err %v; want not reproduced and no error", got != nil && got.Reproduced, err)
 	}
 }
 
@@ -137,25 +195,11 @@ func TestTracesReplayUnderTheirRule(t *testing.T) {
 		t.Fatalf("exit %d with %d traces, stderr %q; want exit 2 and traces; stdout:\n%s", code, len(files), errOut, out)
 	}
 	for _, file := range files {
-		data, err := os.ReadFile(file)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tr, err := consensus.DecodeChaosTrace(data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		proto, err := consensus.ProtocolByName(tr.ProtoArg, tr.N)
-		if err != nil {
-			t.Fatal(err)
-		}
-		prob, err := consensus.ParseProblem(tr.Problem)
-		if err != nil {
-			t.Fatal(err)
-		}
+		tr, proto, prob := loadTrace(t, file)
 		if _, err := consensus.ReplayChaosTrace(tr, proto, prob); err == nil || tr.Rule != "broadcast-1" {
 			t.Errorf("%s records rule %q and replays under unanimity (err %v)", file, tr.Rule, err)
 		}
+		var err error
 		if prob.Rule, err = consensus.ParseRule(tr.Rule); err != nil {
 			t.Fatal(err)
 		}
@@ -163,4 +207,27 @@ func TestTracesReplayUnderTheirRule(t *testing.T) {
 			t.Errorf("%s does not reproduce under %s: %v", file, tr.Rule, err)
 		}
 	}
+}
+
+// loadTrace reads a trace file and resolves its protocol and problem, under
+// unanimity whatever rule the trace records.
+func loadTrace(t *testing.T, file string) (*consensus.ChaosTrace, consensus.Protocol, consensus.Problem) {
+	t.Helper()
+	data, err := os.ReadFile(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := consensus.DecodeChaosTrace(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	proto, err := consensus.ProtocolByName(tr.ProtoArg, tr.N)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prob, err := consensus.ParseProblem(tr.Problem)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr, proto, prob
 }

@@ -147,14 +147,14 @@ func TestAdaptiveFindsOmissionViolation(t *testing.T) {
 	}
 	proto := protocols.AckCommit{Procs: 3}
 	prob := problem(taxonomy.WT, taxonomy.TC)
-	if !Violates(proto, f.Inputs, f.Schedule, prob, kind) {
+	if !hasKind(Evaluate(proto, f.Inputs, f.Schedule, prob).Violations, kind) {
 		t.Fatalf("shrunk schedule no longer violates %s", kind)
 	}
 	for i := range f.Schedule {
 		cand := make(sim.Schedule, 0, len(f.Schedule)-1)
 		cand = append(cand, f.Schedule[:i]...)
 		cand = append(cand, f.Schedule[i+1:]...)
-		if Violates(proto, f.Inputs, cand, prob, kind) {
+		if hasKind(Evaluate(proto, f.Inputs, cand, prob).Violations, kind) {
 			t.Fatalf("schedule is not 1-minimal: removing event %d (%v) still violates %s",
 				i, f.Schedule[i], kind)
 		}

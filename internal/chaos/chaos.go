@@ -168,6 +168,8 @@ type Failure struct {
 	// ShrinkCandidates counts the candidate schedules evaluated while
 	// shrinking (0 when Minimize was off).
 	ShrinkCandidates int
+	// Claims are a live run's claims for its trace to carry; nil in a sweep.
+	Claims *taxonomy.Claims
 }
 
 // RunStat is one run's injection accounting, surfaced per run (not just in

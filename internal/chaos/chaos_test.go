@@ -72,14 +72,14 @@ func TestShrunkScheduleIsOneMinimal(t *testing.T) {
 	f := firstViolated(t, rep)
 	kind := f.Violations[0].Kind
 
-	if !Violates(proto, f.Inputs, f.Schedule, prob, kind) {
+	if !hasKind(Evaluate(proto, f.Inputs, f.Schedule, prob).Violations, kind) {
 		t.Fatalf("shrunk schedule no longer violates %s", kind)
 	}
 	for i := range f.Schedule {
 		cand := make(sim.Schedule, 0, len(f.Schedule)-1)
 		cand = append(cand, f.Schedule[:i]...)
 		cand = append(cand, f.Schedule[i+1:]...)
-		if Violates(proto, f.Inputs, cand, prob, kind) {
+		if hasKind(Evaluate(proto, f.Inputs, cand, prob).Violations, kind) {
 			t.Fatalf("schedule is not 1-minimal: removing event %d (%v) still violates %s",
 				i, f.Schedule[i], kind)
 		}

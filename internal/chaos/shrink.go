@@ -5,29 +5,12 @@ import (
 	"repro/internal/taxonomy"
 )
 
-// verdict is the outcome of replaying a schedule from scratch. Its fields
-// are exported so that other engines' tests can read what Evaluate found.
-type verdict struct {
-	// Applicable reports whether every event of the schedule applied in
-	// order. An inapplicable candidate (e.g. a delivery whose message was
-	// never sent because the send was dropped) is simply invalid — not a
-	// pass, not a violation.
-	Applicable bool
-	// Complete reports whether the final configuration is quiescent, i.e.
-	// whether liveness could be judged.
-	Complete bool
-	// Violations is what the run violates: the problem's verdicts, plus a
-	// synthetic "model" violation when the protocol broke a model
-	// contract mid-replay.
-	Violations []taxonomy.Violation
-}
-
-// Evaluate replays a schedule from the initial configuration on the given
-// inputs and judges it against the problem: replayer.judge for one
-// schedule.
-func Evaluate(proto sim.Protocol, inputs []sim.Bit, sched sim.Schedule, problem taxonomy.Problem) verdict {
-	r := replayer{proto: proto, inputs: inputs, problem: problem}
-	return r.judge(sched)
+// Evaluate judges a schedule from the initial configuration on the given
+// inputs: taxonomy.Judge without live claims, the zero Judgment for inputs
+// not of the protocol's size.
+func Evaluate(proto sim.Protocol, inputs []sim.Bit, sched sim.Schedule, problem taxonomy.Problem) taxonomy.Judgment {
+	j, _ := taxonomy.Judge(proto, problem, inputs, sched, nil)
+	return j
 }
 
 // replayer judges schedules, each replayed by taxonomy.StreamChecker.Replay
@@ -56,9 +39,10 @@ type replayer struct {
 	at    int
 	ready bool
 	lost  bool
-	// scratch and sc are a candidate's copy of the checkpoint.
+	// scratch and sc are a candidate's copy of the checkpoint; segs, its segments.
 	scratch sim.Config
 	sc      taxonomy.StreamChecker
+	segs    []sim.Schedule
 }
 
 // rewind moves the checkpoint back to the initial configuration, for a
@@ -97,18 +81,18 @@ func (r *replayer) seek(base sim.Schedule, k int) {
 	}
 }
 
-// judgeAfter judges the schedule base[:k] followed by the segments of rest.
-// It moves the checkpoint to base[:k] and replays the rest from a scratch
-// copy of it; while the checkpoint is lost, the copy is of the initial
-// configuration and base[:k] is replayed first. A schedule with an event that does not apply is inapplicable, and
-// one on which the protocol broke a model contract is applicable with a
-// "model" violation. Liveness (termination) is judged only when the replay
-// ends quiescent. Panics in protocol code are recovered and render the
-// schedule inapplicable.
-func (r *replayer) judgeAfter(base sim.Schedule, k int, rest ...sim.Schedule) (v verdict) {
+// judgeAfter judges the schedule base[:k] followed by the segments of rest
+// as taxonomy.Judge does without claims, and returns its violations. It
+// moves the checkpoint to base[:k] and judges the rest from a scratch
+// copy of it (StreamChecker.Judge); while the checkpoint is lost, the copy
+// is of the initial configuration and base[:k] is replayed first. A
+// schedule with an event that does not apply, or on which protocol code
+// panics, is inapplicable: it has no violations, and nothing is formatted
+// for it.
+func (r *replayer) judgeAfter(base sim.Schedule, k int, rest ...sim.Schedule) (vs []taxonomy.Violation) {
 	defer func() {
 		if recover() != nil {
-			v = verdict{}
+			vs = nil
 		}
 	}()
 	r.seek(base, k)
@@ -119,36 +103,8 @@ func (r *replayer) judgeAfter(base sim.Schedule, k int, rest ...sim.Schedule) (v
 	c, checker := &r.scratch, &r.sc
 	c.CopyFrom(from)
 	checker.CopyFrom(fromSC, c)
-	seg := base[r.at:k]
-	for i := 0; ; i++ {
-		applied, err := checker.Replay(r.proto, c, seg)
-		switch {
-		case err != nil:
-			return verdict{Applicable: true, Violations: []taxonomy.Violation{{Kind: "model", Detail: err.Error()}}}
-		case applied < len(seg):
-			return verdict{}
-		}
-		if i == len(rest) {
-			break
-		}
-		seg = rest[i]
-	}
-	complete := c.Quiescent()
-	return verdict{Applicable: true, Complete: complete, Violations: checker.Finish(complete)}
-}
-
-// judge replays one schedule from the initial configuration and judges it
-// as judgeAfter does.
-func (r *replayer) judge(sched sim.Schedule) verdict {
-	r.rewind()
-	return r.judgeAfter(nil, 0, sched)
-}
-
-// violates is the predicate the shrinker preserves: the schedule is
-// applicable and exhibits a violation of the given kind.
-func (r *replayer) violates(sched sim.Schedule, kind string) bool {
-	v := r.judge(sched)
-	return v.Applicable && hasKind(v.Violations, kind)
+	r.segs = append(append(r.segs[:0], base[r.at:k]), rest...)
+	return checker.Judge(r.proto, c, nil, r.segs...).Violations
 }
 
 // hasKind reports whether any violation has the given kind.
@@ -159,13 +115,6 @@ func hasKind(vs []taxonomy.Violation, kind string) bool {
 		}
 	}
 	return false
-}
-
-// Violates reports whether the schedule is applicable and exhibits a
-// violation of the given kind.
-func Violates(proto sim.Protocol, inputs []sim.Bit, sched sim.Schedule, problem taxonomy.Problem, kind string) bool {
-	r := replayer{proto: proto, inputs: inputs, problem: problem}
-	return r.violates(sched, kind)
 }
 
 // Shrink delta-debugs a violating schedule to a locally minimal
@@ -186,21 +135,25 @@ func Violates(proto sim.Protocol, inputs []sim.Bit, sched sim.Schedule, problem 
 // and the number of candidates evaluated. If the input schedule does not
 // violate (which a correct caller never passes), it is returned unchanged.
 func Shrink(proto sim.Protocol, inputs []sim.Bit, sched sim.Schedule, problem taxonomy.Problem, kind string) (sim.Schedule, []taxonomy.Violation, int) {
-	tried := 0
 	r := replayer{proto: proto, inputs: inputs, problem: problem}
 	cur := append(sim.Schedule(nil), sched...)
-	// violates tests the candidate cur[:k] followed by rest. Each pass
-	// below rewinds the checkpoint at the start of a sweep and lets k only
-	// grow through it, never changing cur[:k], so the checkpoint follows
-	// k; a candidate becomes cur only once it is accepted.
+	tried, vs := 1, r.judgeAfter(nil, 0, cur)
+	if !hasKind(vs, kind) {
+		return cur, vs, tried
+	}
+	// violates tests the candidate cur[:k] followed by rest, and keeps the
+	// violations of one that violates: it becomes cur. Each pass below
+	// rewinds the checkpoint at the start of a sweep and lets k only grow
+	// through it, never changing cur[:k], so the checkpoint follows k; a
+	// candidate becomes cur only once it is accepted.
 	violates := func(k int, rest ...sim.Schedule) bool {
 		tried++
-		v := r.judgeAfter(cur, k, rest...)
-		return v.Applicable && hasKind(v.Violations, kind)
-	}
-
-	if !violates(0, cur) {
-		return cur, r.judge(cur).Violations, tried
+		got := r.judgeAfter(cur, k, rest...)
+		if !hasKind(got, kind) {
+			return false
+		}
+		vs = got
+		return true
 	}
 
 	removePass := func() bool {
@@ -270,5 +223,5 @@ func Shrink(proto sim.Protocol, inputs []sim.Bit, sched sim.Schedule, problem ta
 		}
 	}
 
-	return cur, r.judge(cur).Violations, tried
+	return cur, vs, tried
 }

@@ -14,11 +14,12 @@ import (
 )
 
 // refJudge is the shrinker's judge without a checkpoint: every schedule is
-// replayed from a configuration built afresh, under a fresh checker.
-func refJudge(proto sim.Protocol, inputs []sim.Bit, sched sim.Schedule, problem taxonomy.Problem) (v verdict) {
+// replayed from a configuration built afresh, under a fresh checker. An
+// inapplicable schedule, or one that panics, has no violations.
+func refJudge(proto sim.Protocol, inputs []sim.Bit, sched sim.Schedule, problem taxonomy.Problem) (vs []taxonomy.Violation) {
 	defer func() {
 		if recover() != nil {
-			v = verdict{}
+			vs = nil
 		}
 	}()
 	c := sim.NewConfig(proto, inputs)
@@ -26,12 +27,11 @@ func refJudge(proto sim.Protocol, inputs []sim.Bit, sched sim.Schedule, problem 
 	applied, err := checker.Replay(proto, c, sched)
 	switch {
 	case err != nil:
-		return verdict{Applicable: true, Violations: []taxonomy.Violation{{Kind: "model", Detail: err.Error()}}}
+		return []taxonomy.Violation{{Kind: "model", Detail: err.Error()}}
 	case applied < len(sched):
-		return verdict{}
+		return nil
 	}
-	complete := c.Quiescent()
-	return verdict{Applicable: true, Complete: complete, Violations: checker.Finish(complete)}
+	return checker.Finish(c.Quiescent())
 }
 
 // refShrink is Shrink without a checkpoint, the oracle it is held to: every
@@ -42,12 +42,11 @@ func refJudge(proto sim.Protocol, inputs []sim.Bit, sched sim.Schedule, problem 
 func refShrink(proto sim.Protocol, inputs []sim.Bit, sched sim.Schedule, problem taxonomy.Problem, kind string) (out sim.Schedule, vs []taxonomy.Violation, tried, failRetimes int) {
 	violates := func(cand sim.Schedule) bool {
 		tried++
-		v := refJudge(proto, inputs, cand, problem)
-		return v.Applicable && hasKind(v.Violations, kind)
+		return hasKind(refJudge(proto, inputs, cand, problem), kind)
 	}
 	cur := append(sim.Schedule(nil), sched...)
 	if !violates(cur) {
-		return cur, refJudge(proto, inputs, cur, problem).Violations, tried, 0
+		return cur, refJudge(proto, inputs, cur, problem), tried, 0
 	}
 	removePass := func() bool {
 		shrunkAny := false
@@ -111,7 +110,7 @@ func refShrink(proto sim.Protocol, inputs []sim.Bit, sched sim.Schedule, problem
 			break
 		}
 	}
-	return cur, refJudge(proto, inputs, cur, problem).Violations, tried, failRetimes
+	return cur, refJudge(proto, inputs, cur, problem), tried, failRetimes
 }
 
 // revoker wraps a protocol so that a processor that has decided revokes its

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 
 	"repro/internal/sim"
 	"repro/internal/taxonomy"
@@ -79,6 +80,12 @@ type Trace struct {
 	OriginalSteps int  `json:"originalSteps"`
 	// Schedule is the violating schedule (empty for panic traces).
 	Schedule []TraceEvent `json:"schedule"`
+	// Decisions, Quiescent and RunError are a live run's claims, which
+	// the replay is held to: first decisions written like Inputs, '-' for
+	// none. Only a trace with Decisions carries claims; a sweep's has none.
+	Decisions string `json:"decisions,omitempty"`
+	Quiescent bool   `json:"quiescent,omitempty"`
+	RunError  string `json:"runError,omitempty"`
 	// Violations is what replaying the schedule must reproduce.
 	Violations []taxonomy.Violation `json:"violations"`
 	// Panic holds the recovered panic value for panic traces.
@@ -116,7 +123,33 @@ func BuildTrace(rep *Report, f *Failure, maxSteps int) *Trace {
 	for _, e := range f.Schedule {
 		t.Schedule = append(t.Schedule, EncodeEvent(e))
 	}
+	if c := f.Claims; c != nil {
+		for _, d := range c.Decisions {
+			t.Decisions += decisionMarks[d : d+1]
+		}
+		t.Quiescent, t.RunError = c.Quiescent, c.Err
+	}
 	return t
+}
+
+// decisionMarks spells a sim.Decision in a trace's Decisions, indexed by
+// its value: NoDecision, Abort, Commit.
+const decisionMarks = "-01"
+
+// claims decodes the live claims the trace carries, nil if it carries none.
+func (t *Trace) claims() (*taxonomy.Claims, error) {
+	if t.Decisions == "" {
+		return nil, nil
+	}
+	c := &taxonomy.Claims{Quiescent: t.Quiescent, Err: t.RunError}
+	for _, r := range t.Decisions {
+		d := strings.IndexRune(decisionMarks, r)
+		if d < 0 || len(t.Decisions) != t.N {
+			return nil, fmt.Errorf("chaos: trace decisions %q: want n=%d of '-', '0' and '1'", t.Decisions, t.N)
+		}
+		c.Decisions = append(c.Decisions, sim.Decision(d))
+	}
+	return c, nil
 }
 
 // WriteTrace writes one failure of a report, as BuildTrace serializes it,
@@ -232,25 +265,25 @@ func (t *Trace) ScheduleEvents() (sim.Schedule, error) {
 	return sched, nil
 }
 
-// ReplayResult is the outcome of re-executing a trace.
+// ReplayResult is the outcome of re-executing a trace: the judge's verdict
+// (for a panic trace, the re-recovered panic as its one violation), the
+// panic value, and whether the verdict matches the recorded violations
+// exactly (kind and detail, in order).
 type ReplayResult struct {
-	// Complete reports whether the replay ended quiescent.
-	Complete bool
-	// Violations is what the replay violated.
-	Violations []taxonomy.Violation
-	// PanicValue holds the re-recovered panic for panic traces.
+	taxonomy.Judgment
 	PanicValue string
-	// Reproduced reports whether the replay matches the recorded
-	// violations exactly (kind and detail, in order).
 	Reproduced bool
 }
 
 // Replay re-executes a trace against the given protocol (which must match
 // the trace's canonical name and size) and re-asserts its violation.
-// Schedule traces are judged by Evaluate, event by event on one
-// configuration stepped in place; panic traces re-run the seeded scheduler
-// (sim.RandomWalk) with the recorded injections.
-func Replay(t *Trace, proto sim.Protocol, problem taxonomy.Problem) (*ReplayResult, error) {
+// Schedule traces are judged by taxonomy.Judge, under the live claims the
+// trace carries, event by event on one configuration stepped in place;
+// panic traces re-run the seeded scheduler (sim.RandomWalk) with the
+// recorded injections. A schedule that no longer applies is an error —
+// the protocol changed since recording — unless the trace recorded that
+// it does not apply: a live run's replay divergence then reproduces.
+func Replay(t *Trace, proto sim.Protocol, problem taxonomy.Problem) (res *ReplayResult, err error) {
 	if proto.Name() != t.Protocol {
 		return nil, fmt.Errorf("chaos: trace is for %s, got protocol %s", t.Protocol, proto.Name())
 	}
@@ -279,13 +312,21 @@ func Replay(t *Trace, proto sim.Protocol, problem taxonomy.Problem) (*ReplayResu
 	if err != nil {
 		return nil, err
 	}
-	v := Evaluate(proto, inputs, sched, problem)
-	if !v.Applicable {
-		return nil, fmt.Errorf("chaos: trace schedule no longer applies to %s — protocol changed since recording", proto.Name())
+	claims, err := t.claims()
+	if err != nil {
+		return nil, err
 	}
-	res := &ReplayResult{Complete: v.Complete, Violations: v.Violations}
-	res.Reproduced = slices.Equal(v.Violations, t.Violations)
-	return res, nil
+	changed := fmt.Errorf("chaos: trace schedule no longer applies to %s — protocol changed since recording", proto.Name())
+	defer func() {
+		if recover() != nil {
+			res, err = nil, changed
+		}
+	}()
+	j, _ := taxonomy.Judge(proto, problem, inputs, sched, claims) // the inputs' size is checked above
+	if hasKind(j.Violations, "replay") && !hasKind(t.Violations, "replay") {
+		return nil, changed
+	}
+	return &ReplayResult{Judgment: j, Reproduced: slices.Equal(j.Violations, t.Violations)}, nil
 }
 
 // replayPanic re-executes a panic trace through the seeded scheduler and

@@ -74,7 +74,7 @@ func TestJudgesAgreeAcrossEngines(t *testing.T) {
 func firstOnRun(t *testing.T, prob taxonomy.Problem, x *Exploration) {
 	t.Helper()
 	v := chaos.Evaluate(x.Proto, x.FirstInputs, x.FirstTrace, prob)
-	if !v.Applicable {
+	if v.Replayed < len(x.FirstTrace) {
 		t.Fatalf("%s: the first violation's schedule does not apply from inputs %v: %v", prob.Name(), x.FirstInputs, x.FirstTrace)
 	}
 	want := x.Violations[0]

@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"reflect"
 	"testing"
@@ -16,7 +17,9 @@ import (
 // oracle: every event is a sim.Apply onto a kept sim.Run, and the run is
 // judged by Problem.Validate over its history. It shares nothing with the
 // streaming replay but sim and the judge, so a step ConformStream takes in
-// place, or a divergence it words, that differs shows here.
+// place, or a divergence it words, that differs shows here. An event that
+// sim.Applicable refuses is a "replay" divergence; one it accepts and Apply
+// still rejects broke a model contract, a "model" divergence.
 func conformMaterialized(res *Result, proto sim.Protocol, problem taxonomy.Problem) (*Conformance, error) {
 	run, err := sim.NewRun(proto, res.Inputs)
 	if err != nil {
@@ -25,10 +28,11 @@ func conformMaterialized(res *Result, proto sim.Protocol, problem taxonomy.Probl
 	conf := &Conformance{}
 	for i, e := range res.Schedule {
 		if err := run.Extend(sim.Schedule{e}); err != nil {
-			conf.Divergences = append(conf.Divergences, taxonomy.Violation{
-				Kind:   "replay",
-				Detail: fmt.Sprintf("event %d (%s) does not apply: %v", i, e, err),
-			})
+			v := taxonomy.Violation{Kind: "model", Detail: err.Error()}
+			if !sim.Applicable(run.Final(), e) {
+				v = taxonomy.Violation{Kind: "replay", Detail: fmt.Sprintf("event %d (%s) does not apply: %v", i, e, err)}
+			}
+			conf.Divergences = append(conf.Divergences, v)
 			break
 		}
 		conf.Replayed++
@@ -50,6 +54,9 @@ func conformMaterialized(res *Result, proto sim.Protocol, problem taxonomy.Probl
 				Detail: fmt.Sprintf("%s decided %s live but %s in replay", sim.ProcID(p), live, replayed),
 			})
 		}
+	}
+	if res.Err != nil {
+		conf.Divergences = append(conf.Divergences, taxonomy.Violation{Kind: "run", Detail: res.Err.Error()})
 	}
 	complete := res.Quiescent && run.Final().Quiescent() && run.Omissions() == 0
 	conf.Divergences = append(conf.Divergences, problem.Validate(run, complete)...)
@@ -99,6 +106,18 @@ func TestConformStreamMatchesConform(t *testing.T) {
 	flipped.Decisions[0] = sim.Abort
 	assertSameConformance(t, "flipped-decision", &flipped, treeProto, problem(taxonomy.WT, taxonomy.TC))
 
+	errored := *clean
+	errored.Quiescent, errored.Err = false, errors.New("runtime: deadline exceeded")
+	assertSameConformance(t, "run-error", &errored, treeProto, problem(taxonomy.WT, taxonomy.TC))
+
+	// A step that breaks a model contract is a "model" divergence, not a
+	// "replay" one: the event applies, and the protocol's step is what sim
+	// refuses.
+	assertSameConformance(t, "revoked-decision", clean, revoker{treeProto}, problem(taxonomy.WT, taxonomy.TC))
+	if conf, _ := ConformStream(clean, revoker{treeProto}, problem(taxonomy.WT, taxonomy.TC)); len(conf.Divergences) != 1 || conf.Divergences[0].Kind != "model" {
+		t.Errorf("revoked-decision: divergences %v, want the one model divergence", conf.Divergences)
+	}
+
 	truncated := *clean
 	truncated.Schedule = clean.Schedule[:len(clean.Schedule)/2]
 	assertSameConformance(t, "truncated-schedule", &truncated, treeProto, problem(taxonomy.WT, taxonomy.TC))
@@ -131,6 +150,49 @@ func TestConformStreamMatchesConform(t *testing.T) {
 		t.Fatal("test bug: the omission trace carries no Omit event")
 	}
 	assertSameConformance(t, "omission-trace", omitting, ackProto, problem(taxonomy.WT, taxonomy.TC))
+}
+
+// revoker wraps a protocol so that a processor revokes its decision at its
+// first step after making it: a model-contract break in any run in which a
+// decided processor steps again.
+type revoker struct{ sim.Protocol }
+
+type revokerState struct {
+	sim.State
+	flipped bool
+}
+
+func (s revokerState) Decided() (sim.Decision, bool) {
+	d, ok := s.State.Decided()
+	if ok && s.flipped {
+		d = sim.Abort + sim.Commit - d
+	}
+	return d, ok
+}
+
+func (s revokerState) Key() string {
+	if s.flipped {
+		return s.State.Key() + "!"
+	}
+	return s.State.Key()
+}
+
+func (r revoker) Name() string { return "revoker-" + r.Protocol.Name() }
+func (r revoker) Init(p sim.ProcID, input sim.Bit, n int) sim.State {
+	return revokerState{State: r.Protocol.Init(p, input, n)}
+}
+func (r revoker) Receive(p sim.ProcID, s sim.State, m sim.Message) sim.State {
+	return r.step(s, r.Protocol.Receive(p, s.(revokerState).State, m))
+}
+func (r revoker) SendStep(p sim.ProcID, s sim.State) (sim.State, []sim.Envelope) {
+	post, envs := r.Protocol.SendStep(p, s.(revokerState).State)
+	return r.step(s, post), envs
+}
+
+// step wraps post, flipped once s has decided.
+func (revoker) step(s, post sim.State) sim.State {
+	_, decided := s.Decided()
+	return revokerState{State: post, flipped: decided}
 }
 
 // TestAllocsConformStream pins what replaying in place bought: the

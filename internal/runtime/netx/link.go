@@ -49,7 +49,8 @@ func newLink(m *Mesh, to int, addr string) *link {
 	return l
 }
 
-// send enqueues one payload, blocking while the queue is at capacity.
+// send enqueues one payload, blocking while the queue is at capacity. The
+// link keeps the payload until it is acked and never writes it.
 func (l *link) send(payload []byte) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -60,7 +61,7 @@ func (l *link) send(payload []byte) error {
 		return errMeshClosed
 	}
 	l.seq++
-	l.buf = append(l.buf, queued{seq: l.seq, payload: append([]byte(nil), payload...)})
+	l.buf = append(l.buf, queued{seq: l.seq, payload: payload})
 	l.cond.Broadcast()
 	return nil
 }

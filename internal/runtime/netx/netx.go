@@ -199,7 +199,8 @@ func (m *Mesh) SetPeers(addrs map[int]string) {
 }
 
 // Send enqueues payload on the directed link self→to, blocking while the
-// link's queue is full. The payload is copied; the caller may reuse it.
+// link's queue is full. Send takes the payload: it is kept, not copied,
+// until the peer acks it, so the caller must not write it again.
 func (m *Mesh) Send(to int, payload []byte) error {
 	m.mu.Lock()
 	l, ok := m.links[to]

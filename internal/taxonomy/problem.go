@@ -132,11 +132,11 @@ func TriviallyReduces(p1, p2 Problem) bool {
 // (serialized as is) and the live runtime's conformance replay.
 type Violation struct {
 	// Kind is the axis violated: "rule", "IC", "TC", "WT", "ST", or "HT".
-	// The engines add their own: "model" (a step broke the model's
-	// contract), "panic" (the protocol panicked), "run" (a live run
-	// failed), and, from the live replay, "replay" (a recorded event does
-	// not apply), "decision" (a live decision the replay disagrees with)
-	// and "quiescence" (a live claim of quiescence the model denies).
+	// The engines add their own: "panic" (the protocol panicked), "model"
+	// (a step broke the model's contract) and, from Judge, the one judge of
+	// a recorded schedule, "replay" (a recorded event does not apply) and,
+	// against a live run's claims, "quiescence" and "decision" (a claimed
+	// quiescence or decision the replay denies) and "run" (the run's error).
 	Kind string `json:"kind"`
 	// Detail is a human-readable explanation naming the processors and
 	// decisions involved.
@@ -152,8 +152,8 @@ func (v Violation) String() string { return v.Kind + ": " + v.Detail }
 // can ever happen). It is a StreamChecker fed the run's history — the
 // properties have one implementation — so r.Configs must hold the
 // configuration after every event of r.Schedule. Only bench/probes.go and
-// tests call it: every engine judges a recorded schedule with
-// StreamChecker.Replay, which keeps no history.
+// tests call it: every engine judges a recorded schedule with Judge, which
+// keeps no history.
 func (p Problem) Validate(r *sim.Run, complete bool) []Violation {
 	sc := NewStreamChecker(p, r.Configs[0])
 	for i, e := range r.Schedule {

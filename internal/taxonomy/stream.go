@@ -1,15 +1,21 @@
 package taxonomy
 
-import "repro/internal/sim"
+import (
+	"fmt"
+	"slices"
+
+	"repro/internal/sim"
+)
 
 // StreamChecker validates a run against a problem one configuration at a
 // time, retaining O(N) state instead of the run's configuration history: a
 // fold of the judge (judge.go) over the run, which needs only the current
 // configuration, the first-decision ledger, and whether a failure has
 // happened. The chaos sweeper feeds it the configuration sim.RandomWalk
-// steps in place; every recorded schedule — a shrinker candidate, a chaos
-// trace, a live run's trace — is judged through Replay, which steps one
-// configuration in place; Problem.Validate feeds it a materialized sim.Run.
+// steps in place; every recorded schedule — a chaos trace, a live run's
+// trace, a shrinker candidate — is judged by Judge, which steps one
+// configuration in place; Problem.Validate feeds it a materialized
+// sim.Run.
 //
 // The observer never keeps a configuration beyond the latest, so a caller
 // may hand it the same *sim.Config, mutated, at every step. Decisions are
@@ -100,6 +106,88 @@ func (sc *StreamChecker) Replay(proto sim.Protocol, c *sim.Config, sched sim.Sch
 	return len(sched), nil
 }
 
+// Claims are what a live run says of itself, which its replay must bear
+// out: each processor's first decision (sim.NoDecision if none), whether
+// the run ended quiescent, and its error ("" if none).
+type Claims struct {
+	Decisions []sim.Decision
+	Quiescent bool
+	Err       string
+}
+
+// Judgment is Judge's verdict on a recorded schedule: how many of its
+// events applied, whether termination was judged, and the violations.
+type Judgment struct {
+	Replayed   int
+	Complete   bool
+	Violations []Violation
+}
+
+// Judge is the one judge of a recorded schedule, a chaos sweep's or a live
+// run's: StreamChecker.Judge from the initial configuration on inputs,
+// where an event that does not apply is a "replay" violation in sim's
+// words (a transport that delivered a message twice records a second
+// Deliver the model rejects). The error reports inputs not of the
+// protocol's size.
+func Judge(proto sim.Protocol, p Problem, inputs []sim.Bit, sched sim.Schedule, claims *Claims) (Judgment, error) {
+	run, err := sim.NewRun(proto, inputs)
+	if err != nil {
+		return Judgment{}, err
+	}
+	c := run.Final() // the run is dropped: nobody else holds its configuration
+	j := NewStreamChecker(p, c).Judge(proto, c, claims, sched)
+	if j.Replayed < len(sched) && j.Violations == nil {
+		e := sched[j.Replayed] // c is left as it was: sim says why e does not apply
+		j.Violations = []Violation{{Kind: "replay",
+			Detail: fmt.Sprintf("event %d (%s) does not apply: %v", j.Replayed, e, c.ApplyInPlace(proto, e))}}
+	}
+	return j, nil
+}
+
+// Judge goes on from c, the configuration sc last observed, stepping it in
+// place through the segments of sched (Replay), and judges the run. A step
+// that breaks a model contract (self-send, multi-send, revoked decision)
+// ends it with a "model" violation, an event that does not apply with none
+// (nothing is formatted). Then, given claims: "quiescence" if the run
+// claimed quiescence the replay denies (a message the transport lost stays
+// buffered), "decision" per processor whose live decision differs from the
+// replay's, and "run" for the run's error. Then Finish, judging
+// termination if the replay ended quiescent and, with claims, the run
+// claimed quiescence and omitted nothing: an omission can strand
+// processors it did not target, and whether a protocol terminates under
+// omissions is the checker's and the sweep's question.
+func (sc *StreamChecker) Judge(proto sim.Protocol, c *sim.Config, claims *Claims, sched ...sim.Schedule) (j Judgment) {
+	for _, seg := range sched {
+		n, err := sc.Replay(proto, c, seg)
+		j.Replayed += n
+		if err != nil {
+			j.Violations = []Violation{{Kind: "model", Detail: err.Error()}}
+		}
+		if n < len(seg) {
+			return j
+		}
+	}
+	j.Complete = c.Quiescent()
+	if claims != nil {
+		if claims.Quiescent && !j.Complete {
+			j.Violations = append(j.Violations, Violation{Kind: "quiescence",
+				Detail: "live run claimed quiescence but the replayed configuration has enabled events (a message the transport lost?)"})
+		}
+		for p, replayed := range sc.ledger {
+			if live := claims.Decisions[p]; live != replayed {
+				j.Violations = append(j.Violations, Violation{Kind: "decision",
+					Detail: fmt.Sprintf("%s decided %s live but %s in replay", sim.ProcID(p), live, replayed)})
+			}
+		}
+		if claims.Err != "" {
+			j.Violations = append(j.Violations, Violation{Kind: "run", Detail: claims.Err})
+		}
+		j.Complete = j.Complete && claims.Quiescent && !slices.Contains(sc.omitted, true)
+	}
+	j.Violations = append(j.Violations, sc.Finish(j.Complete)...)
+	return j
+}
+
 // observe folds one configuration into the ledger — judging the decision
 // rule at each first decision — and, for IC problems, judges consistency
 // until its first violation. IC is judged only where it can first fail: at
@@ -131,14 +219,6 @@ func (sc *StreamChecker) observe(c *sim.Config) {
 	if grew && sc.p.Consistency == IC && len(sc.ic) == 0 {
 		sc.ic = sc.p.AppendConsistency(sc.ic, sc.idx, c, sc.ledger)
 	}
-}
-
-// Decision returns the first decision processor p made at any point in the
-// observed prefix, decisions later hidden by amnesia or failure included —
-// sim.Run.DecisionOf without the history.
-func (sc *StreamChecker) Decision(p sim.ProcID) (sim.Decision, bool) {
-	d := sc.ledger[p]
-	return d, d != sim.NoDecision
 }
 
 // Finish returns the violations of the observed run: the decision rule per
