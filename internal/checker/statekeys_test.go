@@ -13,7 +13,9 @@ import (
 )
 
 // TestStateKeysGolden pins the Key of every accessible local state of E7's
-// five rows and of tree, chain and star(3) with two failures: a state's key
+// five rows, of tree, chain and star(3) with two failures, and of every
+// other library protocol (2pc, broadcast, threshold, haltingcommit and the
+// ST variants of tree and chain) at N=3 with two failures: a state's key
 // names it in StateInfo.Key, in every Conc set and in the safe-state
 // report, so rewriting how a protocol builds its keys must not change one
 // byte of them. Each line of the golden is one walk: its state count and
@@ -32,6 +34,12 @@ func TestStateKeysGolden(t *testing.T) {
 		{protocols.Star{Procs: 3}, 2},
 		{protocols.FullExchange{Procs: 3}, 1},
 		{protocols.Chain{Procs: 3}, 2},
+		{protocols.TwoPhaseCommit{Procs: 3}, 2},
+		{protocols.Broadcast{Procs: 3}, 2},
+		{protocols.ThresholdCommit{Procs: 3, K: 2}, 2},
+		{protocols.HaltingCommit{Procs: 3}, 2},
+		{protocols.Tree{Procs: 3, ST: true}, 2},
+		{protocols.Chain{Procs: 3, ST: true}, 2},
 	}
 	if testing.Short() {
 		cells = cells[:4]
