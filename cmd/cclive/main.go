@@ -89,7 +89,7 @@ type soakFlags struct {
 	drop, dup          float64
 	delay              time.Duration
 	heartbeat, detect  time.Duration
-	deadline, timeout  time.Duration
+	deadline           time.Duration
 	noDedup, verbose   bool
 	traceDir           string
 	jsonPath           string
@@ -180,7 +180,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		stdout: stdout, stderr: stderr,
 		protoName: *protoName, problem: *problem, seed: *seed, runs: *runs,
 		drop: *drop, dup: *dup, delay: *delay,
-		heartbeat: *heartbeat, detect: *detect, deadline: *deadline, timeout: *timeout,
+		heartbeat: *heartbeat, detect: *detect, deadline: *deadline,
 		noDedup: *noDedup, verbose: *verbose, traceDir: *traceDir,
 		jsonPath: *jsonPath, sample: *sample, crashHorizon: *crashHor,
 		omitRate: *omitRate, omitMaxSeq: *omitSeq,

@@ -2,7 +2,7 @@ package protocols
 
 import (
 	"fmt"
-	"strings"
+	"strconv"
 
 	"repro/internal/sim"
 )
@@ -84,8 +84,7 @@ type ackState struct {
 	afterSend sim.Decision
 	decided   sim.Decision
 
-	removed procSet
-	term    termCore
+	fallback
 }
 
 var _ sim.State = ackState{}
@@ -95,7 +94,7 @@ func (s ackState) Kind() sim.StateKind {
 	switch {
 	case len(s.out) > 0:
 		return sim.Sending
-	case s.phase == ackTerm && s.term.sending():
+	case s.term.sending():
 		return sim.Sending
 	default:
 		return sim.Receiving
@@ -115,27 +114,24 @@ func (s ackState) Amnesic() bool { return false }
 
 // Key implements sim.State.
 func (s ackState) Key() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "ack{%s n%d in%d %s heard%s conj%d z%s acks%s",
-		s.self, s.n, s.input, s.phase, s.heard.key(), s.conj, s.zeros.key(), s.acks.key())
+	var scratch [128]byte
+	buf := appendHeader(scratch[:0], "ack", s.self, s.n, s.input, s.phase.String())
+	buf = s.heard.appendKey(append(buf, " heard"...))
+	buf = strconv.AppendInt(append(buf, " conj"...), int64(s.conj), 10)
+	buf = s.zeros.appendKey(append(buf, " z"...))
+	buf = s.acks.appendKey(append(buf, " acks"...))
 	if s.biasKnown {
-		fmt.Fprintf(&sb, " bias%v", s.bias)
+		buf = strconv.AppendBool(append(buf, " bias"...), s.bias)
 	}
-	for _, o := range s.out {
-		fmt.Fprintf(&sb, " →%s:%s", o.to, o.payload.Key())
-	}
+	buf = appendOuts(buf, s.out)
 	if s.afterSend != sim.NoDecision {
-		fmt.Fprintf(&sb, " after:%s", s.afterSend)
+		buf = append(append(buf, " after:"...), s.afterSend.String()...)
 	}
 	if s.decided != sim.NoDecision {
-		fmt.Fprintf(&sb, " dec:%s", s.decided)
+		buf = append(append(buf, " dec:"...), s.decided.String()...)
 	}
-	fmt.Fprintf(&sb, " rm%s", s.removed.key())
-	if s.phase == ackTerm {
-		fmt.Fprintf(&sb, " [%s]", s.term.key())
-	}
-	sb.WriteString("}")
-	return sb.String()
+	buf = s.appendKey(buf, s.phase == ackTerm)
+	return string(append(buf, '}'))
 }
 
 // Init implements sim.Protocol.
@@ -179,13 +175,11 @@ func (a AckCommit) SendStep(p sim.ProcID, state sim.State) (sim.State, []sim.Env
 			}
 		}
 		return s, []sim.Envelope{{To: item.to, Payload: item.payload}}
-	case s.phase == ackTerm && s.term.sending():
-		core, env := s.term.sendStep()
-		s.term = core
-		if s.term.done && s.decided == sim.NoDecision {
-			s.decided = s.term.decision()
-		}
-		return s, []sim.Envelope{env}
+	case s.term.sending():
+		var envs []sim.Envelope
+		s.fallback, envs = s.send()
+		s.decided = s.settle(s.decided)
+		return s, envs
 	}
 	return s, nil
 }
@@ -200,24 +194,11 @@ func (a AckCommit) Receive(p sim.ProcID, state sim.State, m sim.Message) sim.Sta
 
 	if m.Notice || isTermPayload(m.Payload) {
 		if s.phase != ackTerm {
-			s = s.enterAckTerm()
+			s.phase, s.out, s.afterSend = ackTerm, nil, sim.NoDecision
+			s.fallback = s.enter(s.self, s.n, s.decided == sim.Commit || (s.biasKnown && s.bias))
 		}
-		switch {
-		case m.Notice:
-			s.removed = s.removed.add(from)
-			s.term = s.term.onRemoved(from)
-		default:
-			switch pl := m.Payload.(type) {
-			case termMsg:
-				s.term = s.term.onTermMsg(from, pl)
-			case amnesicMsg:
-				s.removed = s.removed.add(from)
-				s.term = s.term.onRemoved(from)
-			}
-		}
-		if s.term.done && s.decided == sim.NoDecision {
-			s.decided = s.term.decision()
-		}
+		s.fallback = s.absorb(m)
+		s.decided = s.settle(s.decided)
 		return s
 	}
 	if s.phase == ackTerm {
@@ -277,20 +258,6 @@ func (a AckCommit) Receive(p sim.ProcID, state sim.State, m sim.Message) sim.Sta
 			s.decided = sim.Commit
 			s.phase = ackDone
 		}
-	}
-	return s
-}
-
-// enterAckTerm switches into the termination protocol with the current bias.
-func (s ackState) enterAckTerm() ackState {
-	s.phase = ackTerm
-	s.out = nil
-	s.afterSend = sim.NoDecision
-	committable := s.decided == sim.Commit || (s.biasKnown && s.bias)
-	up := allProcs(s.n).minus(s.removed)
-	s.term = newTermCore(s.self, s.n, committable, up)
-	if s.term.done && s.decided == sim.NoDecision {
-		s.decided = s.term.decision()
 	}
 	return s
 }

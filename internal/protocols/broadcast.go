@@ -2,7 +2,7 @@ package protocols
 
 import (
 	"fmt"
-	"strings"
+	"strconv"
 
 	"repro/internal/sim"
 )
@@ -70,8 +70,7 @@ type bcastState struct {
 	out     []outItem
 	decided sim.Decision
 
-	removed procSet
-	term    termCore
+	fallback
 }
 
 var _ sim.State = bcastState{}
@@ -81,7 +80,7 @@ func (s bcastState) Kind() sim.StateKind {
 	switch {
 	case len(s.out) > 0:
 		return sim.Sending
-	case s.phase == bcastTerm && s.term.sending():
+	case s.term.sending():
 		return sim.Sending
 	default:
 		return sim.Receiving
@@ -101,23 +100,17 @@ func (s bcastState) Amnesic() bool { return false }
 
 // Key implements sim.State.
 func (s bcastState) Key() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "bc{%s n%d in%d %s", s.self, s.n, s.input, s.phase)
+	var scratch [128]byte
+	buf := appendHeader(scratch[:0], "bc", s.self, s.n, s.input, s.phase.String())
 	if s.haveValue {
-		fmt.Fprintf(&sb, " v%d", s.value)
+		buf = strconv.AppendInt(append(buf, " v"...), int64(s.value), 10)
 	}
-	for _, o := range s.out {
-		fmt.Fprintf(&sb, " →%s:%s", o.to, o.payload.Key())
-	}
+	buf = appendOuts(buf, s.out)
 	if s.decided != sim.NoDecision {
-		fmt.Fprintf(&sb, " dec:%s", s.decided)
+		buf = append(append(buf, " dec:"...), s.decided.String()...)
 	}
-	fmt.Fprintf(&sb, " rm%s", s.removed.key())
-	if s.phase == bcastTerm {
-		fmt.Fprintf(&sb, " [%s]", s.term.key())
-	}
-	sb.WriteString("}")
-	return sb.String()
+	buf = s.appendKey(buf, s.phase == bcastTerm)
+	return string(append(buf, '}'))
 }
 
 // Init implements sim.Protocol.
@@ -146,13 +139,11 @@ func (b Broadcast) SendStep(p sim.ProcID, state sim.State) (sim.State, []sim.Env
 		item := s.out[0]
 		s.out = dropHead(s.out)
 		return s, []sim.Envelope{{To: item.to, Payload: item.payload}}
-	case s.phase == bcastTerm && s.term.sending():
-		core, env := s.term.sendStep()
-		s.term = core
-		if s.term.done && s.decided == sim.NoDecision {
-			s.decided = s.term.decision()
-		}
-		return s, []sim.Envelope{env}
+	case s.term.sending():
+		var envs []sim.Envelope
+		s.fallback, envs = s.send()
+		s.decided = s.settle(s.decided)
+		return s, envs
 	}
 	return s, nil
 }
@@ -167,24 +158,12 @@ func (b Broadcast) Receive(p sim.ProcID, state sim.State, m sim.Message) sim.Sta
 
 	if m.Notice || isTermPayload(m.Payload) {
 		if s.phase != bcastTerm {
-			s = s.enterBcastTerm()
+			// Committable iff the processor holds the value 1.
+			s.phase, s.out = bcastTerm, nil
+			s.fallback = s.enter(s.self, s.n, s.haveValue && s.value == sim.One)
 		}
-		switch {
-		case m.Notice:
-			s.removed = s.removed.add(from)
-			s.term = s.term.onRemoved(from)
-		default:
-			switch pl := m.Payload.(type) {
-			case termMsg:
-				s.term = s.term.onTermMsg(from, pl)
-			case amnesicMsg:
-				s.removed = s.removed.add(from)
-				s.term = s.term.onRemoved(from)
-			}
-		}
-		if s.term.done && s.decided == sim.NoDecision {
-			s.decided = s.term.decision()
-		}
+		s.fallback = s.absorb(m)
+		s.decided = s.settle(s.decided)
 		return s
 	}
 
@@ -204,20 +183,6 @@ func (b Broadcast) Receive(p sim.ProcID, state sim.State, m sim.Message) sim.Sta
 		// Late relayed values are ignored; a holder of the value 1 is
 		// committable at termination entry and spreads it through the
 		// round exchange. See Tree.Receive.
-	}
-	return s
-}
-
-// enterBcastTerm switches into the termination protocol: committable iff the
-// processor holds the value 1.
-func (s bcastState) enterBcastTerm() bcastState {
-	s.phase = bcastTerm
-	s.out = nil
-	committable := s.haveValue && s.value == sim.One
-	up := allProcs(s.n).minus(s.removed)
-	s.term = newTermCore(s.self, s.n, committable, up)
-	if s.term.done && s.decided == sim.NoDecision {
-		s.decided = s.term.decision()
 	}
 	return s
 }

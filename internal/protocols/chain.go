@@ -88,10 +88,8 @@ type chainState struct {
 	decided sim.Decision
 	amnesic bool
 
-	removed     procSet
-	term        termCore
-	amnesicSent bool
-	amnOut      procSet
+	fallback
+	amn amnesia // ST variant: the amnesic processor's announcement
 }
 
 // pendingAmnesia reports whether the ST variant owes a transition from the
@@ -105,11 +103,11 @@ var _ sim.State = chainState{}
 // Kind implements sim.State.
 func (s chainState) Kind() sim.StateKind {
 	switch {
-	case !s.amnOut.empty():
+	case s.amn.sending():
 		return sim.Sending
 	case len(s.out) > 0:
 		return sim.Sending
-	case s.phase == chainTerm && s.term.sending():
+	case s.term.sending():
 		return sim.Sending
 	case s.pendingAmnesia():
 		return sim.Sending // null send into the amnesic state
@@ -145,16 +143,8 @@ func (s chainState) Key() string {
 	if s.amnesic {
 		buf = append(buf, " amnesic"...)
 	}
-	buf = s.removed.appendKey(append(buf, " rm"...))
-	if s.phase == chainTerm {
-		buf = append(s.term.appendKey(append(buf, " ["...)), ']')
-	}
-	if s.amnesicSent {
-		buf = append(buf, " asent"...)
-	}
-	if !s.amnOut.empty() {
-		buf = s.amnOut.appendKey(append(buf, " aout"...))
-	}
+	buf = s.appendKey(buf, s.phase == chainTerm)
+	buf = s.amn.appendKey(buf)
 	return string(append(buf, '}'))
 }
 
@@ -181,36 +171,31 @@ func (c Chain) SendStep(p sim.ProcID, state sim.State) (sim.State, []sim.Envelop
 		return state, nil
 	}
 	switch {
-	case !s.amnOut.empty():
-		to := s.amnOut.lowest()
-		s.amnOut = s.amnOut.del(to)
-		if s.amnOut.empty() {
-			s.amnesicSent = true
-		}
-		return s, []sim.Envelope{{To: to, Payload: amnesicMsg{}}}
+	case s.amn.sending():
+		var envs []sim.Envelope
+		s.amn, envs = s.amn.send()
+		return s, envs
 	case len(s.out) > 0:
 		item := s.out[0]
 		s.out = dropHead(s.out)
 		return s, []sim.Envelope{{To: item.to, Payload: item.payload}}
-	case s.phase == chainTerm && s.term.sending():
-		core, env := s.term.sendStep()
-		s.term = core
-		if s.term.done && s.decided == sim.NoDecision {
-			s.decided = s.term.decision()
-		}
-		return s, []sim.Envelope{env}
+	case s.term.sending():
+		var envs []sim.Envelope
+		s.fallback, envs = s.send()
+		s.decided = s.settle(s.decided)
+		return s, envs
 	case s.pendingAmnesia():
 		// The null sending step into the amnesic state: everything is
 		// forgotten except the protocol identity, the failure
 		// bookkeeping, and the fact that a decision was made.
 		return chainState{
-			self:        s.self,
-			n:           s.n,
-			st:          s.st,
-			phase:       chainAmnesic,
-			amnesic:     true,
-			removed:     s.removed,
-			amnesicSent: s.amnesicSent,
+			self:     s.self,
+			n:        s.n,
+			st:       s.st,
+			phase:    chainAmnesic,
+			amnesic:  true,
+			fallback: fallback{removed: s.removed},
+			amn:      s.amn,
 		}, nil
 	}
 	return s, nil
@@ -227,42 +212,21 @@ func (c Chain) Receive(p sim.ProcID, state sim.State, m sim.Message) sim.State {
 	// Amnesic processors only react by announcing their amnesia once,
 	// when they learn that a failure was detected.
 	if s.amnesic {
-		if (m.Notice || isTermPayload(m.Payload)) && !s.amnesicSent && s.amnOut.empty() {
-			if m.Notice {
-				s.removed = s.removed.add(from)
-			}
-			s.amnOut = allProcs(s.n).del(s.self).minus(s.removed)
-			if s.amnOut.empty() {
-				s.amnesicSent = true
-			}
-		} else if m.Notice {
-			s.removed = s.removed.add(from)
-		}
+		s.amn, s.removed = s.amn.hear(s.self, s.n, s.removed, m)
 		return s
 	}
 
 	// Failure detection (or termination-protocol traffic) moves any
-	// non-terminated phase into the termination protocol.
+	// non-terminated phase into the termination protocol, carrying the
+	// current bias: committable iff the processor has decided commit
+	// (only p0's tally or a received decision prove that every input is 1).
 	if m.Notice || isTermPayload(m.Payload) {
 		if s.phase != chainTerm {
-			s = s.enterChainTerm()
+			s.phase, s.out = chainTerm, nil
+			s.fallback = s.enter(s.self, s.n, s.decided == sim.Commit)
 		}
-		switch {
-		case m.Notice:
-			s.removed = s.removed.add(from)
-			s.term = s.term.onRemoved(from)
-		default:
-			switch pl := m.Payload.(type) {
-			case termMsg:
-				s.term = s.term.onTermMsg(from, pl)
-			case amnesicMsg:
-				s.removed = s.removed.add(from)
-				s.term = s.term.onRemoved(from)
-			}
-		}
-		if s.term.done && s.decided == sim.NoDecision {
-			s.decided = s.term.decision()
-		}
+		s.fallback = s.absorb(m)
+		s.decided = s.settle(s.decided)
 		return s
 	}
 
@@ -296,20 +260,6 @@ func (c Chain) Receive(p sim.ProcID, state sim.State, m sim.Message) sim.State {
 		// ignore stray main-protocol messages.
 	case chainTerm:
 		// Late main-protocol messages are ignored; see Tree.Receive.
-	}
-	return s
-}
-
-// enterChainTerm switches into the Appendix termination protocol carrying
-// the current bias: committable iff the processor has decided commit (only
-// p0's tally or a received decision prove that every input is 1).
-func (s chainState) enterChainTerm() chainState {
-	s.phase = chainTerm
-	s.out = nil
-	up := allProcs(s.n).minus(s.removed)
-	s.term = newTermCore(s.self, s.n, s.decided == sim.Commit, up)
-	if s.term.done && s.decided == sim.NoDecision {
-		s.decided = s.term.decision()
 	}
 	return s
 }

@@ -102,19 +102,11 @@ func (s procSet) members() []sim.ProcID {
 	return out
 }
 
-// key canonically encodes the set. Sets with no member ≥ 64 render exactly
-// as the old 32-bit mask did (bare hex of the low word), so state keys for
-// every N ≤ 31 configuration are byte-identical to the pre-widening ones.
-func (s procSet) key() string {
-	if s.hi == 0 {
-		return strconv.FormatUint(s.lo, 16)
-	}
-	var scratch [40]byte
-	return string(s.appendKey(scratch[:0]))
-}
-
-// appendKey appends the set's key to buf: the low word in bare hex, or the
-// high word, a dot and the low word as sixteen hex digits.
+// appendKey appends the set's canonical key to buf: the low word in bare
+// hex, or the high word, a dot and the low word as sixteen hex digits. Sets
+// with no member ≥ 64 render exactly as the old 32-bit mask did, so state
+// keys for every N ≤ 31 configuration are byte-identical to the
+// pre-widening ones.
 func (s procSet) appendKey(buf []byte) []byte {
 	if s.hi == 0 {
 		return strconv.AppendUint(buf, s.lo, 16)
@@ -383,6 +375,141 @@ func (c termCore) onEvidence() termCore {
 	}
 	c.bias = true
 	return c
+}
+
+// ---- The failure path every library protocol shares ----
+
+// fallback is a processor's failure path: the processors it knows to have
+// failed (or, in the ST variants, to be amnesic), and the Appendix
+// termination protocol it runs once evidence of a failure arrives. Every
+// library state embeds one. The protocol decides only when to enter, with
+// which bias, which of its own fields that clears, and whether a decision
+// taken here halts it. Like termCore, a fallback is a value: every method
+// returns a fresh one.
+type fallback struct {
+	removed procSet // processors known failed or amnesic
+	term    termCore
+}
+
+// isTermPayload reports whether the payload belongs to the termination
+// protocol layer.
+func isTermPayload(p sim.Payload) bool {
+	switch p.(type) {
+	case termMsg, amnesicMsg:
+		return true
+	default:
+		return false
+	}
+}
+
+// enter starts the termination protocol with the given bias; UP is every
+// processor not known to be gone.
+func (f fallback) enter(self sim.ProcID, n int, bias bool) fallback {
+	f.term = newTermCore(self, n, bias, allProcs(n).minus(f.removed))
+	return f
+}
+
+// absorb applies a failure notice, a round message or an amnesia
+// announcement to an entered fallback; any other message leaves it as it
+// was. A failed or amnesic sender leaves UP.
+func (f fallback) absorb(m sim.Message) fallback {
+	if !m.Notice {
+		switch pl := m.Payload.(type) {
+		case termMsg:
+			f.term = f.term.onTermMsg(m.ID.From, pl)
+			return f
+		case amnesicMsg:
+		default:
+			return f
+		}
+	}
+	f.removed = f.removed.add(m.ID.From)
+	f.term = f.term.onRemoved(m.ID.From)
+	return f
+}
+
+// classify is Figure 2's modification of the termination protocol: the
+// sender of a decision message has halted, so it leaves UP, and a commit
+// decision counts as committable evidence.
+func (f fallback) classify(from sim.ProcID, d sim.Decision) fallback {
+	f.removed = f.removed.add(from)
+	if d == sim.Commit {
+		f.term = f.term.onEvidence()
+	}
+	f.term = f.term.onRemoved(from)
+	return f
+}
+
+// send takes the termination protocol's next round-message send.
+func (f fallback) send() (fallback, []sim.Envelope) {
+	core, env := f.term.sendStep()
+	f.term = core
+	return f, []sim.Envelope{env}
+}
+
+// settle returns the processor's decision: decided if it has one, else the
+// termination protocol's once that is done. A decision is never revoked.
+func (f fallback) settle(decided sim.Decision) sim.Decision {
+	if decided == sim.NoDecision && f.term.done {
+		return f.term.decision()
+	}
+	return decided
+}
+
+// appendKey appends " rm<removed>" and, inside the termination protocol,
+// " [<core key>]".
+func (f fallback) appendKey(buf []byte, inTerm bool) []byte {
+	buf = f.removed.appendKey(append(buf, " rm"...))
+	if inTerm {
+		buf = append(f.term.appendKey(append(buf, " ["...)), ']')
+	}
+	return buf
+}
+
+// amnesia is the announcement of Corollary 11's ST variants (tree and
+// chain): an amnesic processor that learns of a failure tells every
+// processor not known to be gone, once, so that their termination
+// protocols drop it from UP.
+type amnesia struct {
+	sent bool    // the announcement is complete
+	out  procSet // targets not yet sent
+}
+
+// hear is an amnesic processor's reaction to m. It records a failed sender
+// in removed, and the first notice or termination-protocol message starts
+// the announcement.
+func (a amnesia) hear(self sim.ProcID, n int, removed procSet, m sim.Message) (amnesia, procSet) {
+	if m.Notice {
+		removed = removed.add(m.ID.From)
+	}
+	if (m.Notice || isTermPayload(m.Payload)) && !a.sent && a.out.empty() {
+		a.out = allProcs(n).del(self).minus(removed)
+		a.sent = a.out.empty()
+	}
+	return a, removed
+}
+
+// sending reports whether announcement targets remain.
+func (a amnesia) sending() bool { return !a.out.empty() }
+
+// send takes the announcement's next send.
+func (a amnesia) send() (amnesia, []sim.Envelope) {
+	to := a.out.lowest()
+	a.out = a.out.del(to)
+	a.sent = a.out.empty()
+	return a, []sim.Envelope{{To: to, Payload: amnesicMsg{}}}
+}
+
+// appendKey appends " asent" once the announcement is complete and
+// " aout<set>" while targets remain.
+func (a amnesia) appendKey(buf []byte) []byte {
+	if a.sent {
+		buf = append(buf, " asent"...)
+	}
+	if !a.out.empty() {
+		buf = a.out.appendKey(append(buf, " aout"...))
+	}
+	return buf
 }
 
 // appendOut appends pending envelopes copy-on-write: the result never shares

@@ -66,8 +66,7 @@ type fxState struct {
 	out     []outItem
 	decided sim.Decision
 
-	removed procSet
-	term    termCore
+	fallback
 }
 
 var _ sim.State = fxState{}
@@ -77,7 +76,7 @@ func (s fxState) Kind() sim.StateKind {
 	switch {
 	case len(s.out) > 0:
 		return sim.Sending
-	case s.phase == fxTerm && s.term.sending():
+	case s.term.sending():
 		return sim.Sending
 	default:
 		return sim.Receiving
@@ -105,10 +104,7 @@ func (s fxState) Key() string {
 	if s.decided != sim.NoDecision {
 		buf = append(append(buf, " dec:"...), s.decided.String()...)
 	}
-	buf = s.removed.appendKey(append(buf, " rm"...))
-	if s.phase == fxTerm {
-		buf = append(s.term.appendKey(append(buf, " ["...)), ']')
-	}
+	buf = s.appendKey(buf, s.phase == fxTerm)
 	return string(append(buf, '}'))
 }
 
@@ -134,13 +130,11 @@ func (f FullExchange) SendStep(p sim.ProcID, state sim.State) (sim.State, []sim.
 		item := s.out[0]
 		s.out = dropHead(s.out)
 		return s, []sim.Envelope{{To: item.to, Payload: item.payload}}
-	case s.phase == fxTerm && s.term.sending():
-		core, env := s.term.sendStep()
-		s.term = core
-		if s.term.done && s.decided == sim.NoDecision {
-			s.decided = s.term.decision()
-		}
-		return s, []sim.Envelope{env}
+	case s.term.sending():
+		var envs []sim.Envelope
+		s.fallback, envs = s.send()
+		s.decided = s.settle(s.decided)
+		return s, envs
 	}
 	return s, nil
 }
@@ -155,24 +149,14 @@ func (f FullExchange) Receive(p sim.ProcID, state sim.State, m sim.Message) sim.
 
 	if m.Notice || isTermPayload(m.Payload) {
 		if s.phase != fxTerm {
-			s = s.enterFxTerm()
+			// Committable iff the processor has decided commit: the
+			// only way it can know all inputs are 1 is to have
+			// gathered them all.
+			s.phase, s.out = fxTerm, nil
+			s.fallback = s.enter(s.self, s.n, s.decided == sim.Commit)
 		}
-		switch {
-		case m.Notice:
-			s.removed = s.removed.add(from)
-			s.term = s.term.onRemoved(from)
-		default:
-			switch pl := m.Payload.(type) {
-			case termMsg:
-				s.term = s.term.onTermMsg(from, pl)
-			case amnesicMsg:
-				s.removed = s.removed.add(from)
-				s.term = s.term.onRemoved(from)
-			}
-		}
-		if s.term.done && s.decided == sim.NoDecision {
-			s.decided = s.term.decision()
-		}
+		s.fallback = s.absorb(m)
+		s.decided = s.settle(s.decided)
 		return s
 	}
 
@@ -192,21 +176,6 @@ func (f FullExchange) Receive(p sim.ProcID, state sim.State, m sim.Message) sim.
 		// Late inputs are ignored.
 	case fxTerm:
 		// Late main-protocol messages are ignored; see Tree.Receive.
-	}
-	return s
-}
-
-// enterFxTerm switches into the termination protocol: committable iff the
-// processor has decided commit (the only way it can know all inputs are 1 is
-// to have gathered them all).
-func (s fxState) enterFxTerm() fxState {
-	s.phase = fxTerm
-	s.out = nil
-	committable := s.decided == sim.Commit
-	up := allProcs(s.n).minus(s.removed)
-	s.term = newTermCore(s.self, s.n, committable, up)
-	if s.term.done && s.decided == sim.NoDecision {
-		s.decided = s.term.decision()
 	}
 	return s
 }

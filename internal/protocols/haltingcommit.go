@@ -2,7 +2,7 @@ package protocols
 
 import (
 	"fmt"
-	"strings"
+	"strconv"
 
 	"repro/internal/sim"
 )
@@ -92,8 +92,7 @@ type hcState struct {
 	decided   sim.Decision
 	halted    bool
 
-	removed procSet
-	term    termCore
+	fallback
 }
 
 var _ sim.State = hcState{}
@@ -103,7 +102,7 @@ func (s hcState) Kind() sim.StateKind {
 	switch {
 	case len(s.out) > 0:
 		return sim.Sending
-	case s.phase == hcTerm && s.term.sending():
+	case s.term.sending():
 		return sim.Sending
 	case s.halted:
 		return sim.Halted
@@ -125,33 +124,30 @@ func (s hcState) Amnesic() bool { return false }
 
 // Key implements sim.State.
 func (s hcState) Key() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "hc{%s n%d in%d %s heard%s conj%d z%s acks%s",
-		s.self, s.n, s.input, s.phase, s.heard.key(), s.conj, s.zeros.key(), s.acks.key())
+	var scratch [160]byte
+	buf := appendHeader(scratch[:0], "hc", s.self, s.n, s.input, s.phase.String())
+	buf = s.heard.appendKey(append(buf, " heard"...))
+	buf = strconv.AppendInt(append(buf, " conj"...), int64(s.conj), 10)
+	buf = s.zeros.appendKey(append(buf, " z"...))
+	buf = s.acks.appendKey(append(buf, " acks"...))
 	if s.anyFail {
-		sb.WriteString(" fail")
+		buf = append(buf, " fail"...)
 	}
 	if s.biasKnown {
-		fmt.Fprintf(&sb, " bias%v", s.bias)
+		buf = strconv.AppendBool(append(buf, " bias"...), s.bias)
 	}
-	for _, o := range s.out {
-		fmt.Fprintf(&sb, " →%s:%s", o.to, o.payload.Key())
-	}
+	buf = appendOuts(buf, s.out)
 	if s.afterSend != sim.NoDecision {
-		fmt.Fprintf(&sb, " after:%s", s.afterSend)
+		buf = append(append(buf, " after:"...), s.afterSend.String()...)
 	}
 	if s.decided != sim.NoDecision {
-		fmt.Fprintf(&sb, " dec:%s", s.decided)
+		buf = append(append(buf, " dec:"...), s.decided.String()...)
 	}
 	if s.halted {
-		sb.WriteString(" halted")
+		buf = append(buf, " halted"...)
 	}
-	fmt.Fprintf(&sb, " rm%s", s.removed.key())
-	if s.phase == hcTerm {
-		fmt.Fprintf(&sb, " [%s]", s.term.key())
-	}
-	sb.WriteString("}")
-	return sb.String()
+	buf = s.appendKey(buf, s.phase == hcTerm)
+	return string(append(buf, '}'))
 }
 
 // decideBroadcastHalt queues the decision broadcast to every other
@@ -213,14 +209,10 @@ func (h HaltingCommit) SendStep(p sim.ProcID, state sim.State) (sim.State, []sim
 			s.halted = true
 		}
 		return s, []sim.Envelope{{To: item.to, Payload: item.payload}}
-	case s.phase == hcTerm && s.term.sending():
-		core, env := s.term.sendStep()
-		s.term = core
-		if s.term.done && s.decided == sim.NoDecision {
-			s.decided = s.term.decision()
-			s.halted = true
-		}
-		return s, []sim.Envelope{env}
+	case s.term.sending():
+		var envs []sim.Envelope
+		s.fallback, envs = s.send()
+		return s.halt(), envs
 	}
 	return s, nil
 }
@@ -233,26 +225,27 @@ func (h HaltingCommit) Receive(p sim.ProcID, state sim.State, m sim.Message) sim
 	}
 	from := m.ID.From
 
-	if s.phase == hcTerm {
-		return s.hcTermReceive(from, m)
-	}
-
-	switch {
-	case m.Notice:
+	if m.Notice && s.phase == hcCollect {
+		// The coordinator treats a failure during collection as an
+		// abort vote (unanimity permits abort once a failure occurs);
+		// nobody can be committable yet, so halting on abort is safe.
 		s.removed = s.removed.add(from)
-		if s.phase == hcCollect {
-			// The coordinator treats a failure during collection as
-			// an abort vote (unanimity permits abort once a failure
-			// occurs); nobody can be committable yet, so halting on
-			// abort is safe.
-			s.anyFail = true
-			s.heard = s.heard.add(from)
-			return s.hcMaybeDecideBias()
+		s.anyFail = true
+		s.heard = s.heard.add(from)
+		return s.hcMaybeDecideBias()
+	}
+	if m.Notice || isTermPayload(m.Payload) || s.phase == hcTerm {
+		if s.phase != hcTerm {
+			s.phase, s.out, s.afterSend = hcTerm, nil, sim.NoDecision
+			s.fallback = s.enter(s.self, s.n, s.decided == sim.Commit || (s.biasKnown && s.bias))
 		}
-		return s.enterHcTerm()
-	case isTermPayload(m.Payload):
-		s = s.enterHcTerm()
-		return s.hcTermReceive(from, m)
+		// Figure 2's modification: a decision message is classified.
+		if d, ok := m.Payload.(decisionMsg); ok {
+			s.fallback = s.classify(from, d.D)
+		} else {
+			s.fallback = s.absorb(m)
+		}
+		return s.halt()
 	}
 
 	switch pl := m.Payload.(type) {
@@ -308,49 +301,11 @@ func (s hcState) hcMaybeDecideBias() hcState {
 	return s
 }
 
-// hcTermReceive handles a message inside the modified termination protocol.
-func (s hcState) hcTermReceive(from sim.ProcID, m sim.Message) sim.State {
-	switch {
-	case m.Notice:
-		s.removed = s.removed.add(from)
-		s.term = s.term.onRemoved(from)
-	default:
-		switch pl := m.Payload.(type) {
-		case termMsg:
-			s.term = s.term.onTermMsg(from, pl)
-		case amnesicMsg:
-			s.removed = s.removed.add(from)
-			s.term = s.term.onRemoved(from)
-		case decisionMsg:
-			// Figure 2's modification: the sender has halted —
-			// remove it — and its decision classifies as bias
-			// evidence.
-			s.removed = s.removed.add(from)
-			if pl.D == sim.Commit {
-				s.term = s.term.onEvidence()
-			}
-			s.term = s.term.onRemoved(from)
-		}
-	}
-	if s.term.done && s.decided == sim.NoDecision {
-		s.decided = s.term.decision()
-		s.halted = true
-	}
-	return s
-}
-
-// enterHcTerm switches into the modified termination protocol with the
-// current bias.
-func (s hcState) enterHcTerm() hcState {
-	s.phase = hcTerm
-	s.out = nil
-	s.afterSend = sim.NoDecision
-	committable := s.decided == sim.Commit || (s.biasKnown && s.bias)
-	up := allProcs(s.n).minus(s.removed)
-	s.term = newTermCore(s.self, s.n, committable, up)
-	if s.term.done && s.decided == sim.NoDecision {
-		s.decided = s.term.decision()
-		s.halted = true
+// halt takes the termination protocol's decision once it has one; a
+// processor that decides there halts, as Figure 2's do.
+func (s hcState) halt() hcState {
+	if d := s.settle(s.decided); d != s.decided {
+		s.decided, s.halted = d, true
 	}
 	return s
 }

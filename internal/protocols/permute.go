@@ -72,6 +72,21 @@ func (c termCore) permute(perm sim.ProcPerm) termCore {
 	return c
 }
 
+// permute relabels a failure path: its removed set and its core.
+//
+//ccvet:pure
+func (f fallback) permute(perm sim.ProcPerm) fallback {
+	return fallback{removed: f.removed.permute(perm), term: f.term.permute(perm)}
+}
+
+// permute relabels an amnesia announcement's pending targets.
+//
+//ccvet:pure
+func (a amnesia) permute(perm sim.ProcPerm) amnesia {
+	a.out = a.out.permute(perm)
+	return a
+}
+
 // PermuteProcs implements sim.Permuter.
 //
 //ccvet:pure
@@ -80,10 +95,9 @@ func (s treeState) PermuteProcs(perm sim.ProcPerm) sim.State {
 	s.vals = s.vals.permute(perm)
 	s.zeroKids = s.zeroKids.permute(perm)
 	s.acks = s.acks.permute(perm)
-	s.removed = s.removed.permute(perm)
-	s.amnOut = s.amnOut.permute(perm)
+	s.amn = s.amn.permute(perm)
 	s.out = permuteOut(s.out, perm)
-	s.term = s.term.permute(perm)
+	s.fallback = s.fallback.permute(perm)
 	return s
 }
 
@@ -93,9 +107,8 @@ func (s treeState) PermuteProcs(perm sim.ProcPerm) sim.State {
 func (s starState) PermuteProcs(perm sim.ProcPerm) sim.State {
 	s.self = perm[s.self]
 	s.heard = s.heard.permute(perm)
-	s.removed = s.removed.permute(perm)
 	s.out = permuteOut(s.out, perm)
-	s.term = s.term.permute(perm)
+	s.fallback = s.fallback.permute(perm)
 	return s
 }
 
@@ -105,10 +118,9 @@ func (s starState) PermuteProcs(perm sim.ProcPerm) sim.State {
 func (s chainState) PermuteProcs(perm sim.ProcPerm) sim.State {
 	s.self = perm[s.self]
 	s.heard = s.heard.permute(perm)
-	s.removed = s.removed.permute(perm)
-	s.amnOut = s.amnOut.permute(perm)
+	s.amn = s.amn.permute(perm)
 	s.out = permuteOut(s.out, perm)
-	s.term = s.term.permute(perm)
+	s.fallback = s.fallback.permute(perm)
 	return s
 }
 
@@ -118,8 +130,7 @@ func (s chainState) PermuteProcs(perm sim.ProcPerm) sim.State {
 func (s fxState) PermuteProcs(perm sim.ProcPerm) sim.State {
 	s.self = perm[s.self]
 	s.heard = s.heard.permute(perm)
-	s.removed = s.removed.permute(perm)
 	s.out = permuteOut(s.out, perm)
-	s.term = s.term.permute(perm)
+	s.fallback = s.fallback.permute(perm)
 	return s
 }

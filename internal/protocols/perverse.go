@@ -1,8 +1,7 @@
 package protocols
 
 import (
-	"fmt"
-	"strings"
+	"strconv"
 
 	"repro/internal/sim"
 )
@@ -77,7 +76,7 @@ func (doneMsg) Key() string { return "done" }
 // xMsg is a contentless dashed message m1, m2, or m3.
 type xMsg struct{ ID int }
 
-func (m xMsg) Key() string { return fmt.Sprintf("x%d", m.ID) }
+func (m xMsg) Key() string { return "x" + strconv.Itoa(m.ID) }
 
 type perversePhase int
 
@@ -139,8 +138,7 @@ type perverseState struct {
 	out     []outItem
 	decided sim.Decision
 
-	removed procSet
-	term    termCore
+	fallback
 }
 
 var _ sim.State = perverseState{}
@@ -150,7 +148,7 @@ func (s perverseState) Kind() sim.StateKind {
 	switch {
 	case len(s.out) > 0:
 		return sim.Sending
-	case s.phase == pvTerm && s.term.sending():
+	case s.term.sending():
 		return sim.Sending
 	default:
 		return sim.Receiving
@@ -170,48 +168,49 @@ func (s perverseState) Amnesic() bool { return false }
 
 // Key implements sim.State.
 func (s perverseState) Key() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "pv{%s in%d %s heard%s conj%d acks%s", s.self, s.input, s.phase, s.heard.key(), s.conj, s.acks.key())
+	// N is fixed at four, so the header carries no n and is spelled out
+	// here rather than by appendHeader.
+	var scratch [160]byte
+	buf := strconv.AppendInt(append(scratch[:0], "pv{p"...), int64(s.self), 10)
+	buf = strconv.AppendInt(append(buf, " in"...), int64(s.input), 10)
+	buf = append(append(buf, ' '), s.phase.String()...)
+	buf = s.heard.appendKey(append(buf, " heard"...))
+	buf = strconv.AppendInt(append(buf, " conj"...), int64(s.conj), 10)
+	buf = s.acks.appendKey(append(buf, " acks"...))
 	if s.biasKnown {
-		fmt.Fprintf(&sb, " bias%v", s.bias)
+		buf = strconv.AppendBool(append(buf, " bias"...), s.bias)
 	}
-	fmt.Fprintf(&sb, " his%s", s.his.key())
+	buf = s.his.appendKey(append(buf, " his"...))
 	if !s.his.empty() {
-		fmt.Fprintf(&sb, " first%s", s.firstHi)
+		buf = strconv.AppendInt(append(buf, " firstp"...), int64(s.firstHi), 10)
 	}
 	if s.ackPending {
-		sb.WriteString(" ackp")
+		buf = append(buf, " ackp"...)
 	}
 	if s.gotDone {
-		sb.WriteString(" gdone")
+		buf = append(buf, " gdone"...)
 	}
 	if s.m1Known {
-		fmt.Fprintf(&sb, " m1:%v", s.sentM1)
+		buf = strconv.AppendBool(append(buf, " m1:"...), s.sentM1)
 	}
 	if s.sentM2 {
-		sb.WriteString(" m2s")
+		buf = append(buf, " m2s"...)
 	}
 	if s.gotM2 {
-		sb.WriteString(" m2g")
+		buf = append(buf, " m2g"...)
 	}
 	if s.sentM3 {
-		sb.WriteString(" m3s")
+		buf = append(buf, " m3s"...)
 	}
 	if s.dashed {
-		sb.WriteString(" dashed")
+		buf = append(buf, " dashed"...)
 	}
-	for _, o := range s.out {
-		fmt.Fprintf(&sb, " →%s:%s", o.to, o.payload.Key())
-	}
+	buf = appendOuts(buf, s.out)
 	if s.decided != sim.NoDecision {
-		fmt.Fprintf(&sb, " dec:%s", s.decided)
+		buf = append(append(buf, " dec:"...), s.decided.String()...)
 	}
-	fmt.Fprintf(&sb, " rm%s", s.removed.key())
-	if s.phase == pvTerm {
-		fmt.Fprintf(&sb, " [%s]", s.term.key())
-	}
-	sb.WriteString("}")
-	return sb.String()
+	buf = s.appendKey(buf, s.phase == pvTerm)
+	return string(append(buf, '}'))
 }
 
 // Init implements sim.Protocol.
@@ -254,13 +253,11 @@ func (pv Perverse) SendStep(p sim.ProcID, state sim.State) (sim.State, []sim.Env
 		item := s.out[0]
 		s.out = dropHead(s.out)
 		return s, []sim.Envelope{{To: item.to, Payload: item.payload}}
-	case s.phase == pvTerm && s.term.sending():
-		core, env := s.term.sendStep()
-		s.term = core
-		if s.term.done && s.decided == sim.NoDecision {
-			s.decided = s.term.decision()
-		}
-		return s, []sim.Envelope{env}
+	case s.term.sending():
+		var envs []sim.Envelope
+		s.fallback, envs = s.send()
+		s.decided = s.settle(s.decided)
+		return s, envs
 	}
 	return s, nil
 }
@@ -275,24 +272,11 @@ func (pv Perverse) Receive(p sim.ProcID, state sim.State, m sim.Message) sim.Sta
 
 	if m.Notice || isTermPayload(m.Payload) {
 		if s.phase != pvTerm {
-			s = s.enterPerverseTerm()
+			s.phase, s.out = pvTerm, nil
+			s.fallback = s.enter(s.self, s.n, s.decided == sim.Commit || (s.biasKnown && s.bias))
 		}
-		switch {
-		case m.Notice:
-			s.removed = s.removed.add(from)
-			s.term = s.term.onRemoved(from)
-		default:
-			switch pl := m.Payload.(type) {
-			case termMsg:
-				s.term = s.term.onTermMsg(from, pl)
-			case amnesicMsg:
-				s.removed = s.removed.add(from)
-				s.term = s.term.onRemoved(from)
-			}
-		}
-		if s.term.done && s.decided == sim.NoDecision {
-			s.decided = s.term.decision()
-		}
+		s.fallback = s.absorb(m)
+		s.decided = s.settle(s.decided)
 		return s
 	}
 	if s.phase == pvTerm {
@@ -427,20 +411,6 @@ func (s perverseState) maybeDashed() sim.State {
 				s.out = appendOut(s.out, outItem{to: 0, payload: xMsg{ID: 2}})
 			}
 		}
-	}
-	return s
-}
-
-// enterPerverseTerm switches into the termination protocol with the current
-// bias.
-func (s perverseState) enterPerverseTerm() perverseState {
-	s.phase = pvTerm
-	s.out = nil
-	committable := s.decided == sim.Commit || (s.biasKnown && s.bias)
-	up := allProcs(s.n).minus(s.removed)
-	s.term = newTermCore(s.self, s.n, committable, up)
-	if s.term.done && s.decided == sim.NoDecision {
-		s.decided = s.term.decision()
 	}
 	return s
 }

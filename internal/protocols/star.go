@@ -75,8 +75,7 @@ type starState struct {
 	decided sim.Decision
 	halted  bool
 
-	removed procSet
-	term    termCore
+	fallback
 }
 
 var _ sim.State = starState{}
@@ -86,7 +85,7 @@ func (s starState) Kind() sim.StateKind {
 	switch {
 	case len(s.out) > 0:
 		return sim.Sending
-	case s.phase == starTerm && s.term.sending():
+	case s.term.sending():
 		return sim.Sending
 	case s.halted:
 		return sim.Halted
@@ -125,10 +124,7 @@ func (s starState) Key() string {
 	if s.halted {
 		buf = append(buf, " halted"...)
 	}
-	buf = s.removed.appendKey(append(buf, " rm"...))
-	if s.phase == starTerm {
-		buf = append(s.term.appendKey(append(buf, " ["...)), ']')
-	}
+	buf = s.appendKey(buf, s.phase == starTerm)
 	return string(append(buf, '}'))
 }
 
@@ -163,14 +159,10 @@ func (st Star) SendStep(p sim.ProcID, state sim.State) (sim.State, []sim.Envelop
 		}
 		return s, []sim.Envelope{{To: item.to, Payload: item.payload}}
 
-	case s.phase == starTerm && s.term.sending():
-		core, env := s.term.sendStep()
-		s.term = core
-		if s.term.done {
-			s.decided = s.term.decision()
-			s.halted = true
-		}
-		return s, []sim.Envelope{env}
+	case s.term.sending():
+		var envs []sim.Envelope
+		s.fallback, envs = s.send()
+		return s.halt(), envs
 	}
 	return s, nil
 }
@@ -207,85 +199,49 @@ func (st Star) Receive(p sim.ProcID, state sim.State, m sim.Message) sim.State {
 		}
 		return s
 
-	case starWaitDecision:
-		switch {
-		case m.Notice:
-			s.removed = s.removed.add(from)
-			s = s.enterStarTerm()
-		case isTermPayload(m.Payload):
-			s = s.enterStarTerm()
-			if tm, ok := m.Payload.(termMsg); ok {
-				s.term = s.term.onTermMsg(from, tm)
-			}
-		default:
-			if d, ok := m.Payload.(decisionMsg); ok {
-				// Relay the decision to the other participants,
-				// then decide and halt.
-				s.out = broadcastOut(s.out, allProcs(s.n).del(0).del(s.self), decisionMsg{D: d.D})
-				s.afterSend = d.D
-				if len(s.out) == 0 {
-					s.decided = d.D
-					s.afterSend = sim.NoDecision
-					s.phase = starDone
-					s.halted = true
-				}
-			}
-		}
-		if s.phase == starTerm && s.term.done {
-			s.decided = s.term.decision()
-			s.halted = true
-		}
-		return s
-
-	case starTerm:
-		switch {
-		case m.Notice:
-			s.removed = s.removed.add(from)
-			s.term = s.term.onRemoved(from)
-		default:
-			switch pl := m.Payload.(type) {
-			case termMsg:
-				s.term = s.term.onTermMsg(from, pl)
-			case amnesicMsg:
-				s.removed = s.removed.add(from)
-				s.term = s.term.onRemoved(from)
-			case decisionMsg:
-				// The Figure 2 modification: the sender of a
-				// decision message has halted — remove it from
-				// UP — and classify the decision as
-				// committable/noncommittable evidence.
-				s.removed = s.removed.add(from)
-				if pl.D == sim.Commit {
-					s.term = s.term.onEvidence()
-				}
-				s.term = s.term.onRemoved(from)
-			}
-		}
-		if s.term.done && s.decided == sim.NoDecision {
-			s.decided = s.term.decision()
-			s.halted = true
-		}
-		return s
-
 	case starDone:
 		return s
+	}
+
+	// A participant: a failure notice or termination-protocol traffic
+	// moves it into the modified termination protocol, where a decision
+	// message is classified rather than relayed.
+	if m.Notice || isTermPayload(m.Payload) || s.phase == starTerm {
+		if s.phase != starTerm {
+			// The participant is undecided and its bias is
+			// noncommittable: it only ever learns that all inputs
+			// are 1 by receiving a commit decision, which is
+			// classified as evidence afterwards.
+			s.phase, s.out, s.afterSend = starTerm, nil, sim.NoDecision
+			s.fallback = s.enter(s.self, s.n, false)
+		}
+		if d, ok := m.Payload.(decisionMsg); ok {
+			s.fallback = s.classify(from, d.D)
+		} else {
+			s.fallback = s.absorb(m)
+		}
+		return s.halt()
+	}
+	if d, ok := m.Payload.(decisionMsg); ok {
+		// Relay the decision to the other participants, then decide
+		// and halt.
+		s.out = broadcastOut(s.out, allProcs(s.n).del(0).del(s.self), decisionMsg{D: d.D})
+		s.afterSend = d.D
+		if len(s.out) == 0 {
+			s.decided = d.D
+			s.afterSend = sim.NoDecision
+			s.phase = starDone
+			s.halted = true
+		}
 	}
 	return s
 }
 
-// enterStarTerm switches a participant into the modified termination
-// protocol. The participant's bias is noncommittable: a participant only
-// ever learns that all inputs are 1 by receiving a commit decision, which is
-// handled as evidence afterwards.
-func (s starState) enterStarTerm() starState {
-	s.phase = starTerm
-	s.out = nil
-	s.afterSend = sim.NoDecision
-	up := allProcs(s.n).minus(s.removed)
-	s.term = newTermCore(s.self, s.n, s.decided == sim.Commit, up)
-	if s.term.done && s.decided == sim.NoDecision {
-		s.decided = s.term.decision()
-		s.halted = true
+// halt takes the termination protocol's decision once it has one; a
+// processor that decides there halts, as Figure 2's do.
+func (s starState) halt() starState {
+	if d := s.settle(s.decided); d != s.decided {
+		s.decided, s.halted = d, true
 	}
 	return s
 }

@@ -217,3 +217,97 @@ func TestTermCoreRemovalUnblocks(t *testing.T) {
 		t.Fatalf("removal of the awaited processor should complete the round; round = %d", c.round)
 	}
 }
+
+// TestTermCoreEntryOrder holds the two orders in which a failure notice can
+// meet an entry into the termination protocol to one core: entering with UP
+// and then removing q, or entering with UP already without q. A processor
+// meets a failure both ways: fallback.absorb removes a notice's sender
+// after entry, and a failure recorded before entry (haltingcommit's
+// coordinator during collection) is left out of UP at entry.
+func TestTermCoreEntryOrder(t *testing.T) {
+	checked := 0
+	for n := 1; n <= 4; n++ {
+		for self := sim.ProcID(0); int(self) < n; self++ {
+			for mask := uint64(0); mask < 1<<uint(n); mask++ {
+				up := procSet{lo: mask}
+				if !up.has(self) {
+					continue
+				}
+				for _, q := range up.del(self).members() {
+					for _, bias := range []bool{false, true} {
+						late := newTermCore(self, n, bias, up).onRemoved(q)
+						early := newTermCore(self, n, bias, up.del(q))
+						if late.key() != early.key() {
+							t.Fatalf("n=%d self=%s up=%s q=%s bias=%v: remove after entry %s, before %s",
+								n, self, up.members(), q, bias, late.key(), early.key())
+						}
+						checked++
+					}
+				}
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no case checked")
+	}
+}
+
+// fallbackKey renders a fallback that has entered the termination protocol.
+func fallbackKey(f fallback) string { return string(f.appendKey(nil, true)) }
+
+// TestFallbackAbsorb checks the routing every library protocol shares: a
+// failure notice and an amnesia announcement both add their sender to
+// removed and take it out of UP, a round message reaches the core, and a
+// main-protocol message changes nothing.
+func TestFallbackAbsorb(t *testing.T) {
+	f := fallback{}.enter(0, 3, false)
+	notice := f.absorb(sim.Message{ID: sim.MsgID{From: 1, To: 0}, Notice: true})
+	amnesic := f.absorb(sim.Message{ID: sim.MsgID{From: 1, To: 0}, Payload: amnesicMsg{}})
+	if !notice.removed.has(1) || notice.term.up.has(1) {
+		t.Fatalf("a notice from p1 must remove it: %s", fallbackKey(notice))
+	}
+	if fallbackKey(amnesic) != fallbackKey(notice) {
+		t.Fatalf("an amnesia announcement must act as a notice: %s, notice %s", fallbackKey(amnesic), fallbackKey(notice))
+	}
+	round := f.absorb(sim.Message{ID: sim.MsgID{From: 2, To: 0}, Payload: termMsg{Round: 1, Committable: true}})
+	if !round.term.got.has(2) || !round.term.bias || !round.removed.empty() {
+		t.Fatalf("a committable round-1 message from p2 must be counted: %s", fallbackKey(round))
+	}
+	main := f.absorb(sim.Message{ID: sim.MsgID{From: 2, To: 0}, Payload: ackMsg{}})
+	if fallbackKey(main) != fallbackKey(f) {
+		t.Fatalf("a main-protocol message must leave the fallback as it was: %s, was %s", fallbackKey(main), fallbackKey(f))
+	}
+}
+
+// TestFallbackClassify checks Figure 2's modification: a halted sender's
+// decision removes it, and only a commit counts as committable evidence.
+func TestFallbackClassify(t *testing.T) {
+	f := fallback{}.enter(0, 3, false)
+	for _, d := range []sim.Decision{sim.Commit, sim.Abort} {
+		g := f.classify(1, d)
+		if !g.removed.has(1) || g.term.up.has(1) {
+			t.Fatalf("classify(p1, %s) must remove p1: %s", d, fallbackKey(g))
+		}
+		if g.term.bias != (d == sim.Commit) {
+			t.Fatalf("classify(p1, %s): bias %v", d, g.term.bias)
+		}
+	}
+}
+
+// TestFallbackSettleNeverRevokes checks that settle takes the rounds'
+// decision only for an undecided processor, and only once they end.
+func TestFallbackSettleNeverRevokes(t *testing.T) {
+	solo := fallback{removed: allProcs(3).del(0)}.enter(0, 3, true)
+	if !solo.term.done {
+		t.Fatalf("a solo fallback should be done at entry: %s", fallbackKey(solo))
+	}
+	if d := solo.settle(sim.NoDecision); d != sim.Commit {
+		t.Fatalf("undecided, committable rounds ended: settle = %s, want commit", d)
+	}
+	if d := solo.settle(sim.Abort); d != sim.Abort {
+		t.Fatalf("decided abort: settle = %s, want abort kept", d)
+	}
+	if d := (fallback{}).enter(0, 3, true).settle(sim.NoDecision); d != sim.NoDecision {
+		t.Fatalf("rounds still running: settle = %s, want no decision", d)
+	}
+}

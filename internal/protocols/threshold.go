@@ -2,7 +2,7 @@ package protocols
 
 import (
 	"fmt"
-	"strings"
+	"strconv"
 
 	"repro/internal/sim"
 )
@@ -57,8 +57,7 @@ type thState struct {
 	out     []outItem
 	decided sim.Decision
 
-	removed procSet
-	term    termCore
+	fallback
 }
 
 var _ sim.State = thState{}
@@ -68,7 +67,7 @@ func (s thState) Kind() sim.StateKind {
 	switch {
 	case len(s.out) > 0:
 		return sim.Sending
-	case s.phase == ackTerm && s.term.sending():
+	case s.term.sending():
 		return sim.Sending
 	default:
 		return sim.Receiving
@@ -88,24 +87,26 @@ func (s thState) Amnesic() bool { return false }
 
 // Key implements sim.State.
 func (s thState) Key() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "th{%s n%d k%d in%d %s heard%s ones%d acks%s",
-		s.self, s.n, s.k, s.input, s.phase, s.heard.key(), s.ones, s.acks.key())
+	// The header carries k between n and the input, so it is spelled out
+	// here rather than by appendHeader.
+	var scratch [128]byte
+	buf := strconv.AppendInt(append(scratch[:0], "th{p"...), int64(s.self), 10)
+	buf = strconv.AppendInt(append(buf, " n"...), int64(s.n), 10)
+	buf = strconv.AppendInt(append(buf, " k"...), int64(s.k), 10)
+	buf = strconv.AppendInt(append(buf, " in"...), int64(s.input), 10)
+	buf = append(append(buf, ' '), s.phase.String()...)
+	buf = s.heard.appendKey(append(buf, " heard"...))
+	buf = strconv.AppendInt(append(buf, " ones"...), int64(s.ones), 10)
+	buf = s.acks.appendKey(append(buf, " acks"...))
 	if s.biasKnown {
-		fmt.Fprintf(&sb, " bias%v", s.bias)
+		buf = strconv.AppendBool(append(buf, " bias"...), s.bias)
 	}
-	for _, o := range s.out {
-		fmt.Fprintf(&sb, " →%s:%s", o.to, o.payload.Key())
-	}
+	buf = appendOuts(buf, s.out)
 	if s.decided != sim.NoDecision {
-		fmt.Fprintf(&sb, " dec:%s", s.decided)
+		buf = append(append(buf, " dec:"...), s.decided.String()...)
 	}
-	fmt.Fprintf(&sb, " rm%s", s.removed.key())
-	if s.phase == ackTerm {
-		fmt.Fprintf(&sb, " [%s]", s.term.key())
-	}
-	sb.WriteString("}")
-	return sb.String()
+	buf = s.appendKey(buf, s.phase == ackTerm)
+	return string(append(buf, '}'))
 }
 
 // Init implements sim.Protocol.
@@ -142,13 +143,11 @@ func (t ThresholdCommit) SendStep(p sim.ProcID, state sim.State) (sim.State, []s
 		item := s.out[0]
 		s.out = dropHead(s.out)
 		return s, []sim.Envelope{{To: item.to, Payload: item.payload}}
-	case s.phase == ackTerm && s.term.sending():
-		core, env := s.term.sendStep()
-		s.term = core
-		if s.term.done && s.decided == sim.NoDecision {
-			s.decided = s.term.decision()
-		}
-		return s, []sim.Envelope{env}
+	case s.term.sending():
+		var envs []sim.Envelope
+		s.fallback, envs = s.send()
+		s.decided = s.settle(s.decided)
+		return s, envs
 	}
 	return s, nil
 }
@@ -163,24 +162,14 @@ func (t ThresholdCommit) Receive(p sim.ProcID, state sim.State, m sim.Message) s
 
 	if m.Notice || isTermPayload(m.Payload) {
 		if s.phase != ackTerm {
-			s = s.enterThTerm()
+			// Committable iff the processor knows the tally reached
+			// the threshold (a committable bias or a commit decision:
+			// under the safe discipline the two coincide).
+			s.phase, s.out = ackTerm, nil
+			s.fallback = s.enter(s.self, s.n, s.decided == sim.Commit || (s.biasKnown && s.bias))
 		}
-		switch {
-		case m.Notice:
-			s.removed = s.removed.add(from)
-			s.term = s.term.onRemoved(from)
-		default:
-			switch pl := m.Payload.(type) {
-			case termMsg:
-				s.term = s.term.onTermMsg(from, pl)
-			case amnesicMsg:
-				s.removed = s.removed.add(from)
-				s.term = s.term.onRemoved(from)
-			}
-		}
-		if s.term.done && s.decided == sim.NoDecision {
-			s.decided = s.term.decision()
-		}
+		s.fallback = s.absorb(m)
+		s.decided = s.settle(s.decided)
 		return s
 	}
 
@@ -227,21 +216,6 @@ func (t ThresholdCommit) Receive(p sim.ProcID, state sim.State, m sim.Message) s
 			s.decided = sim.Commit
 			s.phase = ackDone
 		}
-	}
-	return s
-}
-
-// enterThTerm switches into the termination protocol: committable iff the
-// processor knows the tally reached the threshold (a committable bias or a
-// commit decision — under the safe discipline the two coincide).
-func (s thState) enterThTerm() thState {
-	s.phase = ackTerm
-	s.out = nil
-	committable := s.decided == sim.Commit || (s.biasKnown && s.bias)
-	up := allProcs(s.n).minus(s.removed)
-	s.term = newTermCore(s.self, s.n, committable, up)
-	if s.term.done && s.decided == sim.NoDecision {
-		s.decided = s.term.decision()
 	}
 	return s
 }

@@ -129,11 +129,8 @@ type treeState struct {
 	decided sim.Decision
 	amnesic bool
 
-	removed procSet // processors known failed or amnesic
-	term    termCore
-
-	amnesicSent bool
-	amnOut      procSet // pending amnesic-announcement targets
+	fallback
+	amn amnesia // ST variant: the amnesic processor's announcement
 }
 
 var _ sim.State = treeState{}
@@ -141,11 +138,11 @@ var _ sim.State = treeState{}
 // Kind implements sim.State.
 func (s treeState) Kind() sim.StateKind {
 	switch {
-	case !s.amnOut.empty():
+	case s.amn.sending():
 		return sim.Sending
 	case len(s.out) > 0:
 		return sim.Sending
-	case s.phase == phaseTerm && s.term.sending():
+	case s.term.sending():
 		return sim.Sending
 	case s.pendingAmnesia():
 		return sim.Sending // a null send moves the decided state to amnesic
@@ -193,16 +190,8 @@ func (s treeState) Key() string {
 	if s.amnesic {
 		buf = append(buf, " amnesic"...)
 	}
-	buf = s.removed.appendKey(append(buf, " rm"...))
-	if s.phase == phaseTerm {
-		buf = append(s.term.appendKey(append(buf, " ["...)), ']')
-	}
-	if s.amnesicSent {
-		buf = append(buf, " asent"...)
-	}
-	if !s.amnOut.empty() {
-		buf = s.amnOut.appendKey(append(buf, " aout"...))
-	}
+	buf = s.appendKey(buf, s.phase == phaseTerm)
+	buf = s.amn.appendKey(buf)
 	return string(append(buf, '}'))
 }
 
@@ -245,13 +234,10 @@ func (t Tree) SendStep(p sim.ProcID, st sim.State) (sim.State, []sim.Envelope) {
 		return st, nil
 	}
 	switch {
-	case !s.amnOut.empty():
-		to := s.amnOut.lowest()
-		s.amnOut = s.amnOut.del(to)
-		if s.amnOut.empty() {
-			s.amnesicSent = true
-		}
-		return s, []sim.Envelope{{To: to, Payload: amnesicMsg{}}}
+	case s.amn.sending():
+		var envs []sim.Envelope
+		s.amn, envs = s.amn.send()
+		return s, envs
 
 	case len(s.out) > 0:
 		item := s.out[0]
@@ -265,13 +251,11 @@ func (t Tree) SendStep(p sim.ProcID, st sim.State) (sim.State, []sim.Envelope) {
 		}
 		return s, []sim.Envelope{{To: item.to, Payload: item.payload}}
 
-	case s.phase == phaseTerm && s.term.sending():
-		core, env := s.term.sendStep()
-		s.term = core
-		if s.term.done && s.decided == sim.NoDecision {
-			s.decided = s.term.decision()
-		}
-		return s, []sim.Envelope{env}
+	case s.term.sending():
+		var envs []sim.Envelope
+		s.fallback, envs = s.send()
+		s.decided = s.settle(s.decided)
+		return s, envs
 
 	case s.pendingAmnesia():
 		// The null sending step of the ST variant: move from the
@@ -280,13 +264,13 @@ func (t Tree) SendStep(p sim.ProcID, st sim.State) (sim.State, []sim.Envelope) {
 		// identity, the failure bookkeeping, and the amnesia flag
 		// survive. There is really only one amnesic state.
 		return treeState{
-			self:        s.self,
-			n:           s.n,
-			st:          s.st,
-			phase:       phaseAmnesic,
-			amnesic:     true,
-			removed:     s.removed,
-			amnesicSent: s.amnesicSent,
+			self:     s.self,
+			n:        s.n,
+			st:       s.st,
+			phase:    phaseAmnesic,
+			amnesic:  true,
+			fallback: fallback{removed: s.removed},
+			amn:      s.amn,
 		}, nil
 	}
 	return s, nil
@@ -303,43 +287,21 @@ func (t Tree) Receive(p sim.ProcID, st sim.State, m sim.Message) sim.State {
 	// Amnesic processors only react by announcing their amnesia once,
 	// when they learn that a failure was detected.
 	if s.amnesic {
-		if (m.Notice || isTermPayload(m.Payload)) && !s.amnesicSent && s.amnOut.empty() {
-			if m.Notice {
-				s.removed = s.removed.add(from)
-			}
-			s.amnOut = allProcs(s.n).del(s.self).minus(s.removed)
-			if s.amnOut.empty() {
-				s.amnesicSent = true
-			}
-		} else if m.Notice {
-			s.removed = s.removed.add(from)
-		}
+		s.amn, s.removed = s.amn.hear(s.self, s.n, s.removed, m)
 		return s
 	}
 
 	// Failure notices, termination-protocol traffic, and amnesia
 	// announcements all pull a main-protocol processor into the
-	// termination protocol.
+	// termination protocol, carrying its current bias.
 	if m.Notice || isTermPayload(m.Payload) {
 		if s.phase != phaseTerm {
-			s = s.enterTerm()
+			s.phase, s.out, s.afterSend = phaseTerm, nil, sim.NoDecision
+			s.vals, s.acks = procSet{}, procSet{}
+			s.fallback = s.enter(s.self, s.n, s.committableNow())
 		}
-		switch {
-		case m.Notice:
-			s.removed = s.removed.add(from)
-			s.term = s.term.onRemoved(from)
-		default:
-			switch pl := m.Payload.(type) {
-			case termMsg:
-				s.term = s.term.onTermMsg(from, pl)
-			case amnesicMsg:
-				s.removed = s.removed.add(from)
-				s.term = s.term.onRemoved(from)
-			}
-		}
-		if s.term.done && s.decided == sim.NoDecision {
-			s.decided = s.term.decision()
-		}
+		s.fallback = s.absorb(m)
+		s.decided = s.settle(s.decided)
 		return s
 	}
 
@@ -466,31 +428,4 @@ func (s treeState) biasForwards(committable bool) []outItem {
 		to = to.minus(s.zeroKids)
 	}
 	return broadcastOut(nil, to, biasMsg{Committable: committable})
-}
-
-// enterTerm switches the processor into the Appendix termination protocol,
-// carrying its current bias and shrinking UP by every known-failed or
-// amnesic processor.
-func (s treeState) enterTerm() treeState {
-	s.phase = phaseTerm
-	s.out = nil
-	s.afterSend = sim.NoDecision
-	s.vals, s.acks = procSet{}, procSet{}
-	up := allProcs(s.n).minus(s.removed)
-	s.term = newTermCore(s.self, s.n, s.committableNow(), up)
-	if s.term.done && s.decided == sim.NoDecision {
-		s.decided = s.term.decision()
-	}
-	return s
-}
-
-// isTermPayload reports whether the payload belongs to the termination
-// protocol layer.
-func isTermPayload(p sim.Payload) bool {
-	switch p.(type) {
-	case termMsg, amnesicMsg:
-		return true
-	default:
-		return false
-	}
 }

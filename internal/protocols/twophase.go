@@ -2,7 +2,7 @@ package protocols
 
 import (
 	"fmt"
-	"strings"
+	"strconv"
 
 	"repro/internal/sim"
 )
@@ -72,8 +72,7 @@ type tpcState struct {
 	out     []outItem
 	decided sim.Decision
 
-	removed procSet
-	term    termCore
+	fallback
 }
 
 var _ sim.State = tpcState{}
@@ -83,7 +82,7 @@ func (s tpcState) Kind() sim.StateKind {
 	switch {
 	case len(s.out) > 0:
 		return sim.Sending
-	case s.phase == tpcTerm && s.term.sending():
+	case s.term.sending():
 		return sim.Sending
 	default:
 		return sim.Receiving
@@ -103,23 +102,19 @@ func (s tpcState) Amnesic() bool { return false }
 
 // Key implements sim.State.
 func (s tpcState) Key() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "2pc{%s n%d in%d %s heard%s conj%d", s.self, s.n, s.input, s.phase, s.heard.key(), s.conj)
+	var scratch [128]byte
+	buf := appendHeader(scratch[:0], "2pc", s.self, s.n, s.input, s.phase.String())
+	buf = s.heard.appendKey(append(buf, " heard"...))
+	buf = strconv.AppendInt(append(buf, " conj"...), int64(s.conj), 10)
 	if s.anyFail {
-		sb.WriteString(" fail")
+		buf = append(buf, " fail"...)
 	}
-	for _, o := range s.out {
-		fmt.Fprintf(&sb, " →%s:%s", o.to, o.payload.Key())
-	}
+	buf = appendOuts(buf, s.out)
 	if s.decided != sim.NoDecision {
-		fmt.Fprintf(&sb, " dec:%s", s.decided)
+		buf = append(append(buf, " dec:"...), s.decided.String()...)
 	}
-	fmt.Fprintf(&sb, " rm%s", s.removed.key())
-	if s.phase == tpcTerm {
-		fmt.Fprintf(&sb, " [%s]", s.term.key())
-	}
-	sb.WriteString("}")
-	return sb.String()
+	buf = s.appendKey(buf, s.phase == tpcTerm)
+	return string(append(buf, '}'))
 }
 
 // Init implements sim.Protocol.
@@ -149,13 +144,11 @@ func (t TwoPhaseCommit) SendStep(p sim.ProcID, state sim.State) (sim.State, []si
 		item := s.out[0]
 		s.out = dropHead(s.out)
 		return s, []sim.Envelope{{To: item.to, Payload: item.payload}}
-	case s.phase == tpcTerm && s.term.sending():
-		core, env := s.term.sendStep()
-		s.term = core
-		if s.term.done && s.decided == sim.NoDecision {
-			s.decided = s.term.decision()
-		}
-		return s, []sim.Envelope{env}
+	case s.term.sending():
+		var envs []sim.Envelope
+		s.fallback, envs = s.send()
+		s.decided = s.settle(s.decided)
+		return s, envs
 	}
 	return s, nil
 }
@@ -170,24 +163,11 @@ func (t TwoPhaseCommit) Receive(p sim.ProcID, state sim.State, m sim.Message) si
 
 	if m.Notice || isTermPayload(m.Payload) {
 		if s.phase != tpcTerm {
-			s = s.enterTpcTerm()
+			s.phase, s.out = tpcTerm, nil
+			s.fallback = s.enter(s.self, s.n, s.decided == sim.Commit)
 		}
-		switch {
-		case m.Notice:
-			s.removed = s.removed.add(from)
-			s.term = s.term.onRemoved(from)
-		default:
-			switch pl := m.Payload.(type) {
-			case termMsg:
-				s.term = s.term.onTermMsg(from, pl)
-			case amnesicMsg:
-				s.removed = s.removed.add(from)
-				s.term = s.term.onRemoved(from)
-			}
-		}
-		if s.term.done && s.decided == sim.NoDecision {
-			s.decided = s.term.decision()
-		}
+		s.fallback = s.absorb(m)
+		s.decided = s.settle(s.decided)
 		return s
 	}
 
@@ -213,18 +193,6 @@ func (t TwoPhaseCommit) Receive(p sim.ProcID, state sim.State, m sim.Message) si
 		// Decided processors keep listening (weak termination).
 	case tpcTerm:
 		// Late main-protocol messages are ignored; see Tree.Receive.
-	}
-	return s
-}
-
-// enterTpcTerm switches into the termination protocol with the current bias.
-func (s tpcState) enterTpcTerm() tpcState {
-	s.phase = tpcTerm
-	s.out = nil
-	up := allProcs(s.n).minus(s.removed)
-	s.term = newTermCore(s.self, s.n, s.decided == sim.Commit, up)
-	if s.term.done && s.decided == sim.NoDecision {
-		s.decided = s.term.decision()
 	}
 	return s
 }
